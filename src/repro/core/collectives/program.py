@@ -25,8 +25,13 @@ Two step kinds do not lower (``HostGlobalExchangeStep``,
 wrapped in a :class:`StepOp` fallback that calls ``apply`` unchanged,
 so every plan compiles even when only partially lowered.
 
-Compiled ops never consult the fault injector; the engine only routes
-injector-free systems to program replay (``docs/reliability.md``).
+Fault injection lives below the ops: every byte a lowered op moves
+goes through a ``DimmSystem`` transfer kernel, and each kernel is a
+fault site (rank guard, drop with partial delivery, CRC
+verify-before-commit); :meth:`CommProgram.replay` adds the launch
+timeouts.  A fused op makes fewer transfers than the steps it absorbed,
+so it draws fewer faults -- the same physics that makes it cheaper
+(``docs/reliability.md``).
 """
 
 from __future__ import annotations
@@ -247,6 +252,16 @@ class ProgramOp(abc.ABC):
         which only ever *understates* the elision credit.
         """
         return 0
+
+    def launch(self, injector) -> None:
+        """Launch-timeout fault site of the PE kernel this op models.
+
+        Only ops that absorbed a PE-local reorder charge WRAM tiles,
+        i.e. launch a real per-DPU kernel that can hang; a fused op
+        launches (and draws) once however many reorders it composed.
+        """
+        if self.wram_tiles:
+            injector.take_timeout("reorder kernel launch")
 
     def _charge(self, ctx: ExecContext) -> None:
         ctx.simd.merge(self.simd)
@@ -494,7 +509,8 @@ class GatherMoveOp(ProgramOp):
         if plan.table is not None:
             flat_table, width = plan.table
             if rows.size:
-                system.take_select_flat(flat_table, width, rows, out)
+                system.take_select_flat(flat_table, width, rows, out,
+                                        self.ids)
             return
         lanes = self.ids.size // self.ngroups
         grouped = plan.block.view(wide_dtype(self.chunk_bytes)).reshape(
@@ -607,7 +623,8 @@ class GatherMoveOp(ProgramOp):
                 flat_table, width = table
                 out = scratch.pong((r1 - r0, flat_table.shape[1]),
                                    wide_dtype(width))
-                system.take_band_flat(flat_table, width, r0, r1, out)
+                system.take_band_flat(flat_table, width, r0, r1, out,
+                                      self.ids)
             else:
                 out = scratch.pong((r1 - r0, self.nslots_out),
                                    wide_dtype(self.chunk_bytes))
@@ -796,7 +813,7 @@ class ReduceFoldOp(ProgramOp):
                 gathered = scratch.pong((band, flat_table.shape[1]),
                                         wide_dtype(width))
                 system.take_band_flat(flat_table, width, r0, r1,
-                                      gathered)
+                                      gathered, self.ids)
             else:
                 gathered = scratch.pong((band, self.nslots),
                                         wide_dtype(self.chunk_bytes))
@@ -984,7 +1001,7 @@ class HostPushOp(ProgramOp):
 
 @dataclass
 class BroadcastFillOp(ProgramOp):
-    """BroadcastStep lowered: one fill per instance, no delivery guard."""
+    """BroadcastStep lowered: one fill (one guarded delivery) per instance."""
 
     group_ids: tuple[np.ndarray, ...]
     instances: tuple[int, ...]
@@ -1235,8 +1252,14 @@ class CommProgram:
         """
         ledger = self.priced(system)
         ctx = ExecContext(system=system, elide=elide)
+        injector = system.fault_injector
+        if injector is not None:
+            # The lowered-away LaunchStep's fault site.
+            injector.take_timeout("collective launch")
         if tile_bytes is None:
             for op in self.ops:
+                if injector is not None:
+                    op.launch(injector)
                 op.execute(ctx, payloads)
             return self._elision_priced(ledger, ctx, system), ctx
         if tile_bytes <= 0:
@@ -1248,6 +1271,8 @@ class CommProgram:
         for op in self.ops:
             pool.release()
             before = ctx.tiles
+            if injector is not None:
+                op.launch(injector)
             op.execute_streamed(ctx, payloads, pool, tile_bytes, workers)
             depth = max(depth, ctx.tiles - before)
         ctx.peak_scratch_bytes = pool.peak_bytes

@@ -35,7 +35,6 @@ import numpy as np
 from ...dtypes import DataType, ReduceOp
 from ...errors import CollectiveError, TransferError
 from ...hw import domain
-from ...reliability.checksum import guarded_delivery
 from ...hw.host import (
     REGISTER_BYTES,
     SimdCounter,
@@ -842,17 +841,13 @@ class BroadcastStep(Step):
         if payloads is None:
             raise CollectiveError(
                 "functional broadcast needs payloads or a scratch key")
-        injector = ctx.system.fault_injector
         for group in self.groups:
             buf = np.asarray(payloads[group.instance], dtype=np.uint8)
             if buf.size != self.nbytes:
                 raise TransferError(
                     f"broadcast payload of {buf.size}B, expected {self.nbytes}B")
-            if injector is not None:
-                injector.guard_pes(ctx.system.geometry, group.pe_ids)
-                # One domain-transferred image serves every PE, so the
-                # whole fan-out is one checksummed delivery.
-                buf = guarded_delivery(injector, buf, "broadcast")
+            # fill_lanes is the fault site: one checksummed delivery of
+            # the shared image per group.
             ctx.system.fill_lanes(group.pe_ids, self.dst_offset, buf)
 
     def cost(self, system: DimmSystem) -> CostLedger:
@@ -958,7 +953,7 @@ class LaunchStep(Step):
 
     def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
         # Cost-only (the launch charge lives in the pre-priced ledger);
-        # the injector hook is moot on the injector-free compiled path.
+        # CommProgram.replay draws the launch timeout once per replay.
         return []
 
     def describe(self) -> str:

@@ -97,12 +97,18 @@ def member_pes(manager: HypercubeManager,
     Every hypercube node joins exactly one instance, so this is simply
     the manager's full membership -- but routed through the slicing so
     the reliability layer's snapshots stay correct if partial slicing
-    is ever introduced.
+    is ever introduced.  Sliced once per (manager, dims): the
+    reliability layer asks on every call, and a degraded cube is a new
+    manager with an empty memo.
     """
-    seen: set[int] = set()
-    for group in slice_groups(manager, dims):
-        seen.update(group.pe_ids)
-    return tuple(sorted(seen))
+    selected = resolve_dims(manager, dims)
+    members = manager._member_pes.get(selected)
+    if members is None:
+        seen: set[int] = set()
+        for group in slice_groups(manager, selected):
+            seen.update(group.pe_ids)
+        members = manager._member_pes[selected] = tuple(sorted(seen))
+    return members
 
 
 def group_size(manager: HypercubeManager, dims: str | Sequence[int]) -> int:

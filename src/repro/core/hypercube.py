@@ -145,6 +145,10 @@ class HypercubeManager:
                  pe_map: Sequence[int] | None = None) -> None:
         self.system = system
         self.shape = HypercubeShape(tuple(shape))
+        #: ``core.groups.member_pes`` memo, per resolved dims.  A
+        #: manager's mapping is immutable (``without_pes`` builds a new
+        #: manager), so entries never go stale.
+        self._member_pes: dict[tuple[int, ...], tuple[int, ...]] = {}
         if pe_map is not None:
             pes = tuple(int(pe) for pe in pe_map)
             if len(pes) != self.shape.num_nodes:

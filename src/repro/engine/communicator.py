@@ -77,8 +77,9 @@ from .scheduler import price_waves, schedule_waves
 from .session_config import EXECUTION_MODES, SessionConfig
 from .stats import EngineStats
 
-#: One PE's saved MRAM intervals: ``(pe_id, offset, bytes)`` records.
-_Snapshot = list[tuple[int, int, np.ndarray]]
+#: A footprint's saved MRAM: one ``(member PEs, offset, lane matrix)``
+#: record per span.
+_Snapshot = list[tuple[tuple[int, ...], int, np.ndarray]]
 
 #: Sentinel distinguishing "kwarg not passed" from an explicit None.
 _UNSET: Any = object()
@@ -274,21 +275,13 @@ class Communicator:
         """The compiled program to replay ``req`` with, if any.
 
         None means interpret: the session (or the request's tuned
-        schedule) asked for it, or a fault injector is attached
-        (compiled ops never consult the injector, so replaying would
-        silently skip fault sites -- ``execution="compiled"`` makes
-        that an error instead).
+        schedule) asked for it.  A fault injector changes nothing here
+        -- the transfer kernels replay runs on are fault sites too.
         """
         if req.schedule is not None:
             if req.schedule.execution == "interpreted":
                 return None
         elif self.execution == "interpreted":
-            return None
-        if self.manager.system.fault_injector is not None:
-            if self.execution == "compiled":
-                raise CollectiveError(
-                    "execution='compiled' bypasses the fault injector; "
-                    "detach the injector or use execution='auto'")
             return None
 
         def build() -> CommProgram:
@@ -332,11 +325,6 @@ class Communicator:
             raise CollectiveError(
                 f"functional {req.primitive} needs payloads")
         if self.reliability is not None:
-            if self.execution == "compiled":
-                raise CollectiveError(
-                    "execution='compiled' cannot run under a reliability "
-                    "policy (retry/rewind interprets steps); use "
-                    "execution='auto'")
             return self._run_reliable(req, functional)
         resolved = self._resolve(req)
         result, replay_s = self._execute_resolved(req, resolved, functional)
@@ -372,10 +360,12 @@ class Communicator:
 
         None inside a worker thread: a wave member occupying a bounded
         executor slot must not queue band tasks behind itself (its
-        bands run inline instead).
+        bands run inline instead).  None under a fault injector too:
+        its RNG is one stateful stream, so bands must draw in order.
         """
         pool = self._pool
-        if pool is None or pool.in_worker:
+        if pool is None or pool.in_worker \
+                or self.manager.system.fault_injector is not None:
             return None
         return pool
 
@@ -457,11 +447,14 @@ class Communicator:
                           schedule=schedule), None
 
     def _record_execution(self, req: NormalizedRequest, result: CommResult,
-                          replay_s: float | None) -> None:
+                          replay_s: float | None, *, backoff_s: float = 0.0,
+                          degraded: bool = False) -> None:
         """Serial phase: stats recording, in submission order.
 
         Kept off the worker threads so float accumulation order (and
         therefore every stats byte) is identical at any worker count.
+        ``replay_s`` is the completing attempt's replay; ``backoff_s``
+        and ``degraded`` are what the reliability wrapper adds.
         """
         if replay_s is not None:
             self.stats.record_replay(
@@ -471,13 +464,18 @@ class Communicator:
                                   chunks_elided=result.chunks_elided,
                                   elided_bytes=result.elided_bytes)
         self.stats.record_call(req.primitive, result.plan, result.ledger,
-                               cached=result.cached)
+                               cached=result.cached,
+                               attempts=result.attempts,
+                               backoff_s=backoff_s, degraded=degraded)
         if self._pool is not None:
             self.stats.worker_bands = self._pool.band_counts()
-        if self.tuner is not None and req.schedule is not None:
+        if self.tuner is not None and req.schedule is not None \
+                and result.attempts == 1:
             # Online feedback: fold the measured replay seconds (None
             # for analytic/interpreted runs) into the tuner's probe or
-            # divergence-monitor state for this shape.
+            # divergence-monitor state for this shape.  A retried call
+            # is no clean sample (its ledger spans every attempt, its
+            # replay seconds only the last), so it is not observed.
             self.tuner.observe(req, req.schedule, result.ledger.total,
                                replay_s, self._plan_cache_for(req),
                                self.stats)
@@ -503,23 +501,22 @@ class Communicator:
     def _snapshot(self, req: NormalizedRequest) -> _Snapshot:
         """Save the MRAM intervals ``req`` touches, on every member PE.
 
-        Reads go straight through :class:`~repro.hw.memory.PeMemory`,
-        below the fault injector, so snapshots are always exact.
+        One bulk :meth:`~repro.hw.system.DimmSystem.peek_rows` per
+        footprint span, below the fault injector, so snapshots are
+        always exact.
         """
-        spans = sorted(set(req.footprint().reads + req.footprint().writes))
-        saved: _Snapshot = []
+        footprint = req.footprint()
+        spans = sorted(set(footprint.reads + footprint.writes))
+        pes = member_pes(self.manager, req.dims)
         system = self.manager.system
-        for pe in member_pes(self.manager, req.dims):
-            for offset, nbytes in spans:
-                saved.append((pe, offset, system.memory(pe).read(offset,
-                                                                 nbytes)))
-        return saved
+        return [(pes, offset, system.peek_rows(pes, offset, nbytes))
+                for offset, nbytes in spans]
 
     def _restore(self, snapshot: _Snapshot) -> None:
         """Rewind MRAM to a snapshot (also injector-free, always exact)."""
         system = self.manager.system
-        for pe, offset, data in snapshot:
-            system.memory(pe).write(offset, data)
+        for pes, offset, rows in snapshot:
+            system.poke_rows(pes, offset, rows)
 
     def _snapshot_needed(self) -> bool:
         """Whether a pre-attempt footprint snapshot can ever be used.
@@ -538,22 +535,25 @@ class Communicator:
 
     def _renormalize(self, req: NormalizedRequest) -> NormalizedRequest:
         """Re-resolve a request against the (remapped) current manager."""
-        return CommRequest(
+        return self._tuned(CommRequest(
             req.primitive, req.dims, req.total_data_size,
             src_offset=req.src_offset, dst_offset=req.dst_offset,
             data_type=req.dtype, reduction_type=req.op,
             payloads=req.payloads, config=req.config,
             tag=req.tag, tenant=req.tenant).normalize(
-                self.manager, self.config, backend=self.backend)
+                self.manager, self.config, backend=self.backend))
 
     def _run_reliable(self, req: NormalizedRequest,
                       functional: bool) -> CommResult:
-        """Execute with whole-collective retry and graceful degradation.
+        """Retry/rewind wrapper around :meth:`_resolve` ->
+        :meth:`_execute_resolved`, the path unreliable calls take.
 
-        Each attempt snapshots the request's footprint first (in-place
+        The request's footprint is snapshotted once up front (in-place
         primitives permute their source region, so a blind re-execution
-        after a mid-plan fault would start from corrupted state), prices
-        itself into the accumulated ledger, and on a transient fault
+        after a mid-program fault would start from corrupted state).
+        Every attempt -- compiled, streamed, eliding or interpreted, as
+        the session or the tuned schedule says -- prices itself into
+        the accumulated ledger; on a transient fault the wrapper
         rewinds, backs off (charged to the ``"retry"`` category), and
         tries again until the policy's attempt cap or fault budget is
         spent.  A permanent rank failure instead remaps the hypercube
@@ -561,6 +561,7 @@ class Communicator:
         cache key keeps degraded plans apart from healthy ones.
         """
         policy = self.reliability.retry
+        system = self.manager.system
         total = CostLedger()
         faults: list[str] = []
         backoff_total = 0.0
@@ -569,49 +570,52 @@ class Communicator:
         failures = 0
         snapshot = (self._snapshot(req)
                     if functional and self._snapshot_needed() else None)
+
+        def failed(fault: Exception, resolved) -> None:
+            """Book one faulted attempt and rewind (so even a spent
+            policy leaves MRAM as the call found it); raise once the
+            policy is spent."""
+            plan, program, _ = resolved
+            total.merge(program.priced(system) if program is not None
+                        else plan.estimate(system))
+            faults.append(fault.kind)
+            self.stats.record_fault(fault.kind)
+            if snapshot is not None:
+                self._restore(snapshot)
+            if isinstance(fault, TransientFault) \
+                    and len(faults) > policy.fault_budget:
+                raise FaultBudgetExceeded(
+                    f"{req.primitive} hit {len(faults)} faults "
+                    f"({', '.join(faults)}); budget is "
+                    f"{policy.fault_budget}") from fault
+            if attempts >= policy.max_attempts:
+                raise FaultBudgetExceeded(
+                    f"{req.primitive} failed {attempts} attempts "
+                    f"(max {policy.max_attempts}); faults: "
+                    f"{', '.join(faults)}") from fault
+
         while True:
             attempts += 1
-            plan, hit = self._compile(req)
-            bound = bind_payloads(plan,
-                                  req.payloads if functional else None)
-            total.merge(bound.estimate(self.manager.system))
+            resolved = self._resolve(req)
             try:
-                ctx = bound.execute(self.manager.system) \
-                    if functional else None
+                result, replay_s = self._execute_resolved(req, resolved,
+                                                          functional)
             except TransientFault as fault:
-                faults.append(fault.kind)
-                self.stats.record_fault(fault.kind)
+                failed(fault, resolved)
                 failures += 1
-                if len(faults) > policy.fault_budget:
-                    raise FaultBudgetExceeded(
-                        f"{req.primitive} hit {len(faults)} faults "
-                        f"({', '.join(faults)}); budget is "
-                        f"{policy.fault_budget}") from fault
-                if attempts >= policy.max_attempts:
-                    raise FaultBudgetExceeded(
-                        f"{req.primitive} failed {attempts} attempts "
-                        f"(max {policy.max_attempts}); faults: "
-                        f"{', '.join(faults)}") from fault
                 delay = policy.backoff(failures)
                 backoff_total += delay
                 total.add("retry", delay)
-                if snapshot is not None:
-                    self._restore(snapshot)
                 continue
             except RankFailure as fault:
-                faults.append(fault.kind)
-                self.stats.record_fault(fault.kind)
                 if not self.reliability.degrade_on_rank_failure:
+                    self.stats.record_fault(fault.kind)
+                    if snapshot is not None:
+                        self._restore(snapshot)
                     raise
-                if attempts >= policy.max_attempts:
-                    raise FaultBudgetExceeded(
-                        f"{req.primitive} failed {attempts} attempts "
-                        f"(max {policy.max_attempts}); faults: "
-                        f"{', '.join(faults)}") from fault
-                if snapshot is not None:
-                    self._restore(snapshot)
-                injector = self.manager.system.fault_injector
-                dead = (injector.failed_pes(self.manager.system.geometry)
+                failed(fault, resolved)
+                injector = system.fault_injector
+                dead = (injector.failed_pes(system.geometry)
                         if injector is not None else fault.pe_ids)
                 self.manager = self.manager.without_pes(dead)
                 self.degraded = True
@@ -621,19 +625,14 @@ class Communicator:
                             if functional and self._snapshot_needed()
                             else None)
                 continue
-            host_outputs = self._host_outputs(req, ctx)
-            self.stats.record_call(req.primitive, plan, total, cached=hit,
-                                   attempts=attempts,
+            total.merge(result.ledger)
+            result = replace(result, ledger=total, attempts=attempts,
+                             faults_seen=tuple(faults),
+                             degraded=self.degraded)
+            self._record_execution(req, result, replay_s,
                                    backoff_s=backoff_total,
                                    degraded=degraded_now)
-            return CommResult(plan=bound, ledger=total,
-                              host_outputs=host_outputs, cached=hit,
-                              attempts=attempts,
-                              faults_seen=tuple(faults),
-                              degraded=self.degraded,
-                              simd=ctx.simd if ctx is not None else None,
-                              wram_tiles=ctx.wram_tiles
-                              if ctx is not None else 0)
+            return result
 
     def _call(self, request: CommRequest,
               functional: bool | None) -> CommResult:

@@ -48,16 +48,16 @@ class SessionConfig:
             :data:`~repro.reliability.RELIABLE` when a fault injector
             is supplied, else None (faults propagate to the caller).
         fault_injector: Attached to the manager's system so every
-            transfer and launch consults it (``docs/reliability.md``).
+            transfer and launch consults it, on the interpreted and the
+            compiled path alike (``docs/reliability.md``).
         backend: Execution backend to switch the manager's system to
             (``"scalar"`` or ``"vectorized"``); None keeps the
             system's current backend (``docs/performance.md``).
-        execution: ``"auto"`` (default) replays cached plans through
-            compiled programs whenever no fault injector is attached,
-            falling back to step interpretation otherwise;
-            ``"interpreted"`` always interprets; ``"compiled"``
-            demands program replay and raises if an injector (which
-            only the interpreted steps consult) is attached.
+        execution: ``"auto"`` (default) and ``"compiled"`` replay
+            cached plans through compiled programs; ``"interpreted"``
+            always interprets steps (the differential-test oracle).
+            Fault injection and the reliability policy work the same
+            under every mode.
         stream_tile_bytes: Streaming scratch budget per buffer.  When
             set, compiled replays run tile-by-tile through one
             session-owned double-buffered scratch pool; peak working
@@ -73,8 +73,9 @@ class SessionConfig:
             each with private scratch.  Results, ledgers and counters
             are bit-identical at every worker count -- only wall-clock
             changes.  Sessions with a fault injector or reliability
-            policy fall back to serial execution (the injector's RNG
-            is stateful), counted in ``EngineStats.parallel_fallbacks``
+            policy run waves (counted in
+            ``EngineStats.parallel_fallbacks``) and row bands serially:
+            the injector's RNG is one stateful stream
             (``docs/performance.md``).
         autotune: ``None`` (default) runs the knobs exactly as
             configured.  ``"offline"`` lets a cost-model-guided
@@ -86,7 +87,8 @@ class SessionConfig:
             cost diverges from modelled cost.  Knobs set explicitly
             (``backend``, ``execution``, ``stream_tile_bytes``) pin
             their axis -- the tuner only decides what was left open.
-            Incompatible with ``fault_injector``/``reliability``
+            Composes with ``fault_injector``/``reliability``: tuned
+            schedules replay under the same retry/rewind wrapper
             (``docs/performance.md``).
         elide_transfers: Content-aware transfer elision (default
             False).  When True, compiled replays fingerprint-scan
@@ -97,9 +99,7 @@ class SessionConfig:
             interpreted oracle at any elision rate, and scan work is
             priced to the ledger's ``elide`` category.  Requires a
             compiled-capable execution mode
-            (``execution="interpreted"`` raises); calls that fall back
-            to the interpreted path -- a fault injector is attached,
-            for example -- simply run without elision
+            (``execution="interpreted"`` raises)
             (``docs/performance.md``).
     """
 
@@ -144,16 +144,10 @@ class SessionConfig:
             raise CollectiveError(
                 "elide_transfers runs in compiled replay; use "
                 "execution='auto' or 'compiled'")
-        if self.autotune is not None:
-            if self.autotune not in ("offline", "online"):
-                raise CollectiveError(
-                    f"unknown autotune mode {self.autotune!r}; "
-                    f"known: ('offline', 'online')")
-            if self.fault_injector is not None or self.reliability is not None:
-                raise CollectiveError(
-                    "autotune cannot run under a fault injector or "
-                    "reliability policy: tuned schedules replay compiled "
-                    "programs, and fault handling is interpreted-only")
+        if self.autotune not in (None, "offline", "online"):
+            raise CollectiveError(
+                f"unknown autotune mode {self.autotune!r}; "
+                f"known: ('offline', 'online')")
 
     @classmethod
     def from_kwargs(cls, **kwargs: Any) -> "SessionConfig":

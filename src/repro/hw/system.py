@@ -83,8 +83,8 @@ class DimmSystem:
         self._arena: MemoryArena | None = None
         self._memories: dict[int, PeMemory] = {}
         self._alloc_cursor = 0
-        #: Optional fault source consulted by every lane transfer (and
-        #: by :class:`~repro.hw.driver.DpuDriver`).  None = perfect
+        #: Optional fault source consulted by every transfer kernel
+        #: (and by :class:`~repro.hw.driver.DpuDriver`).  None = perfect
         #: hardware, the historical behavior.
         self.fault_injector: "FaultInjector | None" = None
 
@@ -282,17 +282,10 @@ class DimmSystem:
         """
         if not len(pe_ids):
             raise TransferError("read_lanes over an empty PE list")
+        matrix = self.peek_rows(pe_ids, offset, nbytes)
         injector = self.fault_injector
         if injector is not None:
-            injector.guard_pes(self.geometry, pe_ids)
-        if self.vectorized:
-            matrix = self._ensure_arena().read_rows(
-                self._lane_ids(pe_ids), offset, nbytes)
-        else:
-            rows = [self.memory(pe).read(offset, nbytes) for pe in pe_ids]
-            matrix = np.stack(rows, axis=0)
-        if injector is not None:
-            matrix = guarded_delivery(injector, matrix, "read_lanes")
+            matrix = self._received(injector, pe_ids, matrix, "read_lanes")
         return matrix
 
     def write_lanes(self, pe_ids: Sequence[int], offset: int,
@@ -307,28 +300,77 @@ class DimmSystem:
                 f"lane matrix has {mat.shape[0]} rows for {len(pe_ids)} PEs")
         injector = self.fault_injector
         if injector is not None:
-            injector.guard_pes(self.geometry, pe_ids)
-            if injector.take_drop():
-                # Partial delivery: a prefix of the lanes lands before
-                # the burst is abandoned, then the fault surfaces.
-                reached = partial_prefix(list(pe_ids))
-                if self.vectorized:
-                    self._ensure_arena().write_rows(
-                        self._lane_ids(reached), offset,
-                        mat[:len(reached)])
-                else:
-                    for row, pe in zip(mat, reached):
-                        self.memory(pe).write(offset, row)
-                raise TransferDropped(
-                    f"write_lanes dropped after {len(reached)}/"
-                    f"{len(pe_ids)} lanes")
-            mat = guarded_delivery(injector, mat, "write_lanes", drop=False)
+            mat = self._delivered(injector, pe_ids, offset, mat,
+                                  "write_lanes")
+        self.poke_rows(pe_ids, offset, mat)
+
+    # ------------------------------------------------------------------
+    # Below the injector: raw bulk access, and the two fault sites every
+    # guarded kernel (lane transfers above, compiled kernels below)
+    # shares
+    # ------------------------------------------------------------------
+    def peek_rows(self, pe_ids: Sequence[int], offset: int,
+                  nbytes: int) -> np.ndarray:
+        """Injector-free copy of ``nbytes`` at ``offset`` from each PE.
+
+        One bulk read on the vectorized backend, a per-PE loop on the
+        scalar one.  Never consults the fault injector, so it is always
+        exact: the reliability layer snapshots a request's footprint
+        through it (one call per footprint span).
+        """
+        if self.vectorized:
+            return self._ensure_arena().read_rows(self._lane_ids(pe_ids),
+                                                  offset, nbytes)
+        return np.stack([self.memory(int(pe)).read(offset, nbytes)
+                         for pe in pe_ids])
+
+    def poke_rows(self, pe_ids: Sequence[int], offset: int,
+                  matrix: np.ndarray) -> None:
+        """Injector-free write of a ``(len(pe_ids), nbytes)`` uint8 matrix.
+
+        The inverse of :meth:`peek_rows` (the reliability layer's
+        rewind) and the commit half of every guarded write kernel.
+        """
         if self.vectorized:
             self._ensure_arena().write_rows(self._lane_ids(pe_ids), offset,
-                                            mat)
+                                            matrix)
             return
-        for row, pe in zip(mat, pe_ids):
-            self.memory(pe).write(offset, row)
+        for row, pe in zip(matrix, pe_ids):
+            self.memory(int(pe)).write(offset, row)
+
+    def _received(self, injector: "FaultInjector", pe_ids: Sequence[int],
+                  buf: np.ndarray, what: str) -> np.ndarray:
+        """Read-side fault site: ``buf`` as the host receives it.
+
+        Rank guard, drop draw, then sender CRC -> maybe-corrupt ->
+        receiver verify (:func:`guarded_delivery`); a faulty burst
+        raises instead of handing corrupted bytes to the caller.
+        """
+        injector.guard_pes(self.geometry, pe_ids)
+        return guarded_delivery(injector, buf, what)
+
+    def _delivered(self, injector: "FaultInjector", pe_ids: Sequence[int],
+                   offset: int, payload: np.ndarray,
+                   what: str) -> np.ndarray:
+        """Write-side fault site: ``payload`` as the PEs receive it.
+
+        ``payload`` is a ``(len(pe_ids), nbytes)`` lane matrix or one
+        1-D image every PE receives.  Rank guard first; then the drop
+        draw -- a dropped burst lands on :func:`partial_prefix` of the
+        lanes before :class:`TransferDropped` surfaces -- then the CRC
+        check, all *before* the caller commits, so a corrupted payload
+        never reaches MRAM.
+        """
+        injector.guard_pes(self.geometry, pe_ids)
+        if injector.take_drop():
+            reached = partial_prefix(pe_ids)
+            n = len(reached)
+            rows = (payload[:n] if payload.ndim == 2
+                    else np.broadcast_to(payload, (n, payload.size)))
+            self.poke_rows(reached, offset, rows)
+            raise TransferDropped(
+                f"{what} dropped after {n}/{len(pe_ids)} lanes")
+        return guarded_delivery(injector, payload, what, drop=False)
 
     # ------------------------------------------------------------------
     # Bulk host <-> PIM helpers (per-PE distinct payloads)
@@ -378,6 +420,12 @@ class DimmSystem:
             raise TransferError(
                 f"MRAM writes take 1-D uint8 buffers, got {buf.dtype} "
                 f"ndim={buf.ndim}")
+        injector = self.fault_injector
+        if injector is not None:
+            # One image serves every PE, so the whole fan-out is one
+            # checksummed delivery.
+            buf = self._delivered(injector, pe_ids, offset, buf,
+                                  "fill_lanes")
         if self.vectorized:
             self._ensure_arena().fill_rows(self._lane_ids(pe_ids), offset,
                                            buf)
@@ -394,8 +442,15 @@ class DimmSystem:
         already read zero are skipped instead of rewritten.  This is
         the elision layer's zero-row fill -- back-to-back replays of
         the same sparse collective hit the already-clean steady state,
-        so repeated elisions pay a read pass, never a write.
+        so repeated elisions pay a read pass, never a write.  Under a
+        fault injector the zero image is one delivery like any other
+        fill.
         """
+        injector = self.fault_injector
+        if injector is not None:
+            self._delivered(injector, pe_ids, offset,
+                            np.zeros(nbytes, dtype=np.uint8),
+                            "zero_fill_lanes")
         if self.vectorized:
             self._ensure_arena().zero_fill_rows(
                 self._lane_ids(pe_ids), offset, nbytes)
@@ -408,9 +463,10 @@ class DimmSystem:
                 self.memory(pe).write(offset, zeros)
 
     # ------------------------------------------------------------------
-    # Compiled-program kernels (injector-free: replay only runs on
-    # perfect hardware; the engine routes faulty systems to the
-    # interpreted path)
+    # Compiled-program kernels.  Each is a fault site like the lane
+    # transfers above: reads go through ``_received`` after the gather,
+    # writes through ``_delivered`` before the commit.  On a healthy
+    # system the whole cost is the ``injector is None`` test.
     # ------------------------------------------------------------------
     def take_by_table(self, pe_ids: Sequence[int], ngroups: int,
                       src_offset: int, nslots_in: int, chunk_bytes: int,
@@ -429,30 +485,33 @@ class DimmSystem:
         """
         ids = self._lane_ids(pe_ids)
         if self.vectorized:
-            return self._ensure_arena().gather_chunks(
+            block = self._ensure_arena().gather_chunks(
                 ids, src_offset, nslots_in, chunk_bytes, ngroups,
                 lane_table, slot_table, flat_table)
-        total = nslots_in * chunk_bytes
-        rows = np.stack([self.memory(int(pe)).read(src_offset, total)
-                         for pe in ids])
-        grouped = rows.reshape(ngroups, -1, nslots_in, chunk_bytes)
-        return take_chunks_by_table(grouped, lane_table, slot_table,
-                                    flat_table)
+        else:
+            total = nslots_in * chunk_bytes
+            rows = np.stack([self.memory(int(pe)).read(src_offset, total)
+                             for pe in ids])
+            grouped = rows.reshape(ngroups, -1, nslots_in, chunk_bytes)
+            block = take_chunks_by_table(grouped, lane_table, slot_table,
+                                         flat_table)
+        injector = self.fault_injector
+        if injector is not None:
+            block = self._received(injector, ids, block, "take_by_table")
+        return block
 
     def put_rows(self, pe_ids: Sequence[int], offset: int,
                  matrix: np.ndarray) -> None:
         """Write a pre-shaped ``(len(pe_ids), nbytes)`` uint8 lane matrix.
 
-        The put half of the compiled-program kernels: no injector
-        consultation and no per-call shape re-validation (lowering
-        already fixed the shapes).
+        The put half of the compiled-program kernels: no per-call
+        shape re-validation (lowering already fixed the shapes).
         """
-        if self.vectorized:
-            self._ensure_arena().write_rows(self._lane_ids(pe_ids), offset,
-                                            matrix)
-            return
-        for row, pe in zip(matrix, pe_ids):
-            self.memory(int(pe)).write(offset, row)
+        injector = self.fault_injector
+        if injector is not None:
+            matrix = self._delivered(injector, pe_ids, offset, matrix,
+                                     "put_rows")
+        self.poke_rows(pe_ids, offset, matrix)
 
     def stream_token(self):
         """Cache token for streamed-replay gather tables, or None.
@@ -503,15 +562,20 @@ class DimmSystem:
             lane_table, slot_table)
 
     def take_band_flat(self, table: np.ndarray, width: int, r0: int,
-                       r1: int, out: np.ndarray) -> None:
+                       r1: int, out: np.ndarray,
+                       pe_ids: Sequence[int]) -> None:
         """Gather output rows ``[r0, r1)`` straight from the arena.
 
         One ``np.take(..., out=)`` of wide elements through a
         pre-built :meth:`stream_table` -- the vectorized band kernel of
         streamed replay: no staging copy, no allocation, and total
-        index work independent of the band count.
+        index work independent of the band count.  ``pe_ids`` names
+        the PEs the table reads, for the rank guard.
         """
         self._ensure_arena().take_band(table, width, r0, r1, out)
+        injector = self.fault_injector
+        if injector is not None:
+            self._received(injector, pe_ids, out, "take_band_flat")
 
     def stage_rows(self, pe_ids: Sequence[int], src_offset: int,
                    nbytes: int, stage: np.ndarray) -> None:
@@ -525,15 +589,19 @@ class DimmSystem:
         for i, pe in enumerate(ids):
             np.copyto(stage[i], self.memory(int(pe)).view(src_offset,
                                                           nbytes))
+        injector = self.fault_injector
+        if injector is not None:
+            self._received(injector, ids, stage, "stage_rows")
 
     def take_rows(self, pe_ids: Sequence[int], offset: int,
                   nbytes: int) -> np.ndarray:
-        """Injector-free lane-matrix read (compiled host-pull kernel)."""
-        if self.vectorized:
-            return self._ensure_arena().read_rows(self._lane_ids(pe_ids),
-                                                  offset, nbytes)
-        return np.stack([self.memory(int(pe)).read(offset, nbytes)
-                         for pe in pe_ids])
+        """Lane-matrix read without :meth:`read_lanes`' argument
+        checks (compiled host-pull kernel)."""
+        block = self.peek_rows(pe_ids, offset, nbytes)
+        injector = self.fault_injector
+        if injector is not None:
+            block = self._received(injector, pe_ids, block, "take_rows")
+        return block
 
     def scan_view(self, pe_ids: Sequence[int], offset: int,
                   nbytes: int) -> np.ndarray:
@@ -549,24 +617,36 @@ class DimmSystem:
         """
         if self.vectorized:
             arena = self._ensure_arena()
-            view = arena.lane_view(self._lane_ids(pe_ids), offset, nbytes)
-            if view is not None:
-                return view
-            return arena.read_rows(self._lane_ids(pe_ids), offset, nbytes)
-        return np.stack([self.memory(int(pe)).view(offset, nbytes)
-                         for pe in pe_ids])
+            block = arena.lane_view(self._lane_ids(pe_ids), offset, nbytes)
+            if block is None:
+                block = arena.read_rows(self._lane_ids(pe_ids), offset,
+                                        nbytes)
+        else:
+            block = np.stack([self.memory(int(pe)).view(offset, nbytes)
+                              for pe in pe_ids])
+        injector = self.fault_injector
+        if injector is not None:
+            # The scan reads the source over the same link; the scalar
+            # elided replay gathers from this very block.
+            self._received(injector, pe_ids, block, "scan_view")
+        return block
 
     def take_select_flat(self, table: np.ndarray, width: int,
-                         rows: np.ndarray, out: np.ndarray) -> None:
+                         rows: np.ndarray, out: np.ndarray,
+                         pe_ids: Sequence[int]) -> None:
         """Gather an arbitrary output-row subset through a stream table.
 
         The elision-aware gather: only representative rows (first
         occurrence of each distinct content class) go through the
         expensive strided arena gather; elided rows are filled or
         alias-copied from the representatives.  Vectorized backend
-        only (callers check :meth:`stream_token` first).
+        only (callers check :meth:`stream_token` first).  ``pe_ids``
+        names the PEs the table reads, for the rank guard.
         """
         self._ensure_arena().take_select(table, width, rows, out)
+        injector = self.fault_injector
+        if injector is not None:
+            self._received(injector, pe_ids, out, "take_select_flat")
 
     # ------------------------------------------------------------------
     # PE-local kernels over ordered PE lists

@@ -37,9 +37,15 @@ _DIGEST_SEED = np.uint64(zlib.crc32(b"pid-comm/chunk-digest"))
 
 
 def checksum(buf: np.ndarray) -> int:
-    """CRC-32 of a buffer's raw bytes (layout-independent)."""
+    """CRC-32 of a buffer's raw bytes (layout-independent).
+
+    zlib reads the contiguous ``uint8`` view through the buffer
+    protocol, so a contiguous input is checksummed in place (a
+    ``tobytes()`` copy cost as much as the CRC itself on MiB-scale
+    lane matrices).
+    """
     arr = np.ascontiguousarray(buf)
-    return zlib.crc32(arr.reshape(-1).view(np.uint8).tobytes())
+    return zlib.crc32(arr.reshape(-1).view(np.uint8))
 
 
 def chunk_digests(words: np.ndarray) -> np.ndarray:
@@ -89,6 +95,11 @@ def guarded_delivery(injector: "FaultInjector | None", buf: np.ndarray,
         return buf
     if drop and injector.take_drop():
         raise TransferDropped(f"{what}: transfer dropped in flight")
+    if injector.spec.bit_flip_rate <= 0.0:
+        # A link that cannot corrupt needs no simulated CRC pass (the
+        # modelled cost is charged regardless); same reasoning as the
+        # engine's zero-rate snapshot elision.
+        return buf
     sent = checksum(buf)
     delivered = injector.corrupt_transfer(buf)
     verify(sent, delivered, what)

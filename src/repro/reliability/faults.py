@@ -188,4 +188,4 @@ def partial_prefix(pe_ids: Sequence[int]) -> Sequence[int]:
     Deterministic (first half, at least one when possible) so dropped
     partial deliveries replay exactly.
     """
-    return pe_ids[: max(1, len(pe_ids) // 2)] if pe_ids else pe_ids
+    return pe_ids[: max(1, len(pe_ids) // 2)]

@@ -178,6 +178,46 @@ def _sweep(seed: int, cases: int, injector_factory=None,
     return results
 
 
+@pytest.fixture
+def tiny_floor(monkeypatch):
+    """Let the small fuzz payloads reach the elision scanner."""
+    from repro.core.collectives import program as program_mod
+    monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 0)
+
+
+#: Execution arms a faulted sweep must stay bit-exact under: the fault
+#: sites sit in the transfer kernels every arm shares, so retry/rewind
+#: has to hold whichever way the session replays.
+FAULTED_ARMS = {
+    "interpreted": dict(execution="interpreted"),
+    "compiled": dict(execution="compiled"),
+    "streamed": dict(execution="compiled", tile=33),
+    "eliding": dict(execution="compiled", elide=True, sparsify=True),
+    "tuned": dict(autotune="offline"),
+}
+
+
+def _one_percent_injectors():
+    """Factory of fresh ~1 %/operation injectors, one seed per case."""
+    counter = [0]
+
+    def injector_factory():
+        counter[0] += 1
+        return FaultInjector(seed=counter[0], bit_flip_rate=0.004,
+                             drop_rate=0.003, timeout_rate=0.003)
+
+    return injector_factory
+
+
+def _assert_ran_as(arm: str, results) -> None:
+    expected = {"interpreted": {"interpreted"}, "compiled": {"compiled"},
+                "streamed": {"streamed"}, "eliding": {"compiled"}}.get(arm)
+    if expected is not None:
+        assert {r.execution for r in results} == expected
+    if arm == "tuned":
+        assert all(r.schedule is not None for r in results)
+
+
 class TestHealthySweep:
     @pytest.mark.parametrize("execution", ["interpreted", "compiled"])
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
@@ -243,22 +283,15 @@ class TestParallelSweep:
         # A pooled session with an injector attached must take the
         # serial fallback (the injector's RNG is stateful) and still
         # retry to bit-exactness.
-        counter = [0]
-
-        def injector_factory():
-            counter[0] += 1
-            return FaultInjector(seed=counter[0],
-                                 bit_flip_rate=0.004, drop_rate=0.003,
-                                 timeout_rate=0.003)
-
         results = _sweep(seed=77, cases=16,
-                         injector_factory=injector_factory,
+                         injector_factory=_one_percent_injectors(),
                          backend=backend, workers=4)
         assert all(r is not None for r in results)
         assert any(r.attempts > 1 for r in results), \
             "parallel faulted sweep never exercised a retry"
 
 
+@pytest.mark.usefixtures("tiny_floor")
 class TestFaultedSweep:
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     def test_one_percent_faults_still_bit_exact(self, backend):
@@ -267,18 +300,23 @@ class TestFaultedSweep:
         # at least one request needed a retry.  The two backends draw
         # different fault schedules (fewer transfers -> fewer draws),
         # but detection + rewind keeps both bit-exact regardless.
-        counter = [0]
-
-        def injector_factory():
-            counter[0] += 1
-            return FaultInjector(seed=counter[0],
-                                 bit_flip_rate=0.004, drop_rate=0.003,
-                                 timeout_rate=0.003)
-
         results = _sweep(seed=77, cases=24,
-                         injector_factory=injector_factory,
+                         injector_factory=_one_percent_injectors(),
                          backend=backend)
-        assert all(r is not None for r in results)
+        # The default session replays compiled, injector or not.
+        assert {r.execution for r in results} == {"compiled"}
+        assert any(r.attempts > 1 for r in results), \
+            "fault sweep never exercised a retry; tune seed/rates"
+
+    @pytest.mark.parametrize("arm", FAULTED_ARMS)
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_one_percent_faults_bit_exact_on_every_arm(self, backend, arm):
+        # The same pressure on every execution arm: arms draw different
+        # fault schedules too, and must all stay bit-exact.
+        results = _sweep(seed=77, cases=48,
+                         injector_factory=_one_percent_injectors(),
+                         backend=backend, **FAULTED_ARMS[arm])
+        _assert_ran_as(arm, results)
         assert any(r.attempts > 1 for r in results), \
             "fault sweep never exercised a retry; tune seed/rates"
 
@@ -320,6 +358,7 @@ class TestTunedSweep:
                                         "streamed")
 
 
+@pytest.mark.usefixtures("tiny_floor")
 class TestElisionSweep:
     """Content-aware elision must stay inside the oracle at any mix.
 
@@ -328,11 +367,6 @@ class TestElisionSweep:
     the sweep crosses fully-dense, partial-zero-chunk, and all-zero
     traffic through the same replay paths.
     """
-
-    @pytest.fixture(autouse=True)
-    def _tiny_floor(self, monkeypatch):
-        from repro.core.collectives import program as program_mod
-        monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 0)
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     def test_random_sparsity_matches_reference(self, backend):
@@ -370,15 +404,14 @@ class TestLongSweep:
     def test_long_tuned_sweep(self):
         _sweep(seed=515151, cases=150, backend=None, autotune="online")
 
-    def test_long_faulted_sweep(self):
-        counter = [0]
+    @pytest.mark.parametrize("arm", FAULTED_ARMS)
+    def test_long_faulted_sweep(self, arm, tiny_floor):
+        results = _sweep(seed=434343, cases=200,
+                         injector_factory=_one_percent_injectors(),
+                         backend="vectorized", **FAULTED_ARMS[arm])
+        _assert_ran_as(arm, results)
+        assert any(r.attempts > 1 for r in results)
 
-        def injector_factory():
-            counter[0] += 1
-            return FaultInjector(seed=counter[0], bit_flip_rate=0.004,
-                                 drop_rate=0.003, timeout_rate=0.003)
-
-        _sweep(seed=434343, cases=200, injector_factory=injector_factory)
 
 class TestMultihostSweep:
     """Rack-scale hierarchy: every fabric topology and pinned global

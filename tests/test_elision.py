@@ -297,21 +297,23 @@ class TestConfigSurface:
 
 
 class TestElisionUnderFaults:
-    def test_injector_session_is_inert_but_exact(self, tiny_floor):
-        # A fault injector forces the interpreted path, where elision
-        # never runs -- the config must be inert, not wrong, and CRC
-        # retry/rewind must still reach bit-exactness.
+    def test_injector_session_elides_and_stays_exact(self, tiny_floor):
+        # Elision runs in compiled replay, and compiled replay runs
+        # under an injector: the scan, the representative gather and
+        # the fills are all fault sites, and CRC retry/rewind must
+        # still reach bit-exactness.
         want, _, _ = _run("alltoall", "scalar", "interpreted", "mixed",
                           elide=False, calls=4)
-        injector = FaultInjector(seed=2, bit_flip_rate=0.004,
-                                 timeout_rate=0.01)
-        got, comm, result = _run("alltoall", "scalar", "auto", "mixed",
-                                 injector=injector, calls=4)
-        _assert_same(want, got)
-        assert result.execution == "interpreted"
-        assert result.chunks_scanned == 0
-        assert comm.stats.elision_scans == 0
-        assert comm.stats.retries > 0  # a fault really was rewound
+        for backend in ("scalar", "vectorized"):
+            injector = FaultInjector(seed=0, bit_flip_rate=0.03,
+                                     drop_rate=0.03, timeout_rate=0.03)
+            got, comm, result = _run("alltoall", backend, "auto", "mixed",
+                                     injector=injector, calls=4)
+            _assert_same(want, got)
+            assert result.execution == "compiled"
+            assert result.chunks_elided > 0
+            assert comm.stats.elision_scans > 0
+            assert comm.stats.retries > 0  # a fault really was rewound
 
 
 class TestTunerIntegration:

@@ -29,7 +29,8 @@ from repro.core.collectives.program import (
 )
 from repro.dtypes import FLOAT32, INT8, INT32, SUM
 from repro.engine.cache import DEFAULT_MAXSIZE, PlanCache
-from repro.errors import CollectiveError
+from repro.errors import (CollectiveError, FaultBudgetExceeded,
+                          TransferDropped)
 
 PRIMITIVES = ("alltoall", "allgather", "reduce_scatter", "allreduce",
               "gather", "scatter", "reduce", "broadcast")
@@ -256,31 +257,52 @@ class TestExecutionPolicy:
             Communicator(manager, SessionConfig(execution="jit"))
 
     def test_compiled_with_injector_raises(self):
+        # Fault sites live inside the compiled transfer kernels: with
+        # no reliability policy to retry, an always-dropping injector
+        # surfaces straight out of a compiled replay.
         manager = make_manager(SHAPE)
-        comm = Communicator(manager, SessionConfig(execution="compiled",
-                            fault_injector=FaultInjector(seed=1),
-                            reliability=None))
-        comm.reliability = None  # isolate the injector check
-        with pytest.raises(CollectiveError):
+        comm = Communicator(manager, SessionConfig(
+            execution="compiled", reliability=None,
+            fault_injector=FaultInjector(seed=1, drop_rate=1.0)))
+        comm.reliability = None  # isolate the injector from the retry loop
+        with pytest.raises(TransferDropped, match="take_by_table"):
             comm.alltoall(BITMAP, 128, src_offset=0, dst_offset=4096,
-                          data_type=INT32, functional=False)
+                          data_type=INT32)
+        assert comm.stats.programs_compiled == 1
+        assert comm.stats.retries == 0
 
     def test_compiled_with_reliability_raises(self):
+        # ... and under the default policy the same session retries the
+        # compiled replay until the budget is spent, then raises with
+        # MRAM rewound to what the call found.
         manager = make_manager(SHAPE)
-        comm = Communicator(manager, SessionConfig(execution="compiled",
-                            fault_injector=FaultInjector(seed=1)))
-        with pytest.raises(CollectiveError):
+        system = manager.system
+        comm = Communicator(manager, SessionConfig(
+            execution="compiled", backend="vectorized",
+            fault_injector=FaultInjector(seed=1, drop_rate=1.0)))
+        fill_group_inputs(system, groups_of(manager, BITMAP), 0, 32, INT32,
+                          np.random.default_rng(0))
+        before = system.peek_rows(manager.all_pes, 0, 8192)
+        with pytest.raises(FaultBudgetExceeded):
             comm.alltoall(BITMAP, 128, src_offset=0, dst_offset=4096,
-                          data_type=INT32, functional=False)
+                          data_type=INT32)
+        assert comm.stats.programs_compiled == 1
+        assert comm.stats.faults_seen["drop"] \
+            == comm.reliability.retry.max_attempts
+        np.testing.assert_array_equal(
+            system.peek_rows(manager.all_pes, 0, 8192), before)
 
-    def test_auto_with_injector_falls_back_to_interpreted(self):
+    def test_auto_with_injector_replays_compiled(self):
         manager = make_manager(SHAPE)
         comm = Communicator(manager, SessionConfig(execution="auto",
                             fault_injector=FaultInjector(seed=1)))
-        result = comm.alltoall(BITMAP, 128, src_offset=0, dst_offset=4096,
-                               data_type=INT32, functional=False)
-        assert result.execution == "interpreted"
-        assert comm.stats.programs_compiled == 0
+        analytic = comm.alltoall(BITMAP, 128, src_offset=0, dst_offset=4096,
+                                 data_type=INT32, functional=False)
+        functional = comm.alltoall(BITMAP, 128, src_offset=0,
+                                   dst_offset=4096, data_type=INT32)
+        assert analytic.execution == functional.execution == "compiled"
+        assert comm.stats.programs_compiled == 1
+        assert comm.stats.program_replays == 1
 
     def test_auto_without_injector_compiles(self):
         manager = make_manager(SHAPE)

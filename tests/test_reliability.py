@@ -532,3 +532,305 @@ class TestTraceIntegration:
         assert retries == sum(f.result().attempts - 1 for f in batch)
         if retries:
             assert "retries]" in render_batch_timeline(batch)
+
+
+# ----------------------------------------------------------------------
+# Faults on compiled replay: the transfer kernels are the fault sites
+# ----------------------------------------------------------------------
+PRIMITIVES = ("alltoall", "allgather", "reduce_scatter", "allreduce",
+              "gather", "scatter", "reduce", "broadcast")
+REPLAY_BITMAP = "01"  # four strided groups of eight PEs
+REPLAY_CHUNK = 4
+#: compiled-replay mode -> SessionConfig knobs
+REPLAY_MODES = {
+    "compiled": {},
+    "streamed": {"stream_tile_bytes": 257},
+    "eliding": {"elide_transfers": True},
+}
+
+
+def _drive(primitive, calls, **session):
+    """``calls`` refilled invocations of one primitive on a fresh cube.
+
+    Returns ``(mram, host_outputs, comm)``: the allocated MRAM of every
+    PE after the last call, every call's host outputs, the session.
+    Inputs are a pure function of the call index, half of each PE's
+    per-destination blocks zero (so eliding sessions have rows to
+    elide).
+    """
+    manager = make_manager((4, 8))
+    system = manager.system
+    comm = Communicator(manager, SessionConfig(**session))
+    groups = groups_of(manager, REPLAY_BITMAP)
+    n = groups[0].size
+    rooted = primitive in ("scatter", "broadcast")
+    elems = REPLAY_CHUNK if primitive in ("allgather", "broadcast") \
+        else n * REPLAY_CHUNK
+    total = elems * 8
+    src = system.alloc(total)
+    dst = system.alloc(n * total)
+    kwargs = {"data_type": INT64}
+    if not rooted:
+        kwargs["src_offset"] = src
+    if primitive not in ("gather", "reduce"):
+        kwargs["dst_offset"] = dst
+    host = []
+    for call in range(calls):
+        rng = np.random.default_rng(call)
+        values = rng.integers(1, 100, (len(groups), n, elems))
+        values.reshape(len(groups), n, -1, REPLAY_CHUNK)[:, :, 1::2] = 0
+        if rooted:
+            size = REPLAY_CHUNK * 8
+            root_elems = n * REPLAY_CHUNK if primitive == "scatter" \
+                else REPLAY_CHUNK
+            kwargs["payloads"] = {g.instance: values[i, 1, :root_elems]
+                                  for i, g in enumerate(groups)}
+        else:
+            size = total
+            for i, group in enumerate(groups):
+                system.scatter_elements(group.pe_ids, src, list(values[i]),
+                                        INT64)
+        result = getattr(comm, primitive)(REPLAY_BITMAP, size, **kwargs)
+        host.append({inst: np.array(out) for inst, out
+                     in (result.host_outputs or {}).items()})
+    mram = system.peek_rows(manager.all_pes, 0, dst + n * total)
+    return mram, host, comm
+
+
+_ORACLE_CALLS = 120
+_oracles = {}
+
+
+def _oracle(primitive):
+    """The un-faulted scalar interpreted run (built once per primitive)."""
+    if primitive not in _oracles:
+        mram, host, _ = _drive(primitive, _ORACLE_CALLS, backend="scalar",
+                               execution="interpreted")
+        _oracles[primitive] = (mram, host)
+    return _oracles[primitive]
+
+
+class TestFaultsOnCompiledReplay:
+    @pytest.fixture(autouse=True)
+    def _tiny_floor(self, monkeypatch):
+        from repro.core.collectives import program as program_mod
+        monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 0)
+
+    @pytest.mark.parametrize("mode", REPLAY_MODES)
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("primitive", PRIMITIVES)
+    def test_one_percent_faults_bit_identical_to_oracle(self, primitive,
+                                                        backend, mode):
+        want_mram, want_host = _oracle(primitive)
+        injector = FaultInjector(seed=PRIMITIVES.index(primitive),
+                                 bit_flip_rate=0.004, drop_rate=0.003,
+                                 timeout_rate=0.003)
+        mram, host, comm = _drive(primitive, _ORACLE_CALLS, backend=backend,
+                                  execution="compiled",
+                                  fault_injector=injector,
+                                  **REPLAY_MODES[mode])
+        np.testing.assert_array_equal(mram, want_mram)
+        assert len(host) == len(want_host)
+        for got, want in zip(host, want_host):
+            assert got.keys() == want.keys()
+            for inst in want:
+                np.testing.assert_array_equal(got[inst], want[inst])
+        stats = comm.stats
+        assert stats.retries > 0, "no fault fired; tune seed/calls"
+        assert stats.program_replays == _ORACLE_CALLS  # completed attempts
+        assert stats.total_faults == injector.total_injected
+        if mode == "streamed":
+            assert stats.tiles_replayed > 0
+        if mode == "eliding" and primitive == "alltoall":
+            assert stats.chunks_elided > 0
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("kernel", ["put_rows", "fill_lanes"])
+    def test_flipped_payload_never_reaches_mram(self, backend, kernel):
+        system = DimmSystem.small(backend=backend)
+        pes = list(range(3, 19))
+        system.poke_rows(pes, 64, np.full((len(pes), 32), 0xAB, np.uint8))
+        before = system.peek_rows(pes, 0, 128)
+        system.attach_fault_injector(
+            FaultInjector(seed=0, bit_flip_rate=1.0))
+        payload = np.arange(32, dtype=np.uint8)
+        with pytest.raises(ChecksumError, match=kernel):
+            if kernel == "put_rows":
+                system.put_rows(np.asarray(pes), 64,
+                                np.tile(payload, (len(pes), 1)))
+            else:
+                system.fill_lanes(pes, 64, payload)
+        np.testing.assert_array_equal(system.peek_rows(pes, 0, 128), before)
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("kernel", ["put_rows", "fill_lanes",
+                                        "zero_fill_lanes"])
+    def test_dropped_write_lands_exactly_the_prefix(self, backend, kernel):
+        system = DimmSystem.small(backend=backend)
+        pes = np.arange(3, 19)
+        old = np.full((pes.size, 32), 0xAB, np.uint8)
+        system.poke_rows(pes, 64, old)
+        system.attach_fault_injector(FaultInjector(seed=0, drop_rate=1.0))
+        rows = np.arange(pes.size * 32, dtype=np.uint8).reshape(pes.size, 32)
+        with pytest.raises(TransferDropped, match=f"{kernel} dropped after "
+                                                  f"8/16 lanes"):
+            if kernel == "put_rows":
+                system.put_rows(pes, 64, rows)
+            elif kernel == "fill_lanes":
+                rows = np.tile(rows[0], (pes.size, 1))
+                system.fill_lanes(pes, 64, rows[0])
+            else:
+                rows = np.zeros_like(rows)
+                system.zero_fill_lanes(pes, 64, 32)
+        reached = len(partial_prefix(pes))
+        got = system.peek_rows(pes, 64, 32)
+        np.testing.assert_array_equal(got[:reached], rows[:reached])
+        np.testing.assert_array_equal(got[reached:], old[reached:])
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_dropped_put_is_rewound_and_retried(self, backend):
+        class DropSecondTransfer(FaultInjector):
+            """Drops exactly the second transfer (alltoall's put)."""
+            draws = 0
+
+            def take_drop(self):
+                self.draws += 1
+                if self.draws == 2:
+                    self.injected["drop"] += 1
+                    return True
+                return False
+
+        manager = make_manager((4, 8))
+        system = manager.system
+        # A non-zero rate keeps the rewind snapshot on; the subclass
+        # decides which draw fires.
+        injector = DropSecondTransfer(seed=0, drop_rate=1e-12)
+        comm = Communicator(manager, SessionConfig(
+            backend=backend, execution="compiled", fault_injector=injector))
+        pes = manager.all_pes
+        rng = np.random.default_rng(5)
+        inputs = [rng.integers(1, 100, 32) for _ in pes]
+        system.scatter_elements(pes, 0, inputs, INT64)
+        stale = np.full((len(pes), 256), 0xAB, np.uint8)
+        system.poke_rows(pes, 256, stale)
+        at_rewind = []
+        restore = comm._restore
+
+        def spy(snapshot):
+            at_rewind.append(system.peek_rows(pes, 256, 256))
+            restore(snapshot)
+
+        comm._restore = spy
+        result = comm.alltoall("11", 256, src_offset=0, dst_offset=256)
+        assert result.execution == "compiled"
+        assert result.attempts == 2 and result.faults_seen == ("drop",)
+        final = system.peek_rows(pes, 256, 256)
+        want = ref.alltoall(inputs)
+        np.testing.assert_array_equal(final.view(np.int64), np.stack(want))
+        # The dropped put landed on exactly the prefix lanes ...
+        (partial,) = at_rewind
+        reached = len(partial_prefix(pes))
+        np.testing.assert_array_equal(partial[:reached], final[:reached])
+        np.testing.assert_array_equal(partial[reached:], stale[reached:])
+
+    def test_rank_failure_on_compiled_path_degrades_and_replans(self, rng):
+        manager = make_manager((4, 8))
+        system = manager.system
+        injector = FaultInjector(seed=0)
+        comm = Communicator(manager, SessionConfig(
+            backend="vectorized", execution="compiled",
+            stream_tile_bytes=257, fault_injector=injector))
+        src = system.alloc(256)
+        dst = system.alloc(256)
+        values = {pe: rng.integers(0, 99, 32).astype(np.int64)
+                  for pe in manager.all_pes}
+        for pe, vals in values.items():
+            system.write_elements(pe, src, vals, INT64)
+        healthy = comm.allreduce("11", 256, src_offset=src, dst_offset=dst)
+        assert healthy.execution == "streamed" and not healthy.degraded
+        for pe, vals in values.items():
+            system.write_elements(pe, src, vals, INT64)
+        injector.fail_rank(1)  # PEs 16..31 go dark
+        result = comm.allreduce("11", 256, src_offset=src, dst_offset=dst)
+        assert result.execution == "streamed"
+        assert result.degraded and result.attempts == 2
+        assert result.faults_seen == ("rank_failure",)
+        assert comm.stats.degradations == 1
+        assert comm.stats.programs_compiled == 2  # healthy + degraded cube
+        assert comm.manager.shape.dims == (4, 4)
+        survivors = comm.manager.all_pes
+        want = ref.allreduce([values[pe] for pe in survivors], SUM)
+        for pe, expect in zip(survivors, want):
+            np.testing.assert_array_equal(
+                system.read_elements(pe, dst, 32, INT64), expect)
+
+    def test_zero_rate_injector_replays_compiled_without_snapshot(
+            self, monkeypatch):
+        def no_snapshot(self, req):
+            raise AssertionError("healthy injector must not snapshot")
+
+        monkeypatch.setattr(Communicator, "_snapshot", no_snapshot)
+        manager = make_manager((4, 8))
+        comm = Communicator(manager, SessionConfig(
+            fault_injector=FaultInjector(seed=1)))
+        result = comm.alltoall("11", 256, src_offset=0, dst_offset=256)
+        assert result.execution == "compiled" and result.attempts == 1
+        assert comm.stats.program_replays == 1
+
+    def test_results_report_what_ran(self):
+        manager = make_manager((4, 8))
+        comm = Communicator(manager, SessionConfig(
+            stream_tile_bytes=64,
+            fault_injector=FaultInjector(seed=3, timeout_rate=0.3)))
+        results = [comm.alltoall("11", 256, src_offset=0, dst_offset=256)
+                   for _ in range(6)]
+        assert {r.execution for r in results} == {"streamed"}
+        stats = comm.stats
+        assert stats.retries == sum(r.attempts - 1 for r in results) > 0
+        assert stats.program_replays == 6
+        assert stats.tiles_replayed == sum(r.tiles for r in results)
+        assert stats.backoff_seconds > 0.0
+
+
+class TestCheapReliabilityPlumbing:
+    def test_checksum_matches_crc_of_raw_bytes(self):
+        import zlib
+        rng = np.random.default_rng(0)
+        for buf in (rng.integers(0, 255, (7, 33)).astype(np.uint8),
+                    rng.integers(-9, 9, 40).astype(np.int64)[::3],
+                    np.arange(24, dtype=np.int32).reshape(4, 6).T,
+                    np.empty(0, np.uint8)):
+            assert checksum(buf) == zlib.crc32(
+                np.ascontiguousarray(buf).tobytes())
+
+    def test_link_that_cannot_corrupt_skips_the_crc(self, monkeypatch):
+        import importlib
+        # (the package re-exports the function under the module's name)
+        checksum_mod = importlib.import_module("repro.reliability.checksum")
+
+        def no_crc(buf):
+            raise AssertionError("zero flip rate must not checksum")
+
+        monkeypatch.setattr(checksum_mod, "checksum", no_crc)
+        buf = np.arange(64, dtype=np.uint8)
+        quiet = FaultInjector(seed=0, drop_rate=0.5, timeout_rate=0.5)
+        dropped = 0
+        for _ in range(20):  # the drop draw still happens
+            try:
+                assert guarded_delivery(quiet, buf) is buf
+            except TransferDropped:
+                dropped += 1
+        assert dropped > 0
+        with pytest.raises(AssertionError, match="must not checksum"):
+            guarded_delivery(FaultInjector(seed=0, bit_flip_rate=1e-9), buf)
+
+    def test_member_pes_sliced_once_per_manager(self, monkeypatch):
+        from repro.core import groups
+        manager = make_manager((4, 8))
+        first = member_pes(manager, "10")
+        monkeypatch.setattr(groups, "slice_groups", None)  # must not re-run
+        assert member_pes(manager, "10") is first
+        assert member_pes(manager, (0,)) is first
+        monkeypatch.undo()
+        degraded = manager.without_pes(range(16, 32))
+        assert member_pes(degraded, "10") == tuple(range(16))

@@ -186,10 +186,16 @@ class TestAutotuneConfig:
         with pytest.raises(CollectiveError, match="autotune"):
             SessionConfig(autotune="sometimes")
 
-    def test_injector_conflict_rejected(self):
-        with pytest.raises(CollectiveError, match="autotune"):
-            SessionConfig(autotune="offline",
-                          fault_injector=FaultInjector(seed=1))
+    def test_injector_composes_with_autotune(self):
+        # Tuned schedules replay under the same retry/rewind wrapper as
+        # every other call, so the combination is just a session.
+        injector = FaultInjector(seed=1, timeout_rate=0.3)
+        comm = Communicator(make_manager((4, 8)), SessionConfig(
+            autotune="offline", fault_injector=injector))
+        results = [comm.alltoall("11", 256, src_offset=0, dst_offset=4096)
+                   for _ in range(6)]
+        assert all(r.schedule is not None for r in results)
+        assert comm.stats.retries > 0
 
     def test_modes_accepted(self):
         for mode in AUTOTUNE_MODES:
