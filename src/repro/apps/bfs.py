@@ -99,10 +99,10 @@ class BfsApp:
         # state; the scatter's cost is modelled all the same.
         harness.comm_cost_only("scatter", "1", ((adj_bytes + 7) // 8) * 8)
 
-        levels = np.full(n, -1, dtype=np.int64)
-        visited = np.zeros(words * 64, dtype=bool)
-        frontier = np.zeros(words * 64, dtype=bool)
         if functional:
+            levels = np.full(n, -1, dtype=np.int64)
+            visited = np.zeros(words * 64, dtype=bool)
+            frontier = np.zeros(words * 64, dtype=bool)
             src = self.config.source
             levels[src] = 0
             visited[src] = True

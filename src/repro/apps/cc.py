@@ -85,15 +85,15 @@ class CcApp:
         harness.comm_cost_only("scatter", "1",
                                max(8, int(avg_edges_per_pe) * 8 // 8 * 8))
 
-        labels = np.full(padded, np.iinfo(np.int64).max, dtype=np.int64)
-        labels[:n] = np.arange(n)
         if functional:
+            labels = np.full(padded, np.iinfo(np.int64).max, dtype=np.int64)
+            labels[:n] = np.arange(n)
             for pe in manager.all_pes:
                 system.write_elements(pe, buf, labels, INT64)
+            prev_merged = labels
 
         iterations = 0
         est_iterations = self._estimated_iterations()
-        prev_merged = labels.copy()
         while True:
             iterations += 1
             if functional:

@@ -86,8 +86,7 @@ class RingStep(Step):
     def cost(self, system: DimmSystem) -> CostLedger:
         params = system.params
         moved = sum(g.size for g in self.groups) * self.chunk_bytes
-        pes = sorted({pe for g in self.groups for pe in g.pe_ids})
-        channels, util = _bus_terms(system, pes)
+        channels, util = _bus_terms(system, self.groups)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(2 * moved, channels, util))
         ledger.add("host_mod", params.mod_time(moved, "shuffle"))
@@ -159,7 +158,10 @@ class TreePairStep(Step):
         params = system.params
         pairs = sum(len(self._pairs(g.size)) for g in self.groups)
         moved = pairs * self.nbytes
-        channels, util = _bus_terms(system, self._active_pes())
+        geom = system.geometry
+        active = self._active_pes()
+        channels = geom.channels_used(active)
+        util = geom.lane_utilization(active)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(2 * moved, channels, util))
         ledger.add("host_mod", params.mod_time(moved, "shuffle"))

@@ -61,7 +61,7 @@ REDUCE_SCRATCH = "reduce.out"
 
 
 def _prepare(manager: HypercubeManager, dims: str | Sequence[int]
-             ) -> tuple[list[CommGroup], int]:
+             ) -> tuple[tuple[CommGroup, ...], int]:
     groups = slice_groups(manager, dims)
     size = groups[0].size
     return groups, size
@@ -92,7 +92,7 @@ def _pass_mode(config: OptConfig, arithmetic: bool, dtype: DataType) -> str:
     return "staged"
 
 
-def _meta(primitive: str, groups: list[CommGroup], config: OptConfig,
+def _meta(primitive: str, groups: Sequence[CommGroup], config: OptConfig,
           per_pe_bytes: int, out_bytes: int) -> dict:
     size = groups[0].size
     return {

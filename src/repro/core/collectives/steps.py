@@ -35,6 +35,7 @@ import numpy as np
 from ...dtypes import DataType, ReduceOp
 from ...errors import CollectiveError, TransferError
 from ...hw import domain
+from ...hw.geometry import DimmGeometry
 from ...hw.host import (
     REGISTER_BYTES,
     SimdCounter,
@@ -173,10 +174,19 @@ def _dt_registers(nbytes: int) -> int:
     return (nbytes + REGISTER_BYTES - 1) // REGISTER_BYTES
 
 
-def _bus_terms(system: DimmSystem, pes: Sequence[int]) -> tuple[int, float]:
-    """(channels used, lane utilization) for a transfer over ``pes``."""
-    geom = system.geometry
-    return geom.channels_used(pes), geom.lane_utilization(pes)
+def _bus_terms(system: DimmSystem,
+               groups: Sequence[CommGroup]) -> tuple[int, float]:
+    """(channels used, lane utilization) for a transfer over ``groups``."""
+    return _group_bus_terms(system.geometry, tuple(groups))
+
+
+@lru_cache(maxsize=256)
+def _group_bus_terms(geometry: DimmGeometry,
+                     groups: tuple[CommGroup, ...]) -> tuple[int, float]:
+    """:func:`_bus_terms` once per (geometry, group list): every step of
+    a plan, and every plan over the same slicing, prices the same PEs."""
+    pes = union_pes(groups)
+    return geometry.channels_used(pes), geometry.lane_utilization(pes)
 
 
 def _check_mode(mode: str) -> None:
@@ -340,7 +350,7 @@ class RotateExchangeStep(Step):
     def cost(self, system: DimmSystem) -> CostLedger:
         params = system.params
         total = sum(g.size for g in self.groups) * self.nslots * self.chunk_bytes
-        channels, util = _bus_terms(system, union_pes(self.groups))
+        channels, util = _bus_terms(system, self.groups)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(2 * total, channels, util))
         if self.mode == "crossdomain":
@@ -421,7 +431,7 @@ class FanoutStep(Step):
         params = system.params
         in_bytes = sum(g.size for g in self.groups) * self.chunk_bytes
         out_bytes = sum(g.size * g.size for g in self.groups) * self.chunk_bytes
-        channels, util = _bus_terms(system, union_pes(self.groups))
+        channels, util = _bus_terms(system, self.groups)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(in_bytes + out_bytes, channels, util))
         if self.mode == "crossdomain":
@@ -559,7 +569,7 @@ class ReduceExchangeStep(Step):
         in_bytes = sum(g.size for g in self.groups) * self.nslots * self.chunk_bytes
         out_bytes = (sum(g.size for g in self.groups) * self.chunk_bytes
                      if self.dst_offset is not None else 0)
-        channels, util = _bus_terms(system, union_pes(self.groups))
+        channels, util = _bus_terms(system, self.groups)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(in_bytes + out_bytes, channels, util))
         if self.mode == "crossdomain":
@@ -659,7 +669,7 @@ class FanoutFromHostStep(Step):
         params = system.params
         payload = sum(g.size for g in self.groups) * self.chunk_bytes
         out_bytes = sum(g.size * g.size for g in self.groups) * self.chunk_bytes
-        channels, util = _bus_terms(system, union_pes(self.groups))
+        channels, util = _bus_terms(system, self.groups)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(out_bytes, channels, util))
         ledger.add("dt", params.dt_time(payload))
@@ -723,7 +733,7 @@ class GatherToHostStep(Step):
     def cost(self, system: DimmSystem) -> CostLedger:
         params = system.params
         total = sum(g.size for g in self.groups) * self.chunk_bytes
-        channels, util = _bus_terms(system, union_pes(self.groups))
+        channels, util = _bus_terms(system, self.groups)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(total, channels, util))
         ledger.add("dt", params.dt_time(total))
@@ -789,7 +799,7 @@ class ScatterFromHostStep(Step):
     def cost(self, system: DimmSystem) -> CostLedger:
         params = system.params
         total = sum(g.size for g in self.groups) * self.chunk_bytes
-        channels, util = _bus_terms(system, union_pes(self.groups))
+        channels, util = _bus_terms(system, self.groups)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(total, channels, util))
         ledger.add("dt", params.dt_time(total))
@@ -853,7 +863,7 @@ class BroadcastStep(Step):
     def cost(self, system: DimmSystem) -> CostLedger:
         params = system.params
         npes = sum(g.size for g in self.groups)
-        channels, util = _bus_terms(system, union_pes(self.groups))
+        channels, util = _bus_terms(system, self.groups)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(self.nbytes * npes, channels, util))
         if len(self.groups) == 1:
@@ -1014,7 +1024,7 @@ class HostGlobalExchangeStep(Step):
         npes = sum(g.size for g in self.groups)
         in_bytes = npes * self.nslots_in * self.chunk_bytes
         out_bytes = npes * self.nslots_out * self.chunk_bytes
-        channels, util = _bus_terms(system, union_pes(self.groups))
+        channels, util = _bus_terms(system, self.groups)
         ledger = CostLedger()
         ledger.add("bus", params.bus_time(in_bytes + out_bytes, channels, util))
         ledger.add("dt", params.dt_time(in_bytes + out_bytes))

@@ -10,7 +10,6 @@ per group, all together (paper section IV-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from math import prod
 from typing import Sequence
 
@@ -61,32 +60,28 @@ def resolve_dims(manager: HypercubeManager,
 
 
 def slice_groups(manager: HypercubeManager,
-                 dims: str | Sequence[int]) -> list[CommGroup]:
+                 dims: str | Sequence[int]) -> tuple[CommGroup, ...]:
     """Form all communication groups for the selected dimensions.
 
-    Returns groups ordered by instance index; every hypercube node is a
-    member of exactly one group.
+    Returns groups ordered by instance index (non-selected coordinates
+    in natural node order); every hypercube node is a member of exactly
+    one group.  Sliced once per (manager, dims): the node -> PE grid is
+    transposed so the non-selected axes come first, and each row of the
+    flattened result is one group in rank order.
     """
     selected = resolve_dims(manager, dims)
-    shape = manager.shape
-    fixed = [d for d in range(shape.ndim) if d not in selected]
-
-    # Iterate non-selected coordinates (instances), slowest dim last to
-    # keep instance ids in natural node order.
-    fixed_ranges = [range(shape.dims[d]) for d in fixed]
-    sel_ranges = [range(shape.dims[d]) for d in selected]
-
-    groups: list[CommGroup] = []
-    for instance, fixed_coords in enumerate(_lex_fastest_first(fixed_ranges)):
-        members = []
-        for sel_coords in _lex_fastest_first(sel_ranges):
-            coords = [0] * shape.ndim
-            for d, c in zip(fixed, fixed_coords):
-                coords[d] = c
-            for d, c in zip(selected, sel_coords):
-                coords[d] = c
-            members.append(manager.pe_of_coords(coords))
-        groups.append(CommGroup(instance=instance, pe_ids=tuple(members)))
+    groups = manager._groups.get(selected)
+    if groups is None:
+        ndim = manager.ndim
+        fixed = [d for d in range(ndim) if d not in selected]
+        # Dimension d is grid axis ndim-1-d; slowest axis first on both
+        # sides keeps the fastest dimension varying fastest.
+        axes = [ndim - 1 - d for d in (*reversed(fixed), *reversed(selected))]
+        rows = manager.pe_grid.transpose(axes).reshape(
+            -1, prod(manager.shape.dims[d] for d in selected))
+        groups = manager._groups[selected] = tuple(
+            CommGroup(instance=i, pe_ids=tuple(row))
+            for i, row in enumerate(rows.tolist()))
     return groups
 
 
@@ -94,36 +89,14 @@ def member_pes(manager: HypercubeManager,
                dims: str | Sequence[int]) -> tuple[int, ...]:
     """All PEs participating in a collective over ``dims``, sorted.
 
-    Every hypercube node joins exactly one instance, so this is simply
-    the manager's full membership -- but routed through the slicing so
-    the reliability layer's snapshots stay correct if partial slicing
-    is ever introduced.  Sliced once per (manager, dims): the
-    reliability layer asks on every call, and a degraded cube is a new
-    manager with an empty memo.
+    Every hypercube node joins exactly one instance, so this is the
+    manager's full membership whichever (valid) dimensions are selected.
     """
-    selected = resolve_dims(manager, dims)
-    members = manager._member_pes.get(selected)
-    if members is None:
-        seen: set[int] = set()
-        for group in slice_groups(manager, selected):
-            seen.update(group.pe_ids)
-        members = manager._member_pes[selected] = tuple(sorted(seen))
-    return members
+    resolve_dims(manager, dims)
+    return manager.sorted_pes
 
 
 def group_size(manager: HypercubeManager, dims: str | Sequence[int]) -> int:
     """Size of each communication group for the selected dimensions."""
     selected = resolve_dims(manager, dims)
     return prod(manager.shape.dims[d] for d in selected)
-
-
-def _lex_fastest_first(ranges: list[range]):
-    """Iterate a multi-range with the *first* range varying fastest.
-
-    itertools.product varies the last range fastest, so reverse twice.
-    """
-    if not ranges:
-        yield ()
-        return
-    for combo in iter_product(*reversed(ranges)):
-        yield tuple(reversed(combo))

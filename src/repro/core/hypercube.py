@@ -25,6 +25,8 @@ from functools import cached_property
 from math import prod
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import HypercubeError
 from ..hw.system import DimmSystem
 
@@ -145,10 +147,10 @@ class HypercubeManager:
                  pe_map: Sequence[int] | None = None) -> None:
         self.system = system
         self.shape = HypercubeShape(tuple(shape))
-        #: ``core.groups.member_pes`` memo, per resolved dims.  A
+        #: ``core.groups.slice_groups`` memo, per resolved dims.  A
         #: manager's mapping is immutable (``without_pes`` builds a new
         #: manager), so entries never go stale.
-        self._member_pes: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._groups: dict[tuple[int, ...], tuple] = {}
         if pe_map is not None:
             pes = tuple(int(pe) for pe in pe_map)
             if len(pes) != self.shape.num_nodes:
@@ -157,8 +159,7 @@ class HypercubeManager:
                     f"{self.shape.num_nodes}-node hypercube")
             if len(set(pes)) != len(pes):
                 raise HypercubeError("pe_map entries must be distinct")
-            for pe in pes:
-                system.geometry._check_pe(pe)
+            system.geometry.pe_array(pes)
             self._pe_map: tuple[int, ...] | None = pes
             self._node_of_pe = {pe: node for node, pe in enumerate(pes)}
             self.base_pe = min(pes)
@@ -227,6 +228,23 @@ class HypercubeManager:
             return self._pe_map
         return tuple(range(self.base_pe, self.base_pe + self.num_nodes))
 
+    @cached_property
+    def sorted_pes(self) -> tuple[int, ...]:
+        """All member PEs in physical id order."""
+        return tuple(sorted(self.all_pes))
+
+    @cached_property
+    def pe_grid(self) -> np.ndarray:
+        """Read-only node -> PE table indexed ``[c_last, ..., c_1, c_0]``.
+
+        Hypercube dimension ``d`` is array axis ``ndim - 1 - d`` (dim 0
+        varies fastest in node order, the last axis in C order).
+        """
+        grid = np.array(self.all_pes, dtype=np.int64).reshape(
+            self.shape.dims[::-1])
+        grid.setflags(write=False)
+        return grid
+
     # ------------------------------------------------------------------
     # Reliability: identity and degradation
     # ------------------------------------------------------------------
@@ -290,19 +308,13 @@ class HypercubeManager:
         always 1.0 whenever the total PE count covers whole entangled
         groups, which is what the hypercube constraints guarantee.
         """
-        from .groups import slice_groups  # local import to avoid a cycle
-        groups = slice_groups(self, dim_indices)
-        geom = self.system.geometry
+        from .groups import resolve_dims  # local import to avoid a cycle
+        resolve_dims(self, dim_indices)
         # Instances pack: lanes of an EG are useful if *any* group uses
-        # them, because all instances run in the same burst sweep.
-        touched: dict[int, set[int]] = {}
-        for group in groups:
-            for pe in group.pe_ids:
-                touched.setdefault(geom.eg_of_pe(pe), set()).add(
-                    geom.lane_of_pe(pe))
-        lanes = geom.chips_per_rank
-        useful = sum(len(s) for s in touched.values())
-        return useful / (lanes * len(touched))
+        # them, because all instances run in the same burst sweep -- and
+        # every node is in exactly one group, so whichever dimensions
+        # are sliced the touched lanes are the cube's own PEs.
+        return self.system.geometry.lane_utilization(self.pe_grid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HypercubeManager({self.describe()})"

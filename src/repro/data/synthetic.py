@@ -12,6 +12,7 @@ row accesses are skewed like real category frequencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,9 +22,9 @@ CRITEO_SPARSE_FIELDS = 26
 CRITEO_DENSE_FIELDS = 13
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriteoLikeDataset:
-    """A synthetic batch of recommendation samples.
+    """A synthetic batch of recommendation samples (read-only arrays).
 
     Attributes:
         indices: int64 array [batch, tables, hots] -- embedding rows
@@ -49,6 +50,7 @@ class CriteoLikeDataset:
         return self.indices.shape[2]
 
 
+@lru_cache(maxsize=4)
 def criteo_like(batch_size: int, num_tables: int = CRITEO_SPARSE_FIELDS,
                 num_rows: int = 1 << 16, hots: int = 4,
                 dense_fields: int = CRITEO_DENSE_FIELDS,
@@ -56,17 +58,20 @@ def criteo_like(batch_size: int, num_tables: int = CRITEO_SPARSE_FIELDS,
     """Generate a synthetic Criteo-like batch.
 
     Index popularity follows a Zipf-like distribution (clipped), which
-    matches the heavy skew of real categorical features.
+    matches the heavy skew of real categorical features.  Memoized on
+    its arguments (the paper-scale experiments each ask for the same
+    batch), so the returned arrays are read-only; copy before mutating.
     """
     if batch_size < 1 or num_tables < 1 or num_rows < 2 or hots < 1:
         raise AppError("criteo_like: all sizes must be positive "
                        "(num_rows >= 2)")
     rng = np.random.default_rng(seed)
     raw = rng.zipf(1.2, size=(batch_size, num_tables, hots))
-    indices = (raw - 1) % num_rows
+    indices = ((raw - 1) % num_rows).astype(np.int64)
     dense = rng.standard_normal((batch_size, dense_fields)).astype(np.float32)
-    return CriteoLikeDataset(indices=indices.astype(np.int64), dense=dense,
-                             num_rows=num_rows)
+    indices.setflags(write=False)
+    dense.setflags(write=False)
+    return CriteoLikeDataset(indices=indices, dense=dense, num_rows=num_rows)
 
 
 def embedding_tables(num_tables: int, num_rows: int, dim: int,

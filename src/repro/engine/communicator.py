@@ -188,6 +188,9 @@ class Communicator:
         #: True once a permanent rank failure forced a remap; every
         #: later result reports it ran on the degraded cube.
         self.degraded = False
+        #: Backing store of the reliable path's footprint snapshots
+        #: (see :meth:`_snapshot`); grows to the largest one seen.
+        self._snapshot_buf = np.empty(0, dtype=np.uint8)
 
     @property
     def backend(self) -> str:
@@ -499,18 +502,34 @@ class Communicator:
     # Reliability: snapshot/restore, retry, degradation
     # ------------------------------------------------------------------
     def _snapshot(self, req: NormalizedRequest) -> _Snapshot:
-        """Save the MRAM intervals ``req`` touches, on every member PE.
+        """Save the MRAM intervals ``req`` writes, on every member PE.
 
-        One bulk :meth:`~repro.hw.system.DimmSystem.peek_rows` per
-        footprint span, below the fault injector, so snapshots are
-        always exact.
+        Spans the request only reads cannot be dirtied by a failed
+        attempt (``Footprint.writes`` is complete: the wave scheduler
+        rests on the same fact).  One bulk
+        :meth:`~repro.hw.system.DimmSystem.peek_rows` per written span,
+        below the fault injector, so snapshots are always exact; the
+        rows land in one session-owned buffer that grows to the largest
+        footprint seen and is reused by the next call -- a fresh
+        megabyte per span per call is page-faulted in every time.  At
+        most one snapshot is live per session (reliable calls are
+        serial), and it dies with the call.
         """
-        footprint = req.footprint()
-        spans = sorted(set(footprint.reads + footprint.writes))
+        spans = sorted(set(req.footprint().writes))
         pes = member_pes(self.manager, req.dims)
         system = self.manager.system
-        return [(pes, offset, system.peek_rows(pes, offset, nbytes))
-                for offset, nbytes in spans]
+        need = len(pes) * sum(nbytes for _, nbytes in spans)
+        if self._snapshot_buf.size < need:
+            self._snapshot_buf = np.empty(need, dtype=np.uint8)
+        snapshot: _Snapshot = []
+        start = 0
+        for offset, nbytes in spans:
+            stop = start + len(pes) * nbytes
+            rows = self._snapshot_buf[start:stop].reshape(len(pes), nbytes)
+            snapshot.append((pes, offset,
+                             system.peek_rows(pes, offset, nbytes, out=rows)))
+            start = stop
+        return snapshot
 
     def _restore(self, snapshot: _Snapshot) -> None:
         """Rewind MRAM to a snapshot (also injector-free, always exact)."""

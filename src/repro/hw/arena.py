@@ -556,15 +556,28 @@ class MemoryArena:
     # ------------------------------------------------------------------
     # Bulk transfers
     # ------------------------------------------------------------------
-    def read_rows(self, pe_ids, offset: int, nbytes: int) -> np.ndarray:
-        """Copy ``nbytes`` at ``offset`` from each PE into a lane matrix."""
+    def read_rows(self, pe_ids, offset: int, nbytes: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """Copy ``nbytes`` at ``offset`` from each PE into a lane matrix.
+
+        ``out`` (a ``(len(pe_ids), nbytes)`` uint8 matrix) receives the
+        copy instead of a fresh allocation, for callers that read the
+        same shape on every call.
+        """
         view = self.lane_view(pe_ids, offset, nbytes)
         if view is not None:
-            return view.copy()
+            if out is None:
+                return view.copy()
+            np.copyto(out, view)
+            return out
         ids = self.touch(pe_ids)
         # Slice the column window first, then gather: the fancy index
         # then copies only the requested bytes, never whole rows.
-        return self._data[:, offset:offset + nbytes][self._rows(ids)]
+        rows = self._data[:, offset:offset + nbytes][self._rows(ids)]
+        if out is None:
+            return rows
+        np.copyto(out, rows)
+        return out
 
     def gather_chunks(self, pe_ids, offset: int, nslots: int,
                       chunk_bytes: int, ngroups: int,

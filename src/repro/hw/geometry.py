@@ -25,7 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from ..errors import GeometryError
+
+
+def _distinct(ids: np.ndarray) -> int:
+    """Number of distinct values in a non-negative id array."""
+    return int(np.count_nonzero(np.bincount(ids))) if ids.size else 0
 
 
 @dataclass(frozen=True)
@@ -169,10 +176,6 @@ class DimmGeometry:
         return tuple(self.entangled_group(i)
                      for i in range(self.num_entangled_groups))
 
-    def channel_of_pe(self, pe_id: int) -> int:
-        """Channel index a PE lives on."""
-        return self.pe_coord(pe_id).channel
-
     # ------------------------------------------------------------------
     # Bus utilization
     # ------------------------------------------------------------------
@@ -181,36 +184,26 @@ class DimmGeometry:
 
         A burst always moves ``chips_per_rank`` lanes; if a transfer only
         involves ``k`` member PEs of an entangled group, ``k/lanes`` of
-        the burst is useful.  Returns the byte-weighted average over the
-        entangled groups touched by ``pe_ids`` (uniform bytes per PE
-        assumed).  Used by the cost model to penalize communication
-        groups that are not entangled-group aligned (paper section
-        III-B).
+        the burst is useful.  Every touched entangled group costs a full
+        burst regardless of member count, so over a PE set (uniform
+        bytes per PE assumed) the useful share is ``members / (lanes *
+        distinct(pe // lanes))``.  Used by the cost model to penalize
+        communication groups that are not entangled-group aligned
+        (paper section III-B).
         """
-        pe_list = list(pe_ids)
-        if not pe_list:
+        ids = self.pe_array(pe_ids)
+        if not ids.size:
             raise GeometryError("lane_utilization of an empty PE set")
-        per_eg: dict[int, int] = {}
-        for pe in pe_list:
-            per_eg[self.eg_of_pe(pe)] = per_eg.get(self.eg_of_pe(pe), 0) + 1
         lanes = self.chips_per_rank
-        # Each touched EG costs a full burst regardless of member count;
-        # useful share is members/lanes for that EG's share of the bytes.
-        useful = sum(count for count in per_eg.values())
-        total = lanes * len(per_eg)
-        return useful / total
+        return ids.size / (lanes * _distinct(ids // lanes))
 
     def channels_used(self, pe_ids) -> int:
         """Number of distinct channels a PE set spans."""
-        return len({self.channel_of_pe(pe) for pe in pe_ids})
+        return _distinct(self.pe_array(pe_ids) // self.pes_per_channel)
 
     def ranks_used(self, pe_ids) -> int:
         """Number of distinct (channel, rank) pairs a PE set spans."""
-        pairs = set()
-        for pe in pe_ids:
-            coord = self.pe_coord(pe)
-            pairs.add((coord.channel, coord.rank))
-        return len(pairs)
+        return _distinct(self.pe_array(pe_ids) // self.pes_per_rank)
 
     # ------------------------------------------------------------------
     # Validation helpers
@@ -218,6 +211,19 @@ class DimmGeometry:
     def _check_pe(self, pe_id: int) -> None:
         if not 0 <= pe_id < self.num_pes:
             raise GeometryError(f"pe_id {pe_id} out of range [0, {self.num_pes})")
+
+    def pe_array(self, pe_ids) -> np.ndarray:
+        """``pe_ids`` (any iterable) as an int64 array, range-checked as one.
+
+        Raises :class:`GeometryError` naming the first id outside
+        ``[0, num_pes)``.
+        """
+        if not isinstance(pe_ids, (np.ndarray, list, tuple)):
+            pe_ids = list(pe_ids)
+        ids = np.asarray(pe_ids, dtype=np.int64).ravel()
+        if ids.size and not 0 <= ids.min() <= ids.max() < self.num_pes:
+            self._check_pe(int(ids[(ids < 0) | (ids >= self.num_pes)][0]))
+        return ids
 
     def _check_coord(self, coord: PeCoord) -> None:
         if not (0 <= coord.channel < self.channels

@@ -309,20 +309,21 @@ class DimmSystem:
     # guarded kernel (lane transfers above, compiled kernels below)
     # shares
     # ------------------------------------------------------------------
-    def peek_rows(self, pe_ids: Sequence[int], offset: int,
-                  nbytes: int) -> np.ndarray:
+    def peek_rows(self, pe_ids: Sequence[int], offset: int, nbytes: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """Injector-free copy of ``nbytes`` at ``offset`` from each PE.
 
         One bulk read on the vectorized backend, a per-PE loop on the
         scalar one.  Never consults the fault injector, so it is always
         exact: the reliability layer snapshots a request's footprint
-        through it (one call per footprint span).
+        through it (one call per footprint span), into a reused
+        ``(len(pe_ids), nbytes)`` uint8 ``out`` matrix.
         """
         if self.vectorized:
             return self._ensure_arena().read_rows(self._lane_ids(pe_ids),
-                                                  offset, nbytes)
+                                                  offset, nbytes, out=out)
         return np.stack([self.memory(int(pe)).read(offset, nbytes)
-                         for pe in pe_ids])
+                         for pe in pe_ids], out=out)
 
     def poke_rows(self, pe_ids: Sequence[int], offset: int,
                   matrix: np.ndarray) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro import DimmSystem, HypercubeManager
@@ -9,7 +11,7 @@ from repro.core.groups import CommGroup, slice_groups
 from repro.dtypes import DataType
 
 
-def fill_group_inputs(system: DimmSystem, groups: list[CommGroup],
+def fill_group_inputs(system: DimmSystem, groups: Sequence[CommGroup],
                       offset: int, elems_per_pe: int, dtype: DataType,
                       rng: np.random.Generator) -> dict[int, list[np.ndarray]]:
     """Write random inputs per PE; returns instance -> rank-ordered vectors."""
@@ -46,5 +48,6 @@ def make_manager(shape: tuple[int, ...], mram_bytes: int = 1 << 16
     return HypercubeManager(system, shape=shape)
 
 
-def groups_of(manager: HypercubeManager, dims: str) -> list[CommGroup]:
+def groups_of(manager: HypercubeManager,
+              dims: str) -> tuple[CommGroup, ...]:
     return slice_groups(manager, dims)

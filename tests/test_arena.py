@@ -57,6 +57,17 @@ class TestViews:
         np.testing.assert_array_equal(got[:, 0], [70, 10, 30])
         assert not np.shares_memory(got, arena._data)
 
+    @pytest.mark.parametrize("pes", [[4, 5, 6, 7], [2, 6, 10], [7, 1, 3]])
+    def test_read_rows_into_a_caller_buffer(self, pes):
+        arena = MemoryArena(mram_bytes=16, max_rows=32)
+        for pe in pes:
+            _stamp(arena, pe, pe * 10)
+        out = np.full((len(pes), 8), 0xFF, dtype=np.uint8)
+        got = arena.read_rows(pes, 4, 8, out=out)
+        assert got is out
+        np.testing.assert_array_equal(out, arena.read_rows(pes, 4, 8))
+        assert not np.shares_memory(out, arena._data)
+
     def test_scatter_fallback_writes_rows(self):
         arena = MemoryArena(mram_bytes=16, max_rows=32)
         mat = np.arange(3 * 4, dtype=np.uint8).reshape(3, 4)

@@ -1,8 +1,13 @@
 """Tests for synthetic datasets, graphs, and partitioners."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
+from .helpers import make_manager
+
+from repro.apps import DlrmApp, DlrmConfig, PidCommBackend
 from repro.data import (
     criteo_like,
     partition_1d,
@@ -121,6 +126,25 @@ class TestCriteoLike:
         a = criteo_like(8, 4, 16, 2, seed=9)
         b = criteo_like(8, 4, 16, 2, seed=9)
         assert np.array_equal(a.indices, b.indices)
+
+    def test_memoized_batches_are_read_only(self):
+        data = criteo_like(8, 4, 16, 2, seed=9)
+        assert criteo_like(8, 4, 16, 2, seed=9) is data
+        assert not data.indices.flags.writeable
+        assert not data.dense.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            data.num_rows = 8
+
+    def test_dlrm_leaves_the_shared_batch_untouched(self):
+        data = criteo_like(batch_size=32, num_tables=4, num_rows=16, hots=3,
+                           seed=1)
+        indices, dense = data.indices.copy(), data.dense.copy()
+        manager = make_manager((2, 4, 4), mram_bytes=1 << 18)
+        for functional in (True, False):
+            DlrmApp(data, DlrmConfig(embedding_dim=4)).run(
+                manager, PidCommBackend(), functional=functional)
+        assert np.array_equal(data.indices, indices)
+        assert np.array_equal(data.dense, dense)
 
     def test_validation(self):
         with pytest.raises(AppError):

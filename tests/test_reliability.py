@@ -265,6 +265,93 @@ class TestSnapshotRestore:
         assert retried, "no seed in range produced a retry"
 
 
+class TestWritesOnlySnapshot:
+    """The rewind snapshot covers ``Footprint.writes`` only, in one
+    session-owned buffer reused across calls."""
+
+    CASES = {
+        # primitive -> (kwargs, written spans of a 256 B/PE call)
+        "allreduce": (dict(src_offset=0, dst_offset=256),
+                      [(0, 256), (256, 256)]),
+        "reduce_scatter": (dict(src_offset=0, dst_offset=256),
+                           [(0, 256), (256, 8)]),
+        "reduce": (dict(src_offset=0), [(0, 256)]),
+    }
+
+    @staticmethod
+    def _session(backend, injector=None):
+        manager = make_manager((4, 8))
+        system = manager.system
+        comm = Communicator(manager, SessionConfig(
+            backend=backend, execution="compiled", fault_injector=injector))
+        inputs = np.random.default_rng(5).integers(
+            1, 100, (manager.num_nodes, 32))
+        system.scatter_elements(manager.all_pes, 0, list(inputs), INT64)
+        return comm, system, manager.all_pes
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("primitive", sorted(CASES))
+    def test_failed_inplace_attempt_restores_source(self, backend,
+                                                    primitive):
+        class DropSecondTransfer(FaultInjector):
+            """Drops the second transfer: by then the preparation
+            kernel has permuted the source region in place."""
+            draws = 0
+
+            def take_drop(self):
+                self.draws += 1
+                if self.draws == 2:
+                    self.injected["drop"] += 1
+                    return True
+                return False
+
+        kwargs, written = self.CASES[primitive]
+        comm, system, pes = self._session(
+            backend, DropSecondTransfer(seed=0, drop_rate=1e-12))
+        before = system.peek_rows(pes, 0, 512)
+        rewinds = []
+        restore = comm._restore
+
+        def spy(snapshot):
+            dirty = system.peek_rows(pes, 0, 512)
+            spans = [(offset, rows.shape[1]) for _, offset, rows in snapshot]
+            restore(snapshot)
+            rewinds.append((dirty, spans, system.peek_rows(pes, 0, 512)))
+
+        comm._restore = spy
+        result = getattr(comm, primitive)("11", 256, **kwargs)
+        assert result.attempts == 2 and result.faults_seen == ("drop",)
+        (dirty, spans, rewound), = rewinds
+        assert spans == written
+        assert not np.array_equal(dirty[:, :256], before[:, :256])
+        np.testing.assert_array_equal(rewound, before)
+        # The retry then lands what an un-faulted twin session lands.
+        twin, twin_system, _ = self._session(backend)
+        want = getattr(twin, primitive)("11", 256, **kwargs)
+        np.testing.assert_array_equal(system.peek_rows(pes, 0, 512),
+                                      twin_system.peek_rows(pes, 0, 512))
+        if primitive == "reduce":
+            for inst, expect in want.host_outputs.items():
+                np.testing.assert_array_equal(result.host_outputs[inst],
+                                              expect)
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_read_only_spans_are_not_copied_and_buffer_is_reused(
+            self, backend):
+        comm, system, pes = self._session(
+            backend, FaultInjector(seed=0, drop_rate=1e-12))
+        req = CommRequest("alltoall", "11", 256, src_offset=0,
+                          dst_offset=256).normalize(
+                              comm.manager, comm.config, backend=comm.backend)
+        (_, offset, rows), = comm._snapshot(req)
+        assert (offset, rows.shape) == (256, (len(pes), 256))
+        store = comm._snapshot_buf
+        np.testing.assert_array_equal(rows, system.peek_rows(pes, 256, 256))
+        (_, _, again), = comm._snapshot(req)
+        assert comm._snapshot_buf is store
+        assert np.shares_memory(again, store)
+
+
 class TestSnapshotElision:
     """Healthy reliable runs must not pay for rewind snapshots.
 
