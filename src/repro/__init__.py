@@ -29,28 +29,13 @@ concurrent callers share one machine through the serving front-end
     session = server.session("tenant-a", priority=2, weight=2.0)
     future = session.submit(CommRequest("allreduce", "11", 1 << 12))
 
-The legacy one-call-per-collective surface (paper Figure 10) is kept
-for paper fidelity and delegates to the same engine::
-
-    from repro import pidcomm_allreduce
-    result = pidcomm_allreduce(manager, "11", 1 << 12, buf, out,
-                               data_type="int64", functional=False)
+The eight methods of :class:`Communicator` are the paper's Figure-10
+calls; ``docs/paper_mapping.md`` maps each C call onto its method.
 """
 
-from .core.api import (
-    ALL_PRIMITIVES,
-    CommResult,
-    pidcomm_allgather,
-    pidcomm_allreduce,
-    pidcomm_alltoall,
-    pidcomm_broadcast,
-    pidcomm_gather,
-    pidcomm_reduce,
-    pidcomm_reduce_scatter,
-    pidcomm_scatter,
-)
 from .core.collectives import (
     ABLATION_LADDER,
+    ALL_PRIMITIVES,
     BASELINE,
     FULL,
     PR_IM,
@@ -64,6 +49,7 @@ from .engine import (
     BatchResult,
     CommFuture,
     CommRequest,
+    CommResult,
     Communicator,
     EngineStats,
     PlanCache,
@@ -94,7 +80,4 @@ __all__ = [
     "RELIABLE", "FAIL_FAST",
     "ALL_PRIMITIVES", "ALL_TYPES", "ALL_OPS",
     "dtype_by_name", "op_by_name", "PidCommError",
-    "pidcomm_alltoall", "pidcomm_allgather", "pidcomm_reduce_scatter",
-    "pidcomm_allreduce", "pidcomm_scatter", "pidcomm_gather",
-    "pidcomm_reduce", "pidcomm_broadcast",
 ]

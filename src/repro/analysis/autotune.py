@@ -215,8 +215,8 @@ class ScheduleSpace:
         Modelled cost is backend-invariant by design (the vectorized
         backend charges exactly the scalar oracle's ledger), so the
         model cannot rank backends; the strictly-less-host-work order
-        (vectorized over scalar, measured at 10-100x in
-        ``BENCH_backend.json``) decides statically instead.
+        (vectorized over scalar, measured at 10-100x,
+        ``docs/performance.md``) decides statically instead.
         """
         for backend in ("vectorized", "scalar"):
             if backend in self.backends:

@@ -20,16 +20,13 @@ from ..baselines import (
 from ..apps.registry import app_table
 from ..core.collectives import (
     ABLATION_LADDER,
+    ALL_PRIMITIVES,
     FULL,
     OptConfig,
+    build_plan,
     plan_allgather,
     plan_allreduce,
-    plan_alltoall,
-    plan_broadcast,
-    plan_gather,
-    plan_reduce,
     plan_reduce_scatter,
-    plan_scatter,
 )
 from ..core.hypercube import HypercubeManager
 from ..dtypes import INT64, SUM
@@ -52,51 +49,38 @@ from .workloads import (
     testbed,
 )
 
-ALL_PRIMITIVES = ("alltoall", "reduce_scatter", "allgather", "allreduce",
-                  "scatter", "gather", "reduce", "broadcast")
 INTER_PE_PRIMITIVES = ("alltoall", "reduce_scatter", "allreduce", "allgather")
 
 
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def _pid_plan(primitive: str, manager: HypercubeManager, dims: str,
-              payload: int, config: OptConfig = FULL):
-    """PID-Comm plan with Figure 14/17 payload conventions.
+def _per_pe_size(primitive: str, manager: HypercubeManager, dims: str,
+                 payload: int) -> int:
+    """The planners' size argument under the Figure 14/17 convention.
 
     ``payload`` is the *large* side per PE: AllGather's input chunk is
     ``payload / group_size`` so every PE *receives* ``payload`` bytes.
     """
     from ..core.groups import group_size
-    if primitive == "alltoall":
-        return plan_alltoall(manager, dims, payload, 0, 0, INT64, config)
     if primitive == "allgather":
-        chunk = payload // group_size(manager, dims)
-        return plan_allgather(manager, dims, chunk, 0, 0, INT64, config)
-    if primitive == "reduce_scatter":
-        return plan_reduce_scatter(manager, dims, payload, 0, 0, INT64, SUM,
-                                   config)
-    if primitive == "allreduce":
-        return plan_allreduce(manager, dims, payload, 0, 0, INT64, SUM,
-                              config)
-    if primitive == "scatter":
-        return plan_scatter(manager, dims, payload, 0, INT64, None, config)
-    if primitive == "gather":
-        return plan_gather(manager, dims, payload, 0, INT64, config)
-    if primitive == "reduce":
-        return plan_reduce(manager, dims, payload, 0, INT64, SUM, config)
-    if primitive == "broadcast":
-        return plan_broadcast(manager, dims, payload, 0, INT64, None, config)
-    raise PidCommError(f"unknown primitive {primitive!r}")
+        return payload // group_size(manager, dims)
+    return payload
+
+
+def _pid_plan(primitive: str, manager: HypercubeManager, dims: str,
+              payload: int, config: OptConfig = FULL):
+    """PID-Comm plan with Figure 14/17 payload conventions."""
+    return build_plan(primitive, manager, dims,
+                      _per_pe_size(primitive, manager, dims, payload),
+                      0, 0, INT64, SUM, config)
 
 
 def _base_plan(primitive: str, manager: HypercubeManager, dims: str,
                payload: int):
-    from ..core.groups import group_size
-    size = payload
-    if primitive == "allgather":
-        size = payload // group_size(manager, dims)
-    return baseline_plan(primitive, manager, dims, size, 0, 0, INT64, SUM)
+    return baseline_plan(primitive, manager, dims,
+                         _per_pe_size(primitive, manager, dims, payload),
+                         0, 0, INT64, SUM)
 
 
 def _tput(payload_total: float, seconds: float) -> float:
@@ -468,12 +452,12 @@ def fig23b_multihost(host_counts: Sequence[int] = (1, 2, 3, 4),
         rows.append({
             "hosts": hosts,
             "allreduce_local_s": ar.ledger.total,
-            "allreduce_mpi_s": ar.mpi_seconds,
-            "reduce_scatter_mpi_s": rs.mpi_seconds,
-            "allgather_mpi_s": ag.mpi_seconds,
+            "allreduce_mpi_s": ar.fabric_seconds,
+            "reduce_scatter_mpi_s": rs.fabric_seconds,
+            "allgather_mpi_s": ag.fabric_seconds,
             "alltoall_local_s": aa.ledger.total,
-            "alltoall_mpi_s": aa.mpi_seconds,
-            "alltoall_mpi_frac": (aa.mpi_seconds / aa.seconds
+            "alltoall_mpi_s": aa.fabric_seconds,
+            "alltoall_mpi_frac": (aa.fabric_seconds / aa.seconds
                                   if aa.seconds else 0.0),
         })
     return rows

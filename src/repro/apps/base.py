@@ -31,14 +31,7 @@ from ..core.collectives import (
     REDUCE_SCRATCH,
     CommPlan,
     OptConfig,
-    plan_allgather,
-    plan_allreduce,
-    plan_alltoall,
-    plan_broadcast,
-    plan_gather,
-    plan_reduce,
-    plan_reduce_scatter,
-    plan_scatter,
+    build_plan,
 )
 from ..core.groups import resolve_dims
 from ..core.hypercube import HypercubeManager
@@ -47,7 +40,6 @@ from ..engine.cache import PlanCache, bind_payloads
 from ..engine.request import ARITHMETIC_PRIMITIVES, PlanKey
 from ..engine.result import reduced_vector
 from ..engine.stats import EngineStats
-from ..errors import AppError
 from ..hw.timing import CostLedger
 
 
@@ -75,31 +67,9 @@ class PidCommBackend(CommBackend):
 
     def build_plan(self, primitive, manager, dims, total_data_size,
                    src=0, dst=0, dtype=INT64, op=SUM, payloads=None):
-        cfg = self.config
-        if primitive == "alltoall":
-            return plan_alltoall(manager, dims, total_data_size, src, dst,
-                                 dtype, cfg)
-        if primitive == "allgather":
-            return plan_allgather(manager, dims, total_data_size, src, dst,
-                                  dtype, cfg)
-        if primitive == "reduce_scatter":
-            return plan_reduce_scatter(manager, dims, total_data_size, src,
-                                       dst, dtype, op, cfg)
-        if primitive == "allreduce":
-            return plan_allreduce(manager, dims, total_data_size, src, dst,
-                                  dtype, op, cfg)
-        if primitive == "gather":
-            return plan_gather(manager, dims, total_data_size, src, dtype, cfg)
-        if primitive == "scatter":
-            return plan_scatter(manager, dims, total_data_size, dst, dtype,
-                                payloads, cfg)
-        if primitive == "reduce":
-            return plan_reduce(manager, dims, total_data_size, src, dtype,
-                               op, cfg)
-        if primitive == "broadcast":
-            return plan_broadcast(manager, dims, total_data_size, dst, dtype,
-                                  payloads, cfg)
-        raise AppError(f"unknown primitive {primitive!r}")
+        plan = build_plan(primitive, manager, dims, total_data_size, src,
+                          dst, dtype, op, self.config)
+        return bind_payloads(plan, payloads)
 
 
 class BaselineCommBackend(CommBackend):

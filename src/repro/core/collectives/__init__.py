@@ -10,10 +10,11 @@ from .schedule import (
     Schedule,
 )
 from .planner import (
+    ALL_PRIMITIVES,
     AR_SCRATCH,
     GATHER_SCRATCH,
-    PLANNERS,
     REDUCE_SCRATCH,
+    build_plan,
     plan_allgather,
     plan_allreduce,
     plan_alltoall,
@@ -30,7 +31,8 @@ __all__ = [
     "CommProgram", "ProgramOp", "compile_plan",
     "Schedule", "SCHEDULE_BACKENDS", "SCHEDULE_EXECUTIONS",
     "GLOBAL_ALGORITHMS",
-    "PLANNERS", "AR_SCRATCH", "GATHER_SCRATCH", "REDUCE_SCRATCH",
+    "ALL_PRIMITIVES", "AR_SCRATCH", "GATHER_SCRATCH", "REDUCE_SCRATCH",
+    "build_plan",
     "plan_alltoall", "plan_allgather", "plan_reduce_scatter",
     "plan_allreduce", "plan_gather", "plan_scatter", "plan_reduce",
     "plan_broadcast",

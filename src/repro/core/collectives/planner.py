@@ -343,13 +343,41 @@ def _payload_bytes(payloads: Mapping[int, np.ndarray] | None
             for k, v in payloads.items()}
 
 
-PLANNERS = {
-    "alltoall": plan_alltoall,
-    "allgather": plan_allgather,
-    "reduce_scatter": plan_reduce_scatter,
-    "allreduce": plan_allreduce,
-    "gather": plan_gather,
-    "scatter": plan_scatter,
-    "reduce": plan_reduce,
-    "broadcast": plan_broadcast,
-}
+#: The eight primitives, in the paper's Figure-10 order.
+ALL_PRIMITIVES = (
+    "alltoall", "reduce_scatter", "allgather", "allreduce",
+    "scatter", "gather", "reduce", "broadcast",
+)
+
+
+def build_plan(primitive: str, manager: HypercubeManager,
+               dims: str | Sequence[int], total_data_size: int,
+               src_offset: int, dst_offset: int, dtype: DataType,
+               op: ReduceOp, config: OptConfig = FULL) -> CommPlan:
+    """Payload-free plan of one invocation of any primitive.
+
+    The one place a primitive's name becomes its planner call (rooted
+    primitives take one offset, arithmetic ones the reduce op).  The
+    ``plan_*`` names are looked up when this runs, not captured in a
+    table at import, so a planner re-bound in this module -- the
+    benchmark tracer wraps them -- is the one that gets called.
+    """
+    m, size, src, dst = manager, total_data_size, src_offset, dst_offset
+    if primitive == "alltoall":
+        return plan_alltoall(m, dims, size, src, dst, dtype, config)
+    if primitive == "allgather":
+        return plan_allgather(m, dims, size, src, dst, dtype, config)
+    if primitive == "reduce_scatter":
+        return plan_reduce_scatter(m, dims, size, src, dst, dtype, op, config)
+    if primitive == "allreduce":
+        return plan_allreduce(m, dims, size, src, dst, dtype, op, config)
+    if primitive == "gather":
+        return plan_gather(m, dims, size, src, dtype, config)
+    if primitive == "scatter":
+        return plan_scatter(m, dims, size, dst, dtype, None, config)
+    if primitive == "reduce":
+        return plan_reduce(m, dims, size, src, dtype, op, config)
+    if primitive == "broadcast":
+        return plan_broadcast(m, dims, size, dst, dtype, None, config)
+    raise CollectiveError(
+        f"unknown primitive {primitive!r}; known: {ALL_PRIMITIVES}")

@@ -15,16 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dtypes import INT64, SUM, DataType, ReduceOp
+from ..engine.communicator import Communicator
+from ..engine.session_config import SessionConfig
 from ..hw.system import DimmSystem
 from . import reference as ref
-from .api import (
-    pidcomm_allgather,
-    pidcomm_allreduce,
-    pidcomm_alltoall,
-    pidcomm_gather,
-    pidcomm_reduce,
-    pidcomm_reduce_scatter,
-)
 from .collectives import ABLATION_LADDER, OptConfig
 from .groups import slice_groups
 from .hypercube import HypercubeManager
@@ -88,6 +82,7 @@ def _verify_one_combo(report, shape, dims, config, dtype, op,
     # A private small geometry keeps the sweep fast.
     system = DimmSystem.small(mram_bytes=1 << 16)
     manager = HypercubeManager(system, shape=shape)
+    comm = Communicator(manager, SessionConfig(config=config))
     groups = slice_groups(manager, dims)
     n = groups[0].size
     elems = n * chunk_elems
@@ -106,19 +101,20 @@ def _verify_one_combo(report, shape, dims, config, dtype, op,
                     return
 
     inputs = _fill(system, groups, src, elems, dtype, rng)
-    pidcomm_alltoall(manager, dims, nbytes, src, dst, dtype, config=config)
+    comm.alltoall(dims, nbytes, src_offset=src, dst_offset=dst,
+                  data_type=dtype)
     check("alltoall", None,
           lambda g: ref.alltoall(inputs[g.instance]))
 
     inputs = _fill(system, groups, src, elems, dtype, rng)
-    pidcomm_allreduce(manager, dims, nbytes, src, dst, dtype, op,
-                      config=config)
+    comm.allreduce(dims, nbytes, src_offset=src, dst_offset=dst,
+                   data_type=dtype, reduction_type=op)
     check("allreduce", None,
           lambda g: ref.allreduce(inputs[g.instance], op))
 
     inputs = _fill(system, groups, src, elems, dtype, rng)
-    pidcomm_reduce_scatter(manager, dims, nbytes, src, dst, dtype, op,
-                           config=config)
+    comm.reduce_scatter(dims, nbytes, src_offset=src, dst_offset=dst,
+                        data_type=dtype, reduction_type=op)
     check("reduce_scatter", None,
           lambda g: ref.reduce_scatter(inputs[g.instance], op))
 
@@ -126,8 +122,8 @@ def _verify_one_combo(report, shape, dims, config, dtype, op,
     in_bytes = chunk_elems * dtype.itemsize
     ag_dst = system.alloc(n * in_bytes)
     inputs = _fill(system, groups, src, chunk_elems, dtype, rng)
-    pidcomm_allgather(manager, dims, in_bytes, src, ag_dst, dtype,
-                      config=config)
+    comm.allgather(dims, in_bytes, src_offset=src, dst_offset=ag_dst,
+                   data_type=dtype)
     report.checks += 1
     for group in groups:
         expect = ref.allgather(inputs[group.instance])
@@ -139,8 +135,7 @@ def _verify_one_combo(report, shape, dims, config, dtype, op,
 
     # Rooted primitives: gather + reduce against the host.
     inputs = _fill(system, groups, src, elems, dtype, rng)
-    result = pidcomm_gather(manager, dims, nbytes, src, dtype,
-                            config=config)
+    result = comm.gather(dims, nbytes, src_offset=src, data_type=dtype)
     report.checks += 1
     for group in groups:
         want = ref.gather(inputs[group.instance])
@@ -150,8 +145,8 @@ def _verify_one_combo(report, shape, dims, config, dtype, op,
             break
 
     inputs = _fill(system, groups, src, elems, dtype, rng)
-    result = pidcomm_reduce(manager, dims, nbytes, src, dtype, op,
-                            config=config)
+    result = comm.reduce(dims, nbytes, src_offset=src, data_type=dtype,
+                         reduction_type=op)
     report.checks += 1
     for group in groups:
         want = ref.reduce(inputs[group.instance], op)

@@ -6,14 +6,12 @@ Sits between the public API and ``core/collectives``: the
 cache, optionally partitioned per tenant), submits batches with
 overlap-aware scheduling (:func:`schedule_waves` +
 :meth:`CostLedger.merge_concurrent`), and instruments every call
-(:class:`EngineStats`).  The deprecated ``pidcomm_*`` functions in
-:mod:`repro.core.api` are thin shims over a shared per-manager
-session; many concurrent callers should go through
-:mod:`repro.serving` instead.
+(:class:`EngineStats`).  Many concurrent callers should go through
+:mod:`repro.serving` instead of constructing sessions.
 """
 
 from .cache import CachePartition, PartitionKey, PlanCache, bind_payloads
-from .communicator import Communicator, shared_communicator
+from .communicator import Communicator
 from .parallel import WorkerPool
 from .request import CommRequest, NormalizedRequest, PlanKey
 from .result import BatchResult, CommFuture, CommResult
@@ -28,5 +26,4 @@ __all__ = [
     "PlanKey", "EngineStats", "SessionConfig", "EXECUTION_MODES",
     "NormalizedRequest", "WaveCost", "WorkerPool", "bind_payloads",
     "schedule_waves", "price_waves", "assert_wave_safety",
-    "shared_communicator",
 ]

@@ -2,9 +2,8 @@
 
 A :class:`Communicator` binds a hypercube manager to an execution
 session: a plan compilation cache, an overlap-aware batch submitter,
-and per-call instrumentation.  It is the recommended API, and since
-the serving redesign it is constructed from one frozen
-:class:`SessionConfig` value::
+and per-call instrumentation.  It is constructed from one frozen
+:class:`SessionConfig` value -- the only construction path::
 
     from repro import Communicator, DimmSystem, HypercubeManager, SessionConfig
 
@@ -14,30 +13,25 @@ the serving redesign it is constructed from one frozen
     result = comm.allreduce("10", 8 << 20, src_offset=src, dst_offset=dst,
                             data_type="int64", reduction_type="sum")
 
-The eight legacy keyword arguments (``config=``, ``functional=``, ...)
-keep working but are deprecated: they route through
-:meth:`SessionConfig.from_kwargs` and emit a :class:`DeprecationWarning`
-naming the migration.  Many concurrent callers should not construct
-sessions at all -- :class:`repro.serving.CollectiveServer` multiplexes
-tenants onto one shared session with admission control and fair-share
-scheduling.
+Many concurrent callers should not construct sessions at all --
+:class:`repro.serving.CollectiveServer` multiplexes tenants onto one
+shared session with admission control and fair-share scheduling.
 
-The eight methods mirror the paper's Figure-10 primitives with
+The eight methods are the paper's Figure-10 primitives with
 *consistent keyword-only* ``src_offset``/``dst_offset``/``payloads``
-arguments (the legacy ``pidcomm_*`` functions keep the C-style
-positional signatures and delegate here).  Repeated calls with the same
-shape reuse the compiled plan -- steady state performs zero re-planning
--- and ``submit()`` takes a whole batch of :class:`CommRequest`\\ s,
-schedules data-independent instances into concurrent waves, and prices
-them with :meth:`CostLedger.merge_concurrent`.
+arguments (``docs/paper_mapping.md`` maps each C call onto its
+method).  Repeated calls with the same shape reuse the compiled plan
+-- steady state performs zero re-planning -- and ``submit()`` takes a
+whole batch of :class:`CommRequest`\\ s, schedules data-independent
+instances into concurrent waves, and prices them with
+:meth:`CostLedger.merge_concurrent`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from time import perf_counter
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,14 +41,7 @@ from ..core.collectives import (
     CommPlan,
     CommProgram,
     OptConfig,
-    plan_allgather,
-    plan_allreduce,
-    plan_alltoall,
-    plan_broadcast,
-    plan_gather,
-    plan_reduce,
-    plan_reduce_scatter,
-    plan_scatter,
+    build_plan,
 )
 from ..core.collectives.planner import _payload_bytes
 from ..core.groups import member_pes
@@ -68,7 +55,7 @@ from ..errors import (
 )
 from ..hw.arena import ScratchPool
 from ..hw.timing import CostLedger
-from ..reliability import FaultInjector, RELIABLE, ReliabilityPolicy
+from ..reliability import RELIABLE
 from .cache import DEFAULT_MAXSIZE, PlanCache, bind_payloads
 from .parallel import WorkerPool
 from .request import CommRequest, NormalizedRequest
@@ -81,15 +68,6 @@ from .stats import EngineStats
 #: record per span.
 _Snapshot = list[tuple[tuple[int, ...], int, np.ndarray]]
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit None.
-_UNSET: Any = object()
-
-#: Names of the deprecated legacy constructor kwargs, in the order the
-#: old signature declared them (used for the migration hint).
-_LEGACY_KWARGS = ("config", "functional", "cache_size", "reliability",
-                  "fault_injector", "backend", "execution",
-                  "stream_tile_bytes")
-
 
 class Communicator:
     """Session-oriented collective engine over one hypercube manager.
@@ -100,45 +78,11 @@ class Communicator:
             session (optimization config, functional vs. analytic,
             cache bound, reliability, backend, execution mode,
             streaming).  None means the all-defaults config.
-        **legacy: The eight pre-redesign keyword arguments (``config``,
-            ``functional``, ``cache_size``, ``reliability``,
-            ``fault_injector``, ``backend``, ``execution``,
-            ``stream_tile_bytes``) are still accepted, route through
-            :meth:`SessionConfig.from_kwargs`, and emit a
-            :class:`DeprecationWarning`; they cannot be combined with
-            ``session_config``.
     """
 
     def __init__(self, manager: HypercubeManager,
-                 session_config: SessionConfig | None = None, *,
-                 config: OptConfig = _UNSET,
-                 functional: bool = _UNSET,
-                 cache_size: int | None = _UNSET,
-                 reliability: ReliabilityPolicy | None = _UNSET,
-                 fault_injector: FaultInjector | None = _UNSET,
-                 backend: str | None = _UNSET,
-                 execution: str = _UNSET,
-                 stream_tile_bytes: int | None = _UNSET) -> None:
-        passed = dict(zip(_LEGACY_KWARGS,
-                          (config, functional, cache_size, reliability,
-                           fault_injector, backend, execution,
-                           stream_tile_bytes)))
-        legacy = {name: value for name, value in passed.items()
-                  if value is not _UNSET}
-        if legacy:
-            if session_config is not None:
-                raise CollectiveError(
-                    "pass either session_config or the legacy keyword "
-                    f"arguments, not both (got session_config and "
-                    f"{sorted(legacy)})")
-            hint = ", ".join(f"{k}=..." for k in legacy)
-            warnings.warn(
-                f"Communicator({hint}) keyword arguments are deprecated; "
-                f"pass Communicator(manager, SessionConfig({hint})) "
-                "instead (see docs/serving.md)",
-                DeprecationWarning, stacklevel=2)
-            session_config = SessionConfig.from_kwargs(**legacy)
-        elif session_config is None:
+                 session_config: SessionConfig | None = None) -> None:
+        if session_config is None:
             session_config = SessionConfig()
         #: The frozen configuration this session was built from.
         self.session_config = session_config
@@ -299,27 +243,9 @@ class Communicator:
         return program
 
     def _build_plan(self, req: NormalizedRequest) -> CommPlan:
-        m, dims, size = self.manager, req.dims, req.total_data_size
-        src, dst = req.src_offset, req.dst_offset
-        dtype, op, cfg = req.dtype, req.op, req.config
-        if req.primitive == "alltoall":
-            return plan_alltoall(m, dims, size, src, dst, dtype, cfg)
-        if req.primitive == "allgather":
-            return plan_allgather(m, dims, size, src, dst, dtype, cfg)
-        if req.primitive == "reduce_scatter":
-            return plan_reduce_scatter(m, dims, size, src, dst, dtype, op,
-                                       cfg)
-        if req.primitive == "allreduce":
-            return plan_allreduce(m, dims, size, src, dst, dtype, op, cfg)
-        if req.primitive == "gather":
-            return plan_gather(m, dims, size, src, dtype, cfg)
-        if req.primitive == "scatter":
-            return plan_scatter(m, dims, size, dst, dtype, None, cfg)
-        if req.primitive == "reduce":
-            return plan_reduce(m, dims, size, src, dtype, op, cfg)
-        if req.primitive == "broadcast":
-            return plan_broadcast(m, dims, size, dst, dtype, None, cfg)
-        raise CollectiveError(f"unknown primitive {req.primitive!r}")
+        return build_plan(req.primitive, self.manager, req.dims,
+                          req.total_data_size, req.src_offset,
+                          req.dst_offset, req.dtype, req.op, req.config)
 
     def _run(self, req: NormalizedRequest, functional: bool) -> CommResult:
         """Compile (or fetch), execute, post-process, record."""
@@ -909,18 +835,3 @@ class Communicator:
         return (f"Communicator({self.manager.shape} cube, "
                 f"config {self.config.label}, {len(self.cache)} cached "
                 f"plans, {self.stats.calls} calls{suffix})")
-
-
-def shared_communicator(manager: HypercubeManager) -> Communicator:
-    """The per-manager session the legacy ``pidcomm_*`` shims delegate to.
-
-    Stored on the manager itself, so repeated legacy calls enjoy the
-    same plan cache the session API provides and the session's
-    lifetime tracks the manager's (the manager -> session -> manager
-    reference cycle is ordinary garbage-collected state).
-    """
-    session = getattr(manager, "_engine_session", None)
-    if session is None or session.manager is not manager:
-        session = Communicator(manager)
-        manager._engine_session = session
-    return session

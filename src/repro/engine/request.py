@@ -16,8 +16,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..core.collectives import OptConfig
-from ..core.collectives.planner import PLANNERS
+from ..core.collectives import ALL_PRIMITIVES, OptConfig
 from ..core.groups import group_size, resolve_dims
 from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, ReduceOp, SUM, dtype_by_name, op_by_name
@@ -37,7 +36,7 @@ class CommRequest:
     """One collective invocation, as data.
 
     Args:
-        primitive: One of :data:`~repro.core.api.ALL_PRIMITIVES`.
+        primitive: One of :data:`~repro.core.collectives.ALL_PRIMITIVES`.
         comm_dimensions: Dimension bitmap (``"010"``) or index sequence.
         total_data_size: Bytes per PE, following the planner's buffer
             conventions (see ``core/collectives/planner.py``).
@@ -77,10 +76,10 @@ class CommRequest:
         the plan on; it is folded into the cache key so scalar and
         vectorized sessions sharing a cache never alias plans.
         """
-        if self.primitive not in PLANNERS:
+        if self.primitive not in ALL_PRIMITIVES:
             raise CollectiveError(
                 f"unknown primitive {self.primitive!r}; "
-                f"known: {tuple(PLANNERS)}")
+                f"known: {ALL_PRIMITIVES}")
         dtype = (self.data_type if isinstance(self.data_type, DataType)
                  else dtype_by_name(self.data_type))
         op = (self.reduction_type

@@ -1,10 +1,10 @@
 """Results and futures returned by the execution engine.
 
-:class:`CommResult` is the outcome of one collective (also returned by
-the legacy ``pidcomm_*`` shims, which re-export it from
-``repro.core.api`` for compatibility).  :class:`CommFuture` and
-:class:`BatchResult` are what ``Communicator.submit`` hands back: one
-future per request plus the batch-level overlap-aware ledger.
+:class:`CommResult` is the outcome of one collective (what each of
+the eight :class:`~repro.engine.Communicator` methods returns).
+:class:`CommFuture` and :class:`BatchResult` are what
+``Communicator.submit`` hands back: one future per request plus the
+batch-level overlap-aware ledger.
 
 The simulator executes eagerly, so futures resolve before ``submit``
 returns; the future API exists so calling code is already shaped for a

@@ -1,9 +1,9 @@
 """The frozen session configuration: one object, one construction path.
 
-:class:`SessionConfig` consolidates what used to be eight sprawling
-``Communicator.__init__`` keyword arguments (``config``, ``functional``,
-``cache_size``, ``reliability``, ``fault_injector``, ``backend``,
-``execution``, ``stream_tile_bytes``) into a single frozen dataclass::
+:class:`SessionConfig` is the single value a
+:class:`~repro.engine.Communicator` (and a
+:class:`~repro.serving.CollectiveServer`, and every host of a
+:class:`~repro.multihost.MultiHostSystem`) is built from::
 
     from repro import Communicator, SessionConfig
 
@@ -15,9 +15,8 @@ Freezing matters for the serving front-end (``repro.serving``): a
 :class:`~repro.serving.CollectiveServer` admits many tenants onto one
 session, so the session's configuration must be a value that can be
 validated once, shared, compared, and stamped into reports -- not a
-bag of mutable attributes.  The legacy keyword arguments keep working
-(they route through :meth:`SessionConfig.from_kwargs` and emit a
-:class:`DeprecationWarning` naming the migration).
+bag of mutable attributes.  Because it is the only door into a
+session, ``__post_init__`` checks every field's type and range.
 """
 
 from __future__ import annotations
@@ -34,6 +33,11 @@ from .cache import DEFAULT_MAXSIZE
 EXECUTION_MODES = ("auto", "interpreted", "compiled")
 
 
+def _is_int(value: Any) -> bool:
+    """A real integer: ``bool`` is an ``int`` subclass and is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything that shapes one :class:`~repro.engine.Communicator`.
@@ -43,7 +47,8 @@ class SessionConfig:
         functional: Whether calls move real bytes (False = analytic
             pricing only); overridable per call and per batch.
         cache_size: Plan-cache bound (None = unbounded; default
-            :data:`~repro.engine.cache.DEFAULT_MAXSIZE`, LRU).
+            :data:`~repro.engine.cache.DEFAULT_MAXSIZE`, LRU).  0
+            caches nothing: every call plans and compiles afresh.
         reliability: Retry/degradation policy.  Defaults to
             :data:`~repro.reliability.RELIABLE` when a fault injector
             is supplied, else None (faults propagate to the caller).
@@ -121,17 +126,22 @@ class SessionConfig:
             raise CollectiveError(
                 f"unknown execution mode {self.execution!r}; "
                 f"known: {EXECUTION_MODES}")
+        if self.cache_size is not None and (
+                not _is_int(self.cache_size) or self.cache_size < 0):
+            raise CollectiveError(
+                f"cache_size must be an int >= 0 or None, got "
+                f"{self.cache_size!r}")
         if self.stream_tile_bytes is not None:
-            if self.stream_tile_bytes <= 0:
+            if not _is_int(self.stream_tile_bytes) \
+                    or self.stream_tile_bytes <= 0:
                 raise CollectiveError(
-                    f"stream_tile_bytes must be positive, got "
-                    f"{self.stream_tile_bytes}")
+                    f"stream_tile_bytes must be a positive int, got "
+                    f"{self.stream_tile_bytes!r}")
             if self.execution == "interpreted":
                 raise CollectiveError(
                     "stream_tile_bytes streams compiled replays; use "
                     "execution='auto' or 'compiled'")
-        if not isinstance(self.parallel_workers, int) \
-                or self.parallel_workers < 1:
+        if not _is_int(self.parallel_workers) or self.parallel_workers < 1:
             raise CollectiveError(
                 f"parallel_workers must be an int >= 1, got "
                 f"{self.parallel_workers!r}")
@@ -148,21 +158,6 @@ class SessionConfig:
             raise CollectiveError(
                 f"unknown autotune mode {self.autotune!r}; "
                 f"known: ('offline', 'online')")
-
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "SessionConfig":
-        """Build a config from the legacy ``Communicator`` kwargs.
-
-        Rejects unknown names with the same error a mistyped keyword
-        argument used to raise, so legacy call sites migrate loudly.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise CollectiveError(
-                f"unknown session option(s) {unknown}; "
-                f"known: {sorted(known)}")
-        return cls(**kwargs)
 
     def evolve(self, **changes: Any) -> "SessionConfig":
         """A copy with ``changes`` applied (re-validated)."""

@@ -686,8 +686,8 @@ class ScratchPool:
 
     ``peak_bytes`` records the high-water mark of simultaneously
     requested view bytes; on the vectorized backend that is at most
-    two tiles (pong + the fold sliver), which the streaming benchmark
-    gates on (``benchmarks/bench_stream.py``).
+    two tiles (pong + the fold sliver); the ``large_replay`` benchmark
+    workload's ``peak_rss_mb`` watches it.
     """
 
     #: buffer roles, in index order.

@@ -18,8 +18,8 @@ Categories (matching the paper's breakdown figures 4 and 17):
   transfer setup).
 * ``kernel``     -- application compute on the PEs.
 * ``cpu``        -- application compute on a CPU-only system.
-* ``mpi``        -- inter-host traffic in the multi-host extension
-  (flat single-link pricing via :class:`MpiSimulator`).
+* ``mpi``        -- inter-host traffic priced flat on one link
+  (:meth:`MachineParams.mpi_time`).
 * ``fabric``     -- inter-host traffic priced on a topology-aware
   :class:`~repro.multihost.Fabric` link graph (per-link congestion,
   heterogeneous bandwidths); the hierarchical collectives charge their
@@ -210,10 +210,9 @@ class MachineParams:
 
         Defaults to the testbed's throttled MPI link
         (:attr:`mpi_gbps` / :attr:`mpi_latency_s`); ``gbps`` /
-        ``latency_s`` override per link, so a heterogeneous
-        :class:`~repro.multihost.Fabric` and the flat
-        :class:`~repro.multihost.MpiSimulator` price one link the same
-        way.
+        ``latency_s`` override per link, so every link of a
+        heterogeneous :class:`~repro.multihost.Fabric` is priced by
+        this one formula.
         """
         _check_nonneg(nbytes, "nbytes")
         rate = self.mpi_gbps if gbps is None else gbps

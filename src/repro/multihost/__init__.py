@@ -16,7 +16,6 @@ from .algorithms import (
     default_factors,
     factor_candidates,
 )
-from .mpi_sim import MpiSimulator
 from .tuning import GlobalTuner
 from .hierarchical import (
     MultiHostResult,
@@ -32,7 +31,7 @@ __all__ = [
     "Fabric", "Link", "GLOBAL_ALGORITHMS", "GLOBAL_PRIMITIVES",
     "GlobalProgram", "compile_global", "default_factors",
     "factor_candidates", "GlobalTuner",
-    "MpiSimulator", "MultiHostResult", "MultiHostSystem",
+    "MultiHostResult", "MultiHostSystem",
     "multihost_allreduce", "multihost_alltoall",
     "multihost_reduce_scatter", "multihost_allgather",
 ]

@@ -5,9 +5,9 @@ The inter-host phase of a hierarchical collective is a first-class
 nbytes)`` transfers, built by one of three algorithm families and
 priced on a :class:`~repro.multihost.Fabric`:
 
-* ``ring`` -- the classic ring / pairwise schedules (what the flat
-  :class:`MpiSimulator` always modelled): ``N-1`` rounds, minimal
-  volume, linear latency.
+* ``ring`` -- the classic ring / pairwise schedules (the paper's
+  testbed; flat ``(N-1)/N`` volume): ``N-1`` rounds, minimal volume,
+  linear latency.
 * ``halving_doubling`` -- recursive halving/doubling (and Bruck for
   AlltoAll): ``log2 N`` rounds, so it wins when per-round latency
   dominates; power-of-two host counts only.

@@ -1,16 +1,17 @@
 """Topology-aware inter-host fabric: a link graph with congestion pricing.
 
-The flat :class:`~repro.multihost.MpiSimulator` prices every global
-phase as one serialized 10 Gbps pipe.  Real rack-scale deployments are
-link *graphs*: hosts hang off leaf switches, leaves share a spine, and
-per-link bandwidths differ (the oversubscribed spine is the classic
-bottleneck).  :class:`Fabric` models exactly that:
+The paper's multi-host testbed is one throttled 10 Gbps pipe with ring
+collectives, whose volume is the flat ``(N-1)/N`` formula.  Real
+rack-scale deployments are link *graphs*: hosts hang off leaf
+switches, leaves share a spine, and per-link bandwidths differ (the
+oversubscribed spine is the classic bottleneck).  :class:`Fabric`
+models exactly that:
 
 * nodes are hosts ``0..num_hosts-1`` plus optional switch nodes;
 * each directed link carries its own bandwidth and latency
   (defaults from :class:`~repro.hw.timing.MachineParams.mpi_gbps` /
   ``mpi_latency_s``, so a fully connected fabric prices one message
-  identically to the flat simulator);
+  at :meth:`~repro.hw.timing.MachineParams.link_time`);
 * a *round* of concurrent transfers is priced by per-link byte
   accumulation over shortest-path routes -- the busiest link sets the
   round's bandwidth term, the longest used route its latency term.
@@ -93,9 +94,9 @@ class Fabric:
                         latency_s: float | None = None) -> "Fabric":
         """Every host pair shares a dedicated bidirectional link.
 
-        With default bandwidth/latency this prices a ring round exactly
-        like the flat :class:`MpiSimulator`, which keeps the pre-fabric
-        Figure 23b numbers reproducible.
+        With default bandwidth/latency a ring program on this fabric
+        costs exactly the flat ``(N-1)/N`` ring formulas, which is
+        what keeps the paper's Figure 23b numbers reproducible.
         """
         gbps, latency_s = _defaults(params, gbps, latency_s)
         links = {}

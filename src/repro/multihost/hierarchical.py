@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.collectives import FULL, OptConfig, Schedule
+from ..core.collectives import Schedule
 from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, INT64, ReduceOp, SUM
 from ..engine import Communicator, SessionConfig, WorkerPool
@@ -38,10 +38,7 @@ from ..hw.system import DimmSystem
 from ..hw.timing import CostLedger, MachineParams
 from .algorithms import GlobalProgram
 from .fabric import Fabric
-from .mpi_sim import MpiSimulator
 from .tuning import GlobalTuner
-
-_UNSET = object()
 
 #: Target fingerprint-scan granularity for fabric elision.  256 B
 #: chunks align with whole-PE runs in the re-blocked AlltoAll wire
@@ -84,11 +81,6 @@ class MultiHostResult:
     schedule: Schedule | None = None
 
     @property
-    def mpi_seconds(self) -> float:
-        """Back-compat alias: the global phase's inter-host seconds."""
-        return self.fabric_seconds
-
-    @property
     def seconds(self) -> float:
         return self.ledger.total + self.fabric_seconds
 
@@ -107,15 +99,13 @@ class MultiHostSystem:
         num_hosts: Simulated hosts.
         params: Machine parameters (shared by hosts and fabric links).
         ranks_per_channel / mram_bytes: Per-host system size.
-        config: Optimization rung shorthand (kept from the pre-engine
-            API); equivalent to ``session_config=SessionConfig(
-            config=...)``.
-        session_config: Full engine configuration every host's
-            :class:`~repro.engine.Communicator` runs under (backend,
-            execution mode, streaming, autotune, elision, workers).
+        session_config: Engine configuration every host's
+            :class:`~repro.engine.Communicator` runs under (rung,
+            backend, execution mode, streaming, autotune, elision,
+            workers).  None means the all-defaults config.
         fabric: Inter-host topology (default: fully connected at the
-            testbed's throttled MPI link rate, which reproduces the
-            flat :class:`MpiSimulator` pricing).
+            testbed's throttled MPI link rate, on which a ring prices
+            at the flat ``(N-1)/N`` formulas).
         global_algorithm: Pin the global-phase algorithm (``"ring"`` /
             ``"halving_doubling"`` / ``"exchange"``); None lets the
             :class:`GlobalTuner` pick per (primitive, payload).
@@ -127,20 +117,14 @@ class MultiHostSystem:
     """
 
     def __init__(self, num_hosts: int, params: MachineParams | None = None,
-                 ranks_per_channel: int = 4, mram_bytes: int = 1 << 20,
-                 config: OptConfig = _UNSET, *,
+                 ranks_per_channel: int = 4, mram_bytes: int = 1 << 20, *,
                  session_config: SessionConfig | None = None,
                  fabric: Fabric | None = None,
                  global_algorithm: str | None = None) -> None:
         if num_hosts < 1:
             raise CollectiveError("need at least one host")
-        if config is not _UNSET and session_config is not None:
-            raise CollectiveError(
-                "pass either config= (optimization rung shorthand) or "
-                "session_config=, not both")
         if session_config is None:
-            session_config = SessionConfig(
-                config=config if config is not _UNSET else FULL)
+            session_config = SessionConfig()
         self.params = params or MachineParams()
         self.session_config = session_config
         self.config = session_config.config
@@ -179,7 +163,6 @@ class MultiHostSystem:
                                            global_algorithm=global_algorithm)
         self.tuner = GlobalTuner(self.fabric,
                                  algorithms=space.global_algorithms)
-        self.mpi = MpiSimulator(self.params, num_hosts)
 
     @property
     def num_hosts(self) -> int:
@@ -309,6 +292,29 @@ class MultiHostSystem:
             elided_fabric_bytes=elided, schedule=schedule)
 
 
+# ----------------------------------------------------------------------
+# The functional global exchange: canonical numpy, shared by every
+# global algorithm and topology (which only change the price).
+# ----------------------------------------------------------------------
+def _reduce_across(host_vectors: list[np.ndarray], op: ReduceOp
+                   ) -> np.ndarray:
+    """Elementwise reduction of the per-host vectors: the one array
+    every host holds after the fabric allreduce (shared read-only)."""
+    reduced = op.reduce_axis(np.stack(host_vectors), axis=0)
+    reduced.setflags(write=False)
+    return reduced
+
+
+def _exchange_blocks(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Fabric alltoall: host ``h``'s buffer is ``num_hosts`` equal
+    blocks and block ``g`` goes to host ``g``; returns what each host
+    receives, in source-host order."""
+    n = len(blocks)
+    grid = [buf.reshape(n, -1) for buf in blocks]
+    return [np.concatenate([rows[dest] for rows in grid])
+            for dest in range(n)]
+
+
 def multihost_allreduce(mh: MultiHostSystem, total_data_size: int,
                         src_offset: int, dst_offset: int,
                         dtype: DataType = INT64, op: ReduceOp = SUM,
@@ -331,12 +337,12 @@ def multihost_allreduce(mh: MultiHostSystem, total_data_size: int,
 
     program = mh._global_phase("allreduce", total_data_size,
                                host_vectors, ledger)
-    reduced = mh.mpi.allreduce(host_vectors, op) if functional else None
+    reduced = _reduce_across(host_vectors, op) if functional else None
 
     broadcast_results = mh._each_host(
         lambda h: mh.communicators[h].broadcast(
             "1", total_data_size, dst_offset=dst_offset, data_type=dtype,
-            payloads=({0: reduced[h]} if functional else None),
+            payloads=({0: reduced} if functional else None),
             functional=functional))
     ledger.merge(broadcast_results[0].ledger)
 
@@ -387,7 +393,7 @@ def multihost_reduce_scatter(mh: MultiHostSystem, total_data_size: int,
                                host_vectors, ledger)
     shards = None
     if functional:
-        reduced = mh.mpi.allreduce(host_vectors, op)[0]
+        reduced = _reduce_across(host_vectors, op)
         raw = np.ascontiguousarray(reduced).view(np.uint8)
         shards = raw.reshape(n_hosts, p * chunk)
 
@@ -436,7 +442,7 @@ def multihost_allgather(mh: MultiHostSystem, total_data_size: int,
 
     program = mh._global_phase("allgather", p * total_data_size,
                                gathered, ledger)
-    full = mh.mpi.allgather(gathered)[0] if functional else None
+    full = np.concatenate(gathered) if functional else None
 
     out_bytes = n_hosts * p * total_data_size
     broadcast_results = mh._each_host(
@@ -498,7 +504,7 @@ def multihost_alltoall(mh: MultiHostSystem, total_data_size: int,
                 arr.transpose(1, 0, 2, 3)).reshape(-1))
 
     program = mh._global_phase("alltoall", per_host_bytes, blocks, ledger)
-    received = mh.mpi.alltoall(blocks) if functional else None
+    received = _exchange_blocks(blocks) if functional else None
 
     def scatter_host(h):
         payloads = None

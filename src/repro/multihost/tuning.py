@@ -13,10 +13,11 @@ cheapest into a decision cache keyed by the fabric's signature.
 
 Because selection is an argmin over the same model the fixed
 alternatives are priced with, the chosen algorithm is never worse than
-the best fixed algorithm *on modelled fabric seconds* -- the property
-``BENCH_multihost.json`` gates at <= 1.05x.  And because algorithms
-shape cost only (the functional exchange is shared numpy), selection
-can never change results.
+the best fixed algorithm *on modelled fabric seconds*
+(``test_choice_is_argmin_of_candidates`` pins it; the ``multihost_8h``
+benchmark workload watches it).  And because algorithms shape cost
+only (the functional exchange is shared numpy), selection can never
+change results.
 """
 
 from __future__ import annotations

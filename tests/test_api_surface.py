@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import repro
+import repro.engine
+import repro.multihost
 from repro import (
+    ABLATION_LADDER,
     ALL_PRIMITIVES,
     BASELINE,
     CommResult,
@@ -14,14 +17,11 @@ from repro import (
     DimmSystem,
     HypercubeManager,
     PidCommError,
-    pidcomm_allreduce,
-    pidcomm_alltoall,
-    pidcomm_broadcast,
-    pidcomm_gather,
 )
 from repro.__main__ import EXPERIMENTS, main
+from repro.core import collectives
 from repro.core.validation import verify_collectives
-from repro.dtypes import INT32
+from repro.dtypes import INT32, MAX
 from repro.errors import CollectiveError
 
 
@@ -39,25 +39,27 @@ class TestApiSurface:
         system = manager.system
         src, dst = system.alloc(32), system.alloc(32)
         system.write_elements(0, src, np.arange(8, dtype=np.int32), INT32)
-        result = pidcomm_allreduce(manager, "10", 32, src, dst,
-                                   data_type="int32",
-                                   reduction_type="max")
+        result = Communicator(manager).allreduce(
+            "10", 32, src_offset=src, dst_offset=dst, data_type="int32",
+            reduction_type="max")
         assert isinstance(result, CommResult)
         assert result.seconds > 0
 
     def test_unknown_dtype_rejected(self, manager):
         with pytest.raises(CollectiveError, match="unknown data type"):
-            pidcomm_alltoall(manager, "10", 32, 0, 0, data_type="quad",
-                             functional=False)
+            Communicator(manager).alltoall(
+                "10", 32, src_offset=0, dst_offset=0, data_type="quad",
+                functional=False)
 
     def test_unknown_op_rejected(self, manager):
         with pytest.raises(CollectiveError, match="unknown reduce op"):
-            pidcomm_allreduce(manager, "10", 32, 0, 0,
-                              reduction_type="xor", functional=False)
+            Communicator(manager).allreduce(
+                "10", 32, src_offset=0, dst_offset=0, reduction_type="xor",
+                functional=False)
 
     def test_commresult_carries_plan_and_ledger(self, manager):
-        result = pidcomm_alltoall(manager, "10", 32, 0, 32,
-                                  functional=False)
+        result = Communicator(manager).alltoall(
+            "10", 32, src_offset=0, dst_offset=32, functional=False)
         assert result.plan.primitive == "alltoall"
         assert result.ledger.total == pytest.approx(result.seconds)
         assert result.host_outputs is None
@@ -68,25 +70,26 @@ class TestApiSurface:
         for pe in manager.all_pes:
             system.write_elements(pe, src, np.array([pe, pe],
                                                     dtype=np.int32), INT32)
-        result = pidcomm_gather(manager, "10", 16, src, data_type="int32")
+        result = Communicator(manager).gather(
+            "10", 16, src_offset=src, data_type="int32")
         out = result.host_outputs[0]
         assert out.dtype == np.int32
 
     def test_baseline_config_through_api(self, manager):
-        fast = pidcomm_alltoall(manager, "10", 1 << 12, 0, 0,
-                                functional=False)
-        slow = pidcomm_alltoall(manager, "10", 1 << 12, 0, 0,
-                                config=BASELINE, functional=False)
+        fast = Communicator(manager).alltoall(
+            "10", 1 << 12, src_offset=0, dst_offset=0, functional=False)
+        slow = Communicator(manager).alltoall(
+            "10", 1 << 12, src_offset=0, dst_offset=0, config=BASELINE,
+            functional=False)
         assert slow.plan.meta["config"] == "Baseline"
         assert fast.plan.meta["config"] == "+CM"
 
     def test_broadcast_payload_size_checked(self, manager):
         with pytest.raises(PidCommError):
-            pidcomm_broadcast(manager, "10", 16, 0,
-                              payloads={i: np.arange(1) for i in range(8)})
+            Communicator(manager).broadcast(
+                "10", 16, dst_offset=0,
+                payloads={i: np.arange(1) for i in range(8)})
 
-
-_FULL_REPR = "OptConfig(pe_reorder=True, in_register=True, cross_domain=True)"
 
 #: Snapshot of the exported public API.  A redesign that renames,
 #: drops, or re-types anything here must update this table *and* the
@@ -102,65 +105,6 @@ EXPECTED_EXPORTS = {
     "RELIABLE", "FAIL_FAST",
     "ALL_PRIMITIVES", "ALL_TYPES", "ALL_OPS",
     "dtype_by_name", "op_by_name", "PidCommError",
-    "pidcomm_alltoall", "pidcomm_allgather", "pidcomm_reduce_scatter",
-    "pidcomm_allreduce", "pidcomm_scatter", "pidcomm_gather",
-    "pidcomm_reduce", "pidcomm_broadcast",
-}
-
-EXPECTED_LEGACY_SIGNATURES = {
-    "pidcomm_alltoall":
-        "(manager: 'HypercubeManager', comm_dimensions: 'str | Sequence[int]',"
-        " total_data_size: 'int', src_offset: 'int', dst_offset: 'int',"
-        " data_type: 'DataType | str' = 'int64',"
-        f" config: 'OptConfig' = {_FULL_REPR},"
-        " functional: 'bool' = True) -> 'CommResult'",
-    "pidcomm_allgather":
-        "(manager: 'HypercubeManager', comm_dimensions: 'str | Sequence[int]',"
-        " total_data_size: 'int', src_offset: 'int', dst_offset: 'int',"
-        " data_type: 'DataType | str' = 'int64',"
-        f" config: 'OptConfig' = {_FULL_REPR},"
-        " functional: 'bool' = True) -> 'CommResult'",
-    "pidcomm_reduce_scatter":
-        "(manager: 'HypercubeManager', comm_dimensions: 'str | Sequence[int]',"
-        " total_data_size: 'int', src_offset: 'int', dst_offset: 'int',"
-        " data_type: 'DataType | str' = 'int64',"
-        " reduction_type: 'ReduceOp | str' = 'sum',"
-        f" config: 'OptConfig' = {_FULL_REPR},"
-        " functional: 'bool' = True) -> 'CommResult'",
-    "pidcomm_allreduce":
-        "(manager: 'HypercubeManager', comm_dimensions: 'str | Sequence[int]',"
-        " total_data_size: 'int', src_offset: 'int', dst_offset: 'int',"
-        " data_type: 'DataType | str' = 'int64',"
-        " reduction_type: 'ReduceOp | str' = 'sum',"
-        f" config: 'OptConfig' = {_FULL_REPR},"
-        " functional: 'bool' = True) -> 'CommResult'",
-    "pidcomm_scatter":
-        "(manager: 'HypercubeManager', comm_dimensions: 'str | Sequence[int]',"
-        " total_data_size: 'int', dst_offset: 'int',"
-        " data_type: 'DataType | str' = 'int64',"
-        " payloads: 'Mapping[int, np.ndarray] | None' = None,"
-        f" config: 'OptConfig' = {_FULL_REPR},"
-        " functional: 'bool' = True) -> 'CommResult'",
-    "pidcomm_gather":
-        "(manager: 'HypercubeManager', comm_dimensions: 'str | Sequence[int]',"
-        " total_data_size: 'int', src_offset: 'int',"
-        " data_type: 'DataType | str' = 'int64',"
-        f" config: 'OptConfig' = {_FULL_REPR},"
-        " functional: 'bool' = True) -> 'CommResult'",
-    "pidcomm_reduce":
-        "(manager: 'HypercubeManager', comm_dimensions: 'str | Sequence[int]',"
-        " total_data_size: 'int', src_offset: 'int',"
-        " data_type: 'DataType | str' = 'int64',"
-        " reduction_type: 'ReduceOp | str' = 'sum',"
-        f" config: 'OptConfig' = {_FULL_REPR},"
-        " functional: 'bool' = True) -> 'CommResult'",
-    "pidcomm_broadcast":
-        "(manager: 'HypercubeManager', comm_dimensions: 'str | Sequence[int]',"
-        " total_data_size: 'int', dst_offset: 'int',"
-        " data_type: 'DataType | str' = 'int64',"
-        " payloads: 'Mapping[int, np.ndarray] | None' = None,"
-        f" config: 'OptConfig' = {_FULL_REPR},"
-        " functional: 'bool' = True) -> 'CommResult'",
 }
 
 _SESSION_COMMON = (
@@ -209,11 +153,6 @@ class TestApiSnapshot:
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ exports missing {name}"
 
-    def test_legacy_signatures_match_snapshot(self):
-        for name, expected in EXPECTED_LEGACY_SIGNATURES.items():
-            actual = str(inspect.signature(getattr(repro, name)))
-            assert actual == expected, f"{name} signature drifted:\n{actual}"
-
     def test_session_signatures_match_snapshot(self):
         for name, expected in EXPECTED_SESSION_SIGNATURES.items():
             actual = str(inspect.signature(getattr(Communicator, name)))
@@ -232,11 +171,56 @@ class TestApiSnapshot:
                         f"Communicator.{name}({pname}) must be keyword-only")
 
 
+class TestOneDoor:
+    """One construction path, one primitive dispatch."""
+
+    def test_stray_constructor_keywords_are_type_errors(self, manager):
+        with pytest.raises(TypeError):
+            Communicator(manager, backend="scalar")
+        with pytest.raises(TypeError):
+            repro.multihost.MultiHostSystem(2, config=BASELINE)
+
+    @pytest.mark.parametrize("module",
+                             [repro, repro.engine, repro.multihost])
+    def test_every_exported_name_resolves(self, module):
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing
+
+    @pytest.mark.parametrize("config", ABLATION_LADDER,
+                             ids=lambda c: c.label)
+    def test_build_plan_matches_the_direct_planner(self, manager, config):
+        m, c = manager, config
+        direct = {
+            "alltoall": collectives.plan_alltoall(m, "10", 64, 0, 64,
+                                                  INT32, c),
+            "allgather": collectives.plan_allgather(m, "10", 64, 0, 64,
+                                                    INT32, c),
+            "reduce_scatter": collectives.plan_reduce_scatter(
+                m, "10", 64, 0, 64, INT32, MAX, c),
+            "allreduce": collectives.plan_allreduce(m, "10", 64, 0, 64,
+                                                    INT32, MAX, c),
+            "scatter": collectives.plan_scatter(m, "10", 64, 64, INT32,
+                                                None, c),
+            "gather": collectives.plan_gather(m, "10", 64, 0, INT32, c),
+            "reduce": collectives.plan_reduce(m, "10", 64, 0, INT32, MAX, c),
+            "broadcast": collectives.plan_broadcast(m, "10", 64, 64, INT32,
+                                                    None, c),
+        }
+        assert set(direct) == set(ALL_PRIMITIVES)
+        for primitive, plan in direct.items():
+            built = collectives.build_plan(primitive, m, "10", 64, 0, 64,
+                                           INT32, MAX, c)
+            assert built.primitive == primitive
+            assert (built.estimate(m.system).seconds
+                    == plan.estimate(m.system).seconds), primitive
+
+
 class TestValidationSweep:
     def test_full_sweep_passes(self):
         report = verify_collectives()
         assert report.ok, str(report)
-        assert report.checks >= 90
+        # 4 dims x 4 rungs x 6 primitives, unchanged by the session port.
+        assert report.checks == 96
 
     def test_report_str_mentions_status(self):
         report = verify_collectives(dims_list=("100",),

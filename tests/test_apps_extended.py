@@ -215,14 +215,14 @@ class TestMultiHostBackends:
     def test_pidcomm_beats_baseline_locally(self):
         """Section IX-A: multi-host PID-Comm keeps its advantage over
         the baseline (the local phases dominate)."""
-        from repro.core.collectives import BASELINE
+        from repro import BASELINE, SessionConfig
         from repro.multihost import MultiHostSystem, multihost_allreduce
         size = 1 << 20
         pid = multihost_allreduce(
             MultiHostSystem(2), size, 0, 0, functional=False)
         base = multihost_allreduce(
-            MultiHostSystem(2, config=BASELINE), size, 0, 0,
-            functional=False)
+            MultiHostSystem(2, session_config=SessionConfig(config=BASELINE)),
+            size, 0, 0, functional=False)
         assert base.seconds > 1.5 * pid.seconds
-        # The MPI phase is identical either way.
-        assert base.mpi_seconds == pytest.approx(pid.mpi_seconds)
+        # The fabric phase is identical either way.
+        assert base.fabric_seconds == pytest.approx(pid.fabric_seconds)

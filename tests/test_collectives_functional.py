@@ -13,14 +13,7 @@ from repro import (
     ABLATION_LADDER,
     BASELINE,
     FULL,
-    pidcomm_allgather,
-    pidcomm_allreduce,
-    pidcomm_alltoall,
-    pidcomm_broadcast,
-    pidcomm_gather,
-    pidcomm_reduce,
-    pidcomm_reduce_scatter,
-    pidcomm_scatter,
+    Communicator,
 )
 from repro.core import reference as ref
 from repro.dtypes import (
@@ -56,7 +49,8 @@ def run_alltoall(shape, dims, dtype, config, rng, chunk_elems=3):
     src = system.alloc(total)
     dst = system.alloc(total)
     inputs = fill_group_inputs(system, groups, src, elems, dtype, rng)
-    pidcomm_alltoall(manager, dims, total, src, dst, dtype, config=config)
+    Communicator(manager).alltoall(dims, total, src_offset=src, dst_offset=dst,
+                                   data_type=dtype, config=config)
     for group in groups:
         expect = ref.alltoall(inputs[group.instance])
         for pe, want in zip(group.pe_ids, expect):
@@ -87,7 +81,8 @@ def test_alltoall_group_of_one_is_copy(rng):
     src, dst = system.alloc(16), system.alloc(16)
     values = rng.integers(0, 99, 2)
     system.write_elements(0, src, values, INT64)
-    pidcomm_alltoall(manager, "010", 16, src, dst, INT64)
+    Communicator(manager).alltoall("010", 16, src_offset=src, dst_offset=dst,
+                                   data_type=INT64)
     np.testing.assert_array_equal(
         system.read_elements(0, dst, 2, INT64), values)
 
@@ -104,7 +99,9 @@ def test_allgather(config, dims, rng):
     src = system.alloc(in_bytes)
     dst = system.alloc(n * in_bytes)
     inputs = fill_group_inputs(system, groups, src, chunk_elems, INT64, rng)
-    pidcomm_allgather(manager, dims, in_bytes, src, dst, INT64, config=config)
+    Communicator(manager).allgather(dims, in_bytes, src_offset=src,
+                                    dst_offset=dst, data_type=INT64,
+                                    config=config)
     for group in groups:
         expect = ref.allgather(inputs[group.instance])
         for pe, want in zip(group.pe_ids, expect):
@@ -125,8 +122,9 @@ def test_reduce_scatter(config, op, rng):
     src = system.alloc(total)
     dst = system.alloc(chunk_elems * 8)
     inputs = fill_group_inputs(system, groups, src, n * chunk_elems, INT64, rng)
-    pidcomm_reduce_scatter(manager, dims, total, src, dst, INT64, op,
-                           config=config)
+    Communicator(manager).reduce_scatter(
+        dims, total, src_offset=src, dst_offset=dst, data_type=INT64,
+        reduction_type=op, config=config)
     for group in groups:
         expect = ref.reduce_scatter(inputs[group.instance], op)
         for pe, want in zip(group.pe_ids, expect):
@@ -144,8 +142,9 @@ def test_reduce_scatter_8bit_cross_domain(rng):
     src = system.alloc(total)
     dst = system.alloc(8)
     inputs = fill_group_inputs(system, groups, src, total, UINT8, rng)
-    result = pidcomm_reduce_scatter(manager, "100", total, src, dst,
-                                    UINT8, SUM, config=FULL)
+    result = Communicator(manager).reduce_scatter(
+        "100", total, src_offset=src, dst_offset=dst, data_type=UINT8,
+        reduction_type=SUM, config=FULL)
     # CM applied: no domain-transfer cost at all.
     assert result.ledger.get("dt") == 0.0
     for group in groups:
@@ -161,8 +160,9 @@ def test_reduce_scatter_64bit_always_pays_dt():
     total = 4 * 16
     src = system.alloc(total)
     dst = system.alloc(16)
-    result = pidcomm_reduce_scatter(manager, "100", total, src, dst, INT64,
-                                    SUM, config=FULL, functional=False)
+    result = Communicator(manager).reduce_scatter(
+        "100", total, src_offset=src, dst_offset=dst, data_type=INT64,
+        reduction_type=SUM, config=FULL, functional=False)
     assert result.ledger.get("dt") > 0.0
 
 
@@ -178,8 +178,9 @@ def test_allreduce(config, dims, rng):
     src = system.alloc(total)
     dst = system.alloc(total)
     inputs = fill_group_inputs(system, groups, src, elems, INT64, rng)
-    pidcomm_allreduce(manager, dims, total, src, dst, INT64, SUM,
-                      config=config)
+    Communicator(manager).allreduce(dims, total, src_offset=src,
+                                    dst_offset=dst, data_type=INT64,
+                                    reduction_type=SUM, config=config)
     for group in groups:
         expect = ref.allreduce(inputs[group.instance], SUM)
         for pe, want in zip(group.pe_ids, expect):
@@ -196,7 +197,9 @@ def test_allreduce_bitwise_or(rng):
     total = elems * 8
     src, dst = system.alloc(total), system.alloc(total)
     inputs = fill_group_inputs(system, groups, src, elems, INT64, rng)
-    pidcomm_allreduce(manager, "111", total, src, dst, INT64, BOR)
+    Communicator(manager).allreduce("111", total, src_offset=src,
+                                    dst_offset=dst, data_type=INT64,
+                                    reduction_type=BOR)
     expect = ref.allreduce(inputs[0], BOR)
     for pe, want in zip(groups[0].pe_ids, expect):
         np.testing.assert_array_equal(
@@ -210,7 +213,8 @@ class TestRooted:
         groups = groups_of(manager, "110")
         src = system.alloc(24)
         inputs = fill_group_inputs(system, groups, src, 3, INT64, rng)
-        result = pidcomm_gather(manager, "110", 24, src, INT64)
+        result = Communicator(manager).gather(
+            "110", 24, src_offset=src, data_type=INT64)
         assert result.host_outputs is not None
         for group in groups:
             want = ref.gather(inputs[group.instance])
@@ -225,7 +229,8 @@ class TestRooted:
         dst = system.alloc(16)
         payloads = {g.instance: rng.integers(0, 99, n * 2).astype(np.int64)
                     for g in groups}
-        pidcomm_scatter(manager, "101", 16, dst, INT64, payloads=payloads)
+        Communicator(manager).scatter("101", 16, dst_offset=dst,
+                                      data_type=INT64, payloads=payloads)
         for group in groups:
             expect = ref.scatter(payloads[group.instance], n)
             for pe, want in zip(group.pe_ids, expect):
@@ -236,7 +241,8 @@ class TestRooted:
         manager = make_manager((4, 4, 2))
         manager.system.alloc(16)
         with pytest.raises(CollectiveError, match="payloads"):
-            pidcomm_scatter(manager, "100", 16, 0, INT64)
+            Communicator(manager).scatter(
+                "100", 16, dst_offset=0, data_type=INT64)
 
     @pytest.mark.parametrize("config", [BASELINE, FULL],
                              ids=["Baseline", "+CM"])
@@ -249,8 +255,9 @@ class TestRooted:
         total = elems * 8
         src = system.alloc(total)
         inputs = fill_group_inputs(system, groups, src, elems, INT64, rng)
-        result = pidcomm_reduce(manager, "100", total, src, INT64, SUM,
-                                config=config)
+        result = Communicator(manager).reduce(
+            "100", total, src_offset=src, data_type=INT64, reduction_type=SUM,
+            config=config)
         assert result.host_outputs is not None
         for group in groups:
             want = ref.reduce(inputs[group.instance], SUM)
@@ -264,8 +271,8 @@ class TestRooted:
         groups = groups_of(manager, "111")
         dst = system.alloc(32)
         payload = rng.integers(0, 99, 4).astype(np.int64)
-        pidcomm_broadcast(manager, "111", 32, dst, INT64,
-                          payloads={0: payload})
+        Communicator(manager).broadcast("111", 32, dst_offset=dst,
+                                        data_type=INT64, payloads={0: payload})
         for pe in groups[0].pe_ids:
             np.testing.assert_array_equal(
                 system.read_elements(pe, dst, 4, INT64), payload)
@@ -277,7 +284,8 @@ class TestRooted:
         dst = system.alloc(16)
         payloads = {g.instance: rng.integers(0, 99, 2).astype(np.int64)
                     for g in groups}
-        pidcomm_broadcast(manager, "100", 16, dst, INT64, payloads=payloads)
+        Communicator(manager).broadcast("100", 16, dst_offset=dst,
+                                        data_type=INT64, payloads=payloads)
         for group in groups:
             for pe in group.pe_ids:
                 np.testing.assert_array_equal(
@@ -302,14 +310,20 @@ class TestComposition:
         out_fused = system.alloc(total)
         inputs = fill_group_inputs(system, groups, src, elems, INT64, rng)
 
-        pidcomm_reduce_scatter(manager, dims, total, src, mid, INT64, SUM)
-        pidcomm_allgather(manager, dims, chunk_bytes, mid, out_composed, INT64)
+        Communicator(manager).reduce_scatter(
+            dims, total, src_offset=src, dst_offset=mid, data_type=INT64,
+            reduction_type=SUM)
+        Communicator(manager).allgather(dims, chunk_bytes, src_offset=mid,
+                                        dst_offset=out_composed,
+                                        data_type=INT64)
 
         # Restore the inputs RS consumed, then run the fused AllReduce.
         for group in groups:
             for pe, values in zip(group.pe_ids, inputs[group.instance]):
                 system.write_elements(pe, src, values, INT64)
-        pidcomm_allreduce(manager, dims, total, src, out_fused, INT64, SUM)
+        Communicator(manager).allreduce(dims, total, src_offset=src,
+                                        dst_offset=out_fused, data_type=INT64,
+                                        reduction_type=SUM)
 
         for group in groups:
             for pe in group.pe_ids:
@@ -323,9 +337,10 @@ class TestComposition:
         groups = groups_of(manager, "111")
         buf = system.alloc(16)
         payload = rng.integers(0, 99, 32 * 2).astype(np.int64)
-        pidcomm_scatter(manager, "111", 16, buf, INT64,
-                        payloads={0: payload})
-        result = pidcomm_gather(manager, "111", 16, buf, INT64)
+        Communicator(manager).scatter("111", 16, dst_offset=buf,
+                                      data_type=INT64, payloads={0: payload})
+        result = Communicator(manager).gather(
+            "111", 16, src_offset=buf, data_type=INT64)
         np.testing.assert_array_equal(result.host_outputs[0], payload)
 
 
@@ -335,20 +350,23 @@ class TestValidation:
         manager.system.alloc(64)
         with pytest.raises(CollectiveError, match="divide"):
             # 48 bytes cannot split into 32 chunks (the "111" group size).
-            pidcomm_alltoall(manager, "111", 48, 0, 0, INT64,
-                             functional=False)
+            Communicator(manager).alltoall(
+                "111", 48, src_offset=0, dst_offset=0, data_type=INT64,
+                functional=False)
 
     def test_misaligned_dtype_rejected(self):
         manager = make_manager((4, 4, 2))
         with pytest.raises(CollectiveError, match="whole number"):
-            pidcomm_alltoall(manager, "100", 4, 0, 0, INT64,
-                             functional=False)
+            Communicator(manager).alltoall(
+                "100", 4, src_offset=0, dst_offset=0, data_type=INT64,
+                functional=False)
 
     def test_bitwise_float_rejected(self):
         manager = make_manager((4, 4, 2))
         with pytest.raises(CollectiveError):
-            pidcomm_allreduce(manager, "100", 32, 0, 0, FLOAT32, BOR,
-                              functional=False)
+            Communicator(manager).allreduce(
+                "100", 32, src_offset=0, dst_offset=0, data_type=FLOAT32,
+                reduction_type=BOR, functional=False)
 
 
 class TestConfigEquivalence:
@@ -367,8 +385,9 @@ class TestConfigEquivalence:
             src, dst = system.alloc(total), system.alloc(total)
             local_rng = np.random.default_rng(99)
             fill_group_inputs(system, groups, src, n * 2, INT64, local_rng)
-            pidcomm_alltoall(manager, dims, total, src, dst, INT64,
-                             config=config)
+            Communicator(manager).alltoall(
+                dims, total, src_offset=src, dst_offset=dst, data_type=INT64,
+                config=config)
             snapshot = np.concatenate(
                 [system.read_elements(pe, dst, n * 2, INT64)
                  for pe in manager.all_pes])
@@ -387,8 +406,9 @@ class TestConfigEquivalence:
             src, dst = system.alloc(total), system.alloc(total)
             local_rng = np.random.default_rng(7)
             fill_group_inputs(system, groups, src, n, INT64, local_rng)
-            pidcomm_allreduce(manager, "110", total, src, dst, INT64,
-                              "sum", config=config)
+            Communicator(manager).allreduce(
+                "110", total, src_offset=src, dst_offset=dst, data_type=INT64,
+                reduction_type="sum", config=config)
             snapshots.append(np.concatenate(
                 [system.read_elements(pe, dst, n, INT64)
                  for pe in manager.all_pes]))

@@ -1,8 +1,11 @@
-"""Documentation hygiene: every public item carries a docstring."""
+"""Documentation hygiene: every public item carries a docstring, and
+what the prose documents point at exists."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import repro
 
@@ -49,3 +52,56 @@ def test_every_public_class_and_function_documented():
                         missing.append(
                             f"{module.__name__}.{name}.{meth_name}")
     assert not missing, f"{len(missing)} undocumented: {missing[:20]}"
+
+
+# ----------------------------------------------------------------------
+# Documentation references: back-ticked paths and dotted names resolve
+# ----------------------------------------------------------------------
+ROOT = Path(__file__).resolve().parent.parent
+# benchmarks/e2e/README.md belongs to the benchmark and is not scanned.
+DOC_FILES = [ROOT / "README.md", ROOT / "DESIGN.md",
+             *sorted((ROOT / "docs").glob("*.md"))]
+_TICKED = re.compile(r"`([^`\n]+)`")
+_REPO_PATH = re.compile(
+    r"(?:benchmarks|tools|examples|tests|docs)/[\w./*-]+"
+    r"|BENCH_\w+\.json|[\w./-]+\.md")
+_DOTTED = re.compile(r"repro(?:\.\w+)+")
+
+
+def _path_exists(ref: str, doc: Path) -> bool:
+    ref = ref.rstrip("/")
+    return any(next(base.glob(ref), None) is not None
+               for base in (ROOT, doc.parent))
+
+
+def _name_resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_documentation_references_resolve():
+    dangling = []
+    for doc in DOC_FILES:
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+            for ref in " ".join(_TICKED.findall(line)).split():
+                ref = ref.split("::")[0]
+                if _REPO_PATH.fullmatch(ref):
+                    ok = _path_exists(ref, doc)
+                elif _DOTTED.fullmatch(ref):
+                    ok = _name_resolves(ref)
+                else:
+                    continue
+                if not ok:
+                    dangling.append(f"{doc.name}:{lineno} `{ref}`")
+    assert not dangling, f"{len(dangling)} dangling: {dangling}"

@@ -8,7 +8,7 @@ downstream user will eventually feed the library.
 import numpy as np
 import pytest
 
-from repro import FULL, HypercubeManager, pidcomm_allreduce, pidcomm_alltoall
+from repro import FULL, Communicator, HypercubeManager
 from repro.core import reference as ref
 from repro.core.collectives.plan import ExecContext
 from repro.core.collectives.steps import (
@@ -58,7 +58,8 @@ class TestOddGeometries:
             for pe, v in zip(g.pe_ids, vecs):
                 three_channel.write_elements(pe, src, v, INT64)
             inputs[g.instance] = vecs
-        pidcomm_alltoall(manager, "001", total, src, dst, INT64)
+        Communicator(manager).alltoall("001", total, src_offset=src,
+                                       dst_offset=dst, data_type=INT64)
         for g in groups:
             expect = ref.alltoall(inputs[g.instance])
             for pe, want in zip(g.pe_ids, expect):
@@ -70,7 +71,8 @@ class TestOddGeometries:
         manager = HypercubeManager(system, shape=(1,))
         src, dst = system.alloc(8), system.alloc(8)
         system.write_elements(0, src, np.array([7]), INT64)
-        pidcomm_allreduce(manager, "1", 8, src, dst, INT64, SUM)
+        Communicator(manager).allreduce("1", 8, src_offset=src, dst_offset=dst,
+                                        data_type=INT64, reduction_type=SUM)
         assert system.read_elements(0, dst, 1, INT64)[0] == 7
 
 
@@ -88,7 +90,8 @@ class TestBoundaryPayloads:
             for pe, v in zip(g.pe_ids, vecs):
                 system.write_elements(pe, src, v, INT64)
             inputs[g.instance] = vecs
-        pidcomm_alltoall(manager, "10", total, src, dst, INT64)
+        Communicator(manager).alltoall("10", total, src_offset=src,
+                                       dst_offset=dst, data_type=INT64)
         for g in groups:
             expect = ref.alltoall(inputs[g.instance])
             for pe, want in zip(g.pe_ids, expect):
@@ -109,7 +112,9 @@ class TestBoundaryPayloads:
             for pe, v in zip(g.pe_ids, vecs):
                 system.write_elements(pe, src, v, UINT8)
             inputs[g.instance] = vecs
-        pidcomm_allreduce(manager, "10", total, src, dst, UINT8, SUM)
+        Communicator(manager).allreduce("10", total, src_offset=src,
+                                        dst_offset=dst, data_type=UINT8,
+                                        reduction_type=SUM)
         for g in groups:
             expect = ref.allreduce(inputs[g.instance], SUM)
             for pe, want in zip(g.pe_ids, expect):
@@ -121,11 +126,12 @@ class TestBoundaryPayloads:
         manager = HypercubeManager(system, shape=(4, 8))
         src = system.alloc(32)
         # dst deliberately past the end of MRAM.
-        plan_ok = pidcomm_alltoall(manager, "10", 32, src, 0,
-                                   functional=False)
+        plan_ok = Communicator(manager).alltoall(
+            "10", 32, src_offset=src, dst_offset=0, functional=False)
         assert plan_ok.seconds > 0
         with pytest.raises(TransferError):
-            pidcomm_alltoall(manager, "10", 32, src, 48)
+            Communicator(manager).alltoall(
+                "10", 32, src_offset=src, dst_offset=48)
 
     def test_allocation_failure_message_names_sizes(self):
         system = DimmSystem.small(mram_bytes=128)
@@ -189,7 +195,8 @@ class TestHypercubeEdges:
     def test_config_snapshot_in_plan_meta(self):
         system = DimmSystem.small()
         manager = HypercubeManager(system, shape=(4, 8))
-        result = pidcomm_alltoall(manager, "10", 32, 0, 0, config=FULL,
-                                  functional=False)
+        result = Communicator(manager).alltoall(
+            "10", 32, src_offset=0, dst_offset=0, config=FULL,
+            functional=False)
         assert result.plan.meta["instances"] == 8
         assert result.plan.meta["group_size"] == 4

@@ -6,9 +6,7 @@ Covers the ISSUE acceptance criteria directly:
   perform **zero re-planning** (the cache-hit counter is asserted);
 * a batch of data-independent group instances prices **strictly
   cheaper** than the serial sum of its members while staying
-  **bit-exact** against ``core/reference.py``;
-* the legacy ``pidcomm_*`` shims and the session methods produce
-  identical bytes for all eight primitives.
+  **bit-exact** against ``core/reference.py``.
 """
 
 import numpy as np
@@ -23,21 +21,12 @@ from repro import (
     Communicator,
     PlanCache,
     SessionConfig,
-    pidcomm_allgather,
-    pidcomm_allreduce,
-    pidcomm_alltoall,
-    pidcomm_broadcast,
-    pidcomm_gather,
-    pidcomm_reduce,
-    pidcomm_reduce_scatter,
-    pidcomm_scatter,
 )
 from repro.analysis.trace import render_batch_timeline, trace_batch
 from repro.apps.base import AppHarness, PidCommBackend
 from repro.core import reference as ref
-from repro.core.api import pidcomm_alltoall as shim_alltoall
-from repro.dtypes import INT32, INT64, SUM
-from repro.engine import schedule_waves, shared_communicator
+from repro.dtypes import INT32, INT64
+from repro.engine import schedule_waves
 from repro.engine.cache import bind_payloads
 from repro.engine.request import Footprint
 from repro.engine.stats import EngineStats
@@ -215,16 +204,6 @@ class TestCommunicatorCache:
         assert comm.cache.misses == 1 and comm.cache.hits == 2
         assert n > 1  # a real exchange, not a degenerate copy
 
-    def test_legacy_shims_share_the_session_cache(self):
-        manager, _, total, src, dst, _ = seeded_setup()
-        pidcomm_alltoall(manager, "010", total, src, dst, INT64,
-                         functional=False)
-        pidcomm_alltoall(manager, "010", total, src, dst, INT64,
-                         functional=False)
-        session = shared_communicator(manager)
-        assert session.cache.misses == 1 and session.cache.hits == 1
-        assert shared_communicator(manager) is session
-
     def test_scatter_plans_cached_payload_free(self, rng):
         manager = make_manager((4, 4, 2))
         system = manager.system
@@ -250,101 +229,6 @@ class TestCommunicatorCache:
         comm = Communicator(manager)
         with pytest.raises(CollectiveError, match="payloads"):
             comm.scatter("100", 16)
-
-
-# ----------------------------------------------------------------------
-# Shim vs. session equivalence (Figure-10 fidelity)
-# ----------------------------------------------------------------------
-class TestShimSessionEquivalence:
-    """Same seed, two managers: legacy shim vs. Communicator method."""
-
-    DIMS = "110"
-
-    def _pair(self):
-        a = seeded_setup(self.DIMS, seed=11)
-        b = seeded_setup(self.DIMS, seed=11)
-        return a, b
-
-    def _compare_region(self, pair_a, pair_b, offset, elems):
-        manager_a, groups, *_ = pair_a
-        manager_b = pair_b[0]
-        for group in groups:
-            for pe in group.pe_ids:
-                np.testing.assert_array_equal(
-                    manager_a.system.read_elements(pe, offset, elems, INT64),
-                    manager_b.system.read_elements(pe, offset, elems, INT64))
-
-    def test_alltoall(self):
-        (ma, _, total, src, dst, _), pb = self._pair()
-        pidcomm_alltoall(ma, self.DIMS, total, src, dst, INT64)
-        Communicator(pb[0]).alltoall(self.DIMS, total, src_offset=src,
-                                     dst_offset=dst)
-        self._compare_region((ma, pb[1]), pb, dst, total // 8)
-
-    def test_allgather(self):
-        (ma, groups, total, src, dst, _), pb = self._pair()
-        n = groups[0].size
-        pidcomm_allgather(ma, self.DIMS, total, src, dst, INT64)
-        Communicator(pb[0]).allgather(self.DIMS, total, src_offset=src,
-                                      dst_offset=dst)
-        self._compare_region((ma, groups), pb, dst, n * total // 8)
-
-    def test_reduce_scatter(self):
-        (ma, groups, total, src, dst, _), pb = self._pair()
-        n = groups[0].size
-        pidcomm_reduce_scatter(ma, self.DIMS, total, src, dst, INT64, SUM)
-        Communicator(pb[0]).reduce_scatter(self.DIMS, total, src_offset=src,
-                                           dst_offset=dst)
-        self._compare_region((ma, groups), pb, dst, total // n // 8)
-
-    def test_allreduce(self):
-        (ma, groups, total, src, dst, _), pb = self._pair()
-        pidcomm_allreduce(ma, self.DIMS, total, src, dst, INT64, SUM)
-        Communicator(pb[0]).allreduce(self.DIMS, total, src_offset=src,
-                                      dst_offset=dst)
-        self._compare_region((ma, groups), pb, dst, total // 8)
-
-    def test_gather(self):
-        (ma, groups, total, src, _, _), pb = self._pair()
-        legacy = pidcomm_gather(ma, self.DIMS, total, src, INT64)
-        session = Communicator(pb[0]).gather(self.DIMS, total,
-                                             src_offset=src)
-        for group in groups:
-            np.testing.assert_array_equal(
-                legacy.host_outputs[group.instance],
-                session.host_outputs[group.instance])
-
-    def test_reduce(self):
-        (ma, groups, total, src, _, _), pb = self._pair()
-        legacy = pidcomm_reduce(ma, self.DIMS, total, src, INT64, SUM)
-        session = Communicator(pb[0]).reduce(self.DIMS, total,
-                                             src_offset=src)
-        for group in groups:
-            np.testing.assert_array_equal(
-                np.asarray(legacy.host_outputs[group.instance]).reshape(-1),
-                np.asarray(session.host_outputs[group.instance]).reshape(-1))
-
-    def test_scatter(self, rng):
-        (ma, groups, _, _, dst, _), pb = self._pair()
-        n = groups[0].size
-        payloads = {g.instance: rng.integers(0, 99, n * 2).astype(np.int64)
-                    for g in groups}
-        pidcomm_scatter(ma, self.DIMS, 16, dst, INT64, payloads=payloads)
-        Communicator(pb[0]).scatter(self.DIMS, 16, dst_offset=dst,
-                                    payloads=payloads)
-        self._compare_region((ma, groups), pb, dst, 2)
-
-    def test_broadcast(self, rng):
-        (ma, groups, _, _, dst, _), pb = self._pair()
-        payloads = {g.instance: rng.integers(0, 99, 4).astype(np.int64)
-                    for g in groups}
-        pidcomm_broadcast(ma, self.DIMS, 32, dst, INT64, payloads=payloads)
-        Communicator(pb[0]).broadcast(self.DIMS, 32, dst_offset=dst,
-                                      payloads=payloads)
-        self._compare_region((ma, groups), pb, dst, 4)
-
-    def test_shim_reexport_is_the_same_object(self):
-        assert shim_alltoall is pidcomm_alltoall
 
 
 # ----------------------------------------------------------------------

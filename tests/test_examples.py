@@ -15,6 +15,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 FAST_EXAMPLES = [
     "quickstart.py",
+    "figure10_calls.py",
     "custom_app_histogram.py",
     "multihost_scaling.py",
     "whatif_hardware.py",

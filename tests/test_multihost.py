@@ -12,7 +12,6 @@ from repro.multihost import (
     Fabric,
     GLOBAL_ALGORITHMS,
     GlobalTuner,
-    MpiSimulator,
     MultiHostSystem,
     compile_global,
     default_factors,
@@ -26,48 +25,6 @@ from repro.multihost import (
 @pytest.fixture
 def params():
     return MachineParams()
-
-
-class TestMpiSimulator:
-    def test_single_host_is_free(self, params):
-        mpi = MpiSimulator(params, 1)
-        assert mpi.allreduce_seconds(1 << 20) == 0.0
-        assert mpi.alltoall_seconds(1 << 20) == 0.0
-
-    def test_cost_grows_with_hosts(self, params):
-        sizes = [MpiSimulator(params, n).alltoall_seconds(1 << 20)
-                 for n in (2, 3, 4)]
-        assert sizes[0] < sizes[1] < sizes[2]
-
-    def test_ring_factor(self, params):
-        # (N-1)/N volume: 2 hosts move half, 4 hosts 3/4.
-        two = MpiSimulator(params, 2)
-        four = MpiSimulator(params, 4)
-        vol2 = two.alltoall_seconds(1e9) - params.mpi_latency_s * 1
-        vol4 = four.alltoall_seconds(1e9) - params.mpi_latency_s * 3
-        assert vol4 / vol2 == pytest.approx(1.5)
-
-    def test_allreduce_functional(self, params):
-        mpi = MpiSimulator(params, 3)
-        rng = np.random.default_rng(0)
-        bufs = [rng.integers(0, 100, 8) for _ in range(3)]
-        out = mpi.allreduce(bufs, SUM)
-        expect = np.stack(bufs).sum(axis=0)
-        assert all(np.array_equal(o, expect) for o in out)
-
-    def test_alltoall_functional(self, params):
-        mpi = MpiSimulator(params, 2)
-        bufs = [np.arange(4), np.arange(4) + 10]
-        out = mpi.alltoall(bufs)
-        assert out[0].tolist() == [0, 1, 10, 11]
-        assert out[1].tolist() == [2, 3, 12, 13]
-
-    def test_validation(self, params):
-        with pytest.raises(CollectiveError):
-            MpiSimulator(params, 0)
-        mpi = MpiSimulator(params, 2)
-        with pytest.raises(CollectiveError):
-            mpi.allreduce([np.arange(3)], SUM)
 
 
 def small_multihost(num_hosts, ranks=1):
@@ -102,7 +59,7 @@ class TestHierarchicalAllReduce:
         size = 1 << 20
         result = multihost_allreduce(mh, size, 0, 0, functional=False)
         # Crossing bytes ~ size; local bus bytes ~ size * pes.
-        assert result.mpi_seconds < result.ledger.total
+        assert result.fabric_seconds < result.ledger.total
 
 
 class TestHierarchicalAlltoAll:
@@ -135,7 +92,7 @@ class TestHierarchicalAlltoAll:
             result = multihost_alltoall(mh, size, 0, 0, functional=False)
             # Normalize: MPI seconds per payload byte must still grow,
             # because (N-1)/N grows with N.
-            times.append(result.mpi_seconds / size)
+            times.append(result.fabric_seconds / size)
         assert times[0] < times[1] < times[2]
 
     def test_alltoall_mpi_dominates_allreduce_mpi(self):
@@ -145,7 +102,7 @@ class TestHierarchicalAlltoAll:
         size = 2 << 20
         aa = multihost_alltoall(mh, size, 0, 0, functional=False)
         ar = multihost_allreduce(mh, size, 0, 0, functional=False)
-        assert aa.mpi_seconds > 10 * ar.mpi_seconds
+        assert aa.fabric_seconds > 10 * ar.fabric_seconds
 
     def test_indivisible_rejected(self):
         mh = small_multihost(2)
@@ -203,7 +160,7 @@ class TestHierarchicalReduceScatter:
         result = multihost_reduce_scatter(mh, size, 0, 0, functional=False)
         # (N-1)/N * size at 1.25 GB/s plus one latency.
         expected = size * 0.5 / 1.25e9 + mh.params.mpi_latency_s
-        assert result.mpi_seconds == pytest.approx(expected)
+        assert result.fabric_seconds == pytest.approx(expected)
 
 
 class TestHierarchicalAllGather:
@@ -228,9 +185,8 @@ class TestHierarchicalAllGather:
         """Section IX-A: AllGather ships each host's share once.
 
         Pinned to the ring algorithm: on a fully connected fabric it
-        reproduces the flat MpiSimulator formula exactly (the tuner
-        left free picks halving/doubling, which shaves a latency
-        round).
+        costs exactly the flat (N-1)/N formula (the tuner left free
+        picks halving/doubling, which shaves a latency round).
         """
         from repro.multihost import multihost_allgather
         mh = MultiHostSystem(4, ranks_per_channel=1, mram_bytes=1 << 16,
@@ -239,7 +195,7 @@ class TestHierarchicalAllGather:
         result = multihost_allgather(mh, chunk, 0, 0, functional=False)
         per_host = mh.pes_per_host * chunk
         expected = 0.75 * per_host * 4 / 1.25e9 + 3 * mh.params.mpi_latency_s
-        assert result.mpi_seconds == pytest.approx(expected)
+        assert result.fabric_seconds == pytest.approx(expected)
 
 class TestFabric:
     def test_fully_connected_prices_like_flat_mpi(self, params):
@@ -299,16 +255,16 @@ class TestFabric:
 
 class TestGlobalAlgorithms:
     def test_ring_matches_flat_formulas(self, params):
-        """Ring rounds on a fully connected fabric reproduce the flat
-        MpiSimulator cost for every primitive."""
+        """Ring rounds on a fully connected fabric cost the flat
+        (N-1)/N ring formulas for every primitive."""
         n, nbytes = 4, 1 << 20
         fabric = Fabric.fully_connected(n, params)
-        mpi = MpiSimulator(params, n)
+        share = (n - 1) / n * nbytes
         flat = {
-            "allreduce": mpi.allreduce_seconds(nbytes),
-            "reduce_scatter": mpi.reduce_scatter_seconds(nbytes),
-            "allgather": mpi.allgather_seconds(nbytes),
-            "alltoall": mpi.alltoall_seconds(nbytes),
+            "allreduce": params.link_time(2 * share, messages=2 * (n - 1)),
+            "reduce_scatter": params.link_time(share, messages=n - 1),
+            "allgather": params.link_time(share * n, messages=n - 1),
+            "alltoall": params.link_time(share, messages=n - 1),
         }
         for primitive, expected in flat.items():
             program = compile_global(primitive, n, nbytes, "ring", fabric)
@@ -540,10 +496,6 @@ class TestEngineHierarchy:
     def test_fabric_and_session_validation(self):
         with pytest.raises(CollectiveError, match="spans"):
             MultiHostSystem(2, fabric=Fabric.fully_connected(4))
-        with pytest.raises(CollectiveError, match="not both"):
-            from repro import BASELINE
-            MultiHostSystem(2, config=BASELINE,
-                            session_config=SessionConfig())
 
 
 class TestFabricElision:
@@ -630,21 +582,6 @@ class TestMultihostStats:
 
 
 class TestBackCompat:
-    def test_config_keyword_still_accepted(self):
-        from repro import BASELINE
-        mh = MultiHostSystem(2, ranks_per_channel=1, mram_bytes=1 << 16,
-                             config=BASELINE)
-        assert mh.config is BASELINE
-        check_allreduce_parity(mh)
-        mh.close()
-
-    def test_mpi_seconds_aliases_fabric_seconds(self):
-        mh = small_multihost(2)
-        result = multihost_allreduce(mh, 1 << 10, 0, 0, functional=False)
-        assert result.mpi_seconds == result.fabric_seconds
-        assert result.seconds == pytest.approx(
-            result.ledger.total + result.fabric_seconds)
-
     def test_combined_ledger_has_fabric_category(self):
         mh = small_multihost(2)
         result = multihost_allreduce(mh, 1 << 10, 0, 0, functional=False)

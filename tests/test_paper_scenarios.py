@@ -11,7 +11,7 @@ rotation work.
 import numpy as np
 import pytest
 
-from repro import FULL, HypercubeManager, pidcomm_alltoall
+from repro import FULL, Communicator, HypercubeManager
 from repro.core import reference as ref
 from repro.core.collectives.plan import ExecContext
 from repro.core.collectives.steps import (
@@ -109,7 +109,9 @@ class TestFigure9aMultiEntangledGroup:
             for pe, v in zip(g.pe_ids, vecs):
                 system.write_elements(pe, src, v, INT64)
             inputs[g.instance] = vecs
-        pidcomm_alltoall(manager, "10", total, src, dst, INT64, config=FULL)
+        Communicator(manager).alltoall("10", total, src_offset=src,
+                                       dst_offset=dst, data_type=INT64,
+                                       config=FULL)
         for g in groups:
             expect = ref.alltoall(inputs[g.instance])
             for pe, want in zip(g.pe_ids, expect):
@@ -156,7 +158,8 @@ class TestFigure9bPackedInstances:
             for pe, v in zip(g.pe_ids, vecs):
                 system.write_elements(pe, src, v, INT64)
             inputs[g.instance] = vecs
-        pidcomm_alltoall(manager, "010", total, src, dst, INT64)
+        Communicator(manager).alltoall("010", total, src_offset=src,
+                                       dst_offset=dst, data_type=INT64)
         for g in groups:
             expect = ref.alltoall(inputs[g.instance])
             for pe, want in zip(g.pe_ids, expect):
@@ -225,9 +228,10 @@ class TestFullMachineFunctional:
         for pe in manager.all_pes:
             system.write_elements(
                 pe, src, np.full(elems, pe % 7, dtype=np.int64), INT64)
-        from repro import pidcomm_allreduce
         from repro.dtypes import SUM
-        pidcomm_allreduce(manager, "10", elems * 8, src, dst, INT64, SUM)
+        Communicator(manager).allreduce("10", elems * 8, src_offset=src,
+                                        dst_offset=dst, data_type=INT64,
+                                        reduction_type=SUM)
         assert system.touched_pes == 1024
         # Spot-check one group against the reference.
         group = slice_groups(manager, "10")[5]

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro import FULL, HypercubeManager, pidcomm_allreduce, pidcomm_alltoall
+from repro import FULL, Communicator, HypercubeManager
 from repro.core import reference as ref
 from repro.core.collectives.steps import slot_permutation
 from repro.core.groups import slice_groups
@@ -96,7 +96,9 @@ class TestCollectiveProperties:
             for pe, v in zip(g.pe_ids, vecs):
                 system.write_elements(pe, src, v, INT64)
             inputs[g.instance] = vecs
-        pidcomm_alltoall(manager, dims, total, src, dst, INT64, config=FULL)
+        Communicator(manager).alltoall(dims, total, src_offset=src,
+                                       dst_offset=dst, data_type=INT64,
+                                       config=FULL)
         for g in groups:
             expect = ref.alltoall(inputs[g.instance])
             for pe, want in zip(g.pe_ids, expect):
@@ -122,8 +124,9 @@ class TestCollectiveProperties:
             for pe, v in zip(g.pe_ids, vecs):
                 system.write_elements(pe, src, v, INT32)
             inputs[g.instance] = vecs
-        pidcomm_allreduce(manager, dims, total, src, dst, INT32, op,
-                          config=FULL)
+        Communicator(manager).allreduce(dims, total, src_offset=src,
+                                        dst_offset=dst, data_type=INT32,
+                                        reduction_type=op, config=FULL)
         for g in groups:
             expect = ref.allreduce(inputs[g.instance], op)
             for pe, want in zip(g.pe_ids, expect):
@@ -146,8 +149,10 @@ class TestCollectiveProperties:
                 v = rng.integers(0, 1000, 4)
                 system.write_elements(pe, a, v, INT64)
                 originals[pe] = v
-        pidcomm_alltoall(manager, "10", total, a, b, INT64)
-        pidcomm_alltoall(manager, "10", total, b, a, INT64)
+        Communicator(manager).alltoall("10", total, src_offset=a, dst_offset=b,
+                                       data_type=INT64)
+        Communicator(manager).alltoall("10", total, src_offset=b, dst_offset=a,
+                                       data_type=INT64)
         for pe, want in originals.items():
             assert np.array_equal(system.read_elements(pe, a, 4, INT64), want)
 
@@ -157,7 +162,6 @@ class TestRootedProperties:
     @settings(max_examples=15, deadline=None)
     def test_scatter_gather_roundtrip_any_cube(self, case):
         """Gather(Scatter(x)) == x for every cube slicing."""
-        from repro import pidcomm_gather, pidcomm_scatter
         from repro.core.groups import slice_groups
         shape, dims, chunk_elems, seed = case
         rng = np.random.default_rng(seed)
@@ -169,9 +173,10 @@ class TestRootedProperties:
         payloads = {g.instance: rng.integers(0, 1 << 30,
                                              n * chunk_elems)
                     for g in groups}
-        pidcomm_scatter(manager, dims, chunk_elems * 8, buf, INT64,
-                        payloads=payloads)
-        result = pidcomm_gather(manager, dims, chunk_elems * 8, buf, INT64)
+        Communicator(manager).scatter(dims, chunk_elems * 8, dst_offset=buf,
+                                      data_type=INT64, payloads=payloads)
+        result = Communicator(manager).gather(
+            dims, chunk_elems * 8, src_offset=buf, data_type=INT64)
         for g in groups:
             np.testing.assert_array_equal(
                 result.host_outputs[g.instance], payloads[g.instance])
@@ -179,7 +184,6 @@ class TestRootedProperties:
     @given(cube_cases(), st.sampled_from([SUM, MIN, MAX]))
     @settings(max_examples=15, deadline=None)
     def test_reduce_matches_reference_any_cube(self, case, op):
-        from repro import pidcomm_reduce
         from repro.core.groups import slice_groups
         shape, dims, chunk_elems, seed = case
         rng = np.random.default_rng(seed)
@@ -195,7 +199,9 @@ class TestRootedProperties:
             for pe, v in zip(g.pe_ids, vecs):
                 system.write_elements(pe, buf, v, INT64)
             inputs[g.instance] = vecs
-        result = pidcomm_reduce(manager, dims, elems * 8, buf, INT64, op)
+        result = Communicator(manager).reduce(
+            dims, elems * 8, src_offset=buf, data_type=INT64,
+            reduction_type=op)
         for g in groups:
             want = ref.reduce(inputs[g.instance], op)
             got = np.asarray(result.host_outputs[g.instance]).reshape(-1)
@@ -224,7 +230,8 @@ class TestExoticGeometries:
             for pe, v in zip(g.pe_ids, vecs):
                 system.write_elements(pe, src, v, INT64)
             inputs[g.instance] = vecs
-        pidcomm_alltoall(manager, "10", total, src, dst, INT64)
+        Communicator(manager).alltoall("10", total, src_offset=src,
+                                       dst_offset=dst, data_type=INT64)
         for g in groups:
             expect = ref.alltoall(inputs[g.instance])
             for pe, want in zip(g.pe_ids, expect):

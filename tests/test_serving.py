@@ -10,12 +10,10 @@ deterministic.
 
 import asyncio
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.core.api
 from repro import (
     CollectiveServer,
     CommRequest,
@@ -23,7 +21,6 @@ from repro import (
     DimmSystem,
     HypercubeManager,
     SessionConfig,
-    pidcomm_alltoall,
 )
 from repro.engine.cache import PlanCache
 from repro.errors import (
@@ -76,31 +73,10 @@ def pending(seq, tenant, priority, manager=None):
 # ----------------------------------------------------------------------
 class TestSessionConfig:
     def test_defaults_match_legacy_defaults(self):
-        manager = make_manager((8, 4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no deprecation on new path
-            comm = Communicator(manager, SessionConfig())
+        comm = Communicator(make_manager((8, 4)), SessionConfig())
         assert comm.functional is True
         assert comm.execution == "auto"
         assert comm.session_config == SessionConfig()
-
-    def test_legacy_kwargs_warn_and_route(self):
-        manager = make_manager((8, 4))
-        with pytest.warns(DeprecationWarning, match="SessionConfig"):
-            comm = Communicator(manager, functional=False,
-                                execution="interpreted")
-        assert comm.session_config == SessionConfig(
-            functional=False, execution="interpreted")
-        assert comm.functional is False
-
-    def test_legacy_and_session_config_conflict(self):
-        manager = make_manager((8, 4))
-        with pytest.raises(CollectiveError, match="not both"):
-            Communicator(manager, SessionConfig(), functional=False)
-
-    def test_from_kwargs_rejects_unknown(self):
-        with pytest.raises(CollectiveError, match="unknown"):
-            SessionConfig.from_kwargs(funktional=False)
 
     def test_frozen(self):
         config = SessionConfig()
@@ -122,23 +98,27 @@ class TestSessionConfig:
         with pytest.raises(CollectiveError, match="positive"):
             SessionConfig(stream_tile_bytes=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cache_size", -1), ("cache_size", 2.5), ("cache_size", True),
+        ("stream_tile_bytes", True), ("stream_tile_bytes", 100.5),
+        ("parallel_workers", True),
+    ])
+    def test_wrong_typed_knobs_rejected(self, field, value):
+        with pytest.raises(CollectiveError, match=field):
+            SessionConfig(**{field: value})
+
+    def test_cache_size_none_and_zero_keep_their_meaning(self):
+        assert SessionConfig(cache_size=None).cache_size is None
+        comm = Communicator(make_manager((8, 4)),
+                            SessionConfig(cache_size=0, functional=False))
+        for _ in range(2):
+            comm.alltoall(DIMS, SIZE, dst_offset=8192)
+        assert comm.stats.plans_compiled == 2 and len(comm.cache) == 0
+
     def test_describe_names_non_defaults_only(self):
         assert SessionConfig().describe() == "SessionConfig()"
         assert "execution=compiled" in \
             SessionConfig(execution="compiled").describe()
-
-
-class TestShimDeprecation:
-    def test_warns_once_per_process(self):
-        manager = make_manager((8, 4))
-        repro.core.api._legacy_warned = False
-        with pytest.warns(DeprecationWarning, match="pidcomm_alltoall"):
-            pidcomm_alltoall(manager, DIMS, SIZE, 0, 8192,
-                             functional=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call must stay silent
-            pidcomm_alltoall(manager, DIMS, SIZE, 0, 8192,
-                             functional=False)
 
 
 # ----------------------------------------------------------------------
