@@ -9,9 +9,11 @@ the best shape for a given communication mix can simply be searched:
     best = autotune_shape(system, num_pes=1024, ndim=3, mix=mix)
 
 The same argument extends to the engine's *execution schedule* -- the
-five knobs PRs 3-7 grew (backend, execution mode, streaming tile,
-band parallelism, optimization rung), now one frozen
-:class:`~repro.core.collectives.schedule.Schedule` value.
+knobs somebody has to decide per shape (streaming tile, elision,
+optimization rung), one frozen
+:class:`~repro.core.collectives.schedule.Schedule` value.  What the
+session fixes (system backend, whether plans compile, the worker pool)
+is not searched.
 :class:`Tuner` searches that space per ``(primitive, shape, dtype,
 traffic pattern)`` using the pre-priced
 :class:`~repro.hw.timing.CostLedger` (``pipelined(depth)`` prices
@@ -159,21 +161,20 @@ def autotune_shape(system: DimmSystem, num_pes: int, ndim: int,
 class ScheduleSpace:
     """The candidate lattice one session's tuner may search.
 
-    A session pinning a knob (``SessionConfig(backend=...)``,
-    ``execution=...``, ``stream_tile_bytes=...``) collapses the
-    corresponding axis, so the tuner can never override an explicit
-    user choice -- it only decides what was left open.
+    A session pinning a knob (``SessionConfig(stream_tile_bytes=...)``,
+    ``execution="interpreted"``) collapses the corresponding axis, so
+    the tuner can never override an explicit user choice -- it only
+    decides what was left open.
     """
 
-    backends: tuple[str, ...] = ("vectorized", "scalar")
-    executions: tuple[str, ...] = ("compiled", "interpreted")
     rungs: tuple[OptConfig, ...] = tuple(ABLATION_LADDER)
     #: Pinned streaming tile (None = derive candidates per shape).
     tile_bytes: int | None = None
-    #: Whether streamed candidates are searched at all.
+    #: Whether the session compiles programs at all.  False (an
+    #: ``execution="interpreted"`` session) leaves only the rung to
+    #: tune, priced on ``plan.estimate``: there is nothing to stream,
+    #: elide or probe.
     streaming: bool = True
-    #: Whether chosen schedules fan streamed bands across the pool.
-    band_parallel: bool = False
     #: Elision axis: ``(False,)`` never scans; ``(False, True)`` lets
     #: the model decide per shape whether fingerprint scanning pays.
     eliding: tuple[bool, ...] = (False,)
@@ -193,42 +194,13 @@ class ScheduleSpace:
         ``global_algorithm`` (a hierarchical caller's pin) collapses
         the global-phase axis to that single algorithm.
         """
-        backends = (("vectorized", "scalar") if config.backend is None
-                    else (config.backend,))
-        executions = {"auto": ("compiled", "interpreted"),
-                      "compiled": ("compiled",),
-                      "interpreted": ("interpreted",)}[config.execution]
-        return cls(backends=backends, executions=executions,
-                   tile_bytes=config.stream_tile_bytes,
-                   streaming="compiled" in executions,
-                   band_parallel=config.parallel_workers > 1,
+        return cls(tile_bytes=config.stream_tile_bytes,
+                   streaming=config.execution != "interpreted",
                    eliding=((False, True) if config.elide_transfers
-                            and "compiled" in executions else (False,)),
+                            else (False,)),
                    global_algorithms=(GLOBAL_ALGORITHMS
                                       if global_algorithm is None
                                       else (global_algorithm,)))
-
-    @property
-    def preferred_backend(self) -> str:
-        """The backend every candidate uses.
-
-        Modelled cost is backend-invariant by design (the vectorized
-        backend charges exactly the scalar oracle's ledger), so the
-        model cannot rank backends; the strictly-less-host-work order
-        (vectorized over scalar, measured at 10-100x,
-        ``docs/performance.md``) decides statically instead.
-        """
-        for backend in ("vectorized", "scalar"):
-            if backend in self.backends:
-                return backend
-        return self.backends[0]
-
-    @property
-    def preferred_execution(self) -> str:
-        """Compiled replay when allowed (same static-dominance argument:
-        identical ledger, strictly less dispatch work)."""
-        return ("compiled" if "compiled" in self.executions
-                else self.executions[0])
 
 
 @dataclass(frozen=True)
@@ -296,7 +268,7 @@ class _ProbeState:
 
     def stalled(self) -> bool:
         """Hand-outs far outnumber measurements: the traffic is analytic
-        (or interpreted) and will never report replay seconds."""
+        and will never report replay seconds."""
         return (self.handed - self.observed
                 > 2 * self.iters * len(self.family) + 4)
 
@@ -358,8 +330,8 @@ class Tuner:
     space, price every candidate (streamed ones through
     :meth:`CostLedger.pipelined`), commit the cheapest into the plan
     cache's decision store.  ``mode="online"`` uses the model to prune
-    to a shortlist (the cheapest rung/backend/execution's tile family
-    plus every other rung's champion), measures each shortlisted
+    to a shortlist (the cheapest rung's tile family plus every other
+    rung's champion), measures each shortlisted
     candidate's replay seconds under live traffic, commits the
     measured-fastest, then keeps watching: when
     the observed/modelled ratio drifts past ``retune_factor`` times its
@@ -367,9 +339,8 @@ class Tuner:
     re-searches (counted in ``EngineStats.tuner_retunes``).
 
     The tuner decides *how* a collective runs, never what it computes:
-    every candidate is a valid :class:`Schedule` (construction rejects
-    e.g. streamed+interpreted) and replays bit-identical to the scalar
-    interpreted oracle.
+    every candidate is a valid :class:`Schedule` and replays
+    bit-identical to the scalar interpreted oracle.
     """
 
     def __init__(self, manager: HypercubeManager,
@@ -391,10 +362,6 @@ class Tuner:
         self._probes: dict[Any, _ProbeState] = {}
         self._monitors: dict[Any, _Monitor] = {}
 
-    @property
-    def preferred_backend(self) -> str:
-        return self.space.preferred_backend
-
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
@@ -410,17 +377,12 @@ class Tuner:
         """
         space = self.space
         system = self.manager.system
-        backend = space.preferred_backend
-        execution = space.preferred_execution
-        band = space.band_parallel
         scores: list[ScheduleScore] = []
         for order, rung in enumerate(space.rungs):
             plan = plan_for(rung)
-            if execution == "interpreted":
+            if not space.streaming:
                 scores.append(ScheduleScore(
-                    Schedule(backend=backend, execution="interpreted",
-                             band_parallel=band, rung=rung),
-                    plan.estimate(system).total, order))
+                    Schedule(rung=rung), plan.estimate(system).total, order))
                 continue
             program = program_for(rung)
             base = program.priced(system)
@@ -446,19 +408,14 @@ class Tuner:
                     seconds = base.pipelined(
                         program.pipeline_depth(tile)).total
                 scores.append(ScheduleScore(
-                    Schedule(backend=backend, execution="compiled",
-                             tile_bytes=tile, band_parallel=band,
-                             rung=rung),
-                    seconds, order))
+                    Schedule(tile_bytes=tile, rung=rung), seconds, order))
                 if offer_elide:
                     # The model cannot see payload content, so elide
                     # candidates are priced at a 50% reference elision
                     # rate: scan always paid, half the best-case
                     # transfer saving credited (docs/performance.md).
                     scores.append(ScheduleScore(
-                        Schedule(backend=backend, execution="compiled",
-                                 tile_bytes=tile, band_parallel=band,
-                                 elide=True, rung=rung),
+                        Schedule(tile_bytes=tile, elide=True, rung=rung),
                         max(seconds + scan_s - 0.5 * savable_s, scan_s),
                         order))
         # Deterministic order: modelled seconds, then rung position,
@@ -484,18 +441,13 @@ class Tuner:
         the shortlist too -- measurement, not the model, settles the
         rung whenever the traffic reports replay seconds.
         """
-        best = scores[0].schedule
-        best_key = (best.rung, best.backend, best.execution)
-        family = [s for s in scores
-                  if (s.schedule.rung, s.schedule.backend,
-                      s.schedule.execution) == best_key]
-        seen = {best_key}
+        best = scores[0].schedule.rung
+        family = [s for s in scores if s.schedule.rung == best]
+        seen = {best}
         for score in scores:  # modelled order: each rung's first = best
-            key = (score.schedule.rung, score.schedule.backend,
-                   score.schedule.execution)
-            if key not in seen:
+            if score.schedule.rung not in seen:
                 family.append(score)
-                seen.add(key)
+                seen.add(score.schedule.rung)
         return family[:self.shortlist]
 
     # ------------------------------------------------------------------
@@ -518,7 +470,7 @@ class Tuner:
             stats.tuner_searches += 1
             family = self._family(scores)
             if self.mode == "online" and len(family) > 1 \
-                    and family[0].schedule.execution == "compiled":
+                    and self.space.streaming:
                 probe = _ProbeState(family, self.probe_iters)
                 self._probes[state_key] = probe
             else:

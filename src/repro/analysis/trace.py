@@ -161,84 +161,6 @@ def render_batch_timeline(batch: BatchResult) -> str:
     return "\n".join(lines)
 
 
-def render_stream(stats) -> str:
-    """Render an :class:`~repro.engine.stats.EngineStats` streaming block.
-
-    Example::
-
-        Streamed replay(96 tiles over 12 replays)
-        peak scratch 16777216 B
-        replay time  4.200 ms
-    """
-    if not stats.tiles_replayed:
-        return "Streamed replay(no streamed replays)"
-    lines = [f"Streamed replay({stats.tiles_replayed} tiles over "
-             f"{stats.program_replays} replays)",
-             f"peak scratch {stats.peak_scratch_bytes} B",
-             f"replay time  {stats.replay_seconds * 1e3:.3f} ms"]
-    return "\n".join(lines)
-
-
-def render_reliability(stats) -> str:
-    """Render an :class:`~repro.engine.stats.EngineStats` reliability block.
-
-    Example::
-
-        Reliability(12 faults over 40 calls)
-        retries      9   (0.900 ms backing off)
-        degradations 1
-        bit_flip     |  7  #######
-        timeout      |  4  ####
-        rank_failure |  1  #
-    """
-    total = stats.total_faults
-    if not (total or stats.retries or stats.degradations):
-        return "Reliability(no faults observed)"
-    lines = [f"Reliability({total} faults over {stats.calls} calls)",
-             f"retries      {stats.retries}   "
-             f"({stats.backoff_seconds * 1e3:.3f} ms backing off)",
-             f"degradations {stats.degradations}"]
-    if stats.faults_seen:
-        longest = max(stats.faults_seen.values())
-        width = max(len(k) for k in stats.faults_seen)
-        for kind in sorted(stats.faults_seen):
-            count = stats.faults_seen[kind]
-            lines.append(f"{kind:<{width}s} |{count:>3d}  "
-                         f"{_bar(count, longest, width=20)}")
-    return "\n".join(lines)
-
-
-def render_parallel(stats) -> str:
-    """Render an :class:`~repro.engine.stats.EngineStats` parallel block.
-
-    Example::
-
-        Parallel replay(4 workers)
-        waves     3 parallel (12 requests), 1 serial fallback
-        wall/task 1.200 / 4.100 ms (3.42x)
-        worker-0 | 37 bands  ##########
-        worker-1 | 35 bands  #########
-    """
-    if stats.parallel_workers <= 1 and not stats.parallel_waves:
-        return "Parallel replay(serial session)"
-    lines = [f"Parallel replay({stats.parallel_workers} workers)",
-             f"waves     {stats.parallel_waves} parallel "
-             f"({stats.parallel_requests} requests), "
-             f"{stats.parallel_fallbacks} serial fallback"
-             f"{'' if stats.parallel_fallbacks == 1 else 's'}",
-             f"wall/task {stats.parallel_wall_seconds * 1e3:.3f} / "
-             f"{stats.parallel_task_seconds * 1e3:.3f} ms "
-             f"({stats.parallel_speedup:.2f}x)"]
-    if stats.worker_bands:
-        longest = max(stats.worker_bands.values())
-        width = max(len(label) for label in stats.worker_bands)
-        for label in sorted(stats.worker_bands):
-            count = stats.worker_bands[label]
-            lines.append(f"{label:<{width}s} |{count:>4d} bands  "
-                         f"{_bar(count, longest, width=20)}")
-    return "\n".join(lines)
-
-
 def render_serving(stats) -> str:
     """Render a :class:`~repro.serving.server.ServerStats` block.
 
@@ -273,78 +195,6 @@ def render_serving(stats) -> str:
                 f"{tid:<{width}s} |{t.completed:>4d} done {t.shed:>3d} shed"
                 f"  p50 {t.p50 * 1e3:>8.3f} ms  p99 {t.p99 * 1e3:>8.3f} ms"
                 f"{elided}  {_bar(t.bytes_completed, longest, width=20)}")
-    return "\n".join(lines)
-
-
-def render_autotune(stats) -> str:
-    """Render an :class:`~repro.engine.stats.EngineStats` autotuner block.
-
-    Example::
-
-        Autotune(3 searches, 117 decision hits)
-        decision hit rate 97.5%
-        probes       18  (24 observations)
-        re-tunes     1
-    """
-    searches = stats.tuner_searches
-    hits = stats.tuner_cache_hits
-    if not (searches or hits):
-        return "Autotune(tuner idle)"
-    lookups = searches + hits
-    lines = [f"Autotune({searches} search"
-             f"{'' if searches == 1 else 'es'}, {hits} decision hits)",
-             f"decision hit rate {hits / lookups:.1%}",
-             f"probes       {stats.tuner_probes}  "
-             f"({stats.tuner_observations} observations)",
-             f"re-tunes     {stats.tuner_retunes}"]
-    return "\n".join(lines)
-
-
-def render_elision(stats) -> str:
-    """Render an :class:`~repro.engine.stats.EngineStats` elision block.
-
-    Example::
-
-        Elision(5 scans, 4096 chunks fingerprinted)
-        chunks elided 3072  (75.0%)
-        bytes elided  786432
-    """
-    if not stats.elision_scans:
-        return "Elision(no scans -- dense fast path)"
-    lines = [f"Elision({stats.elision_scans} scan"
-             f"{'' if stats.elision_scans == 1 else 's'}, "
-             f"{stats.chunks_scanned} chunks fingerprinted)",
-             f"chunks elided {stats.chunks_elided}  "
-             f"({stats.elision_rate:.1%})",
-             f"bytes elided  {stats.elided_bytes}"]
-    return "\n".join(lines)
-
-
-def render_multihost(stats) -> str:
-    """Render an :class:`~repro.engine.stats.EngineStats` multihost block.
-
-    Example::
-
-        Multihost(4 global phases, fabric 12.400 ms)
-        fabric bytes  786432  (65536 elided)
-        alltoall/exchange     x2  ####################
-        allreduce/ring        x2  ####################
-    """
-    if not stats.global_phases:
-        return "Multihost(no global phases -- single-host session)"
-    elided = (f"  ({stats.elided_fabric_bytes} elided)"
-              if stats.elided_fabric_bytes else "")
-    lines = [f"Multihost({stats.global_phases} global phase"
-             f"{'' if stats.global_phases == 1 else 's'}, "
-             f"fabric {stats.fabric_seconds * 1e3:.3f} ms)",
-             f"fabric bytes  {stats.fabric_bytes}{elided}"]
-    if stats.global_algorithms:
-        longest = max(stats.global_algorithms.values())
-        width = max(len(key) for key in stats.global_algorithms)
-        for key in sorted(stats.global_algorithms):
-            count = stats.global_algorithms[key]
-            lines.append(f"{key:<{width}s} x{count:<4d} "
-                         f"{_bar(count, longest, width=20)}")
     return "\n".join(lines)
 
 

@@ -7,13 +7,14 @@ communication *library*).  The harness records a cost ledger per
 primitive, which is what the paper's per-application breakdown figures
 (4 and 13) plot.
 
-The harness runs on the execution engine: every collective shape an
-application issues is compiled once and served from a
-:class:`~repro.engine.cache.PlanCache` on every later iteration (BFS
-rounds, GNN layers, DLRM batches all repeat their shapes), and an
-:class:`~repro.engine.stats.EngineStats` session records plans
-compiled vs. cached, bytes moved, and per-category cost; the snapshot
-lands in ``AppResult.meta["engine"]``.
+The harness is an adapter over one :class:`~repro.engine.Communicator`
+session whose plans come from the backend: every collective an
+application issues is one :class:`~repro.engine.CommRequest` through
+:meth:`Communicator.run`, so repeated shapes (BFS rounds, GNN layers,
+DLRM batches) hit the session's plan cache and functional runs replay
+compiled programs like any other session.  The session's
+:class:`~repro.engine.stats.EngineStats` snapshot lands in
+``AppResult.meta["engine"]``.
 """
 
 from __future__ import annotations
@@ -25,20 +26,12 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..baselines.simplepim import baseline_plan
-from ..core.collectives import (
-    FULL,
-    GATHER_SCRATCH,
-    REDUCE_SCRATCH,
-    CommPlan,
-    OptConfig,
-    build_plan,
-)
-from ..core.groups import resolve_dims
+from ..core.collectives import FULL, CommPlan, OptConfig, build_plan
 from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, INT64, ReduceOp, SUM
-from ..engine.cache import PlanCache, bind_payloads
-from ..engine.request import ARITHMETIC_PRIMITIVES, PlanKey
-from ..engine.result import reduced_vector
+from ..engine.communicator import Communicator
+from ..engine.request import CommRequest, NormalizedRequest
+from ..engine.session_config import SessionConfig
 from ..engine.stats import EngineStats
 from ..hw.timing import CostLedger
 
@@ -52,10 +45,8 @@ class CommBackend(abc.ABC):
     def build_plan(self, primitive: str, manager: HypercubeManager,
                    dims: str, total_data_size: int, src: int = 0,
                    dst: int = 0, dtype: DataType = INT64,
-                   op: ReduceOp = SUM,
-                   payloads: Mapping[int, np.ndarray] | None = None
-                   ) -> CommPlan:
-        """Compile one collective invocation into a plan."""
+                   op: ReduceOp = SUM) -> CommPlan:
+        """Compile one collective invocation into a payload-free plan."""
 
 
 class PidCommBackend(CommBackend):
@@ -66,10 +57,9 @@ class PidCommBackend(CommBackend):
         self.name = f"pidcomm[{config.label}]"
 
     def build_plan(self, primitive, manager, dims, total_data_size,
-                   src=0, dst=0, dtype=INT64, op=SUM, payloads=None):
-        plan = build_plan(primitive, manager, dims, total_data_size, src,
+                   src=0, dst=0, dtype=INT64, op=SUM):
+        return build_plan(primitive, manager, dims, total_data_size, src,
                           dst, dtype, op, self.config)
-        return bind_payloads(plan, payloads)
 
 
 class BaselineCommBackend(CommBackend):
@@ -78,9 +68,24 @@ class BaselineCommBackend(CommBackend):
     name = "baseline"
 
     def build_plan(self, primitive, manager, dims, total_data_size,
-                   src=0, dst=0, dtype=INT64, op=SUM, payloads=None):
+                   src=0, dst=0, dtype=INT64, op=SUM):
         return baseline_plan(primitive, manager, dims, total_data_size,
-                             src, dst, dtype, op, payloads)
+                             src, dst, dtype, op)
+
+
+class _BackendSession(Communicator):
+    """A session whose planner is a :class:`CommBackend`: the one hook
+    PID-Comm and the baseline differ in."""
+
+    def __init__(self, manager: HypercubeManager, config: SessionConfig,
+                 backend: CommBackend) -> None:
+        super().__init__(manager, config)
+        self.comm_backend = backend
+
+    def _build_plan(self, req: NormalizedRequest) -> CommPlan:
+        return self.comm_backend.build_plan(
+            req.primitive, self.manager, req.dims, req.total_data_size,
+            req.src_offset, req.dst_offset, req.dtype, req.op)
 
 
 @dataclass
@@ -118,60 +123,40 @@ class AppHarness:
         self.functional = functional
         self.ledger = CostLedger()
         self.per_primitive: dict[str, float] = {}
-        self.cache = PlanCache()
-        self.stats = EngineStats()
+        # An analytic harness only ever prices plans: interpreting keeps
+        # it from compiling a program per shape just to read a ledger.
+        self.session = _BackendSession(manager, SessionConfig(
+            functional=functional,
+            execution="auto" if functional else "interpreted"), backend)
+
+    @property
+    def stats(self) -> EngineStats:
+        """The session's instrumentation counters."""
+        return self.session.stats
 
     # ------------------------------------------------------------------
     # Communication
     # ------------------------------------------------------------------
-    def _plan(self, primitive: str, dims: str, total_data_size: int,
-              src: int, dst: int, dtype: DataType, op: ReduceOp
-              ) -> tuple[CommPlan, bool]:
-        """Cached payload-free plan for the invocation; (plan, hit)."""
-        key = PlanKey(
-            primitive=primitive,
-            dims=resolve_dims(self.manager, dims),
-            total_data_size=total_data_size, src_offset=src, dst_offset=dst,
-            dtype=dtype.name,
-            op=op.name if primitive in ARITHMETIC_PRIMITIVES else None,
-            variant=self.backend.name,
-            topology=self.manager.topology_signature())
-        return self.cache.fetch(
-            key, lambda: self.backend.build_plan(
-                primitive, self.manager, dims, total_data_size, src, dst,
-                dtype, op, None))
-
-    def _account(self, primitive: str, plan: CommPlan, ledger: CostLedger,
-                 cached: bool) -> None:
-        self.ledger.merge(ledger)
+    def _issue(self, functional: bool | None, primitive: str, dims: str,
+               total_data_size: int, src: int, dst: int, dtype: DataType,
+               op: ReduceOp, payloads=None):
+        """One request through the session; books its ledger."""
+        result = self.session.run(CommRequest(
+            primitive, dims, total_data_size, src_offset=src, dst_offset=dst,
+            data_type=dtype, reduction_type=op, payloads=payloads),
+            functional)
+        self.ledger.merge(result.ledger)
         self.per_primitive[primitive] = (
-            self.per_primitive.get(primitive, 0.0) + ledger.total)
-        self.stats.record_call(primitive, plan, ledger, cached=cached)
+            self.per_primitive.get(primitive, 0.0) + result.ledger.total)
+        return result.host_outputs
 
     def comm(self, primitive: str, dims: str, total_data_size: int,
              src: int = 0, dst: int = 0, dtype: DataType = INT64,
              op: ReduceOp = SUM,
              payloads: Mapping[int, np.ndarray] | None = None):
         """Run one collective; returns host outputs for rooted primitives."""
-        plan, hit = self._plan(primitive, dims, total_data_size, src, dst,
-                               dtype, op)
-        bound = bind_payloads(plan, payloads if self.functional else None)
-        ledger, ctx = bound.run(self.system, functional=self.functional)
-        self._account(primitive, plan, ledger, cached=hit)
-        if ctx is None:
-            return None
-        if primitive == "gather":
-            return self._typed_outputs(ctx.scratch.get(GATHER_SCRATCH), dtype)
-        if primitive == "reduce":
-            outputs = ctx.scratch.get(REDUCE_SCRATCH)
-            if outputs is None:  # baseline reduce stores under its own key
-                outputs = ctx.scratch.get("reduce.out")
-            if outputs is None:
-                return None
-            return {inst: np.asarray(reduced_vector(buf, dtype)).view(
-                dtype.np_dtype).reshape(-1)
-                for inst, buf in outputs.items()}
-        return None
+        return self._issue(None, primitive, dims, total_data_size, src, dst,
+                           dtype, op, payloads)
 
     def comm_cost_only(self, primitive: str, dims: str,
                        total_data_size: int, src: int = 0, dst: int = 0,
@@ -182,16 +167,8 @@ class AppHarness:
         simulator keeps host-side (e.g. the scattered adjacency
         slices): the cost is modelled, the bytes are not re-staged.
         """
-        plan, hit = self._plan(primitive, dims, total_data_size, src, dst,
-                               dtype, op)
-        ledger = plan.estimate(self.system)
-        self._account(primitive, plan, ledger, cached=hit)
-
-    def _typed_outputs(self, outputs, dtype: DataType):
-        if outputs is None:
-            return None
-        return {inst: np.asarray(buf, dtype=np.uint8).view(dtype.np_dtype)
-                for inst, buf in outputs.items()}
+        self._issue(False, primitive, dims, total_data_size, src, dst,
+                    dtype, op)
 
     # ------------------------------------------------------------------
     # PE kernels

@@ -102,6 +102,10 @@ class CommPlan:
     steps: list[Step]
     #: Free-form metadata (group count/size, payload bytes, config label).
     meta: dict[str, Any] = field(default_factory=dict)
+    #: ``(params, ledger)`` of the last :meth:`estimate`: a cached plan
+    #: is priced once per ``MachineParams``, not once per call.
+    _priced: tuple[Any, CostLedger] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def execute(self, system: DimmSystem) -> ExecContext:
         """Run functionally; returns the context (host outputs in scratch)."""
@@ -111,11 +115,19 @@ class CommPlan:
         return ctx
 
     def estimate(self, system: DimmSystem) -> CostLedger:
-        """Price the plan without moving any data."""
-        ledger = CostLedger()
-        for step in self.steps:
-            ledger.merge(step.cost(system))
-        return ledger
+        """Price the plan without moving any data.
+
+        Steps are immutable once planned, so the sum is memoised on the
+        identity of ``system.params`` (what-if sweeps swap the params
+        object); every caller gets its own copy to merge into.
+        """
+        priced = self._priced
+        if priced is None or priced[0] is not system.params:
+            ledger = CostLedger()
+            for step in self.steps:
+                ledger.merge(step.cost(system))
+            priced = self._priced = (system.params, ledger)
+        return priced[1].copy()
 
     def run(self, system: DimmSystem, functional: bool = True
             ) -> tuple[CostLedger, ExecContext | None]:

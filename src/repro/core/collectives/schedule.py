@@ -1,17 +1,23 @@
-"""The execution schedule: one frozen value for the five engine knobs.
+"""The execution schedule: one frozen value for the knobs someone decides.
 
-PRs 3-7 grew five orthogonal performance knobs -- execution backend,
-execution mode, streaming tile size, band parallelism, optimization
-rung -- plus the compiler's fusion policy, all chosen per session and
-by hand.  :class:`Schedule` makes the combination an explicit,
-first-class value (the way HeteroCL separates an algorithm from its
-schedule): frozen, validated at construction, attached to the
+A schedule holds only the decisions that rewrite how a compiled
+program is built or replayed -- streaming tile size, the compiler's
+fusion cap, content-aware elision, the optimization rung and (for
+hierarchical runs) the inter-host algorithm -- the way HeteroCL
+separates an algorithm from its schedule.  :class:`Schedule` is frozen,
+validated at construction, attached to the
 :class:`~repro.core.collectives.program.CommProgram` it compiled, and
 rewritten through composable transforms::
 
-    s = Schedule.default().with_backend("vectorized").with_tile(8 << 20)
+    s = Schedule.default().with_tile(8 << 20)
     program = plan.compile(system, schedule=s.fused(2))
     s.fused(2).check(program)   # asserts the fused structure
+
+What the *session* owns is not here: the system backend, whether plans
+are compiled at all (``SessionConfig.execution``) and whether streamed
+bands fan out over a worker pool (``parallel_workers``) are facts of
+the :class:`~repro.engine.Communicator` a schedule runs on;
+``CommResult.execution`` reports what ran.
 
 Every schedule replays bit-identical to the scalar interpreted oracle
 -- a schedule only chooses *how* the same collective executes, never
@@ -27,11 +33,6 @@ from dataclasses import dataclass, replace
 from ...errors import CollectiveError
 from .config import FULL, OptConfig
 
-#: Backends a schedule may select.
-SCHEDULE_BACKENDS = ("scalar", "vectorized")
-#: Execution modes a schedule may select.  Unlike the session-level
-#: ``execution="auto"``, a schedule is always fully resolved.
-SCHEDULE_EXECUTIONS = ("interpreted", "compiled")
 #: Global-phase algorithms a hierarchical (multi-host) schedule may
 #: select for the inter-host exchange: the standard ring, recursive
 #: halving/doubling (power-of-two host counts), and the generalized
@@ -46,23 +47,14 @@ class Schedule:
     """A fully resolved execution strategy for one collective shape.
 
     Args:
-        backend: ``"scalar"`` or ``"vectorized"`` system backend.
-        execution: ``"interpreted"`` (step-by-step oracle) or
-            ``"compiled"`` (program replay).  Never ``"auto"`` -- a
-            schedule is a decision, not a policy.
-        tile_bytes: Streaming scratch budget (None = untiled).  Only
-            legal with ``execution="compiled"``: streaming replays
-            compiled row bands.
+        tile_bytes: Streaming scratch budget (None = untiled); streamed
+            replay runs the compiled program's row bands tile by tile.
         fusion_depth: Maximum number of source ops one fused program op
             may absorb (1 = no fusion, None = unlimited greedy fusion).
-        band_parallel: Whether streamed row bands may fan out across
-            the session's worker pool (wall-clock only; results are
-            bit-identical either way).
         elide: Whether replay fingerprint-scans movement sources and
             skips the transfer of all-zero / duplicate output rows
             (content-aware elision; results stay bit-identical at any
-            elision rate).  Only legal with ``execution="compiled"``:
-            the interpreted path is the oracle and never elides.
+            elision rate).
         rung: The :class:`OptConfig` optimization rung the plan is
             built at.
         global_algorithm: For hierarchical (multi-host) runs, the
@@ -71,44 +63,27 @@ class Schedule:
             schedules.  Like every other knob it chooses *how* the
             collective runs, never what it computes: all global
             algorithms are bit-identical.
+
+    On a session that interprets (``execution="interpreted"``) only
+    ``rung`` has any effect: there is no program to tile, fuse or elide.
     """
 
-    backend: str = "scalar"
-    execution: str = "compiled"
     tile_bytes: int | None = None
     fusion_depth: int | None = None
-    band_parallel: bool = False
     elide: bool = False
     rung: OptConfig = FULL
     global_algorithm: str | None = None
 
     def __post_init__(self) -> None:
-        """Reject invalid knob combinations at construction."""
-        if self.backend not in SCHEDULE_BACKENDS:
+        """Reject invalid knob values at construction."""
+        if self.tile_bytes is not None and self.tile_bytes <= 0:
             raise CollectiveError(
-                f"unknown schedule backend {self.backend!r}; "
-                f"known: {SCHEDULE_BACKENDS}")
-        if self.execution not in SCHEDULE_EXECUTIONS:
-            raise CollectiveError(
-                f"unknown schedule execution {self.execution!r}; "
-                f"known: {SCHEDULE_EXECUTIONS}")
-        if self.tile_bytes is not None:
-            if self.tile_bytes <= 0:
-                raise CollectiveError(
-                    f"schedule tile_bytes must be positive, got "
-                    f"{self.tile_bytes}")
-            if self.execution == "interpreted":
-                raise CollectiveError(
-                    "a streamed schedule replays compiled row bands; "
-                    "execution='interpreted' cannot stream")
+                f"schedule tile_bytes must be positive, got "
+                f"{self.tile_bytes}")
         if self.fusion_depth is not None and self.fusion_depth < 1:
             raise CollectiveError(
                 f"fusion_depth must be >= 1 (or None for unlimited), "
                 f"got {self.fusion_depth}")
-        if self.elide and self.execution == "interpreted":
-            raise CollectiveError(
-                "content-aware elision runs in compiled replay; "
-                "execution='interpreted' is the oracle and cannot elide")
         if not isinstance(self.rung, OptConfig):
             raise CollectiveError(
                 f"schedule rung must be an OptConfig, got {self.rung!r}")
@@ -120,26 +95,13 @@ class Schedule:
 
     @classmethod
     def default(cls) -> "Schedule":
-        """The naive schedule a fresh session implies: scalar backend,
-        compiled untiled replay, greedy fusion, serial bands, FULL rung."""
+        """The naive schedule a fresh session implies: untiled replay,
+        greedy fusion, no elision, FULL rung."""
         return cls()
 
     # ------------------------------------------------------------------
     # Composable transforms (each returns a new validated value)
     # ------------------------------------------------------------------
-    def with_backend(self, backend: str) -> "Schedule":
-        """Schedule running on ``backend`` (scalar or vectorized)."""
-        return replace(self, backend=backend)
-
-    def with_execution(self, execution: str) -> "Schedule":
-        """Schedule replaying via ``execution``; untiles and stops
-        eliding when the new mode is interpreted (streaming and
-        elision both need compiled replay)."""
-        if execution == "interpreted":
-            return replace(self, execution=execution, tile_bytes=None,
-                           elide=False)
-        return replace(self, execution=execution)
-
     def with_tile(self, tile_bytes: int) -> "Schedule":
         """Schedule streaming through ``tile_bytes``-sized row bands."""
         return replace(self, tile_bytes=tile_bytes)
@@ -152,10 +114,6 @@ class Schedule:
         """Schedule capping fusion at ``depth`` source ops per fused op
         (1 = no fusion, None = unlimited)."""
         return replace(self, fusion_depth=depth)
-
-    def with_band_parallel(self, flag: bool = True) -> "Schedule":
-        """Schedule fanning streamed bands across the worker pool."""
-        return replace(self, band_parallel=flag)
 
     def with_elide(self, flag: bool = True) -> "Schedule":
         """Schedule with content-aware transfer elision on (or off)."""
@@ -176,22 +134,19 @@ class Schedule:
     @property
     def signature(self) -> tuple:
         """Hashable identity (used by decision caches and tuner state)."""
-        return (self.backend, self.execution, self.tile_bytes,
-                self.fusion_depth, self.band_parallel, self.elide,
+        return (self.tile_bytes, self.fusion_depth, self.elide,
                 self.rung.label, self.global_algorithm)
 
     def describe(self) -> str:
-        """Compact one-line label, e.g. ``vectorized/compiled tile=8MiB
-        fuse=* +CM elide``."""
+        """Compact one-line label, e.g. ``tile=8388608B fuse=* +CM
+        elide``."""
         tile = ("untiled" if self.tile_bytes is None
                 else f"tile={self.tile_bytes}B")
         fuse = "*" if self.fusion_depth is None else str(self.fusion_depth)
-        bands = " bands" if self.band_parallel else ""
         elide = " elide" if self.elide else ""
         glob = (f" global={self.global_algorithm}"
                 if self.global_algorithm else "")
-        return (f"{self.backend}/{self.execution} {tile} fuse={fuse} "
-                f"{self.rung.label}{bands}{elide}{glob}")
+        return f"{tile} fuse={fuse} {self.rung.label}{elide}{glob}"
 
     # ------------------------------------------------------------------
     # HeteroCL-style structure assertion
@@ -200,15 +155,9 @@ class Schedule:
         """Assert ``program``'s structure realizes this schedule.
 
         Raises :class:`CollectiveError` when the compiled structure
-        contradicts a knob: a program existing at all under an
-        interpreted schedule, a fused op wider than ``fusion_depth``,
-        or a tile budget no op could ever band under.  Returns the
-        schedule so assertions chain like the transforms do.
+        contradicts a knob: a fused op wider than ``fusion_depth``.
+        Returns the schedule so assertions chain like the transforms do.
         """
-        if self.execution == "interpreted":
-            raise CollectiveError(
-                "an interpreted schedule has no compiled program to "
-                "check; replay goes through Step.apply")
         widths = [max(1, len(op.labels)) for op in program.ops]
         if self.fusion_depth is not None and widths \
                 and max(widths) > self.fusion_depth:
@@ -216,8 +165,4 @@ class Schedule:
                 f"program fuses {max(widths)} source ops into one op, "
                 f"schedule caps fusion at {self.fusion_depth}:\n"
                 f"{program.describe()}")
-        if self.tile_bytes is not None and self.tile_bytes <= 0:
-            raise CollectiveError(
-                f"streamed schedule with non-positive tile "
-                f"{self.tile_bytes}")
         return self

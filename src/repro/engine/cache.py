@@ -13,9 +13,8 @@ onto a shallow copy at submission time.
 
 Keys are :class:`~repro.engine.request.PlanKey` instances:
 ``(primitive, dims, size, offsets, dtype, op, variant)`` where
-``variant`` is the (frozen, hashable) :class:`OptConfig` -- or a
-backend name, for the application harness.  Hit/miss counters feed
-:class:`~repro.engine.stats.EngineStats`.
+``variant`` is the (frozen, hashable) :class:`OptConfig`.  Hit/miss
+counters feed :class:`~repro.engine.stats.EngineStats`.
 """
 
 from __future__ import annotations

@@ -100,11 +100,18 @@ class Communicator:
         #: Imported lazily: ``analysis`` pulls in the application
         #: harness, which imports this module.
         self.tuner = None
+        backend = session_config.backend
         if self.autotune is not None:
             from ..analysis.autotune import ScheduleSpace, Tuner
             self.tuner = Tuner(manager,
                                ScheduleSpace.from_session(session_config),
                                mode=self.autotune)
+            # Modelled cost is backend-invariant by design (vectorized
+            # charges exactly the scalar oracle's ledger), so no search
+            # can rank backends; strictly less host work (10-100x,
+            # docs/performance.md) decides once, here.
+            if backend is None:
+                backend = "vectorized"
         #: Session-owned streaming scratch, reused across every call so
         #: steady-state streamed replay performs zero heap allocations.
         #: An autotuned session may pick a streamed schedule at any
@@ -117,8 +124,8 @@ class Communicator:
         #: concurrently.  See docs/performance.md "Parallel replay".
         self._pool = (WorkerPool(session_config.parallel_workers)
                       if session_config.parallel_workers > 1 else None)
-        if session_config.backend is not None:
-            manager.system.set_backend(session_config.backend)
+        if backend is not None:
+            manager.system.set_backend(backend)
         self.cache = PlanCache(maxsize=session_config.cache_size)
         self.stats = EngineStats(
             parallel_workers=session_config.parallel_workers)
@@ -171,19 +178,12 @@ class Communicator:
         """Resolve ``req``'s execution schedule through the tuner.
 
         Untuned sessions return the request unchanged.  Tuned sessions
-        first pin the space's statically preferred backend (so every
-        candidate plan/program is cached under the key steady-state
-        execution will look up), then ask the tuner for a schedule --
-        a cached decision, a shortlist candidate being probed, or a
-        fresh search -- and stamp it (plus its rung) on the request.
+        ask the tuner for a schedule -- a cached decision, a shortlist
+        candidate being probed, or a fresh search -- and stamp it (plus
+        its rung) on the request.
         """
         if self.tuner is None or req.schedule is not None:
             return req
-        preferred = self.tuner.preferred_backend
-        if preferred != self.backend:
-            self.manager.system.set_backend(preferred)
-        if preferred != req.backend:
-            req = replace(req, backend=preferred)
         schedule = self.tuner.schedule_for(
             req, self._plan_cache_for(req), self.stats,
             plan_for=lambda rung: self._candidate_plan(req, rung),
@@ -221,14 +221,11 @@ class Communicator:
                      plan: CommPlan) -> CommProgram | None:
         """The compiled program to replay ``req`` with, if any.
 
-        None means interpret: the session (or the request's tuned
-        schedule) asked for it.  A fault injector changes nothing here
-        -- the transfer kernels replay runs on are fault sites too.
+        None means interpret: the session asked for it.  A fault
+        injector changes nothing here -- the transfer kernels replay
+        runs on are fault sites too.
         """
-        if req.schedule is not None:
-            if req.schedule.execution == "interpreted":
-                return None
-        elif self.execution == "interpreted":
+        if self.execution == "interpreted":
             return None
 
         def build() -> CommProgram:
@@ -318,9 +315,6 @@ class Communicator:
                           else self.stream_tile_bytes)
             elide = (schedule.elide if schedule is not None
                      else self.elide_transfers)
-            workers = self._band_workers()
-            if schedule is not None and not schedule.band_parallel:
-                workers = None
             replay_s = None
             if functional:
                 raw = (_payload_bytes(req.payloads)
@@ -330,7 +324,7 @@ class Communicator:
                                              payloads=raw,
                                              tile_bytes=tile_bytes,
                                              pool=self._replay_pool(),
-                                             workers=workers,
+                                             workers=self._band_workers(),
                                              elide=elide)
                 replay_s = perf_counter() - start
                 tiles = ctx.tiles
@@ -579,8 +573,11 @@ class Communicator:
                                    degraded=degraded_now)
             return result
 
-    def _call(self, request: CommRequest,
-              functional: bool | None) -> CommResult:
+    def run(self, request: CommRequest,
+            functional: bool | None = None) -> CommResult:
+        """Run one request: the single-request entry the eight
+        primitive methods delegate to (``functional=None`` = the
+        session default)."""
         req = self._tuned(request.normalize(self.manager, self.config,
                                             backend=self.backend))
         return self._run(
@@ -714,7 +711,7 @@ class Communicator:
                  config: OptConfig | None = None,
                  functional: bool | None = None) -> CommResult:
         """AlltoAll across the cube slices selected by ``comm_dimensions``."""
-        return self._call(CommRequest(
+        return self.run(CommRequest(
             "alltoall", comm_dimensions, total_data_size,
             src_offset=src_offset, dst_offset=dst_offset,
             data_type=data_type, config=config), functional)
@@ -725,7 +722,7 @@ class Communicator:
                   config: OptConfig | None = None,
                   functional: bool | None = None) -> CommResult:
         """AllGather: every group member ends with all members' chunks."""
-        return self._call(CommRequest(
+        return self.run(CommRequest(
             "allgather", comm_dimensions, total_data_size,
             src_offset=src_offset, dst_offset=dst_offset,
             data_type=data_type, config=config), functional)
@@ -738,7 +735,7 @@ class Communicator:
                        config: OptConfig | None = None,
                        functional: bool | None = None) -> CommResult:
         """ReduceScatter (consumes the source buffer, like the PIM kernel)."""
-        return self._call(CommRequest(
+        return self.run(CommRequest(
             "reduce_scatter", comm_dimensions, total_data_size,
             src_offset=src_offset, dst_offset=dst_offset,
             data_type=data_type, reduction_type=reduction_type,
@@ -751,7 +748,7 @@ class Communicator:
                   config: OptConfig | None = None,
                   functional: bool | None = None) -> CommResult:
         """AllReduce as a fused ReduceScatter + AllGather."""
-        return self._call(CommRequest(
+        return self.run(CommRequest(
             "allreduce", comm_dimensions, total_data_size,
             src_offset=src_offset, dst_offset=dst_offset,
             data_type=data_type, reduction_type=reduction_type,
@@ -764,7 +761,7 @@ class Communicator:
                 config: OptConfig | None = None,
                 functional: bool | None = None) -> CommResult:
         """Scatter host chunks to the PEs."""
-        return self._call(CommRequest(
+        return self.run(CommRequest(
             "scatter", comm_dimensions, total_data_size,
             dst_offset=dst_offset, data_type=data_type, payloads=payloads,
             config=config), functional)
@@ -775,7 +772,7 @@ class Communicator:
                config: OptConfig | None = None,
                functional: bool | None = None) -> CommResult:
         """Gather to the host; results in ``result.host_outputs``."""
-        return self._call(CommRequest(
+        return self.run(CommRequest(
             "gather", comm_dimensions, total_data_size,
             src_offset=src_offset, data_type=data_type, config=config),
             functional)
@@ -787,7 +784,7 @@ class Communicator:
                config: OptConfig | None = None,
                functional: bool | None = None) -> CommResult:
         """Reduce to the host; results in ``result.host_outputs``."""
-        return self._call(CommRequest(
+        return self.run(CommRequest(
             "reduce", comm_dimensions, total_data_size,
             src_offset=src_offset, data_type=data_type,
             reduction_type=reduction_type, config=config), functional)
@@ -799,7 +796,7 @@ class Communicator:
                   config: OptConfig | None = None,
                   functional: bool | None = None) -> CommResult:
         """Broadcast per-instance host buffers to every member PE."""
-        return self._call(CommRequest(
+        return self.run(CommRequest(
             "broadcast", comm_dimensions, total_data_size,
             dst_offset=dst_offset, data_type=data_type, payloads=payloads,
             config=config), functional)

@@ -153,10 +153,10 @@ class NormalizedRequest:
     def schedule_key(self) -> tuple:
         """Identity of one *tuning problem*: the request facts a
         schedule decision depends on, and nothing the tuner itself
-        chooses.  Unlike :attr:`plan_key` it omits the config rung and
-        backend (both are tuner outputs) but keeps the offsets --
-        streaming safety and band shapes depend on how src and dst
-        regions overlap.
+        chooses.  Unlike :attr:`plan_key` it omits the config rung (a
+        tuner output) and the backend (constant per session) but keeps
+        the offsets -- streaming safety and band shapes depend on how
+        src and dst regions overlap.
         """
         op_name = (self.op.name if self.primitive in ARITHMETIC_PRIMITIVES
                    else None)
@@ -213,9 +213,8 @@ class PlanKey:
     """Hashable identity of a compiled plan.
 
     ``variant`` distinguishes plan-shaping context beyond the request
-    itself: the :class:`OptConfig` for PID-Comm plans, or a backend
-    name for the application harness (whose baseline backend compiles
-    different flows for the same request).  ``topology`` carries the
+    itself: the :class:`OptConfig` (with the fusion cap, when a
+    schedule sets one).  ``topology`` carries the
     manager's virtual -> physical mapping signature; degraded cubes
     (post rank failure) therefore key separately from healthy ones.
     """

@@ -85,13 +85,15 @@ class SessionConfig:
         autotune: ``None`` (default) runs the knobs exactly as
             configured.  ``"offline"`` lets a cost-model-guided
             :class:`~repro.analysis.autotune.Tuner` pick the execution
-            schedule (backend/execution/tile/rung) per collective
-            shape, caching decisions beside the compiled plans;
+            schedule (tile/elision/rung) per collective shape, caching
+            decisions beside the compiled plans;
             ``"online"`` additionally probes the model's shortlist
             with measured replay seconds and re-tunes when observed
-            cost diverges from modelled cost.  Knobs set explicitly
-            (``backend``, ``execution``, ``stream_tile_bytes``) pin
-            their axis -- the tuner only decides what was left open.
+            cost diverges from modelled cost.  ``stream_tile_bytes``
+            pins the tile axis and ``execution="interpreted"`` leaves
+            only the rung -- the tuner decides what was left open.
+            ``backend`` and ``execution`` stay the session's: a tuned
+            session with ``backend=None`` runs vectorized.
             Composes with ``fault_injector``/``reliability``: tuned
             schedules replay under the same retry/rewind wrapper
             (``docs/performance.md``).
@@ -122,6 +124,17 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         """Validate the combination once, at construction."""
+        for name, kind, optional in (
+                ("config", OptConfig, False), ("functional", bool, False),
+                ("elide_transfers", bool, False),
+                ("reliability", ReliabilityPolicy, True),
+                ("fault_injector", FaultInjector, True)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) \
+                    and not (optional and value is None):
+                raise CollectiveError(
+                    f"{name} must be of type {kind.__name__}"
+                    f"{' or None' if optional else ''}, got {value!r}")
         if self.execution not in EXECUTION_MODES:
             raise CollectiveError(
                 f"unknown execution mode {self.execution!r}; "

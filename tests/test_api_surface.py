@@ -1,5 +1,6 @@
 """Tests for the public API surface, validation sweep, and CLI."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -142,7 +143,19 @@ EXPECTED_SESSION_SIGNATURES = {
         " functional: 'bool | None' = None) -> 'CommResult'"),
     "submit": ("(self, requests: 'Sequence[CommRequest]',"
                " functional: 'bool | None' = None) -> 'BatchResult'"),
+    "run": ("(self, request: 'CommRequest',"
+            " functional: 'bool | None' = None) -> 'CommResult'"),
 }
+
+#: The value objects' fields: a schedule holds the decisions somebody
+#: makes per shape, the session config everything a session is built
+#: from (and nothing is configured anywhere else).
+EXPECTED_SCHEDULE_FIELDS = ["tile_bytes", "fusion_depth", "elide", "rung",
+                            "global_algorithm"]
+EXPECTED_SESSION_FIELDS = [
+    "config", "functional", "cache_size", "reliability", "fault_injector",
+    "backend", "execution", "stream_tile_bytes", "parallel_workers",
+    "autotune", "elide_transfers"]
 
 
 class TestApiSnapshot:
@@ -158,6 +171,12 @@ class TestApiSnapshot:
             actual = str(inspect.signature(getattr(Communicator, name)))
             assert actual == expected, (
                 f"Communicator.{name} signature drifted:\n{actual}")
+
+    def test_value_object_fields_match_snapshot(self):
+        assert [f.name for f in dataclasses.fields(repro.Schedule)] \
+            == EXPECTED_SCHEDULE_FIELDS
+        assert [f.name for f in dataclasses.fields(repro.SessionConfig)] \
+            == EXPECTED_SESSION_FIELDS
 
     def test_session_buffer_arguments_keyword_only(self):
         # The redesign's contract: offsets and payloads never positional.

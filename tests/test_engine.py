@@ -423,7 +423,9 @@ class TestInstrumentation:
                              functional=False)
         for _ in range(4):
             harness.comm_cost_only("allreduce", "010", total, src, dst)
-        assert harness.cache.misses == 1 and harness.cache.hits == 3
+        cache = harness.session.cache
+        assert cache.misses == 1 and cache.hits == 3
+        assert harness.stats is harness.session.stats
         result = harness.result("unit-test")
         engine = result.meta["engine"]
         assert engine["plans_compiled"] == 1 and engine["cache_hits"] == 3

@@ -561,16 +561,6 @@ class TestMultihostStats:
         assert mh.stats.global_phases == 0
         mh.close()
 
-    def test_render_multihost(self):
-        from repro.analysis.trace import render_multihost
-        mh = engine_multihost(2)
-        assert "single-host" in render_multihost(mh.stats)
-        check_alltoall_parity(mh)
-        text = render_multihost(mh.stats)
-        assert "Multihost(1 global phase" in text
-        assert "alltoall/" in text
-        mh.close()
-
     def test_schedule_carries_global_algorithm(self):
         mh = engine_multihost(2)
         result = check_alltoall_parity(mh)

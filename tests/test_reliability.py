@@ -585,21 +585,19 @@ class TestPlanCacheStats:
 # Trace integration
 # ----------------------------------------------------------------------
 class TestTraceIntegration:
-    def test_render_reliability_block(self, rng):
-        from repro.analysis.trace import render_reliability
+    def test_report_reliability_block(self, rng):
         manager = make_manager((4, 8))
         system = manager.system
         injector = FaultInjector(seed=3, timeout_rate=0.2)
         comm = Communicator(manager, SessionConfig(fault_injector=injector))
-        assert render_reliability(comm.stats) == \
-            "Reliability(no faults observed)"
+        assert "reliability:" not in comm.stats.report()
         src = system.alloc(1 << 10)
         fill_group_inputs(system, groups_of(manager, "11"), src, 128,
                           INT64, rng)
         comm.allreduce("11", 1 << 10, src_offset=src, dst_offset=src)
-        text = render_reliability(comm.stats)
-        assert "retries" in text and "timeout" in text
-        assert str(comm.stats.retries) in text
+        text = comm.stats.report()
+        assert f"retries         {comm.stats.retries}" in text
+        assert "fault timeout" in text
 
     def test_batch_timeline_annotates_retries(self, rng):
         from repro.analysis.trace import render_batch_timeline, trace_batch

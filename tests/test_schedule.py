@@ -36,7 +36,6 @@ from repro.analysis.autotune import (
     Tuner,
     tile_candidates,
 )
-from repro.analysis.trace import render_autotune
 from repro.dtypes import INT64
 from repro.engine.stats import EngineStats
 from repro.errors import CollectiveError, PidCommError
@@ -48,23 +47,19 @@ from repro.errors import CollectiveError, PidCommError
 class TestScheduleValidation:
     def test_default_is_naive(self):
         s = Schedule.default()
-        assert s.backend == "scalar"
-        assert s.execution == "compiled"
-        assert s.tile_bytes is None
+        assert s.tile_bytes is None and s.fusion_depth is None
+        assert not s.elide
         assert s.rung is FULL
 
+    # Backend and execution mode (like band fan-out) belong to the
+    # session a schedule runs on; a schedule cannot name them at all.
     def test_unknown_backend_rejected(self):
-        with pytest.raises(CollectiveError, match="backend"):
-            Schedule(backend="simd")
+        with pytest.raises(TypeError, match="backend"):
+            Schedule(backend="vectorized")
 
     def test_unknown_execution_rejected(self):
-        # "auto" is a session policy, not a resolved schedule.
-        with pytest.raises(CollectiveError, match="execution"):
-            Schedule(execution="auto")
-
-    def test_streamed_interpreted_rejected(self):
-        with pytest.raises(CollectiveError, match="stream"):
-            Schedule(execution="interpreted", tile_bytes=4096)
+        with pytest.raises(TypeError, match="execution"):
+            Schedule(execution="compiled")
 
     def test_nonpositive_tile_rejected(self):
         with pytest.raises(CollectiveError, match="tile_bytes"):
@@ -79,16 +74,10 @@ class TestScheduleValidation:
             Schedule(rung="FULL")
 
     def test_transforms_compose(self):
-        s = (Schedule.default().with_backend("vectorized")
-             .with_tile(1 << 20).fused(2).with_band_parallel()
+        s = (Schedule.default().with_tile(1 << 20).fused(2)
              .with_rung(BASELINE))
-        assert s.signature == ("vectorized", "compiled", 1 << 20, 2,
-                               True, False, "Baseline", None)
+        assert s.signature == (1 << 20, 2, False, "Baseline", None)
         assert s.untiled().tile_bytes is None
-
-    def test_with_execution_interpreted_untiles(self):
-        s = Schedule(tile_bytes=4096).with_execution("interpreted")
-        assert s.execution == "interpreted" and s.tile_bytes is None
 
     def test_transforms_never_mutate(self):
         s = Schedule.default()
@@ -96,10 +85,14 @@ class TestScheduleValidation:
         assert s.tile_bytes is None
 
     def test_describe_names_every_knob(self):
-        text = Schedule(backend="vectorized", tile_bytes=8 << 20,
-                        band_parallel=True).describe()
-        assert "vectorized" in text and "8388608" in text
-        assert "bands" in text and "+CM" in text
+        text = Schedule(tile_bytes=8 << 20, fusion_depth=2,
+                        elide=True).describe()
+        assert "8388608" in text and "fuse=2" in text
+        assert "elide" in text and "+CM" in text
+        # ... and nothing the session owns.
+        for word in ("scalar", "vectorized", "compiled", "interpreted",
+                     "bands"):
+            assert word not in text
 
 
 # ----------------------------------------------------------------------
@@ -114,12 +107,6 @@ class TestScheduleCheck:
         from repro.dtypes import SUM
         return manager, plan_allreduce(manager, req.dims, 512, 0, 2048,
                                        INT64, SUM, FULL)
-
-    def test_interpreted_schedule_has_nothing_to_check(self):
-        manager, plan = self._plan()
-        program = plan.compile(manager.system)
-        with pytest.raises(CollectiveError, match="interpreted"):
-            Schedule(execution="interpreted").check(program)
 
     def test_fusion_depth_one_disables_fusion(self):
         manager, plan = self._plan()
@@ -281,19 +268,31 @@ class TestTunerSearch:
         assert seconds == sorted(seconds)
 
     def test_pinned_knobs_collapse_the_space(self):
+        # An interpreting session has no programs: only the rung is
+        # left to tune, and the session still runs what it pinned.
         space = ScheduleSpace.from_session(SessionConfig(
             autotune="offline", backend="scalar",
             execution="interpreted"))
-        assert space.backends == ("scalar",)
-        assert space.executions == ("interpreted",)
         assert not space.streaming
         comm = _tuned_comm("offline", backend="scalar",
                            execution="interpreted")
         result = _drive(comm)
-        assert result.schedule.backend == "scalar"
-        assert result.schedule.execution == "interpreted"
+        assert comm.backend == "scalar"
         assert result.schedule.tile_bytes is None
+        assert not result.schedule.elide
         assert result.execution == "interpreted"
+        assert len(comm.cache) == len(ABLATION_LADDER)  # every rung priced
+        assert comm.stats.programs_compiled == 0        # none compiled
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized", None])
+    def test_session_owns_the_backend(self, backend):
+        # A pinned backend is kept; an open one is settled once, at
+        # construction, on the vectorized backend.
+        comm = _tuned_comm("offline", backend=backend)
+        assert comm.backend == (backend or "vectorized")
+        result = _drive(comm)
+        assert comm.backend == (backend or "vectorized")
+        assert result.execution in ("compiled", "streamed")
 
     def test_pinned_tile_is_honored(self):
         comm = _tuned_comm("offline", stream_tile_bytes=8192)
@@ -417,7 +416,7 @@ class TestDecisionCache:
         key_full = req.schedule_key
         req.config = BASELINE
         req.backend = "vectorized"
-        assert req.schedule_key == key_full  # rung/backend are outputs
+        assert req.schedule_key == key_full  # neither is a tuning input
         req.src_offset = 64
         assert req.schedule_key != key_full  # offsets are inputs
 
@@ -474,30 +473,33 @@ class TestTunedParity:
         result = run_case(rng, primitive, (4, 8), INT64, 2, FULL,
                           backend=backend, autotune="offline")
         assert result.schedule is not None
-        if backend is not None:
-            assert result.schedule.backend == backend
+        assert result.execution in ("compiled", "streamed")
 
     def test_tuned_interpreted_matches_oracle(self):
         rng = np.random.default_rng(23)
         for primitive in PRIMITIVES:
             result = run_case(rng, primitive, (2, 4, 4), INT64, 3, FULL,
                               execution="interpreted", autotune="offline")
-            assert result.schedule.execution == "interpreted"
+            assert result.schedule is not None
+            assert result.execution == "interpreted"
 
 
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
 class TestRenderAutotune:
+    """The tuner's block of ``EngineStats.report()``."""
+
     def test_idle_tuner(self):
-        assert "idle" in render_autotune(EngineStats())
+        assert "autotuner:" not in EngineStats().report()
 
     def test_counters_rendered(self):
         comm = _tuned_comm("online")
         _drive(comm, calls=20, size=1 << 16)
-        text = render_autotune(comm.stats)
-        assert "Autotune(1 search" in text
+        text = comm.stats.report()
+        assert "searches        1" in text
         assert "probes" in text and "re-tunes" in text
+        assert comm.stats.snapshot()["tuner_probes"] > 0
 
     def test_snapshot_carries_tuner_counters(self):
         comm = _tuned_comm("offline")
@@ -517,13 +519,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 _RUNGS = st.sampled_from(list(ABLATION_LADDER))
 _SCHEDULES = st.builds(
     Schedule,
-    backend=st.sampled_from(["scalar", "vectorized"]),
-    execution=st.just("compiled"),
     tile_bytes=st.one_of(st.none(),
                          st.integers(min_value=1, max_value=1 << 22)),
     fusion_depth=st.one_of(st.none(),
                            st.integers(min_value=1, max_value=8)),
-    band_parallel=st.booleans(),
+    elide=st.booleans(),
     rung=_RUNGS)
 
 
@@ -532,12 +532,11 @@ class TestScheduleProperties:
     @given(schedule=_SCHEDULES)
     def test_transform_roundtrips_preserve_validity(self, schedule):
         # Any chain of transforms lands on another valid schedule
-        # (construction re-validates), and interpreted always untiles.
-        s = schedule.with_execution("interpreted")
-        assert s.tile_bytes is None
-        t = schedule.untiled().with_execution("compiled").fused(1)
+        # (construction re-validates).
+        t = schedule.untiled().with_elide(False).fused(1)
         assert t.fusion_depth == 1 and t.tile_bytes is None
-        assert schedule.with_backend(schedule.backend) == schedule
+        assert not t.elide and t.rung is schedule.rung
+        assert schedule.with_rung(schedule.rung) == schedule
 
     @settings(max_examples=40, deadline=None)
     @given(depth=st.integers(min_value=1, max_value=6))
@@ -564,15 +563,16 @@ class TestScheduleProperties:
             self, backend, execution, tile, workers, mode):
         # Whatever the session pins, every schedule the tuner can
         # enumerate is constructible (Schedule validates) and honors
-        # the pins -- e.g. streamed+interpreted can never come out.
+        # the pins -- e.g. an interpreting session is never handed a
+        # tile.
         if tile is not None and execution == "interpreted":
             return  # SessionConfig itself rejects this pin
         cfg = SessionConfig(autotune=mode, backend=backend,
                             execution=execution, stream_tile_bytes=tile,
                             parallel_workers=workers)
-        space = ScheduleSpace.from_session(cfg)
         manager = make_manager((4, 8), mram_bytes=1 << 20)
         comm = Communicator(manager, cfg)
+        assert comm.backend == (backend or "vectorized")
         req = CommRequest("alltoall", "11", 1 << 14,
                           dst_offset=1 << 18).normalize(
             manager, comm.config, backend=comm.backend)
@@ -582,13 +582,8 @@ class TestScheduleProperties:
         assert scores
         for score in scores:
             s = score.schedule
-            assert not (s.execution == "interpreted"
-                        and s.tile_bytes is not None)
-            if backend is not None:
-                assert s.backend == backend
-            if execution != "auto":
-                assert s.execution == execution
-            if tile is not None and s.execution == "compiled":
+            if execution == "interpreted":
+                assert s.tile_bytes is None and not s.elide
+            if tile is not None:
                 assert s.tile_bytes == tile
-            assert s.backend in space.backends
             assert s.rung in ABLATION_LADDER

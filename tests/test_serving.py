@@ -102,6 +102,10 @@ class TestSessionConfig:
         ("cache_size", -1), ("cache_size", 2.5), ("cache_size", True),
         ("stream_tile_bytes", True), ("stream_tile_bytes", 100.5),
         ("parallel_workers", True),
+        # A truthy string used to run *functionally*; a config name
+        # died on the first call with an AttributeError.
+        ("functional", "no"), ("elide_transfers", "yes"), ("config", "FULL"),
+        ("reliability", True), ("fault_injector", object()),
     ])
     def test_wrong_typed_knobs_rejected(self, field, value):
         with pytest.raises(CollectiveError, match=field):

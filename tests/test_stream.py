@@ -244,6 +244,9 @@ class TestEnginePolicy:
         assert comm.stats.tiles_replayed == 3 * result.tiles
         assert comm.stats.peak_scratch_bytes == result.peak_scratch_bytes
         assert comm.stats.snapshot()["tiles_replayed"] == 3 * result.tiles
+        report = comm.stats.report()
+        assert f"tiles replayed  {3 * result.tiles}" in report
+        assert f"peak scratch    {result.peak_scratch_bytes} B" in report
 
 
 class TestZeroAllocationSteadyState:
