@@ -22,6 +22,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any
 
+from ...hw.arena import ScratchPool
 from ...hw.host import SimdCounter
 from ...hw.system import DimmSystem
 from ...hw.timing import CostLedger
@@ -40,10 +41,14 @@ class ExecContext:
     #: per-PE tile count, so this is backend-invariant by construction
     #: (asserted by ``tests/test_backend_parity.py``).
     wram_tiles: int = 0
-    #: Payload tiles replayed by a *streamed* compiled execution
-    #: (``CommProgram.replay(..., tile_bytes=...)``); 0 when the run
-    #: was interpreted or replayed unstreamed.
-    tiles: int = 0
+    #: Output-row band budget of a compiled replay's banded ops
+    #: (``CommProgram.replay(..., tile_bytes=...)``); None replays
+    #: each as one band covering every row.
+    tile_bytes: int | None = None
+    #: Scratch pool streamed bands gather through (None when untiled).
+    pool: ScratchPool | None = None
+    #: Engine worker pool streamed bands may fan out to (None = serial).
+    workers: Any = None
     #: Scratch-pool high-water mark (bytes) of a streamed replay.
     peak_scratch_bytes: int = 0
     #: Content-aware elision: run the fingerprint scan in elidable ops

@@ -114,7 +114,7 @@ def _row_reps(mat: np.ndarray) -> np.ndarray:
 
 
 def band_ranges(rows: int, row_bytes: int,
-                tile_bytes: int) -> list[tuple[int, int]]:
+                tile_bytes: int | None) -> list[tuple[int, int]]:
     """Output-row bands whose gathered tile fits ``tile_bytes``.
 
     Streamed replay tiles along the *output-row* axis: every op's
@@ -125,9 +125,12 @@ def band_ranges(rows: int, row_bytes: int,
     band height is the largest number of ``row_bytes``-wide output
     rows fitting ``tile_bytes``, clamped to at least one row; the last
     band is shorter when the height does not divide ``rows`` evenly.
+    ``tile_bytes`` None is one band covering every row.
     """
     if rows <= 0:
         return []
+    if tile_bytes is None:
+        return [(0, rows)]
     band = min(rows, max(1, tile_bytes // max(1, row_bytes)))
     return [(r0, min(r0 + band, rows)) for r0 in range(0, rows, band)]
 
@@ -164,15 +167,15 @@ def _stream_table(op, system: DimmSystem
         return table, width
 
 
-def _run_bands(units: Sequence, pool: ScratchPool, workers,
-               run_one: Callable[[ScratchPool, Any], None]) -> None:
+def _run_bands(units: Sequence, pool: ScratchPool | None, workers,
+               run_one: Callable[[ScratchPool | None, Any], None]) -> None:
     """Execute per-band work units serially or across a worker pool.
 
     ``workers`` is the engine's :class:`~repro.engine.parallel
     .WorkerPool` (duck-typed here so core never imports engine), or
-    None for today's serial loop.  Parallel dispatch is safe because
-    every unit writes a disjoint set of output rows
-    (:func:`band_ranges` partitions the row axis) into
+    None for a serial loop; ``pool`` is None on an untiled replay.
+    Parallel dispatch is safe because every unit writes a disjoint set
+    of output rows (:func:`band_ranges` partitions the row axis) into
     already-materialized arena rows, and each worker gathers through
     its own private scratch pool.  Nested calls (a wave member
     replaying on a worker thread) run inline on that thread.
@@ -211,7 +214,15 @@ def _merged(a: SimdCounter, b: SimdCounter) -> SimdCounter:
 
 
 class ProgramOp(abc.ABC):
-    """One lowered (or fallback) stage of a compiled program."""
+    """One lowered (or fallback) stage of a compiled program.
+
+    Every op has exactly one replay body, :meth:`execute`.  The banded
+    ops (:class:`GatherMoveOp`, :class:`ReduceFoldOp`,
+    :class:`FanoutScratchOp`) run it as a loop over output-row bands
+    sized by ``ctx.tile_bytes``; an untiled replay (``tile_bytes``
+    None) is the one-band case, so streamed and untiled replay share
+    every line of it.
+    """
 
     simd: SimdCounter
     wram_tiles: int
@@ -222,25 +233,8 @@ class ProgramOp(abc.ABC):
                 payloads: Mapping[int, np.ndarray] | None) -> None:
         """Replay this stage against ``ctx.system``."""
 
-    def execute_streamed(self, ctx: ExecContext,
-                         payloads: Mapping[int, np.ndarray] | None,
-                         pool: ScratchPool, tile_bytes: int,
-                         workers=None) -> None:
-        """Replay tile-by-tile through the scratch pool.
-
-        The default falls back to one untiled :meth:`execute` pass
-        (host-flow ops produce inherently full-size host state); tiled
-        overrides must stay bit-identical to ``execute`` and charge
-        ``ctx.tiles`` with the count :meth:`tile_count` predicts.
-        ``workers`` (an engine worker pool, or None) lets banded
-        overrides fan independent bands across host threads -- results
-        and every counter stay identical; only wall-clock changes.
-        """
-        self.execute(ctx, payloads)
-        ctx.tiles += 1
-
     def tile_count(self, tile_bytes: int) -> int:
-        """Tiles :meth:`execute_streamed` replays at this budget."""
+        """Bands :meth:`execute` replays at this budget."""
         return 1
 
     def transfer_bytes(self) -> int:
@@ -273,9 +267,97 @@ class ProgramOp(abc.ABC):
         return f"{type(self).__name__}({inner})"
 
 
+class _BandedOp(ProgramOp):
+    """An op whose replay body is a loop over output-row bands.
+
+    An op that is not :meth:`_stream_safe` replays as one band at any
+    budget, exact for the same reason a whole-op gather is.  Band lists
+    are memoised per tile budget: steady-state replay derives none.
+    """
+
+    _band_memo: dict
+
+    @abc.abstractmethod
+    def _band_shape(self) -> tuple[int, int]:
+        """``(output rows, bytes per output row)`` one band slices."""
+
+    def _stream_safe(self) -> bool:
+        return True
+
+    def _bands(self, tile_bytes: int | None) -> list[tuple[int, int]]:
+        bands = self._band_memo.get(tile_bytes)
+        if bands is None:
+            rows, row_bytes = self._band_shape()
+            bands = band_ranges(rows, row_bytes,
+                                tile_bytes if self._stream_safe() else None)
+            self._band_memo[tile_bytes] = bands
+        return bands
+
+    def tile_count(self, tile_bytes: int) -> int:
+        return len(self._bands(tile_bytes))
+
+
+def _band_take(scratch: ScratchPool | None, source: np.ndarray,
+               index: np.ndarray) -> np.ndarray:
+    """``source[index]``, into a pool view when streaming.
+
+    An untiled replay has no pool and allocates per op, as a whole-op
+    gather always has; a plain fancy index is then the faster kernel.
+    """
+    if scratch is None:
+        return source[index]
+    return np.take(source, index, out=scratch.pong(index.shape,
+                                                   source.dtype))
+
+
+def _band_gather(op, ctx: ExecContext, bands: list[tuple[int, int]],
+                 nslots_in: int, nslots_out: int
+                 ) -> Callable[[ScratchPool | None, int, int], np.ndarray]:
+    """A table-driven op's band gather: ``take(scratch, r0, r1)``
+    returns output rows ``[r0, r1)`` as a uint8 row matrix.
+
+    The kernel follows from what the replay can observe: one band
+    covering the whole op takes :meth:`DimmSystem.take_by_table` (one
+    contiguous stage plus a chunk-wide take -- faster than the
+    arena-global stream table for a whole op, ``docs/performance.md``);
+    partial bands take the op's cached stream table on the vectorized
+    backend (O(tile) memory) or, on the scalar one, stage the source
+    once into the pool's ping buffer and :func:`take_band_staged`.
+    """
+    system = ctx.system
+    row_bytes = nslots_out * op.chunk_bytes
+    if len(bands) == 1:
+        def take_whole(scratch, r0, r1):
+            block = system.take_by_table(
+                op.ids, op.ngroups, op.src_offset, nslots_in,
+                op.chunk_bytes, op.lane, op.slot, op.flat)
+            return block.reshape(r1 - r0, row_bytes)
+        return take_whole
+    table = _stream_table(op, system)
+    if table is not None:
+        flat_table, width = table
+
+        def take_flat(scratch, r0, r1):
+            out = scratch.pong((r1 - r0, flat_table.shape[1]),
+                               wide_dtype(width))
+            system.take_band_flat(flat_table, width, r0, r1, out, op.ids)
+            return out.view(np.uint8).reshape(r1 - r0, row_bytes)
+        return take_flat
+    src_bytes = nslots_in * op.chunk_bytes
+    stage = ctx.pool.ping((op.ids.size, src_bytes))
+    system.stage_rows(op.ids, op.src_offset, src_bytes, stage)
+    grouped = stage.view(wide_dtype(op.chunk_bytes)).reshape(op.ngroups, -1)
+
+    def take_staged(scratch, r0, r1):
+        out = scratch.pong((r1 - r0, nslots_out), wide_dtype(op.chunk_bytes))
+        take_band_staged(grouped, op.flat, r0, r1, out)
+        return out.view(np.uint8).reshape(r1 - r0, row_bytes)
+    return take_staged
+
+
 @dataclass
 class _ElisionPlan:
-    """One op's fingerprint-scan result, shared by both replay modes.
+    """One op's fingerprint-scan result, valid at any band budget.
 
     ``zero_row[r]`` -- output row ``r`` gathers only all-zero chunks;
     ``rep_row[r]`` -- lowest row in ``r``'s group whose gathered
@@ -293,7 +375,7 @@ class _ElisionPlan:
 
 
 @dataclass
-class GatherMoveOp(ProgramOp):
+class GatherMoveOp(_BandedOp):
     """Pure data movement as one take-by-table gather + one put.
 
     Covers PeReorder, RotateExchange and Fanout steps, and any legal
@@ -333,23 +415,34 @@ class GatherMoveOp(ProgramOp):
         self.flat = flat_chunk_table(self.lane, self.slot, self.nslots_in)
         self._stream_cache = None
         self._stream_lock = threading.Lock()
+        self._band_memo = {}
         self._rows_unique = None
         self._plan_cache = None
 
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
+        bands = self._bands(ctx.tile_bytes)
         if ctx.elide and self._elidable():
             plan, dst_clean = self._elision_plan(ctx)
             if plan is not None:
-                self._execute_elided(ctx, plan, dst_clean)
+                self._execute_elided(ctx, plan, bands, dst_clean)
                 return
-        block = ctx.system.take_by_table(
-            self.ids, self.ngroups, self.src_offset, self.nslots_in,
-            self.chunk_bytes, self.lane, self.slot, self.flat)
-        ctx.system.put_rows(
-            self.ids, self.dst_offset,
-            block.reshape(self.ids.size, self.nslots_out * self.chunk_bytes))
+        system = ctx.system
+        take = _band_gather(self, ctx, bands, self.nslots_in,
+                            self.nslots_out)
+
+        def run_band(scratch: ScratchPool | None,
+                     band: tuple[int, int]) -> None:
+            r0, r1 = band
+            system.put_rows(self.ids[r0:r1], self.dst_offset,
+                            take(scratch, r0, r1))
+
+        _run_bands(bands, ctx.pool, ctx.workers, run_band)
         self._charge(ctx)
+
+    # Kept only because benchmarks/e2e/tracer.py lists this name; drop
+    # it with the next change to the benchmark's target list.
+    execute_streamed = execute
 
     def transfer_bytes(self) -> int:
         return self.ids.size * (self.nslots_in + self.nslots_out) \
@@ -437,13 +530,6 @@ class GatherMoveOp(ProgramOp):
             self._plan_cache = (system.stream_token(), epoch, plan, None)
         return plan, False
 
-    def _mark_dst_clean(self, ctx: ExecContext) -> None:
-        """Stamp the cache: dst now holds this plan's replay output."""
-        cached = self._plan_cache
-        epoch = ctx.system.content_epoch()
-        if cached is not None and epoch is not None:
-            self._plan_cache = (cached[0], cached[1], cached[2], epoch)
-
     def _scan_plan(self, ctx: ExecContext) -> _ElisionPlan | None:
         """Scan the source block, derive per-output-row content classes.
 
@@ -504,68 +590,26 @@ class GatherMoveOp(ProgramOp):
             zero_row=zero_row, rep_row=rep_row)
 
     def _gather_select(self, system: DimmSystem, plan: _ElisionPlan,
-                       rows: np.ndarray, out: np.ndarray) -> None:
-        """Gather only ``rows`` (representatives) into wide ``out``."""
+                       rows: np.ndarray,
+                       scratch: ScratchPool | None) -> np.ndarray:
+        """Gather only ``rows`` (representatives) as uint8 output rows."""
         if plan.table is not None:
             flat_table, width = plan.table
+            shape = (rows.size, flat_table.shape[1])
+            out = (np.empty(shape, wide_dtype(width)) if scratch is None
+                   else scratch.pong(shape, wide_dtype(width)))
             if rows.size:
                 system.take_select_flat(flat_table, width, rows, out,
                                         self.ids)
-            return
-        lanes = self.ids.size // self.ngroups
-        grouped = plan.block.view(wide_dtype(self.chunk_bytes)).reshape(
-            self.ngroups, -1)
-        edges = np.searchsorted(
-            rows, np.arange(1, self.ngroups + 1) * lanes)
-        start = 0
-        for g, end in enumerate(edges):
-            if end > start:
-                np.take(grouped[g],
-                        self.flat[rows[start:end] - g * lanes],
-                        out=out[start:end])
-            start = end
-
-    def _count_elided(self, ctx: ExecContext, n_zero: int,
-                      n_dup: int) -> None:
-        row_bytes = self.nslots_out * self.chunk_bytes
-        ctx.chunks_elided += (n_zero + n_dup) * self.nslots_out
-        ctx.elided_bytes += (n_zero + n_dup) * row_bytes
-        # Zero rows skip both bus directions (nothing gathered, the
-        # fill image is one shared row); duplicate rows still pay the
-        # destination write but skip the gather direction.
-        ctx.saved_transfer_bytes += (2 * n_zero + n_dup) * row_bytes
-
-    def _execute_elided(self, ctx: ExecContext, plan: _ElisionPlan,
-                        dst_clean: bool = False) -> None:
-        system = ctx.system
-        n = self.ids.size
-        row_bytes = self.nslots_out * self.chunk_bytes
-        arange = np.arange(n)
-        live = ~plan.zero_row
-        reps = np.flatnonzero(live & (plan.rep_row == arange))
-        dups = np.flatnonzero(live & (plan.rep_row != arange))
-        if plan.table is not None:
-            flat_table, width = plan.table
-            out = np.empty((reps.size, flat_table.shape[1]),
-                           dtype=wide_dtype(width))
         else:
-            out = np.empty((reps.size, self.nslots_out),
-                           dtype=wide_dtype(self.chunk_bytes))
-        self._gather_select(system, plan, reps, out)
-        rep_bytes = out.view(np.uint8).reshape(reps.size, row_bytes)
-        if reps.size:
-            system.put_rows(self.ids[reps], self.dst_offset, rep_bytes)
-        if dups.size:
-            pos = np.searchsorted(reps, plan.rep_row[dups])
-            system.put_rows(self.ids[dups], self.dst_offset,
-                            rep_bytes[pos])
-        n_zero = n - reps.size - dups.size
-        if n_zero and not dst_clean:
-            system.zero_fill_lanes(self.ids[plan.zero_row],
-                                   self.dst_offset, row_bytes)
-        self._count_elided(ctx, n_zero, dups.size)
-        self._mark_dst_clean(ctx)
-        self._charge(ctx)
+            # Scalar: one take from the source block the scan staged.
+            lanes = self.ids.size // self.ngroups
+            chunks = plan.block.view(wide_dtype(self.chunk_bytes)).reshape(-1)
+            group, lane = np.divmod(rows, lanes)
+            out = _band_take(scratch, chunks, self.flat[lane]
+                             + (group * lanes * self.nslots_in)[:, None])
+        return out.view(np.uint8).reshape(
+            rows.size, self.nslots_out * self.chunk_bytes)
 
     def _stream_safe(self) -> bool:
         """Whether row-band tiling cannot read bytes a band wrote.
@@ -573,74 +617,19 @@ class GatherMoveOp(ProgramOp):
         Each band writes its rows' full destination region before
         later bands read their (arbitrarily cross-lane) sources, so
         streaming is exact only when the source and destination
-        regions are disjoint; in-place rewrites fall back to the
-        untiled pass.
+        regions are disjoint; an in-place rewrite replays as one band.
         """
         src_end = self.src_offset + self.nslots_in * self.chunk_bytes
         dst_end = self.dst_offset + self.nslots_out * self.chunk_bytes
         return src_end <= self.dst_offset or dst_end <= self.src_offset
 
-    def _bands(self, tile_bytes: int) -> list[tuple[int, int]] | None:
-        if not self._stream_safe():
-            return None
-        return band_ranges(self.ids.size,
-                           self.nslots_out * self.chunk_bytes, tile_bytes)
+    def _band_shape(self) -> tuple[int, int]:
+        return self.ids.size, self.nslots_out * self.chunk_bytes
 
-    def tile_count(self, tile_bytes: int) -> int:
-        bands = self._bands(tile_bytes)
-        return len(bands) if bands is not None else 1
-
-    def execute_streamed(self, ctx: ExecContext,
-                         payloads: Mapping[int, np.ndarray] | None,
-                         pool: ScratchPool, tile_bytes: int,
-                         workers=None) -> None:
-        bands = self._bands(tile_bytes)
-        if bands is None:
-            super().execute_streamed(ctx, payloads, pool, tile_bytes,
-                                     workers)
-            return
-        if ctx.elide and self._elidable():
-            plan, dst_clean = self._elision_plan(ctx)
-            if plan is not None:
-                self._stream_elided(ctx, plan, bands, pool, workers,
-                                    dst_clean)
-                return
-        row_bytes = self.nslots_out * self.chunk_bytes
-        system = ctx.system
-        table = _stream_table(self, system)
-        grouped = None
-        if table is None:  # scalar backend: stage once, band-take after
-            stage = pool.ping((self.ids.size,
-                               self.nslots_in * self.chunk_bytes))
-            system.stage_rows(self.ids, self.src_offset,
-                              self.nslots_in * self.chunk_bytes, stage)
-            grouped = stage.view(wide_dtype(self.chunk_bytes)).reshape(
-                self.ngroups, -1)
-
-        def run_band(scratch: ScratchPool, band: tuple[int, int]) -> None:
-            r0, r1 = band
-            if table is not None:
-                flat_table, width = table
-                out = scratch.pong((r1 - r0, flat_table.shape[1]),
-                                   wide_dtype(width))
-                system.take_band_flat(flat_table, width, r0, r1, out,
-                                      self.ids)
-            else:
-                out = scratch.pong((r1 - r0, self.nslots_out),
-                                   wide_dtype(self.chunk_bytes))
-                take_band_staged(grouped, self.flat, r0, r1, out)
-            system.put_rows(
-                self.ids[r0:r1], self.dst_offset,
-                out.view(np.uint8).reshape(r1 - r0, row_bytes))
-
-        _run_bands(bands, pool, workers, run_band)
-        ctx.tiles += len(bands)
-        self._charge(ctx)
-
-    def _stream_elided(self, ctx: ExecContext, plan: _ElisionPlan,
-                       bands: list[tuple[int, int]], pool: ScratchPool,
-                       workers, dst_clean: bool = False) -> None:
-        """Banded elided replay: dedup stays band-local.
+    def _execute_elided(self, ctx: ExecContext, plan: _ElisionPlan,
+                        bands: list[tuple[int, int]],
+                        dst_clean: bool = False) -> None:
+        """Elided replay: dedup stays band-local.
 
         Every band's work unit (fill rows, representative rows,
         duplicate rows plus their representative positions) is derived
@@ -649,6 +638,9 @@ class GatherMoveOp(ProgramOp):
         band workers never touch shared context state.  A duplicate's
         representative is the first matching row *within its own
         band*, so a band never reads another band's gather output.
+        With one band -- an untiled replay -- that is the op-global
+        dedup: a live row's representative is the lowest row sharing
+        its content, which is itself live and comes first.
         """
         system = ctx.system
         row_bytes = self.nslots_out * self.chunk_bytes
@@ -670,17 +662,9 @@ class GatherMoveOp(ProgramOp):
             n_zero += zrows.size
             n_dup += dups.size
 
-        def run_band(scratch: ScratchPool, unit) -> None:
+        def run_band(scratch: ScratchPool | None, unit) -> None:
             reps, dups, pos, zrows = unit
-            if plan.table is not None:
-                flat_table, width = plan.table
-                out = scratch.pong((reps.size, flat_table.shape[1]),
-                                   wide_dtype(width))
-            else:
-                out = scratch.pong((reps.size, self.nslots_out),
-                                   wide_dtype(self.chunk_bytes))
-            self._gather_select(system, plan, reps, out)
-            rep_bytes = out.view(np.uint8).reshape(reps.size, row_bytes)
+            rep_bytes = self._gather_select(system, plan, reps, scratch)
             if reps.size:
                 system.put_rows(self.ids[reps], self.dst_offset,
                                 rep_bytes)
@@ -691,15 +675,22 @@ class GatherMoveOp(ProgramOp):
                 system.zero_fill_lanes(self.ids[zrows], self.dst_offset,
                                        row_bytes)
 
-        _run_bands(units, pool, workers, run_band)
-        self._count_elided(ctx, n_zero, n_dup)
-        self._mark_dst_clean(ctx)
-        ctx.tiles += len(bands)
+        _run_bands(units, ctx.pool, ctx.workers, run_band)
+        ctx.chunks_elided += (n_zero + n_dup) * self.nslots_out
+        ctx.elided_bytes += (n_zero + n_dup) * row_bytes
+        # Zero rows skip both bus directions (nothing gathered, the
+        # fill image is one shared row); duplicate rows still pay the
+        # destination write but skip the gather direction.
+        ctx.saved_transfer_bytes += (2 * n_zero + n_dup) * row_bytes
+        # Stamp the cache: dst now holds this plan's replay output.
+        cached, epoch = self._plan_cache, system.content_epoch()
+        if cached is not None and epoch is not None:
+            self._plan_cache = cached[:3] + (epoch,)
         self._charge(ctx)
 
 
 @dataclass
-class ReduceFoldOp(ProgramOp):
+class ReduceFoldOp(_BandedOp):
     """ReduceExchange lowered: one rotation gather + slot fold.
 
     Integer dtypes fold with one ``ufunc.reduce`` call (modular
@@ -729,22 +720,51 @@ class ReduceFoldOp(ProgramOp):
         self.flat = flat_chunk_table(self.lane, self.slot, self.nslots)
         self._stream_cache = None
         self._stream_lock = threading.Lock()
+        self._band_memo = {}
 
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
-        block = ctx.system.take_by_table(
-            self.ids, self.ngroups, self.src_offset, self.nslots,
-            self.chunk_bytes, self.lane, self.slot, self.flat)
-        values = block.view(self.dtype.np_dtype)
-        acc = fold_slots(values, self.op)
-        if self.dst_offset is not None:
-            raw = np.ascontiguousarray(acc).view(np.uint8)
-            ctx.system.put_rows(self.ids, self.dst_offset,
-                                raw.reshape(self.ids.size, self.chunk_bytes))
-        if self.scratch_key is not None:
+        bands = self._bands(ctx.tile_bytes)
+        np_dtype = self.dtype.np_dtype
+        elems = self.chunk_bytes // self.dtype.itemsize
+        # Host scratch escapes the replay (it backs reduce host
+        # outputs), so it is genuinely new state per call -- the one
+        # allocation streaming keeps, O(payload / nslots).  Bands fold
+        # straight into it.
+        full = (np.empty((self.ids.size, elems), dtype=np_dtype)
+                if self.scratch_key is not None else None)
+        system = ctx.system
+        take = _band_gather(self, ctx, bands, self.nslots, self.nslots)
+
+        def run_band(scratch: ScratchPool | None,
+                     rows: tuple[int, int]) -> None:
+            r0, r1 = rows
+            values = take(scratch, r0, r1).reshape(
+                r1 - r0, self.nslots, self.chunk_bytes).view(np_dtype)
+            if full is not None:
+                out = full[r0:r1]
+            elif scratch is not None:
+                out = scratch.fold((r1 - r0, elems), np_dtype)
+            else:
+                out = None
+            # Folds stay band-local (no cross-band arithmetic), so the
+            # fold order -- and every float bit -- is identical at any
+            # band count and worker count.
+            acc = fold_slots(values, self.op, out=out)
+            if self.dst_offset is not None:
+                system.put_rows(self.ids[r0:r1], self.dst_offset,
+                                acc.view(np.uint8))
+
+        _run_bands(bands, ctx.pool, ctx.workers, run_band)
+        if full is not None:
+            shaped = full.reshape(self.ngroups, -1, elems)
             ctx.scratch[self.scratch_key] = {
-                inst: acc[g] for g, inst in enumerate(self.instances)}
+                inst: shaped[g] for g, inst in enumerate(self.instances)}
         self._charge(ctx)
+
+    # Kept only because benchmarks/e2e/tracer.py lists this name; drop
+    # it with the next change to the benchmark's target list.
+    execute_streamed = execute
 
     def transfer_bytes(self) -> int:
         down = self.ids.size * self.chunk_bytes \
@@ -766,82 +786,12 @@ class ReduceFoldOp(ProgramOp):
         dst_end = self.dst_offset + self.chunk_bytes
         return src_end <= self.dst_offset or dst_end <= self.src_offset
 
-    def _bands(self, tile_bytes: int) -> list[tuple[int, int]] | None:
-        if not self._stream_safe():
-            return None
-        return band_ranges(self.ids.size, self.nslots * self.chunk_bytes,
-                           tile_bytes)
-
-    def tile_count(self, tile_bytes: int) -> int:
-        bands = self._bands(tile_bytes)
-        return len(bands) if bands is not None else 1
-
-    def execute_streamed(self, ctx: ExecContext,
-                         payloads: Mapping[int, np.ndarray] | None,
-                         pool: ScratchPool, tile_bytes: int,
-                         workers=None) -> None:
-        bands = self._bands(tile_bytes)
-        if bands is None:
-            super().execute_streamed(ctx, payloads, pool, tile_bytes,
-                                     workers)
-            return
-        item = self.dtype.itemsize
-        np_dtype = self.dtype.np_dtype
-        lanes = self.lane.shape[0]
-        elems = self.chunk_bytes // item
-        # Host scratch escapes the replay (it backs reduce host
-        # outputs), so it is genuinely new state per call -- the one
-        # allocation streaming keeps, O(payload / nslots).
-        full = (np.empty((self.ids.size, elems), dtype=np_dtype)
-                if self.scratch_key is not None else None)
-        system = ctx.system
-        table = _stream_table(self, system)
-        grouped = None
-        if table is None:  # scalar backend: stage once, band-take after
-            stage = pool.ping((self.ids.size,
-                               self.nslots * self.chunk_bytes))
-            system.stage_rows(self.ids, self.src_offset,
-                              self.nslots * self.chunk_bytes, stage)
-            grouped = stage.view(wide_dtype(self.chunk_bytes)).reshape(
-                self.ngroups, -1)
-
-        def run_band(scratch: ScratchPool, rows: tuple[int, int]) -> None:
-            r0, r1 = rows
-            band = r1 - r0
-            if table is not None:
-                flat_table, width = table
-                gathered = scratch.pong((band, flat_table.shape[1]),
-                                        wide_dtype(width))
-                system.take_band_flat(flat_table, width, r0, r1,
-                                      gathered, self.ids)
-            else:
-                gathered = scratch.pong((band, self.nslots),
-                                        wide_dtype(self.chunk_bytes))
-                take_band_staged(grouped, self.flat, r0, r1, gathered)
-            values = gathered.view(np.uint8).reshape(
-                band, self.nslots, self.chunk_bytes).view(np_dtype)
-            # Folds stay band-local (no cross-band arithmetic), so the
-            # fold order -- and every float bit -- is identical at any
-            # worker count.
-            acc = fold_slots(values, self.op,
-                             out=scratch.fold((band, elems), np_dtype))
-            if self.dst_offset is not None:
-                system.put_rows(self.ids[r0:r1], self.dst_offset,
-                                acc.view(np.uint8))
-            if full is not None:
-                full[r0:r1] = acc
-
-        _run_bands(bands, pool, workers, run_band)
-        if full is not None:
-            shaped = full.reshape(self.ngroups, lanes, elems)
-            ctx.scratch[self.scratch_key] = {
-                inst: shaped[g] for g, inst in enumerate(self.instances)}
-        ctx.tiles += len(bands)
-        self._charge(ctx)
+    def _band_shape(self) -> tuple[int, int]:
+        return self.ids.size, self.nslots * self.chunk_bytes
 
 
 @dataclass
-class FanoutScratchOp(ProgramOp):
+class FanoutScratchOp(_BandedOp):
     """FanoutFromHost lowered: fan host-resident reduced rows back out.
 
     ``lane`` indexes rows of each instance's ``(lanes, chunk)`` scratch
@@ -862,6 +812,25 @@ class FanoutScratchOp(ProgramOp):
     wram_tiles: int = 0
     labels: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        self._band_memo = {}
+
+    @property
+    def ngroups(self) -> int:
+        """Groups fanned out (one per instance)."""
+        return len(self.group_ids)
+
+    def transfer_bytes(self) -> int:
+        return self.ids.size * self.nslots_out * self.chunk_bytes
+
+    def _band_shape(self) -> tuple[int, int]:
+        # Source rows live in host scratch, destination in MRAM --
+        # banding is always safe here.  Bands slice one group's rows.
+        return self.lane.shape[0], self.nslots_out * self.chunk_bytes
+
+    def tile_count(self, tile_bytes: int) -> int:
+        return len(self._bands(tile_bytes)) * len(self.group_ids)
+
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
         results = ctx.scratch.get(self.scratch_key)
@@ -869,43 +838,10 @@ class FanoutScratchOp(ProgramOp):
             raise CollectiveError(
                 f"no host scratch {self.scratch_key!r}; run the reduce "
                 "exchange first")
-        lanes = self.lane.shape[0]
-        for ids, inst in zip(self.group_ids, self.instances):
-            row = np.ascontiguousarray(results[inst]).view(np.uint8)
-            if row.shape != (lanes, self.chunk_bytes):
-                raise TransferError(
-                    f"scratch row {row.shape} does not match group "
-                    f"({lanes}, {self.chunk_bytes})")
-            fanned = row[self.lane]
-            ctx.system.put_rows(
-                ids, self.dst_offset,
-                fanned.reshape(ids.size, self.nslots_out * self.chunk_bytes))
-        self._charge(ctx)
-
-    def transfer_bytes(self) -> int:
-        return self.ids.size * self.nslots_out * self.chunk_bytes
-
-    def _bands(self, tile_bytes: int) -> list[tuple[int, int]]:
-        # Source rows live in host scratch, destination in MRAM --
-        # banding is always safe here.
-        return band_ranges(self.lane.shape[0],
-                           self.nslots_out * self.chunk_bytes, tile_bytes)
-
-    def tile_count(self, tile_bytes: int) -> int:
-        return len(self._bands(tile_bytes)) * len(self.group_ids)
-
-    def execute_streamed(self, ctx: ExecContext,
-                         payloads: Mapping[int, np.ndarray] | None,
-                         pool: ScratchPool, tile_bytes: int,
-                         workers=None) -> None:
-        results = ctx.scratch.get(self.scratch_key)
-        if results is None:
-            raise CollectiveError(
-                f"no host scratch {self.scratch_key!r}; run the reduce "
-                "exchange first")
-        bands = self._bands(tile_bytes)
+        bands = self._bands(ctx.tile_bytes)
         lanes = self.lane.shape[0]
         row_bytes = self.nslots_out * self.chunk_bytes
+        wide = wide_dtype(self.chunk_bytes)
         system = ctx.system
         # (instance, band) units are all independent: instances write
         # different groups' rows, bands write disjoint rows of one
@@ -919,21 +855,22 @@ class FanoutScratchOp(ProgramOp):
                     f"({lanes}, {self.chunk_bytes})")
             # The scratch matrix is contiguous, so each chunk is one
             # wide element regardless of alignment.
-            chunks = row.view(wide_dtype(self.chunk_bytes)).reshape(-1)
+            chunks = row.view(wide).reshape(-1)
             units.extend((ids, chunks, r0, r1) for r0, r1 in bands)
 
-        def run_unit(scratch: ScratchPool, unit) -> None:
+        def run_unit(scratch: ScratchPool | None, unit) -> None:
             ids, chunks, r0, r1 = unit
-            fanned = scratch.pong((r1 - r0, self.nslots_out),
-                                  wide_dtype(self.chunk_bytes))
-            np.take(chunks, self.lane[r0:r1], out=fanned)
+            fanned = _band_take(scratch, chunks, self.lane[r0:r1])
             system.put_rows(
                 ids[r0:r1], self.dst_offset,
                 fanned.view(np.uint8).reshape(r1 - r0, row_bytes))
 
-        _run_bands(units, pool, workers, run_unit)
-        ctx.tiles += len(bands) * len(self.group_ids)
+        _run_bands(units, ctx.pool, ctx.workers, run_unit)
         self._charge(ctx)
+
+    # Kept only because benchmarks/e2e/tracer.py lists this name; drop
+    # it with the next change to the benchmark's target list.
+    execute_streamed = execute
 
 
 @dataclass
@@ -1067,7 +1004,7 @@ def _compose_tables(lane_a: np.ndarray, slot_a: np.ndarray,
             readonly_table(slot_a[lane_b, slot_b]))
 
 
-def _chainable(a: GatherMoveOp, b: GatherMoveOp) -> bool:
+def _chainable(a: GatherMoveOp | FanoutScratchOp, b: GatherMoveOp) -> bool:
     """Whether ``a``'s output region is fully consumed-and-overwritten by ``b``.
 
     Fusing drops ``a``'s intermediate write, which is only invisible
@@ -1091,14 +1028,6 @@ def _fuse_moves(a: GatherMoveOp, b: GatherMoveOp) -> GatherMoveOp:
         nslots_out=b.nslots_out, chunk_bytes=a.chunk_bytes,
         lane=lane, slot=slot, simd=_merged(a.simd, b.simd),
         wram_tiles=a.wram_tiles + b.wram_tiles, labels=a.labels + b.labels)
-
-
-def _fanout_chainable(a: FanoutScratchOp, b: GatherMoveOp) -> bool:
-    return (a.dst_offset == b.src_offset == b.dst_offset
-            and a.chunk_bytes == b.chunk_bytes
-            and a.nslots_out == b.nslots_in == b.nslots_out
-            and len(a.group_ids) == b.ngroups
-            and np.array_equal(a.ids, b.ids))
 
 
 def _fuse_fanout(a: FanoutScratchOp, b: GatherMoveOp) -> FanoutScratchOp:
@@ -1135,15 +1064,13 @@ def _fuse(ops: list[ProgramOp],
 
     for op in ops:
         prev = fused[-1] if fused else None
-        if isinstance(op, GatherMoveOp):
-            if isinstance(prev, GatherMoveOp) and _chainable(prev, op) \
-                    and fits(prev, op):
-                fused[-1] = _fuse_moves(prev, op)
-                continue
-            if isinstance(prev, FanoutScratchOp) and _fanout_chainable(
-                    prev, op) and fits(prev, op):
-                fused[-1] = _fuse_fanout(prev, op)
-                continue
+        if isinstance(op, GatherMoveOp) \
+                and isinstance(prev, (GatherMoveOp, FanoutScratchOp)) \
+                and _chainable(prev, op) and fits(prev, op):
+            fused[-1] = (_fuse_moves(prev, op)
+                         if isinstance(prev, GatherMoveOp)
+                         else _fuse_fanout(prev, op))
+            continue
         fused.append(op)
     return fused
 
@@ -1182,7 +1109,7 @@ class CommProgram:
         return self._ledger.copy()
 
     def tile_counts(self, tile_bytes: int) -> list[int]:
-        """Per-op tile counts a streamed replay at this budget runs."""
+        """Per-op band counts a replay at this budget runs (static)."""
         return [op.tile_count(tile_bytes) for op in self.ops]
 
     @property
@@ -1228,18 +1155,15 @@ class CommProgram:
         state, scratch outputs, SIMD counts and WRAM tiles -- at a
         fraction of the dispatch work.
 
-        Pass ``tile_bytes`` to stream: every op replays tile-by-tile
-        through ``pool`` (a fresh :class:`ScratchPool` when None),
-        bounding peak working memory to O(tile) instead of O(payload)
-        and pricing the two-stage tile pipeline via
-        :meth:`CostLedger.pipelined` -- the memory state and host
-        outputs stay bit-identical to the untiled replay and the
-        interpreted oracle; only the modelled overlap credit differs.
-
-        Pass ``workers`` (an engine worker pool) to fan each op's
-        independent row bands across host threads; ops still replay in
-        order, the tile count, pipeline depth, ledger and every result
-        byte are unchanged -- parallelism is wall-clock only.
+        One loop runs every op's one replay body.  ``tile_bytes`` is
+        the banded ops' output-row band budget: None is one band per
+        op (untiled: allocates per op, no pool, no workers); a budget
+        streams band by band through ``pool`` (fresh when None) in
+        O(tile) working memory, and ``workers`` (an engine worker
+        pool) may fan a streamed op's bands across host threads.
+        Results are bit-identical at any budget and worker count.  The
+        ledger is unpipelined: a streamed run's pipeline credit is a
+        static function of the budget (:meth:`pipeline_depth`).
 
         Pass ``elide=True`` for content-aware transfer elision:
         movement ops fingerprint-scan their sources and skip the
@@ -1250,36 +1174,31 @@ class CommProgram:
         ``elide`` category and scales the transfer-bound categories by
         the fraction of modelled bytes actually saved.
         """
+        if tile_bytes is None:
+            pool = workers = None
+        elif tile_bytes <= 0:
+            raise CollectiveError(
+                f"tile_bytes must be positive, got {tile_bytes}")
+        elif pool is None:
+            pool = ScratchPool()
         ledger = self.priced(system)
-        ctx = ExecContext(system=system, elide=elide)
+        ctx = ExecContext(system=system, elide=elide, tile_bytes=tile_bytes,
+                          pool=pool, workers=workers)
         injector = system.fault_injector
         if injector is not None:
             # The lowered-away LaunchStep's fault site.
             injector.take_timeout("collective launch")
-        if tile_bytes is None:
-            for op in self.ops:
-                if injector is not None:
-                    op.launch(injector)
-                op.execute(ctx, payloads)
-            return self._elision_priced(ledger, ctx, system), ctx
-        if tile_bytes <= 0:
-            raise CollectiveError(
-                f"tile_bytes must be positive, got {tile_bytes}")
-        if pool is None:
-            pool = ScratchPool()
-        depth = 1
         for op in self.ops:
-            pool.release()
-            before = ctx.tiles
+            if pool is not None:
+                pool.release()
             if injector is not None:
                 op.launch(injector)
-            op.execute_streamed(ctx, payloads, pool, tile_bytes, workers)
-            depth = max(depth, ctx.tiles - before)
-        ctx.peak_scratch_bytes = pool.peak_bytes
-        if workers is not None:
-            ctx.peak_scratch_bytes += workers.scratch_peak_bytes
-        ledger = self._elision_priced(ledger, ctx, system)
-        return ledger.pipelined(depth), ctx
+            op.execute(ctx, payloads)
+        if pool is not None:
+            ctx.peak_scratch_bytes = pool.peak_bytes
+            if workers is not None:
+                ctx.peak_scratch_bytes += workers.scratch_peak_bytes
+        return self._elision_priced(ledger, ctx, system), ctx
 
     def _elision_priced(self, ledger: CostLedger, ctx: ExecContext,
                         system: DimmSystem) -> CostLedger:

@@ -327,21 +327,17 @@ class Communicator:
                                              workers=self._band_workers(),
                                              elide=elide)
                 replay_s = perf_counter() - start
-                tiles = ctx.tiles
-                peak_scratch = ctx.peak_scratch_bytes
             else:
                 # Analytic calls never elide: elision is a property of
                 # the actual payload content, which analytic pricing
                 # never sees (the tuner models it instead).
                 ledger, ctx = program.priced(self.manager.system), None
-                tiles, peak_scratch = 0, 0
-                if tile_bytes is not None:
-                    # Analytic streamed pricing: the tile plan (and so
-                    # the pipeline depth) is a pure function of the
-                    # program's shapes -- no execution needed.
-                    tiles = sum(program.tile_counts(tile_bytes))
-                    ledger = ledger.pipelined(
-                        program.pipeline_depth(tile_bytes))
+            tiles = 0
+            if tile_bytes is not None:
+                # The tile plan (and so the pipeline depth) is a pure
+                # function of the program's shapes, on both branches.
+                tiles = sum(program.tile_counts(tile_bytes))
+                ledger = ledger.pipelined(program.pipeline_depth(tile_bytes))
             host_outputs = self._host_outputs(req, ctx)
             return CommResult(plan=plan, ledger=ledger,
                               host_outputs=host_outputs, cached=hit,
@@ -351,7 +347,8 @@ class Communicator:
                               execution=("streamed" if tile_bytes is not None
                                          else "compiled"),
                               tiles=tiles,
-                              peak_scratch_bytes=peak_scratch,
+                              peak_scratch_bytes=ctx.peak_scratch_bytes
+                              if ctx is not None else 0,
                               chunks_scanned=ctx.chunks_scanned
                               if ctx is not None else 0,
                               chunks_elided=ctx.chunks_elided

@@ -33,6 +33,7 @@ caller's bug.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -60,9 +61,16 @@ def flat_chunk_table(lane_table: np.ndarray, slot_table: np.ndarray,
     return flat
 
 
+@functools.lru_cache(maxsize=64)
 def wide_dtype(nbytes: int) -> np.dtype:
-    """The widest native dtype viewing ``nbytes``-wide chunks (void else)."""
-    return _WIDE_DTYPES.get(nbytes, np.dtype((np.void, nbytes)))
+    """The widest native dtype viewing ``nbytes``-wide chunks (void else).
+
+    Memoised: building a void dtype costs about a microsecond, and
+    replay asks for one per op, group and band.
+    """
+    if nbytes in _WIDE_DTYPES:
+        return _WIDE_DTYPES[nbytes]
+    return np.dtype((np.void, nbytes))
 
 
 def take_band_staged(grouped: np.ndarray, flat_table: np.ndarray,
@@ -119,7 +127,7 @@ def take_chunks_by_table(grouped: np.ndarray, lane_table: np.ndarray,
     ngroups, lanes, nslots, chunk = grouped.shape
     if flat_table is None:
         flat_table = lane_table.astype(np.intp) * nslots + slot_table
-    wide = _WIDE_DTYPES.get(chunk, np.dtype((np.void, chunk)))
+    wide = wide_dtype(chunk)
     # One strided copy to a contiguous block, then a flat single-axis
     # gather of wide elements; both beat fancy-indexing the strided
     # source chunk-by-chunk.

@@ -1,7 +1,11 @@
 """Tests for the public API surface, validation sweep, and CLI."""
 
 import dataclasses
+import importlib
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,38 @@ class TestApiSnapshot:
                     assert (sig.parameters[pname].kind
                             is inspect.Parameter.KEYWORD_ONLY), (
                         f"Communicator.{name}({pname}) must be keyword-only")
+
+
+class TestBenchmarkTracerTargets:
+    """The end-to-end benchmark's tracer wraps library callables by name.
+
+    ``benchmarks/e2e/tracer.py`` resolves each ``(module, class,
+    attribute)`` of its ``LAYERS`` table through ``vars(owner)[attr]``
+    and refuses static/class methods and properties, so a refactor
+    that drops, inherits or re-wraps a listed callable must fail here,
+    not only in the traced benchmark run.
+    """
+
+    def test_every_layer_target_resolves_to_a_plain_function(
+            self, monkeypatch):
+        path = (Path(__file__).resolve().parents[1]
+                / "benchmarks" / "e2e" / "tracer.py")
+        spec = importlib.util.spec_from_file_location("e2e_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracer)
+        spec.loader.exec_module(tracer)
+        broken = []
+        for metric, targets in tracer.LAYERS.items():
+            for module, cls, attr in targets:
+                owner = importlib.import_module(module)
+                if cls is not None:
+                    owner = getattr(owner, cls, None)
+                target = vars(owner).get(attr) if owner is not None \
+                    else None
+                if not callable(target) or isinstance(
+                        target, (staticmethod, classmethod, property)):
+                    broken.append(f"{metric}: {module}.{cls}.{attr}")
+        assert not broken, broken
 
 
 class TestOneDoor:

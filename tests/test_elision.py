@@ -85,7 +85,7 @@ def _fill(system, groups, offset, elems, dtype, mode, seed):
 
 def _run(primitive, backend, execution, payload, *, elide=True,
          tile=None, workers=1, injector=None, seed=0, calls=2,
-         chunk=CHUNK):
+         chunk=CHUNK, bitmap=BITMAP):
     """Run ``calls`` identical collectives; returns (outputs, result).
 
     The default 3-element chunk makes 12-byte movement chunks -- not
@@ -99,7 +99,7 @@ def _run(primitive, backend, execution, payload, *, elide=True,
         config=FULL, backend=backend, execution=execution,
         stream_tile_bytes=tile, parallel_workers=workers,
         fault_injector=injector, elide_transfers=elide))
-    groups = groups_of(manager, BITMAP)
+    groups = groups_of(manager, bitmap)
     n = groups[0].size
     item = INT32.itemsize
 
@@ -114,7 +114,7 @@ def _run(primitive, backend, execution, payload, *, elide=True,
         dst = system.alloc(total)
         for _ in range(calls):
             result = getattr(comm, primitive)(
-                BITMAP, total, dst_offset=dst, data_type=INT32,
+                bitmap, total, dst_offset=dst, data_type=INT32,
                 payloads=payloads)
         outputs = {g.instance: [system.read_elements(pe, dst, chunk, INT32)
                                 for pe in g.pe_ids] for g in groups}
@@ -133,7 +133,7 @@ def _run(primitive, backend, execution, payload, *, elide=True,
         for call in range(calls):
             _fill(system, groups, src, elems, INT32, payload, seed + call)
             result = getattr(comm, primitive)(
-                BITMAP, total, src_offset=src, data_type=INT32, **kwargs)
+                bitmap, total, src_offset=src, data_type=INT32, **kwargs)
         outputs = {inst: [np.asarray(out).view(INT32.np_dtype).reshape(-1)]
                    for inst, out in result.host_outputs.items()}
         return outputs, comm, result
@@ -141,7 +141,7 @@ def _run(primitive, backend, execution, payload, *, elide=True,
     for call in range(calls):
         _fill(system, groups, src, elems, INT32, payload, seed + call)
         result = getattr(comm, primitive)(
-            BITMAP, total, src_offset=src, dst_offset=dst, data_type=INT32,
+            bitmap, total, src_offset=src, dst_offset=dst, data_type=INT32,
             **kwargs)
     outputs = {g.instance: [system.read_elements(pe, dst, out_elems, INT32)
                             for pe in g.pe_ids] for g in groups}
@@ -196,6 +196,31 @@ class TestElisionParity:
         _assert_same(want, got)
         assert result.execution == "streamed"
         assert result.chunks_elided > 0
+
+    @pytest.mark.parametrize("backend", ("scalar", "vectorized"))
+    @pytest.mark.parametrize("primitive, payload, bitmap", [
+        ("alltoall", "zero", BITMAP),
+        ("alltoall", "dup", BITMAP),
+        # Groups of eight sharing one block: allgather's broadcast
+        # rows are all duplicates of their group's first row.
+        ("allgather", "dup", "01"),
+    ])
+    def test_one_band_matches_untiled(self, primitive, payload, bitmap,
+                                      backend, tiny_floor):
+        # An untiled replay is the one-band case of streamed replay:
+        # a tile larger than every op must elide the same rows and
+        # price the same ledger as the untiled run.
+        want, _, untiled = _run(primitive, backend, "compiled", payload,
+                                chunk=4, bitmap=bitmap)
+        got, _, one_band = _run(primitive, backend, "compiled", payload,
+                                tile=1 << 30, chunk=4, bitmap=bitmap)
+        _assert_same(want, got)
+        assert (untiled.execution, one_band.execution) == \
+            ("compiled", "streamed")
+        assert one_band.chunks_elided == untiled.chunks_elided > 0
+        assert one_band.elided_bytes == untiled.elided_bytes
+        assert one_band.chunks_scanned == untiled.chunks_scanned
+        assert one_band.ledger.breakdown() == untiled.ledger.breakdown()
 
     @pytest.mark.parametrize("backend", ("scalar", "vectorized"))
     def test_zero_payload_elides_everything(self, backend, tiny_floor):

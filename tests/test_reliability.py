@@ -631,6 +631,8 @@ REPLAY_MODES = {
     "compiled": {},
     "streamed": {"stream_tile_bytes": 257},
     "eliding": {"elide_transfers": True},
+    # A tile larger than every op: each op replays as one band.
+    "one_band": {"stream_tile_bytes": 1 << 30},
 }
 
 
@@ -707,9 +709,13 @@ class TestFaultsOnCompiledReplay:
     def test_one_percent_faults_bit_identical_to_oracle(self, primitive,
                                                         backend, mode):
         want_mram, want_host = _oracle(primitive)
-        injector = FaultInjector(seed=PRIMITIVES.index(primitive),
+
+        def injector_for():
+            return FaultInjector(seed=PRIMITIVES.index(primitive),
                                  bit_flip_rate=0.004, drop_rate=0.003,
                                  timeout_rate=0.003)
+
+        injector = injector_for()
         mram, host, comm = _drive(primitive, _ORACLE_CALLS, backend=backend,
                                   execution="compiled",
                                   fault_injector=injector,
@@ -728,6 +734,17 @@ class TestFaultsOnCompiledReplay:
             assert stats.tiles_replayed > 0
         if mode == "eliding" and primitive == "alltoall":
             assert stats.chunks_elided > 0
+        if mode == "one_band":
+            # The untiled replay is the one-band case: it must draw the
+            # very same fault schedule, kernel for kernel.
+            twin = injector_for()
+            twin_mram, _, twin_comm = _drive(
+                primitive, _ORACLE_CALLS, backend=backend,
+                execution="compiled", fault_injector=twin)
+            assert injector.total_injected == twin.total_injected
+            assert stats.retries == twin_comm.stats.retries
+            assert stats.program_replays == twin_comm.stats.program_replays
+            np.testing.assert_array_equal(mram, twin_mram)
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     @pytest.mark.parametrize("kernel", ["put_rows", "fill_lanes"])
