@@ -5,6 +5,7 @@ Usage::
     python -m repro                 # everything
     python -m repro fig14 fig16     # selected experiments
     python -m repro --list          # show what exists
+    python -m repro --claims        # EXPERIMENTS.md's headline table
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 import time
 
 from .analysis import experiments
+from .analysis.paper_claims import evaluate_claims, render_claims
 from .analysis.report import render_dict_rows
 
 EXPERIMENTS = {
@@ -62,13 +64,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="experiment ids (default: all)")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments and exit")
-    parser.add_argument("--json", metavar="DIR",
-                        help="also save each experiment as JSON under DIR")
+    parser.add_argument("--claims", action="store_true",
+                        help="print the paper-claim verdicts as a Markdown "
+                             "table and exit")
     args = parser.parse_args(argv)
 
     if args.list:
         for name, (_, title) in EXPERIMENTS.items():
             print(f"{name:16s} {title}")
+        return 0
+    if args.claims:
+        print(render_claims(evaluate_claims()))
         return 0
 
     names = args.names or list(EXPERIMENTS)
@@ -83,10 +89,6 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - start
         print(render_dict_rows(rows, f"== {title} =="))
         print(f"(regenerated in {elapsed:.2f}s)")
-        if args.json:
-            from .analysis.persistence import save_results
-            path = save_results(f"{args.json}/{name}.json", name, rows)
-            print(f"(saved {path})")
         print()
     return 0
 

@@ -1,9 +1,9 @@
 """One harness per evaluation table/figure (see DESIGN.md section 5).
 
 Every function reruns the corresponding experiment on the analytic
-simulator at paper scale and returns structured rows; the benchmark
-suite prints them in the paper's format and EXPERIMENTS.md records the
-paper-vs-measured comparison.
+simulator at paper scale and returns structured rows; ``python -m
+repro`` prints them and EXPERIMENTS.md records the paper-vs-measured
+comparison.
 """
 
 from __future__ import annotations
@@ -174,23 +174,12 @@ def fig13_app_breakdown():
     return rows
 
 
-def fig15_app_speedup(include_variants: bool = False):
-    """End-to-end app speedup of PID-Comm over the baseline.
-
-    ``include_variants`` adds the paper's secondary configurations
-    (MLP with 32k x 32k weights, DLRM with embedding dim 32).
-    """
-    from .workloads import paper_dlrm, paper_mlp
+def fig15_app_speedup():
+    """End-to-end app speedup of PID-Comm over the baseline."""
     rows = []
     system = testbed()
-    apps = dict(PAPER_APPS)
-    if include_variants:
-        apps["MLP-32k"] = lambda: paper_mlp(features=32 * 1024)
-        apps["DLRM-e32"] = lambda: paper_dlrm(embedding_dim=32)
-    for name, factory in apps.items():
-        base_name = name.split("-")[0] if name in ("MLP-32k", "DLRM-e32") \
-            else name
-        manager = app_manager(base_name, system, 1024)
+    for name, factory in PAPER_APPS.items():
+        manager = app_manager(name, system, 1024)
         base = factory().run(manager, BaselineCommBackend(),
                              functional=False)
         pid = factory().run(manager, PidCommBackend(), functional=False)

@@ -3,8 +3,10 @@
 Each :class:`Claim` names a number the paper reports, how to measure it
 on the reproduction, and the tolerance within which we consider the
 shape reproduced.  ``evaluate_claims()`` regenerates the whole verdict
-table (the basis of EXPERIMENTS.md); the test suite asserts the claims
-marked ``strict`` hold.
+table and ``render_claims()`` prints it as the Markdown table that
+EXPERIMENTS.md commits (``python -m repro --claims``); the test suite
+asserts the claims marked ``strict`` hold and that the committed table
+is current.
 """
 
 from __future__ import annotations
@@ -135,3 +137,19 @@ def evaluate_claims(claims: tuple[Claim, ...] = CLAIMS) -> list[dict]:
             "strict": claim.strict,
         })
     return rows
+
+
+def render_claims(verdicts: list[dict]) -> str:
+    """Verdict rows as the Markdown table of EXPERIMENTS.md."""
+    lines = ["| Claim | Exp | Metric | Paper | Measured | Deviation "
+             "| Verdict |",
+             "|---|---|---|---|---|---|---|"]
+    for r in verdicts:
+        verdict = "✓" if r["within_tol"] else "✗"
+        if not r["strict"]:
+            verdict += " (loose)"
+        lines.append(
+            f"| `{r['id']}` | {r['figure']} | {r['description']} "
+            f"| {r['paper']:.2f} | {r['measured']:.2f} "
+            f"| {r['deviation']:.1%} | {verdict} |")
+    return "\n".join(lines)

@@ -30,7 +30,7 @@ def _fmt(value: object) -> str:
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
                  title: str | None = None) -> str:
-    """Render an aligned text table (the benches' stdout format)."""
+    """Render an aligned text table (the CLI's stdout format)."""
     str_rows = [[_fmt(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:

@@ -1,4 +1,4 @@
-"""Paper-scale workload definitions shared by the benchmark harnesses.
+"""Paper-scale workload definitions shared by the experiment harnesses.
 
 These mirror the evaluation setup of section VIII: the 1024-PE testbed,
 8 MB-per-PE primitive payloads, and the five applications at the

@@ -6,7 +6,7 @@ list of steps, each of which can both
 * ``apply(ctx)`` -- move real bytes through the simulated system
   (functional mode; used by tests, examples, and small runs), and
 * ``cost(system)`` -- price itself against the machine parameters
-  (analytic mode; used by paper-scale benchmarks).
+  (analytic mode; used by the paper-scale experiments).
 
 The step is the single source of truth for both, so the test suite can
 assert that what a plan *does* is what it *charges for*.

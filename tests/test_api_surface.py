@@ -300,6 +300,13 @@ class TestCli:
         assert "PID-Comm" in out
         assert "regenerated in" in out
 
+    def test_claims(self, capsys):
+        from repro.analysis.paper_claims import CLAIMS
+        assert main(["--claims"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("| `")]
+        assert [row.split("`")[1] for row in rows] == [c.id for c in CLAIMS]
+
     def test_unknown_experiment(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig99"])

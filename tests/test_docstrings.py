@@ -59,7 +59,7 @@ def test_every_public_class_and_function_documented():
 # ----------------------------------------------------------------------
 ROOT = Path(__file__).resolve().parent.parent
 # benchmarks/e2e/README.md belongs to the benchmark and is not scanned.
-DOC_FILES = [ROOT / "README.md", ROOT / "DESIGN.md",
+DOC_FILES = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
              *sorted((ROOT / "docs").glob("*.md"))]
 _TICKED = re.compile(r"`([^`\n]+)`")
 _REPO_PATH = re.compile(
