@@ -5,7 +5,9 @@ engine over random shapes, dimension bitmaps, dtypes, chunk sizes, and
 optimization configs, and require the functional result to match
 ``core/reference.py`` *bit-exactly* -- both on a healthy system and
 under injected transient faults with retry enabled (detection + rewind
-means faults may cost attempts but can never alter results).
+means faults may cost attempts but can never alter results).  One arm
+submits random mixed batches that form a single hazard wave, so a
+pooled session replays their members concurrently.
 
 The tier-1 sweeps are sized to stay fast; the ``fuzz`` marker guards a
 longer sweep excluded from the default run (``pytest -m fuzz`` or
@@ -20,6 +22,7 @@ from .helpers import fill_group_inputs, groups_of, make_manager
 from repro import (
     ABLATION_LADDER,
     BASELINE,
+    CommRequest,
     Communicator,
     FaultInjector,
     FULL,
@@ -52,6 +55,91 @@ def _random_case(rng: np.random.Generator) -> dict:
     }
 
 
+def prepare_case(rng: np.random.Generator, manager, primitive: str, dtype,
+                 chunk: int, config=None, sparsify: bool = False):
+    """Draw one collective's dimensions and inputs into fresh buffers.
+
+    Returns ``(request, check)``: a :class:`CommRequest` over newly
+    allocated MRAM, so cases prepared on one manager never share a
+    byte, and ``check(result)``, which asserts the request's outputs
+    bit-exactly against ``core/reference.py``.  ``config`` is the
+    request's own rung (None = the session's).  ``sparsify`` zeroes a
+    random per-case fraction of every input so an eliding replay sees
+    arbitrary mixes of zero, partial-zero, and dense chunks -- and
+    must stay bit-exact at every mix.
+    """
+    system = manager.system
+    bitmap = _random_bitmap(rng, manager.ndim)
+    groups = groups_of(manager, bitmap)
+    n = groups[0].size
+    item = dtype.itemsize
+    sparsity = float(rng.choice((0.0, 0.25, 0.5, 0.9, 1.0))) \
+        if sparsify else 0.0
+
+    def _sparsified(values: np.ndarray) -> np.ndarray:
+        if sparsity:
+            values[rng.random(values.size) < sparsity] = 0
+        return values
+
+    def mram_check(dst: int, elems: int, reference_fn):
+        def check(result) -> None:
+            for group in groups:
+                want = reference_fn(group.instance)
+                for pe, expect in zip(group.pe_ids, want):
+                    np.testing.assert_array_equal(
+                        system.read_elements(pe, dst, elems, dtype), expect)
+        return check
+
+    if primitive in ("scatter", "broadcast"):
+        root_elems = n * chunk if primitive == "scatter" else chunk
+        payloads = {g.instance: _sparsified(
+            rng.integers(-99, 100, root_elems).astype(dtype.np_dtype))
+            for g in groups}
+        total = chunk * item
+        dst = system.alloc(total)
+        fan = ref.scatter if primitive == "scatter" else ref.broadcast
+        return (CommRequest(primitive, bitmap, total, dst_offset=dst,
+                            data_type=dtype, payloads=payloads,
+                            config=config),
+                mram_check(dst, chunk, lambda i: fan(payloads[i], n)))
+
+    elems = chunk if primitive == "allgather" else n * chunk
+    total = elems * item
+    src = system.alloc(total)
+    inputs = fill_group_inputs(system, groups, src, elems, dtype, rng)
+    if sparsity:
+        for group in groups:
+            for pe, values in zip(group.pe_ids, inputs[group.instance]):
+                system.write_elements(pe, src, _sparsified(values), dtype)
+
+    if primitive in ("gather", "reduce"):
+        rooted = (ref.gather if primitive == "gather"
+                  else lambda v: ref.reduce(v, SUM))
+
+        def check(result) -> None:
+            for group in groups:
+                got = np.asarray(result.host_outputs[group.instance]).view(
+                    dtype.np_dtype).reshape(-1)
+                np.testing.assert_array_equal(
+                    got, rooted(inputs[group.instance]))
+        return (CommRequest(primitive, bitmap, total, src_offset=src,
+                            data_type=dtype, reduction_type=SUM,
+                            config=config), check)
+
+    out_elems = {"alltoall": elems, "reduce_scatter": chunk,
+                 "allgather": n * chunk, "allreduce": elems}[primitive]
+    dst = system.alloc(out_elems * item)
+    reference_fn = {"alltoall": lambda v: ref.alltoall(v),
+                    "allgather": lambda v: ref.allgather(v),
+                    "reduce_scatter": lambda v: ref.reduce_scatter(v, SUM),
+                    "allreduce": lambda v: ref.allreduce(v, SUM)}[primitive]
+    return (CommRequest(primitive, bitmap, total, src_offset=src,
+                        dst_offset=dst, data_type=dtype, reduction_type=SUM,
+                        config=config),
+            mram_check(dst, out_elems,
+                       lambda i: reference_fn(inputs[i])))
+
+
 def run_case(rng: np.random.Generator, primitive: str, shape: tuple,
              dtype, chunk: int, config, injector=None,
              backend: str | None = "scalar", execution: str = "auto",
@@ -67,96 +155,19 @@ def run_case(rng: np.random.Generator, primitive: str, shape: tuple,
     inside the same oracle).  ``autotune`` hands schedule selection to
     the cost-model tuner -- whatever it picks must also stay inside
     the oracle; ``backend=None`` leaves the backend axis open for it.
-    ``elide`` turns on content-aware transfer elision; ``sparsify``
-    zeroes a random per-case fraction of every input so the eliding
-    replay sees arbitrary mixes of zero, partial-zero, and dense
-    chunks -- and must stay bit-exact at every mix.
+    ``elide`` turns on content-aware transfer elision (see
+    :func:`prepare_case` for ``sparsify``).
     """
     manager = make_manager(shape)
-    system = manager.system
     comm = Communicator(manager, SessionConfig(
         config=config, fault_injector=injector, backend=backend,
         execution=execution, stream_tile_bytes=tile,
         parallel_workers=workers, autotune=autotune,
         elide_transfers=elide))
-    bitmap = _random_bitmap(rng, manager.ndim)
-    groups = groups_of(manager, bitmap)
-    n = groups[0].size
-    item = dtype.itemsize
-    sparsity = float(rng.choice((0.0, 0.25, 0.5, 0.9, 1.0))) \
-        if sparsify else 0.0
-
-    def _sparsified(values: np.ndarray) -> np.ndarray:
-        if sparsity:
-            values[rng.random(values.size) < sparsity] = 0
-        return values
-
-    if primitive in ("scatter", "broadcast"):
-        root_elems = n * chunk if primitive == "scatter" else chunk
-        payloads = {g.instance: _sparsified(
-            rng.integers(-99, 100, root_elems).astype(dtype.np_dtype))
-            for g in groups}
-        total = chunk * item
-        dst = system.alloc(total)
-        method = getattr(comm, primitive)
-        result = method(bitmap, total, dst_offset=dst, data_type=dtype,
-                        payloads=payloads)
-        for group in groups:
-            if primitive == "scatter":
-                want = ref.scatter(payloads[group.instance], n)
-            else:
-                want = ref.broadcast(payloads[group.instance], n)
-            for pe, expect in zip(group.pe_ids, want):
-                np.testing.assert_array_equal(
-                    system.read_elements(pe, dst, chunk, dtype), expect)
-        return result
-
-    elems = chunk if primitive == "allgather" else n * chunk
-    total = elems * item
-    src = system.alloc(total)
-    inputs = fill_group_inputs(system, groups, src, elems, dtype, rng)
-    if sparsity:
-        for group in groups:
-            for pe, values in zip(group.pe_ids, inputs[group.instance]):
-                system.write_elements(pe, src, _sparsified(values), dtype)
-
-    if primitive == "gather":
-        result = comm.gather(bitmap, total, src_offset=src, data_type=dtype)
-        for group in groups:
-            want = ref.gather(inputs[group.instance])
-            got = np.asarray(result.host_outputs[group.instance]).view(
-                dtype.np_dtype).reshape(-1)
-            np.testing.assert_array_equal(got, want)
-        return result
-    if primitive == "reduce":
-        result = comm.reduce(bitmap, total, src_offset=src, data_type=dtype,
-                             reduction_type=SUM)
-        for group in groups:
-            want = ref.reduce(inputs[group.instance], SUM)
-            got = np.asarray(result.host_outputs[group.instance]).view(
-                dtype.np_dtype).reshape(-1)
-            np.testing.assert_array_equal(got, want)
-        return result
-
-    out_elems = {"alltoall": elems, "reduce_scatter": chunk,
-                 "allgather": n * chunk, "allreduce": elems}[primitive]
-    dst = system.alloc(out_elems * item)
-    method = getattr(comm, primitive)
-    if primitive in ("reduce_scatter", "allreduce"):
-        result = method(bitmap, total, src_offset=src, dst_offset=dst,
-                        data_type=dtype, reduction_type=SUM)
-    else:
-        result = method(bitmap, total, src_offset=src, dst_offset=dst,
-                        data_type=dtype)
-    reference_fn = {"alltoall": lambda v: ref.alltoall(v),
-                    "allgather": lambda v: ref.allgather(v),
-                    "reduce_scatter": lambda v: ref.reduce_scatter(v, SUM),
-                    "allreduce": lambda v: ref.allreduce(v, SUM)}[primitive]
-    for group in groups:
-        want = reference_fn(inputs[group.instance])
-        for pe, expect in zip(group.pe_ids, want):
-            np.testing.assert_array_equal(
-                system.read_elements(pe, dst, out_elems, dtype), expect)
+    request, check = prepare_case(rng, manager, primitive, dtype, chunk,
+                                  sparsify=sparsify)
+    result = comm.run(request)
+    check(result)
     return result
 
 
@@ -291,6 +302,63 @@ class TestParallelSweep:
             "parallel faulted sweep never exercised a retry"
 
 
+def _wave_run(seed: int, backend: str, workers: int, tile: int | None):
+    """2-4 random cases on one manager, submitted as one batch.
+
+    Every case owns freshly allocated buffers, so the hazard scheduler
+    puts them all in one wave, which a pooled session replays one
+    member per worker.  Each result is checked against the reference;
+    returns the session stats and the full MRAM image.
+    """
+    rng = np.random.default_rng(seed)
+    manager = make_manager(SHAPES[rng.integers(len(SHAPES))])
+    comm = Communicator(manager, SessionConfig(
+        backend=backend, execution="compiled", stream_tile_bytes=tile,
+        parallel_workers=workers))
+    try:
+        cases = []
+        for _ in range(rng.integers(2, 5)):
+            case = _random_case(rng)
+            cases.append(prepare_case(rng, manager, case["primitive"],
+                                      case["dtype"], case["chunk"],
+                                      config=case["config"]))
+        batch = comm.submit([request for request, _ in cases])
+        assert len(batch.waves) == 1
+        for (_, check), future in zip(cases, batch.futures):
+            check(future.result())
+        system = manager.system
+        image = [bytes(system.memory(pe).read(0, system.mram_bytes))
+                 for pe in manager.all_pes]
+        return comm.stats, image
+    finally:
+        comm.close()
+
+
+def _wave_sweep(seeds, backend: str, tile: int | None) -> None:
+    for seed in seeds:
+        _, serial = _wave_run(seed, backend, 1, tile)
+        for workers in (2, 4):
+            stats, image = _wave_run(seed, backend, workers, tile)
+            assert stats.parallel_requests > 0
+            assert stats.parallel_fallbacks == 0
+            assert image == serial, \
+                f"seed {seed}: MRAM differs at {workers} workers"
+
+
+class TestWaveSweep:
+    """Parallel hazard waves must stay inside the oracle.
+
+    Random mixed batches (primitive, dims, dtype, chunk and rung drawn
+    per member) run at 1, 2 and 4 workers; every member must match the
+    reference and the MRAM image must not depend on the worker count.
+    """
+
+    @pytest.mark.parametrize("tile", [None, 33], ids=["untiled", "streamed"])
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_random_waves_match_reference(self, backend, tile):
+        _wave_sweep(range(8), backend, tile)
+
+
 @pytest.mark.usefixtures("tiny_floor")
 class TestFaultedSweep:
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
@@ -403,6 +471,11 @@ class TestLongSweep:
 
     def test_long_tuned_sweep(self):
         _sweep(seed=515151, cases=150, backend=None, autotune="online")
+
+    @pytest.mark.parametrize("tile", [None, 33], ids=["untiled", "streamed"])
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_long_wave_sweep(self, backend, tile):
+        _wave_sweep(range(100, 400), backend, tile)
 
     @pytest.mark.parametrize("arm", FAULTED_ARMS)
     def test_long_faulted_sweep(self, arm, tiny_floor):

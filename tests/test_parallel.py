@@ -324,6 +324,36 @@ class TestWaveParallelism:
         finally:
             comm.close()
 
+    def test_identical_gathers_share_one_program_in_one_wave(self):
+        # Two identical gathers only read MRAM, so they form one
+        # 2-member wave, and the engine replays one shared CommProgram
+        # on two workers at once.  (A gather lowers to a HostPullOp,
+        # which has no stream table; the table's concurrent first
+        # touch is TestStreamTableFirstTouch's.)
+        def run(workers):
+            manager = make_manager((8, 4))
+            comm = Communicator(manager, SessionConfig(
+                parallel_workers=workers, backend="vectorized",
+                execution="compiled", stream_tile_bytes=129))
+            req = CommRequest("gather", "10", 256, src_offset=0,
+                              data_type="int64")
+            _seed_batch_inputs(manager, [req])
+            batch = comm.submit([req, req])
+            comm.close()
+            return comm, batch, [f.result() for f in batch.futures]
+
+        serial, (pooled, batch, results) = run(1), run(2)
+        assert batch.waves == [[0, 1]]
+        assert pooled.stats.parallel_requests == 2
+        assert pooled.stats.programs_compiled == 1
+        assert results[0].plan is results[1].plan
+        for a, b in zip(results, serial[2]):
+            assert a.ledger.total == b.ledger.total
+            assert a.host_outputs.keys() == b.host_outputs.keys()
+            for inst in a.host_outputs:
+                assert a.host_outputs[inst].tobytes() \
+                    == b.host_outputs[inst].tobytes()
+
     def test_close_degrades_to_serial(self):
         manager, comm, _, _ = self._submit(4)
         comm.close()
