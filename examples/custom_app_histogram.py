@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import DimmSystem, HypercubeManager
 from repro.apps.base import AppHarness, PidCommBackend
-from repro.dtypes import INT64, MIN
+from repro.dtypes import MIN
 
 
 class HistogramApp:
@@ -45,11 +45,12 @@ class HistogramApp:
         harness.kernel("bin", ops_per_pe=4.0 * shard,
                        bytes_per_pe=8.0 * (shard + self.bins))
         if functional:
-            for pe in manager.all_pes:
-                local = system.read_elements(pe, val_buf, shard, INT64)
-                counts = np.bincount(local, minlength=self.bins)
-                system.write_elements(pe, hist_buf,
-                                      counts.astype(np.int64), INT64)
+            # One bulk load (row = PE), one bincount over row-offset
+            # values, one bulk store of the (P, bins) counts.
+            local = harness.load(val_buf, shard)
+            offset = local + self.bins * np.arange(p)[:, None]
+            counts = np.bincount(offset.ravel(), minlength=p * self.bins)
+            harness.store(hist_buf, counts.reshape(p, self.bins))
 
         # 3. Sum-AllReduce merges the per-PE histograms.
         harness.comm("allreduce", "1", self.bins * 8, src=hist_buf,

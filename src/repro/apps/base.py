@@ -171,7 +171,9 @@ class AppHarness:
                     dtype, op)
 
     # ------------------------------------------------------------------
-    # PE kernels
+    # PE kernels: an analytic charge, and bulk reads/writes of all PEs
+    # for the functional body (one load, one batched numpy op, one
+    # store per phase)
     # ------------------------------------------------------------------
     def kernel(self, name: str, ops_per_pe: float = 0.0,
                bytes_per_pe: float = 0.0, launches: int = 1) -> None:
@@ -187,6 +189,33 @@ class AppHarness:
         self.ledger.add("kernel", seconds)
         self.per_primitive["kernel"] = (
             self.per_primitive.get("kernel", 0.0) + seconds)
+
+    def load(self, buf: int, count: int) -> np.ndarray:
+        """Every PE's ``count`` int64 elements at ``buf``, as a matrix.
+
+        Row ``i`` of the ``(P, count)`` result is ``manager.all_pes[i]``
+        (virtual-node order, dim 0 fastest).  Like ``read_elements`` it
+        is the PEs' own view of their banks, below the fault injector
+        (``DimmSystem.peek_rows``), and the copy is the caller's.
+        """
+        raw = self.system.peek_rows(self.manager.all_pes, buf, count * 8)
+        return raw.view(np.int64)
+
+    def store(self, buf: int, matrix: np.ndarray) -> None:
+        """Write int64 rows at ``buf``, row ``i`` to ``manager.all_pes[i]``.
+
+        Any shape whose leading axis is ``P`` is flattened per row; a
+        1-D array is written whole to every PE.  The inverse of
+        :meth:`load` (``DimmSystem.poke_rows``).
+        """
+        values = np.ascontiguousarray(matrix, dtype=np.int64)
+        pes = self.manager.all_pes
+        if values.ndim == 1:
+            raw = values.view(np.uint8)
+            rows = np.broadcast_to(raw, (len(pes), raw.size))
+        else:
+            rows = values.reshape(len(pes), -1).view(np.uint8)
+        self.system.poke_rows(pes, buf, rows)
 
     # ------------------------------------------------------------------
     # Results

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.hypercube import HypercubeManager
-from ..data.graphs import CsrGraph, partition_1d
+from ..data.graphs import CsrGraph
 from ..dtypes import BOR, INT64
 from ..errors import AppError
 from .base import AppHarness, CommBackend
@@ -55,6 +55,11 @@ def golden_bfs(graph: CsrGraph, source: int) -> np.ndarray:
 DPU_OPS_PER_EDGE = 96
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Bitmap(s) along the last axis as little-endian int64 words."""
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.int64)
+
+
 def _bitmap_words(n: int, group: int) -> int:
     """Bitmap length in 64-bit words, padded to the AllReduce group size."""
     words = (n + 63) // 64
@@ -71,6 +76,10 @@ class BfsApp:
     def __init__(self, graph: CsrGraph, config: BfsConfig = BfsConfig()):
         self.graph = graph
         self.config = config
+        #: PE count -> (edge sources, their owner PEs, edge targets),
+        #: built on the first functional run; analytic runs over
+        #: ``GraphStats`` never build it.
+        self._edges: dict[int, tuple[np.ndarray, ...]] = {}
 
     def run(self, manager: HypercubeManager, backend: CommBackend,
             functional: bool = True):
@@ -83,14 +92,12 @@ class BfsApp:
             raise AppError(f"{n} vertices do not divide over {p} PEs")
         harness = AppHarness(manager, backend, functional)
         system = manager.system
-        block = n // p
         words = _bitmap_words(n, p)
         bitmap_bytes = words * 8
 
         frontier_buf = system.alloc(bitmap_bytes) if functional else 0
         next_buf = system.alloc(bitmap_bytes) if functional else 0
 
-        parts = partition_1d(self.graph, p) if functional else None
         avg_edges_per_pe = self.graph.num_edges / p
 
         # Scatter the partitioned adjacency lists (edge endpoints, 8B each).
@@ -107,7 +114,7 @@ class BfsApp:
             levels[src] = 0
             visited[src] = True
             frontier[src] = True
-            self._write_bitmap(system, manager, frontier_buf, frontier)
+            harness.store(frontier_buf, _pack(frontier))
 
         level = 0
         iterations = 0
@@ -115,22 +122,12 @@ class BfsApp:
         while True:
             iterations += 1
             level += 1
+            harness.kernel("expand",
+                           ops_per_pe=(DPU_OPS_PER_EDGE * avg_edges_per_pe
+                                       / est_iterations),
+                           bytes_per_pe=2.0 * bitmap_bytes)
             if functional:
-                # PE kernel: expand the frontier on owned vertices.
-                for rank, pe in enumerate(manager.all_pes):
-                    part = parts[rank]
-                    nxt_local = np.zeros(words * 64, dtype=bool)
-                    for v_local in range(block):
-                        v = rank * block + v_local
-                        if frontier[v]:
-                            nxt_local[part.neighbors(v_local)] = True
-                    self._write_bitmap(system, None, next_buf, nxt_local,
-                                       pe=pe)
-                harness.kernel("expand",
-                               ops_per_pe=(DPU_OPS_PER_EDGE
-                                           * avg_edges_per_pe
-                                           / self._estimated_iterations()),
-                               bytes_per_pe=2.0 * bitmap_bytes)
+                harness.store(next_buf, self._expand(frontier, p, words))
                 harness.comm("allreduce", "1", bitmap_bytes, src=next_buf,
                              dst=next_buf, op=BOR)
                 merged = self._read_bitmap(system, manager.all_pes[0],
@@ -141,13 +138,8 @@ class BfsApp:
                 levels[np.flatnonzero(new[:n])] = level
                 visited |= merged
                 frontier = new
-                self._write_bitmap(system, manager, frontier_buf, frontier)
+                harness.store(frontier_buf, _pack(frontier))
             else:
-                harness.kernel("expand",
-                               ops_per_pe=(DPU_OPS_PER_EDGE
-                                           * avg_edges_per_pe
-                                           / est_iterations),
-                               bytes_per_pe=2.0 * bitmap_bytes)
                 harness.comm("allreduce", "1", bitmap_bytes, op=BOR)
                 if iterations >= est_iterations:
                     break
@@ -168,13 +160,28 @@ class BfsApp:
         """
         return max(3, int(np.log2(max(2, self.graph.num_vertices))))
 
-    def _write_bitmap(self, system, manager, offset, bits, pe=None):
-        data = np.packbits(bits, bitorder="little").view(np.int64)
-        if pe is not None:
-            system.write_elements(pe, offset, data, INT64)
-            return
-        for member in manager.all_pes:
-            system.write_elements(member, offset, data, INT64)
+    def _expand(self, frontier, p, words) -> np.ndarray:
+        """PE kernel: every PE's next-frontier bitmap, ``(p, words)``.
+
+        PE ``r`` marks the targets of the out-edges of its owned
+        frontier vertices -- an order-free OR, so all PEs' edges are
+        one masked scatter.
+        """
+        sources, owners, targets = self._edge_owners(p)
+        on = frontier[sources]
+        nxt = np.zeros((p, words * 64), dtype=bool)
+        nxt[owners[on], targets[on]] = True
+        return _pack(nxt)
+
+    def _edge_owners(self, p):
+        """Every edge's source, the PE owning it (1-D blocks) and target."""
+        edges = self._edges.get(p)
+        if edges is None:
+            n = self.graph.num_vertices
+            sources = np.repeat(np.arange(n), self.graph.out_degrees())
+            edges = (sources, sources // (n // p), self.graph.indices)
+            self._edges[p] = edges
+        return edges
 
     def _read_bitmap(self, system, pe, offset, words) -> np.ndarray:
         data = system.read_elements(pe, offset, words, INT64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.hypercube import HypercubeManager
-from ..data.graphs import CsrGraph, partition_1d
+from ..data.graphs import CsrGraph
 from ..dtypes import INT64, MIN
 from ..errors import AppError
 from .base import AppHarness, CommBackend
@@ -61,6 +61,10 @@ class CcApp:
         # The paper preprocesses directed edges to undirected ones.
         self.graph = graph.symmetrized()
         self.config = config
+        #: PE count -> the sweep's per-step gather tables, built on the
+        #: first functional run; analytic runs over ``GraphStats``
+        #: never build them.
+        self._steps: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
     def run(self, manager: HypercubeManager, backend: CommBackend,
             functional: bool = True):
@@ -77,9 +81,7 @@ class CcApp:
         # Pad the label array so AllReduce chunks divide evenly.
         padded = ((n + p - 1) // p) * p
         label_bytes = padded * 8
-        block = n // p
         buf = system.alloc(label_bytes) if functional else 0
-        parts = partition_1d(self.graph, p) if functional else None
         avg_edges_per_pe = self.graph.num_edges / p
 
         harness.comm_cost_only("scatter", "1",
@@ -88,33 +90,21 @@ class CcApp:
         if functional:
             labels = np.full(padded, np.iinfo(np.int64).max, dtype=np.int64)
             labels[:n] = np.arange(n)
-            for pe in manager.all_pes:
-                system.write_elements(pe, buf, labels, INT64)
+            harness.store(buf, labels)
             prev_merged = labels
+            steps = self._sweep_steps(p, padded)
 
         iterations = 0
         est_iterations = self._estimated_iterations()
         while True:
             iterations += 1
+            harness.kernel("propagate",
+                           ops_per_pe=DPU_OPS_PER_EDGE * avg_edges_per_pe,
+                           bytes_per_pe=2.0 * label_bytes)
             if functional:
-                for rank, pe in enumerate(manager.all_pes):
-                    local = system.read_elements(pe, buf, padded, INT64
-                                                 ).copy()
-                    part = parts[rank]
-                    for v_local in range(block):
-                        v = rank * block + v_local
-                        neigh = part.neighbors(v_local)
-                        if len(neigh):
-                            low = min(local[v], local[neigh].min())
-                            if low < local[v]:
-                                local[v] = low
-                            # Propagate the vertex's label outward too.
-                            local[neigh] = np.minimum(local[neigh], local[v])
-                    system.write_elements(pe, buf, local, INT64)
-                harness.kernel(
-                    "propagate",
-                    ops_per_pe=DPU_OPS_PER_EDGE * avg_edges_per_pe,
-                    bytes_per_pe=2.0 * label_bytes)
+                local = harness.load(buf, padded)
+                self._sweep(local, steps)
+                harness.store(buf, local)
                 harness.comm("allreduce", "1", label_bytes, src=buf, dst=buf,
                              op=MIN)
                 merged = system.read_elements(manager.all_pes[0], buf,
@@ -125,10 +115,6 @@ class CcApp:
                 if iterations >= self.config.max_iterations:
                     break
             else:
-                harness.kernel(
-                    "propagate",
-                    ops_per_pe=DPU_OPS_PER_EDGE * avg_edges_per_pe,
-                    bytes_per_pe=2.0 * label_bytes)
                 harness.comm("allreduce", "1", label_bytes, op=MIN)
                 if iterations >= est_iterations:
                     break
@@ -141,6 +127,57 @@ class CcApp:
         return harness.result(self.name, output=output,
                               iterations=iterations, vertices=n,
                               edges=self.graph.num_edges)
+
+    @staticmethod
+    def _sweep(labels: np.ndarray, steps) -> None:
+        """One in-order Gauss-Seidel sweep of every PE over its block.
+
+        ``labels`` is ``(P, padded)``, one PE's label copy per row.  PE
+        ``r`` visits its vertices ``r * block + k`` in order ``k = 0,
+        1, ...``: the vertex takes the minimum over itself and its
+        neighbours, then lowers every neighbour to that minimum.  Later
+        vertices read those updates, so the sweep order is kept; step
+        ``k`` advances every PE at once.
+        """
+        flat = labels.reshape(-1)
+        for index, starts, owner in steps:
+            seen = flat[index]
+            low = np.minimum.reduceat(seen, starts)
+            flat[index] = np.minimum(seen, low[owner])
+
+    def _sweep_steps(self, p, padded):
+        """Per sweep step ``k``: (flat indices, segment starts, owners).
+
+        Segment ``r`` lists vertex ``v = r * block + k`` itself, then its
+        neighbours, as flat indices into the ``(P, padded)`` label
+        matrix (row ``r``); ``owner`` maps each entry to its segment.
+        The vertex's own entry keeps every segment non-empty, and no
+        neighbour list repeats an id or holds ``v`` (the graph is
+        symmetrized without self-loops), so each step's scatter is
+        exact.
+        """
+        steps = self._steps.get(p)
+        if steps is None:
+            graph = self.graph
+            n = graph.num_vertices
+            block = n // p
+            vertex = np.arange(n)
+            holder = np.concatenate(
+                [vertex, np.repeat(vertex, graph.out_degrees())])
+            target = np.concatenate([vertex, graph.indices])
+            # Step-major, then PE; a stable sort keeps v's own entry
+            # ahead of its neighbours.
+            order = np.argsort((holder % block) * p + holder // block,
+                               kind="stable")
+            owner = holder[order] // block
+            index = owner * padded + target[order]
+            sizes = 1 + graph.out_degrees().reshape(p, block).T  # [k, r]
+            cuts = np.cumsum(sizes.sum(axis=1))[:-1]
+            steps = [(idx, np.cumsum(size) - size, own)
+                     for idx, own, size in zip(np.split(index, cuts),
+                                               np.split(owner, cuts), sizes)]
+            self._steps[p] = steps
+        return steps
 
     def _estimated_iterations(self) -> int:
         """Label propagation converges in ~diameter iterations."""

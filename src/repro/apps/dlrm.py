@@ -27,7 +27,6 @@ import numpy as np
 
 from ..core.hypercube import HypercubeManager
 from ..data.synthetic import CriteoLikeDataset, embedding_tables
-from ..dtypes import INT64
 from ..errors import AppError
 from .base import AppHarness, CommBackend
 
@@ -129,8 +128,7 @@ class DlrmApp:
         harness.kernel("lookup", ops_per_pe=b * tz * hots / cy * ec,
                        bytes_per_pe=2.0 * lookup_bytes + partial_elems * 8)
         if functional:
-            self._lookup(manager, system, tables, part_buf, b, tz, ec, hots,
-                         cy)
+            self._lookup(harness, tables, part_buf, cx, cy, cz)
 
         # 3. ReduceScatter along y: complete the pools, shard the batch.
         harness.comm("reduce_scatter", "010", partial_elems * 8,
@@ -149,16 +147,16 @@ class DlrmApp:
                        bytes_per_pe=8.0 * (mlp_in_elems
                                            + feat * cfg.mlp_hidden))
         if functional:
-            self._top_mlp(manager, system, aa_buf, score_buf, bs_final,
-                          plane, tz, ec, t_all, e, w1, w2)
+            self._top_mlp(harness, aa_buf, score_buf, bs_final, cx, cz, tz,
+                          ec, w1, w2)
 
         # 6. Gather the scores.
         outputs = harness.comm("gather", "111", max(8, bs_final * 8),
                                src=score_buf)
         output = None
         if functional and outputs is not None:
-            output = self._assemble_scores(manager, outputs[0], b, bs_final,
-                                           plane, cy)
+            output = self._assemble_scores(outputs[0], b, bs_final, cx, cy,
+                                           cz)
         result = harness.result(self.name, output=output, batch=b,
                                 tables=t_all, dim=e, hots=hots)
         if functional:
@@ -166,65 +164,47 @@ class DlrmApp:
         return result
 
     # ------------------------------------------------------------------
-    # Functional kernels
+    # Functional kernels: one bulk load/store per phase, rows in node
+    # order (x fastest, then y, then z)
     # ------------------------------------------------------------------
-    def _shards(self, manager, pe):
-        x, y, z = manager.coords_of_pe(pe)
-        return x, y, z
+    def _lookup(self, harness, tables, part_buf, cx, cy, cz):
+        """Every PE pools the rows of its (column, row-shard, table) block."""
+        indices = self.data.indices                    # (b, T, hots)
+        b, t_all, _ = indices.shape
+        e = tables.shape[2]
+        rows = tables[np.arange(t_all)[:, None], indices]   # (b, T, hots, e)
+        # owned[y, s, t, h]: row shard y holds sample s's h-th hot of t.
+        shard = indices // (self.data.num_rows // cy)
+        owned = shard == np.arange(cy)[:, None, None, None]
+        pooled = np.where(owned[..., None], rows, 0).sum(axis=3)
+        # (y, b, z, t_local, x, col) -> one row per node (z, y, x).
+        blocks = pooled.reshape(cy, b, cz, t_all // cz, cx, e // cx)
+        harness.store(part_buf, blocks.transpose(2, 0, 4, 1, 3, 5))
 
-    def _lookup(self, manager, system, tables, part_buf, b, tz, ec, hots,
-                cy):
-        data = self.data
-        r_shard = data.num_rows // cy
-        for pe in manager.all_pes:
-            x, y, z = self._shards(manager, pe)
-            partial = np.zeros((b, tz, ec), dtype=np.int64)
-            for t_local in range(tz):
-                t = z * tz + t_local
-                tbl = tables[t]
-                for s in range(b):
-                    for idx in data.indices[s, t]:
-                        if y * r_shard <= idx < (y + 1) * r_shard:
-                            partial[s, t_local] += tbl[idx,
-                                                       x * ec:(x + 1) * ec]
-            system.write_elements(pe, part_buf, partial.reshape(-1), INT64)
+    def _top_mlp(self, harness, aa_buf, score_buf, bs_final, cx, cz, tz, ec,
+                 w1, w2):
+        """Reassemble each node's feature vectors, then relu MLP -> linear."""
+        nodes = harness.manager.num_nodes
+        flat = harness.load(aa_buf, bs_final * cz * tz * cx * ec)
+        # AlltoAll delivered plane chunks in source-rank order; source
+        # rank (x', z') = x' + cx * z' carried tables z'-shard and
+        # columns x'-shard.
+        chunks = flat.reshape(nodes, cz, cx, bs_final, tz, ec)
+        feats = chunks.transpose(0, 3, 1, 4, 2, 5).reshape(
+            nodes, bs_final, cz * tz * cx * ec)
+        hidden = np.maximum(feats @ w1, 0)
+        harness.store(score_buf, (hidden @ w2)[..., 0])
 
-    def _top_mlp(self, manager, system, aa_buf, score_buf, bs_final, plane,
-                 tz, ec, t_all, e, w1, w2):
-        for pe in manager.all_pes:
-            flat = system.read_elements(pe, aa_buf, bs_final * t_all * e,
-                                        INT64)
-            # AlltoAll delivered plane chunks in source-rank order; source
-            # rank (x', z') carried tables z'-shard and columns x'-shard.
-            feats = self._reassemble_features(flat, bs_final, plane, tz, ec,
-                                              t_all, e)
-            hidden = np.maximum(feats @ w1, 0)
-            scores = (hidden @ w2).reshape(-1)
-            system.write_elements(pe, score_buf, scores, INT64)
+    def _assemble_scores(self, gathered, b, bs_final, cx, cy, cz):
+        """Map gathered per-node scores back to batch order.
 
-    def _reassemble_features(self, flat, bs_final, plane, tz, ec, t_all, e):
-        cx = e // ec
-        chunks = flat.reshape(plane, bs_final, tz, ec)
-        feats = np.zeros((bs_final, t_all, e), dtype=np.int64)
-        for rank in range(plane):
-            # xz-plane group rank order: x varies fastest, then z.
-            x = rank % cx
-            z = rank // cx
-            feats[:, z * tz:(z + 1) * tz, x * ec:(x + 1) * ec] = chunks[rank]
-        return feats.reshape(bs_final, t_all * e)
-
-    def _assemble_scores(self, manager, gathered, b, bs_final, plane, cy):
-        """Map gathered per-PE scores back to batch order."""
-        scores = np.zeros(b, dtype=np.int64)
-        per_pe = max(1, bs_final)
-        for node, pe in enumerate(manager.all_pes):
-            x, y, z = self._shards(manager, pe)
-            cx = manager.shape.dims[0]
-            rank_in_plane = x + cx * z
-            base = y * (b // cy) + rank_in_plane * bs_final
-            chunk = gathered[node * per_pe:(node + 1) * per_pe]
-            scores[base:base + bs_final] = chunk[:bs_final]
-        return scores
+        Node (x, y, z) scored the ``bs_final`` samples from
+        ``y * b / cy + (x + cx * z) * bs_final`` on.
+        """
+        per_node = max(1, bs_final)
+        scores = gathered[:cx * cy * cz * per_node].reshape(
+            cz, cy, cx, per_node)[..., :bs_final]
+        return scores.transpose(1, 0, 2, 3).reshape(b)
 
     # ------------------------------------------------------------------
     #: Effective bandwidth of random embedding-row gathers on the CPU

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.hypercube import HypercubeManager
-from ..data.graphs import CsrGraph, partition_2d
-from ..dtypes import INT64, MIN, dtype_by_name
+from ..data.graphs import CsrGraph
+from ..dtypes import MIN, dtype_by_name
 from ..errors import AppError
 from .base import AppHarness, CommBackend
 
@@ -78,6 +78,9 @@ class GnnApp:
         # layer-to-layer dimension alternation.
         self.graph = graph.symmetrized()
         self.config = config
+        #: grid p -> the stacked adjacency tiles (built on the first
+        #: functional run; analytic runs over ``GraphStats`` never do).
+        self._tiles: dict[int, np.ndarray] = {}
 
     @property
     def name(self) -> str:
@@ -121,23 +124,18 @@ class GnnApp:
 
         rng = np.random.default_rng(cfg.seed)
         tiles = None
-        adjacency = None
         h0 = None
         weights: list[np.ndarray] = []
         if functional:
-            tiles = [[t.dense for t in row]
-                     for row in partition_2d(self.graph, p)]
-            adjacency = self.graph.dense
+            tiles = self._stacked_tiles(p)
             h0 = rng.integers(-2, 3, (n, f))
             weights = [rng.integers(-2, 3, (f, f)) for _ in range(cfg.layers)]
 
         # Initial scatter: every PE(i, j) receives its starting strip
-        # (row-block j of H, the even-layer orientation).
+        # (row-block j of H, the even-layer orientation); node = j + p*i.
         if functional:
-            payload = np.concatenate([
-                h0[self._strip_of(manager, pe, 0) * b:
-                   (self._strip_of(manager, pe, 0) + 1) * b].reshape(-1)
-                for pe in manager.all_pes]).astype(np.int64)
+            payload = h0.reshape(p, strip_elems)[
+                np.arange(p * p) % p].reshape(-1).astype(np.int64)
             harness.comm("scatter", "11", strip_bytes, dst=strip_buf,
                          dtype=dt, payloads={0: payload})
         else:
@@ -151,8 +149,8 @@ class GnnApp:
                 f"spgemm{layer}", ops_per_pe=2.0 * nnz_per_tile * f,
                 bytes_per_pe=8.0 * (2 * strip_elems + nnz_per_tile * 2))
             if functional:
-                self._spgemm(manager, system, tiles, layer, strip_buf,
-                             partial_buf, b, f)
+                self._spgemm(harness, tiles, layer, strip_buf, partial_buf,
+                             b, f)
             if cfg.strategy == "rs_ar":
                 self._layer_rs_ar(harness, manager, layer, dims, weights,
                                   strip_buf, partial_buf, slice_buf,
@@ -182,32 +180,34 @@ class GnnApp:
                                 features=f, layers=cfg.layers,
                                 strategy=cfg.strategy)
         if functional:
-            result.meta["golden"] = golden_gnn(adjacency, h0, weights)
+            result.meta["golden"] = golden_gnn(self.graph.dense, h0, weights)
         return result
 
     # ------------------------------------------------------------------
-    # Layout helpers
+    # Layout helpers: rows of a bulk load are nodes j + p*i (x = j fastest)
     # ------------------------------------------------------------------
-    def _coords(self, manager, pe):
-        x, y = manager.coords_of_pe(pe)
-        # Grid convention: i = row = y, j = column = x.
-        return y, x
+    def _stacked_tiles(self, p) -> np.ndarray:
+        """``(p*p, b, b)``: node (i, j) holds tile ``A[i-block, j-block]``."""
+        tiles = self._tiles.get(p)
+        if tiles is None:
+            b = self.graph.num_vertices // p
+            tiles = np.ascontiguousarray(self.graph.dense.reshape(
+                p, b, p, b).transpose(0, 2, 1, 3)).reshape(p * p, b, b)
+            self._tiles[p] = tiles
+        return tiles
 
-    def _strip_of(self, manager, pe, layer) -> int:
-        """Which row-block of H this PE's strip holds before ``layer``."""
-        i, j = self._coords(manager, pe)
-        return j if layer % 2 == 0 else i
-
-    def _spgemm(self, manager, system, tiles, layer, strip_buf, partial_buf,
-                b, f):
+    @staticmethod
+    def _spgemm(harness, tiles, layer, strip_buf, partial_buf, b, f):
         """Aggregation: partial = tile (or its transpose) @ strip."""
-        for pe in manager.all_pes:
-            i, j = self._coords(manager, pe)
-            tile = tiles[i][j] if layer % 2 == 0 else tiles[i][j].T
-            strip = system.read_elements(pe, strip_buf, b * f,
-                                         INT64).reshape(b, f)
-            partial = tile @ strip
-            system.write_elements(pe, partial_buf, partial.reshape(-1), INT64)
+        tile = tiles if layer % 2 == 0 else tiles.transpose(0, 2, 1)
+        strips = harness.load(strip_buf, b * f).reshape(-1, b, f)
+        harness.store(partial_buf, tile @ strips)
+
+    @staticmethod
+    def _comm_ranks(p, dims) -> np.ndarray:
+        """Every node's rank in its communication group along ``dims``."""
+        nodes = np.arange(p * p)
+        return nodes % p if dims == "10" else nodes // p
 
     # ------------------------------------------------------------------
     # RS&AR strategy
@@ -215,40 +215,30 @@ class GnnApp:
     def _layer_rs_ar(self, harness, manager, layer, dims, weights,
                      strip_buf, partial_buf, slice_buf, b, f, fc, dt,
                      functional):
-        system = manager.system
         p = manager.shape.dims[0]
         esize = dt.itemsize
         if functional:
             # Lay the partial out as p column-chunks for ReduceScatter.
-            for pe in manager.all_pes:
-                partial = system.read_elements(pe, partial_buf, b * f,
-                                               INT64).reshape(b, f)
-                chunks = np.ascontiguousarray(
-                    partial.reshape(b, p, fc).transpose(1, 0, 2))
-                system.write_elements(pe, partial_buf, chunks.reshape(-1),
-                                      INT64)
+            partial = harness.load(partial_buf, b * f).reshape(-1, b, p, fc)
+            harness.store(partial_buf, partial.transpose(0, 2, 1, 3))
         harness.comm("reduce_scatter", dims, b * f * esize, src=partial_buf,
                      dst=slice_buf, dtype=dt)
         harness.kernel(f"gemm{layer}",
                        ops_per_pe=float(DPU_OPS_PER_MAC) * b * fc * f,
                        bytes_per_pe=float(esize) * (b * fc + fc * f + b * f))
         if functional:
-            w = weights[layer]
-            for pe in manager.all_pes:
-                rank = self._comm_rank(manager, pe, dims)
-                sl = system.read_elements(pe, slice_buf, b * fc,
-                                          INT64).reshape(b, fc)
-                part = sl @ w[rank * fc:(rank + 1) * fc, :]
-                system.write_elements(pe, partial_buf, part.reshape(-1),
-                                      INT64)
+            # Each node multiplies by its rank's weight row-block.
+            blocks = weights[layer].reshape(p, fc, f)[
+                self._comm_ranks(p, dims)]
+            sl = harness.load(slice_buf, b * fc).reshape(-1, b, fc)
+            harness.store(partial_buf, sl @ blocks)
         harness.comm("allreduce", dims, b * f * esize, src=partial_buf,
                      dst=strip_buf, dtype=dt)
         harness.kernel(f"relu{layer}", ops_per_pe=float(b * f),
                        bytes_per_pe=2.0 * esize * b * f)
         if functional:
-            for pe in manager.all_pes:
-                h = system.read_elements(pe, strip_buf, b * f, INT64)
-                system.write_elements(pe, strip_buf, np.maximum(h, 0), INT64)
+            h = harness.load(strip_buf, b * f)
+            harness.store(strip_buf, np.maximum(h, 0))
 
     # ------------------------------------------------------------------
     # AR&AG strategy
@@ -256,7 +246,6 @@ class GnnApp:
     def _layer_ar_ag(self, harness, manager, layer, dims, weights,
                      strip_buf, partial_buf, slice_buf, b, f, fc, dt,
                      functional):
-        system = manager.system
         p = manager.shape.dims[0]
         esize = dt.itemsize
         harness.comm("allreduce", dims, b * f * esize, src=partial_buf,
@@ -265,13 +254,11 @@ class GnnApp:
                        ops_per_pe=float(DPU_OPS_PER_MAC) * b * f * fc,
                        bytes_per_pe=float(esize) * (b * f + f * fc + b * fc))
         if functional:
-            w = weights[layer]
-            for pe in manager.all_pes:
-                rank = self._comm_rank(manager, pe, dims)
-                agg = system.read_elements(pe, partial_buf, b * f,
-                                           INT64).reshape(b, f)
-                tile = np.maximum(agg @ w[:, rank * fc:(rank + 1) * fc], 0)
-                system.write_elements(pe, slice_buf, tile.reshape(-1), INT64)
+            # Each node multiplies by its rank's weight column-block.
+            blocks = weights[layer].reshape(f, p, fc).transpose(1, 0, 2)[
+                self._comm_ranks(p, dims)]
+            agg = harness.load(partial_buf, b * f).reshape(-1, b, f)
+            harness.store(slice_buf, np.maximum(agg @ blocks, 0))
         harness.kernel(f"relu{layer}", ops_per_pe=float(b * fc),
                        bytes_per_pe=2.0 * esize * b * fc)
         harness.comm("allgather", dims, b * fc * esize, src=slice_buf,
@@ -279,18 +266,10 @@ class GnnApp:
         if functional:
             # The gathered buffer concatenates column tiles; interleave
             # them back into row-major strips (a PE-local reshape).
-            for pe in manager.all_pes:
-                flat = system.read_elements(pe, strip_buf, b * f, INT64)
-                strip = flat.reshape(p, b, fc).transpose(1, 0, 2).reshape(
-                    b, f)
-                system.write_elements(pe, strip_buf, strip.reshape(-1),
-                                      INT64)
+            chunks = harness.load(strip_buf, b * f).reshape(-1, p, b, fc)
+            harness.store(strip_buf, chunks.transpose(0, 2, 1, 3))
 
     # ------------------------------------------------------------------
-    def _comm_rank(self, manager, pe, dims) -> int:
-        x, y = manager.coords_of_pe(pe)
-        return x if dims == "10" else y
-
     def _assemble(self, manager, outputs, layers, n, b, f) -> np.ndarray:
         """Reassemble the full H from per-instance final strips."""
         result = np.zeros((n, f), dtype=np.int64)

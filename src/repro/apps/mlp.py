@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.hypercube import HypercubeManager
-from ..dtypes import INT64
 from ..errors import AppError
 from .base import AppHarness, CommBackend
 
@@ -107,43 +106,50 @@ class MlpApp:
                 bytes_per_pe=8.0 * (slice_elems + cols * cfg.features
                                     + full_elems))
             if functional:
-                w = weights[layer]
-                for rank, pe in enumerate(manager.all_pes):
-                    h = system.read_elements(pe, act, slice_elems,
-                                             INT64).reshape(cfg.batch, cols)
-                    part = h @ w[rank * cols:(rank + 1) * cols, :]
-                    # Lay out as p chunks so ReduceScatter lands chunk r
-                    # (columns of PE r) on PE r.
-                    chunks = np.ascontiguousarray(
-                        part.reshape(cfg.batch, p, cols).transpose(1, 0, 2))
-                    system.write_elements(pe, partial, chunks.reshape(-1),
-                                          INT64)
+                self._gemm(harness, act, partial, weights[layer], cfg.batch)
             harness.comm("reduce_scatter", "1", full_elems * 8, src=partial,
                          dst=act)
-            if functional and layer != cfg.layers - 1:
-                # ReLU runs on the PEs right after the scatter.
-                for pe in manager.all_pes:
-                    h = system.read_elements(pe, act, slice_elems, INT64)
-                    system.write_elements(pe, act, np.maximum(h, 0), INT64)
             if layer != cfg.layers - 1:
+                # ReLU runs on the PEs right after the scatter.
                 harness.kernel(f"relu{layer}", ops_per_pe=slice_elems,
                                bytes_per_pe=16.0 * slice_elems)
+                if functional:
+                    self._relu(harness, act, slice_elems)
 
         output = None
         # Retrieve results with a Gather (each PE holds its column slice).
         gathered = harness.comm("gather", "1", slice_elems * 8, src=act)
         if functional and gathered is not None:
-            stacked = np.stack([gathered[0][r * slice_elems:(r + 1)
-                                            * slice_elems]
-                                for r in range(p)])
-            output = stacked.reshape(p, cfg.batch, cols).transpose(
-                1, 0, 2).reshape(cfg.batch, cfg.features)
+            stacked = gathered[0][:p * slice_elems].reshape(p, cfg.batch, cols)
+            output = stacked.transpose(1, 0, 2).reshape(cfg.batch,
+                                                        cfg.features)
         result = harness.result(self.name, output=output,
                                 features=cfg.features, layers=cfg.layers,
                                 batch=cfg.batch)
         if functional:
             result.meta["golden"] = golden_mlp(x, weights)
         return result
+
+    # ------------------------------------------------------------------
+    # Functional kernels (one bulk load/store each; row r is PE rank r)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _gemm(harness, act, partial, w, batch):
+        """Every PE's (batch x cols) slice times its (cols x features)
+        row-block of ``w``, laid out as p column chunks so ReduceScatter
+        lands chunk r (the columns of PE r) on PE r."""
+        p = harness.manager.num_nodes
+        features = w.shape[1]
+        cols = features // p
+        h = harness.load(act, batch * cols).reshape(p, batch, cols)
+        part = h @ w.reshape(p, cols, features)
+        harness.store(partial, part.reshape(p, batch, p, cols).transpose(
+            0, 2, 1, 3))
+
+    @staticmethod
+    def _relu(harness, act, count):
+        """Every PE clamps its ``count`` activations at 0, in place."""
+        harness.store(act, np.maximum(harness.load(act, count), 0))
 
     # ------------------------------------------------------------------
     #: Effective CPU rate of the PrIM-style unoptimized int64 GEMM

@@ -43,13 +43,12 @@ class CsrGraph:
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """Dense 0/1 adjacency (small graphs only; for golden models)."""
+        """Dense 0/1 adjacency (small graphs: golden models, GNN tiles)."""
         n = self.num_vertices
         if n > 4096:
             raise AppError(f"dense adjacency of a {n}-vertex graph refused")
         mat = np.zeros((n, n), dtype=np.int64)
-        for v in range(n):
-            mat[v, self.neighbors(v)] = 1
+        mat[np.repeat(np.arange(n), self.out_degrees()), self.indices] = 1
         return mat
 
     def symmetrized(self) -> "CsrGraph":

@@ -7,7 +7,8 @@ both communication backends, every per-category ledger second, every
 per-primitive second, the plan-cache counters and a CRC of the output,
 as the commit *before* the harness moved onto a ``Communicator``
 session produced them on the step interpreter: compiled replay must
-charge, count and compute exactly that on real application traffic.
+charge, count and compute exactly that on real application traffic,
+on both system backends.
 (b) The interpreter's remaining production footprint is a named list:
 the two conventional-baseline host flows without a ``lower()``.
 
@@ -72,10 +73,11 @@ def e2e_apps(seed: int = SEED) -> dict:
     }
 
 
-def run_app(entry, backend):
-    """One functional iteration on a fresh vectorized system."""
+def run_app(entry, backend, system_backend="vectorized"):
+    """One functional iteration on a fresh system."""
     app, geometry, shape = entry
-    system = DimmSystem(geometry, mram_bytes=1 << 17, backend="vectorized")
+    system = DimmSystem(geometry, mram_bytes=1 << 17,
+                        backend=system_backend)
     return app.run(HypercubeManager(system, shape=shape), backend,
                    functional=True)
 
@@ -102,6 +104,16 @@ def apps():
 def test_functional_ledgers_match_the_interpreter(apps, label, backend):
     golden = json.loads(GOLDEN.read_text())[f"{label}/{backend}"]
     assert ledger_row(run_app(apps[label], BACKENDS[backend]())) == golden
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("label", LABELS)
+def test_scalar_system_matches_the_same_golden_rows(apps, label, backend):
+    """The same rows on the scalar backend, whose ``peek_rows`` /
+    ``poke_rows`` (under ``AppHarness.load`` / ``store``) loop per PE."""
+    golden = json.loads(GOLDEN.read_text())[f"{label}/{backend}"]
+    row = ledger_row(run_app(apps[label], BACKENDS[backend](), "scalar"))
+    assert row == golden
 
 
 # ----------------------------------------------------------------------
