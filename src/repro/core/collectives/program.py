@@ -16,7 +16,12 @@ of the plan key.  :func:`compile_plan` lowers the step list once into a
 
 so steady-state replay of a cache-hit plan is a handful of numpy
 dispatches with zero index math, zero permutation validation, and zero
-per-step Python re-derivation.  The interpreted path stays the oracle:
+per-step Python re-derivation.  The arena side is fixed too: each op
+declares its transfer regions once as an
+:class:`~repro.hw.arena.ArenaBinding`, and
+:meth:`~repro.hw.system.DimmSystem.bind` resolves them into windows
+once per arena layout, so replay moves bytes through pre-resolved
+views.  The interpreted path stays the oracle:
 replay must produce bit-identical memory state, host outputs, ledgers,
 SIMD counts and WRAM tiles (``tests/test_program.py``).
 
@@ -38,7 +43,6 @@ from __future__ import annotations
 
 import abc
 import functools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -46,6 +50,8 @@ import numpy as np
 
 from ...errors import CollectiveError, TransferError
 from ...hw.arena import (
+    ArenaBinding,
+    BoundWindows,
     ScratchPool,
     flat_chunk_table,
     scan_chunk_classes,
@@ -135,36 +141,10 @@ def band_ranges(rows: int, row_bytes: int,
     return [(r0, min(r0 + band, rows)) for r0 in range(0, rows, band)]
 
 
-def _stream_table(op, system: DimmSystem
-                  ) -> tuple[np.ndarray, int] | None:
-    """The op's cached arena-global gather table (None on scalar).
-
-    Built once per (arena identity, arena version) and cached on the
-    op, so steady-state streamed replay re-derives no index math; an
-    arena growth between replays rebuilds it against the fresh rows.
-    """
-    token = system.stream_token()
-    if token is None:
-        return None
-    cached = op._stream_cache
-    if cached is not None and cached[0] == token:
-        return cached[1], cached[2]
-    # Concurrent first touch (two threads replaying this op against a
-    # fresh arena) must build the table exactly once and share it
-    # read-only thereafter: double-checked under the op's lock.
-    with op._stream_lock:
-        token = system.stream_token()
-        cached = op._stream_cache
-        if cached is not None and cached[0] == token:
-            return cached[1], cached[2]
-        table, width = system.stream_table(
-            op.ids, op.ngroups, op.src_offset, op.chunk_bytes,
-            op.lane, op.slot)
-        # Building the table may itself grow the arena (it touches
-        # every source row), so the validity token is read after the
-        # build.
-        op._stream_cache = (system.stream_token(), table, width)
-        return table, width
+def _per_group(group_ids: Sequence[np.ndarray], offset: int,
+               nbytes: int) -> ArenaBinding:
+    """Binding of a per-instance op: one region per group."""
+    return ArenaBinding([(ids, offset, nbytes) for ids in group_ids])
 
 
 def _run_bands(units: Sequence, pool: ScratchPool | None, workers,
@@ -310,32 +290,35 @@ def _band_take(scratch: ScratchPool | None, source: np.ndarray,
                                                    source.dtype))
 
 
-def _band_gather(op, ctx: ExecContext, bands: list[tuple[int, int]],
-                 nslots_in: int, nslots_out: int
+def _band_gather(op, ctx: ExecContext, bound: BoundWindows,
+                 bands: list[tuple[int, int]], nslots_in: int,
+                 nslots_out: int
                  ) -> Callable[[ScratchPool | None, int, int], np.ndarray]:
     """A table-driven op's band gather: ``take(scratch, r0, r1)``
     returns output rows ``[r0, r1)`` as a uint8 row matrix.
 
     The kernel follows from what the replay can observe: one band
-    covering the whole op takes :meth:`DimmSystem.take_by_table` (one
-    contiguous stage plus a chunk-wide take -- faster than the
-    arena-global stream table for a whole op, ``docs/performance.md``);
-    partial bands take the op's cached stream table on the vectorized
-    backend (O(tile) memory) or, on the scalar one, stage the source
-    once into the pool's ping buffer and :func:`take_band_staged`.
+    covering the whole op takes :meth:`DimmSystem.take_by_table` on the
+    bound source window (one contiguous stage plus a chunk-wide take --
+    faster than the arena-global stream table for a whole op,
+    ``docs/performance.md``); partial bands take the bound stream table
+    on the vectorized backend (O(tile) memory) or, on the scalar one,
+    stage the source once into the pool's ping buffer and
+    :func:`take_band_staged`.
     """
     system = ctx.system
     row_bytes = nslots_out * op.chunk_bytes
     if len(bands) == 1:
+        src = bound.window(0)
+
         def take_whole(scratch, r0, r1):
             block = system.take_by_table(
                 op.ids, op.ngroups, op.src_offset, nslots_in,
-                op.chunk_bytes, op.lane, op.slot, op.flat)
+                op.chunk_bytes, op.lane, op.slot, op.flat, src)
             return block.reshape(r1 - r0, row_bytes)
         return take_whole
-    table = _stream_table(op, system)
-    if table is not None:
-        flat_table, width = table
+    if bound.stream is not None:
+        flat_table, width = bound.stream
 
         def take_flat(scratch, r0, r1):
             out = scratch.pong((r1 - r0, flat_table.shape[1]),
@@ -413,8 +396,12 @@ class GatherMoveOp(_BandedOp):
         # Flatten the table pair once at lowering time; replay then
         # gathers along a single pre-indexed axis (see arena docs).
         self.flat = flat_chunk_table(self.lane, self.slot, self.nslots_in)
-        self._stream_cache = None
-        self._stream_lock = threading.Lock()
+        # Windows: 0 = source block, 1 = destination block.
+        self._binding = ArenaBinding(
+            [(self.ids, self.src_offset, self.nslots_in * self.chunk_bytes),
+             (self.ids, self.dst_offset, self.nslots_out * self.chunk_bytes)],
+            gather=(self.ids, self.ngroups, self.src_offset,
+                    self.chunk_bytes, self.lane, self.slot))
         self._band_memo = {}
         self._rows_unique = None
         self._plan_cache = None
@@ -428,14 +415,15 @@ class GatherMoveOp(_BandedOp):
                 self._execute_elided(ctx, plan, bands, dst_clean)
                 return
         system = ctx.system
-        take = _band_gather(self, ctx, bands, self.nslots_in,
+        bound = system.bind(self._binding, streamed=len(bands) > 1)
+        take = _band_gather(self, ctx, bound, bands, self.nslots_in,
                             self.nslots_out)
 
         def run_band(scratch: ScratchPool | None,
                      band: tuple[int, int]) -> None:
             r0, r1 = band
             system.put_rows(self.ids[r0:r1], self.dst_offset,
-                            take(scratch, r0, r1))
+                            take(scratch, r0, r1), bound.window(1, band))
 
         _run_bands(bands, ctx.pool, ctx.workers, run_band)
         self._charge(ctx)
@@ -502,35 +490,40 @@ class GatherMoveOp(_BandedOp):
         re-read, so the ledger prices no scan time.
         """
         system = ctx.system
+        # The plan's table is the bound stream table; a new arena
+        # layout rebinds, so the table's identity keys the cache.  The
+        # bind touches every source row (it may grow the arena) before
+        # the scan window is taken.
+        table = system.bind(self._binding, streamed=True).stream
         epoch = system.content_epoch()
         if epoch is not None:
             cached = self._plan_cache
             if (cached is not None
-                    and cached[0] == system.stream_token()
+                    and cached[0] is table
                     and not system.content_changed(
                         cached[1], self.src_offset,
                         self.nslots_in * self.chunk_bytes)):
-                token, _, plan, dst_epoch = cached
+                _, _, plan, dst_epoch = cached
                 dst_clean = (dst_epoch is not None
                              and not system.content_changed(
                                  dst_epoch, self.dst_offset,
                                  self.nslots_out * self.chunk_bytes))
                 # Re-key at the current epoch: the source check above
                 # just proved every epoch in between clean.
-                self._plan_cache = (token, epoch, plan, dst_epoch)
+                self._plan_cache = (table, epoch, plan, dst_epoch)
                 ctx.chunks_scanned += self.ids.size * self.nslots_in
                 return plan, dst_clean
-        plan = self._scan_plan(ctx)
+        plan = self._scan_plan(ctx, table)
         if epoch is not None:
-            # Token read *after* the scan: building the stream table
-            # may have grown the arena, and the plan's table belongs
-            # to the post-growth layout.  The epoch stays the
-            # pre-scan capture, so any write racing the scan makes
-            # the very next validation fail (conservative).
-            self._plan_cache = (system.stream_token(), epoch, plan, None)
+            # The epoch is the pre-scan capture, so any write racing
+            # the scan makes the very next validation fail
+            # (conservative).
+            self._plan_cache = (table, epoch, plan, None)
         return plan, False
 
-    def _scan_plan(self, ctx: ExecContext) -> _ElisionPlan | None:
+    def _scan_plan(self, ctx: ExecContext,
+                   table: tuple[np.ndarray, int] | None
+                   ) -> _ElisionPlan | None:
         """Scan the source block, derive per-output-row content classes.
 
         Returns None when no output row is elidable (the caller then
@@ -538,15 +531,12 @@ class GatherMoveOp(_BandedOp):
         context either way -- that *is* the dense-traffic overhead the
         ledger prices (and the sampled nomination inside
         :func:`~repro.hw.arena.scan_chunk_classes` keeps near zero).
+        ``table`` is the bound stream table (None on scalar).
         """
         system = ctx.system
         n = self.ids.size
         lanes = n // self.ngroups
         src_bytes = self.nslots_in * self.chunk_bytes
-        # The stream table is built first: on the vectorized backend it
-        # touches every source row and may grow the arena, which would
-        # invalidate the zero-copy scan window taken below.
-        table = _stream_table(self, system)
         block = system.scan_view(self.ids, self.src_offset, src_bytes)
         chunks = block.reshape(self.ngroups, lanes, self.nslots_in,
                                self.chunk_bytes)
@@ -718,8 +708,13 @@ class ReduceFoldOp(_BandedOp):
 
     def __post_init__(self) -> None:
         self.flat = flat_chunk_table(self.lane, self.slot, self.nslots)
-        self._stream_cache = None
-        self._stream_lock = threading.Lock()
+        # Windows: 0 = source block, 1 = destination chunk (if any).
+        specs = [(self.ids, self.src_offset, self.nslots * self.chunk_bytes)]
+        if self.dst_offset is not None:
+            specs.append((self.ids, self.dst_offset, self.chunk_bytes))
+        self._binding = ArenaBinding(
+            specs, gather=(self.ids, self.ngroups, self.src_offset,
+                           self.chunk_bytes, self.lane, self.slot))
         self._band_memo = {}
 
     def execute(self, ctx: ExecContext,
@@ -734,7 +729,9 @@ class ReduceFoldOp(_BandedOp):
         full = (np.empty((self.ids.size, elems), dtype=np_dtype)
                 if self.scratch_key is not None else None)
         system = ctx.system
-        take = _band_gather(self, ctx, bands, self.nslots, self.nslots)
+        bound = system.bind(self._binding, streamed=len(bands) > 1)
+        take = _band_gather(self, ctx, bound, bands, self.nslots,
+                            self.nslots)
 
         def run_band(scratch: ScratchPool | None,
                      rows: tuple[int, int]) -> None:
@@ -753,7 +750,7 @@ class ReduceFoldOp(_BandedOp):
             acc = fold_slots(values, self.op, out=out)
             if self.dst_offset is not None:
                 system.put_rows(self.ids[r0:r1], self.dst_offset,
-                                acc.view(np.uint8))
+                                acc.view(np.uint8), bound.window(1, rows))
 
         _run_bands(bands, ctx.pool, ctx.workers, run_band)
         if full is not None:
@@ -813,6 +810,8 @@ class FanoutScratchOp(_BandedOp):
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        self._binding = _per_group(self.group_ids, self.dst_offset,
+                                   self.nslots_out * self.chunk_bytes)
         self._band_memo = {}
 
     @property
@@ -843,11 +842,13 @@ class FanoutScratchOp(_BandedOp):
         row_bytes = self.nslots_out * self.chunk_bytes
         wide = wide_dtype(self.chunk_bytes)
         system = ctx.system
+        bound = system.bind(self._binding)
         # (instance, band) units are all independent: instances write
         # different groups' rows, bands write disjoint rows of one
         # group, so the whole cross product fans out to the workers.
         units = []
-        for ids, inst in zip(self.group_ids, self.instances):
+        for g, (ids, inst) in enumerate(zip(self.group_ids,
+                                            self.instances)):
             row = np.ascontiguousarray(results[inst]).view(np.uint8)
             if row.shape != (lanes, self.chunk_bytes):
                 raise TransferError(
@@ -856,14 +857,15 @@ class FanoutScratchOp(_BandedOp):
             # The scratch matrix is contiguous, so each chunk is one
             # wide element regardless of alignment.
             chunks = row.view(wide).reshape(-1)
-            units.extend((ids, chunks, r0, r1) for r0, r1 in bands)
+            units.extend((ids, chunks, band, bound.window(g, band))
+                         for band in bands)
 
         def run_unit(scratch: ScratchPool | None, unit) -> None:
-            ids, chunks, r0, r1 = unit
+            ids, chunks, (r0, r1), window = unit
             fanned = _band_take(scratch, chunks, self.lane[r0:r1])
             system.put_rows(
                 ids[r0:r1], self.dst_offset,
-                fanned.view(np.uint8).reshape(r1 - r0, row_bytes))
+                fanned.view(np.uint8).reshape(r1 - r0, row_bytes), window)
 
         _run_bands(units, ctx.pool, ctx.workers, run_unit)
         self._charge(ctx)
@@ -886,12 +888,19 @@ class HostPullOp(ProgramOp):
     wram_tiles: int = 0
     labels: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        self._binding = _per_group(self.group_ids, self.src_offset,
+                                   self.chunk_bytes)
+
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
         results = {}
-        for ids, inst in zip(self.group_ids, self.instances):
-            block = ctx.system.take_rows(ids, self.src_offset,
-                                         self.chunk_bytes)
+        system = ctx.system
+        bound = system.bind(self._binding)
+        for g, (ids, inst) in enumerate(zip(self.group_ids,
+                                            self.instances)):
+            block = system.take_rows(ids, self.src_offset,
+                                     self.chunk_bytes, bound.window(g))
             results[inst] = block.reshape(-1)
         ctx.scratch[self.scratch_key] = results
         self._charge(ctx)
@@ -913,6 +922,10 @@ class HostPushOp(ProgramOp):
     wram_tiles: int = 0
     labels: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        self._binding = _per_group(self.group_ids, self.dst_offset,
+                                   self.chunk_bytes)
+
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
         source = payloads
@@ -921,15 +934,19 @@ class HostPushOp(ProgramOp):
         if source is None:
             raise CollectiveError(
                 "functional scatter needs payloads or a scratch key")
-        for ids, inst in zip(self.group_ids, self.instances):
+        system = ctx.system
+        bound = system.bind(self._binding)
+        for g, (ids, inst) in enumerate(zip(self.group_ids,
+                                            self.instances)):
             buf = np.asarray(source[inst], dtype=np.uint8)
             expected = ids.size * self.chunk_bytes
             if buf.size != expected:
                 raise TransferError(
                     f"scatter payload of {buf.size}B for instance "
                     f"{inst}, expected {expected}B")
-            ctx.system.put_rows(ids, self.dst_offset,
-                                buf.reshape(ids.size, self.chunk_bytes))
+            system.put_rows(ids, self.dst_offset,
+                            buf.reshape(ids.size, self.chunk_bytes),
+                            bound.window(g))
         self._charge(ctx)
 
     def transfer_bytes(self) -> int:
@@ -949,6 +966,10 @@ class BroadcastFillOp(ProgramOp):
     wram_tiles: int = 0
     labels: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        self._binding = _per_group(self.group_ids, self.dst_offset,
+                                   self.nbytes)
+
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
         source = payloads
@@ -957,13 +978,16 @@ class BroadcastFillOp(ProgramOp):
         if source is None:
             raise CollectiveError(
                 "functional broadcast needs payloads or a scratch key")
-        for ids, inst in zip(self.group_ids, self.instances):
+        system = ctx.system
+        bound = system.bind(self._binding)
+        for g, (ids, inst) in enumerate(zip(self.group_ids,
+                                            self.instances)):
             buf = np.asarray(source[inst], dtype=np.uint8)
             if buf.size != self.nbytes:
                 raise TransferError(
                     f"broadcast payload of {buf.size}B, expected "
                     f"{self.nbytes}B")
-            ctx.system.fill_lanes(ids, self.dst_offset, buf)
+            system.fill_lanes(ids, self.dst_offset, buf, bound.window(g))
         self._charge(ctx)
 
     def transfer_bytes(self) -> int:

@@ -11,6 +11,7 @@ the plan cache and the scheduler work with.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -129,9 +130,15 @@ class NormalizedRequest:
     #: knobs apply as configured).
     schedule: Any = None
 
-    @property
+    @functools.cached_property
     def plan_key(self) -> "PlanKey":
-        """Cache key: everything that shapes the plan except payloads."""
+        """Cache key: everything that shapes the plan except payloads.
+
+        Computed once per request: the engine asks for it on every
+        cached call, and the request is never mutated (rewrites such
+        as a tuner's go through ``dataclasses.replace``, which builds
+        a fresh instance).
+        """
         op_name = (self.op.name if self.primitive in ARITHMETIC_PRIMITIVES
                    else None)
         variant: Any = self.config

@@ -19,6 +19,13 @@ and the zero-fill of fresh rows is lazy at the OS level (calloc pages).
 Accessors always re-derive views from the current backing array, so a
 growth-triggered reallocation never leaves a stale alias behind.
 
+Compiled replay moves the same ``(PE ids, offset, nbytes)`` regions on
+every call, so it resolves each one once into a :class:`Window` and
+keeps an op's windows in an :class:`ArenaBinding`
+(:meth:`~repro.hw.system.DimmSystem.bind`).  A binding is tied to the
+backing array it was resolved against and rebinds when that array is
+replaced, which is the one case where re-derivation matters.
+
 Concurrency contract (the parallel replay engine): writes from
 multiple threads are safe exactly when they target **disjoint byte
 ranges** of already-materialized rows -- disjoint row bands of one
@@ -289,6 +296,95 @@ def scan_chunk_classes(chunks: np.ndarray, ngroups: int | None = None
     return zero, cls, scanned
 
 
+class Window:
+    """One transfer region of one backing array, resolved once.
+
+    When the PE ids form a constant-stride run (the layouts the
+    hypercube mapping produces) ``view`` is the zero-copy ``(n,
+    nbytes)`` window and ``rows`` is None; otherwise ``view`` is the
+    whole ``nbytes`` column span and ``rows`` the intp row index one
+    gather or scatter takes.  ``offset`` and ``nbytes`` name the
+    interval for the write log.
+    """
+
+    __slots__ = ("view", "rows", "offset", "nbytes", "n", "_bands")
+
+    def __init__(self, view: np.ndarray, rows: np.ndarray | None,
+                 offset: int, nbytes: int) -> None:
+        self.view = view
+        self.rows = rows
+        self.offset = offset
+        self.nbytes = nbytes
+        self.n = view.shape[0] if rows is None else rows.size
+        self._bands: dict[tuple[int, int], Window] = {}
+
+    def band(self, r0: int, r1: int) -> "Window":
+        """Rows ``[r0, r1)`` of this window, memoised per band."""
+        if r0 == 0 and r1 == self.n:
+            return self
+        sub = self._bands.get((r0, r1))
+        if sub is None:
+            sub = (Window(self.view[r0:r1], None, self.offset, self.nbytes)
+                   if self.rows is None else
+                   Window(self.view, self.rows[r0:r1], self.offset,
+                          self.nbytes))
+            self._bands[(r0, r1)] = sub
+        return sub
+
+
+class BoundWindows:
+    """An :class:`ArenaBinding` resolved against one backing array.
+
+    ``data`` is that array; ``windows`` follow the binding's specs in
+    order; ``stream`` is the ``(table, width)`` pair of
+    :meth:`MemoryArena.stream_table` once a streamed replay asked for
+    it.  Immutable once published, so a replay reads one consistent
+    snapshot without a lock.  Holds views and index arrays, never
+    copies of the data.
+    """
+
+    __slots__ = ("data", "windows", "stream")
+
+    def __init__(self, data: np.ndarray | None,
+                 windows: tuple[Window, ...] = (),
+                 stream: tuple[np.ndarray, int] | None = None) -> None:
+        self.data = data
+        self.windows = windows
+        self.stream = stream
+
+    def window(self, index: int,
+               band: tuple[int, int] | None = None) -> Window | None:
+        """Window ``index`` (its rows ``band`` when given); None unbound."""
+        if self.data is None:
+            return None
+        window = self.windows[index]
+        return window if band is None else window.band(*band)
+
+
+#: What the scalar backend binds to: every window None, no stream table.
+UNBOUND = BoundWindows(None)
+
+
+class ArenaBinding:
+    """Where one compiled op keeps its arena windows.
+
+    ``specs`` are the op's transfers as ``(pe_ids, offset, nbytes)``,
+    fixed at compile time; ``gather`` optionally names its chunk gather
+    as ``(pe_ids, ngroups, offset, chunk_bytes, lane, slot)`` for the
+    stream table.  :meth:`~repro.hw.system.DimmSystem.bind` resolves
+    them into ``bound`` under ``lock``, and again whenever the arena's
+    backing array is no longer ``bound.data``.
+    """
+
+    __slots__ = ("specs", "gather", "lock", "bound")
+
+    def __init__(self, specs, gather=None) -> None:
+        self.specs = tuple(specs)
+        self.gather = gather
+        self.lock = threading.Lock()
+        self.bound = UNBOUND
+
+
 class MemoryArena:
     """One lane-major uint8 array holding many PEs' MRAM banks.
 
@@ -313,10 +409,6 @@ class MemoryArena:
         # touched is one vectorized store, not a Python set update per
         # id (the touched set sat on the hot path of every transfer).
         self._touched = np.zeros(max_rows, dtype=bool)
-        #: Bumped on every backing-array reallocation; streamed replay
-        #: keys its cached flat gather tables on this, so a growth (or
-        #: re-base) invalidates them instead of leaving stale rows.
-        self.version = 0
         self._flat_views: dict[int, np.ndarray] = {}
         # Guards growth/re-base and flat-view construction against a
         # concurrent first touch from worker threads; plain transfers
@@ -385,8 +477,9 @@ class MemoryArena:
                 at = self._base - new_base
                 fresh[at:at + nrows] = self._data
             self._base = new_base
+            # A new array object: every binding resolved against the
+            # old one notices on its next replay.
             self._data = fresh
-            self.version += 1
             self._flat_views = {}
 
     def _rows(self, ids: np.ndarray) -> np.ndarray:
@@ -479,6 +572,32 @@ class MemoryArena:
             return span[rows[0]:rows[-1] + 1:step]
         return None
 
+    def window(self, pe_ids, offset: int, nbytes: int) -> Window:
+        """Resolve ``nbytes`` at ``offset`` over ``pe_ids`` (touches them).
+
+        The strided :meth:`lane_view` when one exists, else the column
+        span plus a row index.  Valid until the backing array is
+        reallocated.
+        """
+        view = self.lane_view(pe_ids, offset, nbytes)
+        if view is not None:
+            return Window(view, None, offset, nbytes)
+        ids = self.touch(pe_ids)
+        return Window(self._data[:, offset:offset + nbytes],
+                      self._rows(ids), offset, nbytes)
+
+    def bind(self, specs) -> BoundWindows:
+        """Resolve ``(ids, offset, nbytes)`` specs against this layout.
+
+        Every row is touched before any window is taken, so a growth
+        the touches trigger cannot strand a window on the old array.
+        """
+        for ids, _, _ in specs:
+            self.touch(ids)
+        data = self._data
+        return BoundWindows(data, tuple(
+            self.window(ids, offset, nbytes) for ids, offset, nbytes in specs))
+
     # ------------------------------------------------------------------
     # Streamed-replay flat gathers
     # ------------------------------------------------------------------
@@ -512,7 +631,8 @@ class MemoryArena:
         from the strided source -- no staging copy, and total index
         work independent of the band count.  Returns ``(table,
         width)``; the table is only valid until the arena reallocates
-        (key caches on :attr:`version`).
+        (:class:`BoundWindows` keeps it with the windows of the same
+        layout).
         """
         width = self.stream_width(offset, chunk_bytes)
         ids = self.touch(pe_ids)
@@ -565,23 +685,26 @@ class MemoryArena:
     # Bulk transfers
     # ------------------------------------------------------------------
     def read_rows(self, pe_ids, offset: int, nbytes: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  window: Window | None = None) -> np.ndarray:
         """Copy ``nbytes`` at ``offset`` from each PE into a lane matrix.
 
         ``out`` (a ``(len(pe_ids), nbytes)`` uint8 matrix) receives the
         copy instead of a fresh allocation, for callers that read the
-        same shape on every call.
+        same shape on every call.  The copy methods below all take an
+        optional pre-resolved ``window`` (a bound replay's); without
+        one they resolve ``pe_ids`` on the spot.
         """
-        view = self.lane_view(pe_ids, offset, nbytes)
-        if view is not None:
+        if window is None:
+            window = self.window(pe_ids, offset, nbytes)
+        if window.rows is None:
             if out is None:
-                return view.copy()
-            np.copyto(out, view)
+                return window.view.copy()
+            np.copyto(out, window.view)
             return out
-        ids = self.touch(pe_ids)
-        # Slice the column window first, then gather: the fancy index
-        # then copies only the requested bytes, never whole rows.
-        rows = self._data[:, offset:offset + nbytes][self._rows(ids)]
+        # The column window is sliced first, then gathered: the fancy
+        # index copies only the requested bytes, never whole rows.
+        rows = window.view[window.rows]
         if out is None:
             return rows
         np.copyto(out, rows)
@@ -591,7 +714,8 @@ class MemoryArena:
                       chunk_bytes: int, ngroups: int,
                       lane_table: np.ndarray,
                       slot_table: np.ndarray,
-                      flat_table: np.ndarray | None = None) -> np.ndarray:
+                      flat_table: np.ndarray | None = None,
+                      window: Window | None = None) -> np.ndarray:
         """Fused take-by-index-table over grouped rows (compiled replay).
 
         Reads ``nslots * chunk_bytes`` bytes at ``offset`` from each PE
@@ -601,48 +725,52 @@ class MemoryArena:
         fancy index.  The gather itself materializes the copy, so no
         separate staging copy of the source block is ever made.
         """
-        total = nslots * chunk_bytes
-        block = self.lane_view(pe_ids, offset, total)
-        if block is None:
-            ids = self.touch(pe_ids)
-            block = self._data[:, offset:offset + total][self._rows(ids)]
+        if window is None:
+            window = self.window(pe_ids, offset, nslots * chunk_bytes)
+        block = (window.view if window.rows is None
+                 else window.view[window.rows])
         grouped = block.reshape(ngroups, -1, nslots, chunk_bytes)
         return take_chunks_by_table(grouped, lane_table, slot_table,
                                     flat_table)
 
-    def write_rows(self, pe_ids, offset: int, matrix: np.ndarray) -> None:
+    def write_rows(self, pe_ids, offset: int, matrix: np.ndarray,
+                   window: Window | None = None) -> None:
         """Write lane-matrix rows into each PE at ``offset``."""
         mat = np.asarray(matrix)
         if mat.ndim != 2 or mat.dtype != np.uint8:
             raise TransferError(
                 f"expected 2-D uint8 lane matrix, got {mat.dtype} "
                 f"ndim={mat.ndim}")
-        nbytes = mat.shape[1]
-        view = self.lane_view(pe_ids, offset, nbytes)
-        ids = self.touch(pe_ids)
-        if mat.shape[0] != ids.size:
+        if window is None:
+            window = self.window(pe_ids, offset, mat.shape[1])
+        if mat.shape != (window.n, window.nbytes):
             raise TransferError(
-                f"lane matrix has {mat.shape[0]} rows for {ids.size} PEs")
-        self.note_write(offset, offset + nbytes)
-        if view is not None:
-            view[:] = mat
+                f"lane matrix of shape {mat.shape} for {window.n} PEs x "
+                f"{window.nbytes}B")
+        self.note_write(window.offset, window.offset + window.nbytes)
+        if window.rows is None:
+            window.view[:] = mat
             return
-        self._data[:, offset:offset + nbytes][self._rows(ids)] = mat
+        window.view[window.rows] = mat
 
-    def fill_rows(self, pe_ids, offset: int, row: np.ndarray) -> None:
+    def fill_rows(self, pe_ids, offset: int, row: np.ndarray,
+                  window: Window | None = None) -> None:
         """Write the same 1-D uint8 buffer to every listed PE."""
         buf = np.asarray(row)
         if buf.dtype != np.uint8 or buf.ndim != 1:
             raise TransferError(
                 f"MRAM writes take 1-D uint8 buffers, got {buf.dtype} "
                 f"ndim={buf.ndim}")
-        self.note_write(offset, offset + buf.size)
-        view = self.lane_view(pe_ids, offset, buf.size)
-        if view is not None:
-            view[:] = buf
+        if window is None:
+            window = self.window(pe_ids, offset, buf.size)
+        if buf.size != window.nbytes:
+            raise TransferError(
+                f"{buf.size}B buffer for a {window.nbytes}B window")
+        self.note_write(window.offset, window.offset + window.nbytes)
+        if window.rows is None:
+            window.view[:] = buf
             return
-        ids = self.touch(pe_ids)
-        self._data[:, offset:offset + buf.size][self._rows(ids)] = buf
+        window.view[window.rows] = buf
 
     def zero_fill_rows(self, pe_ids, offset: int, nbytes: int) -> None:
         """Make ``nbytes`` at ``offset`` read all-zero on every row.
@@ -657,20 +785,13 @@ class MemoryArena:
         the verify and the conditional write touch only the given
         rows' byte range.
         """
-        view = self.lane_view(pe_ids, offset, nbytes)
-        if view is not None:
-            dirty = view.any(axis=1)
-            if dirty.any():
-                self.note_write(offset, offset + nbytes)
-                view[dirty] = 0
-            return
-        ids = self.touch(pe_ids)
-        rows = self._rows(ids)
-        region = self._data[:, offset:offset + nbytes]
-        dirty = region[rows].any(axis=1)
+        window = self.window(pe_ids, offset, nbytes)
+        rows = window.rows
+        dirty = (window.view if rows is None
+                 else window.view[rows]).any(axis=1)
         if dirty.any():
             self.note_write(offset, offset + nbytes)
-            region[rows[dirty]] = 0
+            window.view[dirty if rows is None else rows[dirty]] = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MemoryArena({self._data.shape[0]} rows @ base "

@@ -30,7 +30,7 @@ from ..dtypes import DataType
 from ..errors import AllocationError, TransferDropped, TransferError
 from ..reliability.checksum import guarded_delivery
 from ..reliability.faults import partial_prefix
-from .arena import MemoryArena
+from .arena import UNBOUND, ArenaBinding, BoundWindows, MemoryArena, Window
 from .geometry import DimmGeometry
 from .memory import MRAM_DEFAULT_BYTES, WRAM_BYTES, ArenaPeMemory, PeMemory
 from .pe import (
@@ -310,31 +310,36 @@ class DimmSystem:
     # shares
     # ------------------------------------------------------------------
     def peek_rows(self, pe_ids: Sequence[int], offset: int, nbytes: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  window: Window | None = None) -> np.ndarray:
         """Injector-free copy of ``nbytes`` at ``offset`` from each PE.
 
         One bulk read on the vectorized backend, a per-PE loop on the
         scalar one.  Never consults the fault injector, so it is always
         exact: the reliability layer snapshots a request's footprint
         through it (one call per footprint span), into a reused
-        ``(len(pe_ids), nbytes)`` uint8 ``out`` matrix.
+        ``(len(pe_ids), nbytes)`` uint8 ``out`` matrix.  ``window`` is
+        the region pre-resolved by :meth:`bind` (vectorized only; the
+        scalar backend ignores it, as every kernel below does).
         """
         if self.vectorized:
-            return self._ensure_arena().read_rows(self._lane_ids(pe_ids),
-                                                  offset, nbytes, out=out)
+            return self._ensure_arena().read_rows(
+                self._lane_ids(pe_ids) if window is None else pe_ids,
+                offset, nbytes, out=out, window=window)
         return np.stack([self.memory(int(pe)).read(offset, nbytes)
                          for pe in pe_ids], out=out)
 
     def poke_rows(self, pe_ids: Sequence[int], offset: int,
-                  matrix: np.ndarray) -> None:
+                  matrix: np.ndarray, window: Window | None = None) -> None:
         """Injector-free write of a ``(len(pe_ids), nbytes)`` uint8 matrix.
 
         The inverse of :meth:`peek_rows` (the reliability layer's
         rewind) and the commit half of every guarded write kernel.
         """
         if self.vectorized:
-            self._ensure_arena().write_rows(self._lane_ids(pe_ids), offset,
-                                            matrix)
+            self._ensure_arena().write_rows(
+                self._lane_ids(pe_ids) if window is None else pe_ids,
+                offset, matrix, window=window)
             return
         for row, pe in zip(matrix, pe_ids):
             self.memory(int(pe)).write(offset, row)
@@ -414,7 +419,7 @@ class DimmSystem:
         return [self.read_elements(pe, offset, count, dtype) for pe in pes]
 
     def fill_lanes(self, pe_ids: Sequence[int], offset: int,
-                   data: np.ndarray) -> None:
+                   data: np.ndarray, window: Window | None = None) -> None:
         """Write one uint8 buffer to every listed PE (broadcast image)."""
         buf = np.asarray(data)
         if buf.dtype != np.uint8 or buf.ndim != 1:
@@ -428,8 +433,9 @@ class DimmSystem:
             buf = self._delivered(injector, pe_ids, offset, buf,
                                   "fill_lanes")
         if self.vectorized:
-            self._ensure_arena().fill_rows(self._lane_ids(pe_ids), offset,
-                                           buf)
+            self._ensure_arena().fill_rows(
+                self._lane_ids(pe_ids) if window is None else pe_ids,
+                offset, buf, window=window)
             return
         for pe in pe_ids:
             self.memory(pe).write(offset, buf)
@@ -467,12 +473,50 @@ class DimmSystem:
     # Compiled-program kernels.  Each is a fault site like the lane
     # transfers above: reads go through ``_received`` after the gather,
     # writes through ``_delivered`` before the commit.  On a healthy
-    # system the whole cost is the ``injector is None`` test.
+    # system the whole cost is the ``injector is None`` test.  Each
+    # takes the ``window`` :meth:`bind` resolved for its region; the
+    # PE ids still name the fault site, exactly as unbound.
     # ------------------------------------------------------------------
+    def bind(self, binding: ArenaBinding,
+             streamed: bool = False) -> BoundWindows:
+        """``binding``'s windows on the current arena layout.
+
+        The vectorized backend resolves the op's specs once -- ids
+        validated and touched, spans checked, each region a strided
+        view or a row index -- and again only when the arena's backing
+        array is replaced (growth, re-base, a fresh arena after a
+        backend switch): steady-state replay pays one identity test.
+        ``streamed`` also lifts the op's gather into a stream table.
+        Concurrent first replays resolve once, under the binding's
+        lock.  The scalar backend returns :data:`~repro.hw.arena
+        .UNBOUND`: it stays the unbound oracle.
+        """
+        if not self.vectorized:
+            return UNBOUND
+        arena = self._ensure_arena()
+        bound = binding.bound
+        if bound.data is arena._data and (
+                bound.stream is not None or not streamed):
+            return bound
+        with binding.lock:
+            bound = binding.bound
+            if bound.data is not arena._data:
+                bound = arena.bind([(self._lane_ids(ids), offset, nbytes)
+                                    for ids, offset, nbytes in binding.specs])
+            if streamed and bound.stream is None:
+                ids, ngroups, offset, chunk_bytes, lane, slot = binding.gather
+                bound = BoundWindows(bound.data, bound.windows,
+                                     arena.stream_table(
+                                         self._lane_ids(ids), ngroups,
+                                         offset, chunk_bytes, lane, slot))
+            binding.bound = bound
+        return bound
+
     def take_by_table(self, pe_ids: Sequence[int], ngroups: int,
                       src_offset: int, nslots_in: int, chunk_bytes: int,
                       lane_table: np.ndarray, slot_table: np.ndarray,
-                      flat_table: np.ndarray | None = None) -> np.ndarray:
+                      flat_table: np.ndarray | None = None,
+                      window: Window | None = None) -> np.ndarray:
         """Gather chunks by a precompiled (lane, slot) index-table pair.
 
         ``pe_ids`` is the rank-ordered concatenation of ``ngroups``
@@ -484,11 +528,11 @@ class DimmSystem:
         the scalar backend stacks per-PE reads first, so compiled
         programs replay on either backend.
         """
-        ids = self._lane_ids(pe_ids)
+        ids = self._lane_ids(pe_ids) if window is None else pe_ids
         if self.vectorized:
             block = self._ensure_arena().gather_chunks(
                 ids, src_offset, nslots_in, chunk_bytes, ngroups,
-                lane_table, slot_table, flat_table)
+                lane_table, slot_table, flat_table, window)
         else:
             total = nslots_in * chunk_bytes
             rows = np.stack([self.memory(int(pe)).read(src_offset, total)
@@ -502,7 +546,7 @@ class DimmSystem:
         return block
 
     def put_rows(self, pe_ids: Sequence[int], offset: int,
-                 matrix: np.ndarray) -> None:
+                 matrix: np.ndarray, window: Window | None = None) -> None:
         """Write a pre-shaped ``(len(pe_ids), nbytes)`` uint8 lane matrix.
 
         The put half of the compiled-program kernels: no per-call
@@ -512,21 +556,7 @@ class DimmSystem:
         if injector is not None:
             matrix = self._delivered(injector, pe_ids, offset, matrix,
                                      "put_rows")
-        self.poke_rows(pe_ids, offset, matrix)
-
-    def stream_token(self):
-        """Cache token for streamed-replay gather tables, or None.
-
-        The vectorized backend returns ``(arena identity, arena
-        version)``: a table built against that state stays valid until
-        the backing array reallocates.  The scalar backend returns
-        None -- it has no flat address space, so streamed replay takes
-        its staged-source path instead.
-        """
-        if not self.vectorized:
-            return None
-        arena = self._ensure_arena()
-        return id(arena), arena.version
+        self.poke_rows(pe_ids, offset, matrix, window)
 
     def content_epoch(self) -> int | None:
         """Arena write-epoch for fingerprint caching, or None.
@@ -548,30 +578,16 @@ class DimmSystem:
         return self._ensure_arena().writes_since(epoch, offset,
                                                  offset + nbytes)
 
-    def stream_table(self, pe_ids: Sequence[int], ngroups: int,
-                     src_offset: int, chunk_bytes: int,
-                     lane_table: np.ndarray, slot_table: np.ndarray
-                     ) -> tuple[np.ndarray, int]:
-        """Arena-global flat gather table for row-band streamed replay.
-
-        See :meth:`~repro.hw.arena.MemoryArena.stream_table`; only
-        meaningful on the vectorized backend (callers check
-        :meth:`stream_token` first).
-        """
-        return self._ensure_arena().stream_table(
-            self._lane_ids(pe_ids), ngroups, src_offset, chunk_bytes,
-            lane_table, slot_table)
-
     def take_band_flat(self, table: np.ndarray, width: int, r0: int,
                        r1: int, out: np.ndarray,
                        pe_ids: Sequence[int]) -> None:
         """Gather output rows ``[r0, r1)`` straight from the arena.
 
-        One ``np.take(..., out=)`` of wide elements through a
-        pre-built :meth:`stream_table` -- the vectorized band kernel of
-        streamed replay: no staging copy, no allocation, and total
-        index work independent of the band count.  ``pe_ids`` names
-        the PEs the table reads, for the rank guard.
+        One ``np.take(..., out=)`` of wide elements through the bound
+        stream table (:meth:`bind` with ``streamed``) -- the vectorized
+        band kernel of streamed replay: no staging copy, no allocation,
+        and total index work independent of the band count.
+        ``pe_ids`` names the PEs the table reads, for the rank guard.
         """
         self._ensure_arena().take_band(table, width, r0, r1, out)
         injector = self.fault_injector
@@ -595,10 +611,10 @@ class DimmSystem:
             self._received(injector, ids, stage, "stage_rows")
 
     def take_rows(self, pe_ids: Sequence[int], offset: int,
-                  nbytes: int) -> np.ndarray:
+                  nbytes: int, window: Window | None = None) -> np.ndarray:
         """Lane-matrix read without :meth:`read_lanes`' argument
         checks (compiled host-pull kernel)."""
-        block = self.peek_rows(pe_ids, offset, nbytes)
+        block = self.peek_rows(pe_ids, offset, nbytes, window=window)
         injector = self.fault_injector
         if injector is not None:
             block = self._received(injector, pe_ids, block, "take_rows")
@@ -641,8 +657,8 @@ class DimmSystem:
         occurrence of each distinct content class) go through the
         expensive strided arena gather; elided rows are filled or
         alias-copied from the representatives.  Vectorized backend
-        only (callers check :meth:`stream_token` first).  ``pe_ids``
-        names the PEs the table reads, for the rank guard.
+        only (the table comes from :meth:`bind`).  ``pe_ids`` names the
+        PEs the table reads, for the rank guard.
         """
         self._ensure_arena().take_select(table, width, rows, out)
         injector = self.fault_injector

@@ -118,11 +118,11 @@ class TestGrowth:
         arena.touch(range(4))
         _stamp(arena, 3, 42)
         nrows = arena._data.shape[0]
-        version = arena.version
+        data = arena._data
         arena.touch((nrows - 1,))           # inside: no reallocation
-        assert arena.version == version
+        assert arena._data is data
         arena.touch((nrows,))               # one past: must reallocate
-        assert arena.version == version + 1
+        assert arena._data is not data
         assert arena._data.shape[0] > nrows
         assert (arena.row_view(3) == 42).all()
 
@@ -146,9 +146,9 @@ class TestGrowth:
         _stamp(arena, 0, 5)
         stale = arena.lane_view([0], 0, 8)
         flat = arena.flat_wide(8)
-        version = arena.version
+        data = arena._data
         arena.touch((1000,))                # forces reallocation
-        assert arena.version > version
+        assert arena._data is not data
         assert arena.flat_wide(8) is not flat
         assert not np.shares_memory(arena.lane_view([0], 0, 8), stale)
         assert (arena.row_view(0) == 5).all()
@@ -223,16 +223,67 @@ class TestStreamTables:
 
     def test_rebase_invalidates_cached_tables(self):
         # A table built before a downward re-base addresses the wrong
-        # rows afterwards; the version token is how callers notice.
+        # rows afterwards; the new backing array is how callers notice.
         arena = MemoryArena(mram_bytes=16, max_rows=64)
         lane = np.array([[0], [1]])
         slot = np.array([[0], [0]])
         before, _ = arena.stream_table([8, 9], 1, 0, 16, lane, slot)
-        version = arena.version
+        data = arena._data
         arena.touch((0,))                   # re-base: rows shift
-        assert arena.version > version
+        assert arena._data is not data
         after, _ = arena.stream_table([8, 9], 1, 0, 16, lane, slot)
         assert not np.array_equal(before, after)
+
+
+class TestBoundWindows:
+    """Regions resolved once by ``bind``, then moved through by the
+    copy methods without re-deriving anything."""
+
+    def test_strided_and_scattered_windows(self):
+        arena = MemoryArena(mram_bytes=32, max_rows=32)
+        bound = arena.bind([([2, 6, 10], 8, 8), ([9, 2, 5], 0, 4)])
+        strided, scattered = bound.windows
+        assert bound.data is arena._data
+        assert strided.rows is None and strided.view.shape == (3, 8)
+        assert np.shares_memory(strided.view, arena._data)
+        np.testing.assert_array_equal(scattered.rows + arena._base,
+                                      [9, 2, 5])
+        assert arena.touched_ids() == [2, 5, 6, 9, 10]
+
+    def test_copies_through_windows_match_unbound(self):
+        arena = MemoryArena(mram_bytes=32, max_rows=32)
+        for pes, offset in (([2, 6, 10], 8), ([9, 2, 5], 0)):
+            (window,) = arena.bind([(pes, offset, 4)]).windows
+            mat = np.arange(12, dtype=np.uint8).reshape(3, 4) + offset
+            arena.write_rows(None, offset, mat, window=window)
+            np.testing.assert_array_equal(
+                arena.read_rows(pes, offset, 4), mat)
+            np.testing.assert_array_equal(
+                arena.read_rows(None, offset, 4, window=window), mat)
+            arena.fill_rows(None, offset, mat[1], window=window)
+            assert (arena.read_rows(pes, offset, 4) == mat[1]).all()
+            band = window.band(1, 3)
+            assert window.band(1, 3) is band and window.band(0, 3) is window
+            np.testing.assert_array_equal(
+                arena.read_rows(None, offset, 4, window=band),
+                arena.read_rows(pes[1:], offset, 4))
+
+    def test_window_shape_is_checked(self):
+        arena = MemoryArena(mram_bytes=32, max_rows=32)
+        (window,) = arena.bind([([0, 1], 0, 4)]).windows
+        with pytest.raises(TransferError):
+            arena.write_rows(None, 0, np.zeros((2, 8), np.uint8),
+                             window=window)
+        with pytest.raises(TransferError):
+            arena.fill_rows(None, 0, np.zeros(3, np.uint8), window=window)
+
+    def test_writes_through_windows_are_logged(self):
+        arena = MemoryArena(mram_bytes=32, max_rows=32)
+        (window,) = arena.bind([([0, 1], 8, 4)]).windows
+        epoch = arena.write_epoch
+        arena.write_rows(None, 8, np.ones((2, 4), np.uint8), window=window)
+        assert arena.writes_since(epoch, 8, 12)
+        assert not arena.writes_since(epoch, 0, 8)
 
 
 class TestArenaPeMemory:

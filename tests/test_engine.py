@@ -136,6 +136,16 @@ class TestPlanCache:
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
         assert cache.hit_rate == 0.0
 
+    def test_plan_key_built_once_and_fresh_after_replace(self):
+        from dataclasses import replace
+        manager = make_manager((4, 8))
+        req = CommRequest("alltoall", "10", 256).normalize(manager, FULL)
+        key = req.plan_key
+        assert req.plan_key is key          # computed once per request
+        rung = replace(req, config=BASELINE)
+        assert rung.plan_key is not key and rung.plan_key.variant is BASELINE
+        assert rung.plan_key == replace(key, variant=BASELINE)
+
 
 # ----------------------------------------------------------------------
 # Communicator: cache semantics (ISSUE acceptance: zero re-planning)

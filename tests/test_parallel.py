@@ -28,12 +28,15 @@ from .test_differential_fuzz import PRIMITIVES, run_case
 from repro import (
     Communicator,
     CommRequest,
+    DimmGeometry,
+    DimmSystem,
     FaultInjector,
     FULL,
+    HypercubeManager,
     RELIABLE,
     SessionConfig,
 )
-from repro.core.collectives.program import _stream_table, compile_plan
+from repro.core.collectives.program import GatherMoveOp, compile_plan
 from repro.dtypes import INT64
 from repro.engine import WorkerPool
 from repro.errors import CollectiveError
@@ -386,77 +389,105 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Satellite fix: stream-table concurrent first touch
+# An op's arena binding under concurrent first touch
 # ----------------------------------------------------------------------
 class TestStreamTableFirstTouch:
-    def _streamed_op(self):
-        manager = make_manager((4, 8))
-        manager.system.set_backend("vectorized")
+    TILE = 64  # several bands per op, so replay needs the stream table
+
+    def _cold_program(self):
+        """A freshly compiled (never bound) streamed AlltoAll, its one
+        op, and the destination bytes a correct replay leaves.
+
+        The 32-PE cube sits on a 64-PE system, so touching a PE above
+        it makes the arena reallocate.
+        """
+        system = DimmSystem(DimmGeometry(2, 2, 4, 4), mram_bytes=1 << 16,
+                            backend="vectorized")
+        manager = HypercubeManager(system, shape=(4, 8))
         comm = Communicator(manager, SessionConfig(
             backend="vectorized", execution="compiled"))
         rng = np.random.default_rng(1)
         groups = groups_of(manager, "10")
-        fill_group_inputs(manager.system, groups, 0, 32, INT64, rng)
+        fill_group_inputs(system, groups, 0, 32, INT64, rng)
         result = comm.alltoall("10", 256, src_offset=0, dst_offset=256,
                                data_type=INT64)
-        program = compile_plan(result.plan, manager.system)
-        op = next(op for op in program.ops
-                  if getattr(op, "_stream_cache", 1) is None)
-        return manager.system, op
+        want = system.peek_rows(manager.all_pes, 256, 256)
+        system.poke_rows(manager.all_pes, 256,
+                         np.zeros_like(want))  # replays must rewrite it
+        program = compile_plan(result.plan, system)
+        (op,) = program.ops
+        assert isinstance(op, GatherMoveOp)
+        return system, manager.all_pes, program, op, want
 
     def test_concurrent_first_touch_builds_once(self):
-        system, op = self._streamed_op()
-        builds = []
-        inner = system.stream_table
+        system, pes, program, op, want = self._cold_program()
+        arena = system.arena
+        builds = {"bind": [], "stream_table": []}
 
-        def counting(*args, **kwargs):
-            builds.append(threading.get_ident())
-            time.sleep(0.005)  # widen the race window
-            return inner(*args, **kwargs)
+        def counting(name):
+            inner = getattr(arena, name)
 
-        system.stream_table = counting
+            def build(*args, **kwargs):
+                builds[name].append(threading.get_ident())
+                time.sleep(0.005)  # widen the race window
+                return inner(*args, **kwargs)
+            return build
+
+        for name in builds:
+            setattr(arena, name, counting(name))
         try:
             nthreads = 8
             barrier = threading.Barrier(nthreads)
-            tables = [None] * nthreads
+            bound = [None] * nthreads
             errors = []
 
-            def touch(i):
+            def replay(i):
                 try:
                     barrier.wait(timeout=10)
-                    tables[i] = _stream_table(op, system)
+                    program.replay(system, tile_bytes=self.TILE)
+                    bound[i] = op._binding.bound
                 except BaseException as exc:  # pragma: no cover
                     errors.append(exc)
 
-            threads = [threading.Thread(target=touch, args=(i,))
+            threads = [threading.Thread(target=replay, args=(i,))
                        for i in range(nthreads)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=30)
             assert not errors
-            assert len(builds) == 1, \
-                f"table built {len(builds)} times under concurrent touch"
-            first = tables[0]
-            assert first is not None
-            for table in tables[1:]:
-                # Shared read-only: the same object, not a rebuild.
-                assert table[0] is first[0]
-                assert not table[0].flags.writeable
+            assert len(builds["bind"]) == 1, \
+                f"bound {len(builds['bind'])} times under concurrent touch"
+            assert len(builds["stream_table"]) == 1
+            first = bound[0]
+            assert first is not None and first.stream is not None
+            for other in bound[1:]:
+                # Shared read-only: the same binding, not a rebuild.
+                assert other is first
+            assert not first.stream[0].flags.writeable
+            np.testing.assert_array_equal(
+                system.peek_rows(pes, 256, 256), want)
         finally:
-            del system.stream_table
+            for name in builds:
+                delattr(arena, name)
 
     def test_arena_growth_invalidates_cache(self):
-        system, op = self._streamed_op()
-        first = _stream_table(op, system)
-        assert _stream_table(op, system)[0] is first[0]  # steady state
-        # Simulate what a reallocation does to the cache token: bump
-        # the arena version (growth itself may be absorbed by the
-        # arena's geometric headroom without reallocating).
-        system._ensure_arena().version += 1
-        rebuilt = _stream_table(op, system)
-        assert rebuilt[0] is not first[0]
-        assert _stream_table(op, system)[0] is rebuilt[0]
+        system, pes, program, op, want = self._cold_program()
+        program.replay(system, tile_bytes=self.TILE)
+        first = op._binding.bound
+        program.replay(system, tile_bytes=self.TILE)
+        assert op._binding.bound is first  # steady state
+        arena = system.arena
+        system.materialize([system.num_pes - 1])  # above the cube: grows
+        assert first.data is not arena._data
+        system.poke_rows(pes, 256, np.zeros_like(want))
+        program.replay(system, tile_bytes=self.TILE)
+        rebuilt = op._binding.bound
+        assert rebuilt is not first and rebuilt.data is arena._data
+        assert rebuilt.stream[0] is not first.stream[0]
+        np.testing.assert_array_equal(system.peek_rows(pes, 256, 256), want)
+        program.replay(system, tile_bytes=self.TILE)
+        assert op._binding.bound is rebuilt
 
 
 class TestArenaConcurrentTouch:

@@ -894,6 +894,91 @@ class TestFaultsOnCompiledReplay:
         assert stats.backoff_seconds > 0.0
 
 
+#: Fault draws per compiled replay on the (4, 4, 2) cube, as
+#: ``(take_timeout, take_drop, corrupt_transfer)``: one launch draw per
+#: replay plus one per op that absorbed a reorder kernel, and one drop
+#: draw plus one corruption draw per kernel transfer.
+EXPOSURE = {
+    "alltoall": (2, 2, 2),        # docs/reliability.md: 6 draws
+    "allgather": (2, 2, 2),
+    "reduce_scatter": (2, 4, 4),
+    "allreduce": (3, 7, 7),
+    "gather": (1, 4, 4),
+    "scatter": (1, 4, 4),
+    "reduce": (2, 3, 3),
+    "broadcast": (1, 4, 4),
+}
+DRAWS = ("take_timeout", "take_drop", "corrupt_transfer")
+
+
+class TestFaultExposurePerPrimitive:
+    """Faults are drawn per kernel call, so how a replay batches its
+    transfers is observable: these pins keep it from moving silently."""
+
+    def _replay(self, primitive, dims, backend, calls=3):
+        """Per call: draw counts and the PE ids of every rank guard."""
+        manager = make_manager((4, 4, 2))
+        injector = FaultInjector(seed=0, bit_flip_rate=1e-12,
+                                 drop_rate=1e-12, timeout_rate=1e-12)
+        counts, guards = dict.fromkeys(DRAWS, 0), []
+
+        def counted(name):
+            inner = getattr(injector, name)
+
+            def draw(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            return draw
+
+        for name in DRAWS:
+            setattr(injector, name, counted(name))
+        guard = injector.guard_pes
+
+        def guard_pes(geometry, pe_ids):
+            guards.append(tuple(int(pe) for pe in pe_ids))
+            return guard(geometry, pe_ids)
+
+        injector.guard_pes = guard_pes
+        comm = Communicator(manager, SessionConfig(backend=backend,
+                                                   fault_injector=injector))
+        groups = groups_of(manager, dims)
+        n = groups[0].size
+        kwargs = {"data_type": INT64}
+        size = 4 * 8 if primitive in ("allgather", "scatter", "broadcast") \
+            else n * 4 * 8
+        if primitive in ("scatter", "broadcast"):
+            elems = n * 4 if primitive == "scatter" else 4
+            kwargs["payloads"] = {g.instance: np.arange(elems, dtype=np.int64)
+                                  for g in groups}
+        else:
+            kwargs["src_offset"] = 0
+        if primitive not in ("gather", "reduce"):
+            kwargs["dst_offset"] = 4096
+        seen = []
+        for _ in range(calls):
+            for name in DRAWS:
+                counts[name] = 0
+            guards.clear()
+            result = getattr(comm, primitive)(dims, size, **kwargs)
+            assert result.execution == "compiled" and result.attempts == 1
+            seen.append((tuple(counts[name] for name in DRAWS),
+                         list(guards)))
+        return seen
+
+    @pytest.mark.parametrize("dims", ["101", "011"],
+                             ids=["fancy_rows", "strided_rows"])
+    @pytest.mark.parametrize("primitive", PRIMITIVES)
+    def test_draws_per_replay_are_pinned(self, primitive, dims):
+        vectorized = self._replay(primitive, dims, "vectorized")
+        scalar = self._replay(primitive, dims, "scalar")
+        for draws, _ in vectorized + scalar:
+            assert draws == EXPOSURE[primitive]
+        # Same fault sites, same PE ids, same order, cold or warm, on
+        # either backend.
+        assert [g for _, g in vectorized] == [g for _, g in scalar]
+        assert len(vectorized[0][1]) == EXPOSURE[primitive][1]
+
+
 class TestCheapReliabilityPlumbing:
     def test_checksum_matches_crc_of_raw_bytes(self):
         import zlib

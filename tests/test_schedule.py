@@ -140,13 +140,16 @@ class TestScheduleCheck:
     def test_fused_programs_key_separately(self):
         # Identical requests with different fusion depths must never
         # alias in the plan cache.
+        # Schedules are stamped the way the tuner does it, through
+        # dataclasses.replace (a request's key is computed once).
+        from dataclasses import replace
         manager = make_manager((4, 8))
         req = CommRequest("allreduce", "11", 512).normalize(manager, FULL)
         base = req.plan_key
-        req.schedule = Schedule(fusion_depth=1)
-        assert req.plan_key != base
-        req.schedule = Schedule()  # unlimited = the default structure
-        assert req.plan_key == base
+        fused = replace(req, schedule=Schedule(fusion_depth=1))
+        assert fused.plan_key != base
+        # unlimited = the default structure
+        assert replace(req, schedule=Schedule()).plan_key == base
 
     def test_fusion_depths_replay_bit_identically(self):
         rng = np.random.default_rng(3)

@@ -20,9 +20,17 @@ import pytest
 
 from .helpers import fill_group_inputs, groups_of, make_manager
 
-from repro import Communicator, FULL, SessionConfig
+from repro import (
+    Communicator,
+    DimmGeometry,
+    DimmSystem,
+    FULL,
+    HypercubeManager,
+    SessionConfig,
+)
 from repro.core.collectives.program import band_ranges
 from repro.core.groups import slice_groups
+from repro.core.reference import alltoall as ref_alltoall
 from repro.dtypes import FLOAT32, INT32, INT64, SUM
 from repro.errors import CollectiveError
 from repro.hw.arena import ScratchPool
@@ -156,14 +164,13 @@ class TestStreamedParity:
         assert result.tiles > 1
         assert result.peak_scratch_bytes > 0
 
-    def test_stream_cache_survives_arena_swap(self):
-        # set_backend rebuilds the arena (fresh object, fresh rows); a
-        # stale stream table would gather garbage, so the cached table
-        # must be rebuilt and the replay stay bit-exact.
-        manager = make_manager(SHAPE)
+    @staticmethod
+    def _rebinding_alltoall(manager, tile, relayout):
+        """Two bound AlltoAll replays with ``relayout(system)`` between;
+        the second must match the reference on its fresh inputs."""
         system = manager.system
         comm = Communicator(manager, SessionConfig(backend="vectorized",
-                            execution="compiled", stream_tile_bytes=64))
+                            execution="compiled", stream_tile_bytes=tile))
         groups = groups_of(manager, BITMAP)
         n = groups[0].size
         total = n * CHUNK * 4
@@ -178,16 +185,43 @@ class TestStreamedParity:
             return inputs
 
         call(0)
-        system.set_backend("scalar")
-        system.set_backend("vectorized")   # fresh arena object
+        relayout(system)
         inputs = call(1)
-        from repro.core.reference import alltoall as ref_alltoall
         for group in groups:
             want = ref_alltoall(inputs[group.instance])
             for pe, expect in zip(group.pe_ids, want):
                 np.testing.assert_array_equal(
                     system.read_elements(pe, dst, n * CHUNK, INT32),
                     expect)
+
+    @pytest.mark.parametrize("tile", [None, 64],
+                             ids=["untiled", "tile64"])
+    def test_stream_cache_survives_arena_swap(self, tile):
+        # set_backend rebuilds the arena (fresh object, fresh rows); a
+        # stale binding would move garbage, so the op's windows and
+        # stream table must be rebound and the replay stay bit-exact.
+        def swap(system):
+            system.set_backend("scalar")
+            system.set_backend("vectorized")   # fresh arena object
+
+        self._rebinding_alltoall(make_manager(SHAPE), tile, swap)
+
+    @pytest.mark.parametrize("tile", [None, 64],
+                             ids=["untiled", "tile64"])
+    def test_binding_survives_arena_growth(self, tile):
+        # Same arena object, new backing array: touching a PE above the
+        # cube's rows makes _ensure reallocate between two replays.
+        system = DimmSystem(DimmGeometry(2, 2, 4, 4), mram_bytes=1 << 16)
+        manager = HypercubeManager(system, shape=SHAPE)
+
+        def grow(system):
+            arena = system.arena
+            data, top = arena._data, arena._base + arena._data.shape[0]
+            assert top < system.num_pes
+            system.materialize([top])
+            assert arena._data is not data
+
+        self._rebinding_alltoall(manager, tile, grow)
 
 
 class TestEnginePolicy:
