@@ -39,7 +39,6 @@ from typing import Any, Callable, Iterator, Sequence
 
 from ..core.collectives import (
     ABLATION_LADDER,
-    GLOBAL_ALGORITHMS,
     CommPlan,
     OptConfig,
     Schedule,
@@ -178,29 +177,14 @@ class ScheduleSpace:
     #: Elision axis: ``(False,)`` never scans; ``(False, True)`` lets
     #: the model decide per shape whether fingerprint scanning pays.
     eliding: tuple[bool, ...] = (False,)
-    #: Global-phase algorithm axis, searched only by hierarchical
-    #: (multi-host) runs: the per-host tuner never sets
-    #: ``Schedule.global_algorithm``, the
-    #: :class:`~repro.multihost.GlobalTuner` prices these candidates on
-    #: the fabric and picks per (primitive, payload, topology).  Pin a
-    #: single entry to force one algorithm.
-    global_algorithms: tuple[str, ...] = GLOBAL_ALGORITHMS
 
     @classmethod
-    def from_session(cls, config, *,
-                     global_algorithm: str | None = None) -> "ScheduleSpace":
-        """The space a :class:`~repro.engine.SessionConfig` leaves open.
-
-        ``global_algorithm`` (a hierarchical caller's pin) collapses
-        the global-phase axis to that single algorithm.
-        """
+    def from_session(cls, config) -> "ScheduleSpace":
+        """The space a :class:`~repro.engine.SessionConfig` leaves open."""
         return cls(tile_bytes=config.stream_tile_bytes,
                    streaming=config.execution != "interpreted",
                    eliding=((False, True) if config.elide_transfers
-                            else (False,)),
-                   global_algorithms=(GLOBAL_ALGORITHMS
-                                      if global_algorithm is None
-                                      else (global_algorithm,)))
+                            else (False,)))
 
 
 @dataclass(frozen=True)

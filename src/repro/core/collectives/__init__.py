@@ -3,7 +3,7 @@
 from .config import ABLATION_LADDER, BASELINE, FULL, PR_IM, PR_ONLY, OptConfig
 from .plan import CommPlan, ExecContext, Step
 from .program import CommProgram, ProgramOp, compile_plan
-from .schedule import GLOBAL_ALGORITHMS, Schedule
+from .schedule import Schedule
 from .planner import (
     ALL_PRIMITIVES,
     AR_SCRATCH,
@@ -24,7 +24,7 @@ __all__ = [
     "OptConfig", "BASELINE", "PR_ONLY", "PR_IM", "FULL", "ABLATION_LADDER",
     "CommPlan", "ExecContext", "Step",
     "CommProgram", "ProgramOp", "compile_plan",
-    "Schedule", "GLOBAL_ALGORITHMS",
+    "Schedule",
     "ALL_PRIMITIVES", "AR_SCRATCH", "GATHER_SCRATCH", "REDUCE_SCRATCH",
     "build_plan",
     "plan_alltoall", "plan_allgather", "plan_reduce_scatter",

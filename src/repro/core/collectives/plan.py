@@ -141,18 +141,15 @@ class CommPlan:
         ctx = self.execute(system) if functional else None
         return ledger, ctx
 
-    def compile(self, system: DimmSystem, schedule=None):
+    def compile(self, system: DimmSystem):
         """Lower this plan into a replayable compiled program.
 
         Convenience wrapper around
         :func:`~repro.core.collectives.program.compile_plan` (imported
-        lazily: the program module builds on this one).  ``schedule``
-        (a :class:`~repro.core.collectives.schedule.Schedule`) caps
-        fusion depth and is attached to -- and asserted against -- the
-        compiled program.
+        lazily: the program module builds on this one).
         """
         from .program import compile_plan
-        return compile_plan(self, system, schedule=schedule)
+        return compile_plan(self, system)
 
     def describe(self) -> str:
         """Multi-line plan listing for debugging and docs."""

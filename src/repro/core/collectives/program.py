@@ -1066,31 +1066,14 @@ def _fuse_fanout(a: FanoutScratchOp, b: GatherMoveOp) -> FanoutScratchOp:
         wram_tiles=a.wram_tiles + b.wram_tiles, labels=a.labels + b.labels)
 
 
-def _op_width(op: ProgramOp) -> int:
-    """Source ops absorbed into one program op (labels accumulate)."""
-    return max(1, len(op.labels))
-
-
-def _fuse(ops: list[ProgramOp],
-          max_width: int | None = None) -> list[ProgramOp]:
-    """Greedy adjacent-pair fusion over the lowered op list.
-
-    ``max_width`` caps how many source ops one fused op may absorb
-    (the schedule's ``fusion_depth``): a pair only fuses when the
-    combined label width stays within the cap, so ``max_width=1``
-    disables fusion entirely and None keeps the unlimited greedy pass.
-    """
+def _fuse(ops: list[ProgramOp]) -> list[ProgramOp]:
+    """Greedy adjacent-pair fusion over the lowered op list."""
     fused: list[ProgramOp] = []
-
-    def fits(prev: ProgramOp, op: ProgramOp) -> bool:
-        return (max_width is None
-                or _op_width(prev) + _op_width(op) <= max_width)
-
     for op in ops:
         prev = fused[-1] if fused else None
         if isinstance(op, GatherMoveOp) \
                 and isinstance(prev, (GatherMoveOp, FanoutScratchOp)) \
-                and _chainable(prev, op) and fits(prev, op):
+                and _chainable(prev, op):
             fused[-1] = (_fuse_moves(prev, op)
                          if isinstance(prev, GatherMoveOp)
                          else _fuse_fanout(prev, op))
@@ -1114,10 +1097,6 @@ class CommProgram:
     fused_away: int
     _ledger: CostLedger
     _params: MachineParams
-    #: The :class:`~repro.core.collectives.schedule.Schedule` this
-    #: program was compiled under, if any (None = default compilation:
-    #: unlimited greedy fusion).
-    schedule: Any = None
 
     @property
     def fully_lowered(self) -> bool:
@@ -1255,15 +1234,12 @@ class CommProgram:
         lines = [f"CommProgram({self.primitive}, {len(self.ops)} ops from "
                  f"{self.total_steps} steps, "
                  f"{self.lowered_steps} lowered, {self.fused_away} fused)"]
-        if self.schedule is not None:
-            lines.append(f"  schedule: {self.schedule.describe()}")
         lines.extend(f"  {i}: {op.describe()}"
                      for i, op in enumerate(self.ops))
         return "\n".join(lines)
 
 
-def compile_plan(plan: CommPlan, system: DimmSystem,
-                 schedule=None) -> CommProgram:
+def compile_plan(plan: CommPlan, system: DimmSystem) -> CommProgram:
     """Lower a plan's steps into a :class:`CommProgram` and fuse them.
 
     Each step's ``lower(system)`` hook yields its program ops (or None
@@ -1271,13 +1247,8 @@ def compile_plan(plan: CommPlan, system: DimmSystem,
     :class:`StepOp`); a greedy pass then composes adjacent index-map
     ops wherever dropping the intermediate write is invisible.  The
     plan's analytic cost is priced once, here, so replay never calls
-    ``estimate`` again.
-
-    ``schedule`` (a :class:`~repro.core.collectives.schedule.Schedule`)
-    caps the fusion pass at ``schedule.fusion_depth`` source ops per
-    fused op, attaches the schedule to the program, and asserts the
-    resulting structure via :meth:`Schedule.check` -- a mis-scheduled
-    compilation fails loudly at compile time, never at replay.
+    ``estimate`` again.  The program depends on the plan alone: every
+    schedule of the plan's rung replays the same program.
     """
     ops: list[ProgramOp] = []
     lowered = 0
@@ -1289,12 +1260,9 @@ def compile_plan(plan: CommPlan, system: DimmSystem,
             lowered += 1
             ops.extend(step_ops)
     before = len(ops)
-    ops = _fuse(ops, schedule.fusion_depth if schedule is not None else None)
-    program = CommProgram(
+    ops = _fuse(ops)
+    return CommProgram(
         primitive=plan.primitive, plan=plan, ops=ops,
         total_steps=len(plan.steps), lowered_steps=lowered,
         fused_away=before - len(ops), _ledger=plan.estimate(system),
-        _params=system.params, schedule=schedule)
-    if schedule is not None:
-        schedule.check(program)
-    return program
+        _params=system.params)

@@ -226,12 +226,6 @@ class PlanCache:
         entry.program = builder()
         return entry.program, False
 
-    def get_or_build(self, key: PlanKey,
-                     builder: Callable[[], CommPlan]) -> CommPlan:
-        """Return the cached plan for ``key``, compiling on first use."""
-        plan, _ = self.fetch(key, builder)
-        return plan
-
     # ------------------------------------------------------------------
     # Tuner decisions
     # ------------------------------------------------------------------

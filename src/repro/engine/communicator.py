@@ -206,16 +206,7 @@ class Communicator:
         """
         sub = replace(req, config=rung, schedule=None)
         plan, _ = self._compile(sub)
-
-        def build() -> CommProgram:
-            start = perf_counter()
-            program = plan.compile(self.manager.system)
-            self.stats.record_compile(perf_counter() - start)
-            return program
-
-        program, _ = self._plan_cache_for(sub).fetch_program(sub.plan_key,
-                                                             build)
-        return program
+        return self._program_for(sub, plan)
 
     def _program_for(self, req: NormalizedRequest,
                      plan: CommPlan) -> CommProgram | None:
@@ -230,8 +221,7 @@ class Communicator:
 
         def build() -> CommProgram:
             start = perf_counter()
-            program = plan.compile(self.manager.system,
-                                   schedule=req.schedule)
+            program = plan.compile(self.manager.system)
             self.stats.record_compile(perf_counter() - start)
             return program
 

@@ -141,19 +141,12 @@ class NormalizedRequest:
         """
         op_name = (self.op.name if self.primitive in ARITHMETIC_PRIMITIVES
                    else None)
-        variant: Any = self.config
-        if self.schedule is not None \
-                and self.schedule.fusion_depth is not None:
-            # A capped fusion depth changes the compiled program's
-            # structure, so differently-fused programs must never
-            # alias under one key (the rung alone is not enough).
-            variant = (self.config, "fuse", self.schedule.fusion_depth)
         return PlanKey(primitive=self.primitive, dims=self.dims,
                        total_data_size=self.total_data_size,
                        src_offset=self.src_offset,
                        dst_offset=self.dst_offset,
                        dtype=self.dtype.name, op=op_name,
-                       variant=variant, topology=self.topology,
+                       variant=self.config, topology=self.topology,
                        backend=self.backend)
 
     @property
@@ -220,8 +213,7 @@ class PlanKey:
     """Hashable identity of a compiled plan.
 
     ``variant`` distinguishes plan-shaping context beyond the request
-    itself: the :class:`OptConfig` (with the fusion cap, when a
-    schedule sets one).  ``topology`` carries the
+    itself: the :class:`OptConfig` rung.  ``topology`` carries the
     manager's virtual -> physical mapping signature; degraded cubes
     (post rank failure) therefore key separately from healthy ones.
     """

@@ -11,7 +11,11 @@ This package models the hardware the paper runs on:
 * :mod:`repro.hw.timing` -- the analytic cost model (machine parameter
   presets plus a per-category cost ledger).
 * :mod:`repro.hw.system` -- the :class:`~repro.hw.system.DimmSystem`
-  facade tying geometry, memories, and transfers together.
+  facade tying geometry, memories, and transfers together.  Its
+  transfer kernels are the one host-to-PIM path: the collectives move
+  bytes only through them, with the domain transfer switched off as in
+  the paper's host code (section VI-B), and each plan step's ``cost()``
+  prices what they move.
 """
 
 from .geometry import DimmGeometry, EntangledGroup, PeCoord

@@ -113,47 +113,3 @@ class ElementwiseKernel:
             stats.mram_write_bytes += step
             stats.wram_tiles += 3
         return stats
-
-
-@dataclass(frozen=True)
-class MapKernel:
-    """``out[i] = fn(a[i])`` (e.g. ReLU), streamed through WRAM tiles."""
-
-    fn_name: str
-    dtype: DataType
-
-    _FNS = {
-        "relu": lambda x: np.maximum(x, 0),
-        "negate": lambda x: -x,
-        "identity": lambda x: x,
-    }
-
-    def __post_init__(self) -> None:
-        if self.fn_name not in self._FNS:
-            raise TransferError(
-                f"unknown map fn {self.fn_name!r}; known: "
-                f"{sorted(self._FNS)}")
-
-    def run(self, memory: PeMemory, src_offset: int, out_offset: int,
-            nbytes: int,
-            tile_bytes: int = WRAM_TILE_BYTES // 2) -> KernelStats:
-        """Execute on one PE; in-place mapping is allowed."""
-        if nbytes % self.dtype.itemsize:
-            raise TransferError(
-                f"{nbytes}B is not a whole number of {self.dtype.name} "
-                "elements")
-        stats = KernelStats()
-        fn = self._FNS[self.fn_name]
-        tile_bytes -= tile_bytes % self.dtype.itemsize
-        for start in range(0, nbytes, tile_bytes):
-            step = min(tile_bytes, nbytes - start)
-            a = memory.read(src_offset + start,
-                            step).view(self.dtype.np_dtype)
-            memory.write(out_offset + start,
-                         np.ascontiguousarray(fn(a)).view(np.uint8))
-            elements = step // self.dtype.itemsize
-            stats.instructions += (_INSTR_PER_ELEMENT - 1) * elements
-            stats.mram_read_bytes += step
-            stats.mram_write_bytes += step
-            stats.wram_tiles += 2
-        return stats

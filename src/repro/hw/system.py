@@ -83,9 +83,8 @@ class DimmSystem:
         self._arena: MemoryArena | None = None
         self._memories: dict[int, PeMemory] = {}
         self._alloc_cursor = 0
-        #: Optional fault source consulted by every transfer kernel
-        #: (and by :class:`~repro.hw.driver.DpuDriver`).  None = perfect
-        #: hardware, the historical behavior.
+        #: Optional fault source consulted by every transfer kernel.
+        #: None = perfect hardware, the historical behavior.
         self.fault_injector: "FaultInjector | None" = None
 
     def attach_fault_injector(self, injector: "FaultInjector | None"

@@ -10,6 +10,7 @@ algorithm families (:func:`compile_global`), and a cost-model
 
 from .fabric import Fabric, Link
 from .algorithms import (
+    GLOBAL_ALGORITHMS,
     GLOBAL_PRIMITIVES,
     GlobalProgram,
     compile_global,
@@ -25,7 +26,6 @@ from .hierarchical import (
     multihost_alltoall,
     multihost_reduce_scatter,
 )
-from ..core.collectives import GLOBAL_ALGORITHMS
 
 __all__ = [
     "Fabric", "Link", "GLOBAL_ALGORITHMS", "GLOBAL_PRIMITIVES",

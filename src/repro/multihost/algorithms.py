@@ -37,12 +37,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.collectives import GLOBAL_ALGORITHMS
 from ..errors import CollectiveError
 from .fabric import Fabric
 
 __all__ = ["GLOBAL_ALGORITHMS", "GlobalProgram", "compile_global",
            "default_factors", "factor_candidates"]
+
+#: Global-phase algorithms a hierarchical (multi-host) collective may
+#: run for the inter-host exchange, in tie-break order: the standard
+#: ring, recursive halving/doubling (power-of-two host counts), and the
+#: generalized multi-phase exchange of Kolmakov & Zhang whose phase
+#: factors can be aligned to a rack topology.
+GLOBAL_ALGORITHMS = ("ring", "halving_doubling", "exchange")
 
 #: Primitives with a global phase.
 GLOBAL_PRIMITIVES = ("allreduce", "reduce_scatter", "allgather", "alltoall")

@@ -76,8 +76,8 @@ class MultiHostResult:
     #: Fabric bytes skipped by content-aware elision (all-zero blocks
     #: replaced by fingerprint markers).
     elided_fabric_bytes: int = 0
-    #: The local schedule host 0 executed, with the global algorithm
-    #: filled in (None when the session did not resolve a schedule).
+    #: The local schedule host 0 executed (None when the session did
+    #: not resolve a schedule).
     schedule: Schedule | None = None
 
     @property
@@ -155,14 +155,10 @@ class MultiHostSystem:
         self.fabric = fabric or Fabric.fully_connected(num_hosts,
                                                        self.params)
         self.global_algorithm = global_algorithm
-        # The candidate axis comes from the session's schedule space
-        # (imported lazily: analysis pulls in the application harness,
-        # which imports this package).
-        from ..analysis.autotune import ScheduleSpace
-        space = ScheduleSpace.from_session(session_config,
-                                           global_algorithm=global_algorithm)
-        self.tuner = GlobalTuner(self.fabric,
-                                 algorithms=space.global_algorithms)
+        self.tuner = GlobalTuner(
+            self.fabric,
+            algorithms=(None if global_algorithm is None
+                        else (global_algorithm,)))
 
     @property
     def num_hosts(self) -> int:
@@ -225,12 +221,15 @@ class MultiHostSystem:
 
     def _global_phase(self, primitive: str, nbytes: int,
                       buffers: list[np.ndarray] | None,
-                      ledger: CostLedger) -> GlobalProgram | None:
+                      ledger: CostLedger
+                      ) -> tuple[GlobalProgram, float, int, int] | None:
         """Select, elide, price, and record the inter-host program.
 
         ``buffers`` are the per-host outbound payloads (None on
         analytic runs, which price the program unelided).  Returns the
-        chosen program, or None on a single host (no global phase).
+        chosen program with its fabric ``(seconds, moved, elided)``
+        for :meth:`_finish`, or None on a single host (no global
+        phase).
         """
         if self.num_hosts == 1:
             return None
@@ -239,11 +238,10 @@ class MultiHostSystem:
         if buffers is not None and self.session_config.elide_transfers:
             seconds, moved, elided = self._elide_fabric(program, buffers,
                                                         ledger)
-        self._last_fabric = (seconds, moved, elided)
         self.stats.record_global_phase(
             primitive, program.algorithm, fabric_bytes=moved,
             fabric_seconds=seconds, elided_bytes=elided)
-        return program
+        return program, seconds, moved, elided
 
     def _elide_fabric(self, program: GlobalProgram,
                       buffers: list[np.ndarray], ledger: CostLedger
@@ -277,15 +275,13 @@ class MultiHostSystem:
         seconds = self.fabric.program_seconds(scaled)
         return seconds, moved, program.fabric_bytes - moved
 
-    def _finish(self, ledger: CostLedger, program: GlobalProgram | None,
-                local_schedule, outputs) -> MultiHostResult:
-        if program is None:
+    def _finish(self, ledger: CostLedger,
+                phase: tuple[GlobalProgram, float, int, int] | None,
+                schedule: Schedule | None, outputs) -> MultiHostResult:
+        if phase is None:
             return MultiHostResult(ledger=ledger, fabric_seconds=0.0,
-                                   outputs=outputs,
-                                   schedule=local_schedule)
-        seconds, moved, elided = self._last_fabric
-        schedule = (local_schedule.with_global_algorithm(program.algorithm)
-                    if local_schedule is not None else None)
+                                   outputs=outputs, schedule=schedule)
+        program, seconds, moved, elided = phase
         return MultiHostResult(
             ledger=ledger, fabric_seconds=seconds, outputs=outputs,
             global_algorithm=program.algorithm, fabric_bytes=moved,
@@ -335,8 +331,8 @@ def multihost_allreduce(mh: MultiHostSystem, total_data_size: int,
     if functional:
         host_vectors = [res.host_outputs[0] for res in reduce_results]
 
-    program = mh._global_phase("allreduce", total_data_size,
-                               host_vectors, ledger)
+    phase = mh._global_phase("allreduce", total_data_size, host_vectors,
+                             ledger)
     reduced = _reduce_across(host_vectors, op) if functional else None
 
     broadcast_results = mh._each_host(
@@ -352,7 +348,7 @@ def multihost_allreduce(mh: MultiHostSystem, total_data_size: int,
         outputs = [mh.systems[h].gather_elements(
                        range(mh.pes_per_host), dst_offset, elems, dtype)
                    for h in range(mh.num_hosts)]
-    return mh._finish(ledger, program, reduce_results[0].schedule, outputs)
+    return mh._finish(ledger, phase, reduce_results[0].schedule, outputs)
 
 
 def multihost_reduce_scatter(mh: MultiHostSystem, total_data_size: int,
@@ -389,8 +385,8 @@ def multihost_reduce_scatter(mh: MultiHostSystem, total_data_size: int,
     if functional:
         host_vectors = [res.host_outputs[0] for res in reduce_results]
 
-    program = mh._global_phase("reduce_scatter", total_data_size,
-                               host_vectors, ledger)
+    phase = mh._global_phase("reduce_scatter", total_data_size,
+                             host_vectors, ledger)
     shards = None
     if functional:
         reduced = _reduce_across(host_vectors, op)
@@ -410,7 +406,7 @@ def multihost_reduce_scatter(mh: MultiHostSystem, total_data_size: int,
         outputs = [mh.systems[h].gather_elements(
                        range(p), dst_offset, elems, dtype)
                    for h in range(n_hosts)]
-    return mh._finish(ledger, program, reduce_results[0].schedule, outputs)
+    return mh._finish(ledger, phase, reduce_results[0].schedule, outputs)
 
 
 def multihost_allgather(mh: MultiHostSystem, total_data_size: int,
@@ -440,8 +436,8 @@ def multihost_allgather(mh: MultiHostSystem, total_data_size: int,
         gathered = [np.ascontiguousarray(res.host_outputs[0]).view(np.uint8)
                     for res in gather_results]
 
-    program = mh._global_phase("allgather", p * total_data_size,
-                               gathered, ledger)
+    phase = mh._global_phase("allgather", p * total_data_size, gathered,
+                             ledger)
     full = np.concatenate(gathered) if functional else None
 
     out_bytes = n_hosts * p * total_data_size
@@ -458,7 +454,7 @@ def multihost_allgather(mh: MultiHostSystem, total_data_size: int,
         outputs = [mh.systems[h].gather_elements(
                        range(p), dst_offset, elems, dtype)
                    for h in range(n_hosts)]
-    return mh._finish(ledger, program, gather_results[0].schedule, outputs)
+    return mh._finish(ledger, phase, gather_results[0].schedule, outputs)
 
 
 def multihost_alltoall(mh: MultiHostSystem, total_data_size: int,
@@ -503,7 +499,7 @@ def multihost_alltoall(mh: MultiHostSystem, total_data_size: int,
             blocks.append(np.ascontiguousarray(
                 arr.transpose(1, 0, 2, 3)).reshape(-1))
 
-    program = mh._global_phase("alltoall", per_host_bytes, blocks, ledger)
+    phase = mh._global_phase("alltoall", per_host_bytes, blocks, ledger)
     received = _exchange_blocks(blocks) if functional else None
 
     def scatter_host(h):
@@ -527,4 +523,4 @@ def multihost_alltoall(mh: MultiHostSystem, total_data_size: int,
         outputs = [mh.systems[h].gather_elements(
                        range(mh.pes_per_host), dst_offset, elems, dtype)
                    for h in range(mh.num_hosts)]
-    return mh._finish(ledger, program, gather_results[0].schedule, outputs)
+    return mh._finish(ledger, phase, gather_results[0].schedule, outputs)

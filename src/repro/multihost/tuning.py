@@ -4,8 +4,7 @@ The single-host autotuner (PR 8) picks tiles and rungs by pricing
 candidates on the machine model and caching the argmin per shape.
 :class:`GlobalTuner` extends exactly that discipline to the
 inter-host phase: per ``(primitive, payload, topology)`` it compiles
-every applicable algorithm in the session's
-:class:`~repro.analysis.autotune.ScheduleSpace` global axis
+every applicable candidate algorithm
 (``ring`` / ``halving_doubling`` / ``exchange``, the latter over a
 small family of factorizations including the rack-aligned split),
 prices each on the :class:`~repro.multihost.Fabric`, and commits the
@@ -22,9 +21,13 @@ change results.
 
 from __future__ import annotations
 
-from ..core.collectives import GLOBAL_ALGORITHMS
 from ..errors import CollectiveError
-from .algorithms import GlobalProgram, compile_global, factor_candidates
+from .algorithms import (
+    GLOBAL_ALGORITHMS,
+    GlobalProgram,
+    compile_global,
+    factor_candidates,
+)
 from .fabric import Fabric
 
 
@@ -33,10 +36,11 @@ class GlobalTuner:
 
     Args:
         fabric: The topology programs are priced on.
-        algorithms: Candidate algorithms (default: the session
-            schedule-space's full global axis).  A single entry pins
-            the choice, mirroring how a pinned ``SessionConfig``
-            backend collapses that axis for the local tuner.
+        algorithms: Candidate algorithms (default: all of
+            :data:`~repro.multihost.GLOBAL_ALGORITHMS`).  A single entry
+            pins the choice, mirroring how a pinned
+            ``SessionConfig.stream_tile_bytes`` collapses the tile axis
+            for the local tuner.
     """
 
     def __init__(self, fabric: Fabric,

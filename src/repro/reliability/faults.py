@@ -10,17 +10,16 @@ seeded so every run is exactly replayable:
 * **bit flips** -- one bit of a transfer is corrupted in flight; the
   checksum layer (``reliability/checksum.py``) detects it and raises
   :class:`~repro.errors.ChecksumError`;
-* **drops** -- a ``push_xfer``/lane write is abandoned, possibly after
-  a partial delivery (:class:`~repro.errors.TransferDropped`);
+* **drops** -- a lane transfer is abandoned, a write possibly after a
+  partial delivery (:class:`~repro.errors.TransferDropped`);
 * **timeouts** -- a kernel launch hangs past its watchdog deadline
   (:class:`~repro.errors.LaunchTimeout`);
 * **permanent rank failures** -- a whole rank goes dark; every later
   access raises :class:`~repro.errors.RankFailure` until the caller
   remaps around it.
 
-The injector hangs off :class:`~repro.hw.system.DimmSystem` (for the
-engine's lane transfers) and :class:`~repro.hw.driver.DpuDriver` (for
-the SDK-shaped host API); decisions are drawn from one
+The injector hangs off :class:`~repro.hw.system.DimmSystem`, whose
+transfer kernels are its fault sites; decisions are drawn from one
 ``np.random.default_rng`` stream, so a fixed seed plus a fixed call
 sequence reproduces the exact same fault schedule.
 """
@@ -164,10 +163,6 @@ class FaultInjector:
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
-
-    def reset_counters(self) -> None:
-        """Zero the injection counters (failed ranks stay failed)."""
-        self.injected = {k: 0 for k in FAULT_KINDS}
 
     def describe(self) -> str:
         """One-line summary: seed, rates, injected-fault counters."""

@@ -1,5 +1,6 @@
 """Tests for the public API surface, validation sweep, and CLI."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -154,8 +155,7 @@ EXPECTED_SESSION_SIGNATURES = {
 #: The value objects' fields: a schedule holds the decisions somebody
 #: makes per shape, the session config everything a session is built
 #: from (and nothing is configured anywhere else).
-EXPECTED_SCHEDULE_FIELDS = ["tile_bytes", "fusion_depth", "elide", "rung",
-                            "global_algorithm"]
+EXPECTED_SCHEDULE_FIELDS = ["tile_bytes", "elide", "rung"]
 EXPECTED_SESSION_FIELDS = [
     "config", "functional", "cache_size", "reliability", "fault_injector",
     "backend", "execution", "stream_tile_bytes", "parallel_workers",
@@ -224,6 +224,78 @@ class TestBenchmarkTracerTargets:
                         target, (staticmethod, classmethod, property)):
                     broken.append(f"{metric}: {module}.{cls}.{attr}")
         assert not broken, broken
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: Documented entry points that no program file imports, each with the
+#: document that tells a reader to run it.
+ENTRY_POINTS = {
+    "repro.core.validation": "docs/reproducing.md",
+    "repro.analysis.sensitivity": "docs/cost_model.md",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _imports(path: Path) -> set[str]:
+    """Every module ``path`` imports, relative imports resolved, with
+    each dotted name's parent packages (importing them is implied)."""
+    package = None
+    if SRC in path.parents:
+        package = _module_name(path)
+        if path.name != "__init__.py":
+            package = package.rpartition(".")[0]
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                base = parts[:len(parts) - node.level + 1]
+                module = ".".join(base + ([module] if module else []))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return {".".join(name.split(".")[:cut]) for name in names
+            for cut in range(1, name.count(".") + 2)}
+
+
+class TestReachable:
+    """Every ``repro`` module is reached by a program file.
+
+    Tests do not count: a module only tests import is a second door
+    nothing walks through.  The program files are every ``.py`` under
+    ``src/``, ``examples/``, ``benchmarks/`` and ``tools/``.
+    """
+
+    def test_every_module_is_imported_or_an_entry_point(self):
+        files = [path for top in ("src", "examples", "benchmarks", "tools")
+                 for path in sorted((ROOT / top).rglob("*.py"))]
+        modules = {_module_name(path): path
+                   for path in files if SRC in path.parents}
+        reached: set[str] = set()
+        for path in files:
+            own = _module_name(path) if SRC in path.parents else None
+            reached.update(_imports(path) - {own})
+        unreached = sorted(name for name in modules
+                           if name not in reached
+                           and name.rpartition(".")[2] != "__main__"
+                           and name not in ENTRY_POINTS)
+        assert not unreached, unreached
+
+    @pytest.mark.parametrize("module", sorted(ENTRY_POINTS))
+    def test_entry_points_are_documented(self, module):
+        importlib.import_module(module)
+        doc = (ROOT / ENTRY_POINTS[module]).read_text()
+        assert module in doc or module.replace(".", "/") + ".py" in doc
 
 
 class TestOneDoor:

@@ -114,24 +114,26 @@ class TestPlanCache:
         cache = PlanCache()
         built = []
         key = ("k",)
-        cache.get_or_build(key, lambda: built.append(1) or "plan")
-        cache.get_or_build(key, lambda: built.append(1) or "plan")
+        assert cache.fetch(key, lambda: built.append(1) or "plan") \
+            == ("plan", False)
+        assert cache.fetch(key, lambda: built.append(1) or "plan") \
+            == ("plan", True)
         assert (cache.hits, cache.misses, len(built)) == (1, 1, 1)
         assert cache.hit_rate == 0.5
         assert key in cache and len(cache) == 1
 
     def test_lru_eviction_at_maxsize(self):
         cache = PlanCache(maxsize=2)
-        cache.get_or_build("a", lambda: 1)
-        cache.get_or_build("b", lambda: 2)
-        cache.get_or_build("a", lambda: 1)   # refresh "a"
-        cache.get_or_build("c", lambda: 3)   # evicts "b", the LRU entry
+        cache.fetch("a", lambda: 1)
+        cache.fetch("b", lambda: 2)
+        cache.fetch("a", lambda: 1)   # refresh "a"
+        cache.fetch("c", lambda: 3)   # evicts "b", the LRU entry
         assert "a" in cache and "c" in cache and "b" not in cache
 
     def test_clear_resets_counters(self):
         cache = PlanCache()
-        cache.get_or_build("a", lambda: 1)
-        cache.get_or_build("a", lambda: 1)
+        cache.fetch("a", lambda: 1)
+        cache.fetch("a", lambda: 1)
         cache.clear()
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
         assert cache.hit_rate == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.dtypes import INT32, INT64, MAX, MIN, SUM
 from repro.errors import TransferError
-from repro.hw.kernels import ElementwiseKernel, KernelStats, MapKernel
+from repro.hw.kernels import ElementwiseKernel, KernelStats
 from repro.hw.memory import PeMemory
 from repro.hw.timing import MachineParams
 
@@ -82,28 +82,3 @@ class TestElementwiseKernel:
         out = memory.read(1024, 40).view(np.int32)
         np.testing.assert_array_equal(out, a + b)
 
-
-class TestMapKernel:
-    def test_relu(self, memory):
-        values = _store(memory, 0, np.array([-5, 3, 0, -1, 9]))
-        MapKernel("relu", INT64).run(memory, 0, 512, 40)
-        out = memory.read(512, 40).view(np.int64)
-        np.testing.assert_array_equal(out, np.maximum(values, 0))
-
-    def test_relu_in_place(self, memory):
-        values = _store(memory, 0, np.array([-5, 3, 0, -1, 9]))
-        MapKernel("relu", INT64).run(memory, 0, 0, 40)
-        out = memory.read(0, 40).view(np.int64)
-        np.testing.assert_array_equal(out, np.maximum(values, 0))
-
-    def test_negate_tiled(self, memory):
-        rng = np.random.default_rng(2)
-        values = _store(memory, 0, rng.integers(-99, 99, 1000))
-        MapKernel("negate", INT64).run(memory, 0, 16384, 8000,
-                                       tile_bytes=640)
-        out = memory.read(16384, 8000).view(np.int64)
-        np.testing.assert_array_equal(out, -values)
-
-    def test_unknown_fn_rejected(self):
-        with pytest.raises(TransferError, match="unknown map fn"):
-            MapKernel("sigmoid", INT64)

@@ -561,15 +561,6 @@ class TestMultihostStats:
         assert mh.stats.global_phases == 0
         mh.close()
 
-    def test_schedule_carries_global_algorithm(self):
-        mh = engine_multihost(2)
-        result = check_alltoall_parity(mh)
-        assert result.global_algorithm in GLOBAL_ALGORITHMS
-        if result.schedule is not None:
-            assert result.schedule.global_algorithm == \
-                result.global_algorithm
-        mh.close()
-
 
 class TestBackCompat:
     def test_combined_ledger_has_fabric_category(self):

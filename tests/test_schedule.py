@@ -1,8 +1,7 @@
 """Tests for the Schedule object and the schedule-space autotuner.
 
 Covers the tentpole end to end: Schedule construction/transform
-validation and the HeteroCL-style ``check`` assertion, fusion-depth
-compilation, the tuner's search (offline argmin, online
+validation, the tuner's search (offline argmin, online
 probe/commit/monitor/retune), decision caching inside the PlanCache,
 SessionConfig wiring (including the serving front-end), and -- the
 non-negotiable -- bit-parity of every tuned schedule against the
@@ -15,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from .helpers import fill_group_inputs, groups_of, make_manager
+from .helpers import make_manager
 from .test_differential_fuzz import PRIMITIVES, run_case
 
 from repro import (
@@ -47,7 +46,7 @@ from repro.errors import CollectiveError, PidCommError
 class TestScheduleValidation:
     def test_default_is_naive(self):
         s = Schedule.default()
-        assert s.tile_bytes is None and s.fusion_depth is None
+        assert s.tile_bytes is None
         assert not s.elide
         assert s.rung is FULL
 
@@ -65,18 +64,23 @@ class TestScheduleValidation:
         with pytest.raises(CollectiveError, match="tile_bytes"):
             Schedule(tile_bytes=0)
 
-    def test_bad_fusion_depth_rejected(self):
-        with pytest.raises(CollectiveError, match="fusion_depth"):
-            Schedule(fusion_depth=0)
+    # Axes the tuner never decides are not fields: fusion depth (the
+    # compiler fuses greedily) and the multihost global algorithm
+    # (MultiHostResult.global_algorithm reports it).
+    def test_undecided_axes_are_not_fields(self):
+        with pytest.raises(TypeError, match="fusion_depth"):
+            Schedule(fusion_depth=1)
+        with pytest.raises(TypeError, match="global_algorithm"):
+            Schedule(global_algorithm="ring")
 
     def test_rung_must_be_optconfig(self):
         with pytest.raises(CollectiveError, match="rung"):
             Schedule(rung="FULL")
 
     def test_transforms_compose(self):
-        s = (Schedule.default().with_tile(1 << 20).fused(2)
+        s = (Schedule.default().with_tile(1 << 20).with_elide()
              .with_rung(BASELINE))
-        assert s.signature == (1 << 20, 2, False, "Baseline", None)
+        assert s.signature == (1 << 20, True, "Baseline")
         assert s.untiled().tile_bytes is None
 
     def test_transforms_never_mutate(self):
@@ -85,89 +89,13 @@ class TestScheduleValidation:
         assert s.tile_bytes is None
 
     def test_describe_names_every_knob(self):
-        text = Schedule(tile_bytes=8 << 20, fusion_depth=2,
-                        elide=True).describe()
-        assert "8388608" in text and "fuse=2" in text
+        text = Schedule(tile_bytes=8 << 20, elide=True).describe()
+        assert "8388608" in text
         assert "elide" in text and "+CM" in text
         # ... and nothing the session owns.
         for word in ("scalar", "vectorized", "compiled", "interpreted",
                      "bands"):
             assert word not in text
-
-
-# ----------------------------------------------------------------------
-# Schedule: fusion depth and the check() assertion
-# ----------------------------------------------------------------------
-class TestScheduleCheck:
-    def _plan(self):
-        manager = make_manager((4, 8))
-        req = CommRequest("allreduce", "11", 512).normalize(
-            manager, FULL)
-        from repro.core.collectives import plan_allreduce
-        from repro.dtypes import SUM
-        return manager, plan_allreduce(manager, req.dims, 512, 0, 2048,
-                                       INT64, SUM, FULL)
-
-    def test_fusion_depth_one_disables_fusion(self):
-        manager, plan = self._plan()
-        capped = plan.compile(manager.system, schedule=Schedule(
-            fusion_depth=1))
-        assert all(max(1, len(op.labels)) == 1 for op in capped.ops)
-        assert capped.schedule.fusion_depth == 1
-
-    def test_unlimited_fusion_fuses_more(self):
-        manager, plan = self._plan()
-        fused = plan.compile(manager.system, schedule=Schedule())
-        capped = plan.compile(manager.system,
-                              schedule=Schedule(fusion_depth=1))
-        assert len(fused.ops) <= len(capped.ops)
-
-    def test_check_rejects_overfused_program(self):
-        manager, plan = self._plan()
-        fused = plan.compile(manager.system)
-        widths = [max(1, len(op.labels)) for op in fused.ops]
-        if max(widths) < 2:
-            pytest.skip("plan produced no fusable op pair")
-        with pytest.raises(CollectiveError, match="fuses"):
-            Schedule(fusion_depth=1).check(fused)
-
-    def test_check_returns_self_for_chaining(self):
-        manager, plan = self._plan()
-        s = Schedule(fusion_depth=1)
-        program = plan.compile(manager.system, schedule=s)
-        assert s.check(program) is s
-
-    def test_fused_programs_key_separately(self):
-        # Identical requests with different fusion depths must never
-        # alias in the plan cache.
-        # Schedules are stamped the way the tuner does it, through
-        # dataclasses.replace (a request's key is computed once).
-        from dataclasses import replace
-        manager = make_manager((4, 8))
-        req = CommRequest("allreduce", "11", 512).normalize(manager, FULL)
-        base = req.plan_key
-        fused = replace(req, schedule=Schedule(fusion_depth=1))
-        assert fused.plan_key != base
-        # unlimited = the default structure
-        assert replace(req, schedule=Schedule()).plan_key == base
-
-    def test_fusion_depths_replay_bit_identically(self):
-        rng = np.random.default_rng(3)
-        manager, plan = self._plan()
-        system = manager.system
-        groups = groups_of(manager, "11")
-        inputs = fill_group_inputs(system, groups, 0, 64, INT64, rng)
-        plan.compile(system, schedule=Schedule(fusion_depth=1)).replay(
-            system)
-        capped = [system.memory(pe).read(2048, 512).copy()
-                  for pe in range(system.geometry.num_pes)]
-        fill_group_inputs(system, groups, 0, 64, INT64,
-                          np.random.default_rng(3))
-        plan.compile(system, schedule=Schedule()).replay(system)
-        fused = [system.memory(pe).read(2048, 512).copy()
-                 for pe in range(system.geometry.num_pes)]
-        for a, b in zip(capped, fused):
-            np.testing.assert_array_equal(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +351,17 @@ class TestDecisionCache:
         req.src_offset = 64
         assert req.schedule_key != key_full  # offsets are inputs
 
+    def test_schedules_share_the_plan_key(self):
+        # A compiled program depends on its plan alone, so every
+        # schedule of a rung replays the one program cached under the
+        # untuned request's key.  Schedules are stamped the way the
+        # tuner does it, through dataclasses.replace.
+        from dataclasses import replace
+        manager = make_manager((4, 8))
+        req = CommRequest("allreduce", "11", 512).normalize(manager, FULL)
+        for schedule in (Schedule(), Schedule(tile_bytes=4096, elide=True)):
+            assert replace(req, schedule=schedule).plan_key == req.plan_key
+
 
 # ----------------------------------------------------------------------
 # Tile candidates
@@ -524,8 +463,6 @@ _SCHEDULES = st.builds(
     Schedule,
     tile_bytes=st.one_of(st.none(),
                          st.integers(min_value=1, max_value=1 << 22)),
-    fusion_depth=st.one_of(st.none(),
-                           st.integers(min_value=1, max_value=8)),
     elide=st.booleans(),
     rung=_RUNGS)
 
@@ -536,23 +473,10 @@ class TestScheduleProperties:
     def test_transform_roundtrips_preserve_validity(self, schedule):
         # Any chain of transforms lands on another valid schedule
         # (construction re-validates).
-        t = schedule.untiled().with_elide(False).fused(1)
-        assert t.fusion_depth == 1 and t.tile_bytes is None
+        t = schedule.untiled().with_elide(False)
+        assert t.tile_bytes is None
         assert not t.elide and t.rung is schedule.rung
         assert schedule.with_rung(schedule.rung) == schedule
-
-    @settings(max_examples=40, deadline=None)
-    @given(depth=st.integers(min_value=1, max_value=6))
-    def test_fusion_cap_always_respected(self, depth):
-        manager = make_manager((4, 8))
-        from repro.core.collectives import plan_allreduce
-        from repro.dtypes import SUM
-        plan = plan_allreduce(manager, (0, 1), 512, 0, 2048, INT64, SUM,
-                              FULL)
-        program = plan.compile(manager.system,
-                               schedule=Schedule(fusion_depth=depth))
-        assert all(max(1, len(op.labels)) <= depth
-                   for op in program.ops)
 
     @settings(max_examples=30, deadline=None)
     @given(backend=st.one_of(st.none(),
