@@ -55,7 +55,6 @@ from ...hw.arena import (
     ScratchPool,
     flat_chunk_table,
     scan_chunk_classes,
-    take_band_staged,
     wide_dtype,
 )
 from ...hw.host import SimdCounter
@@ -302,9 +301,7 @@ def _band_gather(op, ctx: ExecContext, bound: BoundWindows,
     bound source window (one contiguous stage plus a chunk-wide take --
     faster than the arena-global stream table for a whole op,
     ``docs/performance.md``); partial bands take the bound stream table
-    on the vectorized backend (O(tile) memory) or, on the scalar one,
-    stage the source once into the pool's ping buffer and
-    :func:`take_band_staged`.
+    (O(tile) memory).
     """
     system = ctx.system
     row_bytes = nslots_out * op.chunk_bytes
@@ -317,25 +314,14 @@ def _band_gather(op, ctx: ExecContext, bound: BoundWindows,
                 op.chunk_bytes, op.lane, op.slot, op.flat, src)
             return block.reshape(r1 - r0, row_bytes)
         return take_whole
-    if bound.stream is not None:
-        flat_table, width = bound.stream
+    flat_table, width = bound.stream
 
-        def take_flat(scratch, r0, r1):
-            out = scratch.pong((r1 - r0, flat_table.shape[1]),
-                               wide_dtype(width))
-            system.take_band_flat(flat_table, width, r0, r1, out, op.ids)
-            return out.view(np.uint8).reshape(r1 - r0, row_bytes)
-        return take_flat
-    src_bytes = nslots_in * op.chunk_bytes
-    stage = ctx.pool.ping((op.ids.size, src_bytes))
-    system.stage_rows(op.ids, op.src_offset, src_bytes, stage)
-    grouped = stage.view(wide_dtype(op.chunk_bytes)).reshape(op.ngroups, -1)
-
-    def take_staged(scratch, r0, r1):
-        out = scratch.pong((r1 - r0, nslots_out), wide_dtype(op.chunk_bytes))
-        take_band_staged(grouped, op.flat, r0, r1, out)
+    def take_flat(scratch, r0, r1):
+        out = scratch.pong((r1 - r0, flat_table.shape[1]),
+                           wide_dtype(width))
+        system.take_band_flat(flat_table, width, r0, r1, out, op.ids)
         return out.view(np.uint8).reshape(r1 - r0, row_bytes)
-    return take_staged
+    return take_flat
 
 
 @dataclass
@@ -346,13 +332,11 @@ class _ElisionPlan:
     ``rep_row[r]`` -- lowest row in ``r``'s group whose gathered
     content is byte-identical (``rep_row[r] == r`` for uniques; zero
     rows all share one signature and are handled by the zero mask
-    first).  ``table`` is the cached vectorized stream table (None on
-    scalar, where ``block`` keeps the staged source copy the scan
-    already paid for).
+    first).  ``table`` is the bound stream table the representatives
+    gather through.
     """
 
-    table: tuple[np.ndarray, int] | None
-    block: np.ndarray | None
+    table: tuple[np.ndarray, int]
     zero_row: np.ndarray
     rep_row: np.ndarray
 
@@ -481,8 +465,8 @@ class GatherMoveOp(_BandedOp):
         reports that the *destination* interval saw no write since
         this op's own last eliding replay -- its zero rows still read
         zero, so even the verify-first zero fill can be skipped.  A
-        failed validation, a changed arena, or the scalar backend
-        (which keeps no write log) falls back to a fresh scan.
+        failed validation or a changed arena falls back to a fresh
+        scan.
 
         Cache hits charge ``chunks_scanned`` (the plan's content
         coverage, which elision-rate accounting and per-tenant
@@ -496,34 +480,30 @@ class GatherMoveOp(_BandedOp):
         # the scan window is taken.
         table = system.bind(self._binding, streamed=True).stream
         epoch = system.content_epoch()
-        if epoch is not None:
-            cached = self._plan_cache
-            if (cached is not None
-                    and cached[0] is table
-                    and not system.content_changed(
-                        cached[1], self.src_offset,
-                        self.nslots_in * self.chunk_bytes)):
-                _, _, plan, dst_epoch = cached
-                dst_clean = (dst_epoch is not None
-                             and not system.content_changed(
-                                 dst_epoch, self.dst_offset,
-                                 self.nslots_out * self.chunk_bytes))
-                # Re-key at the current epoch: the source check above
-                # just proved every epoch in between clean.
-                self._plan_cache = (table, epoch, plan, dst_epoch)
-                ctx.chunks_scanned += self.ids.size * self.nslots_in
-                return plan, dst_clean
+        cached = self._plan_cache
+        if (cached is not None
+                and cached[0] is table
+                and not system.content_changed(
+                    cached[1], self.src_offset,
+                    self.nslots_in * self.chunk_bytes)):
+            _, _, plan, dst_epoch = cached
+            dst_clean = (dst_epoch is not None
+                         and not system.content_changed(
+                             dst_epoch, self.dst_offset,
+                             self.nslots_out * self.chunk_bytes))
+            # Re-key at the current epoch: the source check above just
+            # proved every epoch in between clean.
+            self._plan_cache = (table, epoch, plan, dst_epoch)
+            ctx.chunks_scanned += self.ids.size * self.nslots_in
+            return plan, dst_clean
         plan = self._scan_plan(ctx, table)
-        if epoch is not None:
-            # The epoch is the pre-scan capture, so any write racing
-            # the scan makes the very next validation fail
-            # (conservative).
-            self._plan_cache = (table, epoch, plan, None)
+        # The epoch is the pre-scan capture, so any write racing the
+        # scan makes the very next validation fail (conservative).
+        self._plan_cache = (table, epoch, plan, None)
         return plan, False
 
     def _scan_plan(self, ctx: ExecContext,
-                   table: tuple[np.ndarray, int] | None
-                   ) -> _ElisionPlan | None:
+                   table: tuple[np.ndarray, int]) -> _ElisionPlan | None:
         """Scan the source block, derive per-output-row content classes.
 
         Returns None when no output row is elidable (the caller then
@@ -531,7 +511,7 @@ class GatherMoveOp(_BandedOp):
         context either way -- that *is* the dense-traffic overhead the
         ledger prices (and the sampled nomination inside
         :func:`~repro.hw.arena.scan_chunk_classes` keeps near zero).
-        ``table`` is the bound stream table (None on scalar).
+        ``table`` is the bound stream table.
         """
         system = ctx.system
         n = self.ids.size
@@ -575,29 +555,18 @@ class GatherMoveOp(_BandedOp):
             rep_row = _row_reps(sig)
             if not zero_row.any() and (rep_row == arange).all():
                 return None  # fully dense rows: scan paid, no savings
-        return _ElisionPlan(
-            table=table, block=None if table is not None else block,
-            zero_row=zero_row, rep_row=rep_row)
+        return _ElisionPlan(table=table, zero_row=zero_row, rep_row=rep_row)
 
     def _gather_select(self, system: DimmSystem, plan: _ElisionPlan,
                        rows: np.ndarray,
                        scratch: ScratchPool | None) -> np.ndarray:
         """Gather only ``rows`` (representatives) as uint8 output rows."""
-        if plan.table is not None:
-            flat_table, width = plan.table
-            shape = (rows.size, flat_table.shape[1])
-            out = (np.empty(shape, wide_dtype(width)) if scratch is None
-                   else scratch.pong(shape, wide_dtype(width)))
-            if rows.size:
-                system.take_select_flat(flat_table, width, rows, out,
-                                        self.ids)
-        else:
-            # Scalar: one take from the source block the scan staged.
-            lanes = self.ids.size // self.ngroups
-            chunks = plan.block.view(wide_dtype(self.chunk_bytes)).reshape(-1)
-            group, lane = np.divmod(rows, lanes)
-            out = _band_take(scratch, chunks, self.flat[lane]
-                             + (group * lanes * self.nslots_in)[:, None])
+        flat_table, width = plan.table
+        shape = (rows.size, flat_table.shape[1])
+        out = (np.empty(shape, wide_dtype(width)) if scratch is None
+               else scratch.pong(shape, wide_dtype(width)))
+        if rows.size:
+            system.take_select_flat(flat_table, width, rows, out, self.ids)
         return out.view(np.uint8).reshape(
             rows.size, self.nslots_out * self.chunk_bytes)
 
@@ -673,9 +642,7 @@ class GatherMoveOp(_BandedOp):
         # destination write but skip the gather direction.
         ctx.saved_transfer_bytes += (2 * n_zero + n_dup) * row_bytes
         # Stamp the cache: dst now holds this plan's replay output.
-        cached, epoch = self._plan_cache, system.content_epoch()
-        if cached is not None and epoch is not None:
-            self._plan_cache = cached[:3] + (epoch,)
+        self._plan_cache = self._plan_cache[:3] + (system.content_epoch(),)
         self._charge(ctx)
 
 

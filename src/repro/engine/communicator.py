@@ -100,18 +100,17 @@ class Communicator:
         #: Imported lazily: ``analysis`` pulls in the application
         #: harness, which imports this module.
         self.tuner = None
-        backend = session_config.backend
         if self.autotune is not None:
             from ..analysis.autotune import ScheduleSpace, Tuner
             self.tuner = Tuner(manager,
                                ScheduleSpace.from_session(session_config),
                                mode=self.autotune)
-            # Modelled cost is backend-invariant by design (vectorized
-            # charges exactly the scalar oracle's ledger), so no search
-            # can rank backends; strictly less host work (10-100x,
-            # docs/performance.md) decides once, here.
-            if backend is None:
-                backend = "vectorized"
+        # A session that compiles runs on the arena: compiled replay has
+        # no per-PE kernels, so the scalar store serves only the
+        # interpreted oracle.
+        backend = session_config.backend
+        if backend is None and self.execution != "interpreted":
+            backend = "vectorized"
         #: Session-owned streaming scratch, reused across every call so
         #: steady-state streamed replay performs zero heap allocations.
         #: An autotuned session may pick a streamed schedule at any

@@ -59,7 +59,7 @@ class CommResult:
     #: Payload tiles a streamed replay ran (0 unless streamed).
     tiles: int = 0
     #: Scratch-pool high-water mark of a streamed replay, in bytes
-    #: (bounded by ~2 tiles: one ping staging + one pong output view).
+    #: (bounded by ~2 tiles: one pong output band + one fold sliver).
     peak_scratch_bytes: int = 0
     #: Source chunks fingerprint-scanned by content-aware elision
     #: (0 unless the call ran with ``elide_transfers``/a tuned

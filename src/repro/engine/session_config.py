@@ -55,20 +55,25 @@ class SessionConfig:
         fault_injector: Attached to the manager's system so every
             transfer and launch consults it, on the interpreted and the
             compiled path alike (``docs/reliability.md``).
-        backend: Execution backend to switch the manager's system to
-            (``"scalar"`` or ``"vectorized"``); None keeps the
-            system's current backend (``docs/performance.md``).
+        backend: Store to switch the manager's system to.  Compiled
+            replay runs on the lane-major arena only, so a session that
+            compiles (``execution`` ``"auto"`` or ``"compiled"``) runs
+            ``"vectorized"``: None derives it, and ``"scalar"`` raises.
+            The per-PE ``"scalar"`` store serves the interpreted oracle
+            (``execution="interpreted"``), where None keeps the
+            system's current store (``docs/performance.md``).
         execution: ``"auto"`` (default) and ``"compiled"`` replay
-            cached plans through compiled programs; ``"interpreted"``
-            always interprets steps (the differential-test oracle).
+            cached plans through compiled programs on the arena;
+            ``"interpreted"`` always interprets steps (with
+            ``backend="scalar"``, the differential-test oracle).
             Fault injection and the reliability policy work the same
             under every mode.
         stream_tile_bytes: Streaming scratch budget per buffer.  When
             set, compiled replays run tile-by-tile through one
-            session-owned double-buffered scratch pool; peak working
-            memory is bounded to O(tile) (``docs/performance.md``).
-            None (default) replays unstreamed.  Requires a
-            compiled-capable execution mode.
+            session-owned scratch pool, gathering straight from the
+            arena; peak working memory is bounded to O(tile)
+            (``docs/performance.md``).  None (default) replays
+            unstreamed.  Requires a compiled-capable execution mode.
         parallel_workers: Host threads replaying independent work
             concurrently (default 1 = serial, today's behavior).
             With N > 1 the session owns a
@@ -92,8 +97,8 @@ class SessionConfig:
             cost diverges from modelled cost.  ``stream_tile_bytes``
             pins the tile axis and ``execution="interpreted"`` leaves
             only the rung -- the tuner decides what was left open.
-            ``backend`` and ``execution`` stay the session's: a tuned
-            session with ``backend=None`` runs vectorized.
+            ``backend`` and ``execution`` stay the session's; a tuned
+            session that compiles runs vectorized like any other.
             Composes with ``fault_injector``/``reliability``: tuned
             schedules replay under the same retry/rewind wrapper
             (``docs/performance.md``).
@@ -104,9 +109,9 @@ class SessionConfig:
             broadcast fill or an aliased copy of the verified
             representative -- results stay bit-identical to the
             interpreted oracle at any elision rate, and scan work is
-            priced to the ledger's ``elide`` category.  Requires a
-            compiled-capable execution mode
-            (``execution="interpreted"`` raises)
+            priced to the ledger's ``elide`` category.  The scan reads
+            the arena's write log, so it requires a compiled-capable
+            execution mode (``execution="interpreted"`` raises)
             (``docs/performance.md``).
     """
 
@@ -163,6 +168,11 @@ class SessionConfig:
             raise CollectiveError(
                 f"unknown backend {self.backend!r}; "
                 f"known: ('scalar', 'vectorized')")
+        if self.backend == "scalar" and self.execution != "interpreted":
+            raise CollectiveError(
+                f"execution={self.execution!r} compiles, and compiled "
+                f"replay runs on the 'vectorized' arena only; the "
+                f"'scalar' store takes execution='interpreted'")
         if self.elide_transfers and self.execution == "interpreted":
             raise CollectiveError(
                 "elide_transfers runs in compiled replay; use "

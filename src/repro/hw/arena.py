@@ -80,29 +80,6 @@ def wide_dtype(nbytes: int) -> np.dtype:
     return np.dtype((np.void, nbytes))
 
 
-def take_band_staged(grouped: np.ndarray, flat_table: np.ndarray,
-                     r0: int, r1: int, out: np.ndarray) -> None:
-    """Gather output rows ``[r0, r1)`` from a staged grouped source.
-
-    The scalar-backend band kernel of streamed replay: ``grouped`` is
-    the full staged source viewed as ``(ngroups, lanes * nslots)`` wide
-    chunk elements, ``flat_table`` the per-group ``(lanes, nslots_out)``
-    flat chunk table, and ``out`` a preallocated ``(r1 - r0,
-    nslots_out)`` band of the same wide dtype.  Output row ``r`` lives
-    in group ``r // lanes`` at lane ``r % lanes``; bands that straddle
-    a group boundary split into one ``np.take`` per group touched.
-    Never allocates.
-    """
-    lanes = flat_table.shape[0]
-    pos = r0
-    while pos < r1:
-        group, l0 = divmod(pos, lanes)
-        l1 = min(lanes, l0 + (r1 - pos))
-        np.take(grouped[group], flat_table[l0:l1],
-                out=out[pos - r0:pos - r0 + (l1 - l0)])
-        pos += l1 - l0
-
-
 def take_chunks_by_table(grouped: np.ndarray, lane_table: np.ndarray,
                          slot_table: np.ndarray,
                          flat_table: np.ndarray | None = None) -> np.ndarray:
@@ -353,16 +330,10 @@ class BoundWindows:
         self.stream = stream
 
     def window(self, index: int,
-               band: tuple[int, int] | None = None) -> Window | None:
-        """Window ``index`` (its rows ``band`` when given); None unbound."""
-        if self.data is None:
-            return None
+               band: tuple[int, int] | None = None) -> Window:
+        """Window ``index`` (its rows ``band`` when given)."""
         window = self.windows[index]
         return window if band is None else window.band(*band)
-
-
-#: What the scalar backend binds to: every window None, no stream table.
-UNBOUND = BoundWindows(None)
 
 
 class ArenaBinding:
@@ -382,7 +353,8 @@ class ArenaBinding:
         self.specs = tuple(specs)
         self.gather = gather
         self.lock = threading.Lock()
-        self.bound = UNBOUND
+        #: Resolved against no array until the first bind.
+        self.bound = BoundWindows(None)
 
 
 class MemoryArena:
@@ -800,27 +772,25 @@ class MemoryArena:
 
 
 class ScratchPool:
-    """Double-buffered streaming scratch: reusable ping/pong tile buffers.
+    """Streaming scratch: reusable tile buffers, one per role.
 
     Streamed replay (``CommProgram.replay(..., tile_bytes=...)``) moves
     every payload through bounded reusable buffers: **pong** receives
-    each gathered output band, **fold** holds the band's reduce
-    accumulator, and **ping** stages the full source block on the
-    scalar backend (the vectorized backend gathers straight from the
-    arena and never touches ping).  Buffers grow geometrically on
+    each gathered output band and **fold** holds the band's reduce
+    accumulator; the gather itself reads straight from the arena, so
+    no source block is ever staged.  Buffers grow geometrically on
     demand and are then reused for every band of every op of every
-    replay, so the steady state performs zero heap allocations and --
-    on the vectorized backend -- peak working memory is O(tile), not
-    O(payload).
+    replay, so the steady state performs zero heap allocations and
+    peak working memory is O(tile), not O(payload).
 
     ``peak_bytes`` records the high-water mark of simultaneously
-    requested view bytes; on the vectorized backend that is at most
-    two tiles (pong + the fold sliver); the ``large_replay`` benchmark
-    workload's ``peak_rss_mb`` watches it.
+    requested view bytes -- at most two tiles (pong + the fold
+    sliver); the ``large_replay`` benchmark workload's
+    ``peak_rss_mb`` watches it.
     """
 
     #: buffer roles, in index order.
-    ROLES = ("ping", "pong", "fold")
+    ROLES = ("pong", "fold")
 
     def __init__(self) -> None:
         self._bufs = [np.empty(0, dtype=np.uint8) for _ in self.ROLES]
@@ -851,17 +821,13 @@ class ScratchPool:
             self.peak_bytes = live
         return buf[:nbytes].view(dt).reshape(shape)
 
-    def ping(self, shape: tuple[int, ...], dtype=np.uint8) -> np.ndarray:
-        """Staging view for the scalar backend's source block."""
-        return self._view(0, shape, dtype)
-
     def pong(self, shape: tuple[int, ...], dtype=np.uint8) -> np.ndarray:
         """Output view for one gathered/fanned row band."""
-        return self._view(1, shape, dtype)
+        return self._view(0, shape, dtype)
 
     def fold(self, shape: tuple[int, ...], dtype=np.uint8) -> np.ndarray:
         """Accumulator view for one reduce-fold band (chunk-sized rows)."""
-        return self._view(2, shape, dtype)
+        return self._view(1, shape, dtype)
 
     def release(self) -> None:
         """Mark all views dead for peak accounting (buffers are kept)."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TransferError
-from .arena import take_chunks_by_table  # noqa: F401  (canonical home: arena)
 from .memory import PeMemory
 
 #: Keep a safety margin below the full WRAM (stack, tasklet state).

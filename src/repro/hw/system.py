@@ -12,12 +12,14 @@ This is the substrate every higher layer builds on.  It exposes
 Two execution backends sit behind the same API:
 
 * ``"scalar"`` -- each PE owns a private :class:`PeMemory`; lane
-  transfers loop over PEs.  Simple, and the correctness oracle.
+  transfers loop over PEs.  Simple, and the correctness oracle: it
+  serves the step interpreter only.
 * ``"vectorized"`` -- all touched PEs' banks live in one lane-major
   :class:`~repro.hw.arena.MemoryArena`; lane transfers, broadcasts and
   PE-local permutations are single numpy operations over the whole PE
-  list.  Results and cost accounting are bit-identical to scalar
-  (``docs/performance.md``).
+  list, and compiled programs replay through windows bound on the
+  arena (this store only).  Results and cost accounting are
+  bit-identical to scalar (``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from ..dtypes import DataType
 from ..errors import AllocationError, TransferDropped, TransferError
 from ..reliability.checksum import guarded_delivery
 from ..reliability.faults import partial_prefix
-from .arena import UNBOUND, ArenaBinding, BoundWindows, MemoryArena, Window
+from .arena import ArenaBinding, BoundWindows, MemoryArena, Window
 from .geometry import DimmGeometry
 from .memory import MRAM_DEFAULT_BYTES, WRAM_BYTES, ArenaPeMemory, PeMemory
 from .pe import (
@@ -38,7 +40,6 @@ from .pe import (
     batched_permute_tiles,
     check_permutation_rows,
     permute_chunks_batched,
-    take_chunks_by_table,
     wram_permute_chunks,
 )
 from .timing import MachineParams
@@ -201,6 +202,12 @@ class DimmSystem:
     def _ensure_arena(self) -> MemoryArena:
         arena = self._arena
         if arena is None:
+            if not self.vectorized:
+                # Arena-only kernels (compiled replay) must never build
+                # a shadow arena behind the per-PE banks.
+                raise AllocationError(
+                    "the scalar backend keeps per-PE banks and has no "
+                    "arena; compiled replay runs on 'vectorized'")
             arena = MemoryArena(self.mram_bytes, self.num_pes)
             self._arena = arena
         return arena
@@ -318,8 +325,8 @@ class DimmSystem:
         exact: the reliability layer snapshots a request's footprint
         through it (one call per footprint span), into a reused
         ``(len(pe_ids), nbytes)`` uint8 ``out`` matrix.  ``window`` is
-        the region pre-resolved by :meth:`bind` (vectorized only; the
-        scalar backend ignores it, as every kernel below does).
+        the region pre-resolved by :meth:`bind` (compiled replay, so
+        vectorized only).
         """
         if self.vectorized:
             return self._ensure_arena().read_rows(
@@ -474,24 +481,23 @@ class DimmSystem:
     # writes through ``_delivered`` before the commit.  On a healthy
     # system the whole cost is the ``injector is None`` test.  Each
     # takes the ``window`` :meth:`bind` resolved for its region; the
-    # PE ids still name the fault site, exactly as unbound.
+    # PE ids still name the fault site, exactly as unbound.  Compiled
+    # replay runs on the arena only: on the scalar backend these
+    # kernels raise (:meth:`_ensure_arena`) instead of reading a
+    # shadow arena.
     # ------------------------------------------------------------------
     def bind(self, binding: ArenaBinding,
              streamed: bool = False) -> BoundWindows:
         """``binding``'s windows on the current arena layout.
 
-        The vectorized backend resolves the op's specs once -- ids
-        validated and touched, spans checked, each region a strided
-        view or a row index -- and again only when the arena's backing
-        array is replaced (growth, re-base, a fresh arena after a
-        backend switch): steady-state replay pays one identity test.
-        ``streamed`` also lifts the op's gather into a stream table.
-        Concurrent first replays resolve once, under the binding's
-        lock.  The scalar backend returns :data:`~repro.hw.arena
-        .UNBOUND`: it stays the unbound oracle.
+        Resolves the op's specs once -- ids validated and touched,
+        spans checked, each region a strided view or a row index -- and
+        again only when the arena's backing array is replaced (growth,
+        re-base, a fresh arena after a backend switch): steady-state
+        replay pays one identity test.  ``streamed`` also lifts the
+        op's gather into a stream table.  Concurrent first replays
+        resolve once, under the binding's lock.
         """
-        if not self.vectorized:
-            return UNBOUND
         arena = self._ensure_arena()
         bound = binding.bound
         if bound.data is arena._data and (
@@ -522,23 +528,13 @@ class DimmSystem:
         equal-size groups; the result is the ``(ngroups, lanes,
         nslots_out, chunk_bytes)`` gather ``out[g, l, s] =
         in[g, lane[l, s], slot[l, s]]`` over each group's
-        ``(lanes, nslots_in)`` chunk block at ``src_offset``.  The
-        vectorized backend does this in one fancy index over the arena;
-        the scalar backend stacks per-PE reads first, so compiled
-        programs replay on either backend.
+        ``(lanes, nslots_in)`` chunk block at ``src_offset``, in one
+        fancy index over the arena.
         """
         ids = self._lane_ids(pe_ids) if window is None else pe_ids
-        if self.vectorized:
-            block = self._ensure_arena().gather_chunks(
-                ids, src_offset, nslots_in, chunk_bytes, ngroups,
-                lane_table, slot_table, flat_table, window)
-        else:
-            total = nslots_in * chunk_bytes
-            rows = np.stack([self.memory(int(pe)).read(src_offset, total)
-                             for pe in ids])
-            grouped = rows.reshape(ngroups, -1, nslots_in, chunk_bytes)
-            block = take_chunks_by_table(grouped, lane_table, slot_table,
-                                         flat_table)
+        block = self._ensure_arena().gather_chunks(
+            ids, src_offset, nslots_in, chunk_bytes, ngroups,
+            lane_table, slot_table, flat_table, window)
         injector = self.fault_injector
         if injector is not None:
             block = self._received(injector, ids, block, "take_by_table")
@@ -557,23 +553,15 @@ class DimmSystem:
                                      "put_rows")
         self.poke_rows(pe_ids, offset, matrix, window)
 
-    def content_epoch(self) -> int | None:
-        """Arena write-epoch for fingerprint caching, or None.
-
-        The scalar backend returns None: its per-PE banks keep no
-        shared write log, so content-derived caches (elision plans)
-        are rebuilt on every replay there.
-        """
-        if not self.vectorized:
-            return None
+    def content_epoch(self) -> int:
+        """Arena write-epoch that keys content-derived caches (elision
+        plans); see :meth:`content_changed`."""
         return self._ensure_arena().write_epoch
 
     def content_changed(self, epoch: int, offset: int,
                         nbytes: int) -> bool:
         """Whether ``[offset, offset + nbytes)`` may have changed on any
         PE since ``epoch`` (conservative: True on any doubt)."""
-        if not self.vectorized:
-            return True
         return self._ensure_arena().writes_since(epoch, offset,
                                                  offset + nbytes)
 
@@ -593,21 +581,13 @@ class DimmSystem:
         if injector is not None:
             self._received(injector, pe_ids, out, "take_band_flat")
 
+    # Kept only because benchmarks/e2e/tracer.py lists this name; drop
+    # it with the next change to the benchmark's target list.
     def stage_rows(self, pe_ids: Sequence[int], src_offset: int,
                    nbytes: int, stage: np.ndarray) -> None:
-        """Copy ``nbytes`` at ``src_offset`` from each PE into ``stage``.
-
-        The scalar backend's streamed-replay staging: one per-PE copy
-        loop into a preallocated scratch-pool block (the oracle path;
-        the vectorized backend skips staging entirely).
-        """
-        ids = self._lane_ids(pe_ids)
-        for i, pe in enumerate(ids):
-            np.copyto(stage[i], self.memory(int(pe)).view(src_offset,
-                                                          nbytes))
-        injector = self.fault_injector
-        if injector is not None:
-            self._received(injector, ids, stage, "stage_rows")
+        """Copy ``nbytes`` at ``src_offset`` from each PE into ``stage``
+        (injector-free; no replay kernel calls it)."""
+        self.peek_rows(pe_ids, src_offset, nbytes, out=stage)
 
     def take_rows(self, pe_ids: Sequence[int], offset: int,
                   nbytes: int, window: Window | None = None) -> np.ndarray:
@@ -623,27 +603,22 @@ class DimmSystem:
                   nbytes: int) -> np.ndarray:
         """Read-only ``(len(pe_ids), nbytes)`` window for fingerprint scans.
 
-        The elision layer's source window: zero-copy on the vectorized
-        backend whenever the PE list is a strided run (the layouts the
+        The elision layer's source window: a zero-copy arena view
+        whenever the PE list is a strided run (the layouts the
         hypercube mapping produces), a gathered copy otherwise.  The
         returned rows always have a contiguous byte axis, which is what
         :func:`~repro.hw.arena.scan_chunk_classes` requires.  Callers
         must treat the window as read-only and finish scanning before
         writing any destination that may alias it.
         """
-        if self.vectorized:
-            arena = self._ensure_arena()
-            block = arena.lane_view(self._lane_ids(pe_ids), offset, nbytes)
-            if block is None:
-                block = arena.read_rows(self._lane_ids(pe_ids), offset,
-                                        nbytes)
-        else:
-            block = np.stack([self.memory(int(pe)).view(offset, nbytes)
-                              for pe in pe_ids])
+        arena = self._ensure_arena()
+        ids = self._lane_ids(pe_ids)
+        block = arena.lane_view(ids, offset, nbytes)
+        if block is None:
+            block = arena.read_rows(ids, offset, nbytes)
         injector = self.fault_injector
         if injector is not None:
-            # The scan reads the source over the same link; the scalar
-            # elided replay gathers from this very block.
+            # The scan reads the source over the same link.
             self._received(injector, pe_ids, block, "scan_view")
         return block
 

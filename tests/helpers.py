@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import DimmSystem, HypercubeManager
+from repro import DimmSystem, HypercubeManager, SessionConfig
 from repro.core.groups import CommGroup, slice_groups
 from repro.dtypes import DataType
 
@@ -51,3 +51,21 @@ def make_manager(shape: tuple[int, ...], mram_bytes: int = 1 << 16
 def groups_of(manager: HypercubeManager,
               dims: str) -> tuple[CommGroup, ...]:
     return slice_groups(manager, dims)
+
+
+def parity_config(backend: str, execution: str = "auto",
+                  **kwargs) -> SessionConfig:
+    """One side of a cross-store parity check.
+
+    ``"scalar"`` is always the interpreted oracle (compiled replay runs
+    on the arena only); ``execution`` applies to the ``"vectorized"``
+    side.
+    """
+    if backend == "scalar":
+        execution = "interpreted"
+    return SessionConfig(backend=backend, execution=execution, **kwargs)
+
+
+#: The stores a compiling session may run on.  Compiled-replay rows
+#: still parametrize over it, so their ids keep naming the store.
+COMPILED_STORES = ("vectorized",)

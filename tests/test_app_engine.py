@@ -7,8 +7,9 @@ both communication backends, every per-category ledger second, every
 per-primitive second, the plan-cache counters and a CRC of the output,
 as the commit *before* the harness moved onto a ``Communicator``
 session produced them on the step interpreter: compiled replay must
-charge, count and compute exactly that on real application traffic,
-on both system backends.
+charge, count and compute exactly that on real application traffic.
+(A functional harness session compiles, so it always runs on the
+vectorized arena.)
 (b) The interpreter's remaining production footprint is a named list:
 the two conventional-baseline host flows without a ``lower()``.
 
@@ -73,11 +74,10 @@ def e2e_apps(seed: int = SEED) -> dict:
     }
 
 
-def run_app(entry, backend, system_backend="vectorized"):
+def run_app(entry, backend):
     """One functional iteration on a fresh system."""
     app, geometry, shape = entry
-    system = DimmSystem(geometry, mram_bytes=1 << 17,
-                        backend=system_backend)
+    system = DimmSystem(geometry, mram_bytes=1 << 17, backend="vectorized")
     return app.run(HypercubeManager(system, shape=shape), backend,
                    functional=True)
 
@@ -109,11 +109,17 @@ def test_functional_ledgers_match_the_interpreter(apps, label, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("label", LABELS)
 def test_scalar_system_matches_the_same_golden_rows(apps, label, backend):
-    """The same rows on the scalar backend, whose ``peek_rows`` /
-    ``poke_rows`` (under ``AppHarness.load`` / ``store``) loop per PE."""
+    """An application started on a per-PE (scalar) system: its
+    functional harness session compiles, so it moves the system onto
+    the arena (compiled replay runs there only) and lands the same
+    golden rows."""
     golden = json.loads(GOLDEN.read_text())[f"{label}/{backend}"]
-    row = ledger_row(run_app(apps[label], BACKENDS[backend](), "scalar"))
-    assert row == golden
+    app, geometry, shape = apps[label]
+    system = DimmSystem(geometry, mram_bytes=1 << 17, backend="scalar")
+    result = app.run(HypercubeManager(system, shape=shape),
+                     BACKENDS[backend](), functional=True)
+    assert system.backend == "vectorized"
+    assert ledger_row(result) == golden
 
 
 # ----------------------------------------------------------------------

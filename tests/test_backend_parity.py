@@ -6,20 +6,23 @@ vectorized path must produce bit-identical PE memories and host
 outputs, an identical :class:`CostLedger` breakdown, identical
 :class:`SimdCounter` register-op counts, and identical WRAM tile
 counts -- the batched kernels may be faster, never cheaper.  This
-module asserts all of that pairwise against the scalar oracle, plus
-the low-level kernel equivalences the step implementations rely on.
+module asserts all of that pairwise: vectorized compiled replay against
+the scalar interpreted oracle (compiled replay runs on the arena only),
+plus the low-level kernel equivalences the step implementations rely
+on.
 """
 
 import numpy as np
 import pytest
 
-from .helpers import fill_group_inputs, groups_of, make_manager
+from .helpers import (fill_group_inputs, groups_of, make_manager,
+                      parity_config)
 
 from repro import (ABLATION_LADDER, Communicator, DimmSystem, FaultInjector,
                    FULL, SessionConfig)
 from repro.core import reference as ref
 from repro.dtypes import FLOAT32, INT8, INT32, INT64, SUM
-from repro.errors import AllocationError, TransferError
+from repro.errors import AllocationError, CollectiveError, TransferError
 from repro.hw.host import (SimdCounter, fanout_all_slots, rotate_all_slots,
                            rotate_lanes_registerwise)
 from repro.hw.pe import check_permutation, check_permutation_rows
@@ -41,8 +44,8 @@ def _run(primitive, config, dtype, backend, seed=0, injector=None):
     rng = np.random.default_rng(seed)
     manager = make_manager(SHAPE)
     system = manager.system
-    comm = Communicator(manager, SessionConfig(config=config, fault_injector=injector,
-                        backend=backend))
+    comm = Communicator(manager, parity_config(
+        backend, config=config, fault_injector=injector))
     groups = groups_of(manager, BITMAP)
     n = groups[0].size
     item = dtype.itemsize
@@ -151,6 +154,56 @@ class TestCollectiveParity:
                     np.testing.assert_array_equal(a, b)
 
 
+class TestCompiledReplayStore:
+    """Compiled replay runs on the arena only; the scalar store serves
+    the interpreted oracle."""
+
+    @pytest.mark.parametrize("execution", ["auto", "compiled"])
+    def test_scalar_store_rejects_compiling_sessions(self, execution):
+        with pytest.raises(CollectiveError, match="arena only"):
+            SessionConfig(backend="scalar", execution=execution)
+        SessionConfig(backend="scalar", execution="interpreted")
+
+    def test_default_session_compiles_on_the_arena(self):
+        outputs = {}
+        for name, config in (("default", SessionConfig()),
+                             ("oracle", parity_config("scalar"))):
+            manager = make_manager(SHAPE, mram_bytes=1 << 12)
+            system = manager.system
+            assert system.backend == "scalar"
+            comm = Communicator(manager, config)
+            rng = np.random.default_rng(11)
+            groups = groups_of(manager, BITMAP)
+            n = groups[0].size
+            fill_group_inputs(system, groups, 0, n * CHUNK, INT64, rng)
+            result = comm.alltoall(BITMAP, n * CHUNK * 8, src_offset=0,
+                                   dst_offset=1024, data_type=INT64)
+            outputs[name] = (comm.backend, result.execution,
+                             system.peek_rows(manager.all_pes, 0, 2048))
+        backend, execution, image = outputs["default"]
+        assert (backend, execution) == ("vectorized", "compiled")
+        assert outputs["oracle"][:2] == ("scalar", "interpreted")
+        np.testing.assert_array_equal(image, outputs["oracle"][2])
+
+    def test_arena_kernels_raise_on_the_scalar_store(self):
+        system = DimmSystem.small(mram_bytes=1 << 12)
+        table = np.zeros((4, 2), dtype=np.intp)
+        with pytest.raises(AllocationError, match="no arena"):
+            system.take_by_table(list(range(4)), 1, 0, 2, 8, table, table)
+        assert system.arena is None  # no shadow arena was built
+
+    def test_replay_after_a_switch_to_scalar_raises(self):
+        manager = make_manager(SHAPE)
+        comm = Communicator(manager, SessionConfig())
+        comm.alltoall(BITMAP, 256, src_offset=0, dst_offset=4096,
+                      data_type=INT32)
+        manager.system.set_backend("scalar")
+        with pytest.raises(AllocationError, match="no arena"):
+            comm.alltoall(BITMAP, 256, src_offset=0, dst_offset=4096,
+                          data_type=INT32)
+        assert manager.system.arena is None
+
+
 class TestBackendPlumbing:
     def test_analytic_runs_allocate_nothing(self):
         manager = make_manager(SHAPE)
@@ -182,7 +235,7 @@ class TestBackendPlumbing:
         results = {}
         for backend in ("scalar", "vectorized"):
             manager = make_manager(SHAPE)
-            comm = Communicator(manager, SessionConfig(backend=backend))
+            comm = Communicator(manager, parity_config(backend))
             src = manager.system.alloc(256)
             dst = manager.system.alloc(256)
             res = comm.alltoall(BITMAP, 256, src_offset=src, dst_offset=dst,

@@ -9,15 +9,18 @@ means faults may cost attempts but can never alter results).  One arm
 submits random mixed batches that form a single hazard wave, so a
 pooled session replays their members concurrently.
 
-The tier-1 sweeps are sized to stay fast; the ``fuzz`` marker guards a
-longer sweep excluded from the default run (``pytest -m fuzz`` or
-``tools/run_fuzz.py`` runs it).
+Compiling arms run on the vectorized arena, the only store compiled
+replay runs on; the interpreted arms also run on the scalar oracle
+store.  The tier-1 sweeps are sized to stay fast; the ``fuzz`` marker
+guards a longer sweep excluded from the default run (``pytest -m
+fuzz`` or ``tools/run_fuzz.py`` runs it).
 """
 
 import numpy as np
 import pytest
 
-from .helpers import fill_group_inputs, groups_of, make_manager
+from .helpers import (COMPILED_STORES, fill_group_inputs, groups_of,
+                      make_manager)
 
 from repro import (
     ABLATION_LADDER,
@@ -142,7 +145,7 @@ def prepare_case(rng: np.random.Generator, manager, primitive: str, dtype,
 
 def run_case(rng: np.random.Generator, primitive: str, shape: tuple,
              dtype, chunk: int, config, injector=None,
-             backend: str | None = "scalar", execution: str = "auto",
+             backend: str = "vectorized", execution: str = "auto",
              tile: int | None = None, workers: int = 1,
              autotune: str | None = None, elide: bool = False,
              sparsify: bool = False):
@@ -154,9 +157,10 @@ def run_case(rng: np.random.Generator, primitive: str, shape: tuple,
     them band-parallel across a session worker pool (which must stay
     inside the same oracle).  ``autotune`` hands schedule selection to
     the cost-model tuner -- whatever it picks must also stay inside
-    the oracle; ``backend=None`` leaves the backend axis open for it.
-    ``elide`` turns on content-aware transfer elision (see
-    :func:`prepare_case` for ``sparsify``).
+    the oracle.  ``backend="scalar"`` takes ``execution="interpreted"``
+    (compiled replay runs on the arena only).  ``elide`` turns on
+    content-aware transfer elision (see :func:`prepare_case` for
+    ``sparsify``).
     """
     manager = make_manager(shape)
     comm = Communicator(manager, SessionConfig(
@@ -172,7 +176,7 @@ def run_case(rng: np.random.Generator, primitive: str, shape: tuple,
 
 
 def _sweep(seed: int, cases: int, injector_factory=None,
-           backend: str | None = "scalar", execution: str = "auto",
+           backend: str = "vectorized", execution: str = "auto",
            tile: int | None = None, workers: int = 1,
            autotune: str | None = None, elide: bool = False,
            sparsify: bool = False) -> list:
@@ -195,6 +199,11 @@ def tiny_floor(monkeypatch):
     from repro.core.collectives import program as program_mod
     monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 0)
 
+
+#: The supported (store, execution) cells of a healthy sweep: the
+#: interpreter on either store, compiled replay on the arena.
+HEALTHY_CELLS = [("scalar", "interpreted"), ("vectorized", "interpreted"),
+                 ("vectorized", "compiled")]
 
 #: Execution arms a faulted sweep must stay bit-exact under: the fault
 #: sites sit in the transfer kernels every arm shares, so retry/rewind
@@ -230,13 +239,11 @@ def _assert_ran_as(arm: str, results) -> None:
 
 
 class TestHealthySweep:
-    @pytest.mark.parametrize("execution", ["interpreted", "compiled"])
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend, execution", HEALTHY_CELLS)
     def test_random_cases_match_reference(self, backend, execution):
         _sweep(seed=2024, cases=32, backend=backend, execution=execution)
 
-    @pytest.mark.parametrize("execution", ["interpreted", "compiled"])
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend, execution", HEALTHY_CELLS)
     def test_every_primitive_covered(self, backend, execution):
         # The randomized sweep must not silently skip a primitive:
         # enumerate all eight explicitly at a fixed shape/config.
@@ -254,7 +261,7 @@ class TestHealthySweep:
 class TestStreamedSweep:
     """Streamed tiled replay must stay inside the same oracle."""
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_random_cases_match_reference(self, backend):
         # An uneven 33-byte budget forces short bands, band clamping,
         # and last-band remainders across random shapes and chunks.
@@ -264,7 +271,7 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("tile", [33, 257, 1 << 20],
                              ids=lambda t: f"tile{t}")
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_every_primitive_uneven_tiles(self, backend, tile):
         # Tile sizes that do not divide any row or payload evenly
         # (33, 257) plus one larger than every payload (single band).
@@ -281,7 +288,7 @@ class TestParallelSweep:
     """Worker pools must never leave the oracle, faulted or not."""
 
     @pytest.mark.parametrize("workers", [2, 7], ids=lambda w: f"w{w}")
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_streamed_parallel_matches_reference(self, backend, workers):
         # Same seed as the streamed sweep: identical cases, now with
         # band-parallel replay -- results must stay bit-exact.
@@ -289,7 +296,7 @@ class TestParallelSweep:
                          execution="compiled", tile=33, workers=workers)
         assert all(r.execution == "streamed" for r in results)
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_faulted_parallel_falls_back_to_serial(self, backend):
         # A pooled session with an injector attached must take the
         # serial fallback (the injector's RNG is stateful) and still
@@ -354,20 +361,18 @@ class TestWaveSweep:
     """
 
     @pytest.mark.parametrize("tile", [None, 33], ids=["untiled", "streamed"])
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_random_waves_match_reference(self, backend, tile):
         _wave_sweep(range(8), backend, tile)
 
 
 @pytest.mark.usefixtures("tiny_floor")
 class TestFaultedSweep:
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_one_percent_faults_still_bit_exact(self, backend):
-        # ISSUE acceptance: ~1% per-operation transient fault pressure,
-        # every primitive completes bit-identical to the reference, and
-        # at least one request needed a retry.  The two backends draw
-        # different fault schedules (fewer transfers -> fewer draws),
-        # but detection + rewind keeps both bit-exact regardless.
+        # ~1% per-operation transient fault pressure: every primitive
+        # completes bit-identical to the reference, and at least one
+        # request needed a retry.
         results = _sweep(seed=77, cases=24,
                          injector_factory=_one_percent_injectors(),
                          backend=backend)
@@ -376,8 +381,8 @@ class TestFaultedSweep:
         assert any(r.attempts > 1 for r in results), \
             "fault sweep never exercised a retry; tune seed/rates"
 
-    @pytest.mark.parametrize("arm", FAULTED_ARMS)
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend, arm", [("scalar", "interpreted")] + [
+        ("vectorized", arm) for arm in FAULTED_ARMS])
     def test_one_percent_faults_bit_exact_on_every_arm(self, backend, arm):
         # The same pressure on every execution arm: arms draw different
         # fault schedules too, and must all stay bit-exact.
@@ -390,14 +395,17 @@ class TestFaultedSweep:
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     def test_each_primitive_retries_to_exactness(self, backend):
-        # Deterministic per-primitive check under heavier pressure.
+        # Deterministic per-primitive check under heavier pressure; the
+        # scalar store runs the interpreted oracle.
+        execution = "interpreted" if backend == "scalar" else "auto"
         rng = np.random.default_rng(13)
         attempts = []
         for i, primitive in enumerate(PRIMITIVES):
             injector = FaultInjector(seed=100 + i, timeout_rate=0.1,
                                      bit_flip_rate=0.05)
             result = run_case(rng, primitive, (4, 8), INT32, 2, BASELINE,
-                              injector=injector, backend=backend)
+                              injector=injector, backend=backend,
+                              execution=execution)
             attempts.append(result.attempts)
         assert max(attempts) > 1
 
@@ -405,14 +413,14 @@ class TestFaultedSweep:
 class TestTunedSweep:
     """Autotuned schedules must stay inside the same oracle.
 
-    The tuner may pick any (backend, execution, tile, rung) combination
-    per case; whatever it picks, the functional result must still be
+    The tuner may pick any (tile, elide, rung) schedule per case;
+    whatever it picks, the functional result must still be
     bit-identical to the golden reference.
     """
 
     @pytest.mark.parametrize("mode", ["offline", "online"])
     def test_random_cases_match_reference(self, mode):
-        results = _sweep(seed=606, cases=24, backend=None, autotune=mode)
+        results = _sweep(seed=606, cases=24, autotune=mode)
         assert all(r.schedule is not None for r in results)
 
     @pytest.mark.parametrize("mode", ["offline", "online"])
@@ -420,7 +428,7 @@ class TestTunedSweep:
         rng = np.random.default_rng(5)
         for primitive in PRIMITIVES:
             result = run_case(rng, primitive, (4, 8), INT64, 2, FULL,
-                              backend=None, autotune=mode)
+                              autotune=mode)
             assert result.schedule is not None
             assert result.execution in ("interpreted", "compiled",
                                         "streamed")
@@ -436,12 +444,12 @@ class TestElisionSweep:
     traffic through the same replay paths.
     """
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_random_sparsity_matches_reference(self, backend):
         _sweep(seed=1717, cases=24, backend=backend, execution="compiled",
                elide=True, sparsify=True)
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_streamed_parallel_eliding_sweep(self, backend):
         results = _sweep(seed=1818, cases=12, backend=backend,
                          execution="compiled", tile=257, workers=4,
@@ -470,10 +478,10 @@ class TestLongSweep:
         _sweep(seed=424242, cases=300)
 
     def test_long_tuned_sweep(self):
-        _sweep(seed=515151, cases=150, backend=None, autotune="online")
+        _sweep(seed=515151, cases=150, autotune="online")
 
     @pytest.mark.parametrize("tile", [None, 33], ids=["untiled", "streamed"])
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_long_wave_sweep(self, backend, tile):
         _wave_sweep(range(100, 400), backend, tile)
 

@@ -6,9 +6,11 @@ skips the gather and bus charge for all-zero / byte-identical output
 rows.  The acceptance bar is the stack's standing one: an eliding
 replay is *bit-identical* to the scalar interpreted oracle at every
 elision rate -- all-zero, all-duplicate, mixed, and fully dense
-payloads -- across both backends, untiled and streamed replay, and any
-worker count.  The dense fast path must also hold: with elision off
-(or inapplicable) no scan work happens at all, which the EngineStats
+payloads -- untiled and streamed, at any worker count.  Eliding replay
+runs on the vectorized arena (its scan reads the arena's write log);
+the parity rows check it against the interpreter on either store.
+The dense fast path must also hold: with elision off (or
+inapplicable) no scan work happens at all, which the EngineStats
 counters witness.
 
 The tier-1 parity matrix shrinks :data:`ELIDE_MIN_SOURCE_BYTES` so the
@@ -19,7 +21,7 @@ one engine-level test keeps the real floor to check both of its sides.
 import numpy as np
 import pytest
 
-from .helpers import fill_group_inputs, groups_of, make_manager
+from .helpers import COMPILED_STORES, groups_of, make_manager
 
 from repro import Communicator, FULL, FaultInjector, SessionConfig
 from repro.core.collectives import program as program_mod
@@ -156,26 +158,30 @@ def _assert_same(a, b):
 
 
 class TestElisionParity:
-    """Eliding replay == interpreted oracle, everywhere."""
+    """Eliding replay == interpreted oracle, everywhere.
+
+    ``reference`` names the store the interpreted side runs on; the
+    eliding side always replays on the vectorized arena.
+    """
 
     @pytest.mark.parametrize("payload", ("zero", "mixed"))
-    @pytest.mark.parametrize("backend", ("scalar", "vectorized"))
+    @pytest.mark.parametrize("reference", ("scalar", "vectorized"))
     @pytest.mark.parametrize("primitive", PRIMITIVES)
-    def test_all_primitives_match_oracle(self, primitive, backend, payload,
-                                         tiny_floor):
-        want, _, _ = _run(primitive, backend, "interpreted", payload,
+    def test_all_primitives_match_oracle(self, primitive, reference,
+                                         payload, tiny_floor):
+        want, _, _ = _run(primitive, reference, "interpreted", payload,
                           elide=False)
-        got, _, result = _run(primitive, backend, "compiled", payload)
+        got, _, result = _run(primitive, "vectorized", "compiled", payload)
         _assert_same(want, got)
         assert result.execution == "compiled"
 
     @pytest.mark.parametrize("payload", PAYLOADS)
     @pytest.mark.parametrize("workers", (1, 4), ids=lambda w: f"w{w}")
-    @pytest.mark.parametrize("backend", ("scalar", "vectorized"))
-    def test_streamed_parity(self, backend, workers, payload, tiny_floor):
-        want, _, _ = _run("alltoall", backend, "interpreted", payload,
+    @pytest.mark.parametrize("reference", ("scalar", "vectorized"))
+    def test_streamed_parity(self, reference, workers, payload, tiny_floor):
+        want, _, _ = _run("alltoall", reference, "interpreted", payload,
                           elide=False)
-        got, _, result = _run("alltoall", backend, "compiled", payload,
+        got, _, result = _run("alltoall", "vectorized", "compiled", payload,
                               tile=257, workers=workers)
         _assert_same(want, got)
         assert result.execution == "streamed"
@@ -185,19 +191,19 @@ class TestElisionParity:
         if payload == "zero":
             assert result.chunks_elided > 0
 
-    @pytest.mark.parametrize("backend", ("scalar", "vectorized"))
-    def test_streamed_dup_aliases_within_band(self, backend, tiny_floor):
+    @pytest.mark.parametrize("reference", ("scalar", "vectorized"))
+    def test_streamed_dup_aliases_within_band(self, reference, tiny_floor):
         # A tile larger than the payload keeps all rows in one band,
         # where band-local dedup can alias the duplicates.
-        want, _, _ = _run("alltoall", backend, "interpreted", "dup",
+        want, _, _ = _run("alltoall", reference, "interpreted", "dup",
                           elide=False, chunk=4)
-        got, _, result = _run("alltoall", backend, "compiled", "dup",
+        got, _, result = _run("alltoall", "vectorized", "compiled", "dup",
                               tile=1 << 20, chunk=4)
         _assert_same(want, got)
         assert result.execution == "streamed"
         assert result.chunks_elided > 0
 
-    @pytest.mark.parametrize("backend", ("scalar", "vectorized"))
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     @pytest.mark.parametrize("primitive, payload, bitmap", [
         ("alltoall", "zero", BITMAP),
         ("alltoall", "dup", BITMAP),
@@ -222,21 +228,21 @@ class TestElisionParity:
         assert one_band.chunks_scanned == untiled.chunks_scanned
         assert one_band.ledger.breakdown() == untiled.ledger.breakdown()
 
-    @pytest.mark.parametrize("backend", ("scalar", "vectorized"))
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_zero_payload_elides_everything(self, backend, tiny_floor):
         _, _, result = _run("alltoall", backend, "compiled", "zero")
         assert result.chunks_scanned > 0
         assert result.chunks_elided == result.chunks_scanned
         assert result.elided_bytes > 0
 
-    @pytest.mark.parametrize("backend", ("scalar", "vectorized"))
-    def test_duplicate_rows_alias(self, backend, tiny_floor):
+    @pytest.mark.parametrize("reference", ("scalar", "vectorized"))
+    def test_duplicate_rows_alias(self, reference, tiny_floor):
         # Per-PE repeated blocks make every destination row gather the
         # same bytes: one representative row is gathered, the rest
         # alias-copy it -- still bit-exact.
-        want, _, _ = _run("alltoall", backend, "interpreted", "dup",
+        want, _, _ = _run("alltoall", reference, "interpreted", "dup",
                           elide=False, chunk=4)
-        got, _, result = _run("alltoall", backend, "compiled", "dup",
+        got, _, result = _run("alltoall", "vectorized", "compiled", "dup",
                               chunk=4)
         _assert_same(want, got)
         assert result.chunks_elided > 0
@@ -321,16 +327,15 @@ class TestElisionUnderFaults:
         # still reach bit-exactness.
         want, _, _ = _run("alltoall", "scalar", "interpreted", "mixed",
                           elide=False, calls=4)
-        for backend in ("scalar", "vectorized"):
-            injector = FaultInjector(seed=0, bit_flip_rate=0.03,
-                                     drop_rate=0.03, timeout_rate=0.03)
-            got, comm, result = _run("alltoall", backend, "auto", "mixed",
-                                     injector=injector, calls=4)
-            _assert_same(want, got)
-            assert result.execution == "compiled"
-            assert result.chunks_elided > 0
-            assert comm.stats.elision_scans > 0
-            assert comm.stats.retries > 0  # a fault really was rewound
+        injector = FaultInjector(seed=0, bit_flip_rate=0.03,
+                                 drop_rate=0.03, timeout_rate=0.03)
+        got, comm, result = _run("alltoall", "vectorized", "auto", "mixed",
+                                 injector=injector, calls=4)
+        _assert_same(want, got)
+        assert result.execution == "compiled"
+        assert result.chunks_elided > 0
+        assert comm.stats.elision_scans > 0
+        assert comm.stats.retries > 0  # a fault really was rewound
 
 
 class TestTunerIntegration:

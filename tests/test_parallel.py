@@ -9,8 +9,8 @@ tile count and cache counter is identical at every worker count.
 
 The battery covers the pool itself (ordering, per-thread scratch,
 nested-inline execution, exception propagation), bit-parity of all
-eight primitives across worker counts x backends x streamed/untiled
-replay, ledger/stat invariance, 20-run MRAM determinism, wave
+eight primitives across worker counts x streamed/untiled replay,
+ledger/stat invariance, 20-run MRAM determinism, wave
 parallelism and its serial fallback, the stream-table concurrent
 first-touch regression, and arena growth under concurrent touches.
 Run under ``PYTHONFAULTHANDLER=1`` in CI so a deadlock dumps stacks.
@@ -22,7 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from .helpers import fill_group_inputs, groups_of, make_manager
+from .helpers import (COMPILED_STORES, fill_group_inputs, groups_of,
+                      make_manager)
 from .test_differential_fuzz import PRIMITIVES, run_case
 
 from repro import (
@@ -182,14 +183,14 @@ class TestSessionConfigValidation:
 
 
 # ----------------------------------------------------------------------
-# Bit-parity: every primitive, every worker count, both backends,
-# streamed and untiled.  run_case asserts bit-exactness against the
-# repro.core.reference oracle internally.
+# Bit-parity: every primitive, every worker count, streamed and
+# untiled, on the arena compiled replay runs on.  run_case asserts
+# bit-exactness against the repro.core.reference oracle internally.
 # ----------------------------------------------------------------------
 class TestBitParity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS,
                              ids=lambda w: f"w{w}")
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     @pytest.mark.parametrize("tile", [None, 257],
                              ids=["untiled", "streamed"])
     def test_all_primitives_match_oracle(self, backend, tile, workers):

@@ -9,7 +9,8 @@ ones.
 import numpy as np
 import pytest
 
-from .helpers import fill_group_inputs, groups_of, make_manager
+from .helpers import (COMPILED_STORES, fill_group_inputs, groups_of,
+                      make_manager, parity_config)
 
 from repro import (
     Communicator,
@@ -235,8 +236,8 @@ class TestWritesOnlySnapshot:
     def _session(backend, injector=None):
         manager = make_manager((4, 8))
         system = manager.system
-        comm = Communicator(manager, SessionConfig(
-            backend=backend, execution="compiled", fault_injector=injector))
+        comm = Communicator(manager, parity_config(
+            backend, execution="compiled", fault_injector=injector))
         inputs = np.random.default_rng(5).integers(
             1, 100, (manager.num_nodes, 32))
         system.scatter_elements(manager.all_pes, 0, list(inputs), INT64)
@@ -657,7 +658,7 @@ class TestFaultsOnCompiledReplay:
         monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 0)
 
     @pytest.mark.parametrize("mode", REPLAY_MODES)
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     @pytest.mark.parametrize("primitive", PRIMITIVES)
     def test_one_percent_faults_bit_identical_to_oracle(self, primitive,
                                                         backend, mode):
@@ -752,7 +753,7 @@ class TestFaultsOnCompiledReplay:
         np.testing.assert_array_equal(got[:reached], rows[:reached])
         np.testing.assert_array_equal(got[reached:], old[reached:])
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_dropped_put_is_rewound_and_retried(self, backend):
         class DropSecondTransfer(FaultInjector):
             """Drops exactly the second transfer (alltoall's put)."""
@@ -878,7 +879,7 @@ class TestFaultExposurePerPrimitive:
     """Faults are drawn per kernel call, so how a replay batches its
     transfers is observable: these pins keep it from moving silently."""
 
-    def _replay(self, primitive, dims, backend, calls=3):
+    def _replay(self, primitive, dims, calls=3):
         """Per call: draw counts and the PE ids of every rank guard."""
         manager = make_manager((4, 4, 2))
         injector = FaultInjector(seed=0, bit_flip_rate=1e-12,
@@ -902,7 +903,7 @@ class TestFaultExposurePerPrimitive:
             return guard(geometry, pe_ids)
 
         injector.guard_pes = guard_pes
-        comm = Communicator(manager, SessionConfig(backend=backend,
+        comm = Communicator(manager, SessionConfig(backend="vectorized",
                                                    fault_injector=injector))
         groups = groups_of(manager, dims)
         n = groups[0].size
@@ -932,14 +933,13 @@ class TestFaultExposurePerPrimitive:
                              ids=["fancy_rows", "strided_rows"])
     @pytest.mark.parametrize("primitive", PRIMITIVES)
     def test_draws_per_replay_are_pinned(self, primitive, dims):
-        vectorized = self._replay(primitive, dims, "vectorized")
-        scalar = self._replay(primitive, dims, "scalar")
-        for draws, _ in vectorized + scalar:
+        seen = self._replay(primitive, dims)
+        for draws, _ in seen:
             assert draws == EXPOSURE[primitive]
-        # Same fault sites, same PE ids, same order, cold or warm, on
-        # either backend.
-        assert [g for _, g in vectorized] == [g for _, g in scalar]
-        assert len(vectorized[0][1]) == EXPOSURE[primitive][1]
+        # Same fault sites, same PE ids, same order, cold or warm.
+        cold = seen[0][1]
+        assert all(guards == cold for _, guards in seen)
+        assert len(cold) == EXPOSURE[primitive][1]
 
 
 class TestCheapReliabilityPlumbing:

@@ -215,10 +215,11 @@ class TestTunerSearch:
         assert len(comm.cache) == len(ABLATION_LADDER)  # every rung priced
         assert comm.stats.programs_compiled == 0        # none compiled
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized", None])
+    @pytest.mark.parametrize("backend", ["vectorized", None])
     def test_session_owns_the_backend(self, backend):
         # A pinned backend is kept; an open one is settled once, at
-        # construction, on the vectorized backend.
+        # construction, on the vectorized backend (a tuned session
+        # compiles, and compiled replay runs on the arena only).
         comm = _tuned_comm("offline", backend=backend)
         assert comm.backend == (backend or "vectorized")
         result = _drive(comm)
@@ -404,11 +405,12 @@ class TestTunedParity:
     ``run_case`` checks the engine's functional output bit-exactly
     against the golden reference (``core/reference.py``) -- the same
     oracle the scalar interpreted path is verified against -- for all
-    eight primitives, with the backend axis pinned each way.
+    eight primitives, with the backend pinned to the arena or left open
+    (a compiling session derives it).
     """
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized", None],
-                             ids=["scalar", "vectorized", "open"])
+    @pytest.mark.parametrize("backend", ["vectorized", None],
+                             ids=["vectorized", "open"])
     @pytest.mark.parametrize("primitive", PRIMITIVES)
     def test_tuned_matches_oracle(self, primitive, backend):
         rng = np.random.default_rng(17)
@@ -494,12 +496,16 @@ class TestScheduleProperties:
         # tile.
         if tile is not None and execution == "interpreted":
             return  # SessionConfig itself rejects this pin
+        if backend == "scalar" and execution != "interpreted":
+            return  # likewise: compiled replay runs on the arena only
         cfg = SessionConfig(autotune=mode, backend=backend,
                             execution=execution, stream_tile_bytes=tile,
                             parallel_workers=workers)
         manager = make_manager((4, 8), mram_bytes=1 << 20)
+        kept = manager.system.backend
         comm = Communicator(manager, cfg)
-        assert comm.backend == (backend or "vectorized")
+        assert comm.backend == (backend or (
+            kept if execution == "interpreted" else "vectorized"))
         req = CommRequest("alltoall", "11", 1 << 14,
                           dst_offset=1 << 18).normalize(
             manager, comm.config, backend=comm.backend)

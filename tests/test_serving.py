@@ -2,8 +2,9 @@
 
 Covers the SessionConfig redesign, admission/shedding/backpressure
 semantics, fair-share scheduling, per-tenant plan-cache partitions and
-MRAM quotas, serving-vs-solo parity across all eight collectives and
-both backends, and the load generator.  All async tests run under
+MRAM quotas, serving-vs-solo parity across all eight collectives on
+both stores (the scalar one under its interpreted oracle), and the load
+generator.  All async tests run under
 ``asyncio.run`` with the server's modelled clock, so they are fully
 deterministic.
 """
@@ -41,7 +42,7 @@ from repro.serving import (
 )
 from repro.serving.admission import PendingRequest
 
-from .helpers import make_manager
+from .helpers import make_manager, parity_config
 
 DIMS = "10"  # group of 8 on the (8, 4) test shape
 SIZE = 256   # bytes per PE
@@ -444,7 +445,7 @@ class TestServingParity:
         solo_manager, served_manager = build(), build()
         group = 8
         instances = len(solo_manager.all_pes) // group
-        config = SessionConfig(backend=backend)
+        config = parity_config(backend)
 
         solo = Communicator(solo_manager, config)
         solo_results = [solo.submit([req]).futures[0].result()

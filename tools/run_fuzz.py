@@ -3,9 +3,10 @@
 Drives random collectives through the session engine and checks every
 functional result bit-exactly against ``repro.core.reference``, with
 optional fault injection (retry enabled).  Cases cycle through the
-execution modes (interpreted, compiled, streamed, eliding, offline-
-tuned) -- the fault sites live in the transfer kernels all of them
-share, so every mode is fuzzed under ``--fault-rate``.  Unlike the
+execution modes (interpreted on the scalar store; compiled, streamed,
+eliding and offline-tuned on the vectorized arena) -- the fault sites
+live in the transfer kernels all of them share, so every mode is
+fuzzed under ``--fault-rate``.  Unlike the
 pytest sweeps in ``tests/test_differential_fuzz.py`` this runs for a
 *time budget*, so CI can smoke as much as its slot allows::
 
@@ -40,14 +41,18 @@ PRIMITIVES = ("alltoall", "allgather", "reduce_scatter", "allreduce",
 SHAPES = ((4, 8), (8, 4), (4, 4, 2), (2, 4, 4), (2, 2, 8), (16, 2))
 DTYPES = (INT8, INT16, INT32, INT64)
 
-#: Execution mode -> SessionConfig knobs; cases walk them in this
-#: order, one per case.
+#: Execution mode -> SessionConfig knobs, each naming its store: the
+#: interpreter fuzzes on the scalar oracle store, every compiling mode
+#: on the vectorized arena (the only store compiled replay runs on).
+#: Cases walk the modes in this order, one per case.
 MODES = {
-    "interpreted": dict(execution="interpreted"),
-    "compiled": dict(execution="compiled"),
-    "streamed": dict(execution="compiled", stream_tile_bytes=33),
-    "eliding": dict(execution="compiled", elide_transfers=True),
-    "tuned": dict(autotune="offline"),
+    "interpreted": dict(backend="scalar", execution="interpreted"),
+    "compiled": dict(backend="vectorized", execution="compiled"),
+    "streamed": dict(backend="vectorized", execution="compiled",
+                     stream_tile_bytes=33),
+    "eliding": dict(backend="vectorized", execution="compiled",
+                    elide_transfers=True),
+    "tuned": dict(backend="vectorized", autotune="offline"),
 }
 
 REFERENCE = {
