@@ -282,30 +282,35 @@ def _band_take(scratch: ScratchPool | None, source: np.ndarray,
 
     An untiled replay has no pool and allocates per op, as a whole-op
     gather always has; a plain fancy index is then the faster kernel.
+    The pooled take is unbuffered (``mode="wrap"``): every index was
+    range-checked when the op was built.
     """
     if scratch is None:
         return source[index]
     return np.take(source, index, out=scratch.pong(index.shape,
-                                                   source.dtype))
+                                                   source.dtype),
+                   mode="wrap")
 
 
 def _band_gather(op, ctx: ExecContext, bound: BoundWindows,
-                 bands: list[tuple[int, int]], nslots_in: int,
-                 nslots_out: int
+                 nslots_in: int, nslots_out: int
                  ) -> Callable[[ScratchPool | None, int, int], np.ndarray]:
     """A table-driven op's band gather: ``take(scratch, r0, r1)``
     returns output rows ``[r0, r1)`` as a uint8 row matrix.
 
-    The kernel follows from what the replay can observe: one band
-    covering the whole op takes :meth:`DimmSystem.take_by_table` on the
-    bound source window (one contiguous stage plus a chunk-wide take --
-    faster than the arena-global stream table for a whole op,
-    ``docs/performance.md``); partial bands take the bound stream table
-    (O(tile) memory).
+    The kernel follows from what the replay can observe.  An untiled
+    replay (no pool) takes :meth:`DimmSystem.take_by_table` on the
+    bound source window: one contiguous stage plus a chunk-wide take,
+    faster than the arena-global stream table for a whole op
+    (``docs/performance.md``).  A streamed replay gathers every band
+    through the bound stream table straight from the arena, in one
+    pass: a stream-safe op's bands into the pool's pong view (O(tile)
+    memory), and the whole-op band of an op that cannot band (an
+    in-place rewrite) into one transient array, so pong stays O(tile).
     """
     system = ctx.system
     row_bytes = nslots_out * op.chunk_bytes
-    if len(bands) == 1:
+    if ctx.pool is None:
         src = bound.window(0)
 
         def take_whole(scratch, r0, r1):
@@ -315,10 +320,12 @@ def _band_gather(op, ctx: ExecContext, bound: BoundWindows,
             return block.reshape(r1 - r0, row_bytes)
         return take_whole
     flat_table, width = bound.stream
+    wide = wide_dtype(width)
+    transient = not op._stream_safe()
 
     def take_flat(scratch, r0, r1):
-        out = scratch.pong((r1 - r0, flat_table.shape[1]),
-                           wide_dtype(width))
+        shape = (r1 - r0, flat_table.shape[1])
+        out = np.empty(shape, wide) if transient else scratch.pong(shape, wide)
         system.take_band_flat(flat_table, width, r0, r1, out, op.ids)
         return out.view(np.uint8).reshape(r1 - r0, row_bytes)
     return take_flat
@@ -399,8 +406,8 @@ class GatherMoveOp(_BandedOp):
                 self._execute_elided(ctx, plan, bands, dst_clean)
                 return
         system = ctx.system
-        bound = system.bind(self._binding, streamed=len(bands) > 1)
-        take = _band_gather(self, ctx, bound, bands, self.nslots_in,
+        bound = system.bind(self._binding, streamed=ctx.pool is not None)
+        take = _band_gather(self, ctx, bound, self.nslots_in,
                             self.nslots_out)
 
         def run_band(scratch: ScratchPool | None,
@@ -696,9 +703,8 @@ class ReduceFoldOp(_BandedOp):
         full = (np.empty((self.ids.size, elems), dtype=np_dtype)
                 if self.scratch_key is not None else None)
         system = ctx.system
-        bound = system.bind(self._binding, streamed=len(bands) > 1)
-        take = _band_gather(self, ctx, bound, bands, self.nslots,
-                            self.nslots)
+        bound = system.bind(self._binding, streamed=ctx.pool is not None)
+        take = _band_gather(self, ctx, bound, self.nslots, self.nslots)
 
         def run_band(scratch: ScratchPool | None,
                      rows: tuple[int, int]) -> None:
@@ -777,6 +783,12 @@ class FanoutScratchOp(_BandedOp):
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # The pooled take is unbuffered, so its range check is here: a
+        # lane must name a row of the (lanes, chunk) scratch matrix.
+        lanes = self.lane.shape[0]
+        if self.lane.size and (self.lane.min() < 0
+                               or self.lane.max() >= lanes):
+            raise TransferError(f"fanout lane outside [0, {lanes})")
         self._binding = _per_group(self.group_ids, self.dst_offset,
                                    self.nslots_out * self.chunk_bytes)
         self._band_memo = {}

@@ -112,7 +112,8 @@ class Communicator:
         if backend is None and self.execution != "interpreted":
             backend = "vectorized"
         #: Session-owned streaming scratch, reused across every call so
-        #: steady-state streamed replay performs zero heap allocations.
+        #: steady-state streamed bands allocate nothing (an in-place
+        #: op's whole-op band is the one transient array).
         #: An autotuned session may pick a streamed schedule at any
         #: point, so it always owns a pool.
         self._scratch = (ScratchPool()

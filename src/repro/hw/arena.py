@@ -605,10 +605,19 @@ class MemoryArena:
         width)``; the table is only valid until the arena reallocates
         (:class:`BoundWindows` keeps it with the windows of the same
         layout).
+
+        Every index is range-checked here, once per layout, so the
+        band takes can skip numpy's per-call check (``mode="raise"``
+        buffers ``out`` behind a hidden temporary): a lane outside the
+        group or an element outside the flat wide view raises
+        :class:`~repro.errors.TransferError` instead of wrapping.
         """
         width = self.stream_width(offset, chunk_bytes)
         ids = self.touch(pe_ids)
         lanes = ids.size // ngroups
+        if lane_table.size and (lane_table.min() < 0
+                                or lane_table.max() >= lanes):
+            raise TransferError(f"stream table lane outside [0, {lanes})")
         per = chunk_bytes // width
         src_rows = self._rows(ids).reshape(ngroups, lanes)[:, lane_table]
         table = (src_rows * (self.mram_bytes // width)
@@ -617,6 +626,11 @@ class MemoryArena:
             table = table[..., None] + np.arange(per, dtype=np.intp)
         table = np.ascontiguousarray(table.reshape(ids.size, -1),
                                      dtype=np.intp)
+        limit = self._data.size // width
+        if table.size and (table.min() < 0 or table.max() >= limit):
+            raise TransferError(
+                f"stream table index outside the arena's {limit} "
+                f"{width}-byte elements")
         table.setflags(write=False)
         return table, width
 
@@ -639,8 +653,13 @@ class MemoryArena:
 
     def take_band(self, table: np.ndarray, width: int, r0: int, r1: int,
                   out: np.ndarray) -> None:
-        """Gather one row band of a :meth:`stream_table` into ``out``."""
-        np.take(self.flat_wide(width), table[r0:r1], out=out)
+        """Gather one row band of a :meth:`stream_table` into ``out``.
+
+        Unbuffered: :meth:`stream_table` range-checked every index, so
+        the take runs in ``mode="wrap"`` and writes ``out`` directly
+        (``"raise"`` gathers into a hidden temporary, then copies).
+        """
+        np.take(self.flat_wide(width), table[r0:r1], out=out, mode="wrap")
 
     def take_select(self, table: np.ndarray, width: int,
                     rows: np.ndarray, out: np.ndarray) -> None:
@@ -649,9 +668,10 @@ class MemoryArena:
         The elision-aware replay path gathers only the representative
         output rows (first occurrence of each distinct content class)
         and fills or aliases the rest, so the expensive strided gather
-        shrinks with the elision rate.
+        shrinks with the elision rate.  Unbuffered, like
+        :meth:`take_band`.
         """
-        np.take(self.flat_wide(width), table[rows], out=out)
+        np.take(self.flat_wide(width), table[rows], out=out, mode="wrap")
 
     # ------------------------------------------------------------------
     # Bulk transfers
@@ -780,8 +800,9 @@ class ScratchPool:
     accumulator; the gather itself reads straight from the arena, so
     no source block is ever staged.  Buffers grow geometrically on
     demand and are then reused for every band of every op of every
-    replay, so the steady state performs zero heap allocations and
-    peak working memory is O(tile), not O(payload).
+    replay, so pool memory is O(tile), not O(payload).  An op that
+    cannot band (an in-place rewrite) gathers its whole-op band into
+    one transient array instead, so pong never grows to the payload.
 
     ``peak_bytes`` records the high-water mark of simultaneously
     requested view bytes -- at most two tiles (pong + the fold

@@ -570,10 +570,14 @@ class DimmSystem:
                        pe_ids: Sequence[int]) -> None:
         """Gather output rows ``[r0, r1)`` straight from the arena.
 
-        One ``np.take(..., out=)`` of wide elements through the bound
-        stream table (:meth:`bind` with ``streamed``) -- the vectorized
-        band kernel of streamed replay: no staging copy, no allocation,
-        and total index work independent of the band count.
+        One unbuffered ``np.take(..., out=, mode="wrap")`` of wide
+        elements through the bound stream table (:meth:`bind` with
+        ``streamed``) -- the band kernel of streamed replay.  It makes
+        one pass: no staging copy, and nothing allocated beyond the
+        caller's ``out``.  The default ``mode="raise"`` would gather
+        into a hidden temporary first, so the range check runs once,
+        when the table is built (:meth:`MemoryArena.stream_table`).
+        Total index work is independent of the band count.
         ``pe_ids`` names the PEs the table reads, for the rank guard.
         """
         self._ensure_arena().take_band(table, width, r0, r1, out)

@@ -7,6 +7,9 @@ with the same error types the scalar path raises, and the
 ``ArenaPeMemory`` adapter staying valid across arena reallocations.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -233,6 +236,65 @@ class TestStreamTables:
         assert arena._data is not data
         after, _ = arena.stream_table([8, 9], 1, 0, 16, lane, slot)
         assert not np.array_equal(before, after)
+
+    @pytest.mark.parametrize("lane,slot", [
+        ([[0], [2]], [[0], [0]]),           # lane past the group
+        ([[0], [-1]], [[0], [0]]),          # negative lane
+        ([[0], [1]], [[0], [1 << 20]]),     # element past the arena
+        ([[0], [1]], [[-1], [0]]),          # element before row 0
+    ], ids=["lane_high", "lane_negative", "slot_high", "slot_negative"])
+    def test_out_of_range_index_raises_when_built(self, lane, slot):
+        # Band takes run unbuffered (mode="wrap"), so a bad index must
+        # be refused here, once, instead of wrapping on every take.
+        arena = MemoryArena(mram_bytes=16, max_rows=8)
+        with pytest.raises(TransferError, match="stream table"):
+            arena.stream_table([0, 1], 1, 0, 8, np.array(lane),
+                               np.array(slot))
+
+
+class TestUnbufferedTakes:
+    """``np.take(..., out=)`` defaults to ``mode="raise"``, which always
+    buffers ``out``: a hidden temporary, then a copy.  Replay takes pass
+    ``mode=`` and range-check their tables where they are built."""
+
+    @staticmethod
+    def _buffered_takes(tree):
+        """``take`` calls that pass ``out`` but no ``mode``."""
+        found = []
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "take"):
+                continue
+            keywords = {kw.arg for kw in node.keywords}
+            # np.take(a, indices, axis, out, mode) and
+            # ndarray.take(indices, axis, out, mode): out sits one
+            # position earlier on the method.
+            module = (isinstance(node.func.value, ast.Name)
+                      and node.func.value.id in ("np", "numpy"))
+            out_at = 3 if module else 2
+            has_out = "out" in keywords or len(node.args) > out_at
+            has_mode = "mode" in keywords or len(node.args) > out_at + 1
+            if has_out and not has_mode:
+                found.append(node.lineno)
+        return found
+
+    def test_lint_flags_a_buffered_take(self):
+        tree = ast.parse("np.take(a, i, out=o)\n"
+                         "a.take(i, 0, o)\n"
+                         "np.take(a, i, out=o, mode='wrap')\n"
+                         "a.take(i, out=o, mode='clip')\n"
+                         "np.take(a, i)\n"
+                         "take(scratch, r0, r1)\n")
+        assert self._buffered_takes(tree) == [1, 2]
+
+    def test_no_buffered_take_in_src(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        offenders = [f"{path.relative_to(src)}:{line}"
+                     for path in sorted(src.rglob("*.py"))
+                     for line in self._buffered_takes(
+                         ast.parse(path.read_text(), str(path)))]
+        assert not offenders, offenders
 
 
 class TestBoundWindows:

@@ -18,8 +18,9 @@ import pytest
 
 from .helpers import fill_group_inputs, groups_of, make_manager
 
-from repro import (ABLATION_LADDER, BASELINE, Communicator, FULL,
-                   FaultInjector, SessionConfig)
+from repro import (ABLATION_LADDER, BASELINE, Communicator, DimmSystem,
+                   FULL, FaultInjector, SessionConfig)
+from repro.core.collectives.plan import ExecContext
 from repro.core.collectives.program import (
     CommProgram,
     FanoutScratchOp,
@@ -32,7 +33,8 @@ from repro.core.collectives.program import (
 from repro.dtypes import FLOAT32, INT8, INT32, SUM
 from repro.engine.cache import DEFAULT_MAXSIZE, PlanCache
 from repro.errors import (CollectiveError, FaultBudgetExceeded,
-                          TransferDropped)
+                          TransferDropped, TransferError)
+from repro.hw.arena import ScratchPool
 
 PRIMITIVES = ("alltoall", "allgather", "reduce_scatter", "allreduce",
               "gather", "scatter", "reduce", "broadcast")
@@ -351,6 +353,39 @@ class TestExecutionPolicy:
         assert snap["program_replays"] == 3
         assert "replay_seconds" in snap and "compile_seconds" in snap
         assert "compiled programs:" in stats.report()
+
+
+class TestTableRangeChecks:
+    """Pooled takes run unbuffered (``mode="wrap"``), so an index out of
+    range is refused where its table is built or bound: a take must
+    never wrap it silently."""
+
+    @pytest.mark.parametrize("bad_slot", [1 << 40, -(1 << 40)],
+                             ids=["past_arena", "before_arena"])
+    def test_streamed_move_refuses_a_table_outside_the_arena(self,
+                                                             bad_slot):
+        system = DimmSystem.small(backend="vectorized")
+        ids = np.arange(8)
+        slot = np.tile(np.arange(2), (8, 1))
+        slot[3, 1] = bad_slot
+        op = GatherMoveOp(ids=ids, ngroups=1, src_offset=0, dst_offset=64,
+                          nslots_in=2, nslots_out=2, chunk_bytes=8,
+                          lane=np.tile(np.arange(8)[:, None], (1, 2)),
+                          slot=slot)
+        system.poke_rows(ids, 0, np.full((8, 16), 7, np.uint8))
+        ctx = ExecContext(system=system, tile_bytes=32, pool=ScratchPool())
+        with pytest.raises(TransferError, match="stream table"):
+            op.execute(ctx, None)
+        assert not system.peek_rows(ids, 64, 16).any()
+
+    @pytest.mark.parametrize("bad_lane", [4, -1])
+    def test_fanout_refuses_a_lane_outside_its_scratch(self, bad_lane):
+        lane = np.arange(4)[:, None].copy()
+        lane[2, 0] = bad_lane
+        with pytest.raises(TransferError, match="fanout lane"):
+            FanoutScratchOp(group_ids=(np.arange(4),), ids=np.arange(4),
+                            instances=(0,), scratch_key="acc", lane=lane,
+                            dst_offset=0, chunk_bytes=8, nslots_out=1)
 
 
 class TestPlanCacheEviction:

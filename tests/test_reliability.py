@@ -872,6 +872,21 @@ EXPOSURE = {
     "reduce": (2, 3, 3),
     "broadcast": (1, 4, 4),
 }
+#: The same draws in a session with a 2 KiB tile budget: each band of
+#: a stream-safe op is its own gather and put, while the in-place
+#: PeReorder that opens the reduce primitives stays one band (one
+#: gather, one put) at any budget.
+EXPOSURE_STREAMED = {
+    "alltoall": (2, 8, 8),
+    "allgather": (2, 8, 8),
+    "reduce_scatter": (2, 10, 10),
+    "allreduce": (3, 10, 10),
+    "gather": (1, 4, 4),
+    "scatter": (1, 4, 4),
+    "reduce": (2, 6, 6),
+    "broadcast": (1, 4, 4),
+}
+STREAM_TILE = 2048
 DRAWS = ("take_timeout", "take_drop", "corrupt_transfer")
 
 
@@ -879,7 +894,7 @@ class TestFaultExposurePerPrimitive:
     """Faults are drawn per kernel call, so how a replay batches its
     transfers is observable: these pins keep it from moving silently."""
 
-    def _replay(self, primitive, dims, calls=3):
+    def _replay(self, primitive, dims, calls=3, tile=None):
         """Per call: draw counts and the PE ids of every rank guard."""
         manager = make_manager((4, 4, 2))
         injector = FaultInjector(seed=0, bit_flip_rate=1e-12,
@@ -903,8 +918,10 @@ class TestFaultExposurePerPrimitive:
             return guard(geometry, pe_ids)
 
         injector.guard_pes = guard_pes
-        comm = Communicator(manager, SessionConfig(backend="vectorized",
-                                                   fault_injector=injector))
+        comm = Communicator(manager, SessionConfig(
+            backend="vectorized", fault_injector=injector,
+            stream_tile_bytes=tile))
+        execution = "compiled" if tile is None else "streamed"
         groups = groups_of(manager, dims)
         n = groups[0].size
         kwargs = {"data_type": INT64}
@@ -924,7 +941,7 @@ class TestFaultExposurePerPrimitive:
                 counts[name] = 0
             guards.clear()
             result = getattr(comm, primitive)(dims, size, **kwargs)
-            assert result.execution == "compiled" and result.attempts == 1
+            assert result.execution == execution and result.attempts == 1
             seen.append((tuple(counts[name] for name in DRAWS),
                          list(guards)))
         return seen
@@ -933,13 +950,27 @@ class TestFaultExposurePerPrimitive:
                              ids=["fancy_rows", "strided_rows"])
     @pytest.mark.parametrize("primitive", PRIMITIVES)
     def test_draws_per_replay_are_pinned(self, primitive, dims):
-        seen = self._replay(primitive, dims)
+        self._assert_pinned(self._replay(primitive, dims),
+                            EXPOSURE[primitive])
+
+    @pytest.mark.parametrize("dims", ["101", "011"],
+                             ids=["fancy_rows", "strided_rows"])
+    @pytest.mark.parametrize("primitive", PRIMITIVES)
+    def test_streamed_draws_per_replay_are_pinned(self, primitive, dims):
+        # How a streamed replay gathers a band (from a pool view or a
+        # transient array, through the stream table or a staged take)
+        # must not change its fault sites: one draw set per kernel call.
+        self._assert_pinned(self._replay(primitive, dims, tile=STREAM_TILE),
+                            EXPOSURE_STREAMED[primitive])
+
+    @staticmethod
+    def _assert_pinned(seen, exposure):
         for draws, _ in seen:
-            assert draws == EXPOSURE[primitive]
+            assert draws == exposure
         # Same fault sites, same PE ids, same order, cold or warm.
         cold = seen[0][1]
         assert all(guards == cold for _, guards in seen)
-        assert len(cold) == EXPOSURE[primitive][1]
+        assert len(cold) == exposure[1]
 
 
 class TestCheapReliabilityPlumbing:

@@ -29,7 +29,7 @@ from repro import (
     HypercubeManager,
     SessionConfig,
 )
-from repro.core.collectives.program import band_ranges
+from repro.core.collectives.program import band_ranges, compile_plan
 from repro.core.groups import slice_groups
 from repro.core.reference import alltoall as ref_alltoall
 from repro.dtypes import FLOAT32, INT32, INT64, SUM
@@ -277,14 +277,12 @@ class TestEnginePolicy:
 
 
 class TestZeroAllocationSteadyState:
-    def test_streamed_replay_allocates_no_buffers(self):
-        # A warmed streamed AlltoAll moves a 512 KiB payload through a
-        # 2 KiB tile budget.  In steady state every band reuses the
-        # scratch pool, so tracemalloc must see no tile- or
-        # payload-sized blocks -- only transient Python object headers.
+    @staticmethod
+    def _steady_alltoall(tile):
+        """A warmed streamed AlltoAll of a 512 KiB payload at ``tile``;
+        returns the largest block and the heap peak of one more call."""
         manager = make_manager(SHAPE)
         system = manager.system
-        tile = 2048
         comm = Communicator(manager, SessionConfig(backend="vectorized",
                             execution="compiled", stream_tile_bytes=tile))
         n = 32
@@ -311,10 +309,44 @@ class TestZeroAllocationSteadyState:
         largest = max((stat.size / stat.count
                        for stat in snapshot.statistics("lineno")),
                       default=0)
+        return largest, peak
+
+    def test_streamed_replay_allocates_no_buffers(self):
+        # A 2 KiB tile budget.  In steady state every band reuses the
+        # scratch pool, so tracemalloc must see no tile- or
+        # payload-sized blocks -- only transient Python object headers.
+        tile = 2048
+        largest, peak = self._steady_alltoall(tile)
         assert largest < 1024, \
             f"steady-state replay allocated a {largest:.0f}B block"
         assert peak < tile * 16, \
             f"steady-state replay peaked at {peak}B of heap traffic"
+
+    def test_large_tile_bands_are_unbuffered(self):
+        # Every band is one 64 KiB tile.  A buffered take (numpy's
+        # default mode="raise" gathers into a hidden temporary, then
+        # copies it into ``out``) peaks at a whole tile, which the
+        # 2 KiB case cannot see: its hidden buffer is one 16 KiB row.
+        tile = 64 << 10
+        largest, peak = self._steady_alltoall(tile)
+        assert largest < 1024, \
+            f"steady-state replay allocated a {largest:.0f}B block"
+        assert peak < tile // 4, \
+            f"steady-state replay peaked at {peak}B of heap traffic"
+
+    @pytest.mark.parametrize("primitive", ["reduce_scatter", "allreduce"])
+    def test_in_place_op_leaves_pong_one_tile(self, primitive):
+        # Both primitives open with an in-place PeReorder, which cannot
+        # band and so replays whole at any budget.  It gathers from the
+        # arena into one transient array, not into pong: the pool stays
+        # within pong plus a fold sliver, two tiles, while the whole-op
+        # band is many tiles wide.  The result matches the oracle.
+        tile = 2048
+        result = _assert_streamed_parity(primitive, INT64, "scalar", tile)
+        first = compile_plan(result.plan, make_manager(SHAPE).system).ops[0]
+        rows, row_bytes = first._band_shape()
+        assert first.tile_count(tile) == 1 and rows * row_bytes > 2 * tile
+        assert 0 < result.peak_scratch_bytes <= 2 * tile
 
 
 class TestScratchPool:
