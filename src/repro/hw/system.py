@@ -354,9 +354,11 @@ class DimmSystem:
                   buf: np.ndarray, what: str) -> np.ndarray:
         """Read-side fault site: ``buf`` as the host receives it.
 
-        Rank guard, drop draw, then sender CRC -> maybe-corrupt ->
-        receiver verify (:func:`guarded_delivery`); a faulty burst
-        raises instead of handing corrupted bytes to the caller.
+        Rank guard, drop draw, then the corruption draw; a corrupted
+        burst is caught by the sender/receiver CRC pair
+        (:func:`guarded_delivery`, which computes it only for the
+        deliveries the link corrupted) and raises instead of handing
+        corrupted bytes to the caller.
         """
         injector.guard_pes(self.geometry, pe_ids)
         return guarded_delivery(injector, buf, what)
@@ -369,7 +371,8 @@ class DimmSystem:
         ``payload`` is a ``(len(pe_ids), nbytes)`` lane matrix or one
         1-D image every PE receives.  Rank guard first; then the drop
         draw -- a dropped burst lands on :func:`partial_prefix` of the
-        lanes before :class:`TransferDropped` surfaces -- then the CRC
+        lanes before :class:`TransferDropped` surfaces -- then the
+        corruption draw and, for a corrupted payload only, the CRC
         check, all *before* the caller commits, so a corrupted payload
         never reaches MRAM.
         """

@@ -12,6 +12,15 @@ a collective but can never silently poison its result.
 the corruption model :class:`~repro.reliability.faults.FaultInjector`
 produces; the modelled cost of checksumming rides inside the existing
 ``dt``/``host_mod`` terms (checksum units sit on the same data path).
+
+The simulator computes the CRC pair only for deliveries the injector
+actually corrupted.  The injector is the link: a delivery it handed
+back untouched is the sender's own buffer, whose receiver CRC equals
+its sender CRC by construction, so checking it would be a content pass
+with a known answer.  A corrupted delivery is a fresh copy (the
+injector never mutates its input), so the sender CRC over the intact
+original and the receiver CRC over the copy are the very pair an eager
+check computes, and every flip raises before anything is committed.
 """
 
 from __future__ import annotations
@@ -90,17 +99,17 @@ def guarded_delivery(injector: "FaultInjector | None", buf: np.ndarray,
     surfaces as :class:`ChecksumError` instead of landing, so callers
     never commit corrupted bytes.  Callers that model their own partial
     delivery pass ``drop=False`` and draw the drop decision themselves.
+
+    The drop and corruption draws happen on every call, in that order;
+    the sender CRC and the receiver verify run only for a delivery the
+    corruption draw returned as a copy (module docstring).  A CRC draws
+    no randomness, so fault schedules do not depend on when it runs.
     """
     if injector is None:
         return buf
     if drop and injector.take_drop():
         raise TransferDropped(f"{what}: transfer dropped in flight")
-    if injector.spec.bit_flip_rate <= 0.0:
-        # A link that cannot corrupt needs no simulated CRC pass (the
-        # modelled cost is charged regardless); same reasoning as the
-        # engine's zero-rate snapshot elision.
-        return buf
-    sent = checksum(buf)
     delivered = injector.corrupt_transfer(buf)
-    verify(sent, delivered, what)
+    if delivered is not buf:
+        verify(checksum(buf), delivered, what)
     return delivered

@@ -124,9 +124,10 @@ class FaultInjector:
     def corrupt_transfer(self, buf: np.ndarray) -> np.ndarray:
         """Maybe flip one random bit of a transfer buffer (copy).
 
-        Returns ``buf`` untouched when no fault fires; otherwise a
-        corrupted copy, leaving the caller's data intact (the checksum
-        layer decides whether corruption is *detected*).
+        Returns ``buf`` itself (the same object) when no fault fires;
+        otherwise a corrupted copy, leaving the caller's data intact
+        (the checksum layer decides whether corruption is *detected*,
+        and checksums only the deliveries that are not ``buf``).
         """
         if self.spec.bit_flip_rate <= 0.0 or buf.size == 0:
             return buf

@@ -14,6 +14,7 @@ from .helpers import (COMPILED_STORES, fill_group_inputs, groups_of,
 
 from repro import (
     Communicator,
+    DimmGeometry,
     DimmSystem,
     FAIL_FAST,
     FaultInjector,
@@ -124,6 +125,111 @@ class TestBitFlips:
                 # no fault fired: delivery must be byte-identical
                 np.testing.assert_array_equal(out, buf)
         assert raised > 0
+
+
+class FlipAt:
+    """Stub link: flips bit ``bit`` of byte ``byte`` of a delivery's
+    contiguous byte image, in a copy, exactly as the injector does."""
+
+    def __init__(self, byte, bit):
+        self.byte, self.bit = byte, bit
+
+    def take_drop(self):
+        return False
+
+    def corrupt_transfer(self, buf):
+        arr = np.ascontiguousarray(buf)
+        image = arr.reshape(-1).view(np.uint8).copy()
+        image[self.byte] ^= np.uint8(1 << self.bit)
+        return image.view(arr.dtype).reshape(arr.shape)
+
+
+def _deliveries():
+    """A contiguous buffer, a strided lane-matrix view and a transposed
+    int32 view: the layouts the transfer kernels hand the link."""
+    lanes = np.random.default_rng(3).integers(0, 256, (12, 64), np.uint8)
+    return {
+        "contiguous": np.arange(96, dtype=np.uint8),
+        "lane_view": lanes[::2, 8:24],
+        "transposed": np.arange(48, dtype=np.int32).reshape(6, 8).T,
+    }
+
+
+class TestLazyCrc:
+    """The CRC pair runs only for deliveries the link corrupted; these
+    pin what that relies on and what it must keep."""
+
+    @pytest.mark.parametrize("layout", sorted(_deliveries()))
+    def test_every_single_bit_flip_is_caught(self, layout):
+        buf = _deliveries()[layout]
+        intact = buf.copy()
+        for byte in range(buf.nbytes):
+            for bit in range(8):
+                with pytest.raises(ChecksumError):
+                    guarded_delivery(FlipAt(byte, bit), buf)
+        np.testing.assert_array_equal(buf, intact)
+
+    @pytest.mark.parametrize("layout", sorted(_deliveries()))
+    def test_corrupt_transfer_copies_exactly_when_it_flips(self, layout):
+        buf = _deliveries()[layout]
+        intact = buf.copy()
+        injector = FaultInjector(seed=1, bit_flip_rate=0.3)
+        copies = 0
+        for _ in range(100):
+            flips = injector.injected["bit_flip"]
+            out = injector.corrupt_transfer(buf)
+            np.testing.assert_array_equal(buf, intact)  # never mutated
+            flipped = injector.injected["bit_flip"] > flips
+            assert (out is not buf) == flipped
+            if flipped:
+                copies += 1
+                assert out.shape == buf.shape and out.dtype == buf.dtype
+        assert 0 < copies < 100
+        # A link that cannot corrupt, or nothing to corrupt: no copy.
+        assert FaultInjector(seed=1).corrupt_transfer(buf) is buf
+        empty = buf[:0]
+        assert FaultInjector(seed=1, bit_flip_rate=1.0).corrupt_transfer(
+            empty) is empty
+
+    #: ``reliable_replay``'s schedule over 40 calls, recorded while the
+    #: CRC pair still ran on every delivery: call -> (attempts, faults
+    #: seen) for each call that saw a fault, and the injector's totals.
+    SCHEDULES = {
+        20240408: ({0: (2, ("timeout",)), 5: (2, ("bit_flip",)),
+                    18: (2, ("drop",)), 31: (2, ("drop",))},
+                   {"bit_flip": 1, "drop": 2, "timeout": 1}),
+        3: ({1: (2, ("bit_flip",)), 9: (2, ("bit_flip",)),
+             25: (2, ("bit_flip",)), 28: (2, ("bit_flip",)),
+             33: (2, ("drop",)), 39: (2, ("bit_flip",))},
+            {"bit_flip": 5, "drop": 1, "timeout": 0}),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SCHEDULES))
+    def test_fault_schedule_is_pinned(self, seed):
+        """16x16 cube, AlltoAll/AllReduce/ReduceScatter/AllGather at
+        4 KiB under the ~1 %/operation mix: a CRC draws no randomness,
+        so when it runs cannot move a fault."""
+        size = 4 << 10
+        system = DimmSystem(DimmGeometry(2, 2, 8, 8), mram_bytes=2 * size,
+                            backend="vectorized")
+        manager = HypercubeManager(system, shape=(16, 16))
+        injector = FaultInjector(seed=seed, **MIXED_RATES)
+        comm = Communicator(manager, SessionConfig(fault_injector=injector))
+        values = np.random.default_rng(seed).integers(
+            1, 100, (len(manager.all_pes), size // 8))
+        system.scatter_elements(manager.all_pes, 0, list(values), INT64)
+        faulted = {}
+        for call in range(40):
+            primitive = ("alltoall", "allreduce", "reduce_scatter",
+                         "allgather")[call % 4]
+            arg = size // 16 if primitive == "allgather" else size
+            result = getattr(comm, primitive)(
+                "10", arg, src_offset=0, dst_offset=size, data_type=INT64)
+            if result.attempts > 1 or result.faults_seen:
+                faulted[call] = (result.attempts, tuple(result.faults_seen))
+        calls, totals = self.SCHEDULES[seed]
+        assert faulted == calls
+        assert injector.injected == {**totals, "rank_failure": 0}
 
 
 # ----------------------------------------------------------------------
@@ -588,6 +694,18 @@ REPLAY_MODES = {
     # A tile larger than every op: each op replays as one band.
     "one_band": {"stream_tile_bytes": 1 << 30},
 }
+#: The ~1 %/operation mix every mode replays under, and a flip-only
+#: link that corrupts often enough to run the CRC branch dozens of
+#: times per primitive.  Its rate is scaled to the mode's corruption
+#: draws per attempt (2-7 compiled, up to 66 at the 257-byte tile) so
+#: that no call runs out of retries.
+MIXED_RATES = {"bit_flip_rate": 0.004, "drop_rate": 0.003,
+               "timeout_rate": 0.003}
+FLIP_ONLY = {"compiled": 0.02, "streamed": 0.005}
+REPLAY_CASES = (
+    [pytest.param(mode, MIXED_RATES, id=mode) for mode in REPLAY_MODES]
+    + [pytest.param(mode, {"bit_flip_rate": rate}, id=f"{mode}-flips")
+       for mode, rate in FLIP_ONLY.items()])
 
 
 def _drive(primitive, calls, **session):
@@ -657,17 +775,16 @@ class TestFaultsOnCompiledReplay:
         from repro.core.collectives import program as program_mod
         monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 0)
 
-    @pytest.mark.parametrize("mode", REPLAY_MODES)
+    @pytest.mark.parametrize("mode,rates", REPLAY_CASES)
     @pytest.mark.parametrize("backend", COMPILED_STORES)
     @pytest.mark.parametrize("primitive", PRIMITIVES)
     def test_one_percent_faults_bit_identical_to_oracle(self, primitive,
-                                                        backend, mode):
+                                                        backend, mode,
+                                                        rates):
         want_mram, want_host = _oracle(primitive)
 
         def injector_for():
-            return FaultInjector(seed=PRIMITIVES.index(primitive),
-                                 bit_flip_rate=0.004, drop_rate=0.003,
-                                 timeout_rate=0.003)
+            return FaultInjector(seed=PRIMITIVES.index(primitive), **rates)
 
         injector = injector_for()
         mram, host, comm = _drive(primitive, _ORACLE_CALLS, backend=backend,
@@ -684,6 +801,8 @@ class TestFaultsOnCompiledReplay:
         assert stats.retries > 0, "no fault fired; tune seed/calls"
         assert stats.program_replays == _ORACLE_CALLS  # completed attempts
         assert stats.total_faults == injector.total_injected
+        if rates is not MIXED_RATES:
+            assert injector.injected["bit_flip"] == stats.total_faults
         if mode == "streamed":
             assert stats.tiles_replayed > 0
         if mode == "eliding" and primitive == "alltoall":
@@ -727,6 +846,8 @@ class TestFaultsOnCompiledReplay:
             FaultInjector(seed=0, bit_flip_rate=1.0))
         with pytest.raises(ChecksumError, match="read_lanes"):
             system.read_lanes(pes, 64, 32)
+        with pytest.raises(ChecksumError, match="take_rows"):
+            system.take_rows(pes, 64, 32)
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     @pytest.mark.parametrize("kernel", ["put_rows", "fill_lanes",
@@ -1002,8 +1123,31 @@ class TestCheapReliabilityPlumbing:
             except TransferDropped:
                 dropped += 1
         assert dropped > 0
-        with pytest.raises(AssertionError, match="must not checksum"):
-            guarded_delivery(FaultInjector(seed=0, bit_flip_rate=1e-9), buf)
+
+        # A link that can corrupt checksums exactly the deliveries it
+        # did corrupt: the sender/receiver pair, two CRCs per flip.
+        crcs = []
+
+        def spy(buf):
+            crcs.append(None)
+            return checksum(buf)
+
+        monkeypatch.setattr(checksum_mod, "checksum", spy)
+        flaky = FaultInjector(seed=0, bit_flip_rate=0.3, drop_rate=0.1)
+        flips = dropped = 0
+        for _ in range(200):
+            flips_before, crcs_before = flaky.injected["bit_flip"], len(crcs)
+            try:
+                assert guarded_delivery(flaky, buf) is buf
+            except TransferDropped:
+                dropped += 1
+            except ChecksumError:
+                flips += 1
+            fired = flaky.injected["bit_flip"] - flips_before
+            assert len(crcs) - crcs_before == 2 * fired
+        assert dropped > 0  # the drop draw still happens
+        assert flips == flaky.injected["bit_flip"] > 0
+        assert len(crcs) == 2 * flips
 
     def test_member_pes_sliced_once_per_manager(self, monkeypatch):
         from repro.core import groups
