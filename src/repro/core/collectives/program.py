@@ -21,7 +21,9 @@ declares its transfer regions once as an
 :class:`~repro.hw.arena.ArenaBinding`, and
 :meth:`~repro.hw.system.DimmSystem.bind` resolves them into windows
 once per arena layout, so replay moves bytes through pre-resolved
-views.  The interpreted path stays the oracle:
+views, and every table-driven gather, untiled or streamed, takes
+straight from the arena through the op's bound stream table, with no
+staging copy.  The interpreted path stays the oracle:
 replay must produce bit-identical memory state, host outputs, ledgers,
 SIMD counts and WRAM tiles (``tests/test_program.py``).
 
@@ -292,43 +294,30 @@ def _band_take(scratch: ScratchPool | None, source: np.ndarray,
                    mode="wrap")
 
 
-def _band_gather(op, ctx: ExecContext, bound: BoundWindows,
-                 nslots_in: int, nslots_out: int
+def _band_gather(op, ctx: ExecContext, bound: BoundWindows
                  ) -> Callable[[ScratchPool | None, int, int], np.ndarray]:
     """A table-driven op's band gather: ``take(scratch, r0, r1)``
     returns output rows ``[r0, r1)`` as a uint8 row matrix.
 
-    The kernel follows from what the replay can observe.  An untiled
-    replay (no pool) takes :meth:`DimmSystem.take_by_table` on the
-    bound source window: one contiguous stage plus a chunk-wide take,
-    faster than the arena-global stream table for a whole op
-    (``docs/performance.md``).  A streamed replay gathers every band
-    through the bound stream table straight from the arena, in one
-    pass: a stream-safe op's bands into the pool's pong view (O(tile)
-    memory), and the whole-op band of an op that cannot band (an
-    in-place rewrite) into one transient array, so pong stays O(tile).
+    Every replay gathers through the bound stream table straight from
+    the arena, in one pass (:meth:`DimmSystem.take_band_flat`).  A band
+    of a stream-safe op lands in the pool's pong view (O(tile)
+    memory); every other gather -- an untiled replay, which has no
+    pool, or the whole-op band of an op that cannot band (an in-place
+    rewrite) -- lands in one transient array, so pong stays O(tile).
     """
     system = ctx.system
-    row_bytes = nslots_out * op.chunk_bytes
-    if ctx.pool is None:
-        src = bound.window(0)
-
-        def take_whole(scratch, r0, r1):
-            block = system.take_by_table(
-                op.ids, op.ngroups, op.src_offset, nslots_in,
-                op.chunk_bytes, op.lane, op.slot, op.flat, src)
-            return block.reshape(r1 - r0, row_bytes)
-        return take_whole
     flat_table, width = bound.stream
     wide = wide_dtype(width)
     transient = not op._stream_safe()
 
-    def take_flat(scratch, r0, r1):
+    def take(scratch, r0, r1):
         shape = (r1 - r0, flat_table.shape[1])
-        out = np.empty(shape, wide) if transient else scratch.pong(shape, wide)
+        out = (np.empty(shape, wide) if scratch is None or transient
+               else scratch.pong(shape, wide))
         system.take_band_flat(flat_table, width, r0, r1, out, op.ids)
-        return out.view(np.uint8).reshape(r1 - r0, row_bytes)
-    return take_flat
+        return out.view(np.uint8)
+    return take
 
 
 @dataclass
@@ -350,7 +339,7 @@ class _ElisionPlan:
 
 @dataclass
 class GatherMoveOp(_BandedOp):
-    """Pure data movement as one take-by-table gather + one put.
+    """Pure data movement as one stream-table gather + one put.
 
     Covers PeReorder, RotateExchange and Fanout steps, and any legal
     composition of adjacent ones (see :func:`_chainable`).  The fused
@@ -384,13 +373,12 @@ class GatherMoveOp(_BandedOp):
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # Flatten the table pair once at lowering time; replay then
-        # gathers along a single pre-indexed axis (see arena docs).
+        # Flatten the table pair once at lowering time; the elision
+        # scan maps chunk classes through it.
         self.flat = flat_chunk_table(self.lane, self.slot, self.nslots_in)
-        # Windows: 0 = source block, 1 = destination block.
+        # One window, the destination block; the source is the gather.
         self._binding = ArenaBinding(
-            [(self.ids, self.src_offset, self.nslots_in * self.chunk_bytes),
-             (self.ids, self.dst_offset, self.nslots_out * self.chunk_bytes)],
+            [(self.ids, self.dst_offset, self.nslots_out * self.chunk_bytes)],
             gather=(self.ids, self.ngroups, self.src_offset,
                     self.chunk_bytes, self.lane, self.slot))
         self._band_memo = {}
@@ -406,15 +394,14 @@ class GatherMoveOp(_BandedOp):
                 self._execute_elided(ctx, plan, bands, dst_clean)
                 return
         system = ctx.system
-        bound = system.bind(self._binding, streamed=ctx.pool is not None)
-        take = _band_gather(self, ctx, bound, self.nslots_in,
-                            self.nslots_out)
+        bound = system.bind(self._binding)
+        take = _band_gather(self, ctx, bound)
 
         def run_band(scratch: ScratchPool | None,
                      band: tuple[int, int]) -> None:
             r0, r1 = band
             system.put_rows(self.ids[r0:r1], self.dst_offset,
-                            take(scratch, r0, r1), bound.window(1, band))
+                            take(scratch, r0, r1), bound.window(0, band))
 
         _run_bands(bands, ctx.pool, ctx.workers, run_band)
         self._charge(ctx)
@@ -485,7 +472,7 @@ class GatherMoveOp(_BandedOp):
         # layout rebinds, so the table's identity keys the cache.  The
         # bind touches every source row (it may grow the arena) before
         # the scan window is taken.
-        table = system.bind(self._binding, streamed=True).stream
+        table = system.bind(self._binding).stream
         epoch = system.content_epoch()
         cached = self._plan_cache
         if (cached is not None
@@ -681,11 +668,10 @@ class ReduceFoldOp(_BandedOp):
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        self.flat = flat_chunk_table(self.lane, self.slot, self.nslots)
-        # Windows: 0 = source block, 1 = destination chunk (if any).
-        specs = [(self.ids, self.src_offset, self.nslots * self.chunk_bytes)]
-        if self.dst_offset is not None:
-            specs.append((self.ids, self.dst_offset, self.chunk_bytes))
+        # One window, the destination chunk (if any); the source is the
+        # gather.
+        specs = ([] if self.dst_offset is None
+                 else [(self.ids, self.dst_offset, self.chunk_bytes)])
         self._binding = ArenaBinding(
             specs, gather=(self.ids, self.ngroups, self.src_offset,
                            self.chunk_bytes, self.lane, self.slot))
@@ -703,8 +689,8 @@ class ReduceFoldOp(_BandedOp):
         full = (np.empty((self.ids.size, elems), dtype=np_dtype)
                 if self.scratch_key is not None else None)
         system = ctx.system
-        bound = system.bind(self._binding, streamed=ctx.pool is not None)
-        take = _band_gather(self, ctx, bound, self.nslots, self.nslots)
+        bound = system.bind(self._binding)
+        take = _band_gather(self, ctx, bound)
 
         def run_band(scratch: ScratchPool | None,
                      rows: tuple[int, int]) -> None:
@@ -723,7 +709,7 @@ class ReduceFoldOp(_BandedOp):
             acc = fold_slots(values, self.op, out=out)
             if self.dst_offset is not None:
                 system.put_rows(self.ids[r0:r1], self.dst_offset,
-                                acc.view(np.uint8), bound.window(1, rows))
+                                acc.view(np.uint8), bound.window(0, rows))
 
         _run_bands(bands, ctx.pool, ctx.workers, run_band)
         if full is not None:

@@ -80,47 +80,6 @@ def wide_dtype(nbytes: int) -> np.dtype:
     return np.dtype((np.void, nbytes))
 
 
-def take_chunks_by_table(grouped: np.ndarray, lane_table: np.ndarray,
-                         slot_table: np.ndarray,
-                         flat_table: np.ndarray | None = None) -> np.ndarray:
-    """Gather chunks by a precompiled (lane, slot) index-table pair.
-
-    ``grouped`` is a ``(ngroups, lanes, nslots_in, chunk_bytes)`` block
-    and the result is ``out[g, l, s] = grouped[g, lane[l, s],
-    slot[l, s]]`` -- one fancy index covering every group at once.
-    This is the single-dispatch core of compiled program replay: the
-    tables come pre-validated and pre-composed from plan lowering, so
-    no permutation check or index math happens here.
-
-    The gather views each chunk as one wide element (uint64 for 8-byte
-    chunks, opaque void otherwise) and takes along a single flattened
-    axis: numpy's single-axis integer take on wide elements is several
-    times faster than a two-table advanced index with a trailing byte
-    axis, which is where steady-state replay spends nearly all its
-    time.  Pass ``flat_table`` (see :func:`flat_chunk_table`) to skip
-    re-deriving the flattened indices per call.
-    """
-    if grouped.ndim != 4:
-        raise TransferError(
-            f"expected (groups, lanes, nslots, chunk) block, got shape "
-            f"{grouped.shape}")
-    if lane_table.shape != slot_table.shape:
-        raise TransferError(
-            f"index tables disagree: {lane_table.shape} vs "
-            f"{slot_table.shape}")
-    ngroups, lanes, nslots, chunk = grouped.shape
-    if flat_table is None:
-        flat_table = lane_table.astype(np.intp) * nslots + slot_table
-    wide = wide_dtype(chunk)
-    # One strided copy to a contiguous block, then a flat single-axis
-    # gather of wide elements; both beat fancy-indexing the strided
-    # source chunk-by-chunk.
-    block = np.ascontiguousarray(grouped)
-    out = np.take(block.view(wide).reshape(ngroups, lanes * nslots),
-                  flat_table, axis=1)
-    return out.view(np.uint8).reshape(ngroups, *flat_table.shape, chunk)
-
-
 #: Chunk count at which the scan samples before committing: below it
 #: both stages always run exactly; above it a deterministic evenly
 #: spaced sample must first *nominate* a stage (a zero chunk in the
@@ -314,8 +273,8 @@ class BoundWindows:
 
     ``data`` is that array; ``windows`` follow the binding's specs in
     order; ``stream`` is the ``(table, width)`` pair of
-    :meth:`MemoryArena.stream_table` once a streamed replay asked for
-    it.  Immutable once published, so a replay reads one consistent
+    :meth:`MemoryArena.stream_table` when the binding names a gather.
+    Immutable once published, so a replay reads one consistent
     snapshot without a lock.  Holds views and index arrays, never
     copies of the data.
     """
@@ -558,20 +517,24 @@ class MemoryArena:
         return Window(self._data[:, offset:offset + nbytes],
                       self._rows(ids), offset, nbytes)
 
-    def bind(self, specs) -> BoundWindows:
-        """Resolve ``(ids, offset, nbytes)`` specs against this layout.
+    def bind(self, specs, gather=None) -> BoundWindows:
+        """Resolve ``(ids, offset, nbytes)`` specs against this layout,
+        plus the :meth:`stream_table` of ``gather`` when one is named.
 
-        Every row is touched before any window is taken, so a growth
-        the touches trigger cannot strand a window on the old array.
+        Every row is touched before any window or table is taken, so a
+        growth the touches trigger cannot strand one on the old array.
         """
         for ids, _, _ in specs:
             self.touch(ids)
+        if gather is not None:
+            self.touch(gather[0])
         data = self._data
         return BoundWindows(data, tuple(
-            self.window(ids, offset, nbytes) for ids, offset, nbytes in specs))
+            self.window(ids, offset, nbytes) for ids, offset, nbytes in specs),
+            None if gather is None else self.stream_table(*gather))
 
     # ------------------------------------------------------------------
-    # Streamed-replay flat gathers
+    # Compiled-replay flat gathers
     # ------------------------------------------------------------------
     def stream_width(self, offset: int, chunk_bytes: int) -> int:
         """Element width for flat arena-global gathers at this layout.
@@ -592,7 +555,7 @@ class MemoryArena:
     def stream_table(self, pe_ids, ngroups: int, offset: int,
                      chunk_bytes: int, lane_table: np.ndarray,
                      slot_table: np.ndarray) -> tuple[np.ndarray, int]:
-        """Arena-global flat gather table for row-band streamed replay.
+        """Arena-global flat gather table of a compiled op (any band).
 
         Lifts a per-group ``(lanes, nslots_out)`` (lane, slot) table
         pair into element indices over the whole backing array viewed
@@ -609,8 +572,9 @@ class MemoryArena:
         Every index is range-checked here, once per layout, so the
         band takes can skip numpy's per-call check (``mode="raise"``
         buffers ``out`` behind a hidden temporary): a lane outside the
-        group or an element outside the flat wide view raises
-        :class:`~repro.errors.TransferError` instead of wrapping.
+        group, or a chunk not wholly inside its PE's MRAM bank, raises
+        :class:`~repro.errors.TransferError` instead of wrapping or
+        spilling into a neighbouring PE's row.
         """
         width = self.stream_width(offset, chunk_bytes)
         ids = self.touch(pe_ids)
@@ -618,6 +582,13 @@ class MemoryArena:
         if lane_table.size and (lane_table.min() < 0
                                 or lane_table.max() >= lanes):
             raise TransferError(f"stream table lane outside [0, {lanes})")
+        if slot_table.size:
+            lo = offset + int(slot_table.min()) * chunk_bytes
+            hi = offset + (int(slot_table.max()) + 1) * chunk_bytes
+            if offset < 0 or lo < 0 or hi > self.mram_bytes:
+                raise TransferError(
+                    f"stream table reads MRAM [{lo}, {hi}) outside "
+                    f"[0, {self.mram_bytes})")
         per = chunk_bytes // width
         src_rows = self._rows(ids).reshape(ngroups, lanes)[:, lane_table]
         table = (src_rows * (self.mram_bytes // width)
@@ -626,11 +597,6 @@ class MemoryArena:
             table = table[..., None] + np.arange(per, dtype=np.intp)
         table = np.ascontiguousarray(table.reshape(ids.size, -1),
                                      dtype=np.intp)
-        limit = self._data.size // width
-        if table.size and (table.min() < 0 or table.max() >= limit):
-            raise TransferError(
-                f"stream table index outside the arena's {limit} "
-                f"{width}-byte elements")
         table.setflags(write=False)
         return table, width
 
@@ -702,28 +668,30 @@ class MemoryArena:
         np.copyto(out, rows)
         return out
 
+    # Kept only because benchmarks/e2e/tracer.py lists this name; drop
+    # it with the next change to the benchmark's target list.
     def gather_chunks(self, pe_ids, offset: int, nslots: int,
                       chunk_bytes: int, ngroups: int,
                       lane_table: np.ndarray,
-                      slot_table: np.ndarray,
-                      flat_table: np.ndarray | None = None,
-                      window: Window | None = None) -> np.ndarray:
-        """Fused take-by-index-table over grouped rows (compiled replay).
+                      slot_table: np.ndarray) -> np.ndarray:
+        """Take-by-index-table over grouped rows (no replay kernel
+        calls it).
 
-        Reads ``nslots * chunk_bytes`` bytes at ``offset`` from each PE
-        (zero-copy when the id list is a strided run), views the block
-        as ``(ngroups, lanes, nslots, chunk_bytes)``, and gathers
-        ``out[g, l, s] = block[g, lane[l, s], slot[l, s]]`` in one
-        fancy index.  The gather itself materializes the copy, so no
-        separate staging copy of the source block is ever made.
+        Views ``nslots * chunk_bytes`` bytes at ``offset`` from each PE
+        as ``(ngroups, lanes, nslots, chunk_bytes)`` and gathers
+        ``out[g, l, s] = block[g, lane[l, s], slot[l, s]]``: one
+        contiguous staging copy of the block, then one take of
+        ``chunk_bytes``-wide elements covering every group.
         """
-        if window is None:
-            window = self.window(pe_ids, offset, nslots * chunk_bytes)
+        window = self.window(pe_ids, offset, nslots * chunk_bytes)
         block = (window.view if window.rows is None
                  else window.view[window.rows])
-        grouped = block.reshape(ngroups, -1, nslots, chunk_bytes)
-        return take_chunks_by_table(grouped, lane_table, slot_table,
-                                    flat_table)
+        wide = np.ascontiguousarray(block).view(wide_dtype(chunk_bytes))
+        out = np.take(wide.reshape(ngroups, -1),
+                      flat_chunk_table(lane_table, slot_table, nslots),
+                      axis=1)
+        return out.view(np.uint8).reshape(ngroups, *lane_table.shape,
+                                          chunk_bytes)
 
     def write_rows(self, pe_ids, offset: int, matrix: np.ndarray,
                    window: Window | None = None) -> None:

@@ -489,42 +489,39 @@ class DimmSystem:
     # kernels raise (:meth:`_ensure_arena`) instead of reading a
     # shadow arena.
     # ------------------------------------------------------------------
-    def bind(self, binding: ArenaBinding,
-             streamed: bool = False) -> BoundWindows:
-        """``binding``'s windows on the current arena layout.
+    def bind(self, binding: ArenaBinding) -> BoundWindows:
+        """``binding``'s windows and stream table on the current layout.
 
         Resolves the op's specs once -- ids validated and touched,
-        spans checked, each region a strided view or a row index -- and
-        again only when the arena's backing array is replaced (growth,
-        re-base, a fresh arena after a backend switch): steady-state
-        replay pays one identity test.  ``streamed`` also lifts the
-        op's gather into a stream table.  Concurrent first replays
-        resolve once, under the binding's lock.
+        spans checked, each region a strided view or a row index, and
+        the op's gather (if it names one) lifted into a stream table --
+        and again only when the arena's backing array is replaced
+        (growth, re-base, a fresh arena after a backend switch):
+        steady-state replay pays one identity test.  Concurrent first
+        replays resolve once, under the binding's lock.
         """
         arena = self._ensure_arena()
         bound = binding.bound
-        if bound.data is arena._data and (
-                bound.stream is not None or not streamed):
+        if bound.data is arena._data:
             return bound
         with binding.lock:
             bound = binding.bound
             if bound.data is not arena._data:
+                gather = binding.gather
+                if gather is not None:
+                    gather = (self._lane_ids(gather[0]),) + gather[1:]
                 bound = arena.bind([(self._lane_ids(ids), offset, nbytes)
-                                    for ids, offset, nbytes in binding.specs])
-            if streamed and bound.stream is None:
-                ids, ngroups, offset, chunk_bytes, lane, slot = binding.gather
-                bound = BoundWindows(bound.data, bound.windows,
-                                     arena.stream_table(
-                                         self._lane_ids(ids), ngroups,
-                                         offset, chunk_bytes, lane, slot))
-            binding.bound = bound
+                                    for ids, offset, nbytes in binding.specs],
+                                   gather)
+                binding.bound = bound
         return bound
 
+    # Kept only because benchmarks/e2e/tracer.py lists this name; drop
+    # it with the next change to the benchmark's target list.
     def take_by_table(self, pe_ids: Sequence[int], ngroups: int,
                       src_offset: int, nslots_in: int, chunk_bytes: int,
-                      lane_table: np.ndarray, slot_table: np.ndarray,
-                      flat_table: np.ndarray | None = None,
-                      window: Window | None = None) -> np.ndarray:
+                      lane_table: np.ndarray, slot_table: np.ndarray
+                      ) -> np.ndarray:
         """Gather chunks by a precompiled (lane, slot) index-table pair.
 
         ``pe_ids`` is the rank-ordered concatenation of ``ngroups``
@@ -532,12 +529,12 @@ class DimmSystem:
         nslots_out, chunk_bytes)`` gather ``out[g, l, s] =
         in[g, lane[l, s], slot[l, s]]`` over each group's
         ``(lanes, nslots_in)`` chunk block at ``src_offset``, in one
-        fancy index over the arena.
+        fancy index over the arena.  No replay kernel calls it.
         """
-        ids = self._lane_ids(pe_ids) if window is None else pe_ids
+        ids = self._lane_ids(pe_ids)
         block = self._ensure_arena().gather_chunks(
             ids, src_offset, nslots_in, chunk_bytes, ngroups,
-            lane_table, slot_table, flat_table, window)
+            lane_table, slot_table)
         injector = self.fault_injector
         if injector is not None:
             block = self._received(injector, ids, block, "take_by_table")
@@ -574,8 +571,8 @@ class DimmSystem:
         """Gather output rows ``[r0, r1)`` straight from the arena.
 
         One unbuffered ``np.take(..., out=, mode="wrap")`` of wide
-        elements through the bound stream table (:meth:`bind` with
-        ``streamed``) -- the band kernel of streamed replay.  It makes
+        elements through the bound stream table (:meth:`bind`) -- the
+        gather kernel of every compiled replay.  It makes
         one pass: no staging copy, and nothing allocated beyond the
         caller's ``out``.  The default ``mode="raise"`` would gather
         into a hidden temporary first, so the range check runs once,

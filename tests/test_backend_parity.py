@@ -188,8 +188,9 @@ class TestCompiledReplayStore:
     def test_arena_kernels_raise_on_the_scalar_store(self):
         system = DimmSystem.small(mram_bytes=1 << 12)
         table = np.zeros((4, 2), dtype=np.intp)
+        out = np.empty((4, 2), dtype=np.uint64)
         with pytest.raises(AllocationError, match="no arena"):
-            system.take_by_table(list(range(4)), 1, 0, 2, 8, table, table)
+            system.take_band_flat(table, 8, 0, 4, out, list(range(4)))
         assert system.arena is None  # no shadow arena was built
 
     def test_replay_after_a_switch_to_scalar_raises(self):

@@ -19,7 +19,7 @@ import pytest
 from .helpers import fill_group_inputs, groups_of, make_manager
 
 from repro import (ABLATION_LADDER, BASELINE, Communicator, DimmSystem,
-                   FULL, FaultInjector, SessionConfig)
+                   FULL, FaultInjector, HypercubeManager, SessionConfig)
 from repro.core.collectives.plan import ExecContext
 from repro.core.collectives.program import (
     CommProgram,
@@ -30,7 +30,7 @@ from repro.core.collectives.program import (
     StepOp,
     compile_plan,
 )
-from repro.dtypes import FLOAT32, INT8, INT32, SUM
+from repro.dtypes import FLOAT32, INT8, INT32, INT64, SUM
 from repro.engine.cache import DEFAULT_MAXSIZE, PlanCache
 from repro.errors import (CollectiveError, FaultBudgetExceeded,
                           TransferDropped, TransferError)
@@ -272,7 +272,7 @@ class TestExecutionPolicy:
             execution="compiled", reliability=None,
             fault_injector=FaultInjector(seed=1, drop_rate=1.0)))
         comm.reliability = None  # isolate the injector from the retry loop
-        with pytest.raises(TransferDropped, match="take_by_table"):
+        with pytest.raises(TransferDropped, match="take_band_flat"):
             comm.alltoall(BITMAP, 128, src_offset=0, dst_offset=4096,
                           data_type=INT32)
         assert comm.stats.programs_compiled == 1
@@ -360,10 +360,15 @@ class TestTableRangeChecks:
     range is refused where its table is built or bound: a take must
     never wrap it silently."""
 
-    @pytest.mark.parametrize("bad_slot", [1 << 40, -(1 << 40)],
-                             ids=["past_arena", "before_arena"])
+    @pytest.mark.parametrize(
+        "bad_slot,tiled",
+        [(1 << 40, True), (-(1 << 40), True),
+         (1 << 40, False), (-(1 << 40), False)],
+        ids=["past_arena", "before_arena",
+             "past_arena-untiled", "before_arena-untiled"])
     def test_streamed_move_refuses_a_table_outside_the_arena(self,
-                                                             bad_slot):
+                                                             bad_slot,
+                                                             tiled):
         system = DimmSystem.small(backend="vectorized")
         ids = np.arange(8)
         slot = np.tile(np.arange(2), (8, 1))
@@ -373,10 +378,39 @@ class TestTableRangeChecks:
                           lane=np.tile(np.arange(8)[:, None], (1, 2)),
                           slot=slot)
         system.poke_rows(ids, 0, np.full((8, 16), 7, np.uint8))
-        ctx = ExecContext(system=system, tile_bytes=32, pool=ScratchPool())
+        # Untiled replay (no pool, no tile) gathers through the same
+        # bound stream table, so the same build-time check refuses it.
+        ctx = (ExecContext(system=system, tile_bytes=32, pool=ScratchPool())
+               if tiled else ExecContext(system=system))
         with pytest.raises(TransferError, match="stream table"):
             op.execute(ctx, None)
         assert not system.peek_rows(ids, 64, 16).any()
+
+    @pytest.mark.parametrize("tile", [None, 256], ids=["untiled", "tiled"])
+    @pytest.mark.parametrize("primitive", ["alltoall", "allreduce"])
+    def test_source_past_the_bank_never_reads_the_next_pe(self, primitive,
+                                                          tile):
+        """A source span that runs off the end of each PE's bank is
+        refused, like the oracle refuses it.  On a sub-cube the arena
+        holds another tenant's PEs in the rows past the cube's own, so
+        a take that spilled over a row end would read their MRAM."""
+        mram = 1 << 12
+        system = DimmSystem.small(mram_bytes=mram)
+        manager = HypercubeManager(system, shape=(4, 4), base_pe=0)
+        system.poke_rows(np.arange(16, 32), 0,
+                         np.full((16, mram), 5, np.uint8))
+        comm = Communicator(manager, SessionConfig(
+            backend="vectorized", execution="compiled",
+            stream_tile_bytes=tile))
+        size = 16 * 4 * INT64.itemsize
+        kwargs = {"reduction_type": SUM} if primitive == "allreduce" else {}
+        before = system.peek_rows(np.arange(32), 0, mram).copy()
+        with pytest.raises(TransferError, match="outside"):
+            getattr(comm, primitive)(BITMAP, size,
+                                     src_offset=mram - size + 64,
+                                     dst_offset=0, data_type=INT64, **kwargs)
+        np.testing.assert_array_equal(
+            system.peek_rows(np.arange(32), 0, mram), before)
 
     @pytest.mark.parametrize("bad_lane", [4, -1])
     def test_fanout_refuses_a_lane_outside_its_scratch(self, bad_lane):

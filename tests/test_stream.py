@@ -349,6 +349,77 @@ class TestZeroAllocationSteadyState:
         assert 0 < result.peak_scratch_bytes <= 2 * tile
 
 
+class TestSinglePassUntiledReplay:
+    """Untiled replay is the one-band case down to the kernel: a whole
+    op gathers through its stream table into one output array, with
+    no payload-sized staging copy of the source block beside it.
+
+    The price is the table itself, kept with the op's cached plan:
+    ``8 / width`` bytes per gathered byte, where ``width`` is the
+    element the arena is viewed in (the whole chunk when ``mram_bytes``
+    and the offset are chunk multiples, else 8 bytes or fewer).  A
+    512-byte chunk keeps a table of 1/64 the payload; a 384-byte one,
+    viewed in 8-byte elements, keeps one the payload's size per gather
+    op.  The heap peaks of both layouts, cold and warm, are compared
+    with the former staging gather in EXPERIMENTS.md ("One gather
+    kernel for every replay")."""
+
+    # per-PE bytes -> (cold peak, warm peak) bounds, in payloads.
+    # Aligned: the staging gather read 2.17/2.14 cold, 2.02/2.05 warm.
+    # Unaligned: it read 2.23/2.17 cold and 2.03/2.06 warm; here the
+    # cold call also builds the payload-sized tables, and a
+    # warm take still copies its read-only table (numpy's np.take
+    # copies an index array that is not writeable).
+    LAYOUTS = {"aligned": (32 * 512, 1.5, 1.25),
+               "unaligned": (32 * 384, 4.5, 2.25)}
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("primitive", ["alltoall", "allreduce"])
+    def test_heap_peak_and_retained_tables(self, primitive, layout):
+        per_pe, cold_bound, warm_bound = self.LAYOUTS[layout]
+        manager = make_manager(SHAPE)
+        system = manager.system
+        comm = Communicator(manager, SessionConfig(backend="vectorized",
+                            execution="compiled"))
+        n = 32
+        payload = n * per_pe
+        src = system.alloc(per_pe)
+        dst = system.alloc(per_pe)
+        rng = np.random.default_rng(0)
+        values = rng.integers(-99, 100, (n, per_pe // 8), dtype=np.int64)
+        pe_ids = slice_groups(manager, BITMAP)[0].pe_ids
+        system.scatter_elements(pe_ids, src, list(values), INT64)
+        kwargs = {"reduction_type": SUM} if primitive == "allreduce" else {}
+
+        def peak_of_one_call():
+            tracemalloc.start()
+            result = getattr(comm, primitive)(
+                BITMAP, per_pe, src_offset=src, dst_offset=dst,
+                data_type=INT64, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert result.execution == "compiled"
+            return peak / payload
+
+        cold = peak_of_one_call()
+        peak_of_one_call()
+        warm = peak_of_one_call()    # steady state: plan and tables warm
+        assert cold <= cold_bound, f"cold call peaked at {cold:.2f}x"
+        assert warm <= warm_bound, f"warm call peaked at {warm:.2f}x"
+
+        program = next(iter(comm.cache._plans.values())).program
+        streams = [op._binding.bound.stream for op in program.ops
+                   if getattr(op, "_binding", None) is not None
+                   and op._binding.gather is not None]
+        assert streams
+        for table, width in streams:
+            # 8 / width table bytes per gathered byte, one gathered
+            # byte per payload byte.
+            assert table.nbytes * width == 8 * payload
+        expected_width = 512 if layout == "aligned" else 8
+        assert {width for _, width in streams} == {expected_width}
+
+
 class TestScratchPool:
     def test_views_reuse_backing(self):
         pool = ScratchPool()
