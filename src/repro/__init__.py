@@ -41,7 +41,6 @@ from .core.collectives import (
     PR_IM,
     PR_ONLY,
     OptConfig,
-    Schedule,
 )
 from .core.hypercube import HypercubeManager
 from .dtypes import ALL_OPS, ALL_TYPES, dtype_by_name, op_by_name
@@ -72,7 +71,6 @@ __version__ = "1.3.0"
 __all__ = [
     "DimmSystem", "DimmGeometry", "MachineParams", "HypercubeManager",
     "OptConfig", "BASELINE", "PR_ONLY", "PR_IM", "FULL", "ABLATION_LADDER",
-    "Schedule",
     "Communicator", "CommRequest", "CommResult", "CommFuture",
     "BatchResult", "PlanCache", "EngineStats", "SessionConfig",
     "CollectiveServer", "Session", "TenantSpec",

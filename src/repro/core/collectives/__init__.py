@@ -3,7 +3,6 @@
 from .config import ABLATION_LADDER, BASELINE, FULL, PR_IM, PR_ONLY, OptConfig
 from .plan import CommPlan, ExecContext, Step
 from .program import CommProgram, ProgramOp, compile_plan
-from .schedule import Schedule
 from .planner import (
     ALL_PRIMITIVES,
     AR_SCRATCH,
@@ -24,7 +23,6 @@ __all__ = [
     "OptConfig", "BASELINE", "PR_ONLY", "PR_IM", "FULL", "ABLATION_LADDER",
     "CommPlan", "ExecContext", "Step",
     "CommProgram", "ProgramOp", "compile_plan",
-    "Schedule",
     "ALL_PRIMITIVES", "AR_SCRATCH", "GATHER_SCRATCH", "REDUCE_SCRATCH",
     "build_plan",
     "plan_alltoall", "plan_allgather", "plan_reduce_scatter",

@@ -1085,28 +1085,6 @@ class CommProgram:
         """Total modelled transfer bytes across all ops (static)."""
         return sum(op.transfer_bytes() for op in self.ops)
 
-    @property
-    def scannable_bytes(self) -> int:
-        """Source bytes an elided replay would fingerprint-scan.
-
-        Static per program (independent of content), so the autotuner
-        can price the scan overhead without running anything.
-        """
-        return sum(op.ids.size * op.nslots_in * op.chunk_bytes
-                   for op in self.ops
-                   if isinstance(op, GatherMoveOp) and op._elidable())
-
-    @property
-    def elidable_transfer_bytes(self) -> int:
-        """Transfer bytes of ops the elision layer can act on at all.
-
-        The best-case saving bound: content can never elide more than
-        the elidable ops' full traffic, so when the scan cost exceeds
-        this, scanning cannot pay regardless of sparsity.
-        """
-        return sum(op.transfer_bytes() for op in self.ops
-                   if isinstance(op, GatherMoveOp) and op._elidable())
-
     def pipeline_depth(self, tile_bytes: int) -> int:
         """Software-pipeline depth: the deepest single op's tile count."""
         return max(self.tile_counts(tile_bytes), default=1)
@@ -1213,7 +1191,7 @@ def compile_plan(plan: CommPlan, system: DimmSystem) -> CommProgram:
     ops wherever dropping the intermediate write is invisible.  The
     plan's analytic cost is priced once, here, so replay never calls
     ``estimate`` again.  The program depends on the plan alone: every
-    schedule of the plan's rung replays the same program.
+    tile budget and elision setting replays the same program.
     """
     ops: list[ProgramOp] = []
     lowered = 0

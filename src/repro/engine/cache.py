@@ -114,18 +114,6 @@ class CachePartition:
         """Compiled program for ``key``'s partitioned plan entry."""
         return self.parent.fetch_program(self._wrap(key), builder)
 
-    def fetch_schedule(self, key: Any) -> Any:
-        """This partition's cached schedule decision (None = undecided)."""
-        return self.parent.fetch_schedule(self._wrap(key))
-
-    def store_schedule(self, key: Any, schedule: Any) -> None:
-        """Commit a tuner decision under this partition's namespace."""
-        self.parent.store_schedule(self._wrap(key), schedule)
-
-    def invalidate_schedule(self, key: Any) -> None:
-        """Drop this partition's decision for ``key`` (re-tune trigger)."""
-        self.parent.invalidate_schedule(self._wrap(key))
-
     def _enforce(self) -> None:
         """Apply this partition's LRU bound (parent entries drop too)."""
         while self.maxsize is not None and len(self._order) > self.maxsize:
@@ -171,12 +159,6 @@ class PlanCache:
         self.evictions = 0
         self._plans: OrderedDict[PlanKey, _CacheEntry] = OrderedDict()
         self._partitions: dict[str, CachePartition] = {}
-        # Tuner decisions (schedule_key -> Schedule) live in their own
-        # LRU map: a decision is a few dozen bytes while a plan entry
-        # carries a compiled program, so plan eviction pressure must
-        # not wash out tuning decisions (and vice versa).  Bounded by
-        # the same maxsize; a dropped decision merely re-searches.
-        self._schedules: OrderedDict[Any, Any] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -225,33 +207,6 @@ class PlanCache:
             return entry.program, True
         entry.program = builder()
         return entry.program, False
-
-    # ------------------------------------------------------------------
-    # Tuner decisions
-    # ------------------------------------------------------------------
-    def fetch_schedule(self, key: Any) -> Any:
-        """The committed schedule decision for ``key``, or None."""
-        schedule = self._schedules.get(key)
-        if schedule is not None:
-            self._schedules.move_to_end(key)
-        return schedule
-
-    def store_schedule(self, key: Any, schedule: Any) -> None:
-        """Commit one tuner decision (LRU-bounded by ``maxsize``)."""
-        self._schedules[key] = schedule
-        self._schedules.move_to_end(key)
-        while self.maxsize is not None \
-                and len(self._schedules) > self.maxsize:
-            self._schedules.popitem(last=False)
-
-    def invalidate_schedule(self, key: Any) -> None:
-        """Drop one decision so the next lookup re-searches."""
-        self._schedules.pop(key, None)
-
-    @property
-    def schedules(self) -> int:
-        """Number of committed schedule decisions currently cached."""
-        return len(self._schedules)
 
     # ------------------------------------------------------------------
     # Tenant partitions
@@ -320,7 +275,6 @@ class PlanCache:
         their contents and counters reset along with the parent.
         """
         self._plans.clear()
-        self._schedules.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0

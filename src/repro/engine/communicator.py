@@ -91,20 +91,8 @@ class Communicator:
         self.functional = session_config.functional
         self.execution = session_config.execution
         self.stream_tile_bytes = session_config.stream_tile_bytes
-        #: Content-aware transfer elision default for compiled replays
-        #: (a tuned schedule's ``elide`` knob overrides per decision).
+        #: Content-aware transfer elision for compiled replays.
         self.elide_transfers = session_config.elide_transfers
-        #: Autotune mode (None / "offline" / "online").
-        self.autotune = session_config.autotune
-        #: The session's schedule tuner (None unless autotuning).
-        #: Imported lazily: ``analysis`` pulls in the application
-        #: harness, which imports this module.
-        self.tuner = None
-        if self.autotune is not None:
-            from ..analysis.autotune import ScheduleSpace, Tuner
-            self.tuner = Tuner(manager,
-                               ScheduleSpace.from_session(session_config),
-                               mode=self.autotune)
         # A session that compiles runs on the arena: compiled replay has
         # no per-PE kernels, so the scalar store serves only the
         # interpreted oracle.
@@ -114,11 +102,7 @@ class Communicator:
         #: Session-owned streaming scratch, reused across every call so
         #: steady-state streamed bands allocate nothing (an in-place
         #: op's whole-op band is the one transient array).
-        #: An autotuned session may pick a streamed schedule at any
-        #: point, so it always owns a pool.
-        self._scratch = (ScratchPool()
-                         if self.stream_tile_bytes or self.autotune
-                         else None)
+        self._scratch = ScratchPool() if self.stream_tile_bytes else None
         #: Session-owned worker pool (None = serial, the default);
         #: runs hazard-independent wave members and streamed row bands
         #: concurrently.  See docs/performance.md "Parallel replay".
@@ -173,40 +157,6 @@ class Communicator:
         if req.tenant is not None:
             self.stats.plan_partitions[req.tenant] = cache.counters()
         return plan, hit
-
-    def _tuned(self, req: NormalizedRequest) -> NormalizedRequest:
-        """Resolve ``req``'s execution schedule through the tuner.
-
-        Untuned sessions return the request unchanged.  Tuned sessions
-        ask the tuner for a schedule -- a cached decision, a shortlist
-        candidate being probed, or a fresh search -- and stamp it (plus
-        its rung) on the request.
-        """
-        if self.tuner is None or req.schedule is not None:
-            return req
-        schedule = self.tuner.schedule_for(
-            req, self._plan_cache_for(req), self.stats,
-            plan_for=lambda rung: self._candidate_plan(req, rung),
-            program_for=lambda rung: self._candidate_program(req, rung))
-        return replace(req, config=schedule.rung, schedule=schedule)
-
-    def _candidate_plan(self, req: NormalizedRequest,
-                        rung: OptConfig) -> CommPlan:
-        """A candidate rung's (cached) plan, for schedule pricing."""
-        sub = replace(req, config=rung, schedule=None)
-        plan, _ = self._compile(sub)
-        return plan
-
-    def _candidate_program(self, req: NormalizedRequest,
-                           rung: OptConfig) -> CommProgram:
-        """A candidate rung's (cached) compiled program.
-
-        Goes through the same plan-cache entries the engine replays
-        from, so nothing priced during search is compiled twice.
-        """
-        sub = replace(req, config=rung, schedule=None)
-        plan, _ = self._compile(sub)
-        return self._program_for(sub, plan)
 
     def _program_for(self, req: NormalizedRequest,
                      plan: CommPlan) -> CommProgram | None:
@@ -299,12 +249,8 @@ class Communicator:
         seconds`` is None unless a compiled functional replay ran.
         """
         plan, program, hit = resolved
-        schedule = req.schedule
         if program is not None:
-            tile_bytes = (schedule.tile_bytes if schedule is not None
-                          else self.stream_tile_bytes)
-            elide = (schedule.elide if schedule is not None
-                     else self.elide_transfers)
+            tile_bytes = self.stream_tile_bytes
             replay_s = None
             if functional:
                 raw = (_payload_bytes(req.payloads)
@@ -315,12 +261,12 @@ class Communicator:
                                              tile_bytes=tile_bytes,
                                              pool=self._replay_pool(),
                                              workers=self._band_workers(),
-                                             elide=elide)
+                                             elide=self.elide_transfers)
                 replay_s = perf_counter() - start
             else:
                 # Analytic calls never elide: elision is a property of
                 # the actual payload content, which analytic pricing
-                # never sees (the tuner models it instead).
+                # never sees.
                 ledger, ctx = program.priced(self.manager.system), None
             tiles = 0
             if tile_bytes is not None:
@@ -344,8 +290,7 @@ class Communicator:
                               chunks_elided=ctx.chunks_elided
                               if ctx is not None else 0,
                               elided_bytes=ctx.elided_bytes
-                              if ctx is not None else 0,
-                              schedule=schedule), replay_s
+                              if ctx is not None else 0), replay_s
         bound = bind_payloads(plan, req.payloads if functional else None)
         ledger, ctx = bound.run(self.manager.system, functional=functional)
         host_outputs = self._host_outputs(req, ctx)
@@ -353,8 +298,7 @@ class Communicator:
                           host_outputs=host_outputs, cached=hit,
                           simd=ctx.simd if ctx is not None else None,
                           wram_tiles=ctx.wram_tiles if ctx is not None
-                          else 0,
-                          schedule=schedule), None
+                          else 0), None
 
     def _record_execution(self, req: NormalizedRequest, result: CommResult,
                           replay_s: float | None, *, backoff_s: float = 0.0,
@@ -379,16 +323,6 @@ class Communicator:
                                backoff_s=backoff_s, degraded=degraded)
         if self._pool is not None:
             self.stats.worker_bands = self._pool.band_counts()
-        if self.tuner is not None and req.schedule is not None \
-                and result.attempts == 1:
-            # Online feedback: fold the measured replay seconds (None
-            # for analytic/interpreted runs) into the tuner's probe or
-            # divergence-monitor state for this shape.  A retried call
-            # is no clean sample (its ledger spans every attempt, its
-            # replay seconds only the last), so it is not observed.
-            self.tuner.observe(req, req.schedule, result.ledger.total,
-                               replay_s, self._plan_cache_for(req),
-                               self.stats)
 
     def _host_outputs(self, req: NormalizedRequest,
                       ctx) -> dict[int, np.ndarray] | None:
@@ -461,13 +395,13 @@ class Communicator:
 
     def _renormalize(self, req: NormalizedRequest) -> NormalizedRequest:
         """Re-resolve a request against the (remapped) current manager."""
-        return self._tuned(CommRequest(
+        return CommRequest(
             req.primitive, req.dims, req.total_data_size,
             src_offset=req.src_offset, dst_offset=req.dst_offset,
             data_type=req.dtype, reduction_type=req.op,
             payloads=req.payloads, config=req.config,
             tag=req.tag, tenant=req.tenant).normalize(
-                self.manager, self.config, backend=self.backend))
+                self.manager, self.config, backend=self.backend)
 
     def _run_reliable(self, req: NormalizedRequest,
                       functional: bool) -> CommResult:
@@ -478,7 +412,7 @@ class Communicator:
         primitives permute their source region, so a blind re-execution
         after a mid-program fault would start from corrupted state).
         Every attempt -- compiled, streamed, eliding or interpreted, as
-        the session or the tuned schedule says -- prices itself into
+        the session says -- prices itself into
         the accumulated ledger; on a transient fault the wrapper
         rewinds, backs off (charged to the ``"retry"`` category), and
         tries again until the policy's attempt cap or fault budget is
@@ -565,8 +499,8 @@ class Communicator:
         """Run one request: the single-request entry the eight
         primitive methods delegate to (``functional=None`` = the
         session default)."""
-        req = self._tuned(request.normalize(self.manager, self.config,
-                                            backend=self.backend))
+        req = request.normalize(self.manager, self.config,
+                                backend=self.backend)
         return self._run(
             req, self.functional if functional is None else functional)
 
@@ -591,8 +525,8 @@ class Communicator:
             raise CollectiveError("submit() needs at least one request")
         run_functional = (self.functional if functional is None
                           else functional)
-        normalized = [self._tuned(r.normalize(self.manager, self.config,
-                                              backend=self.backend))
+        normalized = [r.normalize(self.manager, self.config,
+                                  backend=self.backend)
                       for r in requests]
         waves = schedule_waves(normalized)
         futures: list[CommFuture] = [None] * len(normalized)  # type: ignore

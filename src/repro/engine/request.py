@@ -125,19 +125,13 @@ class NormalizedRequest:
     #: Owning tenant id (serving front-end); selects the plan-cache
     #: partition the engine resolves this request through.
     tenant: str | None = None
-    #: The resolved execution :class:`~repro.core.collectives.Schedule`
-    #: stamped by the session's tuner (None = untuned; the session
-    #: knobs apply as configured).
-    schedule: Any = None
 
     @functools.cached_property
     def plan_key(self) -> "PlanKey":
         """Cache key: everything that shapes the plan except payloads.
 
         Computed once per request: the engine asks for it on every
-        cached call, and the request is never mutated (rewrites such
-        as a tuner's go through ``dataclasses.replace``, which builds
-        a fresh instance).
+        cached call, and the request is never mutated.
         """
         op_name = (self.op.name if self.primitive in ARITHMETIC_PRIMITIVES
                    else None)
@@ -148,21 +142,6 @@ class NormalizedRequest:
                        dtype=self.dtype.name, op=op_name,
                        variant=self.config, topology=self.topology,
                        backend=self.backend)
-
-    @property
-    def schedule_key(self) -> tuple:
-        """Identity of one *tuning problem*: the request facts a
-        schedule decision depends on, and nothing the tuner itself
-        chooses.  Unlike :attr:`plan_key` it omits the config rung (a
-        tuner output) and the backend (constant per session) but keeps
-        the offsets -- streaming safety and band shapes depend on how
-        src and dst regions overlap.
-        """
-        op_name = (self.op.name if self.primitive in ARITHMETIC_PRIMITIVES
-                   else None)
-        return ("schedule", self.primitive, self.dims,
-                self.total_data_size, self.src_offset, self.dst_offset,
-                self.dtype.name, op_name, self.topology)
 
     def describe(self) -> str:
         """Short label for traces and futures."""

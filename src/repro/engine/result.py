@@ -62,17 +62,14 @@ class CommResult:
     #: (bounded by ~2 tiles: one pong output band + one fold sliver).
     peak_scratch_bytes: int = 0
     #: Source chunks fingerprint-scanned by content-aware elision
-    #: (0 unless the call ran with ``elide_transfers``/a tuned
-    #: ``elide`` schedule on a big-enough movement op).
+    #: (0 unless the call ran with ``elide_transfers`` on a big-enough
+    #: movement op).
     chunks_scanned: int = 0
     #: Destination chunks whose transfer was elided (zero-filled or
     #: alias-copied from a byte-verified duplicate representative).
     chunks_elided: int = 0
     #: Destination bytes those elided chunks cover.
     elided_bytes: int = 0
-    #: The execution :class:`~repro.core.collectives.Schedule` this
-    #: call ran under (None unless the session autotunes).
-    schedule: object | None = None
 
     @property
     def seconds(self) -> float:
@@ -107,8 +104,6 @@ class CommResult:
             parts.append(f"faults: {','.join(self.faults_seen)}")
         if self.degraded:
             parts.append("degraded")
-        if self.schedule is not None:
-            parts.append(f"tuned [{self.schedule.describe()}]")
         return ", ".join(parts) + ")"
 
 

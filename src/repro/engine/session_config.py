@@ -87,21 +87,6 @@ class SessionConfig:
             ``EngineStats.parallel_fallbacks``) and row bands serially:
             the injector's RNG is one stateful stream
             (``docs/performance.md``).
-        autotune: ``None`` (default) runs the knobs exactly as
-            configured.  ``"offline"`` lets a cost-model-guided
-            :class:`~repro.analysis.autotune.Tuner` pick the execution
-            schedule (tile/elision/rung) per collective shape, caching
-            decisions beside the compiled plans;
-            ``"online"`` additionally probes the model's shortlist
-            with measured replay seconds and re-tunes when observed
-            cost diverges from modelled cost.  ``stream_tile_bytes``
-            pins the tile axis and ``execution="interpreted"`` leaves
-            only the rung -- the tuner decides what was left open.
-            ``backend`` and ``execution`` stay the session's; a tuned
-            session that compiles runs vectorized like any other.
-            Composes with ``fault_injector``/``reliability``: tuned
-            schedules replay under the same retry/rewind wrapper
-            (``docs/performance.md``).
         elide_transfers: Content-aware transfer elision (default
             False).  When True, compiled replays fingerprint-scan
             their movement sources and skip the gather and bus charge
@@ -124,7 +109,6 @@ class SessionConfig:
     execution: str = "auto"
     stream_tile_bytes: int | None = None
     parallel_workers: int = 1
-    autotune: str | None = None
     elide_transfers: bool = False
 
     def __post_init__(self) -> None:
@@ -177,10 +161,6 @@ class SessionConfig:
             raise CollectiveError(
                 "elide_transfers runs in compiled replay; use "
                 "execution='auto' or 'compiled'")
-        if self.autotune not in (None, "offline", "online"):
-            raise CollectiveError(
-                f"unknown autotune mode {self.autotune!r}; "
-                f"known: ('offline', 'online')")
 
     def evolve(self, **changes: Any) -> "SessionConfig":
         """A copy with ``changes`` applied (re-validated)."""

@@ -75,20 +75,8 @@ class EngineStats:
     #: worker label -> streamed bands executed on that worker
     #: (mirrors the session pool's lifetime counters).
     worker_bands: dict[str, int] = field(default_factory=dict)
-    # Autotuner counters (all zero unless SessionConfig(autotune=...)).
-    #: Fresh schedule-space searches performed (cold keys + re-tunes).
-    tuner_searches: int = 0
-    #: Lookups served by a cached schedule decision.
-    tuner_cache_hits: int = 0
-    #: Executions handed a shortlist candidate to measure (online mode).
-    tuner_probes: int = 0
-    #: Replay-seconds observations folded into probe/monitor state.
-    tuner_observations: int = 0
-    #: Committed decisions invalidated because observed cost diverged
-    #: from modelled cost (each forces a fresh search).
-    tuner_retunes: int = 0
     # Content-aware elision counters (all zero unless
-    # SessionConfig(elide_transfers=True) or a tuned elide schedule).
+    # SessionConfig(elide_transfers=True)).
     #: Calls whose replay fingerprint-scanned at least one source.
     elision_scans: int = 0
     #: Source chunks fingerprint-scanned across the session.
@@ -101,7 +89,7 @@ class EngineStats:
     # on host 0's session, which represents the symmetric hosts).
     #: Global (inter-host) phases executed.
     global_phases: int = 0
-    #: ``"primitive/algorithm"`` -> times the tuner chose it.
+    #: ``"primitive/algorithm"`` -> times the global tuner chose it.
     global_algorithms: dict[str, int] = field(default_factory=dict)
     #: Payload bytes global phases put on the inter-host fabric.
     fabric_bytes: int = 0
@@ -183,8 +171,8 @@ class EngineStats:
         """Account one replay's content-aware elision activity.
 
         Calls with zero scan work record nothing -- the dense fast
-        path (``elide_transfers`` off, or the tuner deciding scanning
-        cannot pay) must leave every elision counter untouched, which
+        path (``elide_transfers`` off, or an op too small to scan) must
+        leave every elision counter untouched, which
         ``tests/test_elision.py`` asserts.
         """
         if not chunks_scanned:
@@ -279,11 +267,6 @@ class EngineStats:
             "parallel_wall_seconds": self.parallel_wall_seconds,
             "parallel_task_seconds": self.parallel_task_seconds,
             "worker_bands": dict(self.worker_bands),
-            "tuner_searches": self.tuner_searches,
-            "tuner_cache_hits": self.tuner_cache_hits,
-            "tuner_probes": self.tuner_probes,
-            "tuner_observations": self.tuner_observations,
-            "tuner_retunes": self.tuner_retunes,
             "elision_scans": self.elision_scans,
             "chunks_scanned": self.chunks_scanned,
             "chunks_elided": self.chunks_elided,
@@ -364,13 +347,6 @@ class EngineStats:
             for key in sorted(self.global_algorithms):
                 lines.append(f"    {key:<22s} "
                              f"x{self.global_algorithms[key]}")
-        if self.tuner_searches or self.tuner_cache_hits:
-            lines.append("  autotuner:")
-            lines.append(f"    searches        {self.tuner_searches}")
-            lines.append(f"    decision hits   {self.tuner_cache_hits}")
-            lines.append(f"    probes          {self.tuner_probes} "
-                         f"({self.tuner_observations} observations)")
-            lines.append(f"    re-tunes        {self.tuner_retunes}")
         if self.plan_partitions:
             lines.append("  plan-cache partitions:")
             for tenant in sorted(self.plan_partitions):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.collectives import Schedule
 from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, INT64, ReduceOp, SUM
 from ..engine import Communicator, SessionConfig, WorkerPool
@@ -76,9 +75,6 @@ class MultiHostResult:
     #: Fabric bytes skipped by content-aware elision (all-zero blocks
     #: replaced by fingerprint markers).
     elided_fabric_bytes: int = 0
-    #: The local schedule host 0 executed (None when the session did
-    #: not resolve a schedule).
-    schedule: Schedule | None = None
 
     @property
     def seconds(self) -> float:
@@ -101,8 +97,8 @@ class MultiHostSystem:
         ranks_per_channel / mram_bytes: Per-host system size.
         session_config: Engine configuration every host's
             :class:`~repro.engine.Communicator` runs under (rung,
-            backend, execution mode, streaming, autotune, elision,
-            workers).  None means the all-defaults config.
+            backend, execution mode, streaming, elision, workers).
+            None means the all-defaults config.
         fabric: Inter-host topology (default: fully connected at the
             testbed's throttled MPI link rate, on which a ring prices
             at the flat ``(N-1)/N`` formulas).
@@ -277,15 +273,15 @@ class MultiHostSystem:
 
     def _finish(self, ledger: CostLedger,
                 phase: tuple[GlobalProgram, float, int, int] | None,
-                schedule: Schedule | None, outputs) -> MultiHostResult:
+                outputs) -> MultiHostResult:
         if phase is None:
             return MultiHostResult(ledger=ledger, fabric_seconds=0.0,
-                                   outputs=outputs, schedule=schedule)
+                                   outputs=outputs)
         program, seconds, moved, elided = phase
         return MultiHostResult(
             ledger=ledger, fabric_seconds=seconds, outputs=outputs,
             global_algorithm=program.algorithm, fabric_bytes=moved,
-            elided_fabric_bytes=elided, schedule=schedule)
+            elided_fabric_bytes=elided)
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +344,7 @@ def multihost_allreduce(mh: MultiHostSystem, total_data_size: int,
         outputs = [mh.systems[h].gather_elements(
                        range(mh.pes_per_host), dst_offset, elems, dtype)
                    for h in range(mh.num_hosts)]
-    return mh._finish(ledger, phase, reduce_results[0].schedule, outputs)
+    return mh._finish(ledger, phase, outputs)
 
 
 def multihost_reduce_scatter(mh: MultiHostSystem, total_data_size: int,
@@ -406,7 +402,7 @@ def multihost_reduce_scatter(mh: MultiHostSystem, total_data_size: int,
         outputs = [mh.systems[h].gather_elements(
                        range(p), dst_offset, elems, dtype)
                    for h in range(n_hosts)]
-    return mh._finish(ledger, phase, reduce_results[0].schedule, outputs)
+    return mh._finish(ledger, phase, outputs)
 
 
 def multihost_allgather(mh: MultiHostSystem, total_data_size: int,
@@ -454,7 +450,7 @@ def multihost_allgather(mh: MultiHostSystem, total_data_size: int,
         outputs = [mh.systems[h].gather_elements(
                        range(p), dst_offset, elems, dtype)
                    for h in range(n_hosts)]
-    return mh._finish(ledger, phase, gather_results[0].schedule, outputs)
+    return mh._finish(ledger, phase, outputs)
 
 
 def multihost_alltoall(mh: MultiHostSystem, total_data_size: int,
@@ -523,4 +519,4 @@ def multihost_alltoall(mh: MultiHostSystem, total_data_size: int,
         outputs = [mh.systems[h].gather_elements(
                        range(mh.pes_per_host), dst_offset, elems, dtype)
                    for h in range(mh.num_hosts)]
-    return mh._finish(ledger, phase, gather_results[0].schedule, outputs)
+    return mh._finish(ledger, phase, outputs)

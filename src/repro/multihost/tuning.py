@@ -1,9 +1,9 @@
 """Topology-aware selection of the global-phase algorithm.
 
-The single-host autotuner (PR 8) picks tiles and rungs by pricing
-candidates on the machine model and caching the argmin per shape.
-:class:`GlobalTuner` extends exactly that discipline to the
-inter-host phase: per ``(primitive, payload, topology)`` it compiles
+:class:`GlobalTuner` prices candidates on the machine model and
+caches the argmin, for the inter-host phase only (a single host runs
+exactly the knobs its session was built with): per
+``(primitive, payload, topology)`` it compiles
 every applicable candidate algorithm
 (``ring`` / ``halving_doubling`` / ``exchange``, the latter over a
 small family of factorizations including the rack-aligned split),
@@ -38,9 +38,7 @@ class GlobalTuner:
         fabric: The topology programs are priced on.
         algorithms: Candidate algorithms (default: all of
             :data:`~repro.multihost.GLOBAL_ALGORITHMS`).  A single entry
-            pins the choice, mirroring how a pinned
-            ``SessionConfig.stream_tile_bytes`` collapses the tile axis
-            for the local tuner.
+            pins the choice.
     """
 
     def __init__(self, fabric: Fabric,

@@ -226,17 +226,6 @@ class CollectiveServer:
         return self.comm.parallel_workers
 
     @property
-    def autotune(self) -> str | None:
-        """The owned session's autotune mode (None / offline / online).
-
-        A server built with ``SessionConfig(autotune=...)`` tunes
-        per-tenant: tenant-stamped requests route schedule decisions
-        through that tenant's plan-cache partition, so one tenant's
-        re-tunes never disturb another's committed schedules.
-        """
-        return self.comm.autotune
-
-    @property
     def admission_stats(self):
         """The admission queue's lifetime counters."""
         return self._queue.stats

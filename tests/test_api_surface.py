@@ -103,7 +103,6 @@ class TestApiSurface:
 EXPECTED_EXPORTS = {
     "DimmSystem", "DimmGeometry", "MachineParams", "HypercubeManager",
     "OptConfig", "BASELINE", "PR_ONLY", "PR_IM", "FULL", "ABLATION_LADDER",
-    "Schedule",
     "Communicator", "CommRequest", "CommResult", "CommFuture",
     "BatchResult", "PlanCache", "EngineStats", "SessionConfig",
     "CollectiveServer", "Session", "TenantSpec",
@@ -152,14 +151,12 @@ EXPECTED_SESSION_SIGNATURES = {
             " functional: 'bool | None' = None) -> 'CommResult'"),
 }
 
-#: The value objects' fields: a schedule holds the decisions somebody
-#: makes per shape, the session config everything a session is built
-#: from (and nothing is configured anywhere else).
-EXPECTED_SCHEDULE_FIELDS = ["tile_bytes", "elide", "rung"]
+#: The session config's fields: everything a session is built from
+#: (and nothing is configured anywhere else).
 EXPECTED_SESSION_FIELDS = [
     "config", "functional", "cache_size", "reliability", "fault_injector",
     "backend", "execution", "stream_tile_bytes", "parallel_workers",
-    "autotune", "elide_transfers"]
+    "elide_transfers"]
 
 
 class TestApiSnapshot:
@@ -177,8 +174,6 @@ class TestApiSnapshot:
                 f"Communicator.{name} signature drifted:\n{actual}")
 
     def test_value_object_fields_match_snapshot(self):
-        assert [f.name for f in dataclasses.fields(repro.Schedule)] \
-            == EXPECTED_SCHEDULE_FIELDS
         assert [f.name for f in dataclasses.fields(repro.SessionConfig)] \
             == EXPECTED_SESSION_FIELDS
 
@@ -306,6 +301,8 @@ class TestOneDoor:
             Communicator(manager, backend="scalar")
         with pytest.raises(TypeError):
             repro.multihost.MultiHostSystem(2, config=BASELINE)
+        with pytest.raises(TypeError):
+            repro.SessionConfig(autotune="offline")
 
     @pytest.mark.parametrize("module",
                              [repro, repro.engine, repro.multihost])

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import autotune as autotune_module
-from repro.analysis.autotune import (
+from repro.analysis import experiments as autotune_module
+from repro.analysis.experiments import (
     _factorizations,
     autotune_shape,
     candidate_shapes,

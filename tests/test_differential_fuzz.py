@@ -29,6 +29,8 @@ from repro import (
     Communicator,
     FaultInjector,
     FULL,
+    PR_IM,
+    PR_ONLY,
     SessionConfig,
 )
 from repro.core import reference as ref
@@ -147,27 +149,23 @@ def run_case(rng: np.random.Generator, primitive: str, shape: tuple,
              dtype, chunk: int, config, injector=None,
              backend: str = "vectorized", execution: str = "auto",
              tile: int | None = None, workers: int = 1,
-             autotune: str | None = None, elide: bool = False,
-             sparsify: bool = False):
+             elide: bool = False, sparsify: bool = False):
     """One randomized collective, checked bit-exactly against reference.
 
     Returns the engine's CommResult (so fault sweeps can inspect
     ``attempts``).  ``tile`` streams compiled replays through
     ``stream_tile_bytes``-sized scratch bands; ``workers`` > 1 replays
     them band-parallel across a session worker pool (which must stay
-    inside the same oracle).  ``autotune`` hands schedule selection to
-    the cost-model tuner -- whatever it picks must also stay inside
-    the oracle.  ``backend="scalar"`` takes ``execution="interpreted"``
-    (compiled replay runs on the arena only).  ``elide`` turns on
-    content-aware transfer elision (see :func:`prepare_case` for
-    ``sparsify``).
+    inside the same oracle).  ``backend="scalar"`` takes
+    ``execution="interpreted"`` (compiled replay runs on the arena
+    only).  ``elide`` turns on content-aware transfer elision (see
+    :func:`prepare_case` for ``sparsify``).
     """
     manager = make_manager(shape)
     comm = Communicator(manager, SessionConfig(
         config=config, fault_injector=injector, backend=backend,
         execution=execution, stream_tile_bytes=tile,
-        parallel_workers=workers, autotune=autotune,
-        elide_transfers=elide))
+        parallel_workers=workers, elide_transfers=elide))
     request, check = prepare_case(rng, manager, primitive, dtype, chunk,
                                   sparsify=sparsify)
     result = comm.run(request)
@@ -178,8 +176,7 @@ def run_case(rng: np.random.Generator, primitive: str, shape: tuple,
 def _sweep(seed: int, cases: int, injector_factory=None,
            backend: str = "vectorized", execution: str = "auto",
            tile: int | None = None, workers: int = 1,
-           autotune: str | None = None, elide: bool = False,
-           sparsify: bool = False) -> list:
+           elide: bool = False, sparsify: bool = False) -> list:
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(cases):
@@ -187,8 +184,8 @@ def _sweep(seed: int, cases: int, injector_factory=None,
         injector = injector_factory() if injector_factory else None
         results.append(run_case(rng, injector=injector, backend=backend,
                                 execution=execution, tile=tile,
-                                workers=workers, autotune=autotune,
-                                elide=elide, sparsify=sparsify,
+                                workers=workers, elide=elide,
+                                sparsify=sparsify,
                                 **case))
     return results
 
@@ -201,9 +198,11 @@ def tiny_floor(monkeypatch):
 
 
 #: The supported (store, execution) cells of a healthy sweep: the
-#: interpreter on either store, compiled replay on the arena.
+#: interpreter on either store, compiled replay on the arena, and a
+#: compiling session left to derive its store (it must pick the arena;
+#: the scalar store would raise in compiled replay).
 HEALTHY_CELLS = [("scalar", "interpreted"), ("vectorized", "interpreted"),
-                 ("vectorized", "compiled")]
+                 ("vectorized", "compiled"), (None, "auto")]
 
 #: Execution arms a faulted sweep must stay bit-exact under: the fault
 #: sites sit in the transfer kernels every arm shares, so retry/rewind
@@ -213,7 +212,6 @@ FAULTED_ARMS = {
     "compiled": dict(execution="compiled"),
     "streamed": dict(execution="compiled", tile=33),
     "eliding": dict(execution="compiled", elide=True, sparsify=True),
-    "tuned": dict(autotune="offline"),
 }
 
 
@@ -230,12 +228,9 @@ def _one_percent_injectors():
 
 
 def _assert_ran_as(arm: str, results) -> None:
-    expected = {"interpreted": {"interpreted"}, "compiled": {"compiled"},
-                "streamed": {"streamed"}, "eliding": {"compiled"}}.get(arm)
-    if expected is not None:
-        assert {r.execution for r in results} == expected
-    if arm == "tuned":
-        assert all(r.schedule is not None for r in results)
+    expected = {"interpreted": "interpreted", "compiled": "compiled",
+                "streamed": "streamed", "eliding": "compiled"}[arm]
+    assert {r.execution for r in results} == {expected}
 
 
 class TestHealthySweep:
@@ -410,30 +405,6 @@ class TestFaultedSweep:
         assert max(attempts) > 1
 
 
-class TestTunedSweep:
-    """Autotuned schedules must stay inside the same oracle.
-
-    The tuner may pick any (tile, elide, rung) schedule per case;
-    whatever it picks, the functional result must still be
-    bit-identical to the golden reference.
-    """
-
-    @pytest.mark.parametrize("mode", ["offline", "online"])
-    def test_random_cases_match_reference(self, mode):
-        results = _sweep(seed=606, cases=24, autotune=mode)
-        assert all(r.schedule is not None for r in results)
-
-    @pytest.mark.parametrize("mode", ["offline", "online"])
-    def test_every_primitive_tuned(self, mode):
-        rng = np.random.default_rng(5)
-        for primitive in PRIMITIVES:
-            result = run_case(rng, primitive, (4, 8), INT64, 2, FULL,
-                              autotune=mode)
-            assert result.schedule is not None
-            assert result.execution in ("interpreted", "compiled",
-                                        "streamed")
-
-
 @pytest.mark.usefixtures("tiny_floor")
 class TestElisionSweep:
     """Content-aware elision must stay inside the oracle at any mix.
@@ -456,15 +427,20 @@ class TestElisionSweep:
                          elide=True, sparsify=True)
         assert all(r.execution == "streamed" for r in results)
 
-    def test_sparse_sweep_actually_elides(self):
+    # Every rung that lowers elidable movement (the Baseline ladder
+    # lowers none), untiled and streamed through uneven bands.
+    @pytest.mark.parametrize("config, tile", [
+        (FULL, None), (PR_ONLY, 257), (PR_IM, 257), (FULL, 257)],
+        ids=["full-untiled", "pr-streamed", "im-streamed", "full-streamed"])
+    def test_sparse_sweep_actually_elides(self, config, tile):
         # The random sweep may draw only fold/fanout primitives (no
         # movement op to elide); pin the movement-heavy ones so the
         # activation claim is deterministic, with sparsity still drawn
         # per case.
         rng = np.random.default_rng(1919)
-        results = [run_case(rng, primitive, (4, 8), INT64, 2, FULL,
+        results = [run_case(rng, primitive, (4, 8), INT64, 2, config,
                             backend="vectorized", execution="compiled",
-                            elide=True, sparsify=True)
+                            tile=tile, elide=True, sparsify=True)
                    for primitive in ("alltoall", "allgather") * 4]
         assert any(r.chunks_elided > 0 for r in results), \
             "eliding sweep never elided a chunk; tune seed/sparsities"
@@ -476,9 +452,6 @@ class TestLongSweep:
 
     def test_long_healthy_sweep(self):
         _sweep(seed=424242, cases=300)
-
-    def test_long_tuned_sweep(self):
-        _sweep(seed=515151, cases=150, autotune="online")
 
     @pytest.mark.parametrize("tile", [None, 33], ids=["untiled", "streamed"])
     @pytest.mark.parametrize("backend", COMPILED_STORES)

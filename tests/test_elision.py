@@ -25,7 +25,6 @@ from .helpers import COMPILED_STORES, groups_of, make_manager
 
 from repro import Communicator, FULL, FaultInjector, SessionConfig
 from repro.core.collectives import program as program_mod
-from repro.core.collectives.schedule import Schedule
 from repro.dtypes import INT32, SUM
 from repro.engine.stats import EngineStats
 from repro.errors import CollectiveError
@@ -312,12 +311,6 @@ class TestConfigSurface:
         with pytest.raises(CollectiveError, match="elide_transfers"):
             SessionConfig(execution="interpreted", elide_transfers=True)
 
-    def test_elide_in_signature(self):
-        s = Schedule().with_elide()
-        assert s.elide and "elide" in s.describe()
-        assert s.signature != Schedule().signature
-        assert not s.with_elide(False).elide
-
 
 class TestElisionUnderFaults:
     def test_injector_session_elides_and_stays_exact(self, tiny_floor):
@@ -336,41 +329,6 @@ class TestElisionUnderFaults:
         assert result.chunks_elided > 0
         assert comm.stats.elision_scans > 0
         assert comm.stats.retries > 0  # a fault really was rewound
-
-
-class TestTunerIntegration:
-    def test_space_offers_eliding_only_when_enabled(self):
-        from repro.analysis.autotune import ScheduleSpace
-        on = ScheduleSpace.from_session(SessionConfig(elide_transfers=True))
-        off = ScheduleSpace.from_session(SessionConfig())
-        assert on.eliding == (False, True)
-        assert off.eliding == (False,)
-        pinned = ScheduleSpace.from_session(SessionConfig(
-            execution="interpreted"))
-        assert pinned.eliding == (False,)
-
-    @pytest.mark.parametrize("payload", ("zero", "dense"))
-    def test_tuned_session_stays_exact(self, payload, tiny_floor):
-        want, _, _ = _run("alltoall", "vectorized", "interpreted", payload,
-                          elide=False)
-        manager = make_manager(SHAPE)
-        system = manager.system
-        comm = Communicator(manager, SessionConfig(
-            autotune="offline", elide_transfers=True))
-        groups = groups_of(manager, BITMAP)
-        n = groups[0].size
-        elems = n * CHUNK
-        total = elems * INT32.itemsize
-        src = system.alloc(total)
-        dst = system.alloc(total)
-        for call in range(2):
-            _fill(system, groups, src, elems, INT32, payload, call)
-            result = comm.alltoall(BITMAP, total, src_offset=src,
-                                   dst_offset=dst, data_type=INT32)
-        got = {g.instance: [system.read_elements(pe, dst, elems, INT32)
-                            for pe in g.pe_ids] for g in groups}
-        _assert_same(want, got)
-        assert result.schedule is not None
 
 
 class TestServingPassthrough:

@@ -3,8 +3,8 @@
 Drives random collectives through the session engine and checks every
 functional result bit-exactly against ``repro.core.reference``, with
 optional fault injection (retry enabled).  Cases cycle through the
-execution modes (interpreted on the scalar store; compiled, streamed,
-eliding and offline-tuned on the vectorized arena) -- the fault sites
+execution modes (interpreted on the scalar store; compiled, streamed
+and eliding on the vectorized arena) -- the fault sites
 live in the transfer kernels all of them share, so every mode is
 fuzzed under ``--fault-rate``.  Unlike the
 pytest sweeps in ``tests/test_differential_fuzz.py`` this runs for a
@@ -19,7 +19,7 @@ Exits nonzero (with the failing case's parameters, replayable via
 per attempt on some shapes, so eight faulted attempts in a row do
 happen) is the policy working as documented: it is counted, and only
 fails the run when the share of such cases passes ten times the fault
-rate (one execution mode giving up on everything is a fifth of them).
+rate (one execution mode giving up on everything is a quarter of them).
 """
 
 import argparse
@@ -52,7 +52,6 @@ MODES = {
                      stream_tile_bytes=33),
     "eliding": dict(backend="vectorized", execution="compiled",
                     elide_transfers=True),
-    "tuned": dict(backend="vectorized", autotune="offline"),
 }
 
 REFERENCE = {
