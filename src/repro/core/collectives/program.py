@@ -36,8 +36,11 @@ Fault injection lives below the ops: every byte a lowered op moves
 goes through a ``DimmSystem`` transfer kernel, and each kernel is a
 fault site (rank guard, drop with partial delivery, CRC
 verify-before-commit); :meth:`CommProgram.replay` adds the launch
-timeouts.  A fused op makes fewer transfers than the steps it absorbed,
-so it draws fewer faults -- the same physics that makes it cheaper
+timeouts.  An in-place op is one gather and one put however many bands
+it moves in, so it draws its sites once per op
+(:meth:`~repro.hw.system.DimmSystem.rewrite_in_place`).  A fused op
+makes fewer transfers than the steps it absorbed, so it draws fewer
+faults -- the same physics that makes it cheaper
 (``docs/reliability.md``).
 """
 
@@ -254,6 +257,7 @@ class _BandedOp(ProgramOp):
     An op that is not :meth:`_stream_safe` replays as one band at any
     budget, exact for the same reason a whole-op gather is.  Band lists
     are memoised per tile budget: steady-state replay derives none.
+    A stream-safe op's bands fan out to the workers, if any.
     """
 
     _band_memo: dict
@@ -285,13 +289,38 @@ def _band_take(scratch: ScratchPool | None, source: np.ndarray,
     An untiled replay has no pool and allocates per op, as a whole-op
     gather always has; a plain fancy index is then the faster kernel.
     The pooled take is unbuffered (``mode="wrap"``): every index was
-    range-checked when the op was built.
+    range-checked when the op was built.  ``index`` must be writeable,
+    or every take copies it.
     """
     if scratch is None:
         return source[index]
-    return np.take(source, index, out=scratch.pong(index.shape,
-                                                   source.dtype),
-                   mode="wrap")
+    return source.take(index, out=scratch.pong(index.shape, source.dtype),
+                       mode="wrap")
+
+
+def _band_buffers(op, bound: BoundWindows) -> tuple[
+        np.ndarray, int, Callable[[ScratchPool | None, int, int],
+                                  np.ndarray]]:
+    """A table-driven op's ``(table, width, out)``: its bound stream
+    table, and ``out(scratch, r0, r1)``, the array output rows
+    ``[r0, r1)`` gather into.
+
+    A band of a stream-safe op lands in the pool's pong view (O(tile)
+    memory); every other gather -- an untiled replay, which has no
+    pool, or the whole-op band of an op that cannot band (an in-place
+    rewrite whose rows read across rows) -- lands in one transient
+    array, so pong stays O(tile).
+    """
+    table, width = bound.gather_table()
+    wide = wide_dtype(width)
+    cols = table.shape[1]
+    transient = not op._stream_safe()
+
+    def out(scratch, r0, r1):
+        shape = (r1 - r0, cols)
+        return (np.empty(shape, wide) if scratch is None or transient
+                else scratch.pong(shape, wide))
+    return table, width, out
 
 
 def _band_gather(op, ctx: ExecContext, bound: BoundWindows
@@ -300,22 +329,15 @@ def _band_gather(op, ctx: ExecContext, bound: BoundWindows
     returns output rows ``[r0, r1)`` as a uint8 row matrix.
 
     Every replay gathers through the bound stream table straight from
-    the arena, in one pass (:meth:`DimmSystem.take_band_flat`).  A band
-    of a stream-safe op lands in the pool's pong view (O(tile)
-    memory); every other gather -- an untiled replay, which has no
-    pool, or the whole-op band of an op that cannot band (an in-place
-    rewrite) -- lands in one transient array, so pong stays O(tile).
+    the arena, in one pass (:meth:`DimmSystem.take_band_flat`), into
+    the array :func:`_band_buffers` picks.
     """
     system = ctx.system
-    flat_table, width = bound.stream
-    wide = wide_dtype(width)
-    transient = not op._stream_safe()
+    table, width, out_for = _band_buffers(op, bound)
 
     def take(scratch, r0, r1):
-        shape = (r1 - r0, flat_table.shape[1])
-        out = (np.empty(shape, wide) if scratch is None or transient
-               else scratch.pong(shape, wide))
-        system.take_band_flat(flat_table, width, r0, r1, out, op.ids)
+        out = out_for(scratch, r0, r1)
+        system.take_band_flat(table, width, r0, r1, out, op.ids)
         return out.view(np.uint8)
     return take
 
@@ -329,7 +351,7 @@ class _ElisionPlan:
     content is byte-identical (``rep_row[r] == r`` for uniques; zero
     rows all share one signature and are handled by the zero mask
     first).  ``table`` is the bound stream table the representatives
-    gather through.
+    gather through (:meth:`~repro.hw.arena.BoundWindows.gather_table`).
     """
 
     table: tuple[np.ndarray, int]
@@ -356,7 +378,11 @@ class GatherMoveOp(_BandedOp):
     copy of their representative.  Every elision is byte-verified
     before aliasing, so results stay bit-identical to the interpreted
     oracle at any elision rate; ops whose source and destination
-    regions overlap (``_stream_safe`` false) never elide.
+    regions overlap never elide.
+
+    An op whose regions overlap rewrites its source in place
+    (:meth:`_rewrite`): its faults are drawn once per op, and it bands
+    when it is row-local, a property fixed here, when the op is built.
     """
 
     ids: np.ndarray
@@ -381,6 +407,18 @@ class GatherMoveOp(_BandedOp):
             [(self.ids, self.dst_offset, self.nslots_out * self.chunk_bytes)],
             gather=(self.ids, self.ngroups, self.src_offset,
                     self.chunk_bytes, self.lane, self.slot))
+        src_end = self.src_offset + self.nslots_in * self.chunk_bytes
+        dst_end = self.dst_offset + self.nslots_out * self.chunk_bytes
+        self._disjoint = src_end <= self.dst_offset \
+            or dst_end <= self.src_offset
+        # Output row r = g * lanes + l reads only source row r when
+        # every lane gathers from itself and no PE holds two rows.
+        lanes = self.ids.size // self.ngroups
+        pes = np.sort(self.ids)
+        self._row_local = (
+            self.lane.shape[0] == lanes
+            and bool((self.lane == np.arange(lanes)[:, None]).all())
+            and bool((pes[1:] != pes[:-1]).all()))
         self._band_memo = {}
         self._rows_unique = None
         self._plan_cache = None
@@ -395,16 +433,52 @@ class GatherMoveOp(_BandedOp):
                 return
         system = ctx.system
         bound = system.bind(self._binding)
-        take = _band_gather(self, ctx, bound)
+        if self._disjoint:
+            take = _band_gather(self, ctx, bound)
+
+            def run_band(scratch: ScratchPool | None,
+                         band: tuple[int, int]) -> None:
+                r0, r1 = band
+                system.put_rows(self.ids[r0:r1], self.dst_offset,
+                                take(scratch, r0, r1),
+                                bound.window(0, band))
+
+            _run_bands(bands, ctx.pool, ctx.workers, run_band)
+        else:
+            self._rewrite(ctx, bound, bands)
+        self._charge(ctx)
+
+    def _rewrite(self, ctx: ExecContext, bound: BoundWindows,
+                 bands: list[tuple[int, int]]) -> None:
+        """In-place replay: one fault exposure, then band by band.
+
+        :meth:`DimmSystem.rewrite_in_place` draws the op's gather and
+        put faults once, as its one-band replay draws them, and then
+        has the bands moved: each gathers all of its rows before it
+        writes any (:meth:`DimmSystem.rewrite_band`), and a row-local
+        op's later bands read no row an earlier one wrote, so the
+        result is the whole-op rewrite's at any budget.  A put-side
+        drop moves the bands up to the prefix row the drop reached.
+        """
+        system = ctx.system
+        table, width, out_for = _band_buffers(self, bound)
 
         def run_band(scratch: ScratchPool | None,
                      band: tuple[int, int]) -> None:
             r0, r1 = band
-            system.put_rows(self.ids[r0:r1], self.dst_offset,
-                            take(scratch, r0, r1), bound.window(0, band))
+            system.rewrite_band(table, width, r0, r1,
+                                out_for(scratch, r0, r1), self.ids[r0:r1],
+                                self.dst_offset, bound.window(0, band))
 
-        _run_bands(bands, ctx.pool, ctx.workers, run_band)
-        self._charge(ctx)
+        def move(rows: int) -> None:
+            units = (bands if rows == self.ids.size
+                     else [(r0, min(r1, rows)) for r0, r1 in bands
+                           if r0 < rows])
+            _run_bands(units, ctx.pool, ctx.workers, run_band)
+
+        system.rewrite_in_place(
+            self.ids, self.ids.size * self.nslots_out * self.chunk_bytes,
+            move)
 
     # Kept only because benchmarks/e2e/tracer.py lists this name; drop
     # it with the next change to the benchmark's target list.
@@ -418,11 +492,11 @@ class GatherMoveOp(_BandedOp):
         """Whether this op may take the fingerprint-guided path at all.
 
         Requires disjoint source/destination regions (elided writes
-        land before a full gather would, so aliasing ops fall back to
-        the plain replay -- same safety argument as streaming) and a
-        source block big enough that scanning can ever pay.
+        land before a full gather would, so aliasing ops -- row-local
+        ones included -- fall back to the plain replay) and a source
+        block big enough that scanning can ever pay.
         """
-        return (self._stream_safe()
+        return (self._disjoint
                 and self.ids.size * self.nslots_in * self.chunk_bytes
                 >= ELIDE_MIN_SOURCE_BYTES)
 
@@ -472,7 +546,7 @@ class GatherMoveOp(_BandedOp):
         # layout rebinds, so the table's identity keys the cache.  The
         # bind touches every source row (it may grow the arena) before
         # the scan window is taken.
-        table = system.bind(self._binding).stream
+        table = system.bind(self._binding).gather_table()
         epoch = system.content_epoch()
         cached = self._plan_cache
         if (cached is not None
@@ -569,12 +643,15 @@ class GatherMoveOp(_BandedOp):
 
         Each band writes its rows' full destination region before
         later bands read their (arbitrarily cross-lane) sources, so
-        streaming is exact only when the source and destination
-        regions are disjoint; an in-place rewrite replays as one band.
+        streaming is exact when the source and destination regions are
+        disjoint, or when the op is row-local (output row ``r`` reads
+        only source row ``r``, as the PE-local reorder that opens
+        ReduceScatter, AllReduce and Reduce does): then a band reads
+        only its own rows, all before it writes them.  An in-place
+        rewrite that reads across rows replays as one band.  Both
+        properties are fixed when the op is built.
         """
-        src_end = self.src_offset + self.nslots_in * self.chunk_bytes
-        dst_end = self.dst_offset + self.nslots_out * self.chunk_bytes
-        return src_end <= self.dst_offset or dst_end <= self.src_offset
+        return self._disjoint or self._row_local
 
     def _band_shape(self) -> tuple[int, int]:
         return self.ids.size, self.nslots_out * self.chunk_bytes
@@ -775,6 +852,9 @@ class FanoutScratchOp(_BandedOp):
         if self.lane.size and (self.lane.min() < 0
                                or self.lane.max() >= lanes):
             raise TransferError(f"fanout lane outside [0, {lanes})")
+        # The takes index with a private writeable copy: np.take copies
+        # a read-only index array on every call.
+        self._take_lane = self.lane.copy()
         self._binding = _per_group(self.group_ids, self.dst_offset,
                                    self.nslots_out * self.chunk_bytes)
         self._band_memo = {}
@@ -827,7 +907,7 @@ class FanoutScratchOp(_BandedOp):
 
         def run_unit(scratch: ScratchPool | None, unit) -> None:
             ids, chunks, (r0, r1), window = unit
-            fanned = _band_take(scratch, chunks, self.lane[r0:r1])
+            fanned = _band_take(scratch, chunks, self._take_lane[r0:r1])
             system.put_rows(
                 ids[r0:r1], self.dst_offset,
                 fanned.view(np.uint8).reshape(r1 - r0, row_bytes), window)

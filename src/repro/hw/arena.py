@@ -268,25 +268,46 @@ class Window:
         return sub
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A read-only view of ``table`` (the table itself stays writeable)."""
+    view = table.view()
+    view.setflags(write=False)
+    return view
+
+
 class BoundWindows:
     """An :class:`ArenaBinding` resolved against one backing array.
 
     ``data`` is that array; ``windows`` follow the binding's specs in
     order; ``stream`` is the ``(table, width)`` pair of
-    :meth:`MemoryArena.stream_table` when the binding names a gather.
+    :meth:`MemoryArena.stream_table` when the binding names a gather,
+    published as a read-only view.  The take kernels index with the
+    writeable table behind it (:meth:`gather_table`): ``np.take``
+    copies an index array that is not writeable, on every call.
     Immutable once published, so a replay reads one consistent
     snapshot without a lock.  Holds views and index arrays, never
     copies of the data.
     """
 
-    __slots__ = ("data", "windows", "stream")
+    __slots__ = ("data", "windows", "stream", "_gather")
 
     def __init__(self, data: np.ndarray | None,
                  windows: tuple[Window, ...] = (),
-                 stream: tuple[np.ndarray, int] | None = None) -> None:
+                 gather: tuple[np.ndarray, int] | None = None) -> None:
         self.data = data
         self.windows = windows
-        self.stream = stream
+        self._gather = gather
+        self.stream = (None if gather is None
+                       else (_read_only(gather[0]), gather[1]))
+
+    def gather_table(self) -> tuple[np.ndarray, int]:
+        """The writeable ``(table, width)`` behind :attr:`stream`.
+
+        For the take kernels only: nothing writes it, and it never
+        leaves a replay.  The pair is one object per binding, so its
+        identity keys caches exactly as the binding does.
+        """
+        return self._gather
 
     def window(self, index: int,
                band: tuple[int, int] | None = None) -> Window:
@@ -531,7 +552,8 @@ class MemoryArena:
         data = self._data
         return BoundWindows(data, tuple(
             self.window(ids, offset, nbytes) for ids, offset, nbytes in specs),
-            None if gather is None else self.stream_table(*gather))
+            None if gather is None
+            else self.stream_table(*gather, writeable=True))
 
     # ------------------------------------------------------------------
     # Compiled-replay flat gathers
@@ -554,7 +576,8 @@ class MemoryArena:
 
     def stream_table(self, pe_ids, ngroups: int, offset: int,
                      chunk_bytes: int, lane_table: np.ndarray,
-                     slot_table: np.ndarray) -> tuple[np.ndarray, int]:
+                     slot_table: np.ndarray, writeable: bool = False
+                     ) -> tuple[np.ndarray, int]:
         """Arena-global flat gather table of a compiled op (any band).
 
         Lifts a per-group ``(lanes, nslots_out)`` (lane, slot) table
@@ -575,6 +598,10 @@ class MemoryArena:
         group, or a chunk not wholly inside its PE's MRAM bank, raises
         :class:`~repro.errors.TransferError` instead of wrapping or
         spilling into a neighbouring PE's row.
+
+        The table is returned read-only unless ``writeable``: a binding
+        (:meth:`bind`) keeps a writeable one for its take kernels and
+        publishes a read-only view of it.
         """
         width = self.stream_width(offset, chunk_bytes)
         ids = self.touch(pe_ids)
@@ -597,8 +624,7 @@ class MemoryArena:
             table = table[..., None] + np.arange(per, dtype=np.intp)
         table = np.ascontiguousarray(table.reshape(ids.size, -1),
                                      dtype=np.intp)
-        table.setflags(write=False)
-        return table, width
+        return (table if writeable else _read_only(table)), width
 
     def flat_wide(self, width: int) -> np.ndarray:
         """The whole backing array as one flat run of wide elements.
@@ -624,8 +650,11 @@ class MemoryArena:
         Unbuffered: :meth:`stream_table` range-checked every index, so
         the take runs in ``mode="wrap"`` and writes ``out`` directly
         (``"raise"`` gathers into a hidden temporary, then copies).
+        Allocation-free when ``table`` is writeable (a binding's
+        :meth:`~BoundWindows.gather_table`); a read-only index array
+        is copied by every take.
         """
-        np.take(self.flat_wide(width), table[r0:r1], out=out, mode="wrap")
+        self.flat_wide(width).take(table[r0:r1], out=out, mode="wrap")
 
     def take_select(self, table: np.ndarray, width: int,
                     rows: np.ndarray, out: np.ndarray) -> None:
@@ -637,7 +666,7 @@ class MemoryArena:
         shrinks with the elision rate.  Unbuffered, like
         :meth:`take_band`.
         """
-        np.take(self.flat_wide(width), table[rows], out=out, mode="wrap")
+        self.flat_wide(width).take(table[rows], out=out, mode="wrap")
 
     # ------------------------------------------------------------------
     # Bulk transfers
@@ -768,9 +797,17 @@ class ScratchPool:
     accumulator; the gather itself reads straight from the arena, so
     no source block is ever staged.  Buffers grow geometrically on
     demand and are then reused for every band of every op of every
-    replay, so pool memory is O(tile), not O(payload).  An op that
-    cannot band (an in-place rewrite) gathers its whole-op band into
+    replay, so pool memory is O(tile), not O(payload).  An in-place
+    op whose output rows read only their own source rows (the
+    PE-local reorder that opens ReduceScatter and AllReduce) bands
+    through pong like any other; only an in-place op whose rows read
+    across rows cannot band, and it gathers its whole-op band into
     one transient array instead, so pong never grows to the payload.
+
+    Each role memoises its last view: a band loop asks for the same
+    shape band after band, and rebuilding the view cost about as much
+    as a one-row band's gather.  A view of a grown buffer is never
+    reused, because growth only happens while building a new view.
 
     ``peak_bytes`` records the high-water mark of simultaneously
     requested view bytes -- at most two tiles (pong + the fold
@@ -784,6 +821,8 @@ class ScratchPool:
     def __init__(self) -> None:
         self._bufs = [np.empty(0, dtype=np.uint8) for _ in self.ROLES]
         self._live = [0] * len(self.ROLES)
+        #: per role: ``(shape, dtype, view, nbytes)`` of its last view.
+        self._last: list[tuple | None] = [None] * len(self.ROLES)
         self.peak_bytes = 0
 
     @property
@@ -793,22 +832,28 @@ class ScratchPool:
 
     def _view(self, index: int, shape: tuple[int, ...],
               dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        count = 1
-        for dim in shape:
-            count *= int(dim)
-        nbytes = count * dt.itemsize
-        buf = self._bufs[index]
-        if buf.nbytes < nbytes:
-            # Geometric growth: repeated replays with slightly varying
-            # tile shapes converge on O(1) reallocations.
-            buf = np.empty(max(nbytes, 2 * buf.nbytes), dtype=np.uint8)
-            self._bufs[index] = buf
+        last = self._last[index]
+        if last is not None and last[0] == shape and last[1] == dtype:
+            view, nbytes = last[2], last[3]
+        else:
+            dt = np.dtype(dtype)
+            count = 1
+            for dim in shape:
+                count *= int(dim)
+            nbytes = count * dt.itemsize
+            buf = self._bufs[index]
+            if buf.nbytes < nbytes:
+                # Geometric growth: repeated replays with slightly
+                # varying tile shapes converge on O(1) reallocations.
+                buf = np.empty(max(nbytes, 2 * buf.nbytes), dtype=np.uint8)
+                self._bufs[index] = buf
+            view = buf[:nbytes].view(dt).reshape(shape)
+            self._last[index] = (shape, dtype, view, nbytes)
         self._live[index] = nbytes
         live = sum(self._live)
         if live > self.peak_bytes:
             self.peak_bytes = live
-        return buf[:nbytes].view(dt).reshape(shape)
+        return view
 
     def pong(self, shape: tuple[int, ...], dtype=np.uint8) -> np.ndarray:
         """Output view for one gathered/fanned row band."""

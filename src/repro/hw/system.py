@@ -24,13 +24,13 @@ Two execution backends sit behind the same API:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..dtypes import DataType
 from ..errors import AllocationError, TransferDropped, TransferError
-from ..reliability.checksum import guarded_delivery
+from ..reliability.checksum import guarded_delivery, guarded_site
 from ..reliability.faults import partial_prefix
 from .arena import ArenaBinding, BoundWindows, MemoryArena, Window
 from .geometry import DimmGeometry
@@ -572,7 +572,8 @@ class DimmSystem:
 
         One unbuffered ``np.take(..., out=, mode="wrap")`` of wide
         elements through the bound stream table (:meth:`bind`) -- the
-        gather kernel of every compiled replay.  It makes
+        gather kernel of every compiled replay (an in-place op's bands
+        take the same way, inside :meth:`rewrite_band`).  It makes
         one pass: no staging copy, and nothing allocated beyond the
         caller's ``out``.  The default ``mode="raise"`` would gather
         into a hidden temporary first, so the range check runs once,
@@ -584,6 +585,51 @@ class DimmSystem:
         injector = self.fault_injector
         if injector is not None:
             self._received(injector, pe_ids, out, "take_band_flat")
+
+    def rewrite_in_place(self, pe_ids: Sequence[int], nbytes: int,
+                         move: Callable[[int], None]) -> None:
+        """An in-place rewrite of ``nbytes``: one exposure, then ``move``.
+
+        An op that rewrites its own source region is one gather and one
+        put of the modelled machine, however many row bands the
+        simulator moves it in, so its fault sites are drawn here, once
+        per op, in the order its one-band replay draws them: for the
+        gather (:meth:`take_band_flat`) and then the put
+        (:meth:`put_rows`), the rank guard, the drop draw, then the
+        corruption draw sized to the whole op (:func:`guarded_site`).
+        A fault on the gather raises before any byte moves.  A drop on
+        the put lands, like every dropped write, on
+        :func:`partial_prefix` of the lanes before
+        :class:`TransferDropped` surfaces: ``move(n)`` must write output
+        rows ``[0, n)``, band by band (:meth:`rewrite_band`).
+        """
+        injector = self.fault_injector
+        if injector is not None:
+            injector.guard_pes(self.geometry, pe_ids)
+            guarded_site(injector, nbytes, "take_band_flat")
+            injector.guard_pes(self.geometry, pe_ids)
+            if injector.take_drop():
+                reached = len(partial_prefix(pe_ids))
+                move(reached)
+                raise TransferDropped(
+                    f"put_rows dropped after {reached}/{len(pe_ids)} lanes")
+            guarded_site(injector, nbytes, "put_rows", drop=False)
+        move(len(pe_ids))
+
+    def rewrite_band(self, table: np.ndarray, width: int, r0: int, r1: int,
+                     out: np.ndarray, pe_ids: Sequence[int], offset: int,
+                     window: Window | None = None) -> None:
+        """One band of :meth:`rewrite_in_place`: gather, then write back.
+
+        Output rows ``[r0, r1)`` gather through the stream table into
+        ``out`` (as :meth:`take_band_flat` does) and land at ``offset``
+        on ``pe_ids`` (the band's PEs) before the next band reads
+        anything.  Injector-free: the op's faults were drawn once, by
+        :meth:`rewrite_in_place`.
+        """
+        self._ensure_arena().take_band(table, width, r0, r1, out)
+        self.poke_rows(pe_ids, offset,
+                       out.view(np.uint8).reshape(r1 - r0, -1), window)
 
     # Kept only because benchmarks/e2e/tracer.py lists this name; drop
     # it with the next change to the benchmark's target list.

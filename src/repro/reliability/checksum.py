@@ -113,3 +113,26 @@ def guarded_delivery(injector: "FaultInjector | None", buf: np.ndarray,
     if delivered is not buf:
         verify(checksum(buf), delivered, what)
     return delivered
+
+
+def guarded_site(injector: "FaultInjector", nbytes: int,
+                 what: str = "transfer", drop: bool = True) -> None:
+    """The faults of an ``nbytes`` delivery, drawn before its bytes move.
+
+    The same draws as :func:`guarded_delivery`, in the same order, for
+    a kernel that moves one modelled transfer in several pieces and so
+    has no single buffer to hand the link: the drop draw (unless
+    ``drop`` is False), then the size-only corruption draw
+    (:meth:`~repro.reliability.faults.FaultInjector.draw_flip`).  A
+    flip raises :class:`ChecksumError` without computing the CRC pair:
+    CRC-32 detects every single-bit flip, so the pair's verdict is
+    known before any byte is read.
+    """
+    if drop and injector.take_drop():
+        raise TransferDropped(f"{what}: transfer dropped in flight")
+    flip = injector.draw_flip(nbytes)
+    if flip is not None:
+        byte, bit = flip
+        raise ChecksumError(
+            f"{what}: checksum mismatch (bit {bit} of byte {byte} flipped "
+            f"in flight); in-flight corruption detected")

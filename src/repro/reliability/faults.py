@@ -121,6 +121,22 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Transient decisions (one rng draw each, replayable by seed)
     # ------------------------------------------------------------------
+    def draw_flip(self, nbytes: int) -> tuple[int, int] | None:
+        """The corruption draw of one ``nbytes`` transfer.
+
+        Returns the ``(byte, bit)`` the link flips, or None when no
+        fault fires.  The draws depend on the size alone, so a kernel
+        that moves a transfer in several pieces draws it once, exactly
+        as :meth:`corrupt_transfer` draws the whole buffer.
+        """
+        if self.spec.bit_flip_rate <= 0.0 or nbytes == 0:
+            return None
+        if self.rng.random() >= self.spec.bit_flip_rate:
+            return None
+        self.injected["bit_flip"] += 1
+        return (int(self.rng.integers(0, nbytes)),
+                int(self.rng.integers(0, 8)))
+
     def corrupt_transfer(self, buf: np.ndarray) -> np.ndarray:
         """Maybe flip one random bit of a transfer buffer (copy).
 
@@ -129,15 +145,12 @@ class FaultInjector:
         (the checksum layer decides whether corruption is *detected*,
         and checksums only the deliveries that are not ``buf``).
         """
-        if self.spec.bit_flip_rate <= 0.0 or buf.size == 0:
+        flip = self.draw_flip(buf.nbytes)
+        if flip is None:
             return buf
-        if self.rng.random() >= self.spec.bit_flip_rate:
-            return buf
-        self.injected["bit_flip"] += 1
+        byte, bit = flip
         arr = np.ascontiguousarray(buf)
         corrupted = arr.reshape(-1).view(np.uint8).copy()
-        byte = int(self.rng.integers(0, corrupted.size))
-        bit = int(self.rng.integers(0, 8))
         corrupted[byte] ^= np.uint8(1 << bit)
         return corrupted.view(arr.dtype).reshape(arr.shape)
 

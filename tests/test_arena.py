@@ -8,6 +8,7 @@ with the same error types the scalar path raises, and the
 """
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,31 @@ class TestUnbufferedTakes:
                          "np.take(a, i)\n"
                          "take(scratch, r0, r1)\n")
         assert self._buffered_takes(tree) == [1, 2]
+
+    def test_warm_take_band_allocates_nothing(self):
+        # A binding takes through a writeable stream table and
+        # publishes a read-only view of it: np.take copies an index
+        # array that is not writeable, 8 bytes per index on every call.
+        arena = MemoryArena(mram_bytes=1 << 12, max_rows=64)
+        ids = np.arange(64)
+        lane = np.tile(ids[:, None], (1, 256))
+        slot = np.tile(np.arange(256)[::-1], (64, 1))
+        bound = arena.bind([], (ids, 1, 0, 8, lane, slot))
+        table, width = bound.gather_table()
+        assert table.flags.writeable and not bound.stream[0].flags.writeable
+        np.testing.assert_array_equal(bound.stream[0], table)
+        out = np.empty(table.shape, wide_dtype(width))
+
+        def peak_of(take_table):
+            tracemalloc.start()
+            arena.take_band(take_table, width, 0, 64, out)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return peak
+
+        arena.take_band(table, width, 0, 64, out)       # warm
+        assert peak_of(table) < 1024
+        assert peak_of(bound.stream[0]) >= table.nbytes
 
     def test_no_buffered_take_in_src(self):
         src = Path(__file__).resolve().parents[1] / "src" / "repro"

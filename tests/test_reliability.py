@@ -25,10 +25,13 @@ from repro import (
     SessionConfig,
 )
 from repro.core import reference as ref
+from repro.core.collectives.plan import ExecContext
+from repro.core.collectives.program import compile_plan
 from repro.core.groups import member_pes
 from repro.core.hypercube import HypercubeManager as HM
 from repro.dtypes import INT64, SUM
 from repro.engine.request import CommRequest
+from repro.hw.arena import ScratchPool
 from repro.errors import (
     ChecksumError,
     FaultBudgetExceeded,
@@ -980,9 +983,11 @@ class TestFaultsOnCompiledReplay:
 
 
 #: Fault draws per compiled replay on the (4, 4, 2) cube, as
-#: ``(take_timeout, take_drop, corrupt_transfer)``: one launch draw per
+#: ``(take_timeout, take_drop, draw_flip)``: one launch draw per
 #: replay plus one per op that absorbed a reorder kernel, and one drop
-#: draw plus one corruption draw per kernel transfer.
+#: draw plus one corruption draw per kernel transfer.  ``draw_flip`` is
+#: the corruption draw itself, which ``corrupt_transfer`` makes for a
+#: whole buffer and an in-place op makes once for all its bands.
 EXPOSURE = {
     "alltoall": (2, 2, 2),        # docs/reliability.md: 6 draws
     "allgather": (2, 2, 2),
@@ -994,9 +999,9 @@ EXPOSURE = {
     "broadcast": (1, 4, 4),
 }
 #: The same draws in a session with a 2 KiB tile budget: each band of
-#: a stream-safe op is its own gather and put, while the in-place
-#: PeReorder that opens the reduce primitives stays one band (one
-#: gather, one put) at any budget.
+#: an op with disjoint regions is its own gather and put, while the
+#: in-place PeReorder that opens the reduce primitives is one gather
+#: and one put however many bands it moves in.
 EXPOSURE_STREAMED = {
     "alltoall": (2, 8, 8),
     "allgather": (2, 8, 8),
@@ -1008,7 +1013,7 @@ EXPOSURE_STREAMED = {
     "broadcast": (1, 4, 4),
 }
 STREAM_TILE = 2048
-DRAWS = ("take_timeout", "take_drop", "corrupt_transfer")
+DRAWS = ("take_timeout", "take_drop", "draw_flip")
 
 
 class TestFaultExposurePerPrimitive:
@@ -1092,6 +1097,115 @@ class TestFaultExposurePerPrimitive:
         cold = seen[0][1]
         assert all(guards == cold for _, guards in seen)
         assert len(cold) == exposure[1]
+
+
+class TestInPlaceExposure:
+    """The in-place PeReorder that opens ReduceScatter and AllReduce
+    moves in row bands when streamed, yet it is one gather and one put
+    of the modelled machine: banded and one-band replays of it draw
+    the same faults, and a dropped put leaves the same MRAM."""
+
+    TILE = 256                          # one 256-byte row per band
+
+    @staticmethod
+    def _op(primitive):
+        """A fresh (4, 8) cube holding inputs, and the in-place op that
+        opens ``primitive``'s compiled program."""
+        manager = make_manager((4, 8))
+        system = manager.system.set_backend("vectorized")
+        fill_group_inputs(system, groups_of(manager, "11"), 0, 32, INT64,
+                          np.random.default_rng(4))
+        comm = Communicator(manager, SessionConfig(backend="vectorized"))
+        result = getattr(comm, primitive)(
+            "11", 256, src_offset=4096, dst_offset=8192, data_type=INT64,
+            reduction_type=SUM)
+        fresh = make_manager((4, 8)).system.set_backend("vectorized")
+        fill_group_inputs(fresh, groups_of(manager, "11"), 4096, 32, INT64,
+                          np.random.default_rng(4))
+        op = compile_plan(result.plan, fresh).ops[0]
+        assert op.src_offset == op.dst_offset == 4096
+        return fresh, op
+
+    def _replay(self, primitive, tile, injector):
+        """Run the op alone under ``injector``; returns (calls, error,
+        MRAM), ``calls`` every fault-site call with its arguments."""
+        system, op = self._op(primitive)
+        calls = []
+        for name in ("guard_pes", "take_drop", "draw_flip"):
+            inner = getattr(injector, name)
+
+            def record(*args, _name=name, _inner=inner):
+                calls.append((_name, tuple(
+                    tuple(int(pe) for pe in arg) if _name == "guard_pes"
+                    and i == 1 else arg for i, arg in enumerate(args))))
+                return _inner(*args)
+            setattr(injector, name, record)
+        system.attach_fault_injector(injector)
+        ctx = (ExecContext(system=system) if tile is None else
+               ExecContext(system=system, tile_bytes=tile,
+                           pool=ScratchPool()))
+        error = None
+        try:
+            op.execute(ctx, None)
+        except TransferDropped as exc:
+            error = str(exc)
+        system.attach_fault_injector(None)
+        assert op.tile_count(self.TILE) == 32
+        return calls, error, system.peek_rows(np.arange(32), 0, 1 << 14)
+
+    @pytest.mark.parametrize("primitive", ["reduce_scatter", "allreduce"])
+    def test_banded_replay_draws_what_one_band_draws(self, primitive):
+        quiet = dict(bit_flip_rate=1e-12, drop_rate=1e-12)
+        one, _, one_mram = self._replay(primitive, None,
+                                        FaultInjector(seed=0, **quiet))
+        banded, _, banded_mram = self._replay(
+            primitive, self.TILE, FaultInjector(seed=0, **quiet))
+        # For the gather, then the put: guard, drop, whole-op flip.
+        assert [name for name, _ in one] == [
+            "guard_pes", "take_drop", "draw_flip",
+            "guard_pes", "take_drop", "draw_flip"]
+        assert one[2][1] == (32 * 256,)
+        assert banded == one
+        np.testing.assert_array_equal(banded_mram, one_mram)
+
+    @pytest.mark.parametrize("primitive", ["reduce_scatter", "allreduce"])
+    def test_dropped_put_lands_the_same_prefix(self, primitive):
+        class DropThePut(FaultInjector):
+            """Drops the op's second transfer, its put."""
+            draws = 0
+
+            def take_drop(self):
+                self.draws += 1
+                return self.draws == 2
+
+        untouched = self._op(primitive)[0].peek_rows(np.arange(32), 0,
+                                                     1 << 14)
+        one_calls, one_error, one_mram = self._replay(
+            primitive, None, DropThePut(seed=0, drop_rate=1e-12))
+        calls, error, mram = self._replay(
+            primitive, self.TILE, DropThePut(seed=0, drop_rate=1e-12))
+        assert error == one_error == "put_rows dropped after 16/32 lanes"
+        assert calls == one_calls
+        np.testing.assert_array_equal(mram, one_mram)
+        # The first half of the rows is rewritten, the rest untouched.
+        assert not np.array_equal(mram[:16], untouched[:16])
+        np.testing.assert_array_equal(mram[16:], untouched[16:])
+
+    def test_size_draw_is_the_buffer_draw(self):
+        # corrupt_transfer draws through draw_flip, so a kernel that
+        # draws by size keeps every schedule a buffer draw makes.
+        buf = np.arange(40, dtype=np.uint8)
+        by_buffer = FaultInjector(seed=2, bit_flip_rate=0.5)
+        by_size = FaultInjector(seed=2, bit_flip_rate=0.5)
+        for _ in range(50):
+            out = by_buffer.corrupt_transfer(buf)
+            flip = by_size.draw_flip(buf.nbytes)
+            assert (out is buf) == (flip is None)
+            if flip is not None:
+                byte, bit = flip
+                assert out[byte] ^ buf[byte] == 1 << bit
+        assert by_buffer.injected == by_size.injected
+        assert by_size.injected["bit_flip"] > 0
 
 
 class TestCheapReliabilityPlumbing:

@@ -12,6 +12,10 @@ pytest sweeps in ``tests/test_differential_fuzz.py`` this runs for a
 
     PYTHONPATH=src python tools/run_fuzz.py --seconds 10
     PYTHONPATH=src python tools/run_fuzz.py --seconds 5 --fault-rate 0.01
+    PYTHONPATH=src python tools/run_fuzz.py --seconds 5 --mode streamed
+
+``--mode`` runs every case in one execution mode instead of cycling
+through all four.
 
 Exits nonzero (with the failing case's parameters, replayable via
 ``--seed``) on the first mismatch.  A case whose retry budget runs out
@@ -175,6 +179,9 @@ def main(argv=None):
     parser.add_argument("--fault-rate", type=float, default=0.01,
                         help="total transient fault rate per operation "
                         "(0 disables injection; default 0.01)")
+    parser.add_argument("--mode", choices=tuple(MODES),
+                        help="run every case in this execution mode "
+                        "(default: cycle through all of them)")
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel_workers per session; sessions "
                         "with fault injection run waves and row bands "
@@ -183,7 +190,7 @@ def main(argv=None):
 
     # Fuzz payloads are tiny; let them reach the elision scanner.
     program_mod.ELIDE_MIN_SOURCE_BYTES = 0
-    modes = tuple(MODES)
+    modes = (args.mode,) if args.mode else tuple(MODES)
     rng = np.random.default_rng(args.seed)
     deadline = time.monotonic() + args.seconds
     cases = gave_up = 0
