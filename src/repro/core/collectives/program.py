@@ -32,16 +32,15 @@ Two step kinds do not lower (``HostGlobalExchangeStep``,
 wrapped in a :class:`StepOp` fallback that calls ``apply`` unchanged,
 so every plan compiles even when only partially lowered.
 
-Fault injection lives below the ops: every byte a lowered op moves
-goes through a ``DimmSystem`` transfer kernel, and each kernel is a
-fault site (rank guard, drop with partial delivery, CRC
-verify-before-commit); :meth:`CommProgram.replay` adds the launch
-timeouts.  An in-place op is one gather and one put however many bands
-it moves in, so it draws its sites once per op
-(:meth:`~repro.hw.system.DimmSystem.rewrite_in_place`).  A fused op
-makes fewer transfers than the steps it absorbed, so it draws fewer
-faults -- the same physics that makes it cheaper
-(``docs/reliability.md``).
+Fault injection sits at the op boundary: a banded op is one gather
+and one put (per group) of the modelled machine however many bands it
+moves in, so it draws those sites once, before any band moves
+(:meth:`~repro.hw.system.DimmSystem.expose`: rank guard, drop with
+partial delivery, CRC verify-before-commit), and its band kernels
+never consult the injector; :meth:`CommProgram.replay` adds the launch
+timeouts.  A fused op makes fewer transfers than the steps it
+absorbed, so it draws fewer faults -- the same physics that makes it
+cheaper (``docs/reliability.md``).
 """
 
 from __future__ import annotations
@@ -160,8 +159,9 @@ def _run_bands(units: Sequence, pool: ScratchPool | None, workers,
     None for a serial loop; ``pool`` is None on an untiled replay.
     Parallel dispatch is safe because every unit writes a disjoint set
     of output rows (:func:`band_ranges` partitions the row axis) into
-    already-materialized arena rows, and each worker gathers through
-    its own private scratch pool.  Nested calls (a wave member
+    already-materialized arena rows, each worker gathers through its
+    own private scratch pool, and no band draws a fault (the op drew
+    its sites before any band ran).  Nested calls (a wave member
     replaying on a worker thread) run inline on that thread.
     """
     if workers is None or workers.workers <= 1 or len(units) <= 1 \
@@ -179,6 +179,23 @@ def _run_bands(units: Sequence, pool: ScratchPool | None, workers,
         return run
 
     workers.run([task(unit) for unit in units])
+
+
+def _prefix(bands: list[tuple[int, int]],
+            limit: int | None) -> list[tuple[int, int]]:
+    """``bands`` cut to output rows ``[0, limit)``; all when None."""
+    if limit is None:
+        return bands
+    return [(r0, min(r1, limit)) for r0, r1 in bands if r0 < limit]
+
+
+def _group_prefix(bands: list[tuple[int, int]], ngroups: int, rows: int,
+                  limit: int | None) -> list:
+    """``(group, band)`` units of ``ngroups`` groups of ``rows`` output
+    rows each, cut to the op's rows ``[0, limit)`` (group-major)."""
+    return [(g, band) for g in range(ngroups)
+            for band in _prefix(bands, None if limit is None
+                                else limit - g * rows)]
 
 
 def scaled_counter(counter: SimdCounter, factor: int) -> SimdCounter:
@@ -298,46 +315,30 @@ def _band_take(scratch: ScratchPool | None, source: np.ndarray,
                        mode="wrap")
 
 
-def _band_buffers(op, bound: BoundWindows) -> tuple[
-        np.ndarray, int, Callable[[ScratchPool | None, int, int],
-                                  np.ndarray]]:
-    """A table-driven op's ``(table, width, out)``: its bound stream
-    table, and ``out(scratch, r0, r1)``, the array output rows
-    ``[r0, r1)`` gather into.
-
-    A band of a stream-safe op lands in the pool's pong view (O(tile)
-    memory); every other gather -- an untiled replay, which has no
-    pool, or the whole-op band of an op that cannot band (an in-place
-    rewrite whose rows read across rows) -- lands in one transient
-    array, so pong stays O(tile).
-    """
-    table, width = bound.gather_table()
-    wide = wide_dtype(width)
-    cols = table.shape[1]
-    transient = not op._stream_safe()
-
-    def out(scratch, r0, r1):
-        shape = (r1 - r0, cols)
-        return (np.empty(shape, wide) if scratch is None or transient
-                else scratch.pong(shape, wide))
-    return table, width, out
-
-
 def _band_gather(op, ctx: ExecContext, bound: BoundWindows
                  ) -> Callable[[ScratchPool | None, int, int], np.ndarray]:
     """A table-driven op's band gather: ``take(scratch, r0, r1)``
     returns output rows ``[r0, r1)`` as a uint8 row matrix.
 
     Every replay gathers through the bound stream table straight from
-    the arena, in one pass (:meth:`DimmSystem.take_band_flat`), into
-    the array :func:`_band_buffers` picks.
+    the arena, in one pass (:meth:`DimmSystem.take_band_flat`).  A band
+    of a stream-safe op lands in the pool's pong view (O(tile) memory);
+    every other gather -- an untiled replay, which has no pool, or the
+    whole-op band of an op that cannot band (an in-place rewrite whose
+    rows read across rows) -- lands in one transient array, so pong
+    stays O(tile).
     """
     system = ctx.system
-    table, width, out_for = _band_buffers(op, bound)
+    table, width = bound.gather_table()
+    wide = wide_dtype(width)
+    cols = table.shape[1]
+    transient = not op._stream_safe()
 
     def take(scratch, r0, r1):
-        out = out_for(scratch, r0, r1)
-        system.take_band_flat(table, width, r0, r1, out, op.ids)
+        shape = (r1 - r0, cols)
+        out = (np.empty(shape, wide) if scratch is None or transient
+               else scratch.pong(shape, wide))
+        system.take_band_flat(table, width, r0, r1, out)
         return out.view(np.uint8)
     return take
 
@@ -380,9 +381,10 @@ class GatherMoveOp(_BandedOp):
     oracle at any elision rate; ops whose source and destination
     regions overlap never elide.
 
-    An op whose regions overlap rewrites its source in place
-    (:meth:`_rewrite`): its faults are drawn once per op, and it bands
-    when it is row-local, a property fixed here, when the op is built.
+    An op whose regions overlap rewrites its source in place with the
+    same band body: each band gathers all of its rows before it writes
+    any, and it bands when it is row-local (:meth:`_stream_safe`), a
+    property fixed here, when the op is built.
     """
 
     ids: np.ndarray
@@ -422,63 +424,37 @@ class GatherMoveOp(_BandedOp):
         self._band_memo = {}
         self._rows_unique = None
         self._plan_cache = None
+        #: The fault site of the gather and of the put (same bytes).
+        self._site = (self.ids,
+                      self.ids.size * self.nslots_out * self.chunk_bytes)
 
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
         bands = self._bands(ctx.tile_bytes)
+        plan = None
         if ctx.elide and self._elidable():
             plan, dst_clean = self._elision_plan(ctx)
-            if plan is not None:
-                self._execute_elided(ctx, plan, bands, dst_clean)
-                return
         system = ctx.system
         bound = system.bind(self._binding)
-        if self._disjoint:
-            take = _band_gather(self, ctx, bound)
-
-            def run_band(scratch: ScratchPool | None,
-                         band: tuple[int, int]) -> None:
-                r0, r1 = band
-                system.put_rows(self.ids[r0:r1], self.dst_offset,
-                                take(scratch, r0, r1),
-                                bound.window(0, band))
-
-            _run_bands(bands, ctx.pool, ctx.workers, run_band)
-        else:
-            self._rewrite(ctx, bound, bands)
-        self._charge(ctx)
-
-    def _rewrite(self, ctx: ExecContext, bound: BoundWindows,
-                 bands: list[tuple[int, int]]) -> None:
-        """In-place replay: one fault exposure, then band by band.
-
-        :meth:`DimmSystem.rewrite_in_place` draws the op's gather and
-        put faults once, as its one-band replay draws them, and then
-        has the bands moved: each gathers all of its rows before it
-        writes any (:meth:`DimmSystem.rewrite_band`), and a row-local
-        op's later bands read no row an earlier one wrote, so the
-        result is the whole-op rewrite's at any budget.  A put-side
-        drop moves the bands up to the prefix row the drop reached.
-        """
-        system = ctx.system
-        table, width, out_for = _band_buffers(self, bound)
+        take = _band_gather(self, ctx, bound)
 
         def run_band(scratch: ScratchPool | None,
                      band: tuple[int, int]) -> None:
             r0, r1 = band
-            system.rewrite_band(table, width, r0, r1,
-                                out_for(scratch, r0, r1), self.ids[r0:r1],
-                                self.dst_offset, bound.window(0, band))
+            system.put_rows(self.ids[r0:r1], self.dst_offset,
+                            take(scratch, r0, r1), bound.window(0, band))
 
-        def move(rows: int) -> None:
-            units = (bands if rows == self.ids.size
-                     else [(r0, min(r1, rows)) for r0, r1 in bands
-                           if r0 < rows])
-            _run_bands(units, ctx.pool, ctx.workers, run_band)
+        def move(limit: int | None) -> None:
+            if plan is not None and limit is None:
+                self._execute_elided(ctx, plan, bands, dst_clean)
+            else:
+                # A dropped put's prefix moves through the plain body:
+                # an elided row holds the bytes its plain gather would.
+                _run_bands(_prefix(bands, limit), ctx.pool, ctx.workers,
+                           run_band)
 
-        system.rewrite_in_place(
-            self.ids, self.ids.size * self.nslots_out * self.chunk_bytes,
-            move)
+        system.expose(move, (self._site,), self._site)
+        self._charge(ctx)
 
     # Kept only because benchmarks/e2e/tracer.py lists this name; drop
     # it with the next change to the benchmark's target list.
@@ -634,7 +610,7 @@ class GatherMoveOp(_BandedOp):
         out = (np.empty(shape, wide_dtype(width)) if scratch is None
                else scratch.pong(shape, wide_dtype(width)))
         if rows.size:
-            system.take_select_flat(flat_table, width, rows, out, self.ids)
+            system.take_select_flat(flat_table, width, rows, out)
         return out.view(np.uint8).reshape(
             rows.size, self.nslots_out * self.chunk_bytes)
 
@@ -714,7 +690,6 @@ class GatherMoveOp(_BandedOp):
         ctx.saved_transfer_bytes += (2 * n_zero + n_dup) * row_bytes
         # Stamp the cache: dst now holds this plan's replay output.
         self._plan_cache = self._plan_cache[:3] + (system.content_epoch(),)
-        self._charge(ctx)
 
 
 @dataclass
@@ -753,6 +728,10 @@ class ReduceFoldOp(_BandedOp):
             specs, gather=(self.ids, self.ngroups, self.src_offset,
                            self.chunk_bytes, self.lane, self.slot))
         self._band_memo = {}
+        self._gather_site = (self.ids,
+                             self.ids.size * self.nslots * self.chunk_bytes)
+        self._put_sites = (() if self.dst_offset is None else
+                           ((self.ids, self.ids.size * self.chunk_bytes),))
 
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
@@ -788,7 +767,10 @@ class ReduceFoldOp(_BandedOp):
                 system.put_rows(self.ids[r0:r1], self.dst_offset,
                                 acc.view(np.uint8), bound.window(0, rows))
 
-        _run_bands(bands, ctx.pool, ctx.workers, run_band)
+        system.expose(
+            lambda limit: _run_bands(_prefix(bands, limit), ctx.pool,
+                                     ctx.workers, run_band),
+            self._put_sites, self._gather_site)
         if full is not None:
             shaped = full.reshape(self.ngroups, -1, elems)
             ctx.scratch[self.scratch_key] = {
@@ -858,6 +840,9 @@ class FanoutScratchOp(_BandedOp):
         self._binding = _per_group(self.group_ids, self.dst_offset,
                                    self.nslots_out * self.chunk_bytes)
         self._band_memo = {}
+        self._put_sites = tuple(
+            (ids, ids.size * self.nslots_out * self.chunk_bytes)
+            for ids in self.group_ids)
 
     @property
     def ngroups(self) -> int:
@@ -888,12 +873,8 @@ class FanoutScratchOp(_BandedOp):
         wide = wide_dtype(self.chunk_bytes)
         system = ctx.system
         bound = system.bind(self._binding)
-        # (instance, band) units are all independent: instances write
-        # different groups' rows, bands write disjoint rows of one
-        # group, so the whole cross product fans out to the workers.
-        units = []
-        for g, (ids, inst) in enumerate(zip(self.group_ids,
-                                            self.instances)):
+        chunks = []
+        for ids, inst in zip(self.group_ids, self.instances):
             row = np.ascontiguousarray(results[inst]).view(np.uint8)
             if row.shape != (lanes, self.chunk_bytes):
                 raise TransferError(
@@ -901,18 +882,25 @@ class FanoutScratchOp(_BandedOp):
                     f"({lanes}, {self.chunk_bytes})")
             # The scratch matrix is contiguous, so each chunk is one
             # wide element regardless of alignment.
-            chunks = row.view(wide).reshape(-1)
-            units.extend((ids, chunks, band, bound.window(g, band))
-                         for band in bands)
+            chunks.append(row.view(wide).reshape(-1))
 
         def run_unit(scratch: ScratchPool | None, unit) -> None:
-            ids, chunks, (r0, r1), window = unit
-            fanned = _band_take(scratch, chunks, self._take_lane[r0:r1])
+            g, band = unit
+            r0, r1 = band
+            fanned = _band_take(scratch, chunks[g], self._take_lane[r0:r1])
             system.put_rows(
-                ids[r0:r1], self.dst_offset,
-                fanned.view(np.uint8).reshape(r1 - r0, row_bytes), window)
+                self.group_ids[g][r0:r1], self.dst_offset,
+                fanned.view(np.uint8).reshape(r1 - r0, row_bytes),
+                bound.window(g, band))
 
-        _run_bands(units, ctx.pool, ctx.workers, run_unit)
+        # (instance, band) units are all independent: instances write
+        # different groups' rows, bands write disjoint rows of one
+        # group, so the whole cross product fans out to the workers.
+        system.expose(
+            lambda limit: _run_bands(
+                _group_prefix(bands, len(chunks), lanes, limit), ctx.pool,
+                ctx.workers, run_unit),
+            self._put_sites)
         self._charge(ctx)
 
     # Kept only because benchmarks/e2e/tracer.py lists this name; drop
@@ -970,6 +958,8 @@ class HostPushOp(ProgramOp):
     def __post_init__(self) -> None:
         self._binding = _per_group(self.group_ids, self.dst_offset,
                                    self.chunk_bytes)
+        self._put_sites = tuple((ids, ids.size * self.chunk_bytes)
+                                for ids in self.group_ids)
 
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
@@ -981,17 +971,25 @@ class HostPushOp(ProgramOp):
                 "functional scatter needs payloads or a scratch key")
         system = ctx.system
         bound = system.bind(self._binding)
-        for g, (ids, inst) in enumerate(zip(self.group_ids,
-                                            self.instances)):
+        rows = []
+        for ids, inst in zip(self.group_ids, self.instances):
             buf = np.asarray(source[inst], dtype=np.uint8)
             expected = ids.size * self.chunk_bytes
             if buf.size != expected:
                 raise TransferError(
                     f"scatter payload of {buf.size}B for instance "
                     f"{inst}, expected {expected}B")
-            system.put_rows(ids, self.dst_offset,
-                            buf.reshape(ids.size, self.chunk_bytes),
-                            bound.window(g))
+            rows.append(buf.reshape(ids.size, self.chunk_bytes))
+
+        def move(limit: int | None) -> None:
+            lanes = len(self.group_ids[0])
+            for g, band in _group_prefix([(0, lanes)], len(rows), lanes,
+                                         limit):
+                system.put_rows(self.group_ids[g][:band[1]],
+                                self.dst_offset, rows[g][:band[1]],
+                                bound.window(g, band))
+
+        system.expose(move, self._put_sites)
         self._charge(ctx)
 
     def transfer_bytes(self) -> int:

@@ -163,8 +163,8 @@ class Communicator:
         """The compiled program to replay ``req`` with, if any.
 
         None means interpret: the session asked for it.  A fault
-        injector changes nothing here -- the transfer kernels replay
-        runs on are fault sites too.
+        injector changes nothing here -- every compiled op draws the
+        faults of its modelled transfers too.
         """
         if self.execution == "interpreted":
             return None
@@ -184,12 +184,17 @@ class Communicator:
                           req.total_data_size, req.src_offset,
                           req.dst_offset, req.dtype, req.op, req.config)
 
-    def _run(self, req: NormalizedRequest, functional: bool) -> CommResult:
-        """Compile (or fetch), execute, post-process, record."""
+    @staticmethod
+    def _check_payloads(req: NormalizedRequest, functional: bool) -> None:
+        """A functional scatter or broadcast needs host payloads."""
         if functional and req.primitive in ("scatter", "broadcast") \
                 and req.payloads is None:
             raise CollectiveError(
                 f"functional {req.primitive} needs payloads")
+
+    def _run(self, req: NormalizedRequest, functional: bool) -> CommResult:
+        """Compile (or fetch), execute, post-process, record."""
+        self._check_payloads(req, functional)
         if self.reliability is not None:
             return self._run_reliable(req, functional)
         resolved = self._resolve(req)
@@ -226,12 +231,11 @@ class Communicator:
 
         None inside a worker thread: a wave member occupying a bounded
         executor slot must not queue band tasks behind itself (its
-        bands run inline instead).  None under a fault injector too:
-        its RNG is one stateful stream, so bands must draw in order.
+        bands run inline instead).  A fault injector changes nothing:
+        each op draws its faults before its bands move.
         """
         pool = self._pool
-        if pool is None or pool.in_worker \
-                or self.manager.system.fault_injector is not None:
+        if pool is None or pool.in_worker:
             return None
         return pool
 
@@ -591,10 +595,7 @@ class Communicator:
         reqs = [normalized[i] for i in indices]
         resolved = []
         for req in reqs:
-            if functional and req.primitive in ("scatter", "broadcast") \
-                    and req.payloads is None:
-                raise CollectiveError(
-                    f"functional {req.primitive} needs payloads")
+            self._check_payloads(req, functional)
             resolved.append(self._resolve(req))
         # Touch every member PE now: concurrent execution must never
         # trigger an arena growth or a lazy per-PE materialization.

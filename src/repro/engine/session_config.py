@@ -83,9 +83,10 @@ class SessionConfig:
             each with private scratch.  Results, ledgers and counters
             are bit-identical at every worker count -- only wall-clock
             changes.  Sessions with a fault injector or reliability
-            policy run waves (counted in
-            ``EngineStats.parallel_fallbacks``) and row bands serially:
-            the injector's RNG is one stateful stream
+            policy run waves serially (counted in
+            ``EngineStats.parallel_fallbacks``): the injector's RNG is
+            one stateful stream.  Row bands fan out in every session,
+            since each op draws its faults before its bands move
             (``docs/performance.md``).
         elide_transfers: Content-aware transfer elision (default
             False).  When True, compiled replays fingerprint-scan

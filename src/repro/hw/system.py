@@ -84,7 +84,7 @@ class DimmSystem:
         self._arena: MemoryArena | None = None
         self._memories: dict[int, PeMemory] = {}
         self._alloc_cursor = 0
-        #: Optional fault source consulted by every transfer kernel.
+        #: Optional fault source consulted by every fault site.
         #: None = perfect hardware, the historical behavior.
         self.fault_injector: "FaultInjector | None" = None
 
@@ -311,9 +311,9 @@ class DimmSystem:
         self.poke_rows(pe_ids, offset, mat)
 
     # ------------------------------------------------------------------
-    # Below the injector: raw bulk access, and the two fault sites every
-    # guarded kernel (lane transfers above, compiled kernels below)
-    # shares
+    # Below the injector: raw bulk access, and the read and write fault
+    # sites the lane transfers above and the host I/O kernels below
+    # share
     # ------------------------------------------------------------------
     def peek_rows(self, pe_ids: Sequence[int], offset: int, nbytes: int,
                   out: np.ndarray | None = None,
@@ -458,15 +458,10 @@ class DimmSystem:
         already read zero are skipped instead of rewritten.  This is
         the elision layer's zero-row fill -- back-to-back replays of
         the same sparse collective hit the already-clean steady state,
-        so repeated elisions pay a read pass, never a write.  Under a
-        fault injector the zero image is one delivery like any other
-        fill.
+        so repeated elisions pay a read pass, never a write.  Like the
+        compiled band kernels below, it draws no faults: its rows belong
+        to the eliding op's put, drawn by :meth:`expose`.
         """
-        injector = self.fault_injector
-        if injector is not None:
-            self._delivered(injector, pe_ids, offset,
-                            np.zeros(nbytes, dtype=np.uint8),
-                            "zero_fill_lanes")
         if self.vectorized:
             self._ensure_arena().zero_fill_rows(
                 self._lane_ids(pe_ids), offset, nbytes)
@@ -479,15 +474,14 @@ class DimmSystem:
                 self.memory(pe).write(offset, zeros)
 
     # ------------------------------------------------------------------
-    # Compiled-program kernels.  Each is a fault site like the lane
-    # transfers above: reads go through ``_received`` after the gather,
-    # writes through ``_delivered`` before the commit.  On a healthy
-    # system the whole cost is the ``injector is None`` test.  Each
-    # takes the ``window`` :meth:`bind` resolved for its region; the
-    # PE ids still name the fault site, exactly as unbound.  Compiled
-    # replay runs on the arena only: on the scalar backend these
-    # kernels raise (:meth:`_ensure_arena`) instead of reading a
-    # shadow arena.
+    # Compiled-program kernels.  A compiled op draws its faults once,
+    # through :meth:`expose`, and then moves its bytes through the band
+    # kernels below, which never consult the injector; the host-pull
+    # read (:meth:`take_rows`) and the elision scan (:meth:`scan_view`)
+    # are their own read sites.  Each takes the ``window`` :meth:`bind`
+    # resolved for its region.  Compiled replay runs on the arena only:
+    # on the scalar backend these kernels raise (:meth:`_ensure_arena`)
+    # instead of reading a shadow arena.
     # ------------------------------------------------------------------
     def bind(self, binding: ArenaBinding) -> BoundWindows:
         """``binding``'s windows and stream table on the current layout.
@@ -545,12 +539,9 @@ class DimmSystem:
         """Write a pre-shaped ``(len(pe_ids), nbytes)`` uint8 lane matrix.
 
         The put half of the compiled-program kernels: no per-call
-        shape re-validation (lowering already fixed the shapes).
+        shape re-validation (lowering already fixed the shapes), and no
+        fault draw (:meth:`expose` drew the op's put).
         """
-        injector = self.fault_injector
-        if injector is not None:
-            matrix = self._delivered(injector, pe_ids, offset, matrix,
-                                     "put_rows")
         self.poke_rows(pe_ids, offset, matrix, window)
 
     def content_epoch(self) -> int:
@@ -566,70 +557,59 @@ class DimmSystem:
                                                  offset + nbytes)
 
     def take_band_flat(self, table: np.ndarray, width: int, r0: int,
-                       r1: int, out: np.ndarray,
-                       pe_ids: Sequence[int]) -> None:
+                       r1: int, out: np.ndarray) -> None:
         """Gather output rows ``[r0, r1)`` straight from the arena.
 
         One unbuffered ``np.take(..., out=, mode="wrap")`` of wide
         elements through the bound stream table (:meth:`bind`) -- the
-        gather kernel of every compiled replay (an in-place op's bands
-        take the same way, inside :meth:`rewrite_band`).  It makes
-        one pass: no staging copy, and nothing allocated beyond the
-        caller's ``out``.  The default ``mode="raise"`` would gather
-        into a hidden temporary first, so the range check runs once,
-        when the table is built (:meth:`MemoryArena.stream_table`).
-        Total index work is independent of the band count.
-        ``pe_ids`` names the PEs the table reads, for the rank guard.
+        gather kernel of every compiled replay, in-place ops included.
+        It makes one pass: no staging copy, and nothing allocated
+        beyond the caller's ``out``.  The default ``mode="raise"``
+        would gather into a hidden temporary first, so the range check
+        runs once, when the table is built
+        (:meth:`MemoryArena.stream_table`).  Total index work is
+        independent of the band count.
         """
         self._ensure_arena().take_band(table, width, r0, r1, out)
-        injector = self.fault_injector
-        if injector is not None:
-            self._received(injector, pe_ids, out, "take_band_flat")
 
-    def rewrite_in_place(self, pe_ids: Sequence[int], nbytes: int,
-                         move: Callable[[int], None]) -> None:
-        """An in-place rewrite of ``nbytes``: one exposure, then ``move``.
+    def expose(self, move: Callable[[int | None], None],
+               puts: Sequence[tuple[Sequence[int], int]],
+               gather: tuple[Sequence[int], int] | None = None) -> None:
+        """One compiled op's transfers: their faults once, then ``move``.
 
-        An op that rewrites its own source region is one gather and one
-        put of the modelled machine, however many row bands the
-        simulator moves it in, so its fault sites are drawn here, once
-        per op, in the order its one-band replay draws them: for the
-        gather (:meth:`take_band_flat`) and then the put
-        (:meth:`put_rows`), the rank guard, the drop draw, then the
-        corruption draw sized to the whole op (:func:`guarded_site`).
-        A fault on the gather raises before any byte moves.  A drop on
-        the put lands, like every dropped write, on
-        :func:`partial_prefix` of the lanes before
-        :class:`TransferDropped` surfaces: ``move(n)`` must write output
-        rows ``[0, n)``, band by band (:meth:`rewrite_band`).
+        A compiled op is one gather and one put per group of the
+        modelled machine, however many row bands the simulator moves it
+        in, so its fault sites are drawn here, once per op, before any
+        byte moves, in the order its one-band replay draws them: the
+        gather ``(pe_ids, nbytes)`` if the op has one, then each put
+        ``(pe_ids, nbytes)`` in output-row order.  Each site runs the
+        rank guard, the drop draw, then the corruption draw sized to
+        the whole transfer (:func:`guarded_site`).  A fault on the
+        gather raises before any byte moves, and so does a corrupted
+        put: its CRC pair rejects it before the commit.  A dropped put
+        lands, like every dropped write, on :func:`partial_prefix` of
+        its lanes: ``move(n)`` writes the op's output rows ``[0, n)``
+        -- every earlier put's rows, then that prefix -- before
+        :class:`TransferDropped` surfaces.  ``move(None)`` moves every
+        row.
         """
         injector = self.fault_injector
         if injector is not None:
-            injector.guard_pes(self.geometry, pe_ids)
-            guarded_site(injector, nbytes, "take_band_flat")
-            injector.guard_pes(self.geometry, pe_ids)
-            if injector.take_drop():
-                reached = len(partial_prefix(pe_ids))
-                move(reached)
-                raise TransferDropped(
-                    f"put_rows dropped after {reached}/{len(pe_ids)} lanes")
-            guarded_site(injector, nbytes, "put_rows", drop=False)
-        move(len(pe_ids))
-
-    def rewrite_band(self, table: np.ndarray, width: int, r0: int, r1: int,
-                     out: np.ndarray, pe_ids: Sequence[int], offset: int,
-                     window: Window | None = None) -> None:
-        """One band of :meth:`rewrite_in_place`: gather, then write back.
-
-        Output rows ``[r0, r1)`` gather through the stream table into
-        ``out`` (as :meth:`take_band_flat` does) and land at ``offset``
-        on ``pe_ids`` (the band's PEs) before the next band reads
-        anything.  Injector-free: the op's faults were drawn once, by
-        :meth:`rewrite_in_place`.
-        """
-        self._ensure_arena().take_band(table, width, r0, r1, out)
-        self.poke_rows(pe_ids, offset,
-                       out.view(np.uint8).reshape(r1 - r0, -1), window)
+            if gather is not None:
+                ids, nbytes = gather
+                injector.guard_pes(self.geometry, ids)
+                guarded_site(injector, nbytes, "take_band_flat")
+            rows = 0
+            for ids, nbytes in puts:
+                injector.guard_pes(self.geometry, ids)
+                if injector.take_drop():
+                    reached = len(partial_prefix(ids))
+                    move(rows + reached)
+                    raise TransferDropped(
+                        f"put_rows dropped after {reached}/{len(ids)} lanes")
+                guarded_site(injector, nbytes, "put_rows", drop=False)
+                rows += len(ids)
+        move(None)
 
     # Kept only because benchmarks/e2e/tracer.py lists this name; drop
     # it with the next change to the benchmark's target list.
@@ -673,21 +653,16 @@ class DimmSystem:
         return block
 
     def take_select_flat(self, table: np.ndarray, width: int,
-                         rows: np.ndarray, out: np.ndarray,
-                         pe_ids: Sequence[int]) -> None:
+                         rows: np.ndarray, out: np.ndarray) -> None:
         """Gather an arbitrary output-row subset through a stream table.
 
         The elision-aware gather: only representative rows (first
         occurrence of each distinct content class) go through the
         expensive strided arena gather; elided rows are filled or
         alias-copied from the representatives.  Vectorized backend
-        only (the table comes from :meth:`bind`).  ``pe_ids`` names the
-        PEs the table reads, for the rank guard.
+        only (the table comes from :meth:`bind`).
         """
         self._ensure_arena().take_select(table, width, rows, out)
-        injector = self.fault_injector
-        if injector is not None:
-            self._received(injector, pe_ids, out, "take_select_flat")
 
     # ------------------------------------------------------------------
     # PE-local kernels over ordered PE lists

@@ -4,7 +4,7 @@ Each host owns one UPMEM channel (4 ranks x 8 chips x 8 banks = 256
 PEs, as in the paper's testbed) and runs PID-Comm locally through its
 own :class:`~repro.engine.Communicator` session -- full
 :class:`~repro.engine.SessionConfig` support, so the local phases enjoy
-compiled replay, streaming, autotuning, and content-aware elision.
+compiled replay, streaming, band workers and content-aware elision.
 The global phase is a first-class inter-host program
 (:class:`~repro.multihost.GlobalProgram`) priced on a topology-aware
 :class:`~repro.multihost.Fabric` and selected per (primitive, payload,

@@ -190,7 +190,7 @@ class TestCompiledReplayStore:
         table = np.zeros((4, 2), dtype=np.intp)
         out = np.empty((4, 2), dtype=np.uint64)
         with pytest.raises(AllocationError, match="no arena"):
-            system.take_band_flat(table, 8, 0, 4, out, list(range(4)))
+            system.take_band_flat(table, 8, 0, 4, out)
         assert system.arena is None  # no shadow arena was built
 
     def test_replay_after_a_switch_to_scalar_raises(self):

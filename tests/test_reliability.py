@@ -6,6 +6,8 @@ the plan-cache keying that keeps degraded plans apart from healthy
 ones.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,14 @@ from repro import (
 )
 from repro.core import reference as ref
 from repro.core.collectives.plan import ExecContext
-from repro.core.collectives.program import compile_plan
+from repro.core.collectives import program as program_mod
+from repro.core.collectives.program import (FanoutScratchOp, ReduceFoldOp,
+                                            compile_plan)
 from repro.core.groups import member_pes
 from repro.core.hypercube import HypercubeManager as HM
 from repro.dtypes import INT64, SUM
 from repro.engine.request import CommRequest
+from repro.engine.parallel import WorkerPool
 from repro.hw.arena import ScratchPool
 from repro.errors import (
     ChecksumError,
@@ -700,11 +705,11 @@ REPLAY_MODES = {
 #: The ~1 %/operation mix every mode replays under, and a flip-only
 #: link that corrupts often enough to run the CRC branch dozens of
 #: times per primitive.  Its rate is scaled to the mode's corruption
-#: draws per attempt (2-7 compiled, up to 66 at the 257-byte tile) so
-#: that no call runs out of retries.
+#: draws per attempt (2-7: a streamed replay draws per op, as a
+#: compiled one does) so that no call runs out of retries.
 MIXED_RATES = {"bit_flip_rate": 0.004, "drop_rate": 0.003,
                "timeout_rate": 0.003}
-FLIP_ONLY = {"compiled": 0.02, "streamed": 0.005}
+FLIP_ONLY = {"compiled": 0.02, "streamed": 0.02}
 REPLAY_CASES = (
     [pytest.param(mode, MIXED_RATES, id=mode) for mode in REPLAY_MODES]
     + [pytest.param(mode, {"bit_flip_rate": rate}, id=f"{mode}-flips")
@@ -775,7 +780,6 @@ def _oracle(primitive):
 class TestFaultsOnCompiledReplay:
     @pytest.fixture(autouse=True)
     def _tiny_floor(self, monkeypatch):
-        from repro.core.collectives import program as program_mod
         monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 0)
 
     @pytest.mark.parametrize("mode,rates", REPLAY_CASES)
@@ -822,6 +826,40 @@ class TestFaultsOnCompiledReplay:
             assert stats.program_replays == twin_comm.stats.program_replays
             np.testing.assert_array_equal(mram, twin_mram)
 
+    @pytest.mark.parametrize("primitive", ["alltoall", "reduce_scatter",
+                                           "allreduce", "reduce"])
+    def test_faulted_streamed_bands_fan_out_bit_identically(self,
+                                                            primitive):
+        # Each op draws its faults before its bands move, so an
+        # injector no longer keeps bands on the submitting thread, and
+        # more workers than cores, switching often, replay exactly what
+        # one does: the same draws, attempts and MRAM.
+        runs = []
+        interval = sys.getswitchinterval()
+        for workers in (1, 3):
+            injector = FaultInjector(seed=PRIMITIVES.index(primitive),
+                                     **MIXED_RATES)
+            sys.setswitchinterval(1e-5)
+            try:
+                mram, host, comm = _drive(
+                    primitive, _ORACLE_CALLS, backend="vectorized",
+                    execution="compiled", fault_injector=injector,
+                    stream_tile_bytes=257, parallel_workers=workers)
+            finally:
+                sys.setswitchinterval(interval)
+            runs.append((mram, host, comm.stats.retries,
+                         dict(injector.injected), comm.stats.worker_bands))
+            comm.close()
+        (mram, host, retries, injected, _), (*two, bands) = runs
+        assert retries > 0, "no fault fired; tune seed/calls"
+        np.testing.assert_array_equal(two[0], mram)
+        for got, want in zip(two[1], host):
+            assert got.keys() == want.keys()
+            for inst in want:
+                np.testing.assert_array_equal(got[inst], want[inst])
+        assert (two[2], two[3]) == (retries, injected)
+        assert any(label.startswith("worker-") for label in bands)
+
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     @pytest.mark.parametrize("kernel", ["put_rows", "fill_lanes"])
     def test_flipped_payload_never_reaches_mram(self, backend, kernel):
@@ -834,8 +872,11 @@ class TestFaultsOnCompiledReplay:
         payload = np.arange(32, dtype=np.uint8)
         with pytest.raises(ChecksumError, match=kernel):
             if kernel == "put_rows":
-                system.put_rows(np.asarray(pes), 64,
-                                np.tile(payload, (len(pes), 1)))
+                # A band kernel: the op's put site draws its faults.
+                rows = np.tile(payload, (len(pes), 1))
+                system.expose(
+                    lambda n: system.put_rows(pes[:n], 64, rows[:n]),
+                    ((pes, rows.nbytes),))
             else:
                 system.fill_lanes(pes, 64, payload)
         np.testing.assert_array_equal(system.peek_rows(pes, 0, 128), before)
@@ -862,16 +903,23 @@ class TestFaultsOnCompiledReplay:
         system.poke_rows(pes, 64, old)
         system.attach_fault_injector(FaultInjector(seed=0, drop_rate=1.0))
         rows = np.arange(pes.size * 32, dtype=np.uint8).reshape(pes.size, 32)
-        with pytest.raises(TransferDropped, match=f"{kernel} dropped after "
+        # put_rows and zero_fill_lanes are band kernels: the op's put
+        # site (DimmSystem.expose) draws their faults and names them.
+        site = "fill_lanes" if kernel == "fill_lanes" else "put_rows"
+        with pytest.raises(TransferDropped, match=f"{site} dropped after "
                                                   f"8/16 lanes"):
             if kernel == "put_rows":
-                system.put_rows(pes, 64, rows)
+                system.expose(
+                    lambda n: system.put_rows(pes[:n], 64, rows[:n]),
+                    ((pes, rows.nbytes),))
             elif kernel == "fill_lanes":
                 rows = np.tile(rows[0], (pes.size, 1))
                 system.fill_lanes(pes, 64, rows[0])
             else:
                 rows = np.zeros_like(rows)
-                system.zero_fill_lanes(pes, 64, 32)
+                system.expose(
+                    lambda n: system.zero_fill_lanes(pes[:n], 64, 32),
+                    ((pes, rows.nbytes),))
         reached = len(partial_prefix(pes))
         got = system.peek_rows(pes, 64, 32)
         np.testing.assert_array_equal(got[:reached], rows[:reached])
@@ -985,9 +1033,10 @@ class TestFaultsOnCompiledReplay:
 #: Fault draws per compiled replay on the (4, 4, 2) cube, as
 #: ``(take_timeout, take_drop, draw_flip)``: one launch draw per
 #: replay plus one per op that absorbed a reorder kernel, and one drop
-#: draw plus one corruption draw per kernel transfer.  ``draw_flip`` is
-#: the corruption draw itself, which ``corrupt_transfer`` makes for a
-#: whole buffer and an in-place op makes once for all its bands.
+#: draw plus one corruption draw per modelled transfer (an op's gather,
+#: its put per group).  ``draw_flip`` is the corruption draw itself,
+#: which ``corrupt_transfer`` makes for a whole buffer and a banded op
+#: makes once for all its bands, so every tile budget draws these.
 EXPOSURE = {
     "alltoall": (2, 2, 2),        # docs/reliability.md: 6 draws
     "allgather": (2, 2, 2),
@@ -998,27 +1047,13 @@ EXPOSURE = {
     "reduce": (2, 3, 3),
     "broadcast": (1, 4, 4),
 }
-#: The same draws in a session with a 2 KiB tile budget: each band of
-#: an op with disjoint regions is its own gather and put, while the
-#: in-place PeReorder that opens the reduce primitives is one gather
-#: and one put however many bands it moves in.
-EXPOSURE_STREAMED = {
-    "alltoall": (2, 8, 8),
-    "allgather": (2, 8, 8),
-    "reduce_scatter": (2, 10, 10),
-    "allreduce": (3, 10, 10),
-    "gather": (1, 4, 4),
-    "scatter": (1, 4, 4),
-    "reduce": (2, 6, 6),
-    "broadcast": (1, 4, 4),
-}
 STREAM_TILE = 2048
 DRAWS = ("take_timeout", "take_drop", "draw_flip")
 
 
 class TestFaultExposurePerPrimitive:
-    """Faults are drawn per kernel call, so how a replay batches its
-    transfers is observable: these pins keep it from moving silently."""
+    """Faults are drawn per modelled transfer, so how a replay batches
+    its bands is not observable: these pins keep it that way."""
 
     def _replay(self, primitive, dims, calls=3, tile=None):
         """Per call: draw counts and the PE ids of every rank guard."""
@@ -1083,11 +1118,10 @@ class TestFaultExposurePerPrimitive:
                              ids=["fancy_rows", "strided_rows"])
     @pytest.mark.parametrize("primitive", PRIMITIVES)
     def test_streamed_draws_per_replay_are_pinned(self, primitive, dims):
-        # How a streamed replay gathers a band (from a pool view or a
-        # transient array, through the stream table or a staged take)
-        # must not change its fault sites: one draw set per kernel call.
+        # How many bands a streamed replay moves an op in must not
+        # change its fault sites: one draw set per modelled transfer.
         self._assert_pinned(self._replay(primitive, dims, tile=STREAM_TILE),
-                            EXPOSURE_STREAMED[primitive])
+                            EXPOSURE[primitive])
 
     @staticmethod
     def _assert_pinned(seen, exposure):
@@ -1100,36 +1134,80 @@ class TestFaultExposurePerPrimitive:
 
 
 class TestInPlaceExposure:
-    """The in-place PeReorder that opens ReduceScatter and AllReduce
-    moves in row bands when streamed, yet it is one gather and one put
-    of the modelled machine: banded and one-band replays of it draw
-    the same faults, and a dropped put leaves the same MRAM."""
+    """Every banded op -- the in-place PeReorder that opens
+    ReduceScatter and AllReduce, a disjoint move, an eliding move, a
+    fold with and without an MRAM destination, a fan-out -- is one
+    gather and one put per group of the modelled machine, however many
+    bands and workers move it: banded replays draw the faults its
+    one-band replay draws, in the same order, and a dropped put leaves
+    the same MRAM."""
 
     TILE = 256                          # one 256-byte row per band
+    #: kind -> (primitive, bitmap, index of the op under test, elide).
+    KINDS = {
+        "reduce_scatter": ("reduce_scatter", "11", 0, False),  # in place
+        "allreduce": ("allreduce", "11", 0, False),            # in place
+        "disjoint": ("alltoall", "11", 0, False),
+        "eliding": ("alltoall", "11", 0, True),
+        "fold_to_mram": ("reduce_scatter", "11", 1, False),
+        "fold_to_host": ("allreduce", "11", 1, False),
+        "fanout": ("allreduce", "01", 2, False),               # 4 groups
+    }
+    #: Every (tile budget, band workers) a replay is checked at; the
+    #: first is the one-band replay the others must match (an untiled
+    #: replay has no band workers).
+    RUNS = [(None, 1), (TILE, 1), (TILE, 2)]
 
     @staticmethod
-    def _op(primitive):
-        """A fresh (4, 8) cube holding inputs, and the in-place op that
-        opens ``primitive``'s compiled program."""
-        manager = make_manager((4, 8))
-        system = manager.system.set_backend("vectorized")
-        fill_group_inputs(system, groups_of(manager, "11"), 0, 32, INT64,
-                          np.random.default_rng(4))
-        comm = Communicator(manager, SessionConfig(backend="vectorized"))
-        result = getattr(comm, primitive)(
-            "11", 256, src_offset=4096, dst_offset=8192, data_type=INT64,
-            reduction_type=SUM)
-        fresh = make_manager((4, 8)).system.set_backend("vectorized")
-        fill_group_inputs(fresh, groups_of(manager, "11"), 4096, 32, INT64,
-                          np.random.default_rng(4))
-        op = compile_plan(result.plan, fresh).ops[0]
-        assert op.src_offset == op.dst_offset == 4096
-        return fresh, op
+    def _setup(kind):
+        """A fresh (4, 8) cube holding inputs, and its compiled ops."""
+        primitive, bitmap, _, elide = TestInPlaceExposure.KINDS[kind]
 
-    def _replay(self, primitive, tile, injector):
-        """Run the op alone under ``injector``; returns (calls, error,
-        MRAM), ``calls`` every fault-site call with its arguments."""
-        system, op = self._op(primitive)
+        def fill(system):
+            fill_group_inputs(system, groups_of(manager, bitmap), 4096, 32,
+                              INT64, np.random.default_rng(4))
+            if elide:
+                # Odd chunks zero: every odd output row gathers zeros.
+                pes = np.arange(32)
+                src = system.peek_rows(pes, 4096, 256).reshape(32, 32, 8)
+                src[:, 1::2] = 0
+                system.poke_rows(pes, 4096, src.reshape(32, 256))
+
+        manager = make_manager((4, 8))
+        fill(manager.system.set_backend("vectorized"))
+        comm = Communicator(manager, SessionConfig(backend="vectorized"))
+        kwargs = {} if primitive == "alltoall" else {"reduction_type": SUM}
+        result = getattr(comm, primitive)(
+            bitmap, 256, src_offset=4096, dst_offset=8192, data_type=INT64,
+            **kwargs)
+        fresh = make_manager((4, 8)).system.set_backend("vectorized")
+        fill(fresh)
+        return fresh, compile_plan(result.plan, fresh).ops
+
+    @staticmethod
+    def _sites(op):
+        """``(gather, puts)``: the op's modelled transfers as ``(PE
+        ids, bytes)``, derived from its shape."""
+        if isinstance(op, FanoutScratchOp):
+            return None, [(ids, ids.size * op.nslots_out * op.chunk_bytes)
+                          for ids in op.group_ids]
+        if isinstance(op, ReduceFoldOp):
+            puts = ([] if op.dst_offset is None
+                    else [(op.ids, op.ids.size * op.chunk_bytes)])
+            return (op.ids, op.ids.size * op.nslots * op.chunk_bytes), puts
+        site = (op.ids, op.ids.size * op.nslots_out * op.chunk_bytes)
+        return site, [site]
+
+    def _replay(self, kind, tile, workers, injector, monkeypatch):
+        """Run the op under ``injector``, the ops before it un-faulted.
+
+        Returns ``(calls, error, before, after, op)``: every fault-site
+        call with its arguments, the drop it raised, and the MRAM just
+        before and after the op.
+        """
+        monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 0)
+        _, _, index, elide = self.KINDS[kind]
+        system, ops = self._setup(kind)
         calls = []
         for name in ("guard_pes", "take_drop", "draw_flip"):
             inner = getattr(injector, name)
@@ -1140,56 +1218,95 @@ class TestInPlaceExposure:
                     and i == 1 else arg for i, arg in enumerate(args))))
                 return _inner(*args)
             setattr(injector, name, record)
+        pool = None if tile is None else WorkerPool(workers)
+        ctx = ExecContext(system=system, elide=elide, tile_bytes=tile,
+                          workers=pool,
+                          pool=None if tile is None else ScratchPool())
+        for op in ops[:index]:
+            op.execute(ctx, None)
+        before = system.peek_rows(np.arange(32), 0, 1 << 14)
+        op = ops[index]
         system.attach_fault_injector(injector)
-        ctx = (ExecContext(system=system) if tile is None else
-               ExecContext(system=system, tile_bytes=tile,
-                           pool=ScratchPool()))
         error = None
         try:
             op.execute(ctx, None)
         except TransferDropped as exc:
             error = str(exc)
-        system.attach_fault_injector(None)
+        finally:
+            system.attach_fault_injector(None)
+            if pool is not None:
+                pool.shutdown()
         assert op.tile_count(self.TILE) == 32
-        return calls, error, system.peek_rows(np.arange(32), 0, 1 << 14)
+        if elide and error is None:
+            assert ctx.chunks_elided > 0
+        return (calls, error, before,
+                system.peek_rows(np.arange(32), 0, 1 << 14), op)
 
-    @pytest.mark.parametrize("primitive", ["reduce_scatter", "allreduce"])
-    def test_banded_replay_draws_what_one_band_draws(self, primitive):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_banded_replay_draws_what_one_band_draws(self, kind,
+                                                     monkeypatch):
         quiet = dict(bit_flip_rate=1e-12, drop_rate=1e-12)
-        one, _, one_mram = self._replay(primitive, None,
-                                        FaultInjector(seed=0, **quiet))
-        banded, _, banded_mram = self._replay(
-            primitive, self.TILE, FaultInjector(seed=0, **quiet))
-        # For the gather, then the put: guard, drop, whole-op flip.
+        runs = [self._replay(kind, tile, workers,
+                             FaultInjector(seed=0, **quiet), monkeypatch)
+                for tile, workers in self.RUNS]
+        one, _, _, one_mram, op = runs[0]
+        # The elision scan reads the source first, a site of its own.
+        one = one[3:] if self.KINDS[kind][3] else one
+        # For the gather (if any), then each put: guard, drop, and one
+        # flip sized to the whole transfer.
+        gather, puts = self._sites(op)
+        sites = ([gather] if gather is not None else []) + puts
         assert [name for name, _ in one] == [
-            "guard_pes", "take_drop", "draw_flip",
-            "guard_pes", "take_drop", "draw_flip"]
-        assert one[2][1] == (32 * 256,)
-        assert banded == one
-        np.testing.assert_array_equal(banded_mram, one_mram)
+            "guard_pes", "take_drop", "draw_flip"] * len(sites)
+        assert [args[1] for name, args in one if name == "guard_pes"] == [
+            tuple(int(pe) for pe in ids) for ids, _ in sites]
+        assert [args for name, args in one if name == "draw_flip"] == [
+            (nbytes,) for _, nbytes in sites]
+        for calls, _, _, mram, _ in runs[1:]:
+            assert calls == runs[0][0]
+            np.testing.assert_array_equal(mram, one_mram)
 
-    @pytest.mark.parametrize("primitive", ["reduce_scatter", "allreduce"])
-    def test_dropped_put_lands_the_same_prefix(self, primitive):
-        class DropThePut(FaultInjector):
-            """Drops the op's second transfer, its put."""
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dropped_put_lands_the_same_prefix(self, kind, monkeypatch):
+        _, _, index, elide = self.KINDS[kind]
+        gather, puts = self._sites(self._setup(kind)[1][index])
+        # Drop the put (the fan-out's second), or the gather of a fold
+        # that has no put; the eliding op's scan draws first.
+        k = 1 if len(puts) > 1 else 0
+        at = (gather is not None) + (k + 1 if puts else 0) + elide
+
+        class DropOne(FaultInjector):
+            """Drops the op's ``at``-th transfer."""
             draws = 0
 
             def take_drop(self):
                 self.draws += 1
-                return self.draws == 2
+                return self.draws == at
 
-        untouched = self._op(primitive)[0].peek_rows(np.arange(32), 0,
-                                                     1 << 14)
-        one_calls, one_error, one_mram = self._replay(
-            primitive, None, DropThePut(seed=0, drop_rate=1e-12))
-        calls, error, mram = self._replay(
-            primitive, self.TILE, DropThePut(seed=0, drop_rate=1e-12))
-        assert error == one_error == "put_rows dropped after 16/32 lanes"
-        assert calls == one_calls
-        np.testing.assert_array_equal(mram, one_mram)
-        # The first half of the rows is rewritten, the rest untouched.
-        assert not np.array_equal(mram[:16], untouched[:16])
-        np.testing.assert_array_equal(mram[16:], untouched[16:])
+        runs = [self._replay(kind, tile, workers,
+                             DropOne(seed=0, drop_rate=1e-12), monkeypatch)
+                for tile, workers in self.RUNS]
+        one_calls, one_error, before, one_mram, _ = runs[0]
+        for calls, error, _, mram, _ in runs[1:]:
+            assert error == one_error
+            assert calls == one_calls
+            np.testing.assert_array_equal(mram, one_mram)
+        if not puts:
+            # A dropped gather raises before any byte moves.
+            assert one_error == "take_band_flat: transfer dropped in flight"
+            np.testing.assert_array_equal(one_mram, before)
+            return
+        # Earlier puts land whole, the dropped one on its prefix lanes,
+        # and no other PE is touched.
+        ids = puts[k][0]
+        prefix = partial_prefix(ids)
+        assert one_error == (f"put_rows dropped after {len(prefix)}/"
+                             f"{len(ids)} lanes")
+        reached = [int(pe) for pes, _ in puts[:k] for pe in pes] \
+            + [int(pe) for pe in prefix]
+        rest = np.setdiff1d(np.arange(32), reached)
+        np.testing.assert_array_equal(one_mram[rest], before[rest])
+        assert not np.array_equal(one_mram[reached], before[reached])
 
     def test_size_draw_is_the_buffer_draw(self):
         # corrupt_transfer draws through draw_flip, so a kernel that

@@ -4,15 +4,18 @@ Drives random collectives through the session engine and checks every
 functional result bit-exactly against ``repro.core.reference``, with
 optional fault injection (retry enabled).  Cases cycle through the
 execution modes (interpreted on the scalar store; compiled, streamed
-and eliding on the vectorized arena) -- the fault sites
-live in the transfer kernels all of them share, so every mode is
-fuzzed under ``--fault-rate``.  Unlike the
+and eliding on the vectorized arena) -- the interpreter draws faults
+per lane transfer, a compiled op once per modelled transfer however
+many bands it moves in, so every mode is fuzzed under
+``--fault-rate``, and streamed bands fan out across ``--workers``
+under it too.  Unlike the
 pytest sweeps in ``tests/test_differential_fuzz.py`` this runs for a
 *time budget*, so CI can smoke as much as its slot allows::
 
     PYTHONPATH=src python tools/run_fuzz.py --seconds 10
     PYTHONPATH=src python tools/run_fuzz.py --seconds 5 --fault-rate 0.01
     PYTHONPATH=src python tools/run_fuzz.py --seconds 5 --mode streamed
+    PYTHONPATH=src python tools/run_fuzz.py --seconds 5 --mode streamed --workers 2
 
 ``--mode`` runs every case in one execution mode instead of cycling
 through all four.
@@ -183,9 +186,9 @@ def main(argv=None):
                         help="run every case in this execution mode "
                         "(default: cycle through all of them)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel_workers per session; sessions "
-                        "with fault injection run waves and row bands "
-                        "serially (default 1)")
+                        help="parallel_workers per session; streamed "
+                        "row bands fan out across them, with or without "
+                        "fault injection (default 1)")
     args = parser.parse_args(argv)
 
     # Fuzz payloads are tiny; let them reach the elision scanner.
