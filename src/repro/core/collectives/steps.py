@@ -40,8 +40,6 @@ from ...hw.host import (
     REGISTER_BYTES,
     SimdCounter,
     charge_rotate_sweep,
-    fanout_all_slots,
-    rotate_all_slots,
     rotate_lanes_registerwise,
     rotation_table,
 )
@@ -202,19 +200,7 @@ def _count_domain_transfer(ctx: ExecContext, nbytes: int) -> None:
     (post-DT) view, so the transform itself is a data no-op here; the
     register operations are still counted for the cost cross-check.
     """
-    ctx.simd.transposes += (nbytes + REGISTER_BYTES - 1) // REGISTER_BYTES
-
-
-def _count_domain_transfer_per_slot(ctx: ExecContext, nbytes: int,
-                                    nslots: int) -> None:
-    """Batched form of ``nslots`` :func:`_count_domain_transfer` calls.
-
-    The per-slot ceiling division must be preserved (``nslots`` small
-    transposes charge more than one big one), so the vectorized steps
-    stay charge-identical to the scalar per-slot loop.
-    """
-    ctx.simd.transposes += nslots * (
-        (nbytes + REGISTER_BYTES - 1) // REGISTER_BYTES)
+    ctx.simd.transposes += _dt_registers(nbytes)
 
 
 def _roundtrip_domain(row: np.ndarray) -> np.ndarray:
@@ -255,10 +241,8 @@ class PeReorderStep(Step):
         for group in self.groups:
             perms = slot_permutation_matrix(self.rule, group.size,
                                             self.nslots)
-            # Scalar backend: honest PE-side execution, every byte
-            # staged through the owning PE's WRAM in bounded tiles.
-            # Vectorized backend: one batched gather for the whole
-            # group, charged the identical tile count.
+            # Honest PE-side execution: every byte is staged through
+            # the owning PE's WRAM in bounded tiles.
             ctx.wram_tiles += ctx.system.permute_chunks(
                 group.pe_ids, self.src_offset, self.dst_offset,
                 self.chunk_bytes, perms)
@@ -321,20 +305,6 @@ class RotateExchangeStep(Step):
 
     def apply(self, ctx: ExecContext) -> None:
         for group in self.groups:
-            if ctx.system.vectorized:
-                total = self.nslots * self.chunk_bytes
-                block = ctx.system.read_lanes(group.pe_ids, self.offset,
-                                              total)
-                rolled = rotate_all_slots(
-                    block.reshape(group.size, self.nslots,
-                                  self.chunk_bytes), ctx.simd)
-                if self.mode != "crossdomain":
-                    _count_domain_transfer_per_slot(
-                        ctx, 2 * group.size * self.chunk_bytes,
-                        self.nslots)
-                ctx.system.write_lanes(group.pe_ids, self.offset,
-                                       rolled.reshape(group.size, total))
-                continue
             for s in range(self.nslots):
                 slot_off = self.offset + s * self.chunk_bytes
                 row = ctx.system.read_lanes(group.pe_ids, slot_off,
@@ -414,13 +384,6 @@ class FanoutStep(Step):
                 _count_domain_transfer(
                     ctx, row.size * (1 + group.size))
                 row = _roundtrip_domain(row)
-            if ctx.system.vectorized:
-                fanned = fanout_all_slots(row, group.size, ctx.simd)
-                ctx.system.write_lanes(
-                    group.pe_ids, self.dst_offset,
-                    fanned.reshape(group.size,
-                                   group.size * self.chunk_bytes))
-                continue
             for s in range(group.size):
                 rolled = rotate_lanes_registerwise(row, s, ctx.simd)
                 ctx.system.write_lanes(
@@ -509,10 +472,7 @@ class ReduceExchangeStep(Step):
     def apply(self, ctx: ExecContext) -> None:
         results = {}
         for group in self.groups:
-            if ctx.system.vectorized:
-                acc = self._reduce_group_batched(ctx, group)
-            else:
-                acc = self._reduce_group(ctx, group)
+            acc = self._reduce_group(ctx, group)
             if self.dst_offset is not None:
                 raw = np.ascontiguousarray(acc).view(np.uint8)
                 if self.mode != "crossdomain":
@@ -525,7 +485,7 @@ class ReduceExchangeStep(Step):
 
     def _reduce_group(self, ctx: ExecContext,
                       group: CommGroup) -> np.ndarray:
-        """Scalar path: per-slot read, rotate, left-fold accumulate."""
+        """Per-slot read, rotate, left-fold accumulate."""
         acc: np.ndarray | None = None
         for s in range(self.nslots):
             row = ctx.system.read_lanes(
@@ -539,29 +499,6 @@ class ReduceExchangeStep(Step):
             acc = values.copy() if acc is None else self.op.combine(acc,
                                                                     values)
         assert acc is not None
-        return acc
-
-    def _reduce_group_batched(self, ctx: ExecContext,
-                              group: CommGroup) -> np.ndarray:
-        """Vectorized path: one read + one rotation gather per group.
-
-        The accumulation stays an explicit left fold over slots (not
-        ``ufunc.reduce``) so floating-point results are bit-identical
-        to the scalar path's combine order.
-        """
-        total = self.nslots * self.chunk_bytes
-        block = ctx.system.read_lanes(group.pe_ids, self.src_offset,
-                                      total)
-        rolled = rotate_all_slots(
-            block.reshape(group.size, self.nslots, self.chunk_bytes),
-            ctx.simd)
-        if self.mode != "crossdomain":
-            _count_domain_transfer_per_slot(
-                ctx, group.size * self.chunk_bytes, self.nslots)
-        values = rolled.view(self.dtype.np_dtype)
-        acc = values[:, 0].copy()
-        for s in range(1, self.nslots):
-            acc = self.op.combine(acc, values[:, s])
         return acc
 
     def cost(self, system: DimmSystem) -> CostLedger:
@@ -653,13 +590,6 @@ class FanoutFromHostStep(Step):
                     f"scratch row {row.shape} does not match group "
                     f"({group.size}, {self.chunk_bytes})")
             _count_domain_transfer(ctx, row.size)
-            if ctx.system.vectorized:
-                fanned = fanout_all_slots(row, group.size, ctx.simd)
-                ctx.system.write_lanes(
-                    group.pe_ids, self.dst_offset,
-                    fanned.reshape(group.size,
-                                   group.size * self.chunk_bytes))
-                continue
             for s in range(group.size):
                 ctx.system.write_lanes(
                     group.pe_ids, self.dst_offset + s * self.chunk_bytes,

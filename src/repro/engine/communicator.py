@@ -193,8 +193,11 @@ class Communicator:
                 f"functional {req.primitive} needs payloads")
 
     def _run(self, req: NormalizedRequest, functional: bool) -> CommResult:
-        """Compile (or fetch), execute, post-process, record."""
-        self._check_payloads(req, functional)
+        """Compile (or fetch), execute, post-process, record.
+
+        The entry points (:meth:`run`, :meth:`submit`) have already
+        checked the request's payloads.
+        """
         if self.reliability is not None:
             return self._run_reliable(req, functional)
         resolved = self._resolve(req)
@@ -505,8 +508,9 @@ class Communicator:
         session default)."""
         req = request.normalize(self.manager, self.config,
                                 backend=self.backend)
-        return self._run(
-            req, self.functional if functional is None else functional)
+        functional = self.functional if functional is None else functional
+        self._check_payloads(req, functional)
+        return self._run(req, functional)
 
     # ------------------------------------------------------------------
     # Batched submission
@@ -532,6 +536,10 @@ class Communicator:
         normalized = [r.normalize(self.manager, self.config,
                                   backend=self.backend)
                       for r in requests]
+        # Every request is checked before any wave runs: a malformed
+        # member must not leave earlier members executed behind it.
+        for req in normalized:
+            self._check_payloads(req, run_functional)
         waves = schedule_waves(normalized)
         futures: list[CommFuture] = [None] * len(normalized)  # type: ignore
         ledgers: list[CostLedger] = [None] * len(normalized)  # type: ignore
@@ -583,20 +591,16 @@ class Communicator:
         """Run one hazard-free wave's members across the worker pool.
 
         Three phases keep every observable bit identical to the serial
-        path: (1) *serial resolve* -- payload validation, plan-cache
-        lookups and program compilation happen on this thread in
-        submission order; (2) *parallel execute* -- members run
-        concurrently against pre-materialized PEs, writing provably
-        disjoint MRAM footprints (see ``scheduler.assert_wave_safety``
-        for the invariant); (3) *serial record* -- stats accumulate in
-        submission order, so float sums never depend on completion
-        interleaving.
+        path: (1) *serial resolve* -- plan-cache lookups and program
+        compilation happen on this thread in submission order; (2)
+        *parallel execute* -- members run concurrently against
+        pre-materialized PEs, writing provably disjoint MRAM footprints
+        (see ``scheduler.assert_wave_safety`` for the invariant); (3)
+        *serial record* -- stats accumulate in submission order, so
+        float sums never depend on completion interleaving.
         """
         reqs = [normalized[i] for i in indices]
-        resolved = []
-        for req in reqs:
-            self._check_payloads(req, functional)
-            resolved.append(self._resolve(req))
+        resolved = [self._resolve(req) for req in reqs]
         # Touch every member PE now: concurrent execution must never
         # trigger an arena growth or a lazy per-PE materialization.
         system = self.manager.system

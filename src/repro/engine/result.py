@@ -46,8 +46,8 @@ class CommResult:
     #: True when the collective ran on a degraded (remapped) hypercube.
     degraded: bool = False
     #: Register-operation counts from the functional host pass (None
-    #: for analytic runs).  Backend-invariant: the vectorized backend
-    #: charges exactly what the scalar per-slot kernels would.
+    #: for analytic runs).  Backend-invariant: compiled replay
+    #: charges exactly what the interpreter's per-slot kernels would.
     simd: SimdCounter | None = None
     #: WRAM tiles moved by PE-local kernels (0 for analytic runs);
     #: also backend-invariant.

@@ -496,10 +496,14 @@ class MemoryArena:
         """Zero-copy view of one PE's whole bank (touches the PE).
 
         Re-derived from the current backing array on every call, so it
-        is always safe to use even after the arena has grown.
+        is always safe to use even after the arena has grown.  One id
+        needs no array reductions: the per-PE kernels call this per
+        tile.
         """
-        ids = self.touch((pe_id,))
-        return self._data[int(ids[0]) - self._base]
+        pe_id = int(pe_id)
+        self._ensure(pe_id, pe_id + 1)
+        self._touched[pe_id] = True
+        return self._data[pe_id - self._base]
 
     def lane_view(self, pe_ids, offset: int, nbytes: int) -> np.ndarray | None:
         """Zero-copy ``(len(pe_ids), nbytes)`` window, when one exists.

@@ -109,8 +109,8 @@ def _rotate_block_ops(lanes: int, amount: int) -> tuple[int, int]:
 
     :func:`rotate_lanes_registerwise`'s inner loop charges the same ops
     for every column, so the whole matrix costs ``ncols`` times these
-    block sums; caching them lets the vectorized backend charge a
-    rotation without walking the blocks again.
+    block sums; caching them lets plan lowering charge a rotation
+    without walking the blocks again.
     """
     amount %= lanes
     lane_block = min(REGISTER_LANES, lanes)
@@ -150,9 +150,10 @@ def charge_rotate_sweep(lanes: int, nbytes: int, nslots: int,
                         counter: SimdCounter) -> None:
     """Charge the full slot sweep (rotations ``0..nslots-1``) at once.
 
-    This is the register-op bill of :func:`rotate_all_slots` /
-    :func:`fanout_all_slots`; plan lowering uses it to pre-price a
-    compiled program's host pass without touching data.
+    This is the register-op bill of calling
+    :func:`rotate_lanes_registerwise` on slots ``0..nslots-1``; plan
+    lowering uses it to pre-price a compiled program's host pass
+    without touching data.
     """
     loads, shuffles, stores = _rotate_sweep_ops(lanes, nbytes, nslots)
     counter.loads += loads
@@ -164,8 +165,8 @@ def charge_rotate_sweep(lanes: int, nbytes: int, nslots: int,
 def rotation_table(lanes: int, nslots: int) -> np.ndarray:
     """Read-only ``(lanes, nslots)`` source-lane table of the slot sweep.
 
-    ``table[l, s] = (l - s) % lanes``: the gather index both
-    :func:`rotate_all_slots` and :func:`fanout_all_slots` apply, shared
+    ``table[l, s] = (l - s) % lanes``: the source lane of slot ``s``'s
+    rotation, the gather index compiled programs apply, shared
     (memoized) across calls and across compiled programs.
     """
     table = (np.arange(lanes, dtype=np.intp)[:, None]
@@ -174,6 +175,8 @@ def rotation_table(lanes: int, nslots: int) -> np.ndarray:
     return table
 
 
+# Kept only because benchmarks/e2e/tracer.py lists this name; drop it
+# with the next change to the benchmark's target list.
 def rotate_all_slots(tensor: np.ndarray,
                      counter: SimdCounter | None = None) -> np.ndarray:
     """Every slot's lane rotation in one gather: slot ``s`` rolls by ``s``.
@@ -196,6 +199,8 @@ def rotate_all_slots(tensor: np.ndarray,
     return tensor[src, np.arange(nslots)[None, :], :]
 
 
+# Kept only because benchmarks/e2e/tracer.py lists this name; drop it
+# with the next change to the benchmark's target list.
 def fanout_all_slots(row: np.ndarray, nslots: int,
                      counter: SimdCounter | None = None) -> np.ndarray:
     """Stack ``nslots`` downward rotations of one lane row.

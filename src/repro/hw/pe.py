@@ -37,6 +37,8 @@ def check_permutation(permutation: np.ndarray) -> np.ndarray:
     return perm.astype(np.intp, copy=False)
 
 
+# Kept only because benchmarks/e2e/tracer.py lists this name; drop it
+# with the next change to the benchmark's target list.
 def check_permutation_rows(permutations: np.ndarray) -> np.ndarray:
     """Validate a ``(rows, nslots)`` batch of permutations in one pass.
 
@@ -160,8 +162,10 @@ def _tiles_for(nbytes: int, tile_bytes: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Batched (vectorized-backend) variants
+# Batched variants
 # ----------------------------------------------------------------------
+# Kept only because benchmarks/e2e/tracer.py lists this name; drop it
+# with the next change to the benchmark's target list.
 def permute_chunks_batched(data: np.ndarray,
                            perms: np.ndarray) -> np.ndarray:
     """Apply one slot permutation per row, as a single gather.
@@ -188,10 +192,11 @@ def batched_permute_tiles(perms: np.ndarray, chunk_bytes: int,
                           in_place: bool = False) -> int:
     """WRAM tiles the per-PE execution of ``perms`` would move.
 
-    The batched kernel does not stage chunks through WRAM, but charges
-    exactly what :func:`wram_permute_chunks` would: out-of-place, every
-    slot is one tiled copy; in place, the cycle walk moves one tiled
-    copy per non-fixed slot (fixed points cost nothing).
+    Plan lowering prices a compiled permutation, which does not stage
+    chunks through WRAM, at exactly what :func:`wram_permute_chunks`
+    would move: out-of-place, every slot is one tiled copy; in place,
+    the cycle walk moves one tiled copy per non-fixed slot (fixed
+    points cost nothing).
     """
     if chunk_bytes == 0 or perms.size == 0:
         return 0

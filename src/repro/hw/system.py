@@ -9,17 +9,23 @@ This is the substrate every higher layer builds on.  It exposes
   used by the collective engine), and
 * lazy per-PE memory so analytic (cost-only) runs allocate nothing.
 
-Two execution backends sit behind the same API:
+Two stores sit behind the same API, and this module is the only layer
+that knows which one is live:
 
 * ``"scalar"`` -- each PE owns a private :class:`PeMemory`; lane
   transfers loop over PEs.  Simple, and the correctness oracle: it
   serves the step interpreter only.
 * ``"vectorized"`` -- all touched PEs' banks live in one lane-major
-  :class:`~repro.hw.arena.MemoryArena`; lane transfers, broadcasts and
-  PE-local permutations are single numpy operations over the whole PE
-  list, and compiled programs replay through windows bound on the
-  arena (this store only).  Results and cost accounting are
-  bit-identical to scalar (``docs/performance.md``).
+  :class:`~repro.hw.arena.MemoryArena`; lane transfers and broadcasts
+  are single numpy operations over the whole PE list, and compiled
+  programs replay through windows bound on the arena (this store
+  only).
+
+The step interpreter runs one body on either store through the lane
+API (:meth:`DimmSystem.read_lanes`, :meth:`~DimmSystem.write_lanes`,
+:meth:`~DimmSystem.fill_lanes`, :meth:`~DimmSystem.permute_chunks`,
+:meth:`~DimmSystem.memory`), so its results, cost accounting and fault
+schedule are the same on both (``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -34,14 +40,8 @@ from ..reliability.checksum import guarded_delivery, guarded_site
 from ..reliability.faults import partial_prefix
 from .arena import ArenaBinding, BoundWindows, MemoryArena, Window
 from .geometry import DimmGeometry
-from .memory import MRAM_DEFAULT_BYTES, WRAM_BYTES, ArenaPeMemory, PeMemory
-from .pe import (
-    WRAM_TILE_BYTES,
-    batched_permute_tiles,
-    check_permutation_rows,
-    permute_chunks_batched,
-    wram_permute_chunks,
-)
+from .memory import MRAM_DEFAULT_BYTES, ArenaPeMemory, PeMemory
+from .pe import WRAM_TILE_BYTES, wram_permute_chunks
 from .timing import MachineParams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -459,19 +459,12 @@ class DimmSystem:
         the elision layer's zero-row fill -- back-to-back replays of
         the same sparse collective hit the already-clean steady state,
         so repeated elisions pay a read pass, never a write.  Like the
-        compiled band kernels below, it draws no faults: its rows belong
-        to the eliding op's put, drawn by :meth:`expose`.
+        compiled band kernels below, it draws no faults (its rows belong
+        to the eliding op's put, drawn by :meth:`expose`), and like them
+        it runs on the arena only.
         """
-        if self.vectorized:
-            self._ensure_arena().zero_fill_rows(
-                self._lane_ids(pe_ids), offset, nbytes)
-            return
-        zeros = None
-        for pe in pe_ids:
-            if self.memory(pe).read(offset, nbytes).any():
-                if zeros is None:
-                    zeros = np.zeros(nbytes, dtype=np.uint8)
-                self.memory(pe).write(offset, zeros)
+        self._ensure_arena().zero_fill_rows(
+            self._lane_ids(pe_ids), offset, nbytes)
 
     # ------------------------------------------------------------------
     # Compiled-program kernels.  A compiled op draws its faults once,
@@ -674,45 +667,20 @@ class DimmSystem:
         """Run the PE-local chunk-permutation kernel on an ordered PE list.
 
         Row ``i`` of ``permutations`` is the slot permutation PE
-        ``pe_ids[i]`` applies (``new[s] = old[perm[s]]``).  The scalar
-        backend stages every chunk through each PE's WRAM in bounded
-        tiles (the honest per-PE kernel); the vectorized backend
-        applies one batched gather over the whole list while charging
-        exactly the WRAM tiles the per-PE kernels would move.  Returns
-        the total tile count.
+        ``pe_ids[i]`` applies (``new[s] = old[perm[s]]``).  Every PE
+        stages its chunks through its own WRAM in bounded tiles (the
+        honest per-PE kernel), on either store: on the arena through
+        :class:`ArenaPeMemory`.  Returns the total tile count.
         """
         perms = np.asarray(permutations)
         if perms.ndim != 2 or perms.shape[0] != len(pe_ids):
             raise TransferError(
                 f"permutation matrix of shape {perms.shape} does not "
                 f"match {len(pe_ids)} PEs")
-        if not self.vectorized:
-            total = 0
-            for pe, perm in zip(pe_ids, perms):
-                total += wram_permute_chunks(
-                    self.memory(pe), src_offset, dst_offset, chunk_bytes,
-                    perm, tile_bytes)
-            return total
-        perms = check_permutation_rows(perms)
-        if tile_bytes <= 0 or tile_bytes > WRAM_BYTES:
-            raise TransferError(
-                f"tile of {tile_bytes}B does not fit the {WRAM_BYTES}B WRAM")
-        nslots = perms.shape[1]
-        total_bytes = nslots * chunk_bytes
-        overlapping = (src_offset < dst_offset + total_bytes
-                       and dst_offset < src_offset + total_bytes)
-        if overlapping and src_offset != dst_offset:
-            raise TransferError(
-                "partially overlapping permute ranges are not supported")
-        ids = self._lane_ids(pe_ids)
-        arena = self._ensure_arena()
-        data = arena.read_rows(ids, src_offset, total_bytes).reshape(
-            ids.size, nslots, chunk_bytes)
-        arena.write_rows(ids, dst_offset,
-                         permute_chunks_batched(data, perms).reshape(
-                             ids.size, total_bytes))
-        return batched_permute_tiles(perms, chunk_bytes, tile_bytes,
-                                     in_place=overlapping)
+        return sum(wram_permute_chunks(self.memory(pe), src_offset,
+                                       dst_offset, chunk_bytes, perm,
+                                       tile_bytes)
+                   for pe, perm in zip(pe_ids, perms))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DimmSystem({self.geometry.describe()})"

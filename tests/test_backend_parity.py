@@ -8,9 +8,12 @@ outputs, an identical :class:`CostLedger` breakdown, identical
 counts -- the batched kernels may be faster, never cheaper.  This
 module asserts all of that pairwise: vectorized compiled replay against
 the scalar interpreted oracle (compiled replay runs on the arena only),
-plus the low-level kernel equivalences the step implementations rely
-on.
+plus low-level kernel equivalences and the layering rule that keeps
+the step interpreter one body on either store.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,8 @@ BITMAP = "11"
 CHUNK = 3
 
 
-def _run(primitive, config, dtype, backend, seed=0, injector=None):
+def _run(primitive, config, dtype, backend, seed=0, injector=None,
+         execution="auto"):
     """One collective on one backend; returns (outputs, CommResult).
 
     ``outputs`` maps group instance -> list of per-PE (or host) arrays.
@@ -45,7 +49,7 @@ def _run(primitive, config, dtype, backend, seed=0, injector=None):
     manager = make_manager(SHAPE)
     system = manager.system
     comm = Communicator(manager, parity_config(
-        backend, config=config, fault_injector=injector))
+        backend, execution, config=config, fault_injector=injector))
     groups = groups_of(manager, BITMAP)
     n = groups[0].size
     item = dtype.itemsize
@@ -139,19 +143,27 @@ class TestCollectiveParity:
                 np.testing.assert_array_equal(a, b)
 
     def test_faulted_runs_stay_bit_exact(self):
-        # Fault schedules differ between backends (the vectorized path
-        # makes fewer injector draws), but CRC + rewind means both must
-        # still land on the reference answer.
-        for backend in ("scalar", "vectorized"):
+        # CRC + rewind lands every run on the reference answer.  The
+        # interpreter draws the same faults on either store; compiled
+        # replay draws per modelled transfer, so its schedule differs.
+        schedules = {}
+        for backend, execution in (("scalar", "interpreted"),
+                                   ("vectorized", "interpreted"),
+                                   ("vectorized", "auto")):
             injector = FaultInjector(seed=5, bit_flip_rate=0.004,
                                      drop_rate=0.003, timeout_rate=0.003)
             outputs, result, inputs = _run("alltoall", FULL, INT32,
                                            backend, seed=9,
-                                           injector=injector)
+                                           injector=injector,
+                                           execution=execution)
             for inst, got in outputs.items():
                 want = ref.alltoall(inputs[inst])
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
+            schedules[backend, execution] = (
+                result.attempts, result.faults_seen, dict(injector.injected))
+        assert schedules["scalar", "interpreted"] \
+            == schedules["vectorized", "interpreted"]
 
 
 class TestCompiledReplayStore:
@@ -191,6 +203,8 @@ class TestCompiledReplayStore:
         out = np.empty((4, 2), dtype=np.uint64)
         with pytest.raises(AllocationError, match="no arena"):
             system.take_band_flat(table, 8, 0, 4, out)
+        with pytest.raises(AllocationError, match="no arena"):
+            system.zero_fill_lanes(np.arange(4), 0, 32)
         assert system.arena is None  # no shadow arena was built
 
     def test_replay_after_a_switch_to_scalar_raises(self):
@@ -203,6 +217,37 @@ class TestCompiledReplayStore:
             comm.alltoall(BITMAP, 256, src_offset=0, dst_offset=4096,
                           data_type=INT32)
         assert manager.system.arena is None
+
+
+class TestStoreLayering:
+    """Only ``hw/`` knows which store is live: the step interpreter and
+    the compiled ops reach it through ``DimmSystem``'s API alone, so a
+    plan behaves (and draws faults) the same on either store."""
+
+    STORE_ATTRS = ("vectorized", "backend", "set_backend")
+
+    @classmethod
+    def _store_reads(cls, tree):
+        """Lines that read an attribute naming the live store."""
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in cls.STORE_ATTRS]
+
+    def test_lint_flags_a_store_read(self):
+        tree = ast.parse("if ctx.system.vectorized:\n"
+                         "    pass\n"
+                         "name = system.backend\n"
+                         "system.set_backend('scalar')\n"
+                         "vectorized = backend = 1\n")
+        assert self._store_reads(tree) == [1, 3, 4]
+
+    def test_core_never_reads_the_store(self):
+        core = Path(__file__).resolve().parents[1] / "src" / "repro" / "core"
+        offenders = [f"{path.relative_to(core)}:{line}"
+                     for path in sorted(core.rglob("*.py"))
+                     for line in self._store_reads(
+                         ast.parse(path.read_text(), str(path)))]
+        assert not offenders, offenders
 
 
 class TestBackendPlumbing:

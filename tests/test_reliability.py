@@ -716,11 +716,13 @@ REPLAY_CASES = (
        for mode, rate in FLIP_ONLY.items()])
 
 
-def _drive(primitive, calls, **session):
+def _drive(primitive, calls, trace=None, **session):
     """``calls`` refilled invocations of one primitive on a fresh cube.
 
     Returns ``(mram, host_outputs, comm)``: the allocated MRAM of every
     PE after the last call, every call's host outputs, the session.
+    Each call's ``(attempts, faults_seen)`` is appended to ``trace``
+    when one is given.
     Inputs are a pure function of the call index, half of each PE's
     per-destination blocks zero (so eliding sessions have rows to
     elide).
@@ -758,6 +760,8 @@ def _drive(primitive, calls, **session):
                 system.scatter_elements(group.pe_ids, src, list(values[i]),
                                         INT64)
         result = getattr(comm, primitive)(REPLAY_BITMAP, size, **kwargs)
+        if trace is not None:
+            trace.append((result.attempts, result.faults_seen))
         host.append({inst: np.array(out) for inst, out
                      in (result.host_outputs or {}).items()})
     mram = system.peek_rows(manager.all_pes, 0, dst + n * total)
@@ -893,10 +897,14 @@ class TestFaultsOnCompiledReplay:
         with pytest.raises(ChecksumError, match="take_rows"):
             system.take_rows(pes, 64, 32)
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    @pytest.mark.parametrize("kernel", ["put_rows", "fill_lanes",
-                                        "zero_fill_lanes"])
-    def test_dropped_write_lands_exactly_the_prefix(self, backend, kernel):
+    # zero_fill_lanes is arena-only: its scalar case lives in
+    # test_backend_parity.py::test_arena_kernels_raise_on_the_scalar_store.
+    @pytest.mark.parametrize("kernel,backend", [
+        (kernel, backend)
+        for kernel in ("put_rows", "fill_lanes", "zero_fill_lanes")
+        for backend in ("scalar", "vectorized")
+        if (kernel, backend) != ("zero_fill_lanes", "scalar")])
+    def test_dropped_write_lands_exactly_the_prefix(self, kernel, backend):
         system = DimmSystem.small(backend=backend)
         pes = np.arange(3, 19)
         old = np.full((pes.size, 32), 0xAB, np.uint8)
@@ -1049,24 +1057,28 @@ EXPOSURE = {
 }
 STREAM_TILE = 2048
 DRAWS = ("take_timeout", "take_drop", "draw_flip")
+INTERPRETED_CALLS = 20
 
 
 class TestFaultExposurePerPrimitive:
     """Faults are drawn per modelled transfer, so how a replay batches
     its bands is not observable: these pins keep it that way."""
 
-    def _replay(self, primitive, dims, calls=3, tile=None):
-        """Per call: draw counts and the PE ids of every rank guard."""
+    def _replay(self, primitive, dims, calls=3, tile=None,
+                backend="vectorized", execution=None):
+        """Per call: draw counts, the PE ids of every rank guard, and
+        the order of the draws."""
         manager = make_manager((4, 4, 2))
         injector = FaultInjector(seed=0, bit_flip_rate=1e-12,
                                  drop_rate=1e-12, timeout_rate=1e-12)
-        counts, guards = dict.fromkeys(DRAWS, 0), []
+        counts, guards, order = dict.fromkeys(DRAWS, 0), [], []
 
         def counted(name):
             inner = getattr(injector, name)
 
             def draw(*args, **kwargs):
                 counts[name] += 1
+                order.append(name)
                 return inner(*args, **kwargs)
             return draw
 
@@ -1079,10 +1091,11 @@ class TestFaultExposurePerPrimitive:
             return guard(geometry, pe_ids)
 
         injector.guard_pes = guard_pes
-        comm = Communicator(manager, SessionConfig(
-            backend="vectorized", fault_injector=injector,
+        comm = Communicator(manager, parity_config(
+            backend, execution or "auto", fault_injector=injector,
             stream_tile_bytes=tile))
-        execution = "compiled" if tile is None else "streamed"
+        if execution is None:
+            execution = "compiled" if tile is None else "streamed"
         groups = groups_of(manager, dims)
         n = groups[0].size
         kwargs = {"data_type": INT64}
@@ -1101,10 +1114,11 @@ class TestFaultExposurePerPrimitive:
             for name in DRAWS:
                 counts[name] = 0
             guards.clear()
+            order.clear()
             result = getattr(comm, primitive)(dims, size, **kwargs)
             assert result.execution == execution and result.attempts == 1
             seen.append((tuple(counts[name] for name in DRAWS),
-                         list(guards)))
+                         list(guards), list(order)))
         return seen
 
     @pytest.mark.parametrize("dims", ["101", "011"],
@@ -1123,13 +1137,50 @@ class TestFaultExposurePerPrimitive:
         self._assert_pinned(self._replay(primitive, dims, tile=STREAM_TILE),
                             EXPOSURE[primitive])
 
+    @pytest.mark.parametrize("dims", ["101", "011"],
+                             ids=["fancy_rows", "strided_rows"])
+    @pytest.mark.parametrize("primitive", PRIMITIVES)
+    def test_interpreted_draws_do_not_depend_on_the_store(self, primitive,
+                                                          dims):
+        # The step interpreter has one body per step, so which store
+        # holds the banks must not change a single draw or guard.
+        scalar = self._replay(primitive, dims, calls=1, backend="scalar",
+                              execution="interpreted")
+        arena = self._replay(primitive, dims, calls=1,
+                             backend="vectorized", execution="interpreted")
+        assert arena == scalar
+
+    @pytest.mark.parametrize("primitive", PRIMITIVES)
+    def test_interpreted_faulted_runs_do_not_depend_on_the_store(
+            self, primitive):
+        # Under the ~1 %/operation mix both stores retry the same calls
+        # for the same faults and leave the same MRAM.
+        runs = {}
+        for backend in ("scalar", "vectorized"):
+            injector = FaultInjector(seed=3, **MIXED_RATES)
+            trace = []
+            mram, host, _ = _drive(
+                primitive, INTERPRETED_CALLS, trace, backend=backend,
+                execution="interpreted", fault_injector=injector)
+            runs[backend] = (trace, dict(injector.injected), mram, host)
+        scalar, arena = runs["scalar"], runs["vectorized"]
+        assert any(attempts > 1 for attempts, _ in scalar[0]), \
+            "no fault fired; tune seed/calls"
+        assert arena[:2] == scalar[:2]
+        np.testing.assert_array_equal(arena[2], scalar[2])
+        assert len(arena[3]) == len(scalar[3])
+        for got, want in zip(arena[3], scalar[3]):
+            assert got.keys() == want.keys()
+            for inst in want:
+                np.testing.assert_array_equal(got[inst], want[inst])
+
     @staticmethod
     def _assert_pinned(seen, exposure):
-        for draws, _ in seen:
+        for draws, _, _ in seen:
             assert draws == exposure
         # Same fault sites, same PE ids, same order, cold or warm.
         cold = seen[0][1]
-        assert all(guards == cold for _, guards in seen)
+        assert all(guards == cold for _, guards, _ in seen)
         assert len(cold) == exposure[1]
 
 

@@ -358,6 +358,47 @@ class TestQuotasAndLifecycle:
             assert all(r.seconds > 0 for r in results)
         asyncio.run(scenario())
 
+    def test_malformed_batch_member_never_reruns_its_neighbour(self):
+        """A request that fails validation inside a co-batched submit
+        must not leave the members before it executed: the per-request
+        fallback would then run them a second time."""
+        from repro.dtypes import INT64
+        from repro.hw.geometry import DimmGeometry
+
+        def build():
+            system = DimmSystem(DimmGeometry(1, 1, 4, 4), mram_bytes=1 << 14)
+            manager = HypercubeManager(system, shape=(4, 4))
+            for pe in manager.all_pes:
+                system.write_elements(
+                    pe, 0, np.arange(16, dtype=np.int64) * (pe + 1), INT64)
+            return manager
+
+        reduce_a = CommRequest("reduce_scatter", "10", 128, src_offset=0,
+                               dst_offset=4096)
+        solo_manager = build()
+        solo = Communicator(solo_manager, SessionConfig())
+        expected = solo.run(reduce_a)
+
+        async def scenario():
+            manager = build()
+            server = CollectiveServer(manager, SessionConfig())
+            a, b = server.session("a"), server.session("b")
+            fut_a = a.submit(reduce_a)
+            fut_b = b.submit(CommRequest("scatter", "10", 32,
+                                         dst_offset=8192))
+            assert server.process() >= 1
+            with pytest.raises(CollectiveError, match="needs payloads"):
+                await fut_b
+            return manager, server, await fut_a
+
+        manager, server, served = asyncio.run(scenario())
+        assert server.comm.stats.calls == 1
+        assert served.ledger.total == expected.ledger.total
+        for pe in manager.all_pes:
+            np.testing.assert_array_equal(
+                manager.system.memory(pe).read(0, 1 << 14),
+                solo_manager.system.memory(pe).read(0, 1 << 14))
+
 
 # ----------------------------------------------------------------------
 # Plan-cache partitions: per-tenant LRU bounds and isolation
