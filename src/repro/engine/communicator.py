@@ -50,6 +50,7 @@ from ..dtypes import DataType, ReduceOp
 from ..errors import (
     CollectiveError,
     FaultBudgetExceeded,
+    PidCommError,
     RankFailure,
     TransientFault,
 )
@@ -193,11 +194,7 @@ class Communicator:
                 f"functional {req.primitive} needs payloads")
 
     def _run(self, req: NormalizedRequest, functional: bool) -> CommResult:
-        """Compile (or fetch), execute, post-process, record.
-
-        The entry points (:meth:`run`, :meth:`submit`) have already
-        checked the request's payloads.
-        """
+        """Compile (or fetch), execute, post-process, record."""
         if self.reliability is not None:
             return self._run_reliable(req, functional)
         resolved = self._resolve(req)
@@ -255,6 +252,7 @@ class Communicator:
         footprints are disjoint by wave construction.  ``replay
         seconds`` is None unless a compiled functional replay ran.
         """
+        self._check_payloads(req, functional)
         plan, program, hit = resolved
         if program is not None:
             tile_bytes = self.stream_tile_bytes
@@ -509,7 +507,6 @@ class Communicator:
         req = request.normalize(self.manager, self.config,
                                 backend=self.backend)
         functional = self.functional if functional is None else functional
-        self._check_payloads(req, functional)
         return self._run(req, functional)
 
     # ------------------------------------------------------------------
@@ -528,6 +525,16 @@ class Communicator:
         :class:`BatchResult` carries one resolved :class:`CommFuture`
         per request plus the batch ledger; its total is <= (and, with
         any independent pair, strictly <) the serial sum.
+
+        Each member has its own outcome.  A member that raises
+        :class:`~repro.errors.PidCommError` stores the error in its
+        future (``result()`` re-raises it) and adds nothing to either
+        ledger: the modelled seconds of its failed attempts are not
+        priced into the batch.  On a reliable session its footprint has
+        already been rewound.  Later members still run, and no member
+        ever runs twice.  Only what is checked before any member runs
+        (an empty batch, a request that does not normalize) raises
+        here.
         """
         if not requests:
             raise CollectiveError("submit() needs at least one request")
@@ -536,27 +543,25 @@ class Communicator:
         normalized = [r.normalize(self.manager, self.config,
                                   backend=self.backend)
                       for r in requests]
-        # Every request is checked before any wave runs: a malformed
-        # member must not leave earlier members executed behind it.
-        for req in normalized:
-            self._check_payloads(req, run_functional)
         waves = schedule_waves(normalized)
         futures: list[CommFuture] = [None] * len(normalized)  # type: ignore
         ledgers: list[CostLedger] = [None] * len(normalized)  # type: ignore
         for w, indices in enumerate(waves):
             if self._wave_parallelizable(indices):
-                results = self._execute_wave_parallel(
+                outcomes = self._execute_wave_parallel(
                     normalized, indices, run_functional)
             else:
                 if self._pool is not None and len(indices) > 1:
                     self.stats.parallel_fallbacks += 1
-                results = [self._run(normalized[i], run_functional)
-                           for i in indices]
-            for i, result in zip(indices, results):
-                ledgers[i] = result.ledger
-                futures[i] = CommFuture(index=i,
-                                        label=normalized[i].describe(),
-                                        wave=w, _result=result)
+                outcomes = [_caught(self._run, normalized[i], run_functional)
+                            for i in indices]
+            for i, outcome in zip(indices, outcomes):
+                failed = isinstance(outcome, PidCommError)
+                ledgers[i] = CostLedger() if failed else outcome.ledger
+                futures[i] = CommFuture(
+                    index=i, label=normalized[i].describe(), wave=w,
+                    _result=None if failed else outcome,
+                    _error=outcome if failed else None)
         wave_costs = price_waves(waves, ledgers)
         batch_ledger = CostLedger()
         serial = CostLedger()
@@ -587,7 +592,8 @@ class Communicator:
 
     def _execute_wave_parallel(self, normalized: Sequence[NormalizedRequest],
                                indices: Sequence[int],
-                               functional: bool) -> list[CommResult]:
+                               functional: bool
+                               ) -> list[CommResult | PidCommError]:
         """Run one hazard-free wave's members across the worker pool.
 
         Three phases keep every observable bit identical to the serial
@@ -597,10 +603,12 @@ class Communicator:
         pre-materialized PEs, writing provably disjoint MRAM footprints
         (see ``scheduler.assert_wave_safety`` for the invariant); (3)
         *serial record* -- stats accumulate in submission order, so
-        float sums never depend on completion interleaving.
+        float sums never depend on completion interleaving.  A member
+        that raises :class:`~repro.errors.PidCommError` returns the
+        error in its slot.
         """
         reqs = [normalized[i] for i in indices]
-        resolved = [self._resolve(req) for req in reqs]
+        resolved = [_caught(self._resolve, req) for req in reqs]
         # Touch every member PE now: concurrent execution must never
         # trigger an arena growth or a lazy per-PE materialization.
         system = self.manager.system
@@ -608,10 +616,16 @@ class Communicator:
             system.materialize(member_pes(self.manager, req.dims))
 
         def member_task(req: NormalizedRequest, res):
-            def run() -> tuple[CommResult, float | None, float]:
+            def run() -> tuple[CommResult | PidCommError, float | None,
+                               float]:
                 start = perf_counter()
-                result, replay_s = self._execute_resolved(req, res,
-                                                          functional)
+                try:
+                    if isinstance(res, PidCommError):
+                        raise res
+                    result, replay_s = self._execute_resolved(req, res,
+                                                              functional)
+                except PidCommError as error:
+                    result, replay_s = error, None
                 return result, replay_s, perf_counter() - start
             return run
 
@@ -622,7 +636,8 @@ class Communicator:
         results = []
         task_seconds = 0.0
         for req, (result, replay_s, seconds) in zip(reqs, outs):
-            self._record_execution(req, result, replay_s)
+            if not isinstance(result, PidCommError):
+                self._record_execution(req, result, replay_s)
             task_seconds += seconds
             results.append(result)
         self.stats.record_parallel_wave(len(reqs), wall, task_seconds)
@@ -758,3 +773,12 @@ class Communicator:
         return (f"Communicator({self.manager.shape} cube, "
                 f"config {self.config.label}, {len(self.cache)} cached "
                 f"plans, {self.stats.calls} calls{suffix})")
+
+
+def _caught(call, *args):
+    """``call(*args)``, or the :class:`~repro.errors.PidCommError` it
+    raised: one batch member's own outcome."""
+    try:
+        return call(*args)
+    except PidCommError as error:
+        return error

@@ -119,22 +119,25 @@ def reduced_vector(buf: np.ndarray, dtype: DataType) -> np.ndarray:
 class CommFuture:
     """Handle to one request inside a submitted batch.
 
-    The simulated engine resolves futures synchronously; ``result()``
-    raises if the batch was priced analytically but the caller asks for
-    functional outputs that were never produced -- it never blocks.
+    The simulated engine resolves futures synchronously, each with its
+    own outcome: ``result()`` returns the request's result or re-raises
+    the error the request alone failed with -- it never blocks.
     """
 
     index: int
     label: str
     wave: int
     _result: CommResult | None = None
+    _error: PidCommError | None = None
 
     def done(self) -> bool:
-        """Whether the result is available (always True today)."""
-        return self._result is not None
+        """Whether the outcome is available (always True today)."""
+        return self._result is not None or self._error is not None
 
     def result(self) -> CommResult:
-        """The request's :class:`CommResult`."""
+        """The request's :class:`CommResult`; re-raises its error."""
+        if self._error is not None:
+            raise self._error
         if self._result is None:
             raise PidCommError(
                 f"request {self.index} ({self.label}) has no result yet")
@@ -150,7 +153,8 @@ class BatchResult:
     """Everything ``submit()`` produced: futures plus batch pricing."""
 
     futures: list[CommFuture]
-    #: Overlap-aware combined cost (waves serialized, instances merged).
+    #: Overlap-aware combined cost (waves serialized, instances merged);
+    #: a failed member adds nothing to it or to ``serial_ledger``.
     ledger: CostLedger
     #: Cost of the same requests priced one after another.
     serial_ledger: CostLedger

@@ -3,8 +3,8 @@
 Rack-scale hierarchical collectives on the compiled engine: each
 simulated host runs PID-Comm locally through its own engine session,
 and the global phase is a topology-aware inter-host program --
-a :class:`Fabric` link graph priced per round, three global-phase
-algorithm families (:func:`compile_global`), and a cost-model
+a :class:`Fabric` link graph priced per round, one phase builder
+for every global program (:func:`compile_global`), and a cost-model
 :class:`GlobalTuner` choosing per (primitive, payload, topology).
 """
 

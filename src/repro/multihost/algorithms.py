@@ -1,29 +1,31 @@
-"""Global-phase algorithms for hierarchical collectives.
+"""Global-phase programs for hierarchical collectives.
 
 The inter-host phase of a hierarchical collective is a first-class
 *program*: a sequence of synchronized rounds of ``(src_host, dst_host,
-nbytes)`` transfers, built by one of three algorithm families and
-priced on a :class:`~repro.multihost.Fabric`:
+nbytes)`` transfers, priced on a :class:`~repro.multihost.Fabric`.
+Every program comes from one builder, the generalized exchange of
+Kolmakov & Zhang ("A Generalization of the Allreduce Operation"):
+factor ``N`` hosts into phases ``f_1 * ... * f_m``; each phase is a
+factor ``f`` and a stride, and runs ``f - 1`` rounds inside the groups
+of ``f`` hosts ``stride`` apart.  The classic schedules are special
+factorizations of it:
 
-* ``ring`` -- the classic ring / pairwise schedules (the paper's
-  testbed; flat ``(N-1)/N`` volume): ``N-1`` rounds, minimal volume,
-  linear latency.
-* ``halving_doubling`` -- recursive halving/doubling (and Bruck for
-  AlltoAll): ``log2 N`` rounds, so it wins when per-round latency
-  dominates; power-of-two host counts only.
-* ``exchange`` -- the generalized exchange of Kolmakov & Zhang ("A
-  Generalization of the Allreduce Operation"): factor ``N`` into
-  phases ``f_1 * ... * f_m``, each phase exchanging within stride
-  groups of ``f_j`` hosts.  Rack-aligned factors (hosts-per-rack
-  first, racks second) keep the bulky early phases on leaf links and
-  shrink what crosses an oversubscribed spine -- the topology win the
-  :class:`~repro.multihost.GlobalTuner` searches for.
+* ``ring`` -- the single phase ``(N,)`` whose rounds all send to the
+  next group member (the ring step): ``N-1`` rounds of minimal volume,
+  the paper's testbed.  AlltoAll has no ring step; its ring is the
+  direct pairwise exchange ``(N,)``.
+* ``exchange`` -- any factorization, each round sending to the group
+  member ``t`` places ahead.  Near-first (narrow strides first) keeps
+  the bulky early phases of a rack-aligned split on leaf links and
+  shrinks what crosses an oversubscribed spine; far-first (wide
+  strides first) over ``(2, ..., 2)`` is recursive halving/doubling,
+  ``log2 N`` rounds, which wins when per-round latency dominates.
 
 Round builders shape *cost only*.  The functional global exchange is
-canonical numpy (identical for every algorithm, see
-``hierarchical.py``), so all algorithms are bit-identical by
-construction -- the same plan/estimate split the single-host engine
-uses.
+canonical numpy (see ``hierarchical.py``): float reductions executed
+round by round would depend on the chosen program, so every program
+computes the same bits by construction -- the same plan/estimate split
+the single-host engine uses.
 
 Per-primitive payload convention (``nbytes`` below):
 
@@ -43,12 +45,10 @@ from .fabric import Fabric
 __all__ = ["GLOBAL_ALGORITHMS", "GlobalProgram", "compile_global",
            "default_factors", "factor_candidates"]
 
-#: Global-phase algorithms a hierarchical (multi-host) collective may
-#: run for the inter-host exchange, in tie-break order: the standard
-#: ring, recursive halving/doubling (power-of-two host counts), and the
-#: generalized multi-phase exchange of Kolmakov & Zhang whose phase
-#: factors can be aligned to a rack topology.
-GLOBAL_ALGORITHMS = ("ring", "halving_doubling", "exchange")
+#: Round steps a global program may use: the ring step of the
+#: single-phase ring, and the direct step of the generalized
+#: multi-phase exchange.
+GLOBAL_ALGORITHMS = ("ring", "exchange")
 
 #: Primitives with a global phase.
 GLOBAL_PRIMITIVES = ("allreduce", "reduce_scatter", "allgather", "alltoall")
@@ -65,8 +65,10 @@ class GlobalProgram:
     num_hosts: int
     #: Per-host payload bytes the rounds were built from.
     nbytes: int
-    #: Phase factors (exchange only; () otherwise).
+    #: Phase factors, in the order their strides grow.
     factors: tuple[int, ...]
+    #: Whether the phases run widest stride first.
+    far_first: bool
     rounds: tuple[Round, ...]
     #: Modelled seconds on the fabric the program was compiled for.
     seconds: float
@@ -75,24 +77,24 @@ class GlobalProgram:
     fabric_bytes: int
 
     def describe(self) -> str:
-        """e.g. ``alltoall/exchange(4x2): 4 rounds, 786432 B``."""
-        factors = ("x".join(str(f) for f in self.factors)
-                   if self.factors else "")
-        suffix = f"({factors})" if factors else ""
-        return (f"{self.primitive}/{self.algorithm}{suffix}: "
+        """e.g. ``allreduce/exchange(2x2x2, far-first): 6 rounds, 1792 B``."""
+        factors = "x".join(str(f) for f in self.factors)
+        order = ", far-first" if self.far_first else ""
+        return (f"{self.primitive}/{self.algorithm}({factors}{order}): "
                 f"{len(self.rounds)} rounds, {self.fabric_bytes} B")
 
 
 def compile_global(primitive: str, num_hosts: int, nbytes: int,
                    algorithm: str, fabric: Fabric,
-                   factors: tuple[int, ...] | None = None
-                   ) -> GlobalProgram | None:
+                   factors: tuple[int, ...] | None = None, *,
+                   far_first: bool = False) -> GlobalProgram:
     """Build and price one global-phase program.
 
-    Returns None when ``algorithm`` cannot serve this host count
-    (recursive halving/doubling needs a power of two) -- the tuner
-    skips inapplicable candidates.  One host compiles to an empty
-    (free) program under every algorithm.
+    ``ring`` is the single phase ``(num_hosts,)`` and ignores
+    ``factors`` and ``far_first``; ``exchange`` runs ``factors``
+    (default: :func:`default_factors`) narrow stride first, or wide
+    stride first with ``far_first``.  One host compiles to an empty
+    (free) program.
     """
     if primitive not in GLOBAL_PRIMITIVES:
         raise CollectiveError(
@@ -108,154 +110,68 @@ def compile_global(primitive: str, num_hosts: int, nbytes: int,
             f"{num_hosts}")
     if nbytes < 0:
         raise CollectiveError(f"negative payload {nbytes}")
-    if num_hosts == 1:
-        rounds: tuple[Round, ...] = ()
-    elif algorithm == "ring":
-        rounds = _ring_rounds(primitive, num_hosts, nbytes)
-    elif algorithm == "halving_doubling":
-        if num_hosts & (num_hosts - 1):
-            return None
-        rounds = _hd_rounds(primitive, num_hosts, nbytes)
+    ring = algorithm == "ring"
+    if ring:
+        factors, far_first = (num_hosts,) if num_hosts > 1 else (), False
     else:
-        factors = factors or default_factors(num_hosts, fabric)
-        rounds = _exchange_rounds(primitive, num_hosts, nbytes, factors)
-    moved = sum(b for rnd in rounds for _, _, b in rnd)
+        factors = tuple(factors or default_factors(num_hosts, fabric))
+        _check_factors(num_hosts, factors)
+    rounds = _rounds(primitive, num_hosts, nbytes, factors, far_first,
+                     ring and primitive != "alltoall")
     return GlobalProgram(
         primitive=primitive, algorithm=algorithm, num_hosts=num_hosts,
-        nbytes=nbytes,
-        factors=tuple(factors) if algorithm == "exchange" and factors
-        else (),
+        nbytes=nbytes, factors=factors, far_first=far_first,
         rounds=rounds, seconds=fabric.program_seconds(rounds),
-        fabric_bytes=moved)
+        fabric_bytes=sum(b for rnd in rounds for _, _, b in rnd))
 
 
-# ----------------------------------------------------------------------
-# Ring / pairwise
-# ----------------------------------------------------------------------
-def _ring_rounds(primitive: str, n: int, nbytes: int) -> tuple[Round, ...]:
-    share = -(-nbytes // n)  # ceil: cost never understates a message
-    if primitive == "reduce_scatter":
-        return _ring_pass(n, share, n - 1)
-    if primitive == "allgather":
-        return _ring_pass(n, nbytes, n - 1)
-    if primitive == "allreduce":
-        # Ring reduce-scatter then ring allgather of the B/N shards.
-        return _ring_pass(n, share, n - 1) + _ring_pass(n, share, n - 1)
-    # alltoall: pairwise exchange, round k partners h and (h+k) mod n.
-    return tuple(
-        tuple((h, (h + k) % n, share) for h in range(n))
-        for k in range(1, n))
+def _rounds(primitive: str, n: int, nbytes: int, factors: tuple[int, ...],
+            far_first: bool, ring: bool) -> tuple[Round, ...]:
+    """Every global program's rounds: its phases in stride order.
 
-
-def _ring_pass(n: int, nbytes: int, steps: int) -> tuple[Round, ...]:
-    one = tuple((h, (h + 1) % n, nbytes) for h in range(n))
-    return (one,) * steps
-
-
-# ----------------------------------------------------------------------
-# Recursive halving / doubling (+ Bruck alltoall)
-# ----------------------------------------------------------------------
-def _hd_rounds(primitive: str, n: int, nbytes: int) -> tuple[Round, ...]:
-    log = n.bit_length() - 1
-    if primitive == "reduce_scatter":
-        return _halving(n, nbytes, log)
-    if primitive == "allgather":
-        # Recursive doubling: shares double from the contribution up.
-        return tuple(
-            tuple((h, h ^ (1 << k), nbytes << k) for h in range(n))
-            for k in range(log))
-    if primitive == "allreduce":
-        share = -(-nbytes // n)
-        doubling = tuple(
-            tuple((h, h ^ (1 << k), share << k) for h in range(n))
-            for k in range(log))
-        return _halving(n, nbytes, log) + doubling
-    # alltoall: Bruck -- log rounds, half the buffer each.
-    half = -(-nbytes // 2)
-    return tuple(
-        tuple((h, (h + (1 << k)) % n, half) for h in range(n))
-        for k in range(log))
-
-
-def _halving(n: int, nbytes: int, log: int) -> tuple[Round, ...]:
-    return tuple(
-        tuple((h, h ^ (n >> (k + 1)), -(-nbytes // (1 << (k + 1))))
-              for h in range(n))
-        for k in range(log))
-
-
-# ----------------------------------------------------------------------
-# Generalized exchange (Kolmakov & Zhang)
-# ----------------------------------------------------------------------
-def _exchange_rounds(primitive: str, n: int, nbytes: int,
-                     factors: tuple[int, ...]) -> tuple[Round, ...]:
-    _check_factors(n, factors)
-    if primitive == "reduce_scatter":
-        return _exchange_scatter(n, nbytes, factors)
-    if primitive == "allgather":
-        return _exchange_gather(n, nbytes, factors)
-    if primitive == "allreduce":
-        share = -(-nbytes // n)
-        return (_exchange_scatter(n, nbytes, factors)
-                + _exchange_gather(n, share, factors))
-    # alltoall: phase j forwards the blocks whose j-th mixed-radix
-    # destination digit differs -- B/f_j bytes to each group partner.
-    rounds: list[Round] = []
-    stride = 1
+    ReduceScatter runs the phases with shrinking shares (after a phase
+    of factor ``f`` each host keeps ``1/f`` of what it held); AllGather
+    is the exact mirror, phases reversed with growing shares; AllReduce
+    is the one then the other; AlltoAll's phase forwards the blocks
+    whose mixed-radix destination digit differs, ``B/f`` bytes to each
+    group partner.
+    """
+    phases, stride = [], 1
     for f in factors:
-        share = -(-nbytes // f)
-        rounds.extend(_phase(n, stride, f, lambda h: share))
+        phases.append((f, stride))
         stride *= f
-    return tuple(rounds)
-
-
-def _exchange_scatter(n: int, nbytes: int,
-                      factors: tuple[int, ...]) -> tuple[Round, ...]:
-    """Phases of shrinking shares: after phase j each host keeps
-    ``1/f_j`` of what it held, so only ``B / prod(f_1..f_j)`` survives
-    into later (wider-stride) phases."""
-    rounds: list[Round] = []
-    stride = 1
-    held = nbytes
-    for f in factors:
-        share = -(-held // f)
-        rounds.extend(_phase(n, stride, f, lambda h: share))
-        held = share
-        stride *= f
-    return tuple(rounds)
-
-
-def _exchange_gather(n: int, nbytes: int,
-                     factors: tuple[int, ...]) -> tuple[Round, ...]:
-    """Phases of growing shares, the exact mirror of the scatter:
-    factors run in reverse order but each keeps its scatter-phase
-    stride, so the bulky final phases exchange within the *narrow*
-    (stride-1, e.g. intra-rack) groups while only the small early
-    shares cross wide strides."""
-    strides = []
-    s = 1
-    for f in factors:
-        strides.append(s)
-        s *= f
+    if far_first:
+        phases.reverse()
+    if primitive == "alltoall":
+        return tuple(rnd for f, stride in phases
+                     for rnd in _phase(n, f, stride, -(-nbytes // f), ring))
     rounds: list[Round] = []
     held = nbytes
-    for f, stride in zip(reversed(factors), reversed(strides)):
-        rounds.extend(_phase(n, stride, f, lambda h: held))
-        held *= f
+    if primitive != "allgather":
+        for f, stride in phases:
+            held = -(-held // f)  # ceil: cost never understates a message
+            rounds.extend(_phase(n, f, stride, held, ring))
+    if primitive != "reduce_scatter":
+        for f, stride in reversed(phases):
+            rounds.extend(_phase(n, f, stride, held, ring))
+            held *= f
     return tuple(rounds)
 
 
-def _phase(n: int, stride: int, f: int, share_of) -> list[Round]:
-    """One exchange phase: ``f - 1`` rounds; in round ``t`` every host
-    sends to the group member ``t`` positions ahead (groups are the
-    hosts ``{base + i * stride}``)."""
+def _phase(n: int, f: int, stride: int, share: int,
+           ring: bool) -> list[Round]:
+    """One phase: ``f - 1`` rounds inside the groups of hosts
+    ``{base + i * stride}``; in round ``t`` every host sends ``share``
+    bytes to the group member ``t`` positions ahead, or to the next
+    one under the ring step."""
     rounds = []
     for t in range(1, f):
+        step = 1 if ring else t
         transfers = []
         for h in range(n):
             pos = (h // stride) % f
-            partner = h + (((pos + t) % f) - pos) * stride
-            transfers.append((h, partner, share_of(h)))
+            partner = h + (((pos + step) % f) - pos) * stride
+            transfers.append((h, partner, share))
         rounds.append(tuple(transfers))
     return rounds
 

@@ -16,9 +16,9 @@ models exactly that:
   accumulation over shortest-path routes -- the busiest link sets the
   round's bandwidth term, the longest used route its latency term.
 
-Global-phase algorithms (:mod:`repro.multihost.algorithms`) emit rounds
+Global-phase programs (:mod:`repro.multihost.algorithms`) emit rounds
 of ``(src_host, dst_host, nbytes)`` transfers; summing
-:meth:`Fabric.round_seconds` over them prices an algorithm on a
+:meth:`Fabric.round_seconds` over them prices a program on a
 topology, which is what the :class:`~repro.multihost.GlobalTuner`
 ranks.  The fabric never moves payload bytes -- functional exchange
 stays canonical numpy -- so every topology is bit-identical by

@@ -15,10 +15,11 @@ host-level :class:`~repro.engine.WorkerPool`.
 AllReduce ships only the locally-reduced vector (1/256th of the data),
 so its fabric overhead is small; AlltoAll has no reduction and pays the
 full ``(N-1)/N`` crossing cost -- exactly the asymmetry the paper's
-figure shows.  The functional global exchange is canonical numpy
-(shared by every algorithm and topology), so hierarchical outputs are
-bit-identical to the scalar interpreted oracle at every host count,
-backend, execution mode, and global algorithm.
+figure shows.  The functional global exchange is canonical numpy,
+shared by every global program and topology: a float reduction run
+round by round would depend on the chosen program's order of sums.
+So hierarchical outputs are bit-identical to the scalar interpreted
+oracle at every host count, backend, execution mode, and program.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ class MultiHostResult:
     fabric_seconds: float
     #: host -> per-PE output vectors (functional runs only).
     outputs: list[list[np.ndarray]] | None = None
-    #: Global-phase algorithm the tuner chose (None on a single host).
+    #: Round step of the program the tuner chose, ``"ring"`` or
+    #: ``"exchange"`` (None on a single host).
     global_algorithm: str | None = None
     #: Payload bytes the global phase put on the fabric.
     fabric_bytes: int = 0
@@ -102,9 +104,6 @@ class MultiHostSystem:
         fabric: Inter-host topology (default: fully connected at the
             testbed's throttled MPI link rate, on which a ring prices
             at the flat ``(N-1)/N`` formulas).
-        global_algorithm: Pin the global-phase algorithm (``"ring"`` /
-            ``"halving_doubling"`` / ``"exchange"``); None lets the
-            :class:`GlobalTuner` pick per (primitive, payload).
 
     With ``session_config.parallel_workers > 1`` the worker budget is
     spent at the *host* level: local phases of distinct hosts run
@@ -115,8 +114,7 @@ class MultiHostSystem:
     def __init__(self, num_hosts: int, params: MachineParams | None = None,
                  ranks_per_channel: int = 4, mram_bytes: int = 1 << 20, *,
                  session_config: SessionConfig | None = None,
-                 fabric: Fabric | None = None,
-                 global_algorithm: str | None = None) -> None:
+                 fabric: Fabric | None = None) -> None:
         if num_hosts < 1:
             raise CollectiveError("need at least one host")
         if session_config is None:
@@ -150,11 +148,8 @@ class MultiHostSystem:
                 f"{num_hosts}")
         self.fabric = fabric or Fabric.fully_connected(num_hosts,
                                                        self.params)
-        self.global_algorithm = global_algorithm
-        self.tuner = GlobalTuner(
-            self.fabric,
-            algorithms=(None if global_algorithm is None
-                        else (global_algorithm,)))
+        #: Chooses the global-phase program per (primitive, payload).
+        self.tuner = GlobalTuner(self.fabric)
 
     @property
     def num_hosts(self) -> int:
@@ -278,15 +273,13 @@ class MultiHostSystem:
             return MultiHostResult(ledger=ledger, fabric_seconds=0.0,
                                    outputs=outputs)
         program, seconds, moved, elided = phase
-        return MultiHostResult(
-            ledger=ledger, fabric_seconds=seconds, outputs=outputs,
-            global_algorithm=program.algorithm, fabric_bytes=moved,
-            elided_fabric_bytes=elided)
+        return MultiHostResult(ledger, seconds, outputs, program.algorithm,
+                               moved, elided)
 
 
 # ----------------------------------------------------------------------
 # The functional global exchange: canonical numpy, shared by every
-# global algorithm and topology (which only change the price).
+# global program and topology (which only change the price).
 # ----------------------------------------------------------------------
 def _reduce_across(host_vectors: list[np.ndarray], op: ReduceOp
                    ) -> np.ndarray:

@@ -1,60 +1,39 @@
-"""Topology-aware selection of the global-phase algorithm.
+"""Topology-aware selection of the global-phase program.
 
 :class:`GlobalTuner` prices candidates on the machine model and
 caches the argmin, for the inter-host phase only (a single host runs
 exactly the knobs its session was built with): per
-``(primitive, payload, topology)`` it compiles
-every applicable candidate algorithm
-(``ring`` / ``halving_doubling`` / ``exchange``, the latter over a
-small family of factorizations including the rack-aligned split),
-prices each on the :class:`~repro.multihost.Fabric`, and commits the
-cheapest into a decision cache keyed by the fabric's signature.
+``(primitive, payload, topology)`` it compiles the ring and the
+generalized exchange over a small family of factorizations (including
+the rack-aligned split), the reduction family in both stride orders
+-- far-first ``(2, ..., 2)`` is recursive halving/doubling -- prices
+each on the :class:`~repro.multihost.Fabric`, and commits the cheapest
+into a decision cache keyed by the fabric's signature.
 
 Because selection is an argmin over the same model the fixed
-alternatives are priced with, the chosen algorithm is never worse than
-the best fixed algorithm *on modelled fabric seconds*
+alternatives are priced with, the chosen program is never worse than
+any fixed one *on modelled fabric seconds*
 (``test_choice_is_argmin_of_candidates`` pins it; the ``multihost_8h``
-benchmark workload watches it).  And because algorithms shape cost
-only (the functional exchange is shared numpy), selection can never
-change results.
+benchmark workload watches it).  And because programs shape cost only
+(the functional exchange is shared numpy), selection can never change
+results.
 """
 
 from __future__ import annotations
 
-from ..errors import CollectiveError
-from .algorithms import (
-    GLOBAL_ALGORITHMS,
-    GlobalProgram,
-    compile_global,
-    factor_candidates,
-)
+from .algorithms import GlobalProgram, compile_global, factor_candidates
 from .fabric import Fabric
 
 
 class GlobalTuner:
-    """Cost-model argmin over global-phase algorithms, decision-cached.
+    """Cost-model argmin over global-phase programs, decision-cached.
 
     Args:
         fabric: The topology programs are priced on.
-        algorithms: Candidate algorithms (default: all of
-            :data:`~repro.multihost.GLOBAL_ALGORITHMS`).  A single entry
-            pins the choice.
     """
 
-    def __init__(self, fabric: Fabric,
-                 algorithms: tuple[str, ...] | None = None) -> None:
-        if algorithms is None:
-            algorithms = GLOBAL_ALGORITHMS
-        for algorithm in algorithms:
-            if algorithm not in GLOBAL_ALGORITHMS:
-                raise CollectiveError(
-                    f"unknown global algorithm {algorithm!r}; "
-                    f"known: {GLOBAL_ALGORITHMS}")
-        if not algorithms:
-            raise CollectiveError("global tuner needs at least one "
-                                  "candidate algorithm")
+    def __init__(self, fabric: Fabric) -> None:
         self.fabric = fabric
-        self.algorithms = tuple(algorithms)
         #: (primitive, nbytes) -> chosen program; the fabric signature
         #: is part of the instance (one tuner per fabric), so the key
         #: stays small.
@@ -64,31 +43,23 @@ class GlobalTuner:
 
     def candidates(self, primitive: str, nbytes: int
                    ) -> list[GlobalProgram]:
-        """Every applicable priced candidate, cheapest first."""
-        scored: list[GlobalProgram] = []
+        """Every priced candidate, cheapest first.
+
+        AlltoAll runs near-first only: reversing its phases changes
+        the price in the last float bit at most, so it cannot win.
+        """
         n = self.fabric.num_hosts
-        for algorithm in self.algorithms:
-            if algorithm == "exchange":
-                for factors in factor_candidates(n, self.fabric):
-                    program = compile_global(primitive, n, nbytes,
-                                             algorithm, self.fabric,
-                                             factors=factors)
-                    if program is not None:
-                        scored.append(program)
-            else:
-                program = compile_global(primitive, n, nbytes, algorithm,
-                                         self.fabric)
-                if program is not None:
-                    scored.append(program)
-        if not scored:
-            raise CollectiveError(
-                f"no candidate global algorithm applies to {n} hosts "
-                f"(candidates: {self.algorithms})")
+        orders = (False,) if primitive == "alltoall" else (True, False)
+        scored = [compile_global(primitive, n, nbytes, "ring", self.fabric)]
+        for factors in factor_candidates(n, self.fabric):
+            for far_first in orders if len(factors) > 1 else (False,):
+                scored.append(compile_global(
+                    primitive, n, nbytes, "exchange", self.fabric,
+                    factors, far_first=far_first))
         # Stable tie-break: cheapest, then fewer rounds, then the
-        # canonical algorithm order.
-        order = {name: i for i, name in enumerate(GLOBAL_ALGORITHMS)}
-        scored.sort(key=lambda p: (p.seconds, len(p.rounds),
-                                   order[p.algorithm]))
+        # enumeration order above (ring first, far-first before
+        # near-first).
+        scored.sort(key=lambda p: (p.seconds, len(p.rounds)))
         return scored
 
     def choose(self, primitive: str, nbytes: int) -> GlobalProgram:

@@ -372,29 +372,29 @@ class CollectiveServer:
         self.stats.dispatched += len(batch)
         try:
             result = self.comm.submit([e.request for e in batch])
-        except PidCommError:
-            # A batch-level failure must not take innocent tenants
-            # down: fall back to per-request execution so each future
-            # gets its own outcome.
-            self._run_singly(batch)
+        except PidCommError as error:
+            # submit() raises only before any member runs (a request
+            # that no longer normalizes on a degraded cube): nothing
+            # executed, and every member fails with the error.
+            for entry in batch:
+                self._fail(entry, error)
             return
         self.stats.batches += 1
         self.stats.clock += result.seconds
+        # Each member settles from its own future: a failed member
+        # fails alone and never re-runs its neighbours.
         for entry, future in zip(batch, result.futures):
-            self._complete(entry, future.result())
-
-    def _run_singly(self, batch: list[PendingRequest]) -> None:
-        """Per-request fallback when a combined batch refuses to run."""
-        for entry in batch:
             try:
-                result = self.comm.submit([entry.request])
+                outcome = future.result()
             except PidCommError as error:
-                if not entry.future.done():
-                    entry.future.set_exception(error)
-                continue
-            self.stats.batches += 1
-            self.stats.clock += result.seconds
-            self._complete(entry, result.futures[0].result())
+                self._fail(entry, error)
+            else:
+                self._complete(entry, outcome)
+
+    @staticmethod
+    def _fail(entry: PendingRequest, error: PidCommError) -> None:
+        if not entry.future.done():
+            entry.future.set_exception(error)
 
     def _complete(self, entry: PendingRequest, result: Any) -> None:
         """Resolve one dispatched request and account its completion."""

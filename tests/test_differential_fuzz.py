@@ -467,36 +467,37 @@ class TestLongSweep:
         assert any(r.attempts > 1 for r in results)
 
 
+def multihost_fabric(kind: str, hosts: int):
+    """A ``kind`` fabric over ``hosts`` hosts, fully connected where the
+    kind does not apply (a one-host ring, an odd or tiny leaf-spine)."""
+    from repro.multihost import Fabric
+    if kind == "ring" and hosts >= 2:
+        return Fabric.ring(hosts)
+    if kind == "leaf_spine" and hosts % 2 == 0 and hosts >= 4:
+        return Fabric.leaf_spine(hosts, 2, spine_gbps=0.25)
+    return Fabric.fully_connected(hosts)
+
+
 class TestMultihostSweep:
-    """Rack-scale hierarchy: every fabric topology and pinned global
-    algorithm must stay bit-identical to the global reference."""
+    """Rack-scale hierarchy: every fabric topology must stay
+    bit-identical to the global reference (the global program only
+    changes the price; ``test_multihost.TestGlobalRounds`` checks that
+    every candidate's rounds deliver)."""
 
     TOPOLOGIES = ("fully_connected", "ring", "leaf_spine")
 
-    @staticmethod
-    def _fabric(kind: str, hosts: int):
-        from repro.multihost import Fabric
-        if kind == "ring" and hosts >= 2:
-            return Fabric.ring(hosts)
-        if kind == "leaf_spine" and hosts % 2 == 0 and hosts >= 4:
-            return Fabric.leaf_spine(hosts, 2, spine_gbps=0.25)
-        return Fabric.fully_connected(hosts)
-
-    def _run_multihost_case(self, rng, hosts, topology, algorithm,
-                            primitive, elide=False, sparsify=False):
+    def _run_multihost_case(self, rng, hosts, topology, primitive,
+                            elide=False, sparsify=False):
         from repro.multihost import (MultiHostSystem, multihost_allgather,
                                      multihost_allreduce,
                                      multihost_alltoall,
                                      multihost_reduce_scatter)
         from repro.engine import SessionConfig
-        if algorithm == "halving_doubling" and hosts & (hosts - 1):
-            algorithm = None  # inapplicable pin: let the tuner pick
         mh = MultiHostSystem(
             hosts, ranks_per_channel=1, mram_bytes=1 << 16,
             session_config=SessionConfig(backend="vectorized",
                                          elide_transfers=elide),
-            fabric=self._fabric(topology, hosts),
-            global_algorithm=algorithm)
+            fabric=multihost_fabric(topology, hosts))
         tp = mh.total_pes
         if primitive == "allgather":
             elems = int(rng.integers(1, 4)) * 2
@@ -530,8 +531,6 @@ class TestMultihostSweep:
         for gpe in range(tp):
             np.testing.assert_array_equal(
                 mh.read_pe(gpe, out, out_elems, INT64), expect[gpe])
-        if algorithm is not None and hosts > 1:
-            assert result.global_algorithm == algorithm
         mh.close()
         return result
 
@@ -542,16 +541,8 @@ class TestMultihostSweep:
                       "allgather")
         for hosts in (2, 4):
             for primitive in primitives:
-                self._run_multihost_case(rng, hosts, topology, None,
+                self._run_multihost_case(rng, hosts, topology,
                                          primitive)
-
-    def test_algorithm_pin_sweep_matches_reference(self):
-        from repro.multihost import GLOBAL_ALGORITHMS
-        rng = np.random.default_rng(707)
-        for algorithm in GLOBAL_ALGORITHMS:
-            for hosts in (3, 4):
-                self._run_multihost_case(rng, hosts, "fully_connected",
-                                         algorithm, "alltoall")
 
     def test_sparse_eliding_sweep_matches_reference(self):
         rng = np.random.default_rng(808)
@@ -559,7 +550,7 @@ class TestMultihostSweep:
         for primitive in ("alltoall", "allreduce"):
             for _ in range(3):
                 result = self._run_multihost_case(
-                    rng, 2, "fully_connected", None, primitive,
+                    rng, 2, "fully_connected", primitive,
                     elide=True, sparsify=True)
                 elided += result.elided_fabric_bytes
         assert elided > 0, "sparse multihost sweep never elided bytes"
@@ -569,17 +560,40 @@ class TestMultihostSweep:
 class TestLongMultihostSweep:
     """Excluded from tier-1; run with ``-m fuzz``."""
 
-    def test_long_topology_algorithm_grid(self):
-        from repro.multihost import GLOBAL_ALGORITHMS
+    def test_long_topology_grid(self):
         sweep = TestMultihostSweep()
         rng = np.random.default_rng(919191)
         primitives = ("allreduce", "alltoall", "reduce_scatter",
                       "allgather")
         for topology in TestMultihostSweep.TOPOLOGIES:
-            for algorithm in (None,) + GLOBAL_ALGORITHMS:
-                for hosts in (2, 3, 4, 8):
-                    for primitive in primitives:
-                        sweep._run_multihost_case(
-                            rng, hosts, topology, algorithm, primitive,
-                            elide=bool(rng.integers(2)),
-                            sparsify=bool(rng.integers(2)))
+            for hosts in (2, 3, 4, 8):
+                for primitive in primitives:
+                    sweep._run_multihost_case(
+                        rng, hosts, topology, primitive,
+                        elide=bool(rng.integers(2)),
+                        sparsify=bool(rng.integers(2)))
+
+    def test_long_candidate_delivery_grid(self):
+        """Every tuner candidate's rounds deliver, to 32 hosts, on every
+        fabric constructor and spine rate."""
+        from repro.multihost import GLOBAL_PRIMITIVES, Fabric, GlobalTuner
+        from .test_multihost import delivery_problems
+        checked = 0
+        for n in range(1, 33):
+            fabrics = [Fabric.fully_connected(n)]
+            if n >= 2:
+                fabrics.append(Fabric.ring(n))
+            for racks in (2, 4):
+                if n % racks == 0 and n > racks:
+                    fabrics += [Fabric.leaf_spine(n, racks, spine_gbps=rate)
+                                for rate in (None, 2.5, 0.25, 0.125)]
+            for fabric in fabrics:
+                tuner = GlobalTuner(fabric)
+                for primitive in GLOBAL_PRIMITIVES:
+                    for nbytes in (n * n * 8, n * n * 4096,
+                                   n * n * (1 << 16)):
+                        for program in tuner.candidates(primitive, nbytes):
+                            assert delivery_problems(program) == [], \
+                                program.describe()
+                            checked += 1
+        assert checked > 4000

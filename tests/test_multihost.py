@@ -1,4 +1,16 @@
-"""Tests for the multi-host extension (fabric + hierarchical collectives)."""
+"""Tests for the multi-host extension (fabric + hierarchical collectives).
+
+``tests/golden/global_tuner_seconds.json`` holds the seconds of the
+program the :class:`GlobalTuner` chose at 312 points (:func:`tuner_seconds`),
+generated at commit 2177487, before ring and halving/doubling became
+phase lists of the exchange.  The collapse must lose no winner.
+Regenerate it (only when the fabric cost model is changed on purpose)
+with ``PYTHONPATH=src python -m tests.test_multihost``.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +23,7 @@ from repro.hw.timing import MachineParams
 from repro.multihost import (
     Fabric,
     GLOBAL_ALGORITHMS,
+    GLOBAL_PRIMITIVES,
     GlobalTuner,
     MultiHostSystem,
     compile_global,
@@ -20,6 +33,8 @@ from repro.multihost import (
     multihost_alltoall,
     multihost_reduce_scatter,
 )
+
+from .test_differential_fuzz import multihost_fabric
 
 
 @pytest.fixture
@@ -184,18 +199,22 @@ class TestHierarchicalAllGather:
     def test_data_crosses_before_duplication(self):
         """Section IX-A: AllGather ships each host's share once.
 
-        Pinned to the ring algorithm: on a fully connected fabric it
-        costs exactly the flat (N-1)/N formula (the tuner left free
-        picks halving/doubling, which shaves a latency round).
+        On a fully connected fabric the ring costs exactly the flat
+        (N-1)/N formula; the tuner picks halving/doubling, which moves
+        the same bytes in one latency round fewer.
         """
         from repro.multihost import multihost_allgather
-        mh = MultiHostSystem(4, ranks_per_channel=1, mram_bytes=1 << 16,
-                             global_algorithm="ring")
+        mh = MultiHostSystem(4, ranks_per_channel=1, mram_bytes=1 << 16)
         chunk = 1 << 12
         result = multihost_allgather(mh, chunk, 0, 0, functional=False)
         per_host = mh.pes_per_host * chunk
+        assert result.fabric_bytes == 4 * 3 * per_host
+        ring = next(p for p in mh.tuner.candidates("allgather", per_host)
+                    if p.algorithm == "ring")
         expected = 0.75 * per_host * 4 / 1.25e9 + 3 * mh.params.mpi_latency_s
-        assert result.fabric_seconds == pytest.approx(expected)
+        assert ring.seconds == pytest.approx(expected)
+        assert result.fabric_seconds == pytest.approx(
+            expected - mh.params.mpi_latency_s)
 
 class TestFabric:
     def test_fully_connected_prices_like_flat_mpi(self, params):
@@ -270,16 +289,29 @@ class TestGlobalAlgorithms:
             program = compile_global(primitive, n, nbytes, "ring", fabric)
             assert program.seconds == pytest.approx(expected), primitive
 
-    def test_halving_doubling_needs_power_of_two(self, params):
+    def test_far_first_serves_any_host_count(self, params):
+        """Far-first runs the widest stride first at any host count:
+        on 6 = 2 x 3 hosts the first round pairs hosts 2 apart."""
         fabric = Fabric.fully_connected(6, params)
-        assert compile_global("allreduce", 6, 1 << 20,
-                              "halving_doubling", fabric) is None
+        program = compile_global("reduce_scatter", 6, 6 << 10,
+                                 "exchange", fabric, (2, 3),
+                                 far_first=True)
+        assert program.rounds[0][0] == (0, 2, 2 << 10)
+        assert program.rounds[-1][0] == (0, 1, 1 << 10)
 
-    def test_halving_doubling_fewer_rounds(self, params):
-        fabric = Fabric.fully_connected(8, params)
-        ring = compile_global("allreduce", 8, 1 << 20, "ring", fabric)
-        hd = compile_global("allreduce", 8, 1 << 20,
-                            "halving_doubling", fabric)
+    def test_far_first_binary_exchange_is_halving_doubling(self, params):
+        """(2, 2, 2) far-first is recursive halving then doubling,
+        round for round, in fewer rounds than the ring."""
+        n, nbytes = 8, 1 << 20
+        fabric = Fabric.fully_connected(n, params)
+        ring = compile_global("allreduce", n, nbytes, "ring", fabric)
+        hd = compile_global("allreduce", n, nbytes, "exchange", fabric,
+                            (2, 2, 2), far_first=True)
+        halving = [tuple((h, h ^ (n >> (k + 1)), nbytes >> (k + 1))
+                         for h in range(n)) for k in range(3)]
+        doubling = [tuple((h, h ^ (1 << k), (nbytes // n) << k)
+                          for h in range(n)) for k in range(3)]
+        assert list(hd.rounds) == halving + doubling
         assert len(hd.rounds) < len(ring.rounds)
 
     def test_exchange_factors_validated(self, params):
@@ -321,16 +353,18 @@ class TestGlobalTuner:
             assert best.seconds == min(p.seconds for p in ranked)
 
     def test_latency_bound_payload_picks_log_rounds(self, params):
-        """Tiny payloads are latency-dominated: 3 halving/doubling
-        rounds beat 7 ring rounds at 8 hosts."""
+        """Tiny payloads are latency-dominated: 3 + 3 binary-exchange
+        rounds beat 7 + 7 ring rounds at 8 hosts."""
         tuner = GlobalTuner(Fabric.fully_connected(8, params))
-        assert tuner.choose("allreduce", 64).algorithm == "halving_doubling"
+        best = tuner.choose("allreduce", 64)
+        assert best.factors == (2, 2, 2) and len(best.rounds) == 6
 
     def test_bulk_allreduce_on_racks_prefers_exchange(self, params):
         """On an oversubscribed leaf-spine, multi-phase exchange
         shrinks shares intra-rack before crossing the spine, beating
         the flat ring (AlltoAll gains nothing -- its cross-rack volume
-        is invariant -- so ring stays best there)."""
+        is invariant -- so the direct pairwise exchange stays best
+        there)."""
         fabric = Fabric.leaf_spine(8, 2, params, spine_gbps=0.125)
         tuner = GlobalTuner(fabric)
         best = tuner.choose("allreduce", 8 << 20)
@@ -338,7 +372,7 @@ class TestGlobalTuner:
         ring = next(p for p in tuner.candidates("allreduce", 8 << 20)
                     if p.algorithm == "ring")
         assert best.seconds < ring.seconds
-        assert tuner.choose("alltoall", 8 << 20).algorithm == "ring"
+        assert tuner.choose("alltoall", 8 << 20).factors == (8,)
 
     def test_decisions_cache(self, params):
         tuner = GlobalTuner(Fabric.fully_connected(4, params))
@@ -346,15 +380,140 @@ class TestGlobalTuner:
         tuner.choose("allreduce", 4096)
         assert tuner.searches == 1 and tuner.decision_hits == 1
 
-    def test_pinned_algorithm_collapses_axis(self, params):
-        tuner = GlobalTuner(Fabric.fully_connected(8, params),
-                            algorithms=("ring",))
-        assert tuner.choose("allreduce", 64).algorithm == "ring"
-
     def test_unknown_algorithm_rejected(self, params):
-        with pytest.raises(CollectiveError, match="unknown"):
-            GlobalTuner(Fabric.fully_connected(2, params),
-                        algorithms=("steiner",))
+        """Candidates use only the two round steps; halving/doubling is
+        a factorization of the exchange, not a name of its own."""
+        fabric = Fabric.fully_connected(8, params)
+        assert {p.algorithm for p in GlobalTuner(fabric).candidates(
+            "allreduce", 64)} == set(GLOBAL_ALGORITHMS)
+        for name in ("steiner", "halving_doubling"):
+            with pytest.raises(CollectiveError, match="unknown"):
+                compile_global("allreduce", 8, 64, name, fabric)
+
+    def test_collapse_loses_no_winner(self):
+        """Every choice prices as it did when ring, halving/doubling and
+        the exchange had builders of their own; at 6 and 12 hosts,
+        far-first over mixed factors is new and may only win."""
+        golden = json.loads(TUNER_GOLDEN.read_text())
+        got = tuner_seconds()
+        assert got.keys() == golden.keys()
+        for key, seconds in golden.items():
+            if int(key.split("/")[0]) in (6, 12):
+                assert got[key] <= seconds, key
+            else:
+                assert got[key] == seconds, key
+
+
+TUNER_GOLDEN = Path(__file__).parent / "golden" / "global_tuner_seconds.json"
+
+
+def tuner_seconds() -> dict[str, float]:
+    """``hosts/fabric/primitive/nbytes`` -> the chosen program's seconds."""
+    rows = {}
+    for n in (2, 3, 4, 6, 8, 12, 16):
+        fabrics = {"fully_connected": Fabric.fully_connected(n),
+                   "ring": Fabric.ring(n)}
+        if n % 2 == 0:
+            fabrics["leaf_spine"] = Fabric.leaf_spine(n, 2)
+            fabrics["leaf_spine_spine2.5"] = Fabric.leaf_spine(
+                n, 2, spine_gbps=2.5)
+        for name, fabric in fabrics.items():
+            tuner = GlobalTuner(fabric)
+            for primitive in GLOBAL_PRIMITIVES:
+                for nbytes in (64, 4096, 1 << 20):
+                    rows[f"{n}/{name}/{primitive}/{nbytes}"] = \
+                        tuner.choose(primitive, nbytes).seconds
+    return rows
+
+
+def delivery_problems(program) -> list[str]:
+    """Why ``program``'s rounds fail to deliver its primitive ([] if
+    they deliver): information must close (after the rounds every host
+    has heard from every host) and every host sends and receives the
+    same bytes, the primitive's volume (at least it, for AlltoAll)."""
+    n, b = program.num_hosts, program.nbytes
+    heard = [{h} for h in range(n)]
+    sent, received = [0] * n, [0] * n
+    problems = []
+    for k, rnd in enumerate(program.rounds):
+        before = [set(known) for known in heard]
+        for src, dst, nbytes in rnd:
+            if src == dst or not 0 <= dst < n:
+                problems.append(f"round {k}: transfer {src}->{dst}")
+                continue
+            heard[dst] |= before[src]
+            sent[src] += nbytes
+            received[dst] += nbytes
+    problems += [f"host {h} never hears from "
+                 f"{sorted(set(range(n)) - heard[h])}"
+                 for h in range(n) if len(heard[h]) < n]
+    volume = {"reduce_scatter": b * (n - 1) // n, "allgather": b * (n - 1),
+              "allreduce": 2 * b * (n - 1) // n,
+              "alltoall": b * (n - 1) // n}[program.primitive]
+    moved = set(sent) | set(received)
+    if len(moved) > 1:
+        problems.append(f"hosts send {sent} and receive {received}")
+    elif program.primitive == "alltoall" and min(moved) < volume \
+            or program.primitive != "alltoall" and moved != {volume}:
+        problems.append(f"each host moves {moved.pop()} B, "
+                        f"the primitive needs {volume} B")
+    return problems
+
+
+def mutants(program):
+    """The program with one round dropped or one transfer re-routed to
+    another host (first and last round).
+
+    Closure is transitive: inside an AlltoAll phase of factor f >= 4
+    the rounds t1 + t2 = t relay what a dropped round t carried, and the
+    multi-phase volume is above the primitive's floor, so only the
+    block identities the rounds do not carry could tell.  Those
+    programs get the re-route arm alone.
+    """
+    rounds, n = program.rounds, program.num_hosts
+    relays = (program.primitive == "alltoall" and len(program.factors) > 1
+              and max(program.factors) >= 4)
+    for k in () if relays else range(len(rounds)):
+        yield replace(program, rounds=rounds[:k] + rounds[k + 1:])
+    if n < 3:
+        return
+    for k in (0, len(rounds) - 1):
+        src, dst, nbytes = rounds[k][-1]
+        other = next(h for h in range(n) if h not in (src, dst))
+        moved = rounds[k][:-1] + ((src, other, nbytes),)
+        yield replace(program, rounds=rounds[:k] + (moved,) + rounds[k + 1:])
+
+
+class TestGlobalRounds:
+    """Costs come from round schedules that are never executed (the
+    functional phase is canonical numpy), so the rounds themselves are
+    checked: every candidate the tuner may choose must deliver."""
+
+    @pytest.mark.parametrize("primitive", GLOBAL_PRIMITIVES)
+    @pytest.mark.parametrize("topology",
+                             ["fully_connected", "ring", "leaf_spine"])
+    def test_every_candidate_delivers(self, topology, primitive):
+        checked = 0
+        for n in range(1, 17):
+            tuner = GlobalTuner(multihost_fabric(topology, n))
+            for nbytes in (n * n * 8, n * n * 4096):
+                for program in tuner.candidates(primitive, nbytes):
+                    assert delivery_problems(program) == [], \
+                        program.describe()
+                    checked += 1
+        assert checked >= 16 * 2 * 2
+
+    @pytest.mark.parametrize("primitive", GLOBAL_PRIMITIVES)
+    def test_broken_rounds_are_caught(self, primitive):
+        """The check's mutation arms: a dropped round or a re-routed
+        transfer never passes."""
+        for n in range(2, 17):
+            for topology in ("fully_connected", "ring", "leaf_spine"):
+                tuner = GlobalTuner(multihost_fabric(topology, n))
+                for program in tuner.candidates(primitive, n * n * 8):
+                    for mutant in mutants(program):
+                        assert delivery_problems(mutant), \
+                            program.describe()
 
 
 def engine_multihost(num_hosts, **session_kwargs):
@@ -432,15 +591,20 @@ class TestEngineHierarchy:
 
     @pytest.mark.parametrize("algorithm", GLOBAL_ALGORITHMS)
     def test_every_global_algorithm_bit_identical(self, algorithm):
-        mh = engine_multihost(4, )
+        """Whichever round step the tuner picks, outputs equal the
+        oracle and the local ledger is untouched: on a latency-free
+        fabric the minimal-volume ring wins a 4-host AlltoAll, on a
+        1 ms-latency one the two-round (2, 2) exchange does."""
+        mh = engine_multihost(4)
         baseline = check_alltoall_parity(mh)
         mh.close()
-        pinned = MultiHostSystem(4, ranks_per_channel=1,
-                                 mram_bytes=1 << 16,
-                                 global_algorithm=algorithm)
-        result = check_alltoall_parity(pinned)
+        latency = {"ring": 0.0, "exchange": 1e-3}[algorithm]
+        chosen = MultiHostSystem(
+            4, ranks_per_channel=1, mram_bytes=1 << 16,
+            fabric=Fabric.fully_connected(4, latency_s=latency))
+        result = check_alltoall_parity(chosen)
         assert result.global_algorithm == algorithm
-        pinned.close()
+        chosen.close()
         # Outputs equal by the oracle; ledgers identical too (cost
         # shaping never leaks into the local phases).
         assert result.ledger.total == pytest.approx(baseline.ledger.total)
@@ -573,3 +737,9 @@ class TestBackCompat:
         assert merged.seconds["fabric"] == pytest.approx(
             result.fabric_seconds)
         assert merged.total == pytest.approx(result.seconds)
+
+
+if __name__ == "__main__":
+    TUNER_GOLDEN.write_text(json.dumps(tuner_seconds(), indent=1,
+                                       sort_keys=True) + "\n")
+    print(f"wrote {TUNER_GOLDEN}")

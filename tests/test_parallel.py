@@ -285,6 +285,32 @@ class TestWaveParallelism:
         finally:
             comm.close()
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failed_member_fails_alone(self, workers):
+        """A member that raises inside a wave stores its error in its
+        own future and adds nothing to the ledgers; its neighbours run
+        once each, on the serial and the pooled path alike."""
+        manager = make_manager((8, 4))
+        comm = Communicator(manager, SessionConfig(
+            parallel_workers=workers, execution="compiled"))
+        try:
+            good = _disjoint_batch(2)
+            _seed_batch_inputs(manager, good)
+            bad = CommRequest("scatter", "10", 256, dst_offset=4096,
+                              data_type="int64")
+            batch = comm.submit([good[0], bad, good[1]])
+            assert len(batch.waves) == 1
+            assert comm.stats.parallel_waves == (workers > 1)
+            with pytest.raises(CollectiveError, match="needs payloads"):
+                batch[1].result()
+            assert batch[1].done()
+            done = [batch[0].result(), batch[2].result()]
+            assert comm.stats.calls == 2
+            assert batch.serial_seconds == pytest.approx(
+                sum(r.ledger.total for r in done))
+        finally:
+            comm.close()
+
     def test_injector_forces_serial_fallback(self):
         # The injector's RNG is stateful: pooled sessions must fall
         # back to serial wave execution, counted, still bit-exact.

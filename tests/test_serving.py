@@ -400,6 +400,56 @@ class TestQuotasAndLifecycle:
                 solo_manager.system.memory(pe).read(0, 1 << 14))
 
 
+    def test_faulted_batch_member_never_reruns_its_neighbour(self):
+        """A member that faults *during* a co-batched submit fails
+        alone: the member before it ran once, and its MRAM is what a
+        solo run leaves (seed 31 faults b's AlltoAll after a's
+        ReduceScatter has run; a one-attempt policy forbids a rerun)."""
+        from repro.dtypes import INT64
+        from repro.errors import FaultBudgetExceeded
+        from repro.hw.geometry import DimmGeometry
+        from repro.reliability import (FaultInjector, ReliabilityPolicy,
+                                       RetryPolicy)
+
+        def build():
+            system = DimmSystem(DimmGeometry(1, 1, 4, 4), mram_bytes=1 << 14)
+            manager = HypercubeManager(system, shape=(4, 4))
+            for pe in manager.all_pes:
+                row = np.arange(16, dtype=np.int64)
+                system.write_elements(pe, 0, row * (pe + 1), INT64)
+                system.write_elements(pe, 2048, row * (pe + 3), INT64)
+            return manager
+
+        reduce_a = CommRequest("reduce_scatter", "10", 128, src_offset=0,
+                               dst_offset=4096)
+        alltoall_b = CommRequest("alltoall", "10", 128, src_offset=2048,
+                                 dst_offset=8192)
+        solo_manager = build()
+        Communicator(solo_manager, SessionConfig()).run(reduce_a)
+        config = SessionConfig(
+            fault_injector=FaultInjector(seed=31, drop_rate=0.05),
+            reliability=ReliabilityPolicy(
+                retry=RetryPolicy(max_attempts=1, fault_budget=0)))
+
+        async def scenario():
+            manager = build()
+            server = CollectiveServer(manager, config)
+            fut_a = server.session("a").submit(reduce_a)
+            fut_b = server.session("b").submit(alltoall_b)
+            assert server.process() == 1
+            with pytest.raises(FaultBudgetExceeded):
+                await fut_b
+            return manager, server, await fut_a
+
+        manager, server, served = asyncio.run(scenario())
+        assert served.attempts == 1
+        assert server.comm.stats.calls == 1
+        for pe in manager.all_pes:
+            np.testing.assert_array_equal(
+                manager.system.memory(pe).read(0, 1 << 14),
+                solo_manager.system.memory(pe).read(0, 1 << 14))
+
+
 # ----------------------------------------------------------------------
 # Plan-cache partitions: per-tenant LRU bounds and isolation
 # ----------------------------------------------------------------------
