@@ -94,7 +94,7 @@ def sp_allreduce(manager: HypercubeManager, dims: str | Sequence[int],
         HostReduceStep(scratch_key=_SP_AR_GATHERED,
                        out_key="simplepim.allreduce.reduced",
                        dtype=dtype, op=op, vectors=n,
-                       nbytes=total_data_size).with_instances(len(groups)),
+                       nbytes=total_data_size, instances=len(groups)),
         BroadcastStep(groups=groups, dst_offset=dst_offset,
                       nbytes=total_data_size,
                       scratch_key="simplepim.allreduce.reduced"),

@@ -22,6 +22,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any
 
+from ...errors import CollectiveError
 from ...hw.arena import ScratchPool
 from ...hw.host import SimdCounter
 from ...hw.system import DimmSystem
@@ -70,6 +71,22 @@ class ExecContext:
     #: skip the gather direction).
     saved_transfer_bytes: int = 0
 
+    def host(self, key: str) -> Any:
+        """Host scratch ``key``, which an earlier step must have left."""
+        value = self.scratch.get(key)
+        if value is None:
+            raise CollectiveError(f"no host scratch {key!r}")
+        return value
+
+    def source(self, payloads: Any, key: str | None, what: str) -> Any:
+        """A host push's buffers: ``payloads``, else host scratch ``key``."""
+        if payloads is None and key is not None:
+            payloads = self.host(key)
+        if payloads is None:
+            raise CollectiveError(
+                f"functional {what} needs payloads or a scratch key")
+        return payloads
+
 
 class Step(abc.ABC):
     """One phase of a communication plan."""
@@ -82,17 +99,17 @@ class Step(abc.ABC):
     def cost(self, system: DimmSystem) -> CostLedger:
         """Modelled cost of this step on ``system``."""
 
-    def lower(self, system: DimmSystem) -> "list | None":
-        """Program ops for compiled replay, or None for no lowering.
+    def lower(self) -> list:
+        """The :class:`~repro.core.collectives.program.ProgramOp` list
+        (possibly empty) that replaces this step in compiled replay.
 
-        Returning None wraps the step in a ``StepOp`` fallback that
-        calls :meth:`apply` unchanged; returning a (possibly empty)
-        list of :class:`~repro.core.collectives.program.ProgramOp`
-        replaces the step during replay.  Lowered ops must reproduce
-        ``apply``'s memory effects, scratch outputs and counter charges
-        bit-identically (the interpreted path stays the oracle).
+        Lowered ops must reproduce :meth:`apply`'s memory effects,
+        scratch outputs and counter charges bit-identically (the
+        interpreted path stays the oracle).  A step with no compiled
+        form keeps this default, which raises.
         """
-        return None
+        raise CollectiveError(f"{self.describe()} has no compiled form; "
+                              "run its plan with CommPlan.run")
 
     def describe(self) -> str:
         """Short human-readable label (defaults to the class name)."""

@@ -99,10 +99,6 @@ def _meta(primitive: str, groups: Sequence[CommGroup], config: OptConfig,
         "primitive": primitive,
         "instances": len(groups),
         "group_size": size,
-        # Equal-size groups are the precondition for lowering steps
-        # into shared-index-table program ops (hypercube slicing always
-        # satisfies it; recorded for program/bench introspection).
-        "uniform_groups": all(g.size == size for g in groups),
         "config": config.label,
         "per_pe_bytes": per_pe_bytes,
         "out_bytes_per_pe": out_bytes,
@@ -301,7 +297,7 @@ def plan_reduce(manager: HypercubeManager, dims: str | Sequence[int],
         steps.append(HostReduceStep(
             scratch_key="reduce.gathered", out_key=REDUCE_SCRATCH,
             dtype=dtype, op=op, vectors=n,
-            nbytes=total_data_size).with_instances(len(groups)))
+            nbytes=total_data_size, instances=len(groups)))
     else:
         mode = _pass_mode(config, arithmetic=True, dtype=dtype)
         steps.append(PeReorderStep(groups, "rotate_left_rank", src_offset,

@@ -27,10 +27,9 @@ staging copy.  The interpreted path stays the oracle:
 replay must produce bit-identical memory state, host outputs, ledgers,
 SIMD counts and WRAM tiles (``tests/test_program.py``).
 
-Two step kinds do not lower (``HostGlobalExchangeStep``,
-``HostReduceStep`` -- the conventional-baseline host flows); they are
-wrapped in a :class:`StepOp` fallback that calls ``apply`` unchanged,
-so every plan compiles even when only partially lowered.
+Every step a session plans lowers, the conventional-baseline host
+flows included, so replay never calls ``Step.apply``; a step with no
+compiled form makes :func:`compile_plan` raise ``CollectiveError``.
 
 Fault injection sits at the op boundary: a banded op is one gather
 and one put (per group) of the modelled machine however many bands it
@@ -65,7 +64,7 @@ from ...hw.host import SimdCounter
 from ...hw.kernels import fold_slots
 from ...hw.system import DimmSystem
 from ...hw.timing import ELIDABLE_CATEGORIES, CostLedger, MachineParams
-from .plan import CommPlan, ExecContext, Step
+from .plan import CommPlan, ExecContext
 
 #: Smallest per-op source block (bytes) the elision layer bothers to
 #: fingerprint-scan.  Below this the scan's fixed Python dispatch costs
@@ -214,20 +213,22 @@ def _merged(a: SimdCounter, b: SimdCounter) -> SimdCounter:
     return out
 
 
+@dataclass
 class ProgramOp(abc.ABC):
-    """One lowered (or fallback) stage of a compiled program.
+    """One lowered stage of a compiled program.
 
     Every op has exactly one replay body, :meth:`execute`.  The banded
     ops (:class:`GatherMoveOp`, :class:`ReduceFoldOp`,
     :class:`FanoutScratchOp`) run it as a loop over output-row bands
     sized by ``ctx.tile_bytes``; an untiled replay (``tile_bytes``
     None) is the one-band case, so streamed and untiled replay share
-    every line of it.
+    every line of it.  Every op takes its pre-counted charges, and the
+    labels of the steps it lowers, as keywords.
     """
 
-    simd: SimdCounter
-    wram_tiles: int
-    labels: tuple[str, ...]
+    simd: SimdCounter = field(default_factory=SimdCounter, kw_only=True)
+    wram_tiles: int = field(default=0, kw_only=True)
+    labels: tuple[str, ...] = field(default=(), kw_only=True)
 
     @abc.abstractmethod
     def execute(self, ctx: ExecContext,
@@ -242,9 +243,8 @@ class ProgramOp(abc.ABC):
         """Modelled bus/staging bytes this op moves (0 = unknown).
 
         Used by the elision layer to scale the ledger's transfer-bound
-        categories by the fraction of bytes elisions removed; ops that
-        cannot quantify their traffic (``StepOp`` fallbacks) report 0,
-        which only ever *understates* the elision credit.
+        categories by the fraction of bytes elisions removed; an op
+        that moves nothing over the bus (:class:`HostFoldOp`) reports 0.
         """
         return 0
 
@@ -364,11 +364,11 @@ class _ElisionPlan:
 class GatherMoveOp(_BandedOp):
     """Pure data movement as one stream-table gather + one put.
 
-    Covers PeReorder, RotateExchange and Fanout steps, and any legal
-    composition of adjacent ones (see :func:`_chainable`).  The fused
-    ``out[l, s] = in[lane[l, s], slot[l, s]]`` tables are shared across
-    all ``ngroups`` equal-size groups; ``ids`` is their rank-ordered
-    concatenation.
+    Covers the PeReorder, RotateExchange, Fanout and conventional
+    exchange steps, and legal compositions of them (:func:`_chainable`).
+    The fused ``out[l, s] = in[lane[l, s], slot[l, s]]`` tables are
+    shared across all ``ngroups`` equal-size groups; ``ids`` is their
+    rank-ordered concatenation.
 
     When the replay context carries ``elide=True`` (content-aware
     transfer elision, ``docs/performance.md``), the op first
@@ -396,9 +396,6 @@ class GatherMoveOp(_BandedOp):
     chunk_bytes: int
     lane: np.ndarray
     slot: np.ndarray
-    simd: SimdCounter = field(default_factory=SimdCounter)
-    wram_tiles: int = 0
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         # Flatten the table pair once at lowering time; the elision
@@ -694,7 +691,7 @@ class GatherMoveOp(_BandedOp):
 
 @dataclass
 class ReduceFoldOp(_BandedOp):
-    """ReduceExchange lowered: one rotation gather + slot fold.
+    """ReduceExchange or the conventional fold: gather + slot fold.
 
     Integer dtypes fold with one ``ufunc.reduce`` call (modular
     fixed-width arithmetic is order-independent, so any fold order is
@@ -715,9 +712,6 @@ class ReduceFoldOp(_BandedOp):
     slot: np.ndarray
     dst_offset: int | None = None
     scratch_key: str | None = None
-    simd: SimdCounter = field(default_factory=SimdCounter)
-    wram_tiles: int = 0
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         # One window, the destination chunk (if any); the source is the
@@ -823,9 +817,6 @@ class FanoutScratchOp(_BandedOp):
     dst_offset: int
     chunk_bytes: int
     nslots_out: int
-    simd: SimdCounter = field(default_factory=SimdCounter)
-    wram_tiles: int = 0
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         # The pooled take is unbuffered, so its range check is here: a
@@ -862,11 +853,7 @@ class FanoutScratchOp(_BandedOp):
 
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
-        results = ctx.scratch.get(self.scratch_key)
-        if results is None:
-            raise CollectiveError(
-                f"no host scratch {self.scratch_key!r}; run the reduce "
-                "exchange first")
+        results = ctx.host(self.scratch_key)
         bands = self._bands(ctx.tile_bytes)
         lanes = self.lane.shape[0]
         row_bytes = self.nslots_out * self.chunk_bytes
@@ -917,9 +904,6 @@ class HostPullOp(ProgramOp):
     src_offset: int
     chunk_bytes: int
     scratch_key: str
-    simd: SimdCounter = field(default_factory=SimdCounter)
-    wram_tiles: int = 0
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self._binding = _per_group(self.group_ids, self.src_offset,
@@ -951,9 +935,6 @@ class HostPushOp(ProgramOp):
     dst_offset: int
     chunk_bytes: int
     source_key: str | None = None
-    simd: SimdCounter = field(default_factory=SimdCounter)
-    wram_tiles: int = 0
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self._binding = _per_group(self.group_ids, self.dst_offset,
@@ -963,12 +944,7 @@ class HostPushOp(ProgramOp):
 
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
-        source = payloads
-        if source is None and self.source_key is not None:
-            source = ctx.scratch.get(self.source_key)
-        if source is None:
-            raise CollectiveError(
-                "functional scatter needs payloads or a scratch key")
+        source = ctx.source(payloads, self.source_key, "scatter")
         system = ctx.system
         bound = system.bind(self._binding)
         rows = []
@@ -1005,9 +981,6 @@ class BroadcastFillOp(ProgramOp):
     dst_offset: int
     nbytes: int
     source_key: str | None = None
-    simd: SimdCounter = field(default_factory=SimdCounter)
-    wram_tiles: int = 0
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self._binding = _per_group(self.group_ids, self.dst_offset,
@@ -1015,12 +988,7 @@ class BroadcastFillOp(ProgramOp):
 
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
-        source = payloads
-        if source is None and self.source_key is not None:
-            source = ctx.scratch.get(self.source_key)
-        if source is None:
-            raise CollectiveError(
-                "functional broadcast needs payloads or a scratch key")
+        source = ctx.source(payloads, self.source_key, "broadcast")
         system = ctx.system
         bound = system.bind(self._binding)
         for g, (ids, inst) in enumerate(zip(self.group_ids,
@@ -1038,21 +1006,44 @@ class BroadcastFillOp(ProgramOp):
 
 
 @dataclass
-class StepOp(ProgramOp):
-    """Fallback: replay a step that has no lowering via ``apply``."""
+class HostFoldOp(ProgramOp):
+    """HostReduce lowered: fold host-scratch vectors into host scratch
+    (:func:`fold_host_vectors`), the one op that touches no MRAM."""
 
-    step: Step
-    simd: SimdCounter = field(default_factory=SimdCounter)
-    wram_tiles: int = 0
-    labels: tuple[str, ...] = ()
+    scratch_key: str
+    out_key: str
+    dtype: Any
+    op: Any
+    vectors: int
+    nbytes: int
 
     def execute(self, ctx: ExecContext,
                 payloads: Mapping[int, np.ndarray] | None) -> None:
-        self.step.apply(ctx)
+        ctx.scratch[self.out_key] = fold_host_vectors(
+            ctx.host(self.scratch_key), self.vectors, self.nbytes,
+            self.dtype, self.op)
+        self._charge(ctx)
 
-    def describe(self) -> str:
-        """Label of the wrapped (uncompiled) step."""
-        return f"StepOp({self.step.describe()})"
+
+def fold_host_vectors(buffers: Mapping, vectors: int, nbytes: int,
+                      dtype: Any, op: Any) -> dict:
+    """Reduce each instance's ``vectors`` packed ``nbytes`` host vectors
+    into one (the interpreter's ``HostReduceStep`` folds through it)."""
+    out = {}
+    for instance, buf in buffers.items():
+        stacked = np.asarray(buf, dtype=np.uint8).reshape(
+            vectors, nbytes).view(dtype.np_dtype)
+        out[instance] = np.ascontiguousarray(
+            op.reduce_axis(stacked, axis=0)).view(np.uint8)
+    return out
+
+
+class StepOp:
+    """Never constructed: every step lowers to program ops."""
+
+    # Kept only because benchmarks/e2e/tracer.py lists this name; drop
+    # it with the next change to the benchmark's target list.
+    execute = ProgramOp.execute
 
 
 # ----------------------------------------------------------------------
@@ -1136,15 +1127,9 @@ class CommProgram:
     plan: CommPlan
     ops: list[ProgramOp]
     total_steps: int
-    lowered_steps: int
     fused_away: int
     _ledger: CostLedger
     _params: MachineParams
-
-    @property
-    def fully_lowered(self) -> bool:
-        """True when no op falls back to interpreted ``Step.apply``."""
-        return all(not isinstance(op, StepOp) for op in self.ops)
 
     def priced(self, system: DimmSystem) -> CostLedger:
         """The pre-priced ledger (a fresh copy), repriced only when the
@@ -1253,8 +1238,7 @@ class CommProgram:
     def describe(self) -> str:
         """Multi-line program listing for debugging and docs."""
         lines = [f"CommProgram({self.primitive}, {len(self.ops)} ops from "
-                 f"{self.total_steps} steps, "
-                 f"{self.lowered_steps} lowered, {self.fused_away} fused)"]
+                 f"{self.total_steps} steps, {self.fused_away} fused)"]
         lines.extend(f"  {i}: {op.describe()}"
                      for i, op in enumerate(self.ops))
         return "\n".join(lines)
@@ -1263,27 +1247,17 @@ class CommProgram:
 def compile_plan(plan: CommPlan, system: DimmSystem) -> CommProgram:
     """Lower a plan's steps into a :class:`CommProgram` and fuse them.
 
-    Each step's ``lower(system)`` hook yields its program ops (or None
-    for no lowering, in which case the step rides along as a
-    :class:`StepOp`); a greedy pass then composes adjacent index-map
-    ops wherever dropping the intermediate write is invisible.  The
-    plan's analytic cost is priced once, here, so replay never calls
-    ``estimate`` again.  The program depends on the plan alone: every
-    tile budget and elision setting replays the same program.
+    Each step's ``lower()`` hook yields its program ops, or raises
+    :class:`~repro.errors.CollectiveError` for a step with no compiled
+    form; a greedy pass then composes adjacent index-map ops wherever
+    dropping the intermediate write is invisible.  The plan's analytic
+    cost is priced once, here, so replay never calls ``estimate``
+    again.  The program depends on the plan alone: every tile budget
+    and elision setting replays the same program.
     """
-    ops: list[ProgramOp] = []
-    lowered = 0
-    for step in plan.steps:
-        step_ops = step.lower(system)
-        if step_ops is None:
-            ops.append(StepOp(step, labels=(step.describe(),)))
-        else:
-            lowered += 1
-            ops.extend(step_ops)
-    before = len(ops)
-    ops = _fuse(ops)
+    ops = [op for step in plan.steps for op in step.lower()]
+    fused = _fuse(ops)
     return CommProgram(
-        primitive=plan.primitive, plan=plan, ops=ops,
-        total_steps=len(plan.steps), lowered_steps=lowered,
-        fused_away=before - len(ops), _ledger=plan.estimate(system),
-        _params=system.params)
+        primitive=plan.primitive, plan=plan, ops=fused,
+        total_steps=len(plan.steps), fused_away=len(ops) - len(fused),
+        _ledger=plan.estimate(system), _params=system.params)

@@ -43,30 +43,33 @@ from ...hw.host import (
     rotate_lanes_registerwise,
     rotation_table,
 )
-from ...hw.pe import WRAM_TILE_BYTES, batched_permute_tiles
+from ...hw.pe import WRAM_TILE_BYTES, batched_permute_tiles, permutes_in_place
 from ...hw.system import DimmSystem
 from ...hw.timing import CostLedger
 from ..groups import CommGroup
-from ..reference import (
-    allgather as ref_allgather,
-    allreduce as ref_allreduce,
-    alltoall as ref_alltoall,
-    reduce_scatter as ref_reduce_scatter,
-)
+from .. import reference
 from .plan import ExecContext, Step
 from .program import (
     BroadcastFillOp,
     FanoutScratchOp,
     GatherMoveOp,
+    HostFoldOp,
     HostPullOp,
     HostPushOp,
     ProgramOp,
     ReduceFoldOp,
+    fold_host_vectors,
     readonly_table,
     scaled_counter,
 )
 
 HOST_PASS_MODES = ("staged", "inregister", "crossdomain")
+
+#: The conventional flow's primitives (``HostGlobalExchangeStep``),
+#: and the host scratch its lowered AllReduce folds into.
+_GLOBAL_MOVES = ("alltoall", "allgather")
+_GLOBAL_FOLDS = ("reduce_scatter", "allreduce")
+_GLOBAL_SCRATCH = "global_exchange.reduced"
 
 
 # ----------------------------------------------------------------------
@@ -125,14 +128,15 @@ def union_pes(groups: Sequence[CommGroup]) -> list[int]:
     return sorted(seen)
 
 
-def _uniform_group_size(groups: Sequence[CommGroup]) -> int | None:
-    """The common group size, or None when groups differ (no lowering)."""
-    if not groups:
-        return None
-    size = groups[0].size
-    if any(g.size != size for g in groups):
-        return None
-    return size
+def _uniform_group_size(groups: Sequence[CommGroup]) -> int:
+    """The common group size: program ops share one index table across
+    their groups (hypercube slicing only makes equal ones)."""
+    sizes = {g.size for g in groups}
+    if len(sizes) != 1:
+        raise CollectiveError(
+            f"no compiled form for group sizes {sorted(sizes)}: program "
+            "ops need one or more equal-size groups")
+    return sizes.pop()
 
 
 def _concat_ids(groups: Sequence[CommGroup]) -> np.ndarray:
@@ -254,20 +258,15 @@ class PeReorderStep(Step):
         ledger.add("launch", system.params.kernel_launch_s)
         return ledger
 
-    def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
+    def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
         n = _uniform_group_size(groups)
-        if n is None:
-            return None
-        total = self.nslots * self.chunk_bytes
-        overlapping = (self.src_offset < self.dst_offset + total
-                       and self.dst_offset < self.src_offset + total)
-        if overlapping and self.src_offset != self.dst_offset:
-            return None  # the interpreted kernels reject this; keep it there
+        in_place = permutes_in_place(self.src_offset, self.dst_offset,
+                                     self.nslots * self.chunk_bytes)
         perms = slot_permutation_matrix(self.rule, n, self.nslots)
         tiles = len(groups) * batched_permute_tiles(
             np.asarray(perms, dtype=np.intp), self.chunk_bytes,
-            WRAM_TILE_BYTES, in_place=overlapping)
+            WRAM_TILE_BYTES, in_place=in_place)
         return [GatherMoveOp(
             ids=_concat_ids(groups), ngroups=len(groups),
             src_offset=self.src_offset, dst_offset=self.dst_offset,
@@ -334,11 +333,9 @@ class RotateExchangeStep(Step):
             ledger.add("host_mod", params.mod_time(total, "local"))
         return ledger
 
-    def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
+    def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
         n = _uniform_group_size(groups)
-        if n is None:
-            return None
         probe = SimdCounter()
         charge_rotate_sweep(n, self.chunk_bytes, self.nslots, probe)
         if self.mode != "crossdomain":
@@ -409,11 +406,9 @@ class FanoutStep(Step):
             ledger.add("host_mod", params.mod_time(out_bytes, "local"))
         return ledger
 
-    def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
+    def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
         n = _uniform_group_size(groups)
-        if n is None:
-            return None
         probe = SimdCounter()
         if self.mode != "crossdomain":
             probe.transposes += _dt_registers(n * self.chunk_bytes * (1 + n))
@@ -531,11 +526,9 @@ class ReduceExchangeStep(Step):
             ledger.add("host_mem", params.host_mem_time(kept))
         return ledger
 
-    def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
+    def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
         n = _uniform_group_size(groups)
-        if n is None:
-            return None
         probe = SimdCounter()
         charge_rotate_sweep(n, self.chunk_bytes, self.nslots, probe)
         if self.mode != "crossdomain":
@@ -577,11 +570,7 @@ class FanoutFromHostStep(Step):
         _check_mode(self.mode)
 
     def apply(self, ctx: ExecContext) -> None:
-        results = ctx.scratch.get(self.scratch_key)
-        if results is None:
-            raise CollectiveError(
-                f"no host scratch {self.scratch_key!r}; run the reduce "
-                "exchange first")
+        results = ctx.host(self.scratch_key)
         for group in self.groups:
             acc = results[group.instance]
             row = np.ascontiguousarray(acc).view(np.uint8)
@@ -609,11 +598,9 @@ class FanoutFromHostStep(Step):
             ledger.add("host_mem", params.host_mem_time(2 * out_bytes))
         return ledger
 
-    def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
+    def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
         n = _uniform_group_size(groups)
-        if n is None:
-            return None
         probe = SimdCounter()
         probe.transposes += _dt_registers(n * self.chunk_bytes)
         charge_rotate_sweep(n, self.chunk_bytes, n, probe)
@@ -678,7 +665,7 @@ class GatherToHostStep(Step):
             ledger.add("host_mod", params.mod_time(total, "simd"))
         return ledger
 
-    def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
+    def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
         return [HostPullOp(
             group_ids=_group_id_arrays(groups),
@@ -710,12 +697,7 @@ class ScatterFromHostStep(Step):
     mode: str = "inregister"
 
     def apply(self, ctx: ExecContext) -> None:
-        payloads = self.payloads
-        if payloads is None and self.scratch_key is not None:
-            payloads = ctx.scratch.get(self.scratch_key)
-        if payloads is None:
-            raise CollectiveError(
-                "functional scatter needs payloads or a scratch key")
+        payloads = ctx.source(self.payloads, self.scratch_key, "scatter")
         for group in self.groups:
             buf = np.asarray(payloads[group.instance], dtype=np.uint8)
             expected = group.size * self.chunk_bytes
@@ -741,11 +723,9 @@ class ScatterFromHostStep(Step):
             ledger.add("host_mod", params.mod_time(total, "simd"))
         return ledger
 
-    def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
-        if self.payloads is not None:
-            # A payload-bound copy is transient (one call); only the
-            # unbound template is worth compiling.
-            return None
+    def lower(self) -> list[ProgramOp]:
+        if self.payloads is not None:  # payloads bind at replay
+            raise CollectiveError(f"{self.describe()} is bound to payloads")
         groups = list(self.groups)
         return [HostPushOp(
             group_ids=_group_id_arrays(groups),
@@ -775,12 +755,7 @@ class BroadcastStep(Step):
     scratch_key: str | None = None
 
     def apply(self, ctx: ExecContext) -> None:
-        payloads = self.payloads
-        if payloads is None and self.scratch_key is not None:
-            payloads = ctx.scratch.get(self.scratch_key)
-        if payloads is None:
-            raise CollectiveError(
-                "functional broadcast needs payloads or a scratch key")
+        payloads = ctx.source(self.payloads, self.scratch_key, "broadcast")
         for group in self.groups:
             buf = np.asarray(payloads[group.instance], dtype=np.uint8)
             if buf.size != self.nbytes:
@@ -812,9 +787,9 @@ class BroadcastStep(Step):
                    params.host_mem_time(self.nbytes * len(self.groups)))
         return ledger
 
-    def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
-        if self.payloads is not None:
-            return None
+    def lower(self) -> list[ProgramOp]:
+        if self.payloads is not None:  # payloads bind at replay
+            raise CollectiveError(f"{self.describe()} is bound to payloads")
         groups = list(self.groups)
         return [BroadcastFillOp(
             group_ids=_group_id_arrays(groups),
@@ -842,34 +817,27 @@ class HostReduceStep(Step):
     op: ReduceOp
     vectors: int
     nbytes: int
+    #: Instances reduced (the step holds no groups to count them by).
+    instances: int = 1
 
     def apply(self, ctx: ExecContext) -> None:
-        buffers = ctx.scratch.get(self.scratch_key)
-        if buffers is None:
-            raise CollectiveError(f"no host scratch {self.scratch_key!r}")
-        results = {}
-        for instance, buf in buffers.items():
-            stacked = np.asarray(buf, dtype=np.uint8).reshape(
-                self.vectors, self.nbytes).view(self.dtype.np_dtype)
-            results[instance] = np.ascontiguousarray(
-                self.op.reduce_axis(stacked, axis=0)).view(np.uint8)
-        ctx.scratch[self.out_key] = results
+        ctx.scratch[self.out_key] = fold_host_vectors(
+            ctx.host(self.scratch_key), self.vectors, self.nbytes,
+            self.dtype, self.op)
 
     def cost(self, system: DimmSystem) -> CostLedger:
         params = system.params
-        # One instance count is not known here; charge per stored bytes.
-        total = self.vectors * self.nbytes * self._instances
+        total = self.vectors * self.nbytes * self.instances
         ledger = CostLedger()
         ledger.add("host_reduce", params.reduce_time(total, simd=False))
         ledger.add("host_mem", params.host_mem_time(2 * total))
         return ledger
 
-    _instances: int = 1
-
-    def with_instances(self, count: int) -> "HostReduceStep":
-        """Record the instance count for pricing (builder convenience)."""
-        self._instances = count
-        return self
+    def lower(self) -> list[ProgramOp]:
+        return [HostFoldOp(
+            scratch_key=self.scratch_key, out_key=self.out_key,
+            dtype=self.dtype, op=self.op, vectors=self.vectors,
+            nbytes=self.nbytes, labels=(self.describe(),))]
 
     def describe(self) -> str:
         return f"HostReduce[{self.op}] {self.vectors} x {self.nbytes}B"
@@ -891,7 +859,7 @@ class LaunchStep(Step):
         ledger.add("launch", self.count * system.params.collective_launch_s)
         return ledger
 
-    def lower(self, system: DimmSystem) -> list[ProgramOp] | None:
+    def lower(self) -> list[ProgramOp]:
         # Cost-only (the launch charge lives in the pre-priced ledger);
         # CommProgram.replay draws the launch timeout once per replay.
         return []
@@ -910,8 +878,10 @@ class HostGlobalExchangeStep(Step):
     Everything is pulled to the host with domain transfer, staged in
     host memory, globally re-arranged (and reduced, for arithmetic
     primitives) by the host alone, then pushed back with another domain
-    transfer.  Functionally this delegates to the golden reference
-    collectives, which is exactly what the conventional path computes.
+    transfer.  Interpreted, this delegates to the golden reference
+    collectives, which is exactly what the conventional path computes;
+    compiled, it lowers onto the movement and fold ops of the PID-Comm
+    rungs (:meth:`lower`), priced by the same :meth:`cost`.
     """
 
     groups: Sequence[CommGroup]
@@ -924,18 +894,11 @@ class HostGlobalExchangeStep(Step):
     dtype: DataType
     op: ReduceOp | None = None
 
-    _REFS = {
-        "alltoall": lambda inputs, op: ref_alltoall(inputs),
-        "allgather": lambda inputs, op: ref_allgather(inputs),
-        "reduce_scatter": ref_reduce_scatter,
-        "allreduce": ref_allreduce,
-    }
-
     def __post_init__(self) -> None:
-        if self.primitive not in self._REFS:
+        if self.primitive not in _GLOBAL_MOVES + _GLOBAL_FOLDS:
             raise CollectiveError(
                 f"global exchange does not implement {self.primitive!r}")
-        if self.primitive in ("reduce_scatter", "allreduce") and self.op is None:
+        if self.primitive in _GLOBAL_FOLDS and self.op is None:
             raise CollectiveError(f"{self.primitive} needs a reduce op")
 
     def apply(self, ctx: ExecContext) -> None:
@@ -944,7 +907,9 @@ class HostGlobalExchangeStep(Step):
             rows = ctx.system.read_lanes(group.pe_ids, self.src_offset,
                                          in_bytes)
             inputs = [row.view(self.dtype.np_dtype) for row in rows]
-            outputs = self._REFS[self.primitive](inputs, self.op)
+            ref = getattr(reference, self.primitive)
+            outputs = (ref(inputs) if self.primitive in _GLOBAL_MOVES
+                       else ref(inputs, self.op))
             out = np.stack(
                 [np.ascontiguousarray(o).view(np.uint8) for o in outputs])
             ctx.system.write_lanes(group.pe_ids, self.dst_offset, out)
@@ -965,6 +930,42 @@ class HostGlobalExchangeStep(Step):
         if self.op is not None:
             ledger.add("host_reduce", params.reduce_time(in_bytes, simd=False))
         return ledger
+
+    def lower(self) -> list[ProgramOp]:
+        """Rank ``s`` is lane ``s``: AlltoAll ``out[l, s] = in[s, l]``,
+        AllGather ``out[l, s] = in[s, 0]``; ReduceScatter folds lane
+        ``s``'s slot ``l`` over ``s``, AllReduce into host scratch, then
+        fans it out (``out[l, p] = acc[p]``)."""
+        groups = list(self.groups)
+        n = _uniform_group_size(groups)
+        ids = _concat_ids(groups)
+        labels = (self.describe(),)
+        by_rank = _slot_sweep_table(n, n)
+        if self.primitive in _GLOBAL_MOVES:
+            slot = (_lane_identity_table(n, n) if self.primitive == "alltoall"
+                    else readonly_table(np.zeros((n, n), dtype=np.intp)))
+            return [GatherMoveOp(
+                ids=ids, ngroups=len(groups), src_offset=self.src_offset,
+                dst_offset=self.dst_offset, nslots_in=self.nslots_in,
+                nslots_out=self.nslots_out, chunk_bytes=self.chunk_bytes,
+                lane=by_rank, slot=slot, labels=labels)]
+        instances = tuple(g.instance for g in groups)
+        scatter = self.primitive == "reduce_scatter"
+        ops: list[ProgramOp] = [ReduceFoldOp(
+            ids=ids, ngroups=len(groups), instances=instances,
+            src_offset=self.src_offset, chunk_bytes=self.chunk_bytes,
+            nslots=n, dtype=self.dtype, op=self.op, lane=by_rank,
+            slot=_lane_identity_table(n, n),
+            dst_offset=self.dst_offset if scatter else None,
+            scratch_key=None if scatter else _GLOBAL_SCRATCH,
+            labels=labels)]
+        if not scatter:
+            ops.append(FanoutScratchOp(
+                group_ids=_group_id_arrays(groups), ids=ids,
+                instances=instances, scratch_key=_GLOBAL_SCRATCH,
+                lane=by_rank, dst_offset=self.dst_offset,
+                chunk_bytes=self.chunk_bytes, nslots_out=n, labels=labels))
+        return ops
 
     def describe(self) -> str:
         return (f"HostGlobalExchange[{self.primitive}] "

@@ -279,31 +279,17 @@ class Communicator:
                 # function of the program's shapes, on both branches.
                 tiles = sum(program.tile_counts(tile_bytes))
                 ledger = ledger.pipelined(program.pipeline_depth(tile_bytes))
-            host_outputs = self._host_outputs(req, ctx)
             return CommResult(plan=plan, ledger=ledger,
-                              host_outputs=host_outputs, cached=hit,
-                              simd=ctx.simd if ctx is not None else None,
-                              wram_tiles=ctx.wram_tiles if ctx is not None
-                              else 0,
+                              host_outputs=self._host_outputs(req, ctx),
+                              cached=hit, tiles=tiles,
                               execution=("streamed" if tile_bytes is not None
                                          else "compiled"),
-                              tiles=tiles,
-                              peak_scratch_bytes=ctx.peak_scratch_bytes
-                              if ctx is not None else 0,
-                              chunks_scanned=ctx.chunks_scanned
-                              if ctx is not None else 0,
-                              chunks_elided=ctx.chunks_elided
-                              if ctx is not None else 0,
-                              elided_bytes=ctx.elided_bytes
-                              if ctx is not None else 0), replay_s
+                              **_counters(ctx)), replay_s
         bound = bind_payloads(plan, req.payloads if functional else None)
         ledger, ctx = bound.run(self.manager.system, functional=functional)
-        host_outputs = self._host_outputs(req, ctx)
         return CommResult(plan=bound, ledger=ledger,
-                          host_outputs=host_outputs, cached=hit,
-                          simd=ctx.simd if ctx is not None else None,
-                          wram_tiles=ctx.wram_tiles if ctx is not None
-                          else 0), None
+                          host_outputs=self._host_outputs(req, ctx),
+                          cached=hit, **_counters(ctx)), None
 
     def _record_execution(self, req: NormalizedRequest, result: CommResult,
                           replay_s: float | None, *, backoff_s: float = 0.0,
@@ -452,12 +438,12 @@ class Communicator:
                 raise FaultBudgetExceeded(
                     f"{req.primitive} hit {len(faults)} faults "
                     f"({', '.join(faults)}); budget is "
-                    f"{policy.fault_budget}") from fault
+                    f"{policy.fault_budget}", total) from fault
             if attempts >= policy.max_attempts:
                 raise FaultBudgetExceeded(
                     f"{req.primitive} failed {attempts} attempts "
                     f"(max {policy.max_attempts}); faults: "
-                    f"{', '.join(faults)}") from fault
+                    f"{', '.join(faults)}", total) from fault
 
         while True:
             attempts += 1
@@ -528,10 +514,12 @@ class Communicator:
 
         Each member has its own outcome.  A member that raises
         :class:`~repro.errors.PidCommError` stores the error in its
-        future (``result()`` re-raises it) and adds nothing to either
-        ledger: the modelled seconds of its failed attempts are not
-        priced into the batch.  On a reliable session its footprint has
-        already been rewound.  Later members still run, and no member
+        future (``result()`` re-raises it).  A member that spent its
+        retry policy (:class:`~repro.errors.FaultBudgetExceeded`)
+        prices its failed attempts into both ledgers, from the error's
+        ``ledger``; any other failed member adds nothing.  On a
+        reliable session its footprint has already been rewound.
+        Later members still run, and no member
         ever runs twice.  Only what is checked before any member runs
         (an empty batch, a request that does not normalize) raises
         here.
@@ -557,7 +545,7 @@ class Communicator:
                             for i in indices]
             for i, outcome in zip(indices, outcomes):
                 failed = isinstance(outcome, PidCommError)
-                ledgers[i] = CostLedger() if failed else outcome.ledger
+                ledgers[i] = getattr(outcome, "ledger", None) or CostLedger()
                 futures[i] = CommFuture(
                     index=i, label=normalized[i].describe(), wave=w,
                     _result=None if failed else outcome,
@@ -773,6 +761,17 @@ class Communicator:
         return (f"Communicator({self.manager.shape} cube, "
                 f"config {self.config.label}, {len(self.cache)} cached "
                 f"plans, {self.stats.calls} calls{suffix})")
+
+
+def _counters(ctx) -> dict:
+    """A functional run's :class:`CommResult` counters ({} if analytic)."""
+    if ctx is None:
+        return {}
+    return dict(simd=ctx.simd, wram_tiles=ctx.wram_tiles,
+                peak_scratch_bytes=ctx.peak_scratch_bytes,
+                chunks_scanned=ctx.chunks_scanned,
+                chunks_elided=ctx.chunks_elided,
+                elided_bytes=ctx.elided_bytes)
 
 
 def _caught(call, *args):

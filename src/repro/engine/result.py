@@ -154,7 +154,8 @@ class BatchResult:
 
     futures: list[CommFuture]
     #: Overlap-aware combined cost (waves serialized, instances merged);
-    #: a failed member adds nothing to it or to ``serial_ledger``.
+    #: a failed member adds its failed attempts when it spent its retry
+    #: policy, nothing otherwise (here and in ``serial_ledger``).
     ledger: CostLedger
     #: Cost of the same requests priced one after another.
     serial_ledger: CostLedger

@@ -87,6 +87,11 @@ class FaultBudgetExceeded(ReliabilityError):
 
     kind = "budget"
 
+    def __init__(self, message: str, ledger=None) -> None:
+        super().__init__(message)
+        #: The ``CostLedger`` its failed attempts and backoffs booked.
+        self.ledger = ledger
+
 
 class ServingError(PidCommError):
     """Base class for the multi-tenant serving front-end's errors."""

@@ -106,6 +106,17 @@ def wram_copy(memory: PeMemory, src_offset: int, dst_offset: int,
     return tiles
 
 
+def permutes_in_place(src_offset: int, dst_offset: int, nbytes: int) -> bool:
+    """Whether a permute of ``nbytes`` runs in place (``src == dst``) or
+    between disjoint ranges; partially overlapping ones raise."""
+    if src_offset + nbytes <= dst_offset or dst_offset + nbytes <= src_offset:
+        return False
+    if src_offset != dst_offset:
+        raise TransferError(
+            "partially overlapping permute ranges are not supported")
+    return True
+
+
 def wram_permute_chunks(memory: PeMemory, src_offset: int, dst_offset: int,
                         chunk_bytes: int, permutation: np.ndarray,
                         tile_bytes: int = WRAM_TILE_BYTES) -> int:
@@ -117,21 +128,14 @@ def wram_permute_chunks(memory: PeMemory, src_offset: int, dst_offset: int,
     """
     perm = check_permutation(permutation)
     nslots = perm.size
-    total = nslots * chunk_bytes
     tiles = 0
-    src_end = src_offset + total
-    dst_end = dst_offset + total
-    overlapping = src_offset < dst_end and dst_offset < src_end
-    if not overlapping:
+    if not permutes_in_place(src_offset, dst_offset, nslots * chunk_bytes):
         for i in range(nslots):
             tiles += wram_copy(memory,
                                src_offset + int(perm[i]) * chunk_bytes,
                                dst_offset + i * chunk_bytes,
                                chunk_bytes, tile_bytes)
         return tiles
-    if src_offset != dst_offset:
-        raise TransferError(
-            "partially overlapping permute ranges are not supported")
     # In-place: walk permutation cycles.  One chunk per cycle is parked
     # aside (in WRAM when it fits, else in a reserved MRAM bounce slot,
     # which is what the real kernel does for oversized chunks).

@@ -46,12 +46,17 @@ class GlobalTuner:
         """Every priced candidate, cheapest first.
 
         AlltoAll runs near-first only: reversing its phases changes
-        the price in the last float bit at most, so it cannot win.
+        the price in the last float bit at most, so it cannot win.  The
+        direct exchange over the ring's phase is the ring for AlltoAll
+        (no ring step) and on two hosts (one round), so it is skipped.
         """
         n = self.fabric.num_hosts
         orders = (False,) if primitive == "alltoall" else (True, False)
-        scored = [compile_global(primitive, n, nbytes, "ring", self.fabric)]
+        ring = compile_global(primitive, n, nbytes, "ring", self.fabric)
+        scored = [ring]
         for factors in factor_candidates(n, self.fabric):
+            if factors == ring.factors and (primitive == "alltoall" or n <= 2):
+                continue
             for far_first in orders if len(factors) > 1 else (False,):
                 scored.append(compile_global(
                     primitive, n, nbytes, "exchange", self.fabric,
@@ -73,7 +78,3 @@ class GlobalTuner:
         best = self.candidates(primitive, nbytes)[0]
         self._decisions[key] = best
         return best
-
-    def invalidate(self) -> None:
-        """Drop every cached decision (e.g. after swapping fabrics)."""
-        self._decisions.clear()

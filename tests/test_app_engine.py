@@ -10,8 +10,8 @@ session produced them on the step interpreter: compiled replay must
 charge, count and compute exactly that on real application traffic.
 (A functional harness session compiles, so it always runs on the
 vectorized arena.)
-(b) The interpreter's remaining production footprint is a named list:
-the two conventional-baseline host flows without a ``lower()``.
+(b) Every plan a session or the baseline builds compiles, with no
+step left to the interpreter, and replays to the interpreter's bits.
 
 Regenerate the golden file (only when the cost model itself is changed
 on purpose) with ``PYTHONPATH=src python -m tests.test_app_engine``.
@@ -42,10 +42,13 @@ from repro.apps import (
     PidCommBackend,
 )
 from repro.baselines import topologies  # noqa: F401  (its steps are listed)
-from repro.core.collectives import ABLATION_LADDER, build_plan, steps
+from repro.baselines.simplepim import baseline_plan
+from repro.core.collectives import ABLATION_LADDER, CommPlan, build_plan, steps
 from repro.core.collectives.program import StepOp
+from repro.core.groups import slice_groups
 from repro.data import criteo_like, random_graph, rmat_graph
-from repro.dtypes import INT64, SUM
+from repro.dtypes import FLOAT32, INT64, SUM
+from repro.engine.cache import bind_payloads
 
 from .test_differential_fuzz import PRIMITIVES
 
@@ -123,27 +126,14 @@ def test_scalar_system_matches_the_same_golden_rows(apps, label, backend):
 
 
 # ----------------------------------------------------------------------
-# (b) the interpreter's production footprint is a named list
+# (b) every plan compiles to the interpreter's bits
 # ----------------------------------------------------------------------
-#: Every step class that inherits the base ``lower()`` (returns None,
-#: so ``compile_plan`` wraps it in a ``StepOp``), by defining module.
-#: ``steps``: the conventional-baseline host flows (the Baseline rung's
-#: host-side global exchange and host reduce -- what the paper compares
-#: against, kept as the interpreter executes them).  ``topologies``: the
-#: Figure-23a ring / tree comparison points, run through
-#: ``CommPlan.run`` directly and never built by a session.
+#: Every step class that inherits the base ``lower()`` (which raises, so
+#: a plan holding one does not compile), by defining module: the
+#: Figure-23a ring / tree comparison points, run through ``CommPlan.run``
+#: directly and never built by a session.
 UNLOWERED_STEPS = {
-    "repro.core.collectives.steps": {"HostReduceStep",
-                                     "HostGlobalExchangeStep"},
     "repro.baselines.topologies": {"RingStep", "TreePairStep"},
-}
-#: The only (primitive, rung) plans that compile to a ``StepOp``: the
-#: Baseline rung of the four primitives built from those two flows.
-UNLOWERED_PLANS = {
-    ("alltoall", "Baseline", "HostGlobalExchangeStep"),
-    ("reduce_scatter", "Baseline", "HostGlobalExchangeStep"),
-    ("allreduce", "Baseline", "HostGlobalExchangeStep"),
-    ("reduce", "Baseline", "HostReduceStep"),
 }
 
 
@@ -162,37 +152,99 @@ def test_steps_without_a_lowering_are_a_named_list():
     assert unlowered == UNLOWERED_STEPS
 
 
+def _bitmaps(ndim: int) -> list[str]:
+    """Every non-empty dimension bitmap: the full slice and the
+    multi-group partial ones."""
+    return [format(bits, f"0{ndim}b") for bits in range(1, 1 << ndim)]
+
+
+#: Plans replayed against the oracle on the 256-PE cube: the ones built
+#: from the conventional host flows.  Its PID-Comm rungs run the per-PE
+#: reorder kernels 65,536 times per step when interpreted; the golden
+#: bfs / cc rows above pin them there.
+ORACLE_AT_256 = ("Baseline", "baseline_plan")
+
+
+def _plans(manager, dims, dtype):
+    """``(rung, plan, payloads)`` of all eight primitives at every
+    ablation rung, plus every ``baseline_plan`` plan."""
+    groups = slice_groups(manager, dims)
+    n = groups[0].size
+    chunk = 2 * dtype.itemsize
+    dst = n * chunk
+    rng = np.random.default_rng(len(dims) * 31 + n)
+    for primitive in PRIMITIVES:
+        size = chunk if primitive == "allgather" else n * chunk
+        payloads = None
+        if primitive in ("scatter", "broadcast"):
+            payloads = {g.instance: rng.integers(0, 256, size * (
+                n if primitive == "scatter" else 1), dtype=np.uint8)
+                for g in groups}
+        for rung in ABLATION_LADDER:
+            yield (rung.label,
+                   build_plan(primitive, manager, dims, size, 0, dst, dtype,
+                              SUM, rung), payloads)
+        yield ("baseline_plan",
+               baseline_plan(primitive, manager, dims, size, 0, dst, dtype,
+                             SUM), payloads)
+
+
+def _outcome(system, pes, span, ledger, ctx):
+    scratch = {key: {inst: np.asarray(buf).tobytes()
+                     for inst, buf in value.items()}
+               for key, value in ctx.scratch.items()}
+    return (system.peek_rows(pes, 0, span).tobytes(), scratch,
+            ledger.seconds, ctx.simd, ctx.wram_tiles)
+
+
 @pytest.mark.parametrize("geometry,shape", [(G64, (4, 4, 4)), (G64, (8, 8)),
                                             (G64, (64,)), (G256, (256,))],
                          ids=lambda v: str(v) if isinstance(v, tuple) else "")
 def test_every_rung_lowers_on_the_app_cubes(geometry, shape):
-    """All eight primitives at every ablation rung compile to fully
-    lowered programs, except exactly :data:`UNLOWERED_PLANS`."""
+    """All eight primitives at every ablation rung, and every
+    ``baseline_plan`` plan, compile on full and partial bitmaps with no
+    ``StepOp``, and replay to the interpreted oracle's MRAM, host
+    outputs, ledger, SIMD counts and WRAM tiles.  float32 is the
+    fold-order canary: a reordered float fold changes result bits."""
     system = DimmSystem(geometry, mram_bytes=1 << 17, backend="vectorized")
     manager = HypercubeManager(system, shape=shape)
-    dims = "1" * len(shape)
-    full = 8 * manager.num_nodes
-    unlowered = set()
-    for primitive in PRIMITIVES:
-        size = 8 if primitive == "allgather" else full
-        for rung in ABLATION_LADDER:
-            program = build_plan(primitive, manager, dims, size, 0, full,
-                                 INT64, SUM, rung).compile(system)
-            fallbacks = {(primitive, rung.label, type(op.step).__name__)
-                         for op in program.ops if isinstance(op, StepOp)}
-            assert program.fully_lowered == (not fallbacks)
-            unlowered |= fallbacks
-    assert unlowered == UNLOWERED_PLANS
+    pes = list(manager.all_pes)
+    for dims in _bitmaps(len(shape)):
+        n = slice_groups(manager, dims)[0].size
+        for dtype in (INT64, FLOAT32):
+            span = 2 * n * 2 * dtype.itemsize
+            values = np.random.default_rng(n).standard_normal(
+                (len(pes), span // dtype.itemsize))
+            start = np.ascontiguousarray(
+                (values * 100).astype(dtype.np_dtype)).view(np.uint8)
+            for rung, plan, payloads in _plans(manager, dims, dtype):
+                where = (dims, dtype.name, plan.primitive, rung)
+                program = plan.compile(system)
+                assert not any(isinstance(op, StepOp)
+                               for op in program.ops), where
+                if len(pes) > 64 and rung not in ORACLE_AT_256:
+                    continue
+                system.poke_rows(pes, 0, start)
+                oracle = _outcome(system, pes, span,
+                                  *bind_payloads(plan, payloads).run(system))
+                system.poke_rows(pes, 0, start)
+                mram, scratch, *rest = _outcome(
+                    system, pes, span, *program.replay(system, payloads))
+                assert mram == oracle[0], where
+                assert {key: scratch[key] for key in oracle[1]} \
+                    == oracle[1], where
+                assert rest == list(oracle[2:]), where
 
 
 @pytest.mark.parametrize("label", LABELS)
 def test_pidcomm_apps_execute_no_step_op(apps, label, monkeypatch):
+    """No application call interprets a step: the interpreter's one
+    entry, ``CommPlan.execute``, never runs."""
     executed = []
-    execute = StepOp.execute
-    monkeypatch.setattr(
-        StepOp, "execute",
-        lambda self, *a, **k: executed.append(self) or execute(self, *a, **k))
+    monkeypatch.setattr(CommPlan, "execute",
+                        lambda self, system: executed.append(self))
     run_app(apps[label], PidCommBackend())
+    run_app(apps[label], BaselineCommBackend())
     assert not executed
 
 

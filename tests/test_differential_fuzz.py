@@ -427,11 +427,12 @@ class TestElisionSweep:
                          elide=True, sparsify=True)
         assert all(r.execution == "streamed" for r in results)
 
-    # Every rung that lowers elidable movement (the Baseline ladder
-    # lowers none), untiled and streamed through uneven bands.
+    # Every rung, untiled and streamed through uneven bands.
     @pytest.mark.parametrize("config, tile", [
-        (FULL, None), (PR_ONLY, 257), (PR_IM, 257), (FULL, 257)],
-        ids=["full-untiled", "pr-streamed", "im-streamed", "full-streamed"])
+        (FULL, None), (PR_ONLY, 257), (PR_IM, 257), (FULL, 257),
+        (BASELINE, 257)],
+        ids=["full-untiled", "pr-streamed", "im-streamed", "full-streamed",
+             "baseline-streamed"])
     def test_sparse_sweep_actually_elides(self, config, tile):
         # The random sweep may draw only fold/fanout primitives (no
         # movement op to elide); pin the movement-heavy ones so the

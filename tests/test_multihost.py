@@ -501,7 +501,22 @@ class TestGlobalRounds:
                     assert delivery_problems(program) == [], \
                         program.describe()
                     checked += 1
-        assert checked >= 16 * 2 * 2
+        # Every point prices its ring; composite host counts add
+        # distinct exchanges (AlltoAll at a prime count has the ring
+        # alone, since its direct exchange is the ring's rounds).
+        assert checked > 16 * 2
+
+    @pytest.mark.parametrize("topology",
+                             ["fully_connected", "ring", "leaf_spine"])
+    def test_candidates_are_distinct_programs(self, topology):
+        """No two candidates share their rounds: a duplicate would only
+        be priced twice."""
+        for n in range(1, 17):
+            tuner = GlobalTuner(multihost_fabric(topology, n))
+            for primitive in GLOBAL_PRIMITIVES:
+                rounds = [program.rounds for program
+                          in tuner.candidates(primitive, n * n * 8)]
+                assert len(set(rounds)) == len(rounds), (n, primitive)
 
     @pytest.mark.parametrize("primitive", GLOBAL_PRIMITIVES)
     def test_broken_rounds_are_caught(self, primitive):

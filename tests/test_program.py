@@ -20,14 +20,19 @@ from .helpers import fill_group_inputs, groups_of, make_manager
 
 from repro import (ABLATION_LADDER, BASELINE, Communicator, DimmSystem,
                    FULL, FaultInjector, HypercubeManager, SessionConfig)
-from repro.core.collectives.plan import ExecContext
+from repro.baselines.topologies import ring_allreduce_plan, tree_allreduce_plan
+from repro.core.collectives.plan import CommPlan, ExecContext
+from repro.core.collectives.planner import plan_broadcast, plan_scatter
+from repro.core.collectives.steps import (HostGlobalExchangeStep,
+                                          PeReorderStep, RotateExchangeStep)
+from repro.core.groups import CommGroup
 from repro.core.collectives.program import (
     CommProgram,
     FanoutScratchOp,
     GatherMoveOp,
+    HostFoldOp,
     HostPullOp,
     ReduceFoldOp,
-    StepOp,
     compile_plan,
 )
 from repro.dtypes import FLOAT32, INT8, INT32, INT64, SUM
@@ -166,7 +171,6 @@ class TestFusionStructure:
         program = _program_of(comm)
         # Launch lowers to nothing; PeReorder + RotateExchange +
         # PeReorder compose into a single fancy-index dispatch.
-        assert program.fully_lowered
         assert len(program.ops) == 1
         assert isinstance(program.ops[0], GatherMoveOp)
         assert program.total_steps == 4
@@ -184,7 +188,6 @@ class TestFusionStructure:
         comm.allreduce(BITMAP, total, src_offset=src, dst_offset=dst,
                        data_type=INT32, reduction_type=SUM)
         program = _program_of(comm)
-        assert program.fully_lowered
         assert [type(op) for op in program.ops] == [
             GatherMoveOp, ReduceFoldOp, FanoutScratchOp]
         assert program.fused_away == 1
@@ -200,15 +203,12 @@ class TestFusionStructure:
         comm.reduce(BITMAP, total, src_offset=src, data_type=INT32,
                     reduction_type=SUM, config=BASELINE)
         program = _program_of(comm)
-        # The host-side reduce has no lowering: it rides along as a
-        # StepOp after the lowered gather.
-        assert not program.fully_lowered
-        kinds = [type(op) for op in program.ops]
-        assert HostPullOp in kinds and StepOp in kinds
+        # The conventional flow pulls every vector to the host, then
+        # folds them in host scratch.
+        assert [type(op) for op in program.ops] == [HostPullOp, HostFoldOp]
 
     def test_baseline_plans_keep_global_exchange_interpreted(self):
         manager, comm = self._comm()
-        manager2 = manager  # same session
         groups = groups_of(manager, BITMAP)
         n = groups[0].size
         total = n * CHUNK * 4
@@ -218,9 +218,59 @@ class TestFusionStructure:
                           np.random.default_rng(0))
         comm.alltoall(BITMAP, total, src_offset=src, dst_offset=dst,
                       data_type=INT32, config=BASELINE)
-        program = _program_of(comm)
-        assert not program.fully_lowered
-        assert any(isinstance(op, StepOp) for op in program.ops)
+        # The host's global re-arrangement is one cross-lane gather,
+        # out[l, s] = in[s, l]; the arithmetic flows fold instead.
+        [move] = _program_of(comm).ops
+        assert isinstance(move, GatherMoveOp)
+        n = groups[0].size
+        np.testing.assert_array_equal(move.lane, np.tile(np.arange(n), (n, 1)))
+        np.testing.assert_array_equal(move.slot, move.lane.T)
+        comm.reduce_scatter(BITMAP, total, src_offset=src, dst_offset=dst,
+                            data_type=INT32, reduction_type=SUM,
+                            config=BASELINE)
+        assert [type(op) for op in _program_of(comm).ops] == [ReduceFoldOp]
+        comm.allreduce(BITMAP, total, src_offset=src, dst_offset=dst,
+                       data_type=INT32, reduction_type=SUM, config=BASELINE)
+        assert [type(op) for op in _program_of(comm).ops] == [
+            ReduceFoldOp, FanoutScratchOp]
+
+    def test_plans_without_a_compiled_form_raise(self):
+        """Compiling never falls back to interpreting a step: a plan
+        that cannot lower raises, and ``CommPlan.run`` still runs it."""
+        manager = make_manager(SHAPE)
+        system = manager.system
+        groups = groups_of(manager, BITMAP)
+        n = groups[0].size
+        for build in (ring_allreduce_plan, tree_allreduce_plan):
+            plan = build(manager, BITMAP, n * 8, 0, 4096, INT64, SUM)
+            with pytest.raises(CollectiveError, match="no compiled form"):
+                plan.compile(system)
+            plan.run(system)
+        payload = {g.instance: np.zeros(n * 8, np.uint8) for g in groups}
+        for plan in (plan_scatter(manager, BITMAP, 8, 0, INT64, payload),
+                     plan_broadcast(manager, BITMAP, n * 8, 0, INT64,
+                                    payload)):
+            with pytest.raises(CollectiveError, match="bound to payloads"):
+                plan.compile(system)
+            plan.run(system)
+        rows = groups_of(manager, "10")
+        uneven = [rows[0], CommGroup(1, rows[1].pe_ids[:2])]
+        for step in (PeReorderStep(uneven, "identity", 0, 4096, 8, 2),
+                     RotateExchangeStep(uneven, 0, 8, 2, "staged"),
+                     HostGlobalExchangeStep(uneven, "alltoall", 0, 4096, 8,
+                                            2, 2, INT64)):
+            with pytest.raises(CollectiveError, match="group sizes"):
+                CommPlan("alltoall", [step]).compile(system)
+
+    def test_partially_overlapping_reorder_raises_the_interpreters_error(self):
+        manager = make_manager(SHAPE)
+        groups = groups_of(manager, BITMAP)
+        n = groups[0].size
+        plan = CommPlan("alltoall", [PeReorderStep(
+            groups, "rotate_left_rank", 0, 8, 8, n)])
+        for run in (plan.compile, plan.run):
+            with pytest.raises(TransferError, match="partially overlapping"):
+                run(manager.system)
 
     def test_priced_ledger_matches_estimate_and_is_a_copy(self):
         manager, comm = self._comm()

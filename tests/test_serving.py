@@ -23,10 +23,12 @@ from repro import (
     HypercubeManager,
     SessionConfig,
 )
+from repro.dtypes import INT64
 from repro.engine.cache import PlanCache
 from repro.errors import (
     AdmissionRejected,
     CollectiveError,
+    FaultBudgetExceeded,
     QuotaExceeded,
     RequestShed,
     ServingError,
@@ -40,6 +42,8 @@ from repro.serving import (
     TenantLoad,
     TenantSpec,
 )
+from repro.hw.geometry import DimmGeometry
+from repro.reliability import FaultInjector, ReliabilityPolicy, RetryPolicy
 from repro.serving.admission import PendingRequest
 
 from .helpers import make_manager, parity_config
@@ -405,34 +409,12 @@ class TestQuotasAndLifecycle:
         alone: the member before it ran once, and its MRAM is what a
         solo run leaves (seed 31 faults b's AlltoAll after a's
         ReduceScatter has run; a one-attempt policy forbids a rerun)."""
-        from repro.dtypes import INT64
-        from repro.errors import FaultBudgetExceeded
-        from repro.hw.geometry import DimmGeometry
-        from repro.reliability import (FaultInjector, ReliabilityPolicy,
-                                       RetryPolicy)
-
-        def build():
-            system = DimmSystem(DimmGeometry(1, 1, 4, 4), mram_bytes=1 << 14)
-            manager = HypercubeManager(system, shape=(4, 4))
-            for pe in manager.all_pes:
-                row = np.arange(16, dtype=np.int64)
-                system.write_elements(pe, 0, row * (pe + 1), INT64)
-                system.write_elements(pe, 2048, row * (pe + 3), INT64)
-            return manager
-
-        reduce_a = CommRequest("reduce_scatter", "10", 128, src_offset=0,
-                               dst_offset=4096)
-        alltoall_b = CommRequest("alltoall", "10", 128, src_offset=2048,
-                                 dst_offset=8192)
-        solo_manager = build()
+        reduce_a, alltoall_b, config = _seed31_batch()
+        solo_manager = _seed31_manager()
         Communicator(solo_manager, SessionConfig()).run(reduce_a)
-        config = SessionConfig(
-            fault_injector=FaultInjector(seed=31, drop_rate=0.05),
-            reliability=ReliabilityPolicy(
-                retry=RetryPolicy(max_attempts=1, fault_budget=0)))
 
         async def scenario():
-            manager = build()
+            manager = _seed31_manager()
             server = CollectiveServer(manager, config)
             fut_a = server.session("a").submit(reduce_a)
             fut_b = server.session("b").submit(alltoall_b)
@@ -448,6 +430,58 @@ class TestQuotasAndLifecycle:
             np.testing.assert_array_equal(
                 manager.system.memory(pe).read(0, 1 << 14),
                 solo_manager.system.memory(pe).read(0, 1 << 14))
+
+    def test_failed_batch_member_is_priced(self):
+        """The same seed-31 batch: b's failed AlltoAll attempt costs
+        modelled time, so it is in the batch ledgers and the server
+        clock, not priced at zero."""
+        reduce_a, alltoall_b, config = _seed31_batch()
+        batch = Communicator(_seed31_manager(), config).submit(
+            [reduce_a, alltoall_b])
+        with pytest.raises(FaultBudgetExceeded) as failure:
+            batch[1].result()
+        failed = failure.value.ledger
+        assert failed.total > 0
+        assert batch.serial_ledger.total == pytest.approx(
+            batch[0].result().ledger.total + failed.total)
+        assert batch.ledger.total >= failed.total
+
+        async def serve():
+            server = CollectiveServer(_seed31_manager(), _seed31_batch()[2])
+            server.session("a").submit(reduce_a)
+            fut_b = server.session("b").submit(alltoall_b)
+            server.process()
+            with pytest.raises(FaultBudgetExceeded):
+                await fut_b
+            return server.stats.clock
+
+        assert asyncio.run(serve()) == batch.seconds
+
+
+def _seed31_manager() -> HypercubeManager:
+    """The 16-PE cube of the seed-31 fault repro (EXPERIMENTS.md)."""
+    system = DimmSystem(DimmGeometry(1, 1, 4, 4), mram_bytes=1 << 14)
+    manager = HypercubeManager(system, shape=(4, 4))
+    for pe in manager.all_pes:
+        row = np.arange(16, dtype=np.int64)
+        system.write_elements(pe, 0, row * (pe + 1), INT64)
+        system.write_elements(pe, 2048, row * (pe + 3), INT64)
+    return manager
+
+
+def _seed31_batch() -> tuple[CommRequest, CommRequest, SessionConfig]:
+    """Tenant a's ReduceScatter, tenant b's AlltoAll and a fresh session
+    config (a drop injector, one attempt, no fault budget): at seed 31
+    b's AlltoAll faults after a's ReduceScatter has run."""
+    return (
+        CommRequest("reduce_scatter", "10", 128, src_offset=0,
+                    dst_offset=4096),
+        CommRequest("alltoall", "10", 128, src_offset=2048,
+                    dst_offset=8192),
+        SessionConfig(
+            fault_injector=FaultInjector(seed=31, drop_rate=0.05),
+            reliability=ReliabilityPolicy(
+                retry=RetryPolicy(max_attempts=1, fault_budget=0))))
 
 
 # ----------------------------------------------------------------------
