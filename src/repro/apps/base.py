@@ -46,7 +46,8 @@ class CommBackend(abc.ABC):
                    dims: str, total_data_size: int, src: int = 0,
                    dst: int = 0, dtype: DataType = INT64,
                    op: ReduceOp = SUM) -> CommPlan:
-        """Compile one collective invocation into a payload-free plan."""
+        """Compile one collective invocation into a plan (a run hands
+        scatter/broadcast their payloads, the plan never holds them)."""
 
 
 class PidCommBackend(CommBackend):

@@ -17,9 +17,7 @@ multi-dimensional hypercube for fairness.  We reproduce exactly that:
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..core.collectives import BASELINE, CommPlan
 from ..core.collectives.planner import (
@@ -110,9 +108,7 @@ def baseline_plan(primitive: str, manager: HypercubeManager,
                   dims: str | Sequence[int], total_data_size: int,
                   src_offset: int = 0, dst_offset: int = 0,
                   dtype: DataType | None = None,
-                  op: ReduceOp | None = None,
-                  payloads: Mapping[int, np.ndarray] | None = None
-                  ) -> CommPlan:
+                  op: ReduceOp | None = None) -> CommPlan:
     """Build the evaluation-baseline plan for any primitive.
 
     Dispatches to the SimplePIM implementation where one exists and to
@@ -139,13 +135,13 @@ def baseline_plan(primitive: str, manager: HypercubeManager,
                            dtype, BASELINE)
     if primitive == "scatter":
         return plan_scatter(manager, dims, total_data_size, dst_offset,
-                            dtype, payloads, BASELINE)
+                            dtype, BASELINE)
     if primitive == "reduce":
         return plan_reduce(manager, dims, total_data_size, src_offset,
                            dtype, op, BASELINE)
     if primitive == "broadcast":
         return plan_broadcast(manager, dims, total_data_size, dst_offset,
-                              dtype, payloads, BASELINE)
+                              dtype, BASELINE)
     raise CollectiveError(f"unknown primitive {primitive!r}")
 
 

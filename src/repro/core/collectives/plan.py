@@ -13,16 +13,19 @@ assert that what a plan *does* is what it *charges for*.
 
 Steps communicate host-side intermediates (gathered buffers, reduced
 rows) through the :class:`ExecContext` scratch dictionary, modelling
-host memory held across phases of one collective.
+host memory held across phases of one collective.  The context also
+carries the call's scatter/broadcast payloads, so a plan holds none.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping, Sequence
 
-from ...errors import CollectiveError
+import numpy as np
+
+from ...errors import CollectiveError, TransferError
 from ...hw.arena import ScratchPool
 from ...hw.host import SimdCounter
 from ...hw.system import DimmSystem
@@ -34,6 +37,9 @@ class ExecContext:
     """State threaded through a plan's functional execution."""
 
     system: DimmSystem
+    #: The call's scatter/broadcast host buffers (instance -> array),
+    #: which host pushes not fed from scratch read through :meth:`source`.
+    payloads: Mapping[int, np.ndarray] | None = None
     #: Host-side intermediates keyed by (step-defined) names.
     scratch: dict[str, Any] = field(default_factory=dict)
     #: Register-operation counts accumulated by the host data path.
@@ -78,14 +84,29 @@ class ExecContext:
             raise CollectiveError(f"no host scratch {key!r}")
         return value
 
-    def source(self, payloads: Any, key: str | None, what: str) -> Any:
-        """A host push's buffers: ``payloads``, else host scratch ``key``."""
-        if payloads is None and key is not None:
-            payloads = self.host(key)
-        if payloads is None:
-            raise CollectiveError(
-                f"functional {what} needs payloads or a scratch key")
-        return payloads
+    def source(self, key: str | None, what: str,
+               sizes: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+        """A host push's buffers as flat bytes, one per ``(instance,
+        nbytes)`` of ``sizes``: host scratch ``key``, else the call's
+        payloads.  All are checked before the caller writes any, so a
+        missing or mis-sized buffer leaves MRAM as it was.
+        """
+        buffers = self.payloads if key is None else self.host(key)
+        if buffers is None:
+            raise CollectiveError(f"functional {what} needs payloads")
+        out = []
+        for instance, nbytes in sizes:
+            buf = buffers.get(instance)
+            if buf is None:
+                raise TransferError(
+                    f"{what} has no payload for instance {instance}")
+            buf = np.ascontiguousarray(buf).reshape(-1).view(np.uint8)
+            if buf.size != nbytes:
+                raise TransferError(
+                    f"{what} payload of {buf.size}B for instance "
+                    f"{instance}, expected {nbytes}B")
+            out.append(buf)
+        return out
 
 
 class Step(abc.ABC):
@@ -129,9 +150,12 @@ class CommPlan:
     _priced: tuple[Any, CostLedger] | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    def execute(self, system: DimmSystem) -> ExecContext:
-        """Run functionally; returns the context (host outputs in scratch)."""
-        ctx = ExecContext(system=system)
+    def execute(self, system: DimmSystem,
+                payloads: Mapping[int, np.ndarray] | None = None
+                ) -> ExecContext:
+        """Run functionally, host pushes reading ``payloads``; returns
+        the context (host outputs in scratch)."""
+        ctx = ExecContext(system=system, payloads=payloads)
         for step in self.steps:
             step.apply(ctx)
         return ctx
@@ -151,14 +175,15 @@ class CommPlan:
             priced = self._priced = (system.params, ledger)
         return priced[1].copy()
 
-    def run(self, system: DimmSystem, functional: bool = True
+    def run(self, system: DimmSystem, functional: bool = True,
+            payloads: Mapping[int, np.ndarray] | None = None
             ) -> tuple[CostLedger, ExecContext | None]:
         """Estimate and (optionally) execute; returns (ledger, ctx)."""
         ledger = self.estimate(system)
-        ctx = self.execute(system) if functional else None
+        ctx = self.execute(system, payloads) if functional else None
         return ledger, ctx
 
-    def compile(self, system: DimmSystem):
+    def compile(self):
         """Lower this plan into a replayable compiled program.
 
         Convenience wrapper around
@@ -166,7 +191,7 @@ class CommPlan:
         lazily: the program module builds on this one).
         """
         from .program import compile_plan
-        return compile_plan(self, system)
+        return compile_plan(self)
 
     def describe(self) -> str:
         """Multi-line plan listing for debugging and docs."""

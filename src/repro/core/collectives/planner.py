@@ -28,9 +28,7 @@ preparation kernels.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ...dtypes import DataType, ReduceOp, check_op_dtype
 from ...errors import CollectiveError
@@ -258,23 +256,20 @@ def plan_gather(manager: HypercubeManager, dims: str | Sequence[int],
 
 def plan_scatter(manager: HypercubeManager, dims: str | Sequence[int],
                  total_data_size: int, dst_offset: int, dtype: DataType,
-                 payloads: Mapping[int, np.ndarray] | None = None,
                  config: OptConfig = FULL) -> CommPlan:
     """Scatter host chunks to the PEs (ReduceScatter steps 6-7).
 
-    ``total_data_size`` is the per-PE chunk each member receives;
-    ``payloads[instance]`` must hold ``group_size * total_data_size``
-    bytes (may be omitted for analytic runs).
+    ``total_data_size`` is the per-PE chunk each member receives; a
+    run's ``payloads[instance]`` holds ``group_size * total_data_size``
+    bytes.
     """
     groups, _ = _prepare(manager, dims)
     chunk = _chunk_of(total_data_size, 1, dtype, "scatter")
     mode = "inregister" if config.in_register else "conventional"
-    payload_dict = _payload_bytes(payloads)
     steps: list[Step] = [
         LaunchStep(),
         ScatterFromHostStep(groups=groups, dst_offset=dst_offset,
-                            chunk_bytes=chunk, payloads=payload_dict,
-                            mode=mode),
+                            chunk_bytes=chunk, mode=mode),
     ]
     return CommPlan("scatter", steps,
                     _meta("scatter", groups, config, 0, total_data_size))
@@ -312,7 +307,6 @@ def plan_reduce(manager: HypercubeManager, dims: str | Sequence[int],
 
 def plan_broadcast(manager: HypercubeManager, dims: str | Sequence[int],
                    total_data_size: int, dst_offset: int, dtype: DataType,
-                   payloads: Mapping[int, np.ndarray] | None = None,
                    config: OptConfig = FULL) -> CommPlan:
     """Broadcast host buffers to every member PE.
 
@@ -324,19 +318,10 @@ def plan_broadcast(manager: HypercubeManager, dims: str | Sequence[int],
     steps: list[Step] = [
         LaunchStep(),
         BroadcastStep(groups=groups, dst_offset=dst_offset,
-                      nbytes=total_data_size,
-                      payloads=_payload_bytes(payloads)),
+                      nbytes=total_data_size),
     ]
     return CommPlan("broadcast", steps,
                     _meta("broadcast", groups, config, 0, total_data_size))
-
-
-def _payload_bytes(payloads: Mapping[int, np.ndarray] | None
-                   ) -> dict[int, np.ndarray] | None:
-    if payloads is None:
-        return None
-    return {int(k): np.ascontiguousarray(v).reshape(-1).view(np.uint8)
-            for k, v in payloads.items()}
 
 
 #: The eight primitives, in the paper's Figure-10 order.
@@ -350,7 +335,7 @@ def build_plan(primitive: str, manager: HypercubeManager,
                dims: str | Sequence[int], total_data_size: int,
                src_offset: int, dst_offset: int, dtype: DataType,
                op: ReduceOp, config: OptConfig = FULL) -> CommPlan:
-    """Payload-free plan of one invocation of any primitive.
+    """The plan of one invocation of any primitive.
 
     The one place a primitive's name becomes its planner call (rooted
     primitives take one offset, arithmetic ones the reduce op).  The
@@ -370,10 +355,10 @@ def build_plan(primitive: str, manager: HypercubeManager,
     if primitive == "gather":
         return plan_gather(m, dims, size, src, dtype, config)
     if primitive == "scatter":
-        return plan_scatter(m, dims, size, dst, dtype, None, config)
+        return plan_scatter(m, dims, size, dst, dtype, config)
     if primitive == "reduce":
         return plan_reduce(m, dims, size, src, dtype, op, config)
     if primitive == "broadcast":
-        return plan_broadcast(m, dims, size, dst, dtype, None, config)
+        return plan_broadcast(m, dims, size, dst, dtype, config)
     raise CollectiveError(
         f"unknown primitive {primitive!r}; known: {ALL_PRIMITIVES}")

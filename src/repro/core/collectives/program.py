@@ -9,10 +9,9 @@ of the plan key.  :func:`compile_plan` lowers the step list once into a
 * the concatenated arena row ids of every group member,
 * read-only fused ``(lane, slot)`` index tables (PeReorder ∘
   RotateExchange ∘ PeReorder composed into a single fancy index where
-  legal, with the CM byte-rotation folded into the same map),
+  legal, with the CM byte-rotation folded into the same map), and
 * pre-counted :class:`~repro.hw.host.SimdCounter` charges and WRAM
-  tile totals, and
-* a pre-priced :class:`~repro.hw.timing.CostLedger`,
+  tile totals,
 
 so steady-state replay of a cache-hit plan is a handful of numpy
 dispatches with zero index math, zero permutation validation, and zero
@@ -63,7 +62,7 @@ from ...hw.arena import (
 from ...hw.host import SimdCounter
 from ...hw.kernels import fold_slots
 from ...hw.system import DimmSystem
-from ...hw.timing import ELIDABLE_CATEGORIES, CostLedger, MachineParams
+from ...hw.timing import ELIDABLE_CATEGORIES, CostLedger
 from .plan import CommPlan, ExecContext
 
 #: Smallest per-op source block (bytes) the elision layer bothers to
@@ -231,8 +230,7 @@ class ProgramOp(abc.ABC):
     labels: tuple[str, ...] = field(default=(), kw_only=True)
 
     @abc.abstractmethod
-    def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+    def execute(self, ctx: ExecContext) -> None:
         """Replay this stage against ``ctx.system``."""
 
     def tile_count(self, tile_bytes: int) -> int:
@@ -425,8 +423,7 @@ class GatherMoveOp(_BandedOp):
         self._site = (self.ids,
                       self.ids.size * self.nslots_out * self.chunk_bytes)
 
-    def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+    def execute(self, ctx: ExecContext) -> None:
         bands = self._bands(ctx.tile_bytes)
         plan = None
         if ctx.elide and self._elidable():
@@ -727,8 +724,7 @@ class ReduceFoldOp(_BandedOp):
         self._put_sites = (() if self.dst_offset is None else
                            ((self.ids, self.ids.size * self.chunk_bytes),))
 
-    def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+    def execute(self, ctx: ExecContext) -> None:
         bands = self._bands(ctx.tile_bytes)
         np_dtype = self.dtype.np_dtype
         elems = self.chunk_bytes // self.dtype.itemsize
@@ -851,8 +847,7 @@ class FanoutScratchOp(_BandedOp):
     def tile_count(self, tile_bytes: int) -> int:
         return len(self._bands(tile_bytes)) * len(self.group_ids)
 
-    def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+    def execute(self, ctx: ExecContext) -> None:
         results = ctx.host(self.scratch_key)
         bands = self._bands(ctx.tile_bytes)
         lanes = self.lane.shape[0]
@@ -909,8 +904,7 @@ class HostPullOp(ProgramOp):
         self._binding = _per_group(self.group_ids, self.src_offset,
                                    self.chunk_bytes)
 
-    def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+    def execute(self, ctx: ExecContext) -> None:
         results = {}
         system = ctx.system
         bound = system.bind(self._binding)
@@ -941,21 +935,15 @@ class HostPushOp(ProgramOp):
                                    self.chunk_bytes)
         self._put_sites = tuple((ids, ids.size * self.chunk_bytes)
                                 for ids in self.group_ids)
+        self._sizes = [(inst, ids.size * self.chunk_bytes)
+                       for ids, inst in zip(self.group_ids, self.instances)]
 
-    def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
-        source = ctx.source(payloads, self.source_key, "scatter")
+    def execute(self, ctx: ExecContext) -> None:
+        bufs = ctx.source(self.source_key, "scatter", self._sizes)
+        rows = [buf.reshape(ids.size, self.chunk_bytes)
+                for ids, buf in zip(self.group_ids, bufs)]
         system = ctx.system
         bound = system.bind(self._binding)
-        rows = []
-        for ids, inst in zip(self.group_ids, self.instances):
-            buf = np.asarray(source[inst], dtype=np.uint8)
-            expected = ids.size * self.chunk_bytes
-            if buf.size != expected:
-                raise TransferError(
-                    f"scatter payload of {buf.size}B for instance "
-                    f"{inst}, expected {expected}B")
-            rows.append(buf.reshape(ids.size, self.chunk_bytes))
 
         def move(limit: int | None) -> None:
             lanes = len(self.group_ids[0])
@@ -986,18 +974,12 @@ class BroadcastFillOp(ProgramOp):
         self._binding = _per_group(self.group_ids, self.dst_offset,
                                    self.nbytes)
 
-    def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
-        source = ctx.source(payloads, self.source_key, "broadcast")
+    def execute(self, ctx: ExecContext) -> None:
+        bufs = ctx.source(self.source_key, "broadcast",
+                          [(inst, self.nbytes) for inst in self.instances])
         system = ctx.system
         bound = system.bind(self._binding)
-        for g, (ids, inst) in enumerate(zip(self.group_ids,
-                                            self.instances)):
-            buf = np.asarray(source[inst], dtype=np.uint8)
-            if buf.size != self.nbytes:
-                raise TransferError(
-                    f"broadcast payload of {buf.size}B, expected "
-                    f"{self.nbytes}B")
+        for g, (ids, buf) in enumerate(zip(self.group_ids, bufs)):
             system.fill_lanes(ids, self.dst_offset, buf, bound.window(g))
         self._charge(ctx)
 
@@ -1017,8 +999,7 @@ class HostFoldOp(ProgramOp):
     vectors: int
     nbytes: int
 
-    def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+    def execute(self, ctx: ExecContext) -> None:
         ctx.scratch[self.out_key] = fold_host_vectors(
             ctx.host(self.scratch_key), self.vectors, self.nbytes,
             self.dtype, self.op)
@@ -1121,23 +1102,18 @@ def _fuse(ops: list[ProgramOp]) -> list[ProgramOp]:
 # ----------------------------------------------------------------------
 @dataclass
 class CommProgram:
-    """A compiled, fused, pre-priced execution program for one plan."""
+    """A compiled, fused execution program for one plan."""
 
     primitive: str
     plan: CommPlan
     ops: list[ProgramOp]
     total_steps: int
     fused_away: int
-    _ledger: CostLedger
-    _params: MachineParams
 
     def priced(self, system: DimmSystem) -> CostLedger:
-        """The pre-priced ledger (a fresh copy), repriced only when the
-        system's machine parameters changed since compilation."""
-        if system.params is not self._params:
-            self._ledger = self.plan.estimate(system)
-            self._params = system.params
-        return self._ledger.copy()
+        """The plan's ledger on ``system`` (a fresh copy of
+        :meth:`CommPlan.estimate`'s memo)."""
+        return self.plan.estimate(system)
 
     def tile_counts(self, tile_bytes: int) -> list[int]:
         """Per-op band counts a replay at this budget runs (static)."""
@@ -1158,7 +1134,8 @@ class CommProgram:
                pool: ScratchPool | None = None,
                workers=None,
                elide: bool = False) -> tuple[CostLedger, ExecContext]:
-        """Execute the compiled ops; returns (ledger, context).
+        """Execute the compiled ops, host pushes reading ``payloads``;
+        returns (ledger, context).
 
         Bit-identical to interpreting the source plan: same memory
         state, scratch outputs, SIMD counts and WRAM tiles -- at a
@@ -1191,8 +1168,8 @@ class CommProgram:
         elif pool is None:
             pool = ScratchPool()
         ledger = self.priced(system)
-        ctx = ExecContext(system=system, elide=elide, tile_bytes=tile_bytes,
-                          pool=pool, workers=workers)
+        ctx = ExecContext(system=system, payloads=payloads, elide=elide,
+                          tile_bytes=tile_bytes, pool=pool, workers=workers)
         injector = system.fault_injector
         if injector is not None:
             # The lowered-away LaunchStep's fault site.
@@ -1202,7 +1179,7 @@ class CommProgram:
                 pool.release()
             if injector is not None:
                 op.launch(injector)
-            op.execute(ctx, payloads)
+            op.execute(ctx)
         if pool is not None:
             ctx.peak_scratch_bytes = pool.peak_bytes
             if workers is not None:
@@ -1244,20 +1221,21 @@ class CommProgram:
         return "\n".join(lines)
 
 
-def compile_plan(plan: CommPlan, system: DimmSystem) -> CommProgram:
+def compile_plan(plan: CommPlan) -> CommProgram:
     """Lower a plan's steps into a :class:`CommProgram` and fuse them.
 
     Each step's ``lower()`` hook yields its program ops, or raises
     :class:`~repro.errors.CollectiveError` for a step with no compiled
     form; a greedy pass then composes adjacent index-map ops wherever
-    dropping the intermediate write is invisible.  The plan's analytic
-    cost is priced once, here, so replay never calls ``estimate``
-    again.  The program depends on the plan alone: every tile budget
-    and elision setting replays the same program.
+    dropping the intermediate write is invisible.  Pricing stays with
+    the plan (:meth:`CommProgram.priced` reads
+    :meth:`CommPlan.estimate`'s memo), and a call's payloads reach the
+    ops through the replay context, so the program depends on the plan
+    alone: every machine, payload, tile budget and elision setting
+    replays the same program.
     """
     ops = [op for step in plan.steps for op in step.lower()]
     fused = _fuse(ops)
     return CommProgram(
         primitive=plan.primitive, plan=plan, ops=fused,
-        total_steps=len(plan.steps), fused_away=len(ops) - len(fused),
-        _ledger=plan.estimate(system), _params=system.params)
+        total_steps=len(plan.steps), fused_away=len(ops) - len(fused))

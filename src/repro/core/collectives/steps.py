@@ -682,29 +682,24 @@ class GatherToHostStep(Step):
 class ScatterFromHostStep(Step):
     """Push per-PE chunks from host buffers down to the PEs.
 
-    ``payloads`` maps instance -> uint8 array of ``size * chunk`` bytes
-    (rank-order concatenation).  In analytic mode payloads may be None.
+    Each instance's buffer holds ``size * chunk`` bytes (rank-order
+    concatenation): the call's payload, or host scratch ``scratch_key``.
     """
 
     groups: Sequence[CommGroup]
     dst_offset: int
     chunk_bytes: int
-    payloads: dict[int, np.ndarray] | None = None
-    #: Alternatively read payloads from host scratch (e.g. a prior gather).
+    #: Read the buffers from host scratch (e.g. a prior gather) instead.
     scratch_key: str | None = None
     #: "inregister" streams registers down; "conventional" pre-arranges
     #: the per-PE layout in a staging buffer with scalar code.
     mode: str = "inregister"
 
     def apply(self, ctx: ExecContext) -> None:
-        payloads = ctx.source(self.payloads, self.scratch_key, "scatter")
-        for group in self.groups:
-            buf = np.asarray(payloads[group.instance], dtype=np.uint8)
-            expected = group.size * self.chunk_bytes
-            if buf.size != expected:
-                raise TransferError(
-                    f"scatter payload of {buf.size}B for instance "
-                    f"{group.instance}, expected {expected}B")
+        bufs = ctx.source(self.scratch_key, "scatter",
+                          [(g.instance, g.size * self.chunk_bytes)
+                           for g in self.groups])
+        for group, buf in zip(self.groups, bufs):
             ctx.system.write_lanes(group.pe_ids, self.dst_offset,
                                    buf.reshape(group.size, self.chunk_bytes))
 
@@ -724,8 +719,6 @@ class ScatterFromHostStep(Step):
         return ledger
 
     def lower(self) -> list[ProgramOp]:
-        if self.payloads is not None:  # payloads bind at replay
-            raise CollectiveError(f"{self.describe()} is bound to payloads")
         groups = list(self.groups)
         return [HostPushOp(
             group_ids=_group_id_arrays(groups),
@@ -751,16 +744,12 @@ class BroadcastStep(Step):
     groups: Sequence[CommGroup]
     dst_offset: int
     nbytes: int
-    payloads: dict[int, np.ndarray] | None = None
     scratch_key: str | None = None
 
     def apply(self, ctx: ExecContext) -> None:
-        payloads = ctx.source(self.payloads, self.scratch_key, "broadcast")
-        for group in self.groups:
-            buf = np.asarray(payloads[group.instance], dtype=np.uint8)
-            if buf.size != self.nbytes:
-                raise TransferError(
-                    f"broadcast payload of {buf.size}B, expected {self.nbytes}B")
+        bufs = ctx.source(self.scratch_key, "broadcast",
+                          [(g.instance, self.nbytes) for g in self.groups])
+        for group, buf in zip(self.groups, bufs):
             # fill_lanes is the fault site: one checksummed delivery of
             # the shared image per group.
             ctx.system.fill_lanes(group.pe_ids, self.dst_offset, buf)
@@ -788,8 +777,6 @@ class BroadcastStep(Step):
         return ledger
 
     def lower(self) -> list[ProgramOp]:
-        if self.payloads is not None:  # payloads bind at replay
-            raise CollectiveError(f"{self.describe()} is bound to payloads")
         groups = list(self.groups)
         return [BroadcastFillOp(
             group_ids=_group_id_arrays(groups),

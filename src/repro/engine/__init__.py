@@ -10,7 +10,7 @@ overlap-aware scheduling (:func:`schedule_waves` +
 :mod:`repro.serving` instead of constructing sessions.
 """
 
-from .cache import CachePartition, PartitionKey, PlanCache, bind_payloads
+from .cache import CachePartition, PartitionKey, PlanCache
 from .communicator import Communicator
 from .parallel import WorkerPool
 from .request import CommRequest, NormalizedRequest, PlanKey
@@ -24,6 +24,6 @@ __all__ = [
     "Communicator", "CommRequest", "CommResult", "CommFuture",
     "BatchResult", "PlanCache", "CachePartition", "PartitionKey",
     "PlanKey", "EngineStats", "SessionConfig", "EXECUTION_MODES",
-    "NormalizedRequest", "WaveCost", "WorkerPool", "bind_payloads",
+    "NormalizedRequest", "WaveCost", "WorkerPool",
     "schedule_waves", "price_waves", "assert_wave_safety",
 ]

@@ -5,11 +5,9 @@ times per run (one AllReduce per GNN layer per epoch, one AlltoAll per
 BFS frontier round, ...), yet planning re-slices the hypercube into
 groups, re-validates sizes, and rebuilds step lists on every call.
 Plans are stateless once built -- steps hold only static parameters and
-every execution threads its own :class:`ExecContext` -- so a compiled
-plan is reusable verbatim.  The only per-call state a plan can carry is
-scatter/broadcast payloads; cached plans are therefore compiled
-*payload-free* and :func:`bind_payloads` grafts the call's payloads
-onto a shallow copy at submission time.
+every execution threads its own :class:`ExecContext`, which carries
+the call's scatter/broadcast payloads too -- so a cached plan and its
+compiled program are reused verbatim by every call, on either engine.
 
 Keys are :class:`~repro.engine.request.PlanKey` instances:
 ``(primitive, dims, size, offsets, dtype, op, variant)`` where
@@ -20,13 +18,10 @@ counters feed :class:`~repro.engine.stats.EngineStats`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..core.collectives import CommPlan
-from ..core.collectives.planner import _payload_bytes
 from ..core.collectives.program import CommProgram
 from .request import PlanKey
 
@@ -283,30 +278,3 @@ class PlanCache:
             view.hits = 0
             view.misses = 0
             view.evictions = 0
-
-
-def bind_payloads(plan: CommPlan,
-                  payloads: Mapping[int, np.ndarray] | None) -> CommPlan:
-    """Graft per-call payloads onto a cached, payload-free plan.
-
-    Returns ``plan`` unchanged when there is nothing to bind.  Only
-    steps that source data from host payloads (and are not already fed
-    from a scratch key by an earlier step) are copied; all other steps
-    are shared with the cached plan, which stays payload-free.
-    """
-    if payloads is None:
-        return plan
-    raw = _payload_bytes(payloads)
-    steps = []
-    bound = False
-    for step in plan.steps:
-        takes_payloads = (hasattr(step, "payloads")
-                          and getattr(step, "scratch_key", None) is None)
-        if takes_payloads:
-            steps.append(replace(step, payloads=raw))
-            bound = True
-        else:
-            steps.append(step)
-    if not bound:
-        return plan
-    return CommPlan(plan.primitive, steps, plan.meta)

@@ -43,7 +43,6 @@ from ..core.collectives import (
     OptConfig,
     build_plan,
 )
-from ..core.collectives.planner import _payload_bytes
 from ..core.groups import member_pes
 from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, ReduceOp
@@ -57,7 +56,7 @@ from ..errors import (
 from ..hw.arena import ScratchPool
 from ..hw.timing import CostLedger
 from ..reliability import RELIABLE
-from .cache import DEFAULT_MAXSIZE, PlanCache, bind_payloads
+from .cache import DEFAULT_MAXSIZE, PlanCache
 from .parallel import WorkerPool
 from .request import CommRequest, NormalizedRequest
 from .result import BatchResult, CommFuture, CommResult, reduced_vector
@@ -150,7 +149,7 @@ class Communicator:
         return self.cache.partition(req.tenant)
 
     def _compile(self, req: NormalizedRequest) -> tuple[CommPlan, bool]:
-        """Cached plan for ``req`` (payload-free); returns (plan, hit)."""
+        """Cached plan for ``req``; returns (plan, hit)."""
         cache = self._plan_cache_for(req)
         plan, hit = cache.fetch(req.plan_key,
                                 lambda: self._build_plan(req))
@@ -172,7 +171,7 @@ class Communicator:
 
         def build() -> CommProgram:
             start = perf_counter()
-            program = plan.compile(self.manager.system)
+            program = plan.compile()
             self.stats.record_compile(perf_counter() - start)
             return program
 
@@ -254,42 +253,36 @@ class Communicator:
         """
         self._check_payloads(req, functional)
         plan, program, hit = resolved
-        if program is not None:
-            tile_bytes = self.stream_tile_bytes
-            replay_s = None
-            if functional:
-                raw = (_payload_bytes(req.payloads)
-                       if req.payloads is not None else None)
-                start = perf_counter()
-                ledger, ctx = program.replay(self.manager.system,
-                                             payloads=raw,
-                                             tile_bytes=tile_bytes,
-                                             pool=self._replay_pool(),
-                                             workers=self._band_workers(),
-                                             elide=self.elide_transfers)
-                replay_s = perf_counter() - start
-            else:
-                # Analytic calls never elide: elision is a property of
-                # the actual payload content, which analytic pricing
-                # never sees.
-                ledger, ctx = program.priced(self.manager.system), None
-            tiles = 0
-            if tile_bytes is not None:
-                # The tile plan (and so the pipeline depth) is a pure
-                # function of the program's shapes, on both branches.
-                tiles = sum(program.tile_counts(tile_bytes))
-                ledger = ledger.pipelined(program.pipeline_depth(tile_bytes))
-            return CommResult(plan=plan, ledger=ledger,
-                              host_outputs=self._host_outputs(req, ctx),
-                              cached=hit, tiles=tiles,
-                              execution=("streamed" if tile_bytes is not None
-                                         else "compiled"),
-                              **_counters(ctx)), replay_s
-        bound = bind_payloads(plan, req.payloads if functional else None)
-        ledger, ctx = bound.run(self.manager.system, functional=functional)
-        return CommResult(plan=bound, ledger=ledger,
+        system = self.manager.system
+        tile_bytes = self.stream_tile_bytes if program is not None else None
+        replay_s = None
+        if program is None:
+            ledger, ctx = plan.run(system, functional, req.payloads)
+        elif functional:
+            start = perf_counter()
+            ledger, ctx = program.replay(system, req.payloads,
+                                         tile_bytes=tile_bytes,
+                                         pool=self._replay_pool(),
+                                         workers=self._band_workers(),
+                                         elide=self.elide_transfers)
+            replay_s = perf_counter() - start
+        else:
+            # Analytic calls never elide: elision is a property of the
+            # actual payload content, which analytic pricing never sees.
+            ledger, ctx = program.priced(system), None
+        tiles = 0
+        if tile_bytes is not None:
+            # The tile plan (and so the pipeline depth) is a pure
+            # function of the program's shapes, on both branches.
+            tiles = sum(program.tile_counts(tile_bytes))
+            ledger = ledger.pipelined(program.pipeline_depth(tile_bytes))
+        execution = ("interpreted" if program is None
+                     else "streamed" if tile_bytes is not None
+                     else "compiled")
+        return CommResult(plan=plan, ledger=ledger,
                           host_outputs=self._host_outputs(req, ctx),
-                          cached=hit, **_counters(ctx)), None
+                          cached=hit, tiles=tiles, execution=execution,
+                          **_counters(ctx)), replay_s
 
     def _record_execution(self, req: NormalizedRequest, result: CommResult,
                           replay_s: float | None, *, backoff_s: float = 0.0,
@@ -422,13 +415,11 @@ class Communicator:
         snapshot = (self._snapshot(req)
                     if functional and self._snapshot_needed() else None)
 
-        def failed(fault: Exception, resolved) -> None:
+        def failed(fault: Exception, plan: CommPlan) -> None:
             """Book one faulted attempt and rewind (so even a spent
             policy leaves MRAM as the call found it); raise once the
             policy is spent."""
-            plan, program, _ = resolved
-            total.merge(program.priced(system) if program is not None
-                        else plan.estimate(system))
+            total.merge(plan.estimate(system))
             faults.append(fault.kind)
             self.stats.record_fault(fault.kind)
             if snapshot is not None:
@@ -452,7 +443,7 @@ class Communicator:
                 result, replay_s = self._execute_resolved(req, resolved,
                                                           functional)
             except TransientFault as fault:
-                failed(fault, resolved)
+                failed(fault, resolved[0])
                 failures += 1
                 delay = policy.backoff(failures)
                 backoff_total += delay
@@ -464,7 +455,7 @@ class Communicator:
                     if snapshot is not None:
                         self._restore(snapshot)
                     raise
-                failed(fault, resolved)
+                failed(fault, resolved[0])
                 injector = system.fault_injector
                 dead = (injector.failed_pes(system.geometry)
                         if injector is not None else fault.pe_ids)

@@ -388,10 +388,6 @@ class MemoryArena:
         """Touched PE ids in ascending order."""
         return [int(pe) for pe in np.flatnonzero(self._touched)]
 
-    def is_touched(self, pe_id: int) -> bool:
-        """Whether ``pe_id`` has a live row."""
-        return 0 <= pe_id < self.max_rows and bool(self._touched[pe_id])
-
     def touch(self, pe_ids) -> np.ndarray:
         """Materialize rows for ``pe_ids``; returns them as an id array."""
         ids = np.asarray(pe_ids, dtype=np.intp).reshape(-1)

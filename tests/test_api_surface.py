@@ -323,12 +323,11 @@ class TestOneDoor:
                 m, "10", 64, 0, 64, INT32, MAX, c),
             "allreduce": collectives.plan_allreduce(m, "10", 64, 0, 64,
                                                     INT32, MAX, c),
-            "scatter": collectives.plan_scatter(m, "10", 64, 64, INT32,
-                                                None, c),
+            "scatter": collectives.plan_scatter(m, "10", 64, 64, INT32, c),
             "gather": collectives.plan_gather(m, "10", 64, 0, INT32, c),
             "reduce": collectives.plan_reduce(m, "10", 64, 0, INT32, MAX, c),
-            "broadcast": collectives.plan_broadcast(m, "10", 64, 64, INT32,
-                                                    None, c),
+            "broadcast": collectives.plan_broadcast(m, "10", 64, 64,
+                                                    INT32, c),
         }
         assert set(direct) == set(ALL_PRIMITIVES)
         for primitive, plan in direct.items():

@@ -48,7 +48,6 @@ from repro.core.collectives.program import StepOp
 from repro.core.groups import slice_groups
 from repro.data import criteo_like, random_graph, rmat_graph
 from repro.dtypes import FLOAT32, INT64, SUM
-from repro.engine.cache import bind_payloads
 
 from .test_differential_fuzz import PRIMITIVES
 
@@ -219,14 +218,14 @@ def test_every_rung_lowers_on_the_app_cubes(geometry, shape):
                 (values * 100).astype(dtype.np_dtype)).view(np.uint8)
             for rung, plan, payloads in _plans(manager, dims, dtype):
                 where = (dims, dtype.name, plan.primitive, rung)
-                program = plan.compile(system)
+                program = plan.compile()
                 assert not any(isinstance(op, StepOp)
                                for op in program.ops), where
                 if len(pes) > 64 and rung not in ORACLE_AT_256:
                     continue
                 system.poke_rows(pes, 0, start)
                 oracle = _outcome(system, pes, span,
-                                  *bind_payloads(plan, payloads).run(system))
+                                  *plan.run(system, payloads=payloads))
                 system.poke_rows(pes, 0, start)
                 mram, scratch, *rest = _outcome(
                     system, pes, span, *program.replay(system, payloads))

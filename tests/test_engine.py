@@ -27,7 +27,6 @@ from repro.apps.base import AppHarness, PidCommBackend
 from repro.core import reference as ref
 from repro.dtypes import INT32, INT64
 from repro.engine import schedule_waves
-from repro.engine.cache import bind_payloads
 from repro.engine.request import Footprint
 from repro.engine.stats import EngineStats
 from repro.errors import CollectiveError, PidCommError
@@ -465,26 +464,73 @@ class TestInstrumentation:
 
 
 # ----------------------------------------------------------------------
-# bind_payloads
+# Per-call payloads
 # ----------------------------------------------------------------------
-class TestBindPayloads:
-    def test_none_payloads_returns_same_plan(self):
-        manager, _, total, src, dst, _ = seeded_setup()
-        comm = Communicator(manager, SessionConfig(functional=False))
-        result = comm.alltoall("010", total, src_offset=src, dst_offset=dst)
-        assert bind_payloads(result.plan, None) is result.plan
+#: A compiling session and the interpreted oracle: the two engines
+#: that read a call's payloads from its execution context.
+PAYLOAD_ENGINES = ("auto", "interpreted")
 
-    def test_binding_copies_not_mutates_the_cached_plan(self, rng):
+
+class TestCallPayloads:
+    SIZE = 16
+
+    def _setup(self, execution, primitive, rng):
+        """Session, PEs, scratch-filled MRAM and good payloads for a
+        16-byte ``primitive`` on the (4, 4, 2) cube's ``"101"`` (four
+        groups of eight PEs)."""
         manager = make_manager((4, 4, 2))
+        system = manager.system
+        comm = Communicator(manager, SessionConfig(execution=execution))
+        pes = list(manager.all_pes)
+        system.poke_rows(pes, 0, rng.integers(
+            0, 256, (len(pes), system.mram_bytes), dtype=np.uint8))
         groups = groups_of(manager, "101")
-        n = groups[0].size
-        dst = manager.system.alloc(16)
-        comm = Communicator(manager)
-        payloads = {g.instance: rng.integers(0, 99, n * 2).astype(np.int64)
+        elems = self.SIZE // 8 * (groups[0].size if primitive == "scatter"
+                                  else 1)
+        payloads = {g.instance: rng.integers(0, 99, elems).astype(np.int64)
                     for g in groups}
-        comm.scatter("101", 16, dst_offset=dst, payloads=payloads)
-        key = next(iter(comm.cache._plans))
-        cached = comm.cache._plans[key].plan
-        # The cached plan stays payload-free; the bound copy is separate.
-        assert all(getattr(step, "payloads", None) is None
-                   for step in cached.steps)
+        return manager, comm, pes, payloads
+
+    @pytest.mark.parametrize("execution", PAYLOAD_ENGINES)
+    def test_result_plan_is_the_cached_plan(self, execution, rng):
+        manager, comm, _, payloads = self._setup(execution, "scatter", rng)
+        dst = manager.system.alloc(self.SIZE)
+        result = comm.scatter("101", self.SIZE, dst_offset=dst,
+                              payloads=payloads)
+        [entry] = comm.cache._plans.values()
+        assert result.plan is entry.plan
+
+    @pytest.mark.parametrize("defect", ["missing", "short"])
+    @pytest.mark.parametrize("primitive", ["scatter", "broadcast"])
+    @pytest.mark.parametrize("execution", PAYLOAD_ENGINES)
+    def test_malformed_payload_raises_before_any_write(
+            self, execution, primitive, defect, rng):
+        """A missing or short last instance is a ``PidCommError`` that
+        leaves MRAM byte-identical, and in a batch fails only its own
+        member."""
+        manager, comm, pes, good = self._setup(execution, primitive, rng)
+        system = manager.system
+        bad = dict(good)
+        last = max(bad)
+        if defect == "missing":
+            del bad[last]
+        else:
+            bad[last] = bad[last][:-1]
+        dst = system.alloc(self.SIZE)
+        before = system.peek_rows(pes, 0, system.mram_bytes)
+        with pytest.raises(PidCommError):
+            getattr(comm, primitive)("101", self.SIZE, dst_offset=dst,
+                                     payloads=bad)
+        assert np.array_equal(system.peek_rows(pes, 0, system.mram_bytes),
+                              before)
+        first_dst = system.alloc(self.SIZE)
+        batch = comm.submit([
+            CommRequest(primitive, "101", self.SIZE, dst_offset=first_dst,
+                        payloads=good),
+            CommRequest(primitive, "101", self.SIZE, dst_offset=dst,
+                        payloads=bad)])
+        batch[0].result()
+        with pytest.raises(PidCommError):
+            batch[1].result()
+        assert np.array_equal(system.peek_rows(pes, dst, self.SIZE),
+                              before[:, dst:dst + self.SIZE])

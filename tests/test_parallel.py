@@ -441,7 +441,7 @@ class TestStreamTableFirstTouch:
         want = system.peek_rows(manager.all_pes, 256, 256)
         system.poke_rows(manager.all_pes, 256,
                          np.zeros_like(want))  # replays must rewrite it
-        program = compile_plan(result.plan, system)
+        program = compile_plan(result.plan)
         (op,) = program.ops
         assert isinstance(op, GatherMoveOp)
         return system, manager.all_pes, program, op, want

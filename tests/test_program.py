@@ -13,25 +13,36 @@ the engine policy around execution modes, the bounded LRU plan cache,
 and the compile/replay stats.
 """
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
+
+import repro
 
 from .helpers import fill_group_inputs, groups_of, make_manager
 
 from repro import (ABLATION_LADDER, BASELINE, Communicator, DimmSystem,
                    FULL, FaultInjector, HypercubeManager, SessionConfig)
 from repro.baselines.topologies import ring_allreduce_plan, tree_allreduce_plan
-from repro.core.collectives.plan import CommPlan, ExecContext
-from repro.core.collectives.planner import plan_broadcast, plan_scatter
-from repro.core.collectives.steps import (HostGlobalExchangeStep,
-                                          PeReorderStep, RotateExchangeStep)
+from repro.core.collectives.plan import CommPlan, ExecContext, Step
+from repro.core.collectives.steps import (BroadcastStep,
+                                          HostGlobalExchangeStep,
+                                          PeReorderStep, RotateExchangeStep,
+                                          ScatterFromHostStep)
 from repro.core.groups import CommGroup
 from repro.core.collectives.program import (
+    BroadcastFillOp,
     CommProgram,
     FanoutScratchOp,
     GatherMoveOp,
     HostFoldOp,
     HostPullOp,
+    HostPushOp,
+    ProgramOp,
     ReduceFoldOp,
     compile_plan,
 )
@@ -244,14 +255,7 @@ class TestFusionStructure:
         for build in (ring_allreduce_plan, tree_allreduce_plan):
             plan = build(manager, BITMAP, n * 8, 0, 4096, INT64, SUM)
             with pytest.raises(CollectiveError, match="no compiled form"):
-                plan.compile(system)
-            plan.run(system)
-        payload = {g.instance: np.zeros(n * 8, np.uint8) for g in groups}
-        for plan in (plan_scatter(manager, BITMAP, 8, 0, INT64, payload),
-                     plan_broadcast(manager, BITMAP, n * 8, 0, INT64,
-                                    payload)):
-            with pytest.raises(CollectiveError, match="bound to payloads"):
-                plan.compile(system)
+                plan.compile()
             plan.run(system)
         rows = groups_of(manager, "10")
         uneven = [rows[0], CommGroup(1, rows[1].pe_ids[:2])]
@@ -260,7 +264,7 @@ class TestFusionStructure:
                      HostGlobalExchangeStep(uneven, "alltoall", 0, 4096, 8,
                                             2, 2, INT64)):
             with pytest.raises(CollectiveError, match="group sizes"):
-                CommPlan("alltoall", [step]).compile(system)
+                CommPlan("alltoall", [step]).compile()
 
     def test_partially_overlapping_reorder_raises_the_interpreters_error(self):
         manager = make_manager(SHAPE)
@@ -268,9 +272,10 @@ class TestFusionStructure:
         n = groups[0].size
         plan = CommPlan("alltoall", [PeReorderStep(
             groups, "rotate_left_rank", 0, 8, 8, n)])
-        for run in (plan.compile, plan.run):
-            with pytest.raises(TransferError, match="partially overlapping"):
-                run(manager.system)
+        with pytest.raises(TransferError, match="partially overlapping"):
+            plan.compile()
+        with pytest.raises(TransferError, match="partially overlapping"):
+            plan.run(manager.system)
 
     def test_priced_ledger_matches_estimate_and_is_a_copy(self):
         manager, comm = self._comm()
@@ -291,7 +296,7 @@ class TestFusionStructure:
         assert program.priced(manager.system).breakdown() == want
 
     def test_compile_plan_direct_roundtrip(self):
-        # compile_plan is public API: plan.compile(system) sugar.
+        # compile_plan is public API: plan.compile() sugar.
         manager, comm = self._comm(execution="interpreted")
         groups = groups_of(manager, BITMAP)
         n = groups[0].size
@@ -302,9 +307,39 @@ class TestFusionStructure:
                           np.random.default_rng(3))
         result = comm.alltoall(BITMAP, total, src_offset=src,
                                dst_offset=dst, data_type=INT32)
-        program = compile_plan(result.plan, manager.system)
+        program = compile_plan(result.plan)
         assert isinstance(program, CommProgram)
         assert "GatherMoveOp" in program.describe()
+
+
+def _subclasses(cls) -> set[type]:
+    """Every class below ``cls``, once all of ``repro`` is imported."""
+    found, todo = set(), [cls]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def test_payloads_reach_steps_and_ops_only_through_the_context():
+    """No step or op holds a call's payloads, and an op's one replay
+    body takes only the context: both engines read the payloads from
+    ``ExecContext.payloads``."""
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if info.name != "repro.__main__":
+            importlib.import_module(info.name)
+    steps, ops = _subclasses(Step), _subclasses(ProgramOp)
+    assert {ScatterFromHostStep, BroadcastStep} <= steps
+    assert {HostPushOp, BroadcastFillOp} <= ops
+    for cls in steps | ops:
+        fields = {f.name for f in dataclasses.fields(cls)} \
+            if dataclasses.is_dataclass(cls) else set()
+        assert "payloads" not in fields | set(vars(cls)), cls
+    for cls in ops | {ProgramOp}:
+        params = list(inspect.signature(cls.execute).parameters)
+        assert params == ["self", "ctx"], (cls, params)
 
 
 class TestExecutionPolicy:
@@ -433,7 +468,7 @@ class TestTableRangeChecks:
         ctx = (ExecContext(system=system, tile_bytes=32, pool=ScratchPool())
                if tiled else ExecContext(system=system))
         with pytest.raises(TransferError, match="stream table"):
-            op.execute(ctx, None)
+            op.execute(ctx)
         assert not system.peek_rows(ids, 64, 16).any()
 
     @pytest.mark.parametrize("tile", [None, 256], ids=["untiled", "tiled"])

@@ -1233,7 +1233,7 @@ class TestInPlaceExposure:
             **kwargs)
         fresh = make_manager((4, 8)).system.set_backend("vectorized")
         fill(fresh)
-        return fresh, compile_plan(result.plan, fresh).ops
+        return fresh, compile_plan(result.plan).ops
 
     @staticmethod
     def _sites(op):
@@ -1274,13 +1274,13 @@ class TestInPlaceExposure:
                           workers=pool,
                           pool=None if tile is None else ScratchPool())
         for op in ops[:index]:
-            op.execute(ctx, None)
+            op.execute(ctx)
         before = system.peek_rows(np.arange(32), 0, 1 << 14)
         op = ops[index]
         system.attach_fault_injector(injector)
         error = None
         try:
-            op.execute(ctx, None)
+            op.execute(ctx)
         except TransferDropped as exc:
             error = str(exc)
         finally:

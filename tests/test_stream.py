@@ -368,7 +368,7 @@ class TestZeroAllocationSteadyState:
         monkeypatch.setattr(DimmSystem, "take_band_flat", spy)
         result = _assert_streamed_parity(primitive, INT64, "scalar", tile,
                                          workers=workers)
-        first = compile_plan(result.plan, make_manager(SHAPE).system).ops[0]
+        first = compile_plan(result.plan).ops[0]
         assert first._band_shape() == (self.ROWS, self.ROW_BYTES)
         bands = band_ranges(self.ROWS, self.ROW_BYTES, tile)
         assert first.tile_count(tile) == len(bands)
@@ -400,8 +400,7 @@ class TestZeroAllocationSteadyState:
         data = np.random.default_rng(0).integers(0, 256, (8, 16), np.uint8)
         system.poke_rows(ids, 0, data)
         pool = ScratchPool()
-        op.execute(ExecContext(system=system, tile_bytes=16, pool=pool),
-                   None)
+        op.execute(ExecContext(system=system, tile_bytes=16, pool=pool))
         want = data.reshape(8, 2, 8)[lane, slot].reshape(8, 16)
         np.testing.assert_array_equal(system.peek_rows(ids, 0, 16), want)
         assert op.tile_count(16) == (1 if one_band else 8)
