@@ -511,20 +511,27 @@ class Communicator:
         ``ledger``; any other failed member adds nothing.  On a
         reliable session its footprint has already been rewound.
         Later members still run, and no member
-        ever runs twice.  Only what is checked before any member runs
-        (an empty batch, a request that does not normalize) raises
-        here.
+        ever runs twice.  A member that does not normalize fails the
+        same way before the batch runs: it joins no wave and prices
+        nothing.  Only an empty batch raises here.
         """
         if not requests:
             raise CollectiveError("submit() needs at least one request")
         run_functional = (self.functional if functional is None
                           else functional)
-        normalized = [r.normalize(self.manager, self.config,
-                                  backend=self.backend)
-                      for r in requests]
-        waves = schedule_waves(normalized)
+        normalized = [_caught(r.normalize, self.manager, self.config,
+                              self.backend) for r in requests]
         futures: list[CommFuture] = [None] * len(normalized)  # type: ignore
-        ledgers: list[CostLedger] = [None] * len(normalized)  # type: ignore
+        ledgers = [CostLedger() for _ in normalized]
+        good = []
+        for i, req in enumerate(normalized):
+            if isinstance(req, PidCommError):
+                futures[i] = CommFuture(index=i, label=requests[i].primitive,
+                                        wave=-1, _error=req)
+            else:
+                good.append(i)
+        waves = [[good[j] for j in wave]
+                 for wave in schedule_waves([normalized[i] for i in good])]
         for w, indices in enumerate(waves):
             if self._wave_parallelizable(indices):
                 outcomes = self._execute_wave_parallel(

@@ -126,6 +126,7 @@ class CommFuture:
 
     index: int
     label: str
+    #: Dependency wave the request ran in; -1 when it did not normalize.
     wave: int
     _result: CommResult | None = None
     _error: PidCommError | None = None

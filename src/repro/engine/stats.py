@@ -10,7 +10,7 @@ counters as a text block in the house style of ``analysis/trace.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..core.collectives import CommPlan
@@ -28,6 +28,15 @@ def plan_payload_bytes(plan: CommPlan) -> int:
     meta = plan.meta
     per_pe = meta.get("per_pe_bytes", 0) + meta.get("out_bytes_per_pe", 0)
     return per_pe * meta.get("instances", 1) * meta.get("group_size", 1)
+
+
+def _copied(value: Any) -> Any:
+    """A counter's value with its dicts, nested ones too, copied
+    (``dataclasses.asdict`` deep-copies every scalar as well, 20x the
+    cost of a snapshot)."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    return value
 
 
 @dataclass
@@ -243,51 +252,12 @@ class EngineStats:
     # Reporting
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """Plain-dict copy for result metadata / persistence."""
-        return {
-            "calls": self.calls,
-            "plans_compiled": self.plans_compiled,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-            "plan_evictions": self.plan_evictions,
-            "plan_partitions": {tenant: dict(counters) for tenant, counters
-                                in self.plan_partitions.items()},
-            "programs_compiled": self.programs_compiled,
-            "program_replays": self.program_replays,
-            "compile_seconds": self.compile_seconds,
-            "replay_seconds": self.replay_seconds,
-            "tiles_replayed": self.tiles_replayed,
-            "peak_scratch_bytes": self.peak_scratch_bytes,
-            "batches": self.batches,
-            "waves": self.waves,
-            "parallel_workers": self.parallel_workers,
-            "parallel_waves": self.parallel_waves,
-            "parallel_requests": self.parallel_requests,
-            "parallel_fallbacks": self.parallel_fallbacks,
-            "parallel_wall_seconds": self.parallel_wall_seconds,
-            "parallel_task_seconds": self.parallel_task_seconds,
-            "worker_bands": dict(self.worker_bands),
-            "elision_scans": self.elision_scans,
-            "chunks_scanned": self.chunks_scanned,
-            "chunks_elided": self.chunks_elided,
-            "elided_bytes": self.elided_bytes,
-            "elision_rate": self.elision_rate,
-            "global_phases": self.global_phases,
-            "global_algorithms": dict(self.global_algorithms),
-            "fabric_bytes": self.fabric_bytes,
-            "fabric_seconds": self.fabric_seconds,
-            "elided_fabric_bytes": self.elided_fabric_bytes,
-            "bytes_moved": self.bytes_moved,
-            "modelled_seconds": self.modelled_seconds,
-            "overlap_saved_seconds": self.overlap_saved_seconds,
-            "per_primitive_calls": dict(self.per_primitive_calls),
-            "per_primitive_seconds": dict(self.per_primitive_seconds),
-            "per_category_seconds": dict(self.per_category_seconds),
-            "retries": self.retries,
-            "faults_seen": dict(self.faults_seen),
-            "degradations": self.degradations,
-            "backoff_seconds": self.backoff_seconds,
-        }
+        """Plain-dict copy for result metadata / persistence: every
+        counter field plus the two derived rates."""
+        snap = {f.name: _copied(getattr(self, f.name)) for f in fields(self)}
+        snap["cache_hit_rate"] = self.cache_hit_rate
+        snap["elision_rate"] = self.elision_rate
+        return snap
 
     def report(self) -> str:
         """Multi-line text report of the session's activity."""

@@ -12,19 +12,28 @@ topology) by the :class:`~repro.multihost.GlobalTuner`; with
 ``parallel_workers > 1`` the per-host local phases fan out across a
 host-level :class:`~repro.engine.WorkerPool`.
 
-AllReduce ships only the locally-reduced vector (1/256th of the data),
-so its fabric overhead is small; AlltoAll has no reduction and pays the
-full ``(N-1)/N`` crossing cost -- exactly the asymmetry the paper's
-figure shows.  The functional global exchange is canonical numpy,
-shared by every global program and topology: a float reduction run
-round by round would depend on the chosen program's order of sums.
-So hierarchical outputs are bit-identical to the scalar interpreted
-oracle at every host count, backend, execution mode, and program.
+Every hierarchical collective is one recipe run by one driver,
+:func:`_hierarchical`: a local collective onto each host (Reduce or
+Gather), the host buffer in its wire layout, one global phase, the
+canonical combine, and a local collective back onto the PEs (Broadcast
+or Scatter).  :data:`_RECIPES` holds the four rows; the public
+``multihost_*`` functions are one call into the driver.  AllReduce
+ships only the locally-reduced vector (1/256th of the data), so its
+fabric overhead is small; AlltoAll has no reduction and pays the full
+``(N-1)/N`` crossing cost -- exactly the asymmetry the paper's figure
+shows.
+
+The functional global exchange is canonical numpy, shared by every
+global program and topology: a float reduction run round by round
+would depend on the chosen program's order of sums.  So hierarchical
+outputs are bit-identical to the scalar interpreted oracle at every
+host count, backend, execution mode, and program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -197,7 +206,7 @@ class MultiHostSystem:
             self._pool = None
 
     # ------------------------------------------------------------------
-    # Execution helpers the module-level collectives share
+    # Execution helpers the hierarchical driver uses
     # ------------------------------------------------------------------
     def _each_host(self, call):
         """Run ``call(host)`` for every host, pooled when configured.
@@ -209,30 +218,6 @@ class MultiHostSystem:
             return [call(host) for host in range(self.num_hosts)]
         return self._pool.run(
             [(lambda h=host: call(h)) for host in range(self.num_hosts)])
-
-    def _global_phase(self, primitive: str, nbytes: int,
-                      buffers: list[np.ndarray] | None,
-                      ledger: CostLedger
-                      ) -> tuple[GlobalProgram, float, int, int] | None:
-        """Select, elide, price, and record the inter-host program.
-
-        ``buffers`` are the per-host outbound payloads (None on
-        analytic runs, which price the program unelided).  Returns the
-        chosen program with its fabric ``(seconds, moved, elided)``
-        for :meth:`_finish`, or None on a single host (no global
-        phase).
-        """
-        if self.num_hosts == 1:
-            return None
-        program = self.tuner.choose(primitive, nbytes)
-        seconds, moved, elided = program.seconds, program.fabric_bytes, 0
-        if buffers is not None and self.session_config.elide_transfers:
-            seconds, moved, elided = self._elide_fabric(program, buffers,
-                                                        ledger)
-        self.stats.record_global_phase(
-            primitive, program.algorithm, fabric_bytes=moved,
-            fabric_seconds=seconds, elided_bytes=elided)
-        return program, seconds, moved, elided
 
     def _elide_fabric(self, program: GlobalProgram,
                       buffers: list[np.ndarray], ledger: CostLedger
@@ -266,16 +251,6 @@ class MultiHostSystem:
         seconds = self.fabric.program_seconds(scaled)
         return seconds, moved, program.fabric_bytes - moved
 
-    def _finish(self, ledger: CostLedger,
-                phase: tuple[GlobalProgram, float, int, int] | None,
-                outputs) -> MultiHostResult:
-        if phase is None:
-            return MultiHostResult(ledger=ledger, fabric_seconds=0.0,
-                                   outputs=outputs)
-        program, seconds, moved, elided = phase
-        return MultiHostResult(ledger, seconds, outputs, program.algorithm,
-                               moved, elided)
-
 
 # ----------------------------------------------------------------------
 # The functional global exchange: canonical numpy, shared by every
@@ -300,44 +275,147 @@ def _exchange_blocks(blocks: list[np.ndarray]) -> list[np.ndarray]:
             for dest in range(n)]
 
 
+def _blocks(buf: np.ndarray, n: int, p: int, chunk: int) -> np.ndarray:
+    """AlltoAll's wire layout: a host's gathered ``[local PE, dest host,
+    dest PE, chunk]`` bytes re-blocked host-major, so block ``g`` is
+    everything bound for host ``g``."""
+    raw = np.ascontiguousarray(buf).view(np.uint8)
+    return np.ascontiguousarray(
+        raw.reshape(p, n, p, chunk).transpose(1, 0, 2, 3)).reshape(-1)
+
+
+def _unblock(received: np.ndarray, n: int, p: int, chunk: int
+             ) -> np.ndarray:
+    """The scatter payload of a host's received blocks: local PE ``q``
+    receives chunk ``[src_host, src_local, q]``."""
+    arr = np.asarray(received, dtype=np.uint8).reshape(n, p, p, chunk)
+    return np.ascontiguousarray(arr.transpose(2, 0, 1, 3)).reshape(-1)
+
+
+class _Recipe(NamedTuple):
+    """One hierarchical collective as data (paper Figure 23b)."""
+
+    #: Local collective onto each host (``"reduce"`` or ``"gather"``);
+    #: its host buffer is what enters the global phase.
+    collect: str
+    #: ``(host buffer, n, p, chunk)`` -> the bytes the host puts on
+    #: the fabric.
+    wire: Callable
+    #: ``(wires, op, n, p, chunk)`` -> what each host distributes: the
+    #: canonical numpy result of the fabric exchange.
+    combine: Callable
+    #: Local collective back onto the PEs (``"broadcast"`` or
+    #: ``"scatter"``) and its per-PE bytes, ``(size, chunk, n, p)``.
+    distribute: str
+    out_bytes: Callable
+    #: The per-PE buffer splits into ``n * p`` global chunks.
+    chunked: bool = False
+    #: The wire layout is re-blocked on the host (charged as local
+    #: modulation).
+    reblocks: bool = False
+
+
+_RECIPES = {
+    # Data cross *after* the local reduction: the reduced vector once.
+    "allreduce": _Recipe(
+        "reduce", lambda buf, *_: buf,
+        lambda wires, op, n, *_: [_reduce_across(wires, op)] * n,
+        "broadcast", lambda size, *_: size),
+    # Global PE ``i`` receives reduced chunk ``i``.
+    "reduce_scatter": _Recipe(
+        "reduce", lambda buf, *_: buf,
+        lambda wires, op, n, p, chunk: list(np.ascontiguousarray(
+            _reduce_across(wires, op)).view(np.uint8).reshape(n, p * chunk)),
+        "scatter", lambda size, chunk, *_: chunk, chunked=True),
+    # Data cross *before* duplication: each host's ``p * size`` once.
+    "allgather": _Recipe(
+        "gather", lambda buf, *_: np.ascontiguousarray(buf).view(np.uint8),
+        lambda wires, op, n, *_: [np.concatenate(wires)] * n,
+        "broadcast", lambda size, chunk, n, p: n * p * size),
+    # No reduction: the full ``(N-1)/N`` share crosses the fabric.
+    "alltoall": _Recipe(
+        "gather", _blocks,
+        lambda wires, op, n, p, chunk: [_unblock(r, n, p, chunk)
+                                        for r in _exchange_blocks(wires)],
+        "scatter", lambda size, *_: size, chunked=True, reblocks=True),
+}
+
+
+def _hierarchical(mh: MultiHostSystem, primitive: str, size: int,
+                  src: int, dst: int, dtype: DataType, op: ReduceOp,
+                  functional: bool) -> MultiHostResult:
+    """Run ``primitive`` as local collect -> one global phase -> local
+    distribute, reading the steps from its :data:`_RECIPES` row.
+
+    Hosts run in parallel, so the ledger books host 0's local work:
+    the collect, AlltoAll's re-blocking, the fabric elision scan, then
+    the distribute.  The global phase is selected by the tuner, elided
+    on functional runs when the session elides, priced on the fabric
+    and recorded on host 0's stats; a single host has none.
+    """
+    recipe = _RECIPES[primitive]
+    n, p = mh.num_hosts, mh.pes_per_host
+    chunk = size
+    if recipe.chunked:
+        if size % (n * p):
+            raise CollectiveError(
+                f"per-PE size {size}B must split into {n * p} global "
+                f"chunks")
+        chunk = size // (n * p)
+    if chunk % dtype.itemsize:
+        raise CollectiveError("chunk must hold whole elements")
+    extra = {"reduction_type": op} if recipe.collect == "reduce" else {}
+    ledger = CostLedger()
+    collected = mh._each_host(
+        lambda h: getattr(mh.communicators[h], recipe.collect)(
+            "1", size, src_offset=src, data_type=dtype,
+            functional=functional, **extra))
+    ledger.merge(collected[0].ledger)
+    nbytes = size if recipe.collect == "reduce" else p * size
+    if recipe.reblocks:
+        ledger.add("host_mod", mh.params.mod_time(nbytes, "local"))
+        ledger.add("host_mem", mh.params.host_mem_time(2 * nbytes))
+    wires = ([recipe.wire(res.host_outputs[0], n, p, chunk)
+              for res in collected] if functional else None)
+
+    seconds, moved, elided, algorithm = 0.0, 0, 0, None
+    if n > 1:
+        program = mh.tuner.choose(primitive, nbytes)
+        seconds, moved = program.seconds, program.fabric_bytes
+        if functional and mh.session_config.elide_transfers:
+            seconds, moved, elided = mh._elide_fabric(program, wires, ledger)
+        algorithm = program.algorithm
+        mh.stats.record_global_phase(
+            primitive, algorithm, fabric_bytes=moved,
+            fabric_seconds=seconds, elided_bytes=elided)
+
+    payloads = (recipe.combine(wires, op, n, p, chunk) if functional
+                else None)
+    out_bytes = recipe.out_bytes(size, chunk, n, p)
+    distributed = mh._each_host(
+        lambda h: getattr(mh.communicators[h], recipe.distribute)(
+            "1", out_bytes, dst_offset=dst, data_type=dtype,
+            payloads=({0: payloads[h]} if functional else None),
+            functional=functional))
+    ledger.merge(distributed[0].ledger)
+
+    outputs = None
+    if functional:
+        elems = out_bytes // dtype.itemsize
+        outputs = [mh.systems[h].gather_elements(range(p), dst, elems, dtype)
+                   for h in range(n)]
+    return MultiHostResult(ledger, seconds, outputs, algorithm, moved,
+                           elided)
+
+
 def multihost_allreduce(mh: MultiHostSystem, total_data_size: int,
                         src_offset: int, dst_offset: int,
                         dtype: DataType = INT64, op: ReduceOp = SUM,
                         functional: bool = True) -> MultiHostResult:
     """Global AllReduce: local Reduce -> fabric allreduce -> local
-    Broadcast.
-
-    Only ``total_data_size`` bytes per host cross the network (the data
-    is reduced over the host's PEs first).
-    """
-    ledger = CostLedger()
-    reduce_results = mh._each_host(
-        lambda h: mh.communicators[h].reduce(
-            "1", total_data_size, src_offset=src_offset, data_type=dtype,
-            reduction_type=op, functional=functional))
-    ledger.merge(reduce_results[0].ledger)  # hosts run in parallel
-    host_vectors = None
-    if functional:
-        host_vectors = [res.host_outputs[0] for res in reduce_results]
-
-    phase = mh._global_phase("allreduce", total_data_size, host_vectors,
-                             ledger)
-    reduced = _reduce_across(host_vectors, op) if functional else None
-
-    broadcast_results = mh._each_host(
-        lambda h: mh.communicators[h].broadcast(
-            "1", total_data_size, dst_offset=dst_offset, data_type=dtype,
-            payloads=({0: reduced} if functional else None),
-            functional=functional))
-    ledger.merge(broadcast_results[0].ledger)
-
-    outputs = None
-    if functional:
-        elems = total_data_size // dtype.itemsize
-        outputs = [mh.systems[h].gather_elements(
-                       range(mh.pes_per_host), dst_offset, elems, dtype)
-                   for h in range(mh.num_hosts)]
-    return mh._finish(ledger, phase, outputs)
+    Broadcast."""
+    return _hierarchical(mh, "allreduce", total_data_size, src_offset,
+                         dst_offset, dtype, op, functional)
 
 
 def multihost_reduce_scatter(mh: MultiHostSystem, total_data_size: int,
@@ -345,57 +423,9 @@ def multihost_reduce_scatter(mh: MultiHostSystem, total_data_size: int,
                              dtype: DataType = INT64, op: ReduceOp = SUM,
                              functional: bool = True) -> MultiHostResult:
     """Global ReduceScatter: local Reduce -> fabric reduce_scatter ->
-    local Scatter of each host's shard.
-
-    Like AllReduce, the data crosses the network *after* the local
-    reduction ("similar trends persist in ReduceScatter whose data are
-    sent after reduction", section IX-A).  Semantics: the global vector
-    splits into ``total_pes`` chunks; global PE ``i`` receives reduced
-    chunk ``i``.
-    """
-    n_hosts = mh.num_hosts
-    p = mh.pes_per_host
-    total_global = n_hosts * p
-    if total_data_size % total_global:
-        raise CollectiveError(
-            f"per-PE size {total_data_size}B must split into "
-            f"{total_global} global chunks")
-    chunk = total_data_size // total_global
-    if chunk % dtype.itemsize:
-        raise CollectiveError("chunk must hold whole elements")
-
-    ledger = CostLedger()
-    reduce_results = mh._each_host(
-        lambda h: mh.communicators[h].reduce(
-            "1", total_data_size, src_offset=src_offset, data_type=dtype,
-            reduction_type=op, functional=functional))
-    ledger.merge(reduce_results[0].ledger)
-    host_vectors = None
-    if functional:
-        host_vectors = [res.host_outputs[0] for res in reduce_results]
-
-    phase = mh._global_phase("reduce_scatter", total_data_size,
-                             host_vectors, ledger)
-    shards = None
-    if functional:
-        reduced = _reduce_across(host_vectors, op)
-        raw = np.ascontiguousarray(reduced).view(np.uint8)
-        shards = raw.reshape(n_hosts, p * chunk)
-
-    scatter_results = mh._each_host(
-        lambda h: mh.communicators[h].scatter(
-            "1", chunk, dst_offset=dst_offset, data_type=dtype,
-            payloads=({0: shards[h]} if functional else None),
-            functional=functional))
-    ledger.merge(scatter_results[0].ledger)
-
-    outputs = None
-    if functional:
-        elems = chunk // dtype.itemsize
-        outputs = [mh.systems[h].gather_elements(
-                       range(p), dst_offset, elems, dtype)
-                   for h in range(n_hosts)]
-    return mh._finish(ledger, phase, outputs)
+    local Scatter; global PE ``i`` receives reduced chunk ``i``."""
+    return _hierarchical(mh, "reduce_scatter", total_data_size, src_offset,
+                         dst_offset, dtype, op, functional)
 
 
 def multihost_allgather(mh: MultiHostSystem, total_data_size: int,
@@ -403,113 +433,17 @@ def multihost_allgather(mh: MultiHostSystem, total_data_size: int,
                         dtype: DataType = INT64,
                         functional: bool = True) -> MultiHostResult:
     """Global AllGather: local Gather -> fabric allgather -> local
-    Broadcast.
-
-    The data crosses *before* duplication ("AllGather whose data are
-    sent before duplication", section IX-A): each host ships its own
-    ``p * chunk`` bytes once, then replicates locally at bus speed.
-    """
-    if total_data_size % dtype.itemsize:
-        raise CollectiveError("chunk must hold whole elements")
-    n_hosts = mh.num_hosts
-    p = mh.pes_per_host
-
-    ledger = CostLedger()
-    gather_results = mh._each_host(
-        lambda h: mh.communicators[h].gather(
-            "1", total_data_size, src_offset=src_offset, data_type=dtype,
-            functional=functional))
-    ledger.merge(gather_results[0].ledger)
-    gathered = None
-    if functional:
-        gathered = [np.ascontiguousarray(res.host_outputs[0]).view(np.uint8)
-                    for res in gather_results]
-
-    phase = mh._global_phase("allgather", p * total_data_size, gathered,
-                             ledger)
-    full = np.concatenate(gathered) if functional else None
-
-    out_bytes = n_hosts * p * total_data_size
-    broadcast_results = mh._each_host(
-        lambda h: mh.communicators[h].broadcast(
-            "1", out_bytes, dst_offset=dst_offset, data_type=dtype,
-            payloads=({0: full} if functional else None),
-            functional=functional))
-    ledger.merge(broadcast_results[0].ledger)
-
-    outputs = None
-    if functional:
-        elems = out_bytes // dtype.itemsize
-        outputs = [mh.systems[h].gather_elements(
-                       range(p), dst_offset, elems, dtype)
-                   for h in range(n_hosts)]
-    return mh._finish(ledger, phase, outputs)
+    Broadcast."""
+    return _hierarchical(mh, "allgather", total_data_size, src_offset,
+                         dst_offset, dtype, SUM, functional)
 
 
 def multihost_alltoall(mh: MultiHostSystem, total_data_size: int,
                        src_offset: int, dst_offset: int,
                        dtype: DataType = INT64,
                        functional: bool = True) -> MultiHostResult:
-    """Global AlltoAll: local Gather -> fabric alltoall -> local Scatter.
-
-    Every PE's buffer holds ``total_pes`` chunks in global PE order
-    (host-major).  Unlike AllReduce, the full ``(N-1)/N`` share of the
-    data crosses the network.
-    """
-    n_hosts = mh.num_hosts
-    p = mh.pes_per_host
-    total_global = n_hosts * p
-    if total_data_size % total_global:
-        raise CollectiveError(
-            f"per-PE size {total_data_size}B must split into "
-            f"{total_global} global chunks")
-    chunk = total_data_size // total_global
-    if chunk % dtype.itemsize:
-        raise CollectiveError("chunk must hold whole elements")
-
-    ledger = CostLedger()
-    gather_results = mh._each_host(
-        lambda h: mh.communicators[h].gather(
-            "1", total_data_size, src_offset=src_offset, data_type=dtype,
-            functional=functional))
-    ledger.merge(gather_results[0].ledger)
-
-    # Host-side re-blocking for the wire (charged as local modulation).
-    per_host_bytes = p * total_data_size
-    ledger.add("host_mod", mh.params.mod_time(per_host_bytes, "local"))
-    ledger.add("host_mem", mh.params.host_mem_time(2 * per_host_bytes))
-
-    blocks = None
-    if functional:
-        blocks = []
-        for res in gather_results:
-            raw = np.ascontiguousarray(res.host_outputs[0]).view(np.uint8)
-            arr = raw.reshape(p, n_hosts, p, chunk)
-            blocks.append(np.ascontiguousarray(
-                arr.transpose(1, 0, 2, 3)).reshape(-1))
-
-    phase = mh._global_phase("alltoall", per_host_bytes, blocks, ledger)
-    received = _exchange_blocks(blocks) if functional else None
-
-    def scatter_host(h):
-        payloads = None
-        if functional:
-            arr = np.asarray(received[h], dtype=np.uint8).reshape(
-                n_hosts, p, p, chunk)
-            # Local PE q receives chunk [src_host, src_local, q].
-            payloads = {0: np.ascontiguousarray(
-                arr.transpose(2, 0, 1, 3)).reshape(-1)}
-        return mh.communicators[h].scatter(
-            "1", total_data_size, dst_offset=dst_offset, data_type=dtype,
-            payloads=payloads, functional=functional)
-
-    scatter_results = mh._each_host(scatter_host)
-    ledger.merge(scatter_results[0].ledger)
-
-    outputs = None
-    if functional:
-        elems = total_data_size // dtype.itemsize
-        outputs = [mh.systems[h].gather_elements(
-                       range(mh.pes_per_host), dst_offset, elems, dtype)
-                   for h in range(mh.num_hosts)]
-    return mh._finish(ledger, phase, outputs)
+    """Global AlltoAll: local Gather -> fabric alltoall -> local
+    Scatter; every PE's buffer holds ``total_pes`` chunks in global PE
+    order (host-major)."""
+    return _hierarchical(mh, "alltoall", total_data_size, src_offset,
+                         dst_offset, dtype, SUM, functional)

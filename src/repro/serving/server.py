@@ -370,15 +370,7 @@ class CollectiveServer:
         if not batch:
             return
         self.stats.dispatched += len(batch)
-        try:
-            result = self.comm.submit([e.request for e in batch])
-        except PidCommError as error:
-            # submit() raises only before any member runs (a request
-            # that no longer normalizes on a degraded cube): nothing
-            # executed, and every member fails with the error.
-            for entry in batch:
-                self._fail(entry, error)
-            return
+        result = self.comm.submit([e.request for e in batch])
         self.stats.batches += 1
         self.stats.clock += result.seconds
         # Each member settles from its own future: a failed member

@@ -9,6 +9,8 @@ Covers the ISSUE acceptance criteria directly:
   **bit-exact** against ``core/reference.py``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from repro.dtypes import INT32, INT64
 from repro.engine import schedule_waves
 from repro.engine.request import Footprint
 from repro.engine.stats import EngineStats
-from repro.errors import CollectiveError, PidCommError
+from repro.errors import CollectiveError, HypercubeError, PidCommError
 from repro.hw.timing import CostLedger
 
 from .helpers import fill_group_inputs, groups_of, make_manager
@@ -352,6 +354,28 @@ class TestBatchSubmit:
         with pytest.raises(CollectiveError, match="at least one"):
             Communicator(manager).submit([])
 
+    def test_member_that_does_not_normalize_fails_alone(self):
+        """A bad bitmap fails its own future; the good member still
+        runs, once, and leaves the MRAM a solo run leaves."""
+        manager, _, total, src, dst, _ = seeded_setup(dims="100")
+        good = CommRequest("alltoall", "100", total, src_offset=src,
+                           dst_offset=dst)
+        bad = CommRequest("alltoall", "10", total, src_offset=src,
+                          dst_offset=dst)
+        comm = Communicator(manager)
+        batch = comm.submit([good, bad])
+        solo_manager = seeded_setup(dims="100")[0]
+        solo = Communicator(solo_manager).run(good)
+        with pytest.raises(HypercubeError, match="2 characters"):
+            batch[1].result()
+        assert batch.waves == [[0]] and batch[1].wave == -1
+        assert comm.stats.calls == 1
+        assert batch.serial_ledger.seconds == solo.ledger.seconds
+        for pe in manager.all_pes:
+            np.testing.assert_array_equal(
+                manager.system.memory(pe).read(0, 1 << 16),
+                solo_manager.system.memory(pe).read(0, 1 << 16))
+
     def test_inplace_source_counts_as_hazard(self):
         # allreduce permutes its src in place; a second request reading
         # the same src region must not share its wave.
@@ -397,6 +421,16 @@ class TestInstrumentation:
         assert "allreduce" in report and "per category:" in report
         snap = stats.snapshot()
         assert snap["calls"] == 3 and snap["cache_hits"] == 2
+
+    def test_snapshot_lists_every_counter(self):
+        """The snapshot is every dataclass field plus the two rates, so
+        a new counter cannot be left out of it."""
+        fields = {f.name for f in dataclasses.fields(EngineStats)}
+        stats = EngineStats(plan_partitions={"a": {"hits": 1}})
+        snap = stats.snapshot()
+        assert set(snap) == fields | {"cache_hit_rate", "elision_rate"}
+        snap["plan_partitions"]["a"]["hits"] = 5  # a copy, nested too
+        assert stats.plan_partitions == {"a": {"hits": 1}}
 
     def test_batch_overlap_credit_recorded(self):
         manager, _, _, requests, _, _ = independent_batch()

@@ -6,9 +6,19 @@ generated at commit 2177487, before ring and halving/doubling became
 phase lists of the exchange.  The collapse must lose no winner.
 Regenerate it (only when the fabric cost model is changed on purpose)
 with ``PYTHONPATH=src python -m tests.test_multihost``.
+
+``tests/golden/multihost_results.json`` holds, for the four hierarchical
+collectives at 1-4 hosts, functional and analytic, with fabric elision
+off and on, in int64 and float32 (:func:`hierarchical_rows`), every
+local ledger category, the fabric fields and a CRC of the outputs.  It
+was generated at commit c41b5b3, before one driver replaced the four
+collective bodies.  Regenerate it (only when a cost model is changed on
+purpose) with ``PYTHONPATH=src python -m tests.test_multihost results``.
 """
 
 import json
+import re
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core import reference as ref
-from repro.dtypes import INT64, MIN, SUM
+from repro.dtypes import FLOAT32, INT64, MIN, SUM
 from repro.engine import SessionConfig
 from repro.errors import CollectiveError
 from repro.hw.timing import MachineParams
@@ -754,7 +764,97 @@ class TestBackCompat:
         assert merged.total == pytest.approx(result.seconds)
 
 
+class TestDocs:
+    def test_quickstart_runs(self, capsys):
+        """The quickstart of ``docs/multihost.md`` runs as written and
+        checks its own AllReduce."""
+        doc = Path(__file__).parent.parent / "docs" / "multihost.md"
+        code = re.search(r"```python\n(.*?)```", doc.read_text(),
+                         re.S).group(1)
+        exec(compile(code, str(doc), "exec"), {})
+        assert capsys.readouterr().out.split()[0] in GLOBAL_ALGORITHMS
+
+
+RESULTS_GOLDEN = Path(__file__).parent / "golden" / "multihost_results.json"
+HIERARCHICAL = {"allreduce": multihost_allreduce,
+                "reduce_scatter": multihost_reduce_scatter,
+                "allgather": multihost_allgather,
+                "alltoall": multihost_alltoall}
+
+
+def hierarchical_row(primitive, num_hosts, functional, elide, dtype) -> dict:
+    """One hierarchical collective on 64-PE hosts, as data: every ledger
+    category by ``repr``, the fabric fields and a CRC of the outputs.
+    Odd hosts hold all-zero rows on their first half of PEs, so fabric
+    elision fires on the wire layouts that keep PE rows (AllGather,
+    AlltoAll)."""
+    mh = engine_multihost(num_hosts, elide_transfers=elide)
+    tp = mh.total_pes
+    size = 16 if primitive == "allgather" else tp * 8
+    out_size = tp * size if primitive == "allgather" else size
+    buf, out = mh.alloc(size), mh.alloc(out_size)
+    if functional:
+        rng = np.random.default_rng(num_hosts)
+        elems = size // dtype.itemsize
+        for gpe in range(tp):
+            host, local = divmod(gpe, mh.pes_per_host)
+            values = (rng.integers(-50, 50, elems) if dtype is INT64
+                      else rng.standard_normal(elems)).astype(dtype.np_dtype)
+            if host % 2 and local < mh.pes_per_host // 2:
+                values[:] = 0
+            mh.write_pe(gpe, buf, values, dtype)
+    result = HIERARCHICAL[primitive](mh, size, buf, out, dtype,
+                                     functional=functional)
+    mh.close()
+    crc = None
+    if result.outputs is not None:
+        crc = 0
+        for host_out in result.outputs:
+            for vec in host_out:
+                crc = zlib.crc32(np.ascontiguousarray(vec).view(np.uint8),
+                                 crc)
+    return {"ledger": {k: repr(v)
+                       for k, v in sorted(result.ledger.seconds.items())},
+            "fabric_seconds": repr(result.fabric_seconds),
+            "fabric_bytes": result.fabric_bytes,
+            "elided_fabric_bytes": result.elided_fabric_bytes,
+            "global_algorithm": result.global_algorithm,
+            "outputs_crc": crc}
+
+
+def hierarchical_rows() -> dict[str, dict]:
+    """``primitive/hosts/mode/elide/dtype`` -> :func:`hierarchical_row`."""
+    return {f"{primitive}/{n}/{mode}/{elide}/{dtype}":
+            hierarchical_row(primitive, n, mode == "functional", elide, dtype)
+            for primitive in HIERARCHICAL for n in (1, 2, 3, 4)
+            for mode in ("functional", "analytic") for elide in (False, True)
+            for dtype in (INT64, FLOAT32)}
+
+
+class TestHierarchicalGolden:
+    def test_rows_match_golden(self):
+        """Every ledger category, fabric field and output bit of the
+        four hierarchical collectives, as generated at commit c41b5b3
+        (before one driver replaced their four bodies)."""
+        golden = json.loads(RESULTS_GOLDEN.read_text())
+        assert hierarchical_rows() == golden
+
+    def test_golden_exercises_fabric_elision(self):
+        golden = json.loads(RESULTS_GOLDEN.read_text())
+        elided = [key for key, row in golden.items()
+                  if row["elided_fabric_bytes"]]
+        assert elided and all(key.split("/")[0] in ("allgather", "alltoall")
+                              for key in elided)
+
+
 if __name__ == "__main__":
-    TUNER_GOLDEN.write_text(json.dumps(tuner_seconds(), indent=1,
-                                       sort_keys=True) + "\n")
-    print(f"wrote {TUNER_GOLDEN}")
+    import sys
+    which = sys.argv[1] if len(sys.argv) > 1 else "tuner"
+    if which == "tuner":
+        TUNER_GOLDEN.write_text(json.dumps(tuner_seconds(), indent=1,
+                                           sort_keys=True) + "\n")
+        print(f"wrote {TUNER_GOLDEN}")
+    else:
+        RESULTS_GOLDEN.write_text(json.dumps(hierarchical_rows(), indent=1,
+                                             sort_keys=True) + "\n")
+        print(f"wrote {RESULTS_GOLDEN}")

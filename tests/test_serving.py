@@ -29,6 +29,7 @@ from repro.errors import (
     AdmissionRejected,
     CollectiveError,
     FaultBudgetExceeded,
+    HypercubeError,
     QuotaExceeded,
     RequestShed,
     ServingError,
@@ -403,6 +404,45 @@ class TestQuotasAndLifecycle:
                 manager.system.memory(pe).read(0, 1 << 14),
                 solo_manager.system.memory(pe).read(0, 1 << 14))
 
+
+    def test_member_that_no_longer_normalizes_fails_alone(self):
+        """Both requests normalize at admission; by dispatch the session
+        runs on a cube of another dimension count (as it does after
+        degradation remaps it), so b's three-character bitmap no longer
+        normalizes.  b fails alone and a runs, once, as it runs solo."""
+        def build(shape):
+            system = DimmSystem(DimmGeometry(1, 1, 4, 8), mram_bytes=1 << 14)
+            for pe in range(system.num_pes):
+                system.write_elements(
+                    pe, 0, np.arange(16, dtype=np.int64) * (pe + 1), INT64)
+            return HypercubeManager(system, shape=shape)
+
+        alltoall_a = CommRequest("alltoall", [0], 128, src_offset=0,
+                                 dst_offset=4096)
+        alltoall_b = CommRequest("alltoall", "100", 128, src_offset=0,
+                                 dst_offset=8192)
+        solo_manager = build((4, 8))
+        expected = Communicator(solo_manager, SessionConfig()).run(alltoall_a)
+
+        async def scenario():
+            manager = build((4, 4, 2))
+            server = CollectiveServer(manager, SessionConfig())
+            fut_a = server.session("a").submit(alltoall_a)
+            fut_b = server.session("b").submit(alltoall_b)
+            server.comm.manager = HypercubeManager(manager.system,
+                                                   shape=(4, 8))
+            assert server.process() == 1
+            with pytest.raises(HypercubeError, match="3 characters"):
+                await fut_b
+            return server, await fut_a
+
+        server, served = asyncio.run(scenario())
+        assert server.comm.stats.calls == 1
+        assert served.ledger.total == expected.ledger.total
+        for pe in range(solo_manager.system.num_pes):
+            np.testing.assert_array_equal(
+                server.comm.manager.system.memory(pe).read(0, 1 << 14),
+                solo_manager.system.memory(pe).read(0, 1 << 14))
 
     def test_faulted_batch_member_never_reruns_its_neighbour(self):
         """A member that faults *during* a co-batched submit fails
