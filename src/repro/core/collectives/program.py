@@ -16,11 +16,11 @@ of the plan key.  :func:`compile_plan` lowers the step list once into a
 so steady-state replay of a cache-hit plan is a handful of numpy
 dispatches with zero index math, zero permutation validation, and zero
 per-step Python re-derivation.  The arena side is fixed too: each op
-declares its transfer regions once as an
-:class:`~repro.hw.arena.ArenaBinding`, and
-:meth:`~repro.hw.system.DimmSystem.bind` resolves them into windows
-once per arena layout, so replay moves bytes through pre-resolved
-views, and every table-driven gather, untiled or streamed, takes
+declares the :class:`~repro.hw.arena.Region` s it reads and writes
+once, and its binding, fault sites, write-log entry and transfer bytes
+are all read from them.  :meth:`~repro.hw.system.DimmSystem.bind`
+resolves the binding once per arena layout, so replay moves bytes
+through pre-resolved views, and every table-driven gather takes
 straight from the arena through the op's bound stream table, with no
 staging copy.  The interpreted path stays the oracle:
 replay must produce bit-identical memory state, host outputs, ledgers,
@@ -32,13 +32,12 @@ compiled form makes :func:`compile_plan` raise ``CollectiveError``.
 
 Fault injection sits at the op boundary: a banded op is one gather
 and one put (per group) of the modelled machine however many bands it
-moves in, so it draws those sites once, before any band moves
-(:meth:`~repro.hw.system.DimmSystem.expose`: rank guard, drop with
-partial delivery, CRC verify-before-commit), and its band kernels
-never consult the injector; :meth:`CommProgram.replay` adds the launch
-timeouts.  A fused op makes fewer transfers than the steps it
-absorbed, so it draws fewer faults -- the same physics that makes it
-cheaper (``docs/reliability.md``).
+moves in, so it logs its writes and draws those sites once, before any
+band moves (:meth:`~repro.hw.system.DimmSystem.expose`), and its band
+kernels never consult the injector; :meth:`CommProgram.replay` adds
+the launch timeouts.  A fused op makes fewer transfers than the steps
+it absorbed, so it draws fewer faults -- the same physics that makes
+it cheaper (``docs/reliability.md``).
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from ...errors import CollectiveError, TransferError
 from ...hw.arena import (
     ArenaBinding,
     BoundWindows,
+    Region,
     ScratchPool,
     flat_chunk_table,
     scan_chunk_classes,
@@ -142,12 +142,6 @@ def band_ranges(rows: int, row_bytes: int,
     return [(r0, min(r0 + band, rows)) for r0 in range(0, rows, band)]
 
 
-def _per_group(group_ids: Sequence[np.ndarray], offset: int,
-               nbytes: int) -> ArenaBinding:
-    """Binding of a per-instance op: one region per group."""
-    return ArenaBinding([(ids, offset, nbytes) for ids in group_ids])
-
-
 def _run_bands(units: Sequence, pool: ScratchPool | None, workers,
                run_one: Callable[[ScratchPool | None, Any], None]) -> None:
     """Execute per-band work units serially or across a worker pool.
@@ -222,12 +216,15 @@ class ProgramOp(abc.ABC):
     sized by ``ctx.tile_bytes``; an untiled replay (``tile_bytes``
     None) is the one-band case, so streamed and untiled replay share
     every line of it.  Every op takes its pre-counted charges, and the
-    labels of the steps it lowers, as keywords.
+    labels of the steps it lowers, as keywords, and declares the MRAM
+    regions it ``reads`` and ``writes`` once, when it is built.
     """
 
     simd: SimdCounter = field(default_factory=SimdCounter, kw_only=True)
     wram_tiles: int = field(default=0, kw_only=True)
     labels: tuple[str, ...] = field(default=(), kw_only=True)
+    reads: tuple[Region, ...] = field(default=(), init=False, repr=False)
+    writes: tuple[Region, ...] = field(default=(), init=False, repr=False)
 
     @abc.abstractmethod
     def execute(self, ctx: ExecContext) -> None:
@@ -238,13 +235,13 @@ class ProgramOp(abc.ABC):
         return 1
 
     def transfer_bytes(self) -> int:
-        """Modelled bus/staging bytes this op moves (0 = unknown).
+        """Modelled bus/staging bytes this op moves: its regions' bytes.
 
         Used by the elision layer to scale the ledger's transfer-bound
         categories by the fraction of bytes elisions removed; an op
-        that moves nothing over the bus (:class:`HostFoldOp`) reports 0.
+        that touches no MRAM (:class:`HostFoldOp`) reports 0.
         """
-        return 0
+        return sum(region.total_bytes for region in self.reads + self.writes)
 
     def launch(self, injector) -> None:
         """Launch-timeout fault site of the PE kernel this op models.
@@ -399,15 +396,15 @@ class GatherMoveOp(_BandedOp):
         # Flatten the table pair once at lowering time; the elision
         # scan maps chunk classes through it.
         self.flat = flat_chunk_table(self.lane, self.slot, self.nslots_in)
+        self.reads = (Region(self.ids, self.src_offset,
+                             self.nslots_in * self.chunk_bytes),)
+        self.writes = (Region(self.ids, self.dst_offset,
+                              self.nslots_out * self.chunk_bytes),)
+        (src,), (dst,) = self.reads, self.writes
         # One window, the destination block; the source is the gather.
-        self._binding = ArenaBinding(
-            [(self.ids, self.dst_offset, self.nslots_out * self.chunk_bytes)],
-            gather=(self.ids, self.ngroups, self.src_offset,
-                    self.chunk_bytes, self.lane, self.slot))
-        src_end = self.src_offset + self.nslots_in * self.chunk_bytes
-        dst_end = self.dst_offset + self.nslots_out * self.chunk_bytes
-        self._disjoint = src_end <= self.dst_offset \
-            or dst_end <= self.src_offset
+        self._binding = ArenaBinding(self.writes, gather=(
+            src, self.ngroups, self.chunk_bytes, self.lane, self.slot))
+        self._disjoint = src.end <= dst.offset or dst.end <= src.offset
         # Output row r = g * lanes + l reads only source row r when
         # every lane gathers from itself and no PE holds two rows.
         lanes = self.ids.size // self.ngroups
@@ -419,9 +416,6 @@ class GatherMoveOp(_BandedOp):
         self._band_memo = {}
         self._rows_unique = None
         self._plan_cache = None
-        #: The fault site of the gather and of the put (same bytes).
-        self._site = (self.ids,
-                      self.ids.size * self.nslots_out * self.chunk_bytes)
 
     def execute(self, ctx: ExecContext) -> None:
         bands = self._bands(ctx.tile_bytes)
@@ -447,16 +441,13 @@ class GatherMoveOp(_BandedOp):
                 _run_bands(_prefix(bands, limit), ctx.pool, ctx.workers,
                            run_band)
 
-        system.expose(move, (self._site,), self._site)
+        # The gather takes the rows the put writes: one site size.
+        system.expose(move, self.writes, self.writes[0])
         self._charge(ctx)
 
     # Kept only because benchmarks/e2e/tracer.py lists this name; drop
     # it with the next change to the benchmark's target list.
     execute_streamed = execute
-
-    def transfer_bytes(self) -> int:
-        return self.ids.size * (self.nslots_in + self.nslots_out) \
-            * self.chunk_bytes
 
     def _elidable(self) -> bool:
         """Whether this op may take the fingerprint-guided path at all.
@@ -467,8 +458,7 @@ class GatherMoveOp(_BandedOp):
         block big enough that scanning can ever pay.
         """
         return (self._disjoint
-                and self.ids.size * self.nslots_in * self.chunk_bytes
-                >= ELIDE_MIN_SOURCE_BYTES)
+                and self.reads[0].total_bytes >= ELIDE_MIN_SOURCE_BYTES)
 
     def _table_rows_unique(self) -> bool:
         """Whether no two lanes gather the same slot sequence (static).
@@ -519,16 +509,13 @@ class GatherMoveOp(_BandedOp):
         table = system.bind(self._binding).gather_table()
         epoch = system.content_epoch()
         cached = self._plan_cache
+        (src,), (dst,) = self.reads, self.writes
         if (cached is not None
                 and cached[0] is table
-                and not system.content_changed(
-                    cached[1], self.src_offset,
-                    self.nslots_in * self.chunk_bytes)):
+                and not system.content_changed(cached[1], src)):
             _, _, plan, dst_epoch = cached
             dst_clean = (dst_epoch is not None
-                         and not system.content_changed(
-                             dst_epoch, self.dst_offset,
-                             self.nslots_out * self.chunk_bytes))
+                         and not system.content_changed(dst_epoch, dst))
             # Re-key at the current epoch: the source check above just
             # proved every epoch in between clean.
             self._plan_cache = (table, epoch, plan, dst_epoch)
@@ -554,8 +541,7 @@ class GatherMoveOp(_BandedOp):
         system = ctx.system
         n = self.ids.size
         lanes = n // self.ngroups
-        src_bytes = self.nslots_in * self.chunk_bytes
-        block = system.scan_view(self.ids, self.src_offset, src_bytes)
+        block = system.scan_view(self.reads[0])
         chunks = block.reshape(self.ngroups, lanes, self.nslots_in,
                                self.chunk_bytes)
         zero, cls, scanned = scan_chunk_classes(chunks, self.ngroups)
@@ -711,18 +697,17 @@ class ReduceFoldOp(_BandedOp):
     scratch_key: str | None = None
 
     def __post_init__(self) -> None:
+        self.reads = (Region(self.ids, self.src_offset,
+                             self.nslots * self.chunk_bytes),)
+        if self.dst_offset is not None:
+            self.writes = (Region(self.ids, self.dst_offset,
+                                  self.chunk_bytes),)
         # One window, the destination chunk (if any); the source is the
         # gather.
-        specs = ([] if self.dst_offset is None
-                 else [(self.ids, self.dst_offset, self.chunk_bytes)])
-        self._binding = ArenaBinding(
-            specs, gather=(self.ids, self.ngroups, self.src_offset,
-                           self.chunk_bytes, self.lane, self.slot))
+        self._binding = ArenaBinding(self.writes, gather=(
+            self.reads[0], self.ngroups, self.chunk_bytes, self.lane,
+            self.slot))
         self._band_memo = {}
-        self._gather_site = (self.ids,
-                             self.ids.size * self.nslots * self.chunk_bytes)
-        self._put_sites = (() if self.dst_offset is None else
-                           ((self.ids, self.ids.size * self.chunk_bytes),))
 
     def execute(self, ctx: ExecContext) -> None:
         bands = self._bands(ctx.tile_bytes)
@@ -760,7 +745,7 @@ class ReduceFoldOp(_BandedOp):
         system.expose(
             lambda limit: _run_bands(_prefix(bands, limit), ctx.pool,
                                      ctx.workers, run_band),
-            self._put_sites, self._gather_site)
+            self.writes, self.reads[0])
         if full is not None:
             shaped = full.reshape(self.ngroups, -1, elems)
             ctx.scratch[self.scratch_key] = {
@@ -771,11 +756,6 @@ class ReduceFoldOp(_BandedOp):
     # it with the next change to the benchmark's target list.
     execute_streamed = execute
 
-    def transfer_bytes(self) -> int:
-        down = self.ids.size * self.chunk_bytes \
-            if self.dst_offset is not None else 0
-        return self.ids.size * self.nslots * self.chunk_bytes + down
-
     def _stream_safe(self) -> bool:
         """Banding safety for the fold's read-many/write-one overlap.
 
@@ -785,11 +765,10 @@ class ReduceFoldOp(_BandedOp):
         entirely outside the source block -- or when there is no MRAM
         destination at all (host-scratch-only reduces).
         """
-        if self.dst_offset is None:
+        if not self.writes:
             return True
-        src_end = self.src_offset + self.nslots * self.chunk_bytes
-        dst_end = self.dst_offset + self.chunk_bytes
-        return src_end <= self.dst_offset or dst_end <= self.src_offset
+        (src,), (dst,) = self.reads, self.writes
+        return src.end <= dst.offset or dst.end <= src.offset
 
     def _band_shape(self) -> tuple[int, int]:
         return self.ids.size, self.nslots * self.chunk_bytes
@@ -824,20 +803,16 @@ class FanoutScratchOp(_BandedOp):
         # The takes index with a private writeable copy: np.take copies
         # a read-only index array on every call.
         self._take_lane = self.lane.copy()
-        self._binding = _per_group(self.group_ids, self.dst_offset,
-                                   self.nslots_out * self.chunk_bytes)
-        self._band_memo = {}
-        self._put_sites = tuple(
-            (ids, ids.size * self.nslots_out * self.chunk_bytes)
+        self.writes = tuple(
+            Region(ids, self.dst_offset, self.nslots_out * self.chunk_bytes)
             for ids in self.group_ids)
+        self._binding = ArenaBinding(self.writes)
+        self._band_memo = {}
 
     @property
     def ngroups(self) -> int:
         """Groups fanned out (one per instance)."""
         return len(self.group_ids)
-
-    def transfer_bytes(self) -> int:
-        return self.ids.size * self.nslots_out * self.chunk_bytes
 
     def _band_shape(self) -> tuple[int, int]:
         # Source rows live in host scratch, destination in MRAM --
@@ -882,7 +857,7 @@ class FanoutScratchOp(_BandedOp):
             lambda limit: _run_bands(
                 _group_prefix(bands, len(chunks), lanes, limit), ctx.pool,
                 ctx.workers, run_unit),
-            self._put_sites)
+            self.writes)
         self._charge(ctx)
 
     # Kept only because benchmarks/e2e/tracer.py lists this name; drop
@@ -901,8 +876,9 @@ class HostPullOp(ProgramOp):
     scratch_key: str
 
     def __post_init__(self) -> None:
-        self._binding = _per_group(self.group_ids, self.src_offset,
-                                   self.chunk_bytes)
+        self.reads = tuple(Region(ids, self.src_offset, self.chunk_bytes)
+                           for ids in self.group_ids)
+        self._binding = ArenaBinding(self.reads)
 
     def execute(self, ctx: ExecContext) -> None:
         results = {}
@@ -916,9 +892,6 @@ class HostPullOp(ProgramOp):
         ctx.scratch[self.scratch_key] = results
         self._charge(ctx)
 
-    def transfer_bytes(self) -> int:
-        return sum(ids.size for ids in self.group_ids) * self.chunk_bytes
-
 
 @dataclass
 class HostPushOp(ProgramOp):
@@ -931,12 +904,11 @@ class HostPushOp(ProgramOp):
     source_key: str | None = None
 
     def __post_init__(self) -> None:
-        self._binding = _per_group(self.group_ids, self.dst_offset,
-                                   self.chunk_bytes)
-        self._put_sites = tuple((ids, ids.size * self.chunk_bytes)
-                                for ids in self.group_ids)
-        self._sizes = [(inst, ids.size * self.chunk_bytes)
-                       for ids, inst in zip(self.group_ids, self.instances)]
+        self.writes = tuple(Region(ids, self.dst_offset, self.chunk_bytes)
+                            for ids in self.group_ids)
+        self._binding = ArenaBinding(self.writes)
+        self._sizes = [(inst, region.total_bytes)
+                       for region, inst in zip(self.writes, self.instances)]
 
     def execute(self, ctx: ExecContext) -> None:
         bufs = ctx.source(self.source_key, "scatter", self._sizes)
@@ -953,16 +925,14 @@ class HostPushOp(ProgramOp):
                                 self.dst_offset, rows[g][:band[1]],
                                 bound.window(g, band))
 
-        system.expose(move, self._put_sites)
+        system.expose(move, self.writes)
         self._charge(ctx)
-
-    def transfer_bytes(self) -> int:
-        return sum(ids.size for ids in self.group_ids) * self.chunk_bytes
 
 
 @dataclass
 class BroadcastFillOp(ProgramOp):
-    """BroadcastStep lowered: one fill (one guarded delivery) per instance."""
+    """BroadcastStep lowered: one fill (one guarded delivery) per
+    instance, each drawing its own faults; the op logs its writes."""
 
     group_ids: tuple[np.ndarray, ...]
     instances: tuple[int, ...]
@@ -971,20 +941,19 @@ class BroadcastFillOp(ProgramOp):
     source_key: str | None = None
 
     def __post_init__(self) -> None:
-        self._binding = _per_group(self.group_ids, self.dst_offset,
-                                   self.nbytes)
+        self.writes = tuple(Region(ids, self.dst_offset, self.nbytes)
+                            for ids in self.group_ids)
+        self._binding = ArenaBinding(self.writes)
 
     def execute(self, ctx: ExecContext) -> None:
         bufs = ctx.source(self.source_key, "broadcast",
                           [(inst, self.nbytes) for inst in self.instances])
         system = ctx.system
         bound = system.bind(self._binding)
+        system.note_writes(self.writes)
         for g, (ids, buf) in enumerate(zip(self.group_ids, bufs)):
             system.fill_lanes(ids, self.dst_offset, buf, bound.window(g))
         self._charge(ctx)
-
-    def transfer_bytes(self) -> int:
-        return sum(ids.size for ids in self.group_ids) * self.nbytes
 
 
 @dataclass

@@ -53,7 +53,7 @@ from ..errors import (
     RankFailure,
     TransientFault,
 )
-from ..hw.arena import ScratchPool
+from ..hw.arena import Region, ScratchPool
 from ..hw.timing import CostLedger
 from ..reliability import RELIABLE
 from .cache import DEFAULT_MAXSIZE, PlanCache
@@ -64,9 +64,8 @@ from .scheduler import price_waves, schedule_waves
 from .session_config import EXECUTION_MODES, SessionConfig
 from .stats import EngineStats
 
-#: A footprint's saved MRAM: one ``(member PEs, offset, lane matrix)``
-#: record per span.
-_Snapshot = list[tuple[tuple[int, ...], int, np.ndarray]]
+#: A footprint's saved MRAM: one ``(region, lane matrix)`` per span.
+_Snapshot = list[tuple[Region, np.ndarray]]
 
 
 class Communicator:
@@ -340,27 +339,27 @@ class Communicator:
         most one snapshot is live per session (reliable calls are
         serial), and it dies with the call.
         """
-        spans = sorted(set(req.footprint().writes))
         pes = member_pes(self.manager, req.dims)
-        system = self.manager.system
-        need = len(pes) * sum(nbytes for _, nbytes in spans)
+        regions = [Region(pes, offset, nbytes)
+                   for offset, nbytes in sorted(set(req.footprint().writes))]
+        need = sum(region.total_bytes for region in regions)
         if self._snapshot_buf.size < need:
             self._snapshot_buf = np.empty(need, dtype=np.uint8)
         snapshot: _Snapshot = []
         start = 0
-        for offset, nbytes in spans:
-            stop = start + len(pes) * nbytes
-            rows = self._snapshot_buf[start:stop].reshape(len(pes), nbytes)
-            snapshot.append((pes, offset,
-                             system.peek_rows(pes, offset, nbytes, out=rows)))
-            start = stop
+        for region in regions:
+            rows = self._snapshot_buf[start:start + region.total_bytes]
+            snapshot.append((region, self.manager.system.peek_rows(
+                pes, region.offset, region.nbytes,
+                out=rows.reshape(len(pes), region.nbytes))))
+            start += region.total_bytes
         return snapshot
 
     def _restore(self, snapshot: _Snapshot) -> None:
         """Rewind MRAM to a snapshot (also injector-free, always exact)."""
         system = self.manager.system
-        for pes, offset, rows in snapshot:
-            system.poke_rows(pes, offset, rows)
+        for region, rows in snapshot:
+            system.poke_rows(region.rows, region.offset, rows)
 
     def _snapshot_needed(self) -> bool:
         """Whether a pre-attempt footprint snapshot can ever be used.
@@ -489,7 +488,7 @@ class Communicator:
     # ------------------------------------------------------------------
     # Batched submission
     # ------------------------------------------------------------------
-    def submit(self, requests: Sequence[CommRequest],
+    def submit(self, requests: Sequence[CommRequest | NormalizedRequest],
                functional: bool | None = None) -> BatchResult:
         """Run a batch of requests with overlap-aware scheduling.
 
@@ -513,14 +512,16 @@ class Communicator:
         Later members still run, and no member
         ever runs twice.  A member that does not normalize fails the
         same way before the batch runs: it joins no wave and prices
-        nothing.  Only an empty batch raises here.
+        nothing.  An already normalized member (serving admits them so)
+        runs as it is.  Only an empty batch raises here.
         """
         if not requests:
             raise CollectiveError("submit() needs at least one request")
         run_functional = (self.functional if functional is None
                           else functional)
-        normalized = [_caught(r.normalize, self.manager, self.config,
-                              self.backend) for r in requests]
+        normalized = [r if isinstance(r, NormalizedRequest)
+                      else _caught(r.normalize, self.manager, self.config,
+                                   self.backend) for r in requests]
         futures: list[CommFuture] = [None] * len(normalized)  # type: ignore
         ledgers = [CostLedger() for _ in normalized]
         good = []

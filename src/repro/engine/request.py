@@ -159,8 +159,13 @@ class NormalizedRequest:
         are private to the request and never alias, so only PE memory
         matters.  In-place primitives report their src interval as both
         read and written (the PE-assisted preparation kernel permutes
-        the source region).
+        the source region).  Every op's writes are checked against it
+        (``tests/test_containment.py``).  Computed once per request.
         """
+        return self._footprint
+
+    @functools.cached_property
+    def _footprint(self) -> "Footprint":
         n = self.group_size
         size = self.total_data_size
         src = (self.src_offset, size)

@@ -19,9 +19,9 @@ and the zero-fill of fresh rows is lazy at the OS level (calloc pages).
 Accessors always re-derive views from the current backing array, so a
 growth-triggered reallocation never leaves a stale alias behind.
 
-Compiled replay moves the same ``(PE ids, offset, nbytes)`` regions on
-every call, so it resolves each one once into a :class:`Window` and
-keeps an op's windows in an :class:`ArenaBinding`
+Compiled replay moves the same :class:`Region` s on every call, so it
+resolves each one once into a :class:`Window` and keeps an op's
+windows in an :class:`ArenaBinding`
 (:meth:`~repro.hw.system.DimmSystem.bind`).  A binding is tied to the
 backing array it was resolved against and rebinds when that array is
 replaced, which is the one case where re-derivation matters.
@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import functools
 import threading
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -80,15 +82,15 @@ def wide_dtype(nbytes: int) -> np.dtype:
     return np.dtype((np.void, nbytes))
 
 
+#: Retained write-log entries per arena; older history is dropped and
+#: treated as "anything may have changed" (see ``writes_since``).
+WRITE_LOG_MAX = 64
+
 #: Chunk count at which the scan samples before committing: below it
 #: both stages always run exactly; above it a deterministic evenly
 #: spaced sample must first *nominate* a stage (a zero chunk in the
 #: sample -> exact zero pass; duplicate sampled content -> digest
 #: pass), so dense traffic pays only the sample read.
-#: Retained write-log entries per arena; older history is dropped and
-#: treated as "anything may have changed" (see ``writes_since``).
-WRITE_LOG_MAX = 64
-
 SCAN_SAMPLE_MIN_CHUNKS = 1 << 13
 #: Evenly spaced chunks the nomination sample reads.
 SCAN_SAMPLE_CHUNKS = 256
@@ -232,24 +234,42 @@ def scan_chunk_classes(chunks: np.ndarray, ngroups: int | None = None
     return zero, cls, scanned
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Region:
+    """``nbytes`` of MRAM at ``offset`` on each PE of ``rows`` (an
+    ordered sequence of PE ids).  Equality is identity."""
+
+    rows: Sequence[int]
+    offset: int
+    nbytes: int
+
+    @property
+    def end(self) -> int:
+        """One past the region's last column."""
+        return self.offset + self.nbytes
+
+    @property
+    def total_bytes(self) -> int:
+        """Bytes the region covers over all of its rows."""
+        return len(self.rows) * self.nbytes
+
+
 class Window:
-    """One transfer region of one backing array, resolved once.
+    """A :class:`Region` resolved against one backing array.
 
     When the PE ids form a constant-stride run (the layouts the
     hypercube mapping produces) ``view`` is the zero-copy ``(n,
     nbytes)`` window and ``rows`` is None; otherwise ``view`` is the
     whole ``nbytes`` column span and ``rows`` the intp row index one
-    gather or scatter takes.  ``offset`` and ``nbytes`` name the
-    interval for the write log.
+    gather or scatter takes.
     """
 
-    __slots__ = ("view", "rows", "offset", "nbytes", "n", "_bands")
+    __slots__ = ("view", "rows", "nbytes", "n", "_bands")
 
     def __init__(self, view: np.ndarray, rows: np.ndarray | None,
-                 offset: int, nbytes: int) -> None:
+                 nbytes: int) -> None:
         self.view = view
         self.rows = rows
-        self.offset = offset
         self.nbytes = nbytes
         self.n = view.shape[0] if rows is None else rows.size
         self._bands: dict[tuple[int, int], Window] = {}
@@ -260,10 +280,9 @@ class Window:
             return self
         sub = self._bands.get((r0, r1))
         if sub is None:
-            sub = (Window(self.view[r0:r1], None, self.offset, self.nbytes)
+            sub = (Window(self.view[r0:r1], None, self.nbytes)
                    if self.rows is None else
-                   Window(self.view, self.rows[r0:r1], self.offset,
-                          self.nbytes))
+                   Window(self.view, self.rows[r0:r1], self.nbytes))
             self._bands[(r0, r1)] = sub
         return sub
 
@@ -319,18 +338,18 @@ class BoundWindows:
 class ArenaBinding:
     """Where one compiled op keeps its arena windows.
 
-    ``specs`` are the op's transfers as ``(pe_ids, offset, nbytes)``,
-    fixed at compile time; ``gather`` optionally names its chunk gather
-    as ``(pe_ids, ngroups, offset, chunk_bytes, lane, slot)`` for the
-    stream table.  :meth:`~repro.hw.system.DimmSystem.bind` resolves
-    them into ``bound`` under ``lock``, and again whenever the arena's
-    backing array is no longer ``bound.data``.
+    ``regions`` are the op's windowed transfers, fixed at compile time;
+    ``gather`` optionally names its chunk gather as ``(region, ngroups,
+    chunk_bytes, lane, slot)`` for the stream table.
+    :meth:`~repro.hw.system.DimmSystem.bind` resolves them into
+    ``bound`` under ``lock``, and again whenever the arena's backing
+    array is no longer ``bound.data``.
     """
 
-    __slots__ = ("specs", "gather", "lock", "bound")
+    __slots__ = ("regions", "gather", "lock", "bound")
 
-    def __init__(self, specs, gather=None) -> None:
-        self.specs = tuple(specs)
+    def __init__(self, regions: Sequence[Region], gather=None) -> None:
+        self.regions = tuple(regions)
         self.gather = gather
         self.lock = threading.Lock()
         #: Resolved against no array until the first bind.
@@ -367,13 +386,13 @@ class MemoryArena:
         # into materialized rows never take it.
         self._grow_lock = threading.Lock()
         # Content-change log for fingerprint caching: every mutation
-        # notes its column interval under a fresh epoch, and
-        # ``writes_since`` answers "may [lo, hi) have changed after
-        # epoch e?" conservatively -- dropped history and overlaps
-        # both collapse to True, never to a false "unchanged".
+        # notes its regions under a fresh epoch, and ``writes_since``
+        # answers "may columns [lo, hi) have changed after epoch e?"
+        # conservatively -- dropped history and overlaps both collapse
+        # to True, never to a false "unchanged".
         self._write_epoch = 0
         self._write_floor = 0
-        self._write_log: list[tuple[int, int, int]] = []
+        self._write_log: list[tuple[int, tuple[Region, ...]]] = []
         self._write_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -447,23 +466,22 @@ class MemoryArena:
         """Monotonic count of noted content mutations."""
         return self._write_epoch
 
-    def note_write(self, lo: int, hi: int) -> None:
-        """Record a (possible) content change over columns ``[lo, hi)``.
+    def note_write(self, *regions: Region) -> None:
+        """Record a (possible) content change over ``regions`` (one entry).
 
-        Row-agnostic on purpose: the log stays a handful of integers
-        per mutation, and a column overlap on *any* row is enough to
-        force a rescan -- elision plans are cheap to rebuild, wrong
-        ones are not.  Back-to-back writes to the same interval (the
-        steady-state replay pattern) collapse into one entry, so the
-        bounded log never churns under a tight replay loop.
+        Compared by columns only on purpose: a column overlap on *any*
+        row is enough to force a rescan -- elision plans are cheap to
+        rebuild, wrong ones are not.  Back-to-back notes of the same
+        region objects (one op replayed in a tight loop) collapse into
+        one entry, so the bounded log never churns.
         """
         with self._write_lock:
             self._write_epoch += 1
             log = self._write_log
-            if log and log[-1][1] == lo and log[-1][2] == hi:
-                log[-1] = (self._write_epoch, lo, hi)
+            if log and log[-1][1] == regions:
+                log[-1] = (self._write_epoch, regions)
             else:
-                log.append((self._write_epoch, lo, hi))
+                log.append((self._write_epoch, regions))
                 if len(log) > WRITE_LOG_MAX:
                     self._write_floor = log[0][0]
                     del log[0]
@@ -478,12 +496,21 @@ class MemoryArena:
         with self._write_lock:
             if epoch < self._write_floor:
                 return True
-            for e, wlo, whi in reversed(self._write_log):
+            for e, regions in reversed(self._write_log):
                 if e <= epoch:
                     break
-                if wlo < hi and lo < whi:
+                if any(r.offset < hi and lo < r.end for r in regions):
                     return True
         return False
+
+    def regions_since(self, epoch: int) -> list[Region] | None:
+        """Every region logged after ``epoch``; None once the log's
+        floor has passed it (the dropped history is unknown)."""
+        with self._write_lock:
+            if epoch < self._write_floor:
+                return None
+            return [region for e, regions in self._write_log
+                    if e > epoch for region in regions]
 
     # ------------------------------------------------------------------
     # Views
@@ -533,25 +560,25 @@ class MemoryArena:
         """
         view = self.lane_view(pe_ids, offset, nbytes)
         if view is not None:
-            return Window(view, None, offset, nbytes)
+            return Window(view, None, nbytes)
         ids = self.touch(pe_ids)
         return Window(self._data[:, offset:offset + nbytes],
-                      self._rows(ids), offset, nbytes)
+                      self._rows(ids), nbytes)
 
-    def bind(self, specs, gather=None) -> BoundWindows:
-        """Resolve ``(ids, offset, nbytes)`` specs against this layout,
-        plus the :meth:`stream_table` of ``gather`` when one is named.
+    def bind(self, regions: Sequence[Region], gather=None) -> BoundWindows:
+        """Resolve ``regions`` against this layout, plus the
+        :meth:`stream_table` of ``gather`` when one is named.
 
         Every row is touched before any window or table is taken, so a
         growth the touches trigger cannot strand one on the old array.
         """
-        for ids, _, _ in specs:
-            self.touch(ids)
+        for region in regions:
+            self.touch(region.rows)
         if gather is not None:
-            self.touch(gather[0])
+            self.touch(gather[0].rows)
         data = self._data
         return BoundWindows(data, tuple(
-            self.window(ids, offset, nbytes) for ids, offset, nbytes in specs),
+            self.window(r.rows, r.offset, r.nbytes) for r in regions),
             None if gather is None
             else self.stream_table(*gather, writeable=True))
 
@@ -574,16 +601,17 @@ class MemoryArena:
             width //= 2
         return width
 
-    def stream_table(self, pe_ids, ngroups: int, offset: int,
+    def stream_table(self, source: Region, ngroups: int,
                      chunk_bytes: int, lane_table: np.ndarray,
                      slot_table: np.ndarray, writeable: bool = False
                      ) -> tuple[np.ndarray, int]:
         """Arena-global flat gather table of a compiled op (any band).
 
         Lifts a per-group ``(lanes, nslots_out)`` (lane, slot) table
-        pair into element indices over the whole backing array viewed
-        as :meth:`flat_wide` elements: row ``r = g * lanes + l`` of the
-        returned ``(len(pe_ids), nslots_out * chunk_bytes // width)``
+        pair over the chunks of ``source`` into element indices over the
+        whole backing array viewed as :meth:`flat_wide` elements: row
+        ``r = g * lanes + l`` of the returned ``(len(source.rows),
+        nslots_out * chunk_bytes // width)``
         table holds the source elements of output row ``r``, so a band
         of output rows gathers with one ``np.take(..., out=)`` straight
         from the strided source -- no staging copy, and total index
@@ -603,8 +631,9 @@ class MemoryArena:
         (:meth:`bind`) keeps a writeable one for its take kernels and
         publishes a read-only view of it.
         """
+        offset = source.offset
         width = self.stream_width(offset, chunk_bytes)
-        ids = self.touch(pe_ids)
+        ids = self.touch(source.rows)
         lanes = ids.size // ngroups
         if lane_table.size and (lane_table.min() < 0
                                 or lane_table.max() >= lanes):
@@ -669,7 +698,8 @@ class MemoryArena:
         self.flat_wide(width).take(table[rows], out=out, mode="wrap")
 
     # ------------------------------------------------------------------
-    # Bulk transfers
+    # Bulk transfers.  The copy kernels log nothing: the writer that
+    # calls them notes its regions (:meth:`note_write`).
     # ------------------------------------------------------------------
     def read_rows(self, pe_ids, offset: int, nbytes: int,
                   out: np.ndarray | None = None,
@@ -736,7 +766,6 @@ class MemoryArena:
             raise TransferError(
                 f"lane matrix of shape {mat.shape} for {window.n} PEs x "
                 f"{window.nbytes}B")
-        self.note_write(window.offset, window.offset + window.nbytes)
         if window.rows is None:
             window.view[:] = mat
             return
@@ -755,7 +784,6 @@ class MemoryArena:
         if buf.size != window.nbytes:
             raise TransferError(
                 f"{buf.size}B buffer for a {window.nbytes}B window")
-        self.note_write(window.offset, window.offset + window.nbytes)
         if window.rows is None:
             window.view[:] = buf
             return
@@ -779,7 +807,6 @@ class MemoryArena:
         dirty = (window.view if rows is None
                  else window.view[rows]).any(axis=1)
         if dirty.any():
-            self.note_write(offset, offset + nbytes)
             window.view[dirty if rows is None else rows[dirty]] = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import AllocationError, TransferError
-from .arena import MemoryArena
+from .arena import MemoryArena, Region
 
 #: Default simulated MRAM size.  Real UPMEM banks hold 64 MiB; tests and
 #: examples use far less, and the size is configurable per system.
@@ -88,11 +88,11 @@ class ArenaPeMemory(PeMemory):
 
     def write(self, offset: int, data: np.ndarray) -> None:
         super().write(offset, data)
-        self.arena.note_write(offset, offset + int(np.asarray(data).size))
+        self.arena.note_write(Region((self.pe_id,), offset, len(data)))
 
     def view(self, offset: int, nbytes: int) -> np.ndarray:
         # A writable window escapes the arena's write tracking, so its
         # handout must count as a write for fingerprint-cache safety
         # (holders may mutate it at any later point).
-        self.arena.note_write(offset, offset + nbytes)
+        self.arena.note_write(Region((self.pe_id,), offset, nbytes))
         return super().view(offset, nbytes)

@@ -38,7 +38,7 @@ from ..dtypes import DataType
 from ..errors import AllocationError, TransferDropped, TransferError
 from ..reliability.checksum import guarded_delivery, guarded_site
 from ..reliability.faults import partial_prefix
-from .arena import ArenaBinding, BoundWindows, MemoryArena, Window
+from .arena import ArenaBinding, BoundWindows, MemoryArena, Region, Window
 from .geometry import DimmGeometry
 from .memory import MRAM_DEFAULT_BYTES, ArenaPeMemory, PeMemory
 from .pe import WRAM_TILE_BYTES, wram_permute_chunks
@@ -336,19 +336,17 @@ class DimmSystem:
                          for pe in pe_ids], out=out)
 
     def poke_rows(self, pe_ids: Sequence[int], offset: int,
-                  matrix: np.ndarray, window: Window | None = None) -> None:
+                  matrix: np.ndarray) -> None:
         """Injector-free write of a ``(len(pe_ids), nbytes)`` uint8 matrix.
 
         The inverse of :meth:`peek_rows` (the reliability layer's
-        rewind) and the commit half of every guarded write kernel.
+        rewind) and the logged commit half of every guarded write kernel.
         """
         if self.vectorized:
-            self._ensure_arena().write_rows(
-                self._lane_ids(pe_ids) if window is None else pe_ids,
-                offset, matrix, window=window)
-            return
-        for row, pe in zip(matrix, pe_ids):
-            self.memory(int(pe)).write(offset, row)
+            pe_ids = self._lane_ids(pe_ids)
+            self.note_writes(
+                (Region(pe_ids, offset, np.asarray(matrix).shape[-1]),))
+        self.put_rows(pe_ids, offset, matrix)
 
     def _received(self, injector: "FaultInjector", pe_ids: Sequence[int],
                   buf: np.ndarray, what: str) -> np.ndarray:
@@ -410,9 +408,7 @@ class DimmSystem:
                 # Equal-length payloads: one stack + reshape is the
                 # whole scatter.  Ragged payloads (rare) fall through
                 # to the per-PE path below.
-                self._ensure_arena().write_rows(
-                    self._lane_ids(pes), offset,
-                    np.stack(arrays).view(np.uint8))
+                self.poke_rows(pes, offset, np.stack(arrays).view(np.uint8))
                 return
         for pe, values in zip(pes, per_pe_values):
             self.write_elements(pe, offset, values, dtype)
@@ -442,44 +438,39 @@ class DimmSystem:
             buf = self._delivered(injector, pe_ids, offset, buf,
                                   "fill_lanes")
         if self.vectorized:
-            self._ensure_arena().fill_rows(
-                self._lane_ids(pe_ids) if window is None else pe_ids,
-                offset, buf, window=window)
+            if window is None:
+                pe_ids = self._lane_ids(pe_ids)
+                self.note_writes((Region(pe_ids, offset, buf.size),))
+            self._ensure_arena().fill_rows(pe_ids, offset, buf,
+                                           window=window)
             return
         for pe in pe_ids:
             self.memory(pe).write(offset, buf)
 
     def zero_fill_lanes(self, pe_ids: Sequence[int], offset: int,
                         nbytes: int) -> None:
-        """Make ``nbytes`` at ``offset`` read all-zero on every PE.
-
-        Semantically :meth:`fill_lanes` with a zero buffer, but
-        verify-first (:meth:`MemoryArena.zero_fill_rows`): regions that
-        already read zero are skipped instead of rewritten.  This is
-        the elision layer's zero-row fill -- back-to-back replays of
-        the same sparse collective hit the already-clean steady state,
-        so repeated elisions pay a read pass, never a write.  Like the
-        compiled band kernels below, it draws no faults (its rows belong
-        to the eliding op's put, drawn by :meth:`expose`), and like them
-        it runs on the arena only.
-        """
+        """Make ``nbytes`` at ``offset`` read all-zero on every PE,
+        verify-first (:meth:`MemoryArena.zero_fill_rows`): the elision
+        layer's zero-row fill.  Like the band kernels below it draws no
+        faults and logs nothing (:meth:`expose` does both for the
+        eliding op's put), and it runs on the arena only."""
         self._ensure_arena().zero_fill_rows(
             self._lane_ids(pe_ids), offset, nbytes)
 
     # ------------------------------------------------------------------
-    # Compiled-program kernels.  A compiled op draws its faults once,
-    # through :meth:`expose`, and then moves its bytes through the band
-    # kernels below, which never consult the injector; the host-pull
-    # read (:meth:`take_rows`) and the elision scan (:meth:`scan_view`)
-    # are their own read sites.  Each takes the ``window`` :meth:`bind`
-    # resolved for its region.  Compiled replay runs on the arena only:
-    # on the scalar backend these kernels raise (:meth:`_ensure_arena`)
-    # instead of reading a shadow arena.
+    # Compiled-program kernels.  A compiled op logs its writes and draws
+    # its faults once, through :meth:`expose`, and then moves its bytes
+    # through the band kernels below, which never consult the injector;
+    # the host-pull read (:meth:`take_rows`) and the elision scan
+    # (:meth:`scan_view`) are their own read sites.  Each takes the
+    # ``window`` :meth:`bind` resolved for its region.  Compiled replay
+    # runs on the arena only: on the scalar backend these kernels raise
+    # (:meth:`_ensure_arena`) instead of reading a shadow arena.
     # ------------------------------------------------------------------
     def bind(self, binding: ArenaBinding) -> BoundWindows:
         """``binding``'s windows and stream table on the current layout.
 
-        Resolves the op's specs once -- ids validated and touched,
+        Resolves the op's regions once -- ids validated and touched,
         spans checked, each region a strided view or a row index, and
         the op's gather (if it names one) lifted into a stream table --
         and again only when the arena's backing array is replaced
@@ -494,12 +485,12 @@ class DimmSystem:
         with binding.lock:
             bound = binding.bound
             if bound.data is not arena._data:
+                for region in binding.regions:
+                    self._lane_ids(region.rows)
                 gather = binding.gather
                 if gather is not None:
-                    gather = (self._lane_ids(gather[0]),) + gather[1:]
-                bound = arena.bind([(self._lane_ids(ids), offset, nbytes)
-                                    for ids, offset, nbytes in binding.specs],
-                                   gather)
+                    self._lane_ids(gather[0].rows)
+                bound = arena.bind(binding.regions, gather)
                 binding.bound = bound
         return bound
 
@@ -531,76 +522,78 @@ class DimmSystem:
                  matrix: np.ndarray, window: Window | None = None) -> None:
         """Write a pre-shaped ``(len(pe_ids), nbytes)`` uint8 lane matrix.
 
-        The put half of the compiled-program kernels: no per-call
-        shape re-validation (lowering already fixed the shapes), and no
-        fault draw (:meth:`expose` drew the op's put).
+        The put half of the compiled-program kernels: no shape check,
+        fault draw or log entry (lowering and :meth:`expose` did them).
         """
-        self.poke_rows(pe_ids, offset, matrix, window)
+        if self.vectorized:
+            self._ensure_arena().write_rows(
+                self._lane_ids(pe_ids) if window is None else pe_ids,
+                offset, matrix, window=window)
+            return
+        for row, pe in zip(matrix, pe_ids):
+            self.memory(int(pe)).write(offset, row)
+
+    def note_writes(self, regions: Sequence[Region]) -> None:
+        """Log ``regions`` as one write-log entry (the arena's)."""
+        if regions and self.vectorized:
+            self._ensure_arena().note_write(*regions)
 
     def content_epoch(self) -> int:
         """Arena write-epoch that keys content-derived caches (elision
         plans); see :meth:`content_changed`."""
         return self._ensure_arena().write_epoch
 
-    def content_changed(self, epoch: int, offset: int,
-                        nbytes: int) -> bool:
-        """Whether ``[offset, offset + nbytes)`` may have changed on any
-        PE since ``epoch`` (conservative: True on any doubt)."""
-        return self._ensure_arena().writes_since(epoch, offset,
-                                                 offset + nbytes)
+    def content_changed(self, epoch: int, region: Region) -> bool:
+        """Whether ``region``'s columns may have changed on any PE since
+        ``epoch`` (conservative: True on any doubt)."""
+        return self._ensure_arena().writes_since(epoch, region.offset,
+                                                 region.end)
 
     def take_band_flat(self, table: np.ndarray, width: int, r0: int,
                        r1: int, out: np.ndarray) -> None:
-        """Gather output rows ``[r0, r1)`` straight from the arena.
-
-        One unbuffered ``np.take(..., out=, mode="wrap")`` of wide
-        elements through the bound stream table (:meth:`bind`) -- the
-        gather kernel of every compiled replay, in-place ops included.
-        It makes one pass: no staging copy, and nothing allocated
-        beyond the caller's ``out``.  The default ``mode="raise"``
-        would gather into a hidden temporary first, so the range check
-        runs once, when the table is built
-        (:meth:`MemoryArena.stream_table`).  Total index work is
-        independent of the band count.
-        """
+        """Gather output rows ``[r0, r1)`` straight from the arena
+        through the bound stream table (:meth:`MemoryArena.take_band`,
+        one unbuffered pass): the gather kernel of every compiled
+        replay, in-place ops included."""
         self._ensure_arena().take_band(table, width, r0, r1, out)
 
     def expose(self, move: Callable[[int | None], None],
-               puts: Sequence[tuple[Sequence[int], int]],
-               gather: tuple[Sequence[int], int] | None = None) -> None:
+               puts: Sequence[Region], gather: Region | None = None) -> None:
         """One compiled op's transfers: their faults once, then ``move``.
 
         A compiled op is one gather and one put per group of the
         modelled machine, however many row bands the simulator moves it
-        in, so its fault sites are drawn here, once per op, before any
+        in, so its puts are one write-log entry (:meth:`note_writes`)
+        and its fault sites are drawn here, once per op, before any
         byte moves, in the order its one-band replay draws them: the
-        gather ``(pe_ids, nbytes)`` if the op has one, then each put
-        ``(pe_ids, nbytes)`` in output-row order.  Each site runs the
-        rank guard, the drop draw, then the corruption draw sized to
-        the whole transfer (:func:`guarded_site`).  A fault on the
-        gather raises before any byte moves, and so does a corrupted
-        put: its CRC pair rejects it before the commit.  A dropped put
-        lands, like every dropped write, on :func:`partial_prefix` of
-        its lanes: ``move(n)`` writes the op's output rows ``[0, n)``
-        -- every earlier put's rows, then that prefix -- before
-        :class:`TransferDropped` surfaces.  ``move(None)`` moves every
-        row.
+        ``gather`` region if the op has one, then each put region in
+        output-row order.  Each site runs the rank guard, the drop
+        draw, then the corruption draw sized to the whole region
+        (:func:`guarded_site`).  A fault on the gather raises before any
+        byte moves, and so does a corrupted put: its CRC pair rejects it
+        before the commit.  A dropped put lands, like every dropped
+        write, on :func:`partial_prefix` of its lanes: ``move(n)``
+        writes the op's output rows ``[0, n)`` -- every earlier put's
+        rows, then that prefix -- before :class:`TransferDropped`
+        surfaces.  ``move(None)`` moves every row.
         """
+        self.note_writes(puts)
         injector = self.fault_injector
         if injector is not None:
             if gather is not None:
-                ids, nbytes = gather
-                injector.guard_pes(self.geometry, ids)
-                guarded_site(injector, nbytes, "take_band_flat")
+                injector.guard_pes(self.geometry, gather.rows)
+                guarded_site(injector, gather.total_bytes, "take_band_flat")
             rows = 0
-            for ids, nbytes in puts:
+            for put in puts:
+                ids = put.rows
                 injector.guard_pes(self.geometry, ids)
                 if injector.take_drop():
                     reached = len(partial_prefix(ids))
                     move(rows + reached)
                     raise TransferDropped(
                         f"put_rows dropped after {reached}/{len(ids)} lanes")
-                guarded_site(injector, nbytes, "put_rows", drop=False)
+                guarded_site(injector, put.total_bytes, "put_rows",
+                             drop=False)
                 rows += len(ids)
         move(None)
 
@@ -622,9 +615,9 @@ class DimmSystem:
             block = self._received(injector, pe_ids, block, "take_rows")
         return block
 
-    def scan_view(self, pe_ids: Sequence[int], offset: int,
-                  nbytes: int) -> np.ndarray:
-        """Read-only ``(len(pe_ids), nbytes)`` window for fingerprint scans.
+    def scan_view(self, region: Region) -> np.ndarray:
+        """Read-only ``(len(rows), nbytes)`` window over ``region`` for
+        fingerprint scans.
 
         The elision layer's source window: a zero-copy arena view
         whenever the PE list is a strided run (the layouts the
@@ -635,14 +628,14 @@ class DimmSystem:
         writing any destination that may alias it.
         """
         arena = self._ensure_arena()
-        ids = self._lane_ids(pe_ids)
-        block = arena.lane_view(ids, offset, nbytes)
+        ids = self._lane_ids(region.rows)
+        block = arena.lane_view(ids, region.offset, region.nbytes)
         if block is None:
-            block = arena.read_rows(ids, offset, nbytes)
+            block = arena.read_rows(ids, region.offset, region.nbytes)
         injector = self.fault_injector
         if injector is not None:
             # The scan reads the source over the same link.
-            self._received(injector, pe_ids, block, "scan_view")
+            self._received(injector, region.rows, block, "scan_view")
         return block
 
     def take_select_flat(self, table: np.ndarray, width: int,

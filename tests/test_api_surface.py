@@ -145,7 +145,7 @@ EXPECTED_SESSION_SIGNATURES = {
         " payloads: 'Mapping[int, np.ndarray] | None' = None,"
         " config: 'OptConfig | None' = None,"
         " functional: 'bool | None' = None) -> 'CommResult'"),
-    "submit": ("(self, requests: 'Sequence[CommRequest]',"
+    "submit": ("(self, requests: 'Sequence[CommRequest | NormalizedRequest]',"
                " functional: 'bool | None' = None) -> 'BatchResult'"),
     "run": ("(self, request: 'CommRequest',"
             " functional: 'bool | None' = None) -> 'CommResult'"),

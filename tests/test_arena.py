@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import DimmSystem
 from repro.errors import AllocationError, TransferError
-from repro.hw.arena import MemoryArena, wide_dtype
+from repro.hw.arena import ArenaBinding, MemoryArena, Region, wide_dtype
 from repro.hw.memory import ArenaPeMemory
 
 
@@ -208,7 +209,8 @@ class TestStreamTables:
         arena.write_rows([0, 1], 0, data)
         lane = np.array([[1, 1], [0, 0]])
         slot = np.array([[0, 1], [0, 1]])
-        table, width = arena.stream_table([0, 1], 1, 0, 8, lane, slot)
+        table, width = arena.stream_table(Region([0, 1], 0, 16), 1, 8,
+                                          lane, slot)
         assert width == 8
         out = np.empty((2, table.shape[1]), dtype=wide_dtype(width))
         arena.take_band(table, width, 0, 2, out)
@@ -221,7 +223,7 @@ class TestStreamTables:
         arena = MemoryArena(mram_bytes=16, max_rows=8)
         lane = np.array([[0], [1]])
         slot = np.array([[0], [0]])
-        table, _ = arena.stream_table([0, 1], 1, 0, 8, lane, slot)
+        table, _ = arena.stream_table(Region([0, 1], 0, 8), 1, 8, lane, slot)
         with pytest.raises(ValueError):
             table[0, 0] = 0
 
@@ -231,11 +233,13 @@ class TestStreamTables:
         arena = MemoryArena(mram_bytes=16, max_rows=64)
         lane = np.array([[0], [1]])
         slot = np.array([[0], [0]])
-        before, _ = arena.stream_table([8, 9], 1, 0, 16, lane, slot)
+        before, _ = arena.stream_table(Region([8, 9], 0, 16), 1, 16, lane,
+                                       slot)
         data = arena._data
         arena.touch((0,))                   # re-base: rows shift
         assert arena._data is not data
-        after, _ = arena.stream_table([8, 9], 1, 0, 16, lane, slot)
+        after, _ = arena.stream_table(Region([8, 9], 0, 16), 1, 16, lane,
+                                      slot)
         assert not np.array_equal(before, after)
 
     @pytest.mark.parametrize("lane,slot", [
@@ -249,7 +253,7 @@ class TestStreamTables:
         # be refused here, once, instead of wrapping on every take.
         arena = MemoryArena(mram_bytes=16, max_rows=8)
         with pytest.raises(TransferError, match="stream table"):
-            arena.stream_table([0, 1], 1, 0, 8, np.array(lane),
+            arena.stream_table(Region([0, 1], 0, 16), 1, 8, np.array(lane),
                                np.array(slot))
 
 
@@ -297,7 +301,7 @@ class TestUnbufferedTakes:
         ids = np.arange(64)
         lane = np.tile(ids[:, None], (1, 256))
         slot = np.tile(np.arange(256)[::-1], (64, 1))
-        bound = arena.bind([], (ids, 1, 0, 8, lane, slot))
+        bound = arena.bind([], (Region(ids, 0, 256 * 8), 1, 8, lane, slot))
         table, width = bound.gather_table()
         assert table.flags.writeable and not bound.stream[0].flags.writeable
         np.testing.assert_array_equal(bound.stream[0], table)
@@ -329,7 +333,8 @@ class TestBoundWindows:
 
     def test_strided_and_scattered_windows(self):
         arena = MemoryArena(mram_bytes=32, max_rows=32)
-        bound = arena.bind([([2, 6, 10], 8, 8), ([9, 2, 5], 0, 4)])
+        bound = arena.bind([Region([2, 6, 10], 8, 8),
+                            Region([9, 2, 5], 0, 4)])
         strided, scattered = bound.windows
         assert bound.data is arena._data
         assert strided.rows is None and strided.view.shape == (3, 8)
@@ -341,7 +346,7 @@ class TestBoundWindows:
     def test_copies_through_windows_match_unbound(self):
         arena = MemoryArena(mram_bytes=32, max_rows=32)
         for pes, offset in (([2, 6, 10], 8), ([9, 2, 5], 0)):
-            (window,) = arena.bind([(pes, offset, 4)]).windows
+            (window,) = arena.bind([Region(pes, offset, 4)]).windows
             mat = np.arange(12, dtype=np.uint8).reshape(3, 4) + offset
             arena.write_rows(None, offset, mat, window=window)
             np.testing.assert_array_equal(
@@ -358,7 +363,7 @@ class TestBoundWindows:
 
     def test_window_shape_is_checked(self):
         arena = MemoryArena(mram_bytes=32, max_rows=32)
-        (window,) = arena.bind([([0, 1], 0, 4)]).windows
+        (window,) = arena.bind([Region([0, 1], 0, 4)]).windows
         with pytest.raises(TransferError):
             arena.write_rows(None, 0, np.zeros((2, 8), np.uint8),
                              window=window)
@@ -366,12 +371,28 @@ class TestBoundWindows:
             arena.fill_rows(None, 0, np.zeros(3, np.uint8), window=window)
 
     def test_writes_through_windows_are_logged(self):
-        arena = MemoryArena(mram_bytes=32, max_rows=32)
-        (window,) = arena.bind([([0, 1], 8, 4)]).windows
+        """By their op, once: the copy kernels log nothing, and
+        ``expose`` logs the op's put regions as one entry however many
+        bands move through the window."""
+        system = DimmSystem.small(backend="vectorized")
+        region = Region(np.arange(4), 8, 4)
+        bound = system.bind(ArenaBinding([region]))
+        arena = system.arena
         epoch = arena.write_epoch
-        arena.write_rows(None, 8, np.ones((2, 4), np.uint8), window=window)
+
+        def move(limit):
+            for r0 in range(limit or 4):
+                system.put_rows(region.rows[r0:r0 + 1], 8,
+                                np.ones((1, 4), np.uint8),
+                                bound.window(0, (r0, r0 + 1)))
+
+        move(4)
+        assert not arena.writes_since(epoch, 8, 12)
+        system.expose(move, (region,))
         assert arena.writes_since(epoch, 8, 12)
         assert not arena.writes_since(epoch, 0, 8)
+        assert arena.regions_since(epoch) == [region]
+        assert arena.write_epoch == epoch + 1
 
 
 class TestArenaPeMemory:

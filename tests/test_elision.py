@@ -23,7 +23,8 @@ import pytest
 
 from .helpers import COMPILED_STORES, groups_of, make_manager
 
-from repro import Communicator, FULL, FaultInjector, SessionConfig
+from repro import (Communicator, DimmSystem, FULL, FaultInjector,
+                   SessionConfig)
 from repro.core.collectives import program as program_mod
 from repro.dtypes import INT32, SUM
 from repro.engine.stats import EngineStats
@@ -304,6 +305,45 @@ class TestDenseFastPath:
                              elided_bytes=48)
         assert stats.elision_scans == 1
         assert stats.elision_rate == 6 / 8
+
+
+class TestWarmReplay:
+    def test_warm_replay_skips_the_zero_fill(self, tiny_floor, monkeypatch):
+        """An unchanged source reuses the op's elision plan, and a
+        destination nothing wrote since the op's last replay still
+        reads zero, so a warm replay makes no zero fill: the op checks
+        its destination before it logs its own write.  A write to the
+        destination brings the fill back."""
+        manager = make_manager(SHAPE)
+        system = manager.system
+        comm = Communicator(manager, SessionConfig(
+            config=FULL, backend="vectorized", elide_transfers=True))
+        groups = groups_of(manager, BITMAP)
+        elems = groups[0].size * 4
+        src, dst = system.alloc(elems * 4), system.alloc(elems * 4)
+        _fill(system, groups, src, elems, INT32, "zero", 0)
+        fills = []
+        zero_fill = DimmSystem.zero_fill_lanes
+
+        def counted(self, *args):
+            fills.append(args)
+            zero_fill(self, *args)
+
+        monkeypatch.setattr(DimmSystem, "zero_fill_lanes", counted)
+
+        def call():
+            return comm.alltoall(BITMAP, elems * 4, src_offset=src,
+                                 dst_offset=dst, data_type=INT32)
+
+        cold = call()
+        filled = len(fills)
+        warm = call()
+        assert filled > 0 and len(fills) == filled
+        assert warm.chunks_elided == cold.chunks_elided > 0
+        system.poke_rows(manager.all_pes, dst,
+                         np.ones((len(manager.all_pes), elems * 4), np.uint8))
+        call()
+        assert len(fills) > filled
 
 
 class TestConfigSurface:

@@ -36,7 +36,7 @@ from repro.core.hypercube import HypercubeManager as HM
 from repro.dtypes import INT64, SUM
 from repro.engine.request import CommRequest
 from repro.engine.parallel import WorkerPool
-from repro.hw.arena import ScratchPool
+from repro.hw.arena import Region, ScratchPool
 from repro.errors import (
     ChecksumError,
     FaultBudgetExceeded,
@@ -382,7 +382,8 @@ class TestWritesOnlySnapshot:
 
         def spy(snapshot):
             dirty = system.peek_rows(pes, 0, 512)
-            spans = [(offset, rows.shape[1]) for _, offset, rows in snapshot]
+            spans = [(region.offset, rows.shape[1])
+                     for region, rows in snapshot]
             restore(snapshot)
             rewinds.append((dirty, spans, system.peek_rows(pes, 0, 512)))
 
@@ -411,11 +412,11 @@ class TestWritesOnlySnapshot:
         req = CommRequest("alltoall", "11", 256, src_offset=0,
                           dst_offset=256).normalize(
                               comm.manager, comm.config, backend=comm.backend)
-        (_, offset, rows), = comm._snapshot(req)
-        assert (offset, rows.shape) == (256, (len(pes), 256))
+        (region, rows), = comm._snapshot(req)
+        assert (region.offset, rows.shape) == (256, (len(pes), 256))
         store = comm._snapshot_buf
         np.testing.assert_array_equal(rows, system.peek_rows(pes, 256, 256))
-        (_, _, again), = comm._snapshot(req)
+        (_, again), = comm._snapshot(req)
         assert comm._snapshot_buf is store
         assert np.shares_memory(again, store)
 
@@ -880,7 +881,7 @@ class TestFaultsOnCompiledReplay:
                 rows = np.tile(payload, (len(pes), 1))
                 system.expose(
                     lambda n: system.put_rows(pes[:n], 64, rows[:n]),
-                    ((pes, rows.nbytes),))
+                    (Region(pes, 64, rows.shape[1]),))
             else:
                 system.fill_lanes(pes, 64, payload)
         np.testing.assert_array_equal(system.peek_rows(pes, 0, 128), before)
@@ -919,7 +920,7 @@ class TestFaultsOnCompiledReplay:
             if kernel == "put_rows":
                 system.expose(
                     lambda n: system.put_rows(pes[:n], 64, rows[:n]),
-                    ((pes, rows.nbytes),))
+                    (Region(pes, 64, rows.shape[1]),))
             elif kernel == "fill_lanes":
                 rows = np.tile(rows[0], (pes.size, 1))
                 system.fill_lanes(pes, 64, rows[0])
@@ -927,7 +928,7 @@ class TestFaultsOnCompiledReplay:
                 rows = np.zeros_like(rows)
                 system.expose(
                     lambda n: system.zero_fill_lanes(pes[:n], 64, 32),
-                    ((pes, rows.nbytes),))
+                    (Region(pes, 64, 32),))
         reached = len(partial_prefix(pes))
         got = system.peek_rows(pes, 64, 32)
         np.testing.assert_array_equal(got[:reached], rows[:reached])

@@ -444,6 +444,39 @@ class TestQuotasAndLifecycle:
                 server.comm.manager.system.memory(pe).read(0, 1 << 14),
                 solo_manager.system.memory(pe).read(0, 1 << 14))
 
+    def test_served_request_normalizes_once(self, monkeypatch):
+        """Admission normalizes each request and computes its footprint;
+        on an unchanged cube the batch runs those, so four tenants' one
+        batch makes four of each -- not a second normalize in the
+        engine, nor a footprint per question asked of it."""
+        from repro.engine import request as request_mod
+
+        counts = {"normalize": 0, "footprint": 0}
+        normalize = CommRequest.normalize
+
+        def counted_normalize(self, *args, **kwargs):
+            counts["normalize"] += 1
+            return normalize(self, *args, **kwargs)
+
+        class CountedFootprint(request_mod.Footprint):
+            def __init__(self, *args, **kwargs):
+                counts["footprint"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(CommRequest, "normalize", counted_normalize)
+        monkeypatch.setattr(request_mod, "Footprint", CountedFootprint)
+
+        async def scenario():
+            server = CollectiveServer(make_manager((8, 4)), SessionConfig())
+            futures = [server.session(f"t{i}").submit(
+                           request(src=1024 * i, dst=8192 + 1024 * i))
+                       for i in range(4)]
+            assert server.process() == 1
+            return [await fut for fut in futures]
+
+        assert len(asyncio.run(scenario())) == 4
+        assert counts == {"normalize": 4, "footprint": 4}
+
     def test_faulted_batch_member_never_reruns_its_neighbour(self):
         """A member that faults *during* a co-batched submit fails
         alone: the member before it ran once, and its MRAM is what a

@@ -20,6 +20,12 @@ pytest sweeps in ``tests/test_differential_fuzz.py`` this runs for a
 ``--mode`` runs every case in one execution mode instead of cycling
 through all four.
 
+Every case is also byte-diffed: each MRAM byte the call changed must
+lie in the request's footprint (its write spans, on its member PEs)
+and, on the arena, in a region the write log recorded since the call
+began -- unless the log's floor (``WRITE_LOG_MAX`` entries) has passed
+that epoch -- and every logged region must lie in the footprint.
+
 Exits nonzero (with the failing case's parameters, replayable via
 ``--seed``) on the first mismatch.  A case whose retry budget runs out
 (:class:`FaultBudgetExceeded` -- the interpreter makes >100 fault draws
@@ -35,11 +41,11 @@ import time
 
 import numpy as np
 
-from repro import (ABLATION_LADDER, Communicator, DimmSystem, FaultInjector,
-                   HypercubeManager, SessionConfig)
+from repro import (ABLATION_LADDER, CommRequest, Communicator, DimmSystem,
+                   FaultInjector, HypercubeManager, SessionConfig)
 from repro.core import reference as ref
 from repro.core.collectives import program as program_mod
-from repro.core.groups import slice_groups
+from repro.core.groups import member_pes, slice_groups
 from repro.dtypes import INT8, INT16, INT32, INT64, SUM
 from repro.errors import FaultBudgetExceeded
 
@@ -69,6 +75,53 @@ REFERENCE = {
 }
 
 
+def _covered(lo, hi, spans):
+    """Whether columns ``[lo, hi)`` lie in the union of ``spans``."""
+    for offset, nbytes in sorted(spans):
+        if offset > lo:
+            break
+        lo = max(lo, offset + nbytes)
+    return lo >= hi
+
+
+class ByteDiff:
+    """One call's MRAM image and write epoch, checked after the call."""
+
+    def __init__(self, system):
+        self.system = system
+        self.before = self._image()
+        self.epoch = system.arena.write_epoch if system.arena else None
+
+    def _image(self):
+        system = self.system
+        return system.peek_rows(range(system.num_pes), 0, system.mram_bytes)
+
+    def check(self, manager, request, config):
+        """Raise AssertionError on a write outside the footprint or the
+        write log."""
+        req = request.normalize(manager, config)
+        footprint = req.footprint()
+        members = member_pes(manager, req.dims)
+        changed = self._image() != self.before
+        allowed = np.zeros_like(changed)
+        for offset, nbytes in footprint.writes:
+            allowed[np.asarray(members), offset:offset + nbytes] = True
+        assert not (changed & ~allowed).any(), \
+            f"{req.describe()} wrote outside its footprint"
+        regions = (None if self.epoch is None
+                   else self.system.arena.regions_since(self.epoch))
+        if regions is None:
+            return
+        logged = np.zeros_like(changed)
+        for region in regions:
+            logged[np.asarray(region.rows), region.offset:region.end] = True
+            assert _covered(region.offset, region.end, footprint.writes) \
+                and set(np.asarray(region.rows).tolist()) <= set(members), \
+                f"{req.describe()} logged a region outside its footprint"
+        assert not (changed & ~logged).any(), \
+            f"{req.describe()} changed bytes its write log does not cover"
+
+
 def random_bitmap(rng, ndim):
     """A uniformly random non-empty dimension bitmap."""
     while True:
@@ -81,7 +134,8 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
     """Run one random collective; returns its CommResult.
 
     Eliding cases zero a random fraction of every input, so the scan
-    sees mixes of zero, partial-zero and dense chunks.
+    sees mixes of zero, partial-zero and dense chunks.  The call is
+    byte-diffed (:class:`ByteDiff`) before its result is checked.
     """
     primitive = PRIMITIVES[rng.integers(len(PRIMITIVES))]
     shape = SHAPES[rng.integers(len(SHAPES))]
@@ -119,9 +173,11 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
         payloads = {g.instance: draw(root_elems) for g in groups}
         total = chunk * item
         dst = system.alloc(total)
-        result = getattr(comm, primitive)(
-            bitmap, total, dst_offset=dst, data_type=dtype,
-            payloads=payloads)
+        request = CommRequest(primitive, bitmap, total, dst_offset=dst,
+                              data_type=dtype, payloads=payloads)
+        diff = ByteDiff(system)
+        result = comm.run(request)
+        diff.check(manager, request, config)
         for group in groups:
             make = ref.scatter if primitive == "scatter" else ref.broadcast
             want = make(payloads[group.instance], n)
@@ -143,10 +199,11 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
         inputs[group.instance] = vectors
 
     if primitive in ("gather", "reduce"):
-        method = getattr(comm, primitive)
-        kwargs = {"reduction_type": SUM} if primitive == "reduce" else {}
-        result = method(bitmap, total, src_offset=src, data_type=dtype,
-                        **kwargs)
+        request = CommRequest(primitive, bitmap, total, src_offset=src,
+                              data_type=dtype, reduction_type=SUM)
+        diff = ByteDiff(system)
+        result = comm.run(request)
+        diff.check(manager, request, config)
         for group in groups:
             make = ref.gather if primitive == "gather" else \
                 (lambda v: ref.reduce(v, SUM))
@@ -159,11 +216,12 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
     out_elems = {"alltoall": elems, "reduce_scatter": chunk,
                  "allgather": n * chunk, "allreduce": elems}[primitive]
     dst = system.alloc(out_elems * item)
-    kwargs = ({"reduction_type": SUM}
-              if primitive in ("reduce_scatter", "allreduce") else {})
-    result = getattr(comm, primitive)(
-        bitmap, total, src_offset=src, dst_offset=dst, data_type=dtype,
-        **kwargs)
+    request = CommRequest(primitive, bitmap, total, src_offset=src,
+                          dst_offset=dst, data_type=dtype,
+                          reduction_type=SUM)
+    diff = ByteDiff(system)
+    result = comm.run(request)
+    diff.check(manager, request, config)
     for group in groups:
         want = REFERENCE[primitive](inputs[group.instance])
         for pe, expect in zip(group.pe_ids, want):
