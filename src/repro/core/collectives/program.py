@@ -492,7 +492,7 @@ class GatherMoveOp(_BandedOp):
         re-reading a single source byte.  The flag additionally
         reports that the *destination* interval saw no write since
         this op's own last eliding replay -- its zero rows still read
-        zero, so even the verify-first zero fill can be skipped.  A
+        zero, so the zero fill can be skipped.  A
         failed validation or a changed arena falls back to a fresh
         scan.
 

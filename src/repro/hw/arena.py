@@ -792,22 +792,18 @@ class MemoryArena:
     def zero_fill_rows(self, pe_ids, offset: int, nbytes: int) -> None:
         """Make ``nbytes`` at ``offset`` read all-zero on every row.
 
-        Semantically :meth:`fill_rows` with a zero buffer, but
-        verify-first: rows whose region already reads zero are left
-        untouched.  A wide read costs well under half a rewrite, and
-        the caller -- the elision layer's zero-row fill -- hits the
-        already-clean case on every steady-state replay of the same
-        sparse collective, so repeated elisions stop dirtying pages.
-        Concurrency-safe under the arena's disjoint-rows contract:
-        the verify and the conditional write touch only the given
-        rows' byte range.
+        :meth:`fill_rows` with a zero buffer, written straight into the
+        window: no zero image and no copy of the rows.  Verifying first
+        cost more than the write it saved -- a row index gathers every
+        row into a temporary before it reads one -- and the caller (the
+        elision layer's zero-row fill) already skips the fill when its
+        destination is known clean since the op's last replay.
         """
         window = self.window(pe_ids, offset, nbytes)
-        rows = window.rows
-        dirty = (window.view if rows is None
-                 else window.view[rows]).any(axis=1)
-        if dirty.any():
-            window.view[dirty if rows is None else rows[dirty]] = 0
+        if window.rows is None:
+            window.view[:] = 0
+            return
+        window.view[window.rows] = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MemoryArena({self._data.shape[0]} rows @ base "

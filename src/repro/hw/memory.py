@@ -58,6 +58,12 @@ class PeMemory:
         self._check_range(offset, nbytes)
         return self.mram[offset:offset + nbytes]
 
+    def unlogged(self) -> "PeMemory":
+        """This PE's memories through a handle whose writes log
+        nothing, for a kernel whose caller logs its whole region once.
+        A private bank logs nothing anyway, so it is its own handle."""
+        return self
+
     def _check_range(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.mram.size:
             raise TransferError(
@@ -96,3 +102,14 @@ class ArenaPeMemory(PeMemory):
         # (holders may mutate it at any later point).
         self.arena.note_write(Region((self.pe_id,), offset, nbytes))
         return super().view(offset, nbytes)
+
+    def unlogged(self) -> PeMemory:
+        """A plain :class:`PeMemory` over this PE's arena row and WRAM.
+
+        The row is resolved once, so the handle must not outlive the
+        kernel it serves: arena growth (touching a new PE) replaces
+        the backing array.
+        """
+        handle = PeMemory.__new__(PeMemory)
+        handle.mram, handle.wram = self.mram, self.wram
+        return handle

@@ -449,9 +449,9 @@ class DimmSystem:
 
     def zero_fill_lanes(self, pe_ids: Sequence[int], offset: int,
                         nbytes: int) -> None:
-        """Make ``nbytes`` at ``offset`` read all-zero on every PE,
-        verify-first (:meth:`MemoryArena.zero_fill_rows`): the elision
-        layer's zero-row fill.  Like the band kernels below it draws no
+        """Write zeros over ``nbytes`` at ``offset`` on every PE
+        (:meth:`MemoryArena.zero_fill_rows`): the elision layer's
+        zero-row fill.  Like the band kernels below it draws no
         faults and logs nothing (:meth:`expose` does both for the
         eliding op's put), and it runs on the arena only."""
         self._ensure_arena().zero_fill_rows(
@@ -663,16 +663,22 @@ class DimmSystem:
         ``pe_ids[i]`` applies (``new[s] = old[perm[s]]``).  Every PE
         stages its chunks through its own WRAM in bounded tiles (the
         honest per-PE kernel), on either store: on the arena through
-        :class:`ArenaPeMemory`.  Returns the total tile count.
+        :meth:`ArenaPeMemory.unlogged` handles, after one write-log
+        entry for the whole call (the PEs by the destination span), so
+        the per-tile copies do not flood the bounded log.  Returns the
+        total tile count.
         """
         perms = np.asarray(permutations)
         if perms.ndim != 2 or perms.shape[0] != len(pe_ids):
             raise TransferError(
                 f"permutation matrix of shape {perms.shape} does not "
                 f"match {len(pe_ids)} PEs")
-        return sum(wram_permute_chunks(self.memory(pe), src_offset,
-                                       dst_offset, chunk_bytes, perm,
-                                       tile_bytes)
+        if self.vectorized:
+            self.note_writes((Region(self._lane_ids(pe_ids), dst_offset,
+                                     perms.shape[1] * chunk_bytes),))
+        return sum(wram_permute_chunks(self.memory(pe).unlogged(),
+                                       src_offset, dst_offset, chunk_bytes,
+                                       perm, tile_bytes)
                    for pe, perm in zip(pe_ids, perms))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -14,20 +14,24 @@ host-level :class:`~repro.engine.WorkerPool`.
 
 Every hierarchical collective is one recipe run by one driver,
 :func:`_hierarchical`: a local collective onto each host (Reduce or
-Gather), the host buffer in its wire layout, one global phase, the
-canonical combine, and a local collective back onto the PEs (Broadcast
-or Scatter).  :data:`_RECIPES` holds the four rows; the public
-``multihost_*`` functions are one call into the driver.  AllReduce
-ships only the locally-reduced vector (1/256th of the data), so its
-fabric overhead is small; AlltoAll has no reduction and pays the full
-``(N-1)/N`` crossing cost -- exactly the asymmetry the paper's figure
-shows.
+Gather), one global phase, the canonical combine, and a local
+collective back onto the PEs (Broadcast or Scatter).
+:data:`_RECIPES` holds the four rows; the public ``multihost_*``
+functions are one call into the driver.  AllReduce ships only the
+locally-reduced vector (1/256th of the data), so its fabric overhead
+is small; AlltoAll has no reduction and pays the full ``(N-1)/N``
+crossing cost -- exactly the asymmetry the paper's figure shows.
 
 The functional global exchange is canonical numpy, shared by every
 global program and topology: a float reduction run round by round
 would depend on the chosen program's order of sums.  So hierarchical
 outputs are bit-identical to the scalar interpreted oracle at every
-host count, backend, execution mode, and program.
+host count, backend, execution mode, and program.  The two clocks part
+on AlltoAll: the modelled host re-blocks its buffer into the wire
+layout (charged as local modulation), while the simulator fuses
+re-block, exchange and un-block into one permutation
+(:func:`_alltoall_payloads`) and builds the wire layout only for the
+fabric elision scan.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, INT64, ReduceOp, SUM
 from ..engine import Communicator, SessionConfig, WorkerPool
 from ..errors import CollectiveError
-from ..hw.arena import scan_chunk_classes
+from ..hw.arena import scan_chunk_classes, wide_dtype
 from ..hw.geometry import DimmGeometry
 from ..hw.system import DimmSystem
 from ..hw.timing import CostLedger, MachineParams
@@ -265,31 +269,30 @@ def _reduce_across(host_vectors: list[np.ndarray], op: ReduceOp
     return reduced
 
 
-def _exchange_blocks(blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Fabric alltoall: host ``h``'s buffer is ``num_hosts`` equal
-    blocks and block ``g`` goes to host ``g``; returns what each host
-    receives, in source-host order."""
-    n = len(blocks)
-    grid = [buf.reshape(n, -1) for buf in blocks]
-    return [np.concatenate([rows[dest] for rows in grid])
-            for dest in range(n)]
-
-
 def _blocks(buf: np.ndarray, n: int, p: int, chunk: int) -> np.ndarray:
     """AlltoAll's wire layout: a host's gathered ``[local PE, dest host,
     dest PE, chunk]`` bytes re-blocked host-major, so block ``g`` is
-    everything bound for host ``g``."""
+    everything bound for host ``g``.  Only the fabric elision scan reads
+    it: the scan's nomination sample depends on chunk order."""
     raw = np.ascontiguousarray(buf).view(np.uint8)
     return np.ascontiguousarray(
         raw.reshape(p, n, p, chunk).transpose(1, 0, 2, 3)).reshape(-1)
 
 
-def _unblock(received: np.ndarray, n: int, p: int, chunk: int
-             ) -> np.ndarray:
-    """The scatter payload of a host's received blocks: local PE ``q``
-    receives chunk ``[src_host, src_local, q]``."""
-    arr = np.asarray(received, dtype=np.uint8).reshape(n, p, p, chunk)
-    return np.ascontiguousarray(arr.transpose(2, 0, 1, 3)).reshape(-1)
+def _alltoall_payloads(gathered: list[np.ndarray], n: int, p: int,
+                       chunk: int) -> list[np.ndarray]:
+    """Each host's Scatter payload after the fabric alltoall, in one
+    permutation: ``payload[g][q, h, s] = gathered[h][s, g, q]``, so
+    local PE ``q`` of host ``g`` receives chunk ``[h, s]`` from local
+    PE ``s`` of every host ``h``.  One strided assignment per source
+    host fills a single ``(n, p, n, p)`` block of chunk-wide elements;
+    the payloads are its per-host rows."""
+    wide = wide_dtype(chunk)
+    block = np.empty((n, p, n, p), dtype=wide)
+    for h, buf in enumerate(gathered):
+        block[:, :, h] = np.ascontiguousarray(buf).view(wide).reshape(
+            p, n, p).transpose(1, 2, 0)
+    return list(block.view(np.uint8).reshape(n, -1))
 
 
 class _Recipe(NamedTuple):
@@ -298,11 +301,8 @@ class _Recipe(NamedTuple):
     #: Local collective onto each host (``"reduce"`` or ``"gather"``);
     #: its host buffer is what enters the global phase.
     collect: str
-    #: ``(host buffer, n, p, chunk)`` -> the bytes the host puts on
-    #: the fabric.
-    wire: Callable
-    #: ``(wires, op, n, p, chunk)`` -> what each host distributes: the
-    #: canonical numpy result of the fabric exchange.
+    #: ``(host buffers, op, n, p, chunk)`` -> what each host
+    #: distributes: the canonical numpy result of the fabric exchange.
     combine: Callable
     #: Local collective back onto the PEs (``"broadcast"`` or
     #: ``"scatter"``) and its per-PE bytes, ``(size, chunk, n, p)``.
@@ -310,33 +310,33 @@ class _Recipe(NamedTuple):
     out_bytes: Callable
     #: The per-PE buffer splits into ``n * p`` global chunks.
     chunked: bool = False
-    #: The wire layout is re-blocked on the host (charged as local
-    #: modulation).
+    #: The modelled host re-blocks its buffer into the wire layout
+    #: (:func:`_blocks`, charged as local modulation); every other
+    #: collective puts its host buffer on the fabric as it is.
     reblocks: bool = False
 
 
 _RECIPES = {
     # Data cross *after* the local reduction: the reduced vector once.
     "allreduce": _Recipe(
-        "reduce", lambda buf, *_: buf,
-        lambda wires, op, n, *_: [_reduce_across(wires, op)] * n,
+        "reduce",
+        lambda bufs, op, n, *_: [_reduce_across(bufs, op)] * n,
         "broadcast", lambda size, *_: size),
     # Global PE ``i`` receives reduced chunk ``i``.
     "reduce_scatter": _Recipe(
-        "reduce", lambda buf, *_: buf,
-        lambda wires, op, n, p, chunk: list(np.ascontiguousarray(
-            _reduce_across(wires, op)).view(np.uint8).reshape(n, p * chunk)),
+        "reduce",
+        lambda bufs, op, n, p, chunk: list(np.ascontiguousarray(
+            _reduce_across(bufs, op)).view(np.uint8).reshape(n, p * chunk)),
         "scatter", lambda size, chunk, *_: chunk, chunked=True),
     # Data cross *before* duplication: each host's ``p * size`` once.
     "allgather": _Recipe(
-        "gather", lambda buf, *_: np.ascontiguousarray(buf).view(np.uint8),
-        lambda wires, op, n, *_: [np.concatenate(wires)] * n,
+        "gather",
+        lambda bufs, op, n, *_: [np.concatenate(bufs, axis=None)] * n,
         "broadcast", lambda size, chunk, n, p: n * p * size),
     # No reduction: the full ``(N-1)/N`` share crosses the fabric.
     "alltoall": _Recipe(
-        "gather", _blocks,
-        lambda wires, op, n, p, chunk: [_unblock(r, n, p, chunk)
-                                        for r in _exchange_blocks(wires)],
+        "gather",
+        lambda bufs, op, n, p, chunk: _alltoall_payloads(bufs, n, p, chunk),
         "scatter", lambda size, *_: size, chunked=True, reblocks=True),
 }
 
@@ -371,26 +371,33 @@ def _hierarchical(mh: MultiHostSystem, primitive: str, size: int,
             "1", size, src_offset=src, data_type=dtype,
             functional=functional, **extra))
     ledger.merge(collected[0].ledger)
+    bufs = ([res.host_outputs[0] for res in collected] if functional
+            else None)
+    del collected
     nbytes = size if recipe.collect == "reduce" else p * size
     if recipe.reblocks:
         ledger.add("host_mod", mh.params.mod_time(nbytes, "local"))
         ledger.add("host_mem", mh.params.host_mem_time(2 * nbytes))
-    wires = ([recipe.wire(res.host_outputs[0], n, p, chunk)
-              for res in collected] if functional else None)
 
     seconds, moved, elided, algorithm = 0.0, 0, 0, None
     if n > 1:
         program = mh.tuner.choose(primitive, nbytes)
         seconds, moved = program.seconds, program.fabric_bytes
         if functional and mh.session_config.elide_transfers:
+            wires = ([_blocks(buf, n, p, chunk) for buf in bufs]
+                     if recipe.reblocks else bufs)
             seconds, moved, elided = mh._elide_fabric(program, wires, ledger)
+            del wires
         algorithm = program.algorithm
         mh.stats.record_global_phase(
             primitive, algorithm, fabric_bytes=moved,
             fabric_seconds=seconds, elided_bytes=elided)
 
-    payloads = (recipe.combine(wires, op, n, p, chunk) if functional
+    # Each buffer is dropped once its successor exists, so a call holds
+    # at most two payload-sized buffers at a time.
+    payloads = (recipe.combine(bufs, op, n, p, chunk) if functional
                 else None)
+    bufs = None
     out_bytes = recipe.out_bytes(size, chunk, n, p)
     distributed = mh._each_host(
         lambda h: getattr(mh.communicators[h], recipe.distribute)(
@@ -398,12 +405,14 @@ def _hierarchical(mh: MultiHostSystem, primitive: str, size: int,
             payloads=({0: payloads[h]} if functional else None),
             functional=functional))
     ledger.merge(distributed[0].ledger)
+    payloads = distributed = None
 
     outputs = None
     if functional:
-        elems = out_bytes // dtype.itemsize
-        outputs = [mh.systems[h].gather_elements(range(p), dst, elems, dtype)
-                   for h in range(n)]
+        block = np.empty((n, p, out_bytes), dtype=np.uint8)
+        for system, rows in zip(mh.systems, block):
+            system.peek_rows(range(p), dst, out_bytes, out=rows)
+        outputs = [list(rows) for rows in block.view(dtype.np_dtype)]
     return MultiHostResult(ledger, seconds, outputs, algorithm, moved,
                            elided)
 

@@ -12,8 +12,10 @@ hold the engine to it:
   cube;
 * **dynamic** -- on MRAM filled at random, every byte a call changes
   lies in the footprint and in a region the arena's write log recorded
-  since the call began (unless the log's floor passed that epoch), and
-  every logged region lies in the footprint, in each execution mode.
+  since the call began, and every logged region lies in the footprint,
+  in each execution mode.  No mode may log so many entries that the
+  log's floor passes the call's epoch: the interpreter logs its
+  PE-local permutes once per call, not once per WRAM tile.
 
 Each check has a mutation arm showing it catches the defect it guards
 against: a narrowed footprint fails the static check, an op that drops
@@ -67,7 +69,7 @@ def _write_escapes(system: DimmSystem, footprint, members,
     """What a call changed outside its request's footprint or its
     write log: every changed byte must lie in the footprint's write
     columns on a member row and in a region the arena logged after
-    ``epoch`` (unless the log's floor has passed ``epoch``); every
+    ``epoch``, which the log's floor must not have passed; every
     logged region must lie in the footprint.  ``before`` is
     :func:`_mram_image` taken at ``epoch``."""
     changed = _mram_image(system) != before
@@ -80,17 +82,17 @@ def _write_escapes(system: DimmSystem, footprint, members,
         pe, col = np.argwhere(changed & ~allowed)[0]
         problems.append(f"PE {pe} byte {col} changed outside the footprint")
     regions = system.arena.regions_since(epoch)
-    if regions is not None:
-        logged = np.zeros_like(changed)
-        for region in regions:
-            logged[np.asarray(region.rows), region.offset:region.end] = True
-        if (changed & ~logged).any():
-            pe, col = np.argwhere(changed & ~logged)[0]
-            problems.append(f"PE {pe} byte {col} changed but no logged "
-                            f"region covers it")
-        problems += [f"logged {escape} outside the footprint"
-                     for escape in _region_escapes(regions, footprint,
-                                                   members)]
+    if regions is None:
+        return problems + ["the call overflowed the write log"]
+    logged = np.zeros_like(changed)
+    for region in regions:
+        logged[np.asarray(region.rows), region.offset:region.end] = True
+    if (changed & ~logged).any():
+        pe, col = np.argwhere(changed & ~logged)[0]
+        problems.append(f"PE {pe} byte {col} changed but no logged "
+                        f"region covers it")
+    problems += [f"logged {escape} outside the footprint"
+                 for escape in _region_escapes(regions, footprint, members)]
     return problems
 
 

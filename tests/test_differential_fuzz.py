@@ -567,7 +567,7 @@ class TestLongMultihostSweep:
         primitives = ("allreduce", "alltoall", "reduce_scatter",
                       "allgather")
         for topology in TestMultihostSweep.TOPOLOGIES:
-            for hosts in (2, 3, 4, 8):
+            for hosts in (2, 3, 4, 5, 7, 8):
                 for primitive in primitives:
                     sweep._run_multihost_case(
                         rng, hosts, topology, primitive,

@@ -18,6 +18,7 @@ purpose) with ``PYTHONPATH=src python -m tests.test_multihost results``.
 
 import json
 import re
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.dtypes import FLOAT32, INT64, MIN, SUM
 from repro.engine import SessionConfig
 from repro.errors import CollectiveError
 from repro.hw.timing import MachineParams
+from repro.multihost import hierarchical
 from repro.multihost import (
     Fabric,
     GLOBAL_ALGORITHMS,
@@ -829,6 +831,92 @@ def hierarchical_rows() -> dict[str, dict]:
             for primitive in HIERARCHICAL for n in (1, 2, 3, 4)
             for mode in ("functional", "analytic") for elide in (False, True)
             for dtype in (INT64, FLOAT32)}
+
+
+def three_pass_exchange(gathered, n, p, chunk):
+    """The AlltoAll exchange as three copies, the reference for the
+    fused permutation: re-block each host's gathered ``[local PE, dest
+    host, dest PE]`` chunks host-major, concatenate the blocks per
+    destination host, then transpose each destination's buffer into
+    its Scatter payload ``[dest PE, src host, src PE]``."""
+    wires = [np.ascontiguousarray(np.asarray(buf).view(np.uint8).reshape(
+        p, n, p, chunk).transpose(1, 0, 2, 3)).reshape(-1)
+        for buf in gathered]
+    grid = [wire.reshape(n, -1) for wire in wires]
+    received = [np.concatenate([rows[dest] for rows in grid])
+                for dest in range(n)]
+    return [np.ascontiguousarray(buf.reshape(n, p, p, chunk).transpose(
+        2, 0, 1, 3)).reshape(-1) for buf in received]
+
+
+class TestFusedAlltoAll:
+    @pytest.mark.parametrize("num_hosts", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("pes", [4, 64])
+    def test_matches_three_pass_exchange(self, num_hosts, pes):
+        """Chunk widths 8 and 32 include native-width elements; 24 and
+        256 take the void path."""
+        rng = np.random.default_rng(num_hosts * pes)
+        for chunk in (8, 24, 32, 256):
+            gathered = [rng.integers(0, 256, pes * num_hosts * pes * chunk,
+                                     dtype=np.uint8).view(np.int64)
+                        for _ in range(num_hosts)]
+            fused = hierarchical._alltoall_payloads(gathered, num_hosts,
+                                                    pes, chunk)
+            want = three_pass_exchange(gathered, num_hosts, pes, chunk)
+            assert len(fused) == num_hosts
+            for got, expect in zip(fused, want):
+                assert got.dtype == np.uint8
+                np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("primitive", list(HIERARCHICAL))
+    def test_earlier_outputs_survive_a_later_call(self, primitive):
+        """A call's outputs are its own: the next call reads into a
+        fresh output block."""
+        mh = engine_multihost(2)
+        tp = mh.total_pes
+        size = 16 if primitive == "allgather" else tp * 8
+        out_size = tp * size if primitive == "allgather" else size
+        buf, out = mh.alloc(size), mh.alloc(out_size)
+        rng = np.random.default_rng(5)
+
+        def call():
+            for gpe in range(tp):
+                mh.write_pe(gpe, buf, rng.integers(-50, 50, size // 8), INT64)
+            return HIERARCHICAL[primitive](mh, size, buf, out, INT64)
+
+        first = call()
+        kept = [[vec.copy() for vec in host] for host in first.outputs]
+        second = call()
+        mh.close()
+        assert any(not np.array_equal(a, b)
+                   for got, later in zip(kept, second.outputs)
+                   for a, b in zip(got, later))
+        for got, host in zip(kept, first.outputs):
+            for want, vec in zip(got, host):
+                np.testing.assert_array_equal(vec, want)
+
+    def test_alltoall_peak_memory_is_bounded(self):
+        """A steady-state 8-host AlltoAll (64 PEs x 16 KiB per host)
+        allocates at most 2.5x its all-host payload at its peak: the
+        gathered host buffers, the payload block and the output block
+        each go once the next one exists."""
+        mh = engine_multihost(8)
+        size = 16 << 10
+        rng = np.random.default_rng(0)
+        for system in mh.systems:
+            system.scatter_elements(
+                range(mh.pes_per_host), 0,
+                list(rng.integers(0, 99, (mh.pes_per_host, size // 8))),
+                INT64)
+        multihost_alltoall(mh, size, 0, size, INT64)
+        tracemalloc.start()
+        try:
+            multihost_alltoall(mh, size, 0, size, INT64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            mh.close()
+        assert peak <= 2.5 * mh.total_pes * size
 
 
 class TestHierarchicalGolden:
