@@ -21,14 +21,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.collectives.plan import CommPlan, ExecContext, Step
-from ..core.collectives.steps import PeReorderStep, _bus_terms
+from ..core.collectives.steps import PeReorderStep, pe_span
 from ..hw.kernels import ElementwiseKernel
 from ..core.groups import CommGroup, slice_groups
 from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, ReduceOp, check_op_dtype
 from ..errors import CollectiveError
-from ..hw.system import DimmSystem
-from ..hw.timing import CostLedger
+from ..hw.geometry import DimmGeometry
+from ..hw.timing import Term
 
 
 @dataclass
@@ -83,21 +83,12 @@ class RingStep(Step):
                     kernel.run(mem, self.staging_offset, slot, slot,
                                self.chunk_bytes)
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        moved = sum(g.size for g in self.groups) * self.chunk_bytes
-        channels, util = _bus_terms(system, self.groups)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(2 * moved, channels, util))
-        ledger.add("host_mod", params.mod_time(moved, "shuffle"))
-        if self.op is not None:
-            # The receiving PE reduces the staged chunk into its buffer.
-            ledger.add("pe", params.pe_stream_time(self.chunk_bytes))
-            ledger.add("pe", params.pe_compute_time(
-                self.chunk_bytes / self.dtype.itemsize))
-            ledger.add("launch", params.kernel_launch_s)
-        ledger.add("launch", params.collective_launch_s)
-        return ledger
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        npes, *lanes = pe_span(geometry, self.groups)
+        # The receiving PE reduces the staged chunk into its buffer.
+        return _round_traffic(npes * self.chunk_bytes, lanes,
+                              self.op is not None, self.chunk_bytes, npes,
+                              self.dtype)
 
     def describe(self) -> str:
         phase = "reduce" if self.op else "gather"
@@ -146,35 +137,29 @@ class TreePairStep(Step):
                                                           self.nbytes)
                     ctx.system.memory(pe_high).write(self.offset, data)
 
-    def _active_pes(self) -> list[int]:
-        active = []
-        for group in self.groups:
-            for low, high in self._pairs(group.size):
-                active.append(group.pe_ids[low])
-                active.append(group.pe_ids[high])
-        return active
-
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        pairs = sum(len(self._pairs(g.size)) for g in self.groups)
-        moved = pairs * self.nbytes
-        geom = system.geometry
-        active = self._active_pes()
-        channels = geom.channels_used(active)
-        util = geom.lane_utilization(active)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(2 * moved, channels, util))
-        ledger.add("host_mod", params.mod_time(moved, "shuffle"))
-        if self.direction == "up":
-            ledger.add("pe", params.pe_stream_time(self.nbytes))
-            ledger.add("pe", params.pe_compute_time(
-                self.nbytes / self.dtype.itemsize))
-            ledger.add("launch", params.kernel_launch_s)
-        ledger.add("launch", params.collective_launch_s)
-        return ledger
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        # Groups are equal slices, so one rank set thins every group.
+        pairs = self._pairs(self.groups[0].size)
+        npairs = len(pairs) * len(self.groups)
+        _, *lanes = pe_span(geometry, self.groups,
+                            tuple(rank for pair in pairs for rank in pair))
+        return _round_traffic(npairs * self.nbytes, lanes,
+                              self.direction == "up", self.nbytes, npairs,
+                              self.dtype)
 
     def describe(self) -> str:
         return f"Tree[{self.direction}] r={self.round_r} {self.nbytes}B"
+
+
+def _round_traffic(moved: int, lanes: list, merge: bool, nbytes: int,
+                   pes: int, dtype: DataType) -> tuple[Term, ...]:
+    """One host-mediated round, ``moved`` bytes each way; with ``merge``,
+    ``pes`` PEs each reduce ``nbytes`` staged bytes into their buffer."""
+    kernel = (Term("pe_stream", nbytes, pes=pes),
+              Term("pe_compute", nbytes / dtype.itemsize),
+              Term("kernel_launch", 1)) if merge else ()
+    return (Term("bus", 2 * moved, *lanes), Term("mod_shuffle", moved),
+            *kernel, Term("collective_launch", 1))
 
 
 def ring_allreduce_plan(manager: HypercubeManager, dims: str | Sequence[int],

@@ -5,11 +5,13 @@ list of steps, each of which can both
 
 * ``apply(ctx)`` -- move real bytes through the simulated system
   (functional mode; used by tests, examples, and small runs), and
-* ``cost(system)`` -- price itself against the machine parameters
-  (analytic mode; used by the paper-scale experiments).
+* ``traffic(geometry)`` -- declare its traffic, the work its
+  real-system counterpart does, as :class:`~repro.hw.timing.Term` s
+  that ``cost`` prices (analytic mode; the paper-scale experiments).
 
-The step is the single source of truth for both, so the test suite can
-assert that what a plan *does* is what it *charges for*.
+The step is the single source of truth for both, so the test suite
+asserts that what a plan *does* is what it *charges for*
+(:func:`~repro.core.collectives.program.traffic_mismatches`).
 
 Steps communicate host-side intermediates (gathered buffers, reduced
 rows) through the :class:`ExecContext` scratch dictionary, modelling
@@ -27,9 +29,10 @@ import numpy as np
 
 from ...errors import CollectiveError, TransferError
 from ...hw.arena import ScratchPool
+from ...hw.geometry import DimmGeometry
 from ...hw.host import SimdCounter
 from ...hw.system import DimmSystem
-from ...hw.timing import CostLedger
+from ...hw.timing import CostLedger, Term, price
 
 
 @dataclass
@@ -117,8 +120,13 @@ class Step(abc.ABC):
         """Execute functionally against the simulated system."""
 
     @abc.abstractmethod
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        """The work this step's real-system counterpart does on
+        ``geometry``, in ledger order: the one pricing hook."""
+
     def cost(self, system: DimmSystem) -> CostLedger:
-        """Modelled cost of this step on ``system``."""
+        """:meth:`traffic` priced at ``system``'s machine parameters."""
+        return price(self.traffic(system.geometry), system.params)
 
     def lower(self) -> list:
         """The :class:`~repro.core.collectives.program.ProgramOp` list
@@ -126,7 +134,8 @@ class Step(abc.ABC):
 
         Lowered ops must reproduce :meth:`apply`'s memory effects,
         scratch outputs and counter charges bit-identically (the
-        interpreted path stays the oracle).  A step with no compiled
+        interpreted path stays the oracle), and their regions cover the
+        MRAM bytes :meth:`traffic` prices.  A step with no compiled
         form keeps this default, which raises.
         """
         raise CollectiveError(f"{self.describe()} has no compiled form; "
@@ -145,9 +154,9 @@ class CommPlan:
     steps: list[Step]
     #: Free-form metadata (group count/size, payload bytes, config label).
     meta: dict[str, Any] = field(default_factory=dict)
-    #: ``(params, ledger)`` of the last :meth:`estimate`: a cached plan
-    #: is priced once per ``MachineParams``, not once per call.
-    _priced: tuple[Any, CostLedger] | None = field(
+    #: ``(params, ledger, bus bytes)`` of the last :meth:`estimate`: a
+    #: cached plan is priced once per ``MachineParams``, not per call.
+    _priced: tuple[Any, CostLedger, float] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def execute(self, system: DimmSystem,
@@ -167,13 +176,24 @@ class CommPlan:
         identity of ``system.params`` (what-if sweeps swap the params
         object); every caller gets its own copy to merge into.
         """
+        return self._price(system)[1].copy()
+
+    def bus_bytes(self, system: DimmSystem) -> float:
+        """Bytes the plan's traffic prices on the bus, memoised with
+        :meth:`estimate`'s ledger."""
+        return self._price(system)[2]
+
+    def _price(self, system: DimmSystem) -> tuple[Any, CostLedger, float]:
         priced = self._priced
         if priced is None or priced[0] is not system.params:
             ledger = CostLedger()
+            bus = 0
             for step in self.steps:
-                ledger.merge(step.cost(system))
-            priced = self._priced = (system.params, ledger)
-        return priced[1].copy()
+                terms = step.traffic(system.geometry)
+                ledger.merge(price(terms, system.params))
+                bus += sum(t.amount for t in terms if t.rate == "bus")
+            priced = self._priced = (system.params, ledger, bus)
+        return priced
 
     def run(self, system: DimmSystem, functional: bool = True,
             payloads: Mapping[int, np.ndarray] | None = None

@@ -17,8 +17,9 @@ so steady-state replay of a cache-hit plan is a handful of numpy
 dispatches with zero index math, zero permutation validation, and zero
 per-step Python re-derivation.  The arena side is fixed too: each op
 declares the :class:`~repro.hw.arena.Region` s it reads and writes
-once, and its binding, fault sites, write-log entry and transfer bytes
-are all read from them.  :meth:`~repro.hw.system.DimmSystem.bind`
+once, and its binding, fault sites and write-log entry are all read
+from them, as are the MRAM bytes its step's traffic must price
+(:func:`traffic_mismatches`).  :meth:`~repro.hw.system.DimmSystem.bind`
 resolves the binding once per arena layout, so replay moves bytes
 through pre-resolved views, and every table-driven gather takes
 straight from the arena through the op's bound stream table, with no
@@ -59,6 +60,7 @@ from ...hw.arena import (
     scan_chunk_classes,
     wide_dtype,
 )
+from ...hw.geometry import DimmGeometry
 from ...hw.host import SimdCounter
 from ...hw.kernels import fold_slots
 from ...hw.system import DimmSystem
@@ -233,15 +235,6 @@ class ProgramOp(abc.ABC):
     def tile_count(self, tile_bytes: int) -> int:
         """Bands :meth:`execute` replays at this budget."""
         return 1
-
-    def transfer_bytes(self) -> int:
-        """Modelled bus/staging bytes this op moves: its regions' bytes.
-
-        Used by the elision layer to scale the ledger's transfer-bound
-        categories by the fraction of bytes elisions removed; an op
-        that touches no MRAM (:class:`HostFoldOp`) reports 0.
-        """
-        return sum(region.total_bytes for region in self.reads + self.writes)
 
     def launch(self, injector) -> None:
         """Launch-timeout fault site of the PE kernel this op models.
@@ -1088,11 +1081,6 @@ class CommProgram:
         """Per-op band counts a replay at this budget runs (static)."""
         return [op.tile_count(tile_bytes) for op in self.ops]
 
-    @property
-    def transfer_bytes(self) -> int:
-        """Total modelled transfer bytes across all ops (static)."""
-        return sum(op.transfer_bytes() for op in self.ops)
-
     def pipeline_depth(self, tile_bytes: int) -> int:
         """Software-pipeline depth: the deepest single op's tile count."""
         return max(self.tile_counts(tile_bytes), default=1)
@@ -1162,10 +1150,10 @@ class CommProgram:
         The scan is charged at ``MachineParams.scan_time`` over the
         bytes the hierarchical scan actually touched; the
         transfer-bound categories (:data:`ELIDABLE_CATEGORIES`) shrink
-        by the measured fraction of modelled transfer bytes the
-        elisions removed.  A replay with no scan work (``elide``
-        off, dense content under the size floor) returns the ledger
-        unchanged.
+        by the measured fraction of the plan's priced bus bytes
+        (:meth:`CommPlan.bus_bytes`) the elisions removed.  A replay
+        with no scan work (``elide`` off, dense content under the size
+        floor) returns the ledger unchanged.
         """
         if not ctx.scan_bytes and not ctx.saved_transfer_bytes:
             return ledger
@@ -1173,7 +1161,7 @@ class CommProgram:
         if scan_s > 0.0:
             ledger.add("elide", scan_s)
         if ctx.saved_transfer_bytes:
-            total = self.transfer_bytes
+            total = self.plan.bus_bytes(system)
             if total > 0:
                 keep = 1.0 - min(1.0, ctx.saved_transfer_bytes / total)
                 for cat in ELIDABLE_CATEGORIES:
@@ -1188,6 +1176,23 @@ class CommProgram:
         lines.extend(f"  {i}: {op.describe()}"
                      for i, op in enumerate(self.ops))
         return "\n".join(lines)
+
+
+def traffic_mismatches(plan: CommPlan, geometry: DimmGeometry
+                       ) -> list[tuple[str, float, int]]:
+    """``(step, priced, moved)`` for each step of ``plan`` whose bus plus
+    PE-stream bytes (a pass reads and writes each byte) differ from its
+    lowered ops' region bytes; per step, as fusion drops regions."""
+    mismatches = []
+    for step in plan.steps:
+        priced = sum(t.amount if t.rate == "bus" else 2 * t.amount * t.pes
+                     for t in step.traffic(geometry)
+                     if t.rate in ("bus", "pe_stream"))
+        moved = sum(region.total_bytes for op in step.lower()
+                    for region in op.reads + op.writes)
+        if priced != moved:
+            mismatches.append((step.describe(), priced, moved))
+    return mismatches
 
 
 def compile_plan(plan: CommPlan) -> CommProgram:

@@ -1,9 +1,9 @@
 """Plan steps: the concrete dataflows of PID-Comm and the baselines.
 
 Each step both executes (moving real bytes through the simulated DIMMs)
-and prices itself (charging the cost categories its real-system
-counterpart would occupy).  The optimized steps implement the paper's
-three-stage decomposition:
+and declares its traffic (the bytes, operations and launches its
+real-system counterpart spends, as priced terms).  The optimized steps
+implement the paper's three-stage decomposition:
 
     PE-local permutation  ->  host lane pass  ->  PE-local permutation
 
@@ -44,8 +44,7 @@ from ...hw.host import (
     rotation_table,
 )
 from ...hw.pe import WRAM_TILE_BYTES, batched_permute_tiles, permutes_in_place
-from ...hw.system import DimmSystem
-from ...hw.timing import CostLedger
+from ...hw.timing import Term
 from ..groups import CommGroup
 from .. import reference
 from .plan import ExecContext, Step
@@ -75,28 +74,10 @@ _GLOBAL_SCRATCH = "global_exchange.reduced"
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=None)
 def slot_permutation(rule: str, rank: int, nslots: int) -> np.ndarray:
-    """Slot permutation for a PE of group rank ``rank``.
-
-    Returns ``perm`` such that ``new[i] = old[perm[i]]``.  Memoized on
-    ``(rule, rank, nslots)`` -- steady-state collectives reuse the
-    identical permutations every call -- so the returned array is
-    read-only; copy before mutating.
-    """
-    idx = np.arange(nslots)
-    if rule == "identity":
-        perm = idx
-    elif rule == "rotate_left_rank":
-        # new[s] = old[(s + rank) % n]
-        perm = (idx + rank) % nslots
-    elif rule == "reflect_rank":
-        # new[p] = old[(rank - p) % n]
-        perm = (rank - idx) % nslots
-    else:
-        raise CollectiveError(f"unknown slot permutation rule {rule!r}")
-    perm.setflags(write=False)
-    return perm
+    """Slot permutation for a PE of group rank ``rank``: ``perm`` such
+    that ``new[i] = old[perm[i]]`` (read-only; copy before mutating)."""
+    return slot_permutation_matrix(rule, rank + 1, nslots)[rank]
 
 
 @lru_cache(maxsize=None)
@@ -104,15 +85,18 @@ def slot_permutation_matrix(rule: str, nranks: int,
                             nslots: int) -> np.ndarray:
     """Stacked :func:`slot_permutation` rows for ranks ``0..nranks-1``.
 
-    Memoized and read-only, like :func:`slot_permutation`.
+    Memoized -- steady-state collectives reuse the identical
+    permutations every call -- so the matrix is read-only.
     """
     ranks = np.arange(nranks)[:, None]
     idx = np.arange(nslots)[None, :]
     if rule == "identity":
         matrix = np.broadcast_to(idx, (nranks, nslots)).copy()
     elif rule == "rotate_left_rank":
+        # new[s] = old[(s + rank) % n]
         matrix = (idx + ranks) % nslots
     elif rule == "reflect_rank":
+        # new[p] = old[(rank - p) % n]
         matrix = (ranks - idx) % nslots
     else:
         raise CollectiveError(f"unknown slot permutation rule {rule!r}")
@@ -176,19 +160,62 @@ def _dt_registers(nbytes: int) -> int:
     return (nbytes + REGISTER_BYTES - 1) // REGISTER_BYTES
 
 
-def _bus_terms(system: DimmSystem,
-               groups: Sequence[CommGroup]) -> tuple[int, float]:
-    """(channels used, lane utilization) for a transfer over ``groups``."""
-    return _group_bus_terms(system.geometry, tuple(groups))
+#: :func:`pe_span` by identity: a plan's steps share one group tuple, so
+#: a hit hashes no member ids.  A new manager's equal groups fall back
+#: to the value memo, :func:`_span`.
+_SPANS: dict[tuple, tuple] = {}
+
+
+def pe_span(geometry: DimmGeometry, groups: Sequence[CommGroup],
+            ranks: tuple[int, ...] | None = None) -> tuple[int, int, float]:
+    """``(PEs, channels, lane utilization)`` of the PE set a transfer
+    over ``groups`` touches: every member, or ranks ``ranks`` of each
+    (a tree round's thinning set)."""
+    key = (id(groups), id(geometry), ranks)
+    hit = _SPANS.get(key)
+    if hit is None or hit[0] is not groups or hit[1] is not geometry:
+        if len(_SPANS) >= 256:
+            _SPANS.clear()
+        hit = _SPANS[key] = (groups, geometry,
+                             _span(geometry, tuple(groups), ranks))
+    return hit[2]
 
 
 @lru_cache(maxsize=256)
-def _group_bus_terms(geometry: DimmGeometry,
-                     groups: tuple[CommGroup, ...]) -> tuple[int, float]:
-    """:func:`_bus_terms` once per (geometry, group list): every step of
-    a plan, and every plan over the same slicing, prices the same PEs."""
-    pes = union_pes(groups)
-    return geometry.channels_used(pes), geometry.lane_utilization(pes)
+def _span(geometry: DimmGeometry, groups: tuple[CommGroup, ...],
+          ranks: tuple[int, ...] | None) -> tuple[int, int, float]:
+    pes = np.asarray(union_pes(groups) if ranks is None
+                     else [g.pe_ids[r] for g in groups for r in ranks])
+    return (pes.size, geometry.channels_used(pes),
+            geometry.lane_utilization(pes))
+
+
+#: Host staging passes and modulation rate of a rooted transfer's mode.
+_ROOTED_MODES = {"inregister": (1, "mod_simd"),
+                 "conventional": (2, "mod_local"),
+                 "rearrange": (3, "mod_scalar")}
+
+
+def _lane_pass(bus: Term, mod_bytes: int, mode: str) -> tuple[Term, ...]:
+    """A pass moving ``bus``'s bytes and modulating ``mod_bytes``: DT modes
+    transpose every byte moved; ``staged`` also stages it in host memory."""
+    if mode == "crossdomain":
+        return bus, Term("mod_shuffle", mod_bytes)
+    if mode == "inregister":
+        return bus, Term("dt", bus.amount), Term("mod_simd", mod_bytes)
+    return (bus, Term("dt", bus.amount), Term("host_mem", 2 * bus.amount),
+            Term("mod_local", mod_bytes))
+
+
+def _rooted_traffic(geometry: DimmGeometry, groups: Sequence[CommGroup],
+                    chunk_bytes: int, mode: str) -> tuple[Term, ...]:
+    """One chunk per PE between MRAM and the host: the bus, one domain
+    transfer, and the mode's staging passes and modulation."""
+    pes, *lanes = pe_span(geometry, groups)
+    total = pes * chunk_bytes
+    passes, mod = _ROOTED_MODES[mode]
+    return (Term("bus", total, *lanes), Term("dt", total),
+            Term("host_mem", passes * total), Term(mod, total))
 
 
 def _check_mode(mode: str) -> None:
@@ -251,12 +278,10 @@ class PeReorderStep(Step):
                 group.pe_ids, self.src_offset, self.dst_offset,
                 self.chunk_bytes, perms)
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        ledger = CostLedger()
-        bytes_per_pe = self.nslots * self.chunk_bytes
-        ledger.add("pe", system.params.pe_stream_time(bytes_per_pe))
-        ledger.add("launch", system.params.kernel_launch_s)
-        return ledger
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        pes = pe_span(geometry, self.groups)[0]
+        return (Term("pe_stream", self.nslots * self.chunk_bytes, pes=pes),
+                Term("kernel_launch", 1))
 
     def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
@@ -316,22 +341,10 @@ class RotateExchangeStep(Step):
                     rolled = _roundtrip_domain(rolled)
                 ctx.system.write_lanes(group.pe_ids, slot_off, rolled)
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        total = sum(g.size for g in self.groups) * self.nslots * self.chunk_bytes
-        channels, util = _bus_terms(system, self.groups)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(2 * total, channels, util))
-        if self.mode == "crossdomain":
-            ledger.add("host_mod", params.mod_time(total, "shuffle"))
-        elif self.mode == "inregister":
-            ledger.add("dt", params.dt_time(2 * total))
-            ledger.add("host_mod", params.mod_time(total, "simd"))
-        else:  # staged
-            ledger.add("dt", params.dt_time(2 * total))
-            ledger.add("host_mem", params.host_mem_time(4 * total))
-            ledger.add("host_mod", params.mod_time(total, "local"))
-        return ledger
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        pes, *lanes = pe_span(geometry, self.groups)
+        total = pes * self.nslots * self.chunk_bytes
+        return _lane_pass(Term("bus", 2 * total, *lanes), total, self.mode)
 
     def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
@@ -387,24 +400,11 @@ class FanoutStep(Step):
                     group.pe_ids, self.dst_offset + s * self.chunk_bytes,
                     rolled)
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        in_bytes = sum(g.size for g in self.groups) * self.chunk_bytes
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        pes, *lanes = pe_span(geometry, self.groups)
         out_bytes = sum(g.size * g.size for g in self.groups) * self.chunk_bytes
-        channels, util = _bus_terms(system, self.groups)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(in_bytes + out_bytes, channels, util))
-        if self.mode == "crossdomain":
-            ledger.add("host_mod", params.mod_time(out_bytes, "shuffle"))
-        elif self.mode == "inregister":
-            ledger.add("dt", params.dt_time(in_bytes + out_bytes))
-            ledger.add("host_mod", params.mod_time(out_bytes, "simd"))
-        else:  # staged
-            ledger.add("dt", params.dt_time(in_bytes + out_bytes))
-            ledger.add("host_mem",
-                       params.host_mem_time(2 * (in_bytes + out_bytes)))
-            ledger.add("host_mod", params.mod_time(out_bytes, "local"))
-        return ledger
+        return _lane_pass(Term("bus", pes * self.chunk_bytes + out_bytes,
+                               *lanes), out_bytes, self.mode)
 
     def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
@@ -496,35 +496,28 @@ class ReduceExchangeStep(Step):
         assert acc is not None
         return acc
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        in_bytes = sum(g.size for g in self.groups) * self.nslots * self.chunk_bytes
-        out_bytes = (sum(g.size for g in self.groups) * self.chunk_bytes
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        npes, *lanes = pe_span(geometry, self.groups)
+        in_bytes = npes * self.nslots * self.chunk_bytes
+        out_bytes = (npes * self.chunk_bytes
                      if self.dst_offset is not None else 0)
-        channels, util = _bus_terms(system, self.groups)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(in_bytes + out_bytes, channels, util))
-        if self.mode == "crossdomain":
-            ledger.add("host_mod", params.mod_time(in_bytes, "shuffle"))
-            ledger.add("host_reduce", params.reduce_time(in_bytes, simd=True))
-        elif self.mode == "inregister":
-            ledger.add("host_mod", params.mod_time(in_bytes, "shuffle"))
-            ledger.add("dt", params.dt_time(in_bytes + out_bytes))
-            ledger.add("host_reduce", params.reduce_time(in_bytes, simd=True))
-        else:  # staged
-            ledger.add("dt", params.dt_time(in_bytes + out_bytes))
-            ledger.add("host_mem",
-                       params.host_mem_time(2 * in_bytes + 2 * out_bytes))
-            ledger.add("host_mod", params.mod_time(in_bytes, "local"))
-            ledger.add("host_reduce", params.reduce_time(in_bytes, simd=True))
+        terms = [Term("bus", in_bytes + out_bytes, *lanes)]
+        if self.mode == "staged":
+            terms += [Term("dt", in_bytes + out_bytes),
+                      Term("host_mem", 2 * in_bytes + 2 * out_bytes),
+                      Term("mod_local", in_bytes)]
+        else:
+            terms.append(Term("mod_shuffle", in_bytes))
+            if self.mode == "inregister":
+                terms.append(Term("dt", in_bytes + out_bytes))
+        terms.append(Term("reduce_simd", in_bytes))
         if self.scratch_key is not None and self.mode == "staged":
             # Without in-register modulation the reduced rows must be
             # parked in host memory between the phases; with it they
             # stream straight into the fan-out (Figure 17: host memory
             # access is completely removed).
-            kept = sum(g.size for g in self.groups) * self.chunk_bytes
-            ledger.add("host_mem", params.host_mem_time(kept))
-        return ledger
+            terms.append(Term("host_mem", npes * self.chunk_bytes))
+        return tuple(terms)
 
     def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
@@ -584,19 +577,15 @@ class FanoutFromHostStep(Step):
                     group.pe_ids, self.dst_offset + s * self.chunk_bytes,
                     rotate_lanes_registerwise(row, s, ctx.simd))
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        payload = sum(g.size for g in self.groups) * self.chunk_bytes
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        pes, *lanes = pe_span(geometry, self.groups)
         out_bytes = sum(g.size * g.size for g in self.groups) * self.chunk_bytes
-        channels, util = _bus_terms(system, self.groups)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(out_bytes, channels, util))
-        ledger.add("dt", params.dt_time(payload))
-        klass = "shuffle" if self.mode != "staged" else "local"
-        ledger.add("host_mod", params.mod_time(out_bytes, klass))
-        if self.mode == "staged":
-            ledger.add("host_mem", params.host_mem_time(2 * out_bytes))
-        return ledger
+        terms = (Term("bus", out_bytes, *lanes),
+                 Term("dt", pes * self.chunk_bytes))
+        if self.mode != "staged":
+            return terms + (Term("mod_shuffle", out_bytes),)
+        return terms + (Term("mod_local", out_bytes),
+                        Term("host_mem", 2 * out_bytes))
 
     def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
@@ -647,23 +636,9 @@ class GatherToHostStep(Step):
             results[group.instance] = row.reshape(-1).copy()
         ctx.scratch[self.scratch_key] = results
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        total = sum(g.size for g in self.groups) * self.chunk_bytes
-        channels, util = _bus_terms(system, self.groups)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(total, channels, util))
-        ledger.add("dt", params.dt_time(total))
-        if self.mode == "rearrange":
-            ledger.add("host_mem", params.host_mem_time(3 * total))
-            ledger.add("host_mod", params.mod_time(total, "scalar"))
-        elif self.mode == "conventional":
-            ledger.add("host_mem", params.host_mem_time(2 * total))
-            ledger.add("host_mod", params.mod_time(total, "local"))
-        else:
-            ledger.add("host_mem", params.host_mem_time(total))
-            ledger.add("host_mod", params.mod_time(total, "simd"))
-        return ledger
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        return _rooted_traffic(geometry, self.groups, self.chunk_bytes,
+                               self.mode)
 
     def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
@@ -703,20 +678,9 @@ class ScatterFromHostStep(Step):
             ctx.system.write_lanes(group.pe_ids, self.dst_offset,
                                    buf.reshape(group.size, self.chunk_bytes))
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        total = sum(g.size for g in self.groups) * self.chunk_bytes
-        channels, util = _bus_terms(system, self.groups)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(total, channels, util))
-        ledger.add("dt", params.dt_time(total))
-        if self.mode == "conventional":
-            ledger.add("host_mem", params.host_mem_time(2 * total))
-            ledger.add("host_mod", params.mod_time(total, "local"))
-        else:
-            ledger.add("host_mem", params.host_mem_time(total))
-            ledger.add("host_mod", params.mod_time(total, "simd"))
-        return ledger
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        return _rooted_traffic(geometry, self.groups, self.chunk_bytes,
+                               self.mode)
 
     def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
@@ -754,12 +718,8 @@ class BroadcastStep(Step):
             # the shared image per group.
             ctx.system.fill_lanes(group.pe_ids, self.dst_offset, buf)
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        npes = sum(g.size for g in self.groups)
-        channels, util = _bus_terms(system, self.groups)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(self.nbytes * npes, channels, util))
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        npes, *lanes = pe_span(geometry, self.groups)
         if len(self.groups) == 1:
             # The driver's fast path: one domain-transferred image of the
             # payload serves every PE (why native broadcast is already
@@ -771,10 +731,8 @@ class BroadcastStep(Step):
             # (this is why the baseline AllGather loses its broadcast
             # advantage on 2-D cubes, section VIII-E).
             dt_bytes = self.nbytes * npes
-        ledger.add("dt", params.dt_time(dt_bytes))
-        ledger.add("host_mem",
-                   params.host_mem_time(self.nbytes * len(self.groups)))
-        return ledger
+        return (Term("bus", self.nbytes * npes, *lanes), Term("dt", dt_bytes),
+                Term("host_mem", self.nbytes * len(self.groups)))
 
     def lower(self) -> list[ProgramOp]:
         groups = list(self.groups)
@@ -812,13 +770,9 @@ class HostReduceStep(Step):
             ctx.host(self.scratch_key), self.vectors, self.nbytes,
             self.dtype, self.op)
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
         total = self.vectors * self.nbytes * self.instances
-        ledger = CostLedger()
-        ledger.add("host_reduce", params.reduce_time(total, simd=False))
-        ledger.add("host_mem", params.host_mem_time(2 * total))
-        return ledger
+        return Term("reduce_scalar", total), Term("host_mem", 2 * total)
 
     def lower(self) -> list[ProgramOp]:
         return [HostFoldOp(
@@ -841,10 +795,8 @@ class LaunchStep(Step):
         if injector is not None:
             injector.take_timeout("collective launch")
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        ledger = CostLedger()
-        ledger.add("launch", self.count * system.params.collective_launch_s)
-        return ledger
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        return (Term("collective_launch", self.count),)
 
     def lower(self) -> list[ProgramOp]:
         # Cost-only (the launch charge lives in the pre-priced ledger);
@@ -868,7 +820,7 @@ class HostGlobalExchangeStep(Step):
     transfer.  Interpreted, this delegates to the golden reference
     collectives, which is exactly what the conventional path computes;
     compiled, it lowers onto the movement and fold ops of the PID-Comm
-    rungs (:meth:`lower`), priced by the same :meth:`cost`.
+    rungs (:meth:`lower`), priced by the same :meth:`traffic`.
     """
 
     groups: Sequence[CommGroup]
@@ -901,22 +853,15 @@ class HostGlobalExchangeStep(Step):
                 [np.ascontiguousarray(o).view(np.uint8) for o in outputs])
             ctx.system.write_lanes(group.pe_ids, self.dst_offset, out)
 
-    def cost(self, system: DimmSystem) -> CostLedger:
-        params = system.params
-        npes = sum(g.size for g in self.groups)
+    def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
+        npes, *lanes = pe_span(geometry, self.groups)
         in_bytes = npes * self.nslots_in * self.chunk_bytes
         out_bytes = npes * self.nslots_out * self.chunk_bytes
-        channels, util = _bus_terms(system, self.groups)
-        ledger = CostLedger()
-        ledger.add("bus", params.bus_time(in_bytes + out_bytes, channels, util))
-        ledger.add("dt", params.dt_time(in_bytes + out_bytes))
-        ledger.add("host_mem",
-                   params.host_mem_time(2 * in_bytes + 2 * out_bytes))
-        ledger.add("host_mod",
-                   params.mod_time(max(in_bytes, out_bytes), "scalar"))
-        if self.op is not None:
-            ledger.add("host_reduce", params.reduce_time(in_bytes, simd=False))
-        return ledger
+        fold = () if self.op is None else (Term("reduce_scalar", in_bytes),)
+        return (Term("bus", in_bytes + out_bytes, *lanes),
+                Term("dt", in_bytes + out_bytes),
+                Term("host_mem", 2 * in_bytes + 2 * out_bytes),
+                Term("mod_scalar", max(in_bytes, out_bytes)), *fold)
 
     def lower(self) -> list[ProgramOp]:
         """Rank ``s`` is lane ``s``: AlltoAll ``out[l, s] = in[s, l]``,

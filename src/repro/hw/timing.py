@@ -40,7 +40,7 @@ to the percent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..errors import PidCommError
 
@@ -354,6 +354,50 @@ class CostLedger:
     def copy(self) -> "CostLedger":
         """Independent copy of this ledger."""
         return CostLedger(dict(self.seconds))
+
+
+class Term(NamedTuple):
+    """One quantity of work a plan step declares (``Step.traffic``),
+    priced at :data:`RATES` ``[rate]``: ``amount`` is bytes, except
+    operations per PE (``pe_compute``) and a count (launches).  A bus
+    term spans ``channels`` at lane ``utilization``; a ``pe_stream``
+    term's ``amount`` is bytes per PE, streamed once by ``pes`` PEs."""
+
+    rate: str
+    amount: float
+    channels: int = 1
+    utilization: float = 1.0
+    pes: int = 1
+
+
+#: Term rate -> (ledger category, the :class:`MachineParams` formula
+#: pricing one term); ``docs/cost_model.md`` tabulates it.
+RATES: dict[str, tuple[str, Callable[[MachineParams, Term], float]]] = {
+    "bus": ("bus", lambda p, t: p.bus_time(t.amount, t.channels,
+                                           t.utilization)),
+    "dt": ("dt", lambda p, t: p.dt_time(t.amount)),
+    "host_mem": ("host_mem", lambda p, t: p.host_mem_time(t.amount)),
+    **{f"mod_{klass}": ("host_mod", lambda p, t, k=klass: p.mod_time(
+        t.amount, k)) for klass in MOD_CLASSES},
+    "reduce_simd": ("host_reduce", lambda p, t: p.reduce_time(t.amount, True)),
+    "reduce_scalar": ("host_reduce",
+                      lambda p, t: p.reduce_time(t.amount, False)),
+    "pe_stream": ("pe", lambda p, t: p.pe_stream_time(t.amount)),
+    "pe_compute": ("pe", lambda p, t: p.pe_compute_time(t.amount)),
+    "kernel_launch": ("launch", lambda p, t: t.amount * p.kernel_launch_s),
+    "collective_launch": ("launch",
+                          lambda p, t: t.amount * p.collective_launch_s),
+}
+
+
+def price(terms: Iterable[Term], params: MachineParams) -> CostLedger:
+    """Fold ``terms``, in order, into a ledger at ``params``' rates."""
+    ledger = CostLedger()
+    seconds = ledger.seconds
+    for term in terms:
+        category, formula = RATES[term.rate]
+        seconds[category] = seconds.get(category, 0.0) + formula(params, term)
+    return ledger
 
 
 def throughput_gbps(nbytes: float, seconds: float) -> float:

@@ -12,6 +12,8 @@ charge, count and compute exactly that on real application traffic.
 vectorized arena.)
 (b) Every plan a session or the baseline builds compiles, with no
 step left to the interpreter, and replays to the interpreter's bits.
+(c) Every step of those plans prices exactly the MRAM bytes its
+lowered ops move: the modelled clock charges for what replay does.
 
 Regenerate the golden file (only when the cost model itself is changed
 on purpose) with ``PYTHONPATH=src python -m tests.test_app_engine``.
@@ -44,10 +46,11 @@ from repro.apps import (
 from repro.baselines import topologies  # noqa: F401  (its steps are listed)
 from repro.baselines.simplepim import baseline_plan
 from repro.core.collectives import ABLATION_LADDER, CommPlan, build_plan, steps
-from repro.core.collectives.program import StepOp
+from repro.core.collectives.program import StepOp, traffic_mismatches
 from repro.core.groups import slice_groups
 from repro.data import criteo_like, random_graph, rmat_graph
 from repro.dtypes import FLOAT32, INT64, SUM
+from repro.hw.arena import Region
 
 from .test_differential_fuzz import PRIMITIVES
 
@@ -245,6 +248,56 @@ def test_pidcomm_apps_execute_no_step_op(apps, label, monkeypatch):
     run_app(apps[label], PidCommBackend())
     run_app(apps[label], BaselineCommBackend())
     assert not executed
+
+
+# ----------------------------------------------------------------------
+# (c) every step prices the bytes its ops move
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8), (4, 8), (4, 4, 2)])
+def test_every_step_prices_the_bytes_its_ops_move(shape):
+    """Per step, before fusion, on full and partial bitmaps: a step's
+    bus bytes plus its PE-stream bytes (2 x bytes/PE x PEs) equal the
+    region bytes of the ops it lowers to."""
+    manager = HypercubeManager(DimmSystem(G64), shape=shape)
+    for dims in _bitmaps(len(shape)):
+        for rung, plan, _ in _plans(manager, dims, INT64):
+            assert not traffic_mismatches(
+                plan, manager.system.geometry), (dims, plan.primitive, rung)
+
+
+def _alltoall_mismatches() -> list:
+    manager = HypercubeManager(DimmSystem(G64), shape=(8, 8))
+    plan = build_plan("alltoall", manager, "11", 64 * 8, 0, 64 * 8, INT64,
+                      SUM, ABLATION_LADDER[-1])
+    return [label for label, *_ in traffic_mismatches(
+        plan, manager.system.geometry)]
+
+
+def test_traffic_that_drops_its_write_direction_fails_the_check(
+        monkeypatch):
+    traffic = steps.RotateExchangeStep.traffic
+
+    def read_direction_only(self, geometry):
+        return tuple(t._replace(amount=t.amount // 2) if t.rate == "bus"
+                     else t for t in traffic(self, geometry))
+    monkeypatch.setattr(steps.RotateExchangeStep, "traffic",
+                        read_direction_only)
+    (label,) = _alltoall_mismatches()
+    assert label.startswith("RotateExchange")
+
+
+def test_an_op_writing_one_row_too_few_fails_the_check(monkeypatch):
+    lower = steps.RotateExchangeStep.lower
+
+    def one_row_narrower(self):
+        (op,) = lower(self)
+        (region,) = op.writes
+        op.writes = (Region(region.rows[:-1], region.offset,
+                            region.nbytes),)
+        return [op]
+    monkeypatch.setattr(steps.RotateExchangeStep, "lower", one_row_narrower)
+    (label,) = _alltoall_mismatches()
+    assert label.startswith("RotateExchange")
 
 
 if __name__ == "__main__":

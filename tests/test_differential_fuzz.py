@@ -34,6 +34,7 @@ from repro import (
     SessionConfig,
 )
 from repro.core import reference as ref
+from repro.core.collectives.program import traffic_mismatches
 from repro.dtypes import INT8, INT16, INT32, INT64, SUM
 
 PRIMITIVES = ("alltoall", "allgather", "reduce_scatter", "allreduce",
@@ -452,7 +453,10 @@ class TestLongSweep:
     """Excluded from tier-1 (see ``addopts``); run with ``-m fuzz``."""
 
     def test_long_healthy_sweep(self):
-        _sweep(seed=424242, cases=300)
+        """Every plan the sweep ran prices the bytes its ops move."""
+        geometry = make_manager((32,)).system.geometry
+        for result in _sweep(seed=424242, cases=300):
+            assert not traffic_mismatches(result.plan, geometry)
 
     @pytest.mark.parametrize("tile", [None, 33], ids=["untiled", "streamed"])
     @pytest.mark.parametrize("backend", COMPILED_STORES)

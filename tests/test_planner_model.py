@@ -263,8 +263,9 @@ class TestNoPerPeGeometryOnThePlanningPath:
                 f"per-PE geometry call for PE {pe_id} on the planning path")
         monkeypatch.setattr(DimmGeometry, "pe_coord", boom)
         monkeypatch.setattr(DimmGeometry, "eg_of_pe", boom)
-        # Bus terms priced by an earlier test would make this one warm.
-        steps._group_bus_terms.cache_clear()
+        # Spans priced by an earlier test would make this one warm.
+        steps._SPANS.clear()
+        steps._span.cache_clear()
 
     @pytest.mark.parametrize("primitive", PRIMITIVES)
     def test_cold_communicator_call(self, primitive):

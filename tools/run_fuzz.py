@@ -24,7 +24,10 @@ Every case is also byte-diffed: each MRAM byte the call changed must
 lie in the request's footprint (its write spans, on its member PEs)
 and, on the arena, in a region the write log recorded since the call
 began -- unless the log's floor (``WRITE_LOG_MAX`` entries) has passed
-that epoch -- and every logged region must lie in the footprint.
+that epoch -- and every logged region must lie in the footprint.  And
+every step of the plan it ran must price exactly the MRAM bytes its
+lowered ops move (:func:`~repro.core.collectives.program
+.traffic_mismatches`), on the cube and size the case drew.
 
 Exits nonzero (with the failing case's parameters, replayable via
 ``--seed``) on the first mismatch.  A case whose retry budget runs out
@@ -96,9 +99,13 @@ class ByteDiff:
         system = self.system
         return system.peek_rows(range(system.num_pes), 0, system.mram_bytes)
 
-    def check(self, manager, request, config):
+    def check(self, manager, request, config, result):
         """Raise AssertionError on a write outside the footprint or the
-        write log."""
+        write log, or on a step whose traffic prices other bytes than
+        its ops move."""
+        mismatches = program_mod.traffic_mismatches(result.plan,
+                                                    manager.system.geometry)
+        assert not mismatches, f"traffic prices other bytes: {mismatches}"
         req = request.normalize(manager, config)
         footprint = req.footprint()
         members = member_pes(manager, req.dims)
@@ -177,7 +184,7 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
                               data_type=dtype, payloads=payloads)
         diff = ByteDiff(system)
         result = comm.run(request)
-        diff.check(manager, request, config)
+        diff.check(manager, request, config, result)
         for group in groups:
             make = ref.scatter if primitive == "scatter" else ref.broadcast
             want = make(payloads[group.instance], n)
@@ -203,7 +210,7 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
                               data_type=dtype, reduction_type=SUM)
         diff = ByteDiff(system)
         result = comm.run(request)
-        diff.check(manager, request, config)
+        diff.check(manager, request, config, result)
         for group in groups:
             make = ref.gather if primitive == "gather" else \
                 (lambda v: ref.reduce(v, SUM))
@@ -221,7 +228,7 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
                           reduction_type=SUM)
     diff = ByteDiff(system)
     result = comm.run(request)
-    diff.check(manager, request, config)
+    diff.check(manager, request, config, result)
     for group in groups:
         want = REFERENCE[primitive](inputs[group.instance])
         for pe, expect in zip(group.pe_ids, want):
