@@ -3,16 +3,12 @@
 Every function reruns the corresponding experiment on the analytic
 simulator at paper scale and returns structured rows; ``python -m
 repro`` prints them and EXPERIMENTS.md records the paper-vs-measured
-comparison.  Beside Figure 20 sits :func:`autotune_shape`, which
-searches the hypercube shape for a communication mix by the same
-modelled pricing.
+comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..apps import BaselineCommBackend, PidCommBackend
 from ..baselines import (
@@ -34,8 +30,7 @@ from ..core.collectives import (
 )
 from ..core.hypercube import HypercubeManager
 from ..dtypes import INT64, SUM
-from ..errors import HypercubeError, PidCommError
-from ..hw.system import DimmSystem
+from ..errors import PidCommError
 from ..hw.timing import throughput_gbps
 from ..multihost import (
     MultiHostSystem,
@@ -342,102 +337,6 @@ def fig20_shapes(payload: int = PRIMITIVE_PAYLOAD):
             row[prim] = _tput(payload * manager.num_nodes, seconds)
         rows.append(row)
     return rows
-
-
-# The paper shows that primitive throughput depends on the cube shape
-# (Figure 20) and that "the configuration on PIM-based systems has to
-# be carefully chosen" (section VIII-G).  Because plans are cheap to
-# price, the best shape for a given communication mix can be searched:
-#
-#     mix = [("reduce_scatter", "100", 8 << 20), ("allgather", "100", ...)]
-#     best = autotune_shape(system, num_pes=1024, ndim=3, mix=mix)
-@dataclass(frozen=True)
-class ShapeScore:
-    """Estimated cost of one candidate shape."""
-
-    shape: tuple[int, ...]
-    seconds: float
-
-
-@lru_cache(maxsize=None)
-def _factorizations(num_pes: int, ndim: int) -> tuple[tuple[int, ...], ...]:
-    """Memoized enumeration backing :func:`candidate_shapes`.
-
-    The recursion re-enumerates identical ``(num_pes, ndim)`` subtrees
-    many times (every prefix length shares the same suffix problem), so
-    both the recursive calls and repeated top-level tuning runs hit the
-    cache.
-    """
-    if ndim == 1:
-        return ((num_pes,),)
-    shapes = []
-    length = 1
-    while length <= num_pes:
-        if num_pes % length == 0:
-            shapes.extend((length,) + rest
-                          for rest in _factorizations(num_pes // length,
-                                                      ndim - 1))
-        length *= 2
-    return tuple(shapes)
-
-
-def candidate_shapes(num_pes: int, ndim: int) -> Iterator[tuple[int, ...]]:
-    """All ordered factorizations of ``num_pes`` into ``ndim`` dims.
-
-    All dimensions except the last must be powers of two (the
-    hypercube's rule); the last may be any factor, which covers
-    non-power-of-two channel counts.  Enumeration is memoized, so
-    repeated tuning runs over the same PE count re-derive nothing.
-    """
-    if ndim < 1:
-        raise PidCommError("ndim must be >= 1")
-    yield from _factorizations(num_pes, ndim)
-
-
-def autotune_shape(system: DimmSystem, num_pes: int, ndim: int,
-                   mix: Sequence[tuple[str, str, int]],
-                   min_dim: int = 1) -> list[ShapeScore]:
-    """Rank all candidate shapes by the modelled cost of a workload mix.
-
-    Args:
-        system: The target system (cost parameters + geometry).
-        num_pes: PEs the hypercube must cover.
-        ndim: Number of hypercube dimensions.
-        mix: Sequence of ``(primitive, dims_bitmap, payload_bytes)``
-            invocations making up one round of the workload.
-        min_dim: Discard shapes with any dimension shorter than this.
-
-    Returns:
-        Scores sorted cheapest-first (the head is the recommendation).
-
-    A mix repeating the same ``(primitive, pattern, payload)`` entry
-    (one AllReduce per layer, say) prices that plan once per shape and
-    reuses the estimate for every repetition, instead of re-planning
-    per entry.
-    """
-    if not mix:
-        raise PidCommError("autotune needs a non-empty communication mix")
-    scores = []
-    for shape in candidate_shapes(num_pes, ndim):
-        if min(shape) < min_dim:
-            continue
-        try:
-            manager = HypercubeManager(system, shape=shape)
-            priced: dict[tuple[str, str, int], float] = {}
-            total = 0.0
-            for primitive, dims, payload in mix:
-                entry = (primitive, dims, payload)
-                if entry not in priced:
-                    plan = _pid_plan(primitive, manager, dims, payload)
-                    priced[entry] = plan.estimate(system).total
-                total += priced[entry]
-        except (HypercubeError, PidCommError):
-            continue  # shape incompatible with the mix (e.g. indivisible)
-        scores.append(ShapeScore(shape=shape, seconds=total))
-    if not scores:
-        raise PidCommError(
-            "no candidate shape was compatible with the workload mix")
-    return sorted(scores, key=lambda s: s.seconds)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,7 @@
-"""Plan tracing: per-step cost timelines and category charts (text).
+"""Plan tracing: per-category charts and batch timelines (text).
 
-``trace_plan`` prices every step of a plan individually and renders a
-timeline like::
-
-    CommPlan(allreduce)                          total 601.7 ms
-    0 Launch x1                    |  0.5 ms
-    1 PeReorder[rotate_left_rank]  | 11.2 ms  ##
-    2 ReduceExchange[inregister]   |401.3 ms  ######################
-    3 FanoutFromHost[inregister]   |170.1 ms  #########
-    4 PeReorder[reflect_rank]      | 11.2 ms  ##
-
-plus a per-category bar chart -- the same decomposition Figure 17
-plots, but for one concrete invocation.
+``render_categories`` draws a plan's per-category bar chart -- the same
+decomposition Figure 17 plots, but for one concrete invocation.
 
 ``render_batch_timeline`` does the same for one engine
 :class:`~repro.engine.result.BatchResult`: one line per dependency
@@ -31,46 +21,10 @@ from ..hw.timing import CATEGORIES, CostLedger
 _BAR_WIDTH = 40
 
 
-@dataclass
-class StepTrace:
-    """Priced record of one plan step."""
-
-    index: int
-    label: str
-    ledger: CostLedger
-
-    @property
-    def seconds(self) -> float:
-        return self.ledger.total
-
-
-def trace_plan(plan: CommPlan, system: DimmSystem) -> list[StepTrace]:
-    """Price each step of ``plan`` individually."""
-    return [StepTrace(index=i, label=step.describe(),
-                      ledger=step.cost(system))
-            for i, step in enumerate(plan.steps)]
-
-
 def _bar(value: float, maximum: float, width: int = _BAR_WIDTH) -> str:
     if maximum <= 0:
         return ""
     return "#" * max(0, round(width * value / maximum))
-
-
-def render_timeline(plan: CommPlan, system: DimmSystem) -> str:
-    """Render a per-step timeline of the plan's modelled time."""
-    traces = trace_plan(plan, system)
-    total = sum(t.seconds for t in traces)
-    label_width = max((len(t.label) for t in traces), default=0)
-    lines = [f"CommPlan({plan.primitive})"
-             f"{'':{max(1, label_width - len(plan.primitive) - 4)}s}"
-             f"total {total * 1e3:.3f} ms"]
-    longest = max((t.seconds for t in traces), default=0.0)
-    for t in traces:
-        lines.append(
-            f"{t.index:>2d} {t.label:<{label_width}s} "
-            f"|{t.seconds * 1e3:>9.3f} ms  {_bar(t.seconds, longest)}")
-    return "\n".join(lines)
 
 
 def render_categories(plan: CommPlan, system: DimmSystem) -> str:
@@ -159,48 +113,3 @@ def render_batch_timeline(batch: BatchResult) -> str:
                      f"{_bar(t.seconds, longest):<{_BAR_WIDTH}s} "
                      f"{members}{saved}{retried}{tiled}")
     return "\n".join(lines)
-
-
-def render_serving(stats) -> str:
-    """Render a :class:`~repro.serving.server.ServerStats` block.
-
-    Example::
-
-        Serving(24 requests over 5 batches, clock 12.400 ms)
-        goodput 1234567 B/s
-        tenant-a | 12 done   0 shed  p50  3.100 ms  p99  8.800 ms  ######
-        tenant-b | 12 done   2 shed  p50  4.000 ms  p99  9.100 ms  ######
-
-    When the owned session elides transfers, each tenant line also
-    reports its elided chunk count and bytes (satisfying per-tenant
-    attribution: a sparse tenant's savings never blur into a dense
-    neighbour's).
-    """
-    if not stats.dispatched:
-        return "Serving(no requests dispatched)"
-    lines = [f"Serving({stats.dispatched} requests over {stats.batches} "
-             f"batches, clock {stats.clock * 1e3:.3f} ms)",
-             f"goodput {stats.goodput_bytes_per_second:.0f} B/s"]
-    tenants = {tid: t for tid, t in stats.tenants.items()
-               if t.submitted or t.completed}
-    if tenants:
-        longest = max(t.bytes_completed for t in tenants.values())
-        width = max(len(tid) for tid in tenants)
-        show_elision = any(t.chunks_scanned for t in tenants.values())
-        for tid in sorted(tenants):
-            t = tenants[tid]
-            elided = (f"  elided {t.chunks_elided:>5d} chunks "
-                      f"({t.elided_bytes} B)" if show_elision else "")
-            lines.append(
-                f"{tid:<{width}s} |{t.completed:>4d} done {t.shed:>3d} shed"
-                f"  p50 {t.p50 * 1e3:>8.3f} ms  p99 {t.p99 * 1e3:>8.3f} ms"
-                f"{elided}  {_bar(t.bytes_completed, longest, width=20)}")
-    return "\n".join(lines)
-
-
-def dominant_category(plan: CommPlan, system: DimmSystem) -> str:
-    """The category the plan spends most of its modelled time in."""
-    breakdown = plan.estimate(system).breakdown()
-    if not breakdown:
-        return "none"
-    return max(breakdown, key=breakdown.get)

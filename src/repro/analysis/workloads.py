@@ -47,12 +47,6 @@ def manager_2d(system: DimmSystem | None = None) -> HypercubeManager:
     return HypercubeManager(system or testbed(), shape=GRID_2D)
 
 
-def manager_1d(system: DimmSystem | None = None,
-               pes: int = 1024) -> HypercubeManager:
-    """A 1-D hypercube over ``pes`` PEs (Figures 18/19)."""
-    return HypercubeManager(system or testbed(), shape=(pes,))
-
-
 # ----------------------------------------------------------------------
 # Paper-scale applications (analytic runs)
 # ----------------------------------------------------------------------

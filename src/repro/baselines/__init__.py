@@ -1,5 +1,5 @@
-"""Comparison systems: SimplePIM-style library, ring/tree topologies,
-and the CPU-only execution model."""
+"""Comparison systems: SimplePIM-style library and ring/tree
+topologies."""
 
 from .simplepim import (
     SIMPLEPIM_SUPPORTED,
@@ -8,11 +8,9 @@ from .simplepim import (
     capability_table,
 )
 from .topologies import ring_allreduce_plan, tree_allreduce_plan
-from .cpu_only import CpuOnlyModel
 
 __all__ = [
     "baseline_plan", "capability_table",
     "SIMPLEPIM_SUPPORTED", "UPMEM_SDK_SUPPORTED",
     "ring_allreduce_plan", "tree_allreduce_plan",
-    "CpuOnlyModel",
 ]

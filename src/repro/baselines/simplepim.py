@@ -21,8 +21,6 @@ from typing import Sequence
 
 from ..core.collectives import BASELINE, CommPlan
 from ..core.collectives.planner import (
-    GATHER_SCRATCH,
-    REDUCE_SCRATCH,
     plan_alltoall,
     plan_broadcast,
     plan_gather,
@@ -143,14 +141,6 @@ def baseline_plan(primitive: str, manager: HypercubeManager,
         return plan_broadcast(manager, dims, total_data_size, dst_offset,
                               dtype, BASELINE)
     raise CollectiveError(f"unknown primitive {primitive!r}")
-
-
-#: Scratch keys a caller may need to read baseline host outputs.
-BASELINE_SCRATCH = {
-    "gather": GATHER_SCRATCH,
-    "reduce": REDUCE_SCRATCH,
-    "allgather": _SP_AG_GATHERED,
-}
 
 
 def capability_table() -> list[dict[str, object]]:

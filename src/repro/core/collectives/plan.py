@@ -7,7 +7,8 @@ list of steps, each of which can both
   (functional mode; used by tests, examples, and small runs), and
 * ``traffic(geometry)`` -- declare its traffic, the work its
   real-system counterpart does, as :class:`~repro.hw.timing.Term` s
-  that ``cost`` prices (analytic mode; the paper-scale experiments).
+  that :meth:`CommPlan.estimate` prices (analytic mode; the
+  paper-scale experiments).
 
 The step is the single source of truth for both, so the test suite
 asserts that what a plan *does* is what it *charges for*
@@ -123,10 +124,6 @@ class Step(abc.ABC):
     def traffic(self, geometry: DimmGeometry) -> tuple[Term, ...]:
         """The work this step's real-system counterpart does on
         ``geometry``, in ledger order: the one pricing hook."""
-
-    def cost(self, system: DimmSystem) -> CostLedger:
-        """:meth:`traffic` priced at ``system``'s machine parameters."""
-        return price(self.traffic(system.geometry), system.params)
 
     def lower(self) -> list:
         """The :class:`~repro.core.collectives.program.ProgramOp` list

@@ -197,8 +197,7 @@ def scaled_counter(counter: SimdCounter, factor: int) -> SimdCounter:
     return SimdCounter(loads=counter.loads * factor,
                        stores=counter.stores * factor,
                        shuffles=counter.shuffles * factor,
-                       transposes=counter.transposes * factor,
-                       adds=counter.adds * factor)
+                       transposes=counter.transposes * factor)
 
 
 def _merged(a: SimdCounter, b: SimdCounter) -> SimdCounter:

@@ -74,16 +74,11 @@ _GLOBAL_SCRATCH = "global_exchange.reduced"
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def slot_permutation(rule: str, rank: int, nslots: int) -> np.ndarray:
-    """Slot permutation for a PE of group rank ``rank``: ``perm`` such
-    that ``new[i] = old[perm[i]]`` (read-only; copy before mutating)."""
-    return slot_permutation_matrix(rule, rank + 1, nslots)[rank]
-
-
 @lru_cache(maxsize=None)
 def slot_permutation_matrix(rule: str, nranks: int,
                             nslots: int) -> np.ndarray:
-    """Stacked :func:`slot_permutation` rows for ranks ``0..nranks-1``.
+    """Slot permutations of group ranks ``0..nranks-1``: row ``r`` is
+    the ``perm`` with ``new[i] = old[perm[i]]`` for the PE of rank ``r``.
 
     Memoized -- steady-state collectives reuse the identical
     permutations every call -- so the matrix is read-only.

@@ -34,15 +34,6 @@ class CommGroup:
     def size(self) -> int:
         return len(self.pe_ids)
 
-    def rank_of(self, pe_id: int) -> int:
-        """Group rank of a member PE."""
-        try:
-            return self.pe_ids.index(pe_id)
-        except ValueError:
-            raise HypercubeError(
-                f"PE {pe_id} is not in communication group {self.instance}"
-            ) from None
-
 
 def resolve_dims(manager: HypercubeManager,
                  dims: str | Sequence[int]) -> tuple[int, ...]:

@@ -30,8 +30,6 @@ import numpy as np
 from ..errors import HypercubeError
 from ..hw.system import DimmSystem
 
-_DIM_LETTERS = "xyzuvw"
-
 
 def _is_pow2(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
@@ -62,38 +60,6 @@ class HypercubeShape:
     @property
     def ndim(self) -> int:
         return len(self.dims)
-
-    def dim_name(self, index: int) -> str:
-        """Conventional letter for a dimension (x, y, z, ...)."""
-        if index < len(_DIM_LETTERS):
-            return _DIM_LETTERS[index]
-        return f"d{index}"
-
-    def node_index(self, coords: Sequence[int]) -> int:
-        """Linear node index of hypercube coordinates (dim 0 fastest)."""
-        if len(coords) != self.ndim:
-            raise HypercubeError(
-                f"expected {self.ndim} coordinates, got {len(coords)}")
-        index = 0
-        stride = 1
-        for coord, length in zip(coords, self.dims):
-            if not 0 <= coord < length:
-                raise HypercubeError(
-                    f"coordinate {coord} outside dimension of length {length}")
-            index += coord * stride
-            stride *= length
-        return index
-
-    def node_coords(self, index: int) -> tuple[int, ...]:
-        """Hypercube coordinates of a linear node index."""
-        if not 0 <= index < self.num_nodes:
-            raise HypercubeError(
-                f"node index {index} outside [0, {self.num_nodes})")
-        coords = []
-        for length in self.dims:
-            coords.append(index % length)
-            index //= length
-        return tuple(coords)
 
     def __str__(self) -> str:
         return "x".join(str(d) for d in self.dims)
@@ -161,11 +127,9 @@ class HypercubeManager:
                 raise HypercubeError("pe_map entries must be distinct")
             system.geometry.pe_array(pes)
             self._pe_map: tuple[int, ...] | None = pes
-            self._node_of_pe = {pe: node for node, pe in enumerate(pes)}
             self.base_pe = min(pes)
             return
         self._pe_map = None
-        self._node_of_pe = None
         if base_pe < 0:
             raise HypercubeError(f"base_pe must be >= 0, got {base_pe}")
         if base_pe % system.geometry.chips_per_rank:
@@ -198,28 +162,6 @@ class HypercubeManager:
         if self._pe_map is not None:
             return self._pe_map[node_index]
         return self.base_pe + node_index
-
-    def node_of_pe(self, pe_id: int) -> int:
-        """Virtual node index of a physical PE."""
-        if self._pe_map is not None:
-            node = self._node_of_pe.get(pe_id)
-            if node is None:
-                raise HypercubeError(
-                    f"PE {pe_id} is not part of this hypercube")
-            return node
-        node = pe_id - self.base_pe
-        if not 0 <= node < self.num_nodes:
-            raise HypercubeError(
-                f"PE {pe_id} is not part of this hypercube")
-        return node
-
-    def pe_of_coords(self, coords: Sequence[int]) -> int:
-        """Physical PE id of hypercube coordinates."""
-        return self.pe_of_node(self.shape.node_index(coords))
-
-    def coords_of_pe(self, pe_id: int) -> tuple[int, ...]:
-        """Hypercube coordinates of a physical PE."""
-        return self.shape.node_coords(self.node_of_pe(pe_id))
 
     @cached_property
     def all_pes(self) -> tuple[int, ...]:

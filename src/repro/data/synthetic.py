@@ -37,18 +37,6 @@ class CriteoLikeDataset:
     dense: np.ndarray
     num_rows: int
 
-    @property
-    def batch_size(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def num_tables(self) -> int:
-        return self.indices.shape[1]
-
-    @property
-    def hots(self) -> int:
-        return self.indices.shape[2]
-
 
 @lru_cache(maxsize=4)
 def criteo_like(batch_size: int, num_tables: int = CRITEO_SPARSE_FIELDS,

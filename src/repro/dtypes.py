@@ -19,9 +19,6 @@ import numpy as np
 
 from .errors import CollectiveError
 
-#: Width in bytes of the PIM word striped across an entangled group.
-PIM_WORD_BYTES = 8
-
 
 @dataclass(frozen=True)
 class DataType:
@@ -39,11 +36,6 @@ class DataType:
     def itemsize(self) -> int:
         """Element width in bytes."""
         return self.np_dtype.itemsize
-
-    @property
-    def elems_per_word(self) -> int:
-        """How many elements pack into one 64-bit PIM word."""
-        return PIM_WORD_BYTES // self.itemsize
 
     @property
     def cross_domain_reducible(self) -> bool:

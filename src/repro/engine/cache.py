@@ -226,11 +226,6 @@ class PlanCache:
             view._enforce()
         return view
 
-    def partition_counters(self) -> dict[str, dict[str, int]]:
-        """tenant -> counter snapshot, for stats and reports."""
-        return {tenant: view.counters()
-                for tenant, view in sorted(self._partitions.items())}
-
     def discard(self, key: Any) -> None:
         """Drop one entry (plan and program) without LRU accounting.
 
@@ -246,22 +241,6 @@ class PlanCache:
             view = self._partitions.get(key.tenant)
             if view is not None:
                 view._dropped(key)
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups performed (hits + misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache.
-
-        Defined as 0.0 for a fresh (zero-lookup) cache, so sessions can
-        report statistics before their first collective without a
-        division hazard.
-        """
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
 
     def clear(self) -> None:
         """Drop all plans (and their programs) and reset the counters.

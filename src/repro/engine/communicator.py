@@ -56,12 +56,12 @@ from ..errors import (
 from ..hw.arena import Region, ScratchPool
 from ..hw.timing import CostLedger
 from ..reliability import RELIABLE
-from .cache import DEFAULT_MAXSIZE, PlanCache
+from .cache import PlanCache
 from .parallel import WorkerPool
 from .request import CommRequest, NormalizedRequest
 from .result import BatchResult, CommFuture, CommResult, reduced_vector
 from .scheduler import price_waves, schedule_waves
-from .session_config import EXECUTION_MODES, SessionConfig
+from .session_config import SessionConfig
 from .stats import EngineStats
 
 #: A footprint's saved MRAM: one ``(region, lane matrix)`` per span.
@@ -732,11 +732,6 @@ class Communicator:
     # ------------------------------------------------------------------
     # Session management
     # ------------------------------------------------------------------
-    def reset_stats(self) -> None:
-        """Zero the instrumentation counters (cache contents persist)."""
-        self.stats = EngineStats(
-            parallel_workers=self.session_config.parallel_workers)
-
     @property
     def parallel_workers(self) -> int:
         """Configured worker count (1 = serial execution)."""

@@ -25,11 +25,6 @@ from ..errors import CollectiveError
 
 #: Primitives whose plans embed a reduction operator.
 ARITHMETIC_PRIMITIVES = frozenset({"reduce_scatter", "allreduce", "reduce"})
-#: Primitives fed from per-instance host payloads.
-PAYLOAD_PRIMITIVES = frozenset({"scatter", "broadcast"})
-#: Primitives that permute their source buffer in place (PE-assisted
-#: reordering runs its preparation kernel on the src region).
-INPLACE_SRC_PRIMITIVES = frozenset({"reduce_scatter", "allreduce", "reduce"})
 
 
 @dataclass

@@ -189,10 +189,6 @@ class BatchResult:
         """Serial over batched time (>= 1.0 for any valid schedule)."""
         return self.serial_seconds / self.seconds if self.seconds else 1.0
 
-    def results(self) -> list[CommResult]:
-        """All per-request results, in submission order."""
-        return [future.result() for future in self.futures]
-
     def __repr__(self) -> str:
         return (f"BatchResult({len(self.futures)} requests, "
                 f"{len(self.waves)} waves, {self.seconds * 1e3:.3f} ms, "

@@ -120,11 +120,6 @@ class EngineStats:
     backoff_seconds: float = 0.0
 
     @property
-    def cache_misses(self) -> int:
-        """Lookups that had to compile (== plans compiled)."""
-        return self.plans_compiled
-
-    @property
     def cache_hit_rate(self) -> float:
         lookups = self.cache_hits + self.plans_compiled
         return self.cache_hits / lookups if lookups else 0.0
@@ -212,11 +207,6 @@ class EngineStats:
     def record_fault(self, kind: str) -> None:
         """Account one observed fault (by kind, e.g. ``"bit_flip"``)."""
         self.faults_seen[kind] = self.faults_seen.get(kind, 0) + 1
-
-    @property
-    def total_faults(self) -> int:
-        """Faults observed across every kind."""
-        return sum(self.faults_seen.values())
 
     def record_batch(self, waves: int, serial_seconds: float,
                      overlapped_seconds: float) -> None:

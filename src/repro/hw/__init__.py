@@ -14,19 +14,17 @@ This package models the hardware the paper runs on:
   facade tying geometry, memories, and transfers together.  Its
   transfer kernels are the one host-to-PIM path: the collectives move
   bytes only through them, with the domain transfer switched off as in
-  the paper's host code (section VI-B), and each plan step's ``cost()``
-  prices what they move.
+  the paper's host code (section VI-B), and each plan step's
+  ``traffic()`` declares what they move.
 """
 
-from .geometry import DimmGeometry, EntangledGroup, PeCoord
+from .geometry import DimmGeometry
 from .memory import MRAM_DEFAULT_BYTES, WRAM_BYTES, PeMemory
 from .system import DimmSystem
 from .timing import CostLedger, MachineParams
 
 __all__ = [
     "DimmGeometry",
-    "EntangledGroup",
-    "PeCoord",
     "PeMemory",
     "MRAM_DEFAULT_BYTES",
     "WRAM_BYTES",

@@ -890,10 +890,6 @@ class ScratchPool:
         """Mark all views dead for peak accounting (buffers are kept)."""
         self._live = [0] * len(self.ROLES)
 
-    def reset_peak(self) -> None:
-        """Restart the high-water mark (e.g. per engine session)."""
-        self.peak_bytes = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ScratchPool({self.capacity_bytes}B capacity, "
                 f"peak {self.peak_bytes}B)")

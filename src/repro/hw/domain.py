@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TransferError
-from .pe import check_permutation
 
 
 def host_to_pim(host_bytes: np.ndarray, lanes: int) -> np.ndarray:
@@ -49,50 +48,6 @@ def pim_to_host(lane_matrix: np.ndarray) -> np.ndarray:
     """Domain-transfer a lane matrix back to a host-domain byte buffer."""
     matrix = _as_matrix(lane_matrix)
     return np.ascontiguousarray(matrix.T).reshape(-1)
-
-
-def words_from_lanes(lane_matrix: np.ndarray, np_dtype: np.dtype) -> np.ndarray:
-    """Interpret each *lane* as contiguous elements of ``np_dtype``.
-
-    This is the PE's own view of its bank: PEs always see whole
-    elements.  Shape of the result is ``(lanes, elems_per_lane)``.
-    """
-    matrix = _as_matrix(lane_matrix)
-    itemsize = np.dtype(np_dtype).itemsize
-    if matrix.shape[1] % itemsize:
-        raise TransferError(
-            f"lane length {matrix.shape[1]} is not a multiple of "
-            f"{np_dtype} itemsize {itemsize}")
-    return matrix.view(np_dtype)
-
-
-def lanes_from_words(words: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`words_from_lanes`: elements back to raw bytes."""
-    if words.ndim != 2:
-        raise TransferError(f"expected 2-D word matrix, got shape {words.shape}")
-    return np.ascontiguousarray(words).view(np.uint8)
-
-
-def rotate_lanes(lane_matrix: np.ndarray, amount: int) -> np.ndarray:
-    """Rotate lane rows downward by ``amount`` (lane l -> lane l+amount).
-
-    Models the byte-level shift (`_mm512_rol_epi64`-style shuffles) used
-    by cross-domain modulation: the contents of lane ``l`` move to lane
-    ``(l + amount) % lanes`` without touching byte order within a lane.
-    """
-    matrix = _as_matrix(lane_matrix)
-    return np.roll(matrix, amount, axis=0)
-
-
-def permute_lanes(lane_matrix: np.ndarray, permutation: np.ndarray) -> np.ndarray:
-    """Generic lane permutation: output lane ``l`` = input lane ``perm[l]``."""
-    matrix = _as_matrix(lane_matrix)
-    perm = np.asarray(permutation)
-    if perm.shape != (matrix.shape[0],):
-        raise TransferError(
-            f"permutation of shape {perm.shape} does not match "
-            f"{matrix.shape[0]} lanes")
-    return matrix[check_permutation(perm)]
 
 
 def _as_bytes(buf: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ order (section IV-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,40 +32,6 @@ from ..errors import GeometryError
 def _distinct(ids: np.ndarray) -> int:
     """Number of distinct values in a non-negative id array."""
     return int(np.count_nonzero(np.bincount(ids))) if ids.size else 0
-
-
-@dataclass(frozen=True)
-class PeCoord:
-    """Physical coordinates of one PE (DPU)."""
-
-    channel: int
-    rank: int
-    bank: int
-    chip: int
-
-
-@dataclass(frozen=True)
-class EntangledGroup:
-    """One entangled group: same bank index across all chips of a rank.
-
-    Attributes:
-        eg_id: Linear id (bank fastest, then rank, then channel).
-        channel: Channel index.
-        rank: Rank index within the channel.
-        bank: Bank index within each chip.
-        pe_ids: The member PE ids in chip (lane) order.
-    """
-
-    eg_id: int
-    channel: int
-    rank: int
-    bank: int
-    pe_ids: tuple[int, ...]
-
-    @property
-    def lanes(self) -> int:
-        """Number of byte lanes (= chips per rank)."""
-        return len(self.pe_ids)
 
 
 @dataclass(frozen=True)
@@ -116,66 +81,6 @@ class DimmGeometry:
         """Total entangled groups (= PEs / chips_per_rank)."""
         return self.num_pes // self.chips_per_rank
 
-    @property
-    def egs_per_rank(self) -> int:
-        return self.banks_per_chip
-
-    @property
-    def egs_per_channel(self) -> int:
-        return self.banks_per_chip * self.ranks_per_channel
-
-    # ------------------------------------------------------------------
-    # PE id <-> coordinates
-    # ------------------------------------------------------------------
-    def pe_id(self, coord: PeCoord) -> int:
-        """Linear PE id of a coordinate (chip fastest)."""
-        self._check_coord(coord)
-        return coord.chip + self.chips_per_rank * (
-            coord.bank + self.banks_per_chip * (
-                coord.rank + self.ranks_per_channel * coord.channel))
-
-    def pe_coord(self, pe_id: int) -> PeCoord:
-        """Coordinates of a linear PE id."""
-        self._check_pe(pe_id)
-        chip = pe_id % self.chips_per_rank
-        rest = pe_id // self.chips_per_rank
-        bank = rest % self.banks_per_chip
-        rest //= self.banks_per_chip
-        rank = rest % self.ranks_per_channel
-        channel = rest // self.ranks_per_channel
-        return PeCoord(channel=channel, rank=rank, bank=bank, chip=chip)
-
-    # ------------------------------------------------------------------
-    # Entangled groups
-    # ------------------------------------------------------------------
-    def eg_of_pe(self, pe_id: int) -> int:
-        """Entangled-group id a PE belongs to."""
-        self._check_pe(pe_id)
-        return pe_id // self.chips_per_rank
-
-    def lane_of_pe(self, pe_id: int) -> int:
-        """Byte-lane (chip) index of a PE inside its entangled group."""
-        self._check_pe(pe_id)
-        return pe_id % self.chips_per_rank
-
-    def entangled_group(self, eg_id: int) -> EntangledGroup:
-        """Materialize an :class:`EntangledGroup` descriptor."""
-        if not 0 <= eg_id < self.num_entangled_groups:
-            raise GeometryError(
-                f"eg_id {eg_id} out of range [0, {self.num_entangled_groups})")
-        base_pe = eg_id * self.chips_per_rank
-        coord = self.pe_coord(base_pe)
-        pes = tuple(range(base_pe, base_pe + self.chips_per_rank))
-        return EntangledGroup(
-            eg_id=eg_id, channel=coord.channel, rank=coord.rank,
-            bank=coord.bank, pe_ids=pes)
-
-    @cached_property
-    def all_entangled_groups(self) -> tuple[EntangledGroup, ...]:
-        """All entangled groups in eg_id order."""
-        return tuple(self.entangled_group(i)
-                     for i in range(self.num_entangled_groups))
-
     # ------------------------------------------------------------------
     # Bus utilization
     # ------------------------------------------------------------------
@@ -201,10 +106,6 @@ class DimmGeometry:
         """Number of distinct channels a PE set spans."""
         return _distinct(self.pe_array(pe_ids) // self.pes_per_channel)
 
-    def ranks_used(self, pe_ids) -> int:
-        """Number of distinct (channel, rank) pairs a PE set spans."""
-        return _distinct(self.pe_array(pe_ids) // self.pes_per_rank)
-
     # ------------------------------------------------------------------
     # Validation helpers
     # ------------------------------------------------------------------
@@ -224,13 +125,6 @@ class DimmGeometry:
         if ids.size and not 0 <= ids.min() <= ids.max() < self.num_pes:
             self._check_pe(int(ids[(ids < 0) | (ids >= self.num_pes)][0]))
         return ids
-
-    def _check_coord(self, coord: PeCoord) -> None:
-        if not (0 <= coord.channel < self.channels
-                and 0 <= coord.rank < self.ranks_per_channel
-                and 0 <= coord.bank < self.banks_per_chip
-                and 0 <= coord.chip < self.chips_per_rank):
-            raise GeometryError(f"coordinate {coord} outside geometry {self}")
 
     def describe(self) -> str:
         """Human-readable one-line summary."""

@@ -6,10 +6,12 @@ rotations are one- or two-source shuffles (``valignq`` /
 ``vpermi2q``-class), domain transfers are 8x8 byte transposes within a
 register, and reductions are vertical SIMD adds.
 
-This module executes those operations *register-wise* on lane matrices
-and counts them, so the functional path moves data exactly the way the
-real SIMD kernels do and the op counts can be cross-checked against
-what the cost model charges (see ``tests/test_host_simd.py``).
+This module executes the lane rotations *register-wise* on lane
+matrices and counts their register ops (the plan steps count a domain
+transfer's transposes per register), so the functional path moves data
+exactly the way the real SIMD kernels do and the op counts can be
+cross-checked against what the cost model charges (see
+``tests/test_host_simd.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class SimdCounter:
     stores: int = 0
     shuffles: int = 0
     transposes: int = 0
-    adds: int = 0
 
     def merge(self, other: "SimdCounter") -> None:
         """Accumulate another counter into this one."""
@@ -43,20 +44,6 @@ class SimdCounter:
         self.stores += other.stores
         self.shuffles += other.shuffles
         self.transposes += other.transposes
-        self.adds += other.adds
-
-    @property
-    def shuffle_bytes(self) -> int:
-        """Bytes that passed through lane shuffles."""
-        return self.shuffles * REGISTER_BYTES
-
-    @property
-    def transpose_bytes(self) -> int:
-        return self.transposes * REGISTER_BYTES
-
-    @property
-    def add_bytes(self) -> int:
-        return self.adds * REGISTER_BYTES
 
 
 def _check_row(row: np.ndarray) -> tuple[int, int]:
@@ -215,62 +202,3 @@ def fanout_all_slots(row: np.ndarray, nslots: int,
     charge_rotate_sweep(lanes, nbytes, nslots, counter)
     src = rotation_table(lanes, nslots)
     return row[src]
-
-
-def domain_transfer_registerwise(row: np.ndarray,
-                                 counter: SimdCounter | None = None
-                                 ) -> np.ndarray:
-    """Transpose between PIM and host domain, register by register.
-
-    Each 64-byte register holds an 8x8 byte tile (8 lanes x 8 bytes);
-    the domain transfer is the in-register transpose of that tile.
-    The operation is an involution, so it converts either direction.
-    For groups of other sizes the tile is lanes x (64/lanes) and the
-    transpose exchanges the axes the same way.
-    """
-    lanes, nbytes = _check_row(row)
-    counter = counter if counter is not None else SimdCounter()
-    word = REGISTER_BYTES // min(lanes, REGISTER_LANES)
-    if nbytes % word:
-        raise TransferError(
-            f"lane length {nbytes} is not a whole number of {word}-byte "
-            "words")
-    out = np.empty_like(row)
-    lane_block = min(REGISTER_LANES, lanes)
-    for col in range(0, nbytes, word):
-        for block in range(0, lanes, lane_block):
-            height = min(lane_block, lanes - block)
-            tile = row[block:block + height, col:col + word]
-            if height == word:
-                out[block:block + height, col:col + word] = tile.T
-            else:
-                # Non-square tile: transpose via reshape (the hardware
-                # uses a pair of shuffles either way).
-                flat = tile.reshape(-1)
-                out[block:block + height, col:col + word] = (
-                    flat.reshape(word, height).T)
-            counter.transposes += 1
-    return out
-
-
-def vertical_add_registerwise(acc: np.ndarray, row: np.ndarray,
-                              np_dtype: np.dtype,
-                              counter: SimdCounter | None = None,
-                              ufunc: np.ufunc = np.add) -> np.ndarray:
-    """Elementwise-reduce ``row`` into ``acc``, counting register adds.
-
-    Both arguments are (lanes, nbytes) uint8 matrices whose lanes hold
-    whole elements of ``np_dtype``; the reduction is one vertical SIMD
-    op per 64 loaded bytes.
-    """
-    lanes, nbytes = _check_row(acc)
-    if row.shape != acc.shape:
-        raise TransferError(
-            f"operand shapes differ: {acc.shape} vs {row.shape}")
-    counter = counter if counter is not None else SimdCounter()
-    total = lanes * nbytes
-    regs = (total + REGISTER_BYTES - 1) // REGISTER_BYTES
-    counter.loads += regs
-    counter.adds += regs
-    merged = ufunc(acc.view(np_dtype), row.view(np_dtype))
-    return np.ascontiguousarray(merged).view(np.uint8)

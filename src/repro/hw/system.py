@@ -140,10 +140,6 @@ class DimmSystem:
         self._alloc_cursor = offset + nbytes
         return offset
 
-    def reset_allocations(self) -> None:
-        """Forget all allocations (buffers' contents are untouched)."""
-        self._alloc_cursor = 0
-
     def memory(self, pe_id: int) -> PeMemory:
         """The (lazily created) memories of one PE."""
         self.geometry._check_pe(pe_id)

@@ -18,8 +18,6 @@ Categories (matching the paper's breakdown figures 4 and 17):
   transfer setup).
 * ``kernel``     -- application compute on the PEs.
 * ``cpu``        -- application compute on a CPU-only system.
-* ``mpi``        -- inter-host traffic priced flat on one link
-  (:meth:`MachineParams.mpi_time`).
 * ``fabric``     -- inter-host traffic priced on a topology-aware
   :class:`~repro.multihost.Fabric` link graph (per-link congestion,
   heterogeneous bandwidths); the hierarchical collectives charge their
@@ -44,22 +42,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..errors import PidCommError
 
-GIB = float(1 << 30)
 GB = 1e9
 
 CATEGORIES = (
     "bus", "dt", "host_mem", "host_mod", "host_reduce",
-    "pe", "launch", "kernel", "cpu", "mpi", "fabric", "retry", "elide",
-)
-
-#: Categories counted as "communication" in application breakdowns.
-#: ``retry`` (reliability backoff waits) is communication overhead: the
-#: time is spent waiting to redo a transfer.  ``elide`` (content
-#: fingerprint scans) likewise rides the communication path: it is the
-#: toll paid to skip part of the transfer.
-COMM_CATEGORIES = (
-    "bus", "dt", "host_mem", "host_mod", "host_reduce", "pe", "launch",
-    "mpi", "fabric", "retry", "elide",
+    "pe", "launch", "kernel", "cpu", "fabric", "retry", "elide",
 )
 
 #: Categories that overlap across *independent* collective instances
@@ -199,29 +186,6 @@ class MachineParams:
         _check_nonneg(nbytes, "nbytes")
         return max(flops / self.cpu_flops, nbytes / (self.cpu_mem_gbps * GB))
 
-    def mpi_time(self, nbytes: float, messages: int = 1) -> float:
-        """Inter-host transfer of ``nbytes`` in ``messages`` messages."""
-        return self.link_time(nbytes, messages=messages)
-
-    def link_time(self, nbytes: float, messages: int = 1, *,
-                  gbps: float | None = None,
-                  latency_s: float | None = None) -> float:
-        """Transfer time on one inter-host link.
-
-        Defaults to the testbed's throttled MPI link
-        (:attr:`mpi_gbps` / :attr:`mpi_latency_s`); ``gbps`` /
-        ``latency_s`` override per link, so every link of a
-        heterogeneous :class:`~repro.multihost.Fabric` is priced by
-        this one formula.
-        """
-        _check_nonneg(nbytes, "nbytes")
-        rate = self.mpi_gbps if gbps is None else gbps
-        latency = self.mpi_latency_s if latency_s is None else latency_s
-        if rate <= 0:
-            raise PidCommError(f"link bandwidth must be positive, got {rate}")
-        _check_nonneg(latency, "latency_s")
-        return nbytes / (rate * GB) + messages * latency
-
     def scan_time(self, nbytes: float) -> float:
         """Content fingerprint scan over ``nbytes`` of source bytes."""
         _check_nonneg(nbytes, "nbytes")
@@ -328,11 +292,6 @@ class CostLedger:
     def total(self) -> float:
         """Total modelled seconds across categories."""
         return sum(self.seconds.values())
-
-    @property
-    def comm_total(self) -> float:
-        """Seconds in communication categories (everything but compute)."""
-        return sum(self.seconds.get(c, 0.0) for c in COMM_CATEGORIES)
 
     def breakdown(self) -> dict[str, float]:
         """Category -> seconds, only non-zero entries, insertion-ordered

@@ -11,7 +11,7 @@ models exactly that:
 * each directed link carries its own bandwidth and latency
   (defaults from :class:`~repro.hw.timing.MachineParams.mpi_gbps` /
   ``mpi_latency_s``, so a fully connected fabric prices one message
-  at :meth:`~repro.hw.timing.MachineParams.link_time`);
+  of ``nbytes`` at ``nbytes / mpi_gbps + mpi_latency_s``);
 * a *round* of concurrent transfers is priced by per-link byte
   accumulation over shortest-path routes -- the busiest link sets the
   round's bandwidth term, the longest used route its latency term.
@@ -168,21 +168,6 @@ class Fabric:
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
-    @property
-    def racks(self) -> int | None:
-        """Rack count for rack-structured topologies (None = flat)."""
-        if self.hosts_per_rack is None:
-            return None
-        return self.num_hosts // self.hosts_per_rack
-
-    @property
-    def signature(self) -> tuple:
-        """Hashable identity for decision caches: topology name plus
-        every link's endpoints, bandwidth, and latency."""
-        return (self.name, self.num_hosts, tuple(
-            (k, self.links[k].gbps, self.links[k].latency_s)
-            for k in sorted(self.links)))
-
     def route(self, src: int, dst: int) -> tuple[Link, ...]:
         """Shortest link path from ``src`` to ``dst`` (BFS, cached)."""
         if src == dst:

@@ -63,10 +63,6 @@ class RetryPolicy:
         return min(self.backoff_cap_s,
                    self.backoff_base_s * self.backoff_factor ** (failures - 1))
 
-    def total_backoff(self, failures: int) -> float:
-        """Sum of the first ``failures`` backoff waits."""
-        return sum(self.backoff(k) for k in range(1, failures + 1))
-
 
 #: The session default: generous enough that a 1% per-transfer fault
 #: rate converges, bounded enough that a dead link fails fast.

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro import DimmSystem, HypercubeManager, SessionConfig
+from repro import DimmGeometry, DimmSystem, HypercubeManager, SessionConfig
+from repro.core.collectives.steps import slot_permutation_matrix
 from repro.core.groups import CommGroup, slice_groups
 from repro.dtypes import DataType
 
@@ -69,3 +70,87 @@ def parity_config(backend: str, execution: str = "auto",
 #: The stores a compiling session may run on.  Compiled-replay rows
 #: still parametrize over it, so their ids keep naming the store.
 COMPILED_STORES = ("vectorized",)
+
+
+# ----------------------------------------------------------------------
+# Per-PE reference model.  The library answers geometry and mapping
+# questions for whole PE arrays at once (``DimmGeometry.pe_array``,
+# ``lane_utilization``, ``HypercubeManager.pe_grid``, ``slice_groups``);
+# these walk the documented orders one PE or one node at a time, so the
+# tests can check the vectorised forms against them.
+# ----------------------------------------------------------------------
+class PeCoord(NamedTuple):
+    """Physical coordinates of one PE (DPU)."""
+
+    channel: int
+    rank: int
+    bank: int
+    chip: int
+
+
+def pe_coord(geom: DimmGeometry, pe: int) -> PeCoord:
+    """Coordinates of a linear PE id: chip fastest, then bank, rank,
+    channel (paper section IV-C)."""
+    rest, chip = divmod(pe, geom.chips_per_rank)
+    rest, bank = divmod(rest, geom.banks_per_chip)
+    channel, rank = divmod(rest, geom.ranks_per_channel)
+    return PeCoord(channel, rank, bank, chip)
+
+
+def pe_id(geom: DimmGeometry, coord: PeCoord) -> int:
+    """Inverse of :func:`pe_coord`."""
+    return coord.chip + geom.chips_per_rank * (
+        coord.bank + geom.banks_per_chip * (
+            coord.rank + geom.ranks_per_channel * coord.channel))
+
+
+def eg_of_pe(geom: DimmGeometry, pe: int) -> int:
+    """Entangled group of a PE: the chips of one bank index of a rank."""
+    return pe // geom.chips_per_rank
+
+
+def lane_of_pe(geom: DimmGeometry, pe: int) -> int:
+    """Byte lane (chip) of a PE inside its entangled group."""
+    return pe % geom.chips_per_rank
+
+
+def entangled_group(geom: DimmGeometry, eg: int) -> tuple[int, ...]:
+    """Member PEs of entangled group ``eg``, in lane order."""
+    return tuple(range(eg * geom.chips_per_rank,
+                       (eg + 1) * geom.chips_per_rank))
+
+
+def node_index(dims: Sequence[int], coords: Sequence[int]) -> int:
+    """Linear node index of hypercube coordinates (dim 0 fastest)."""
+    index, stride = 0, 1
+    for coord, length in zip(coords, dims, strict=True):
+        assert 0 <= coord < length
+        index += coord * stride
+        stride *= length
+    return index
+
+
+def node_coords(dims: Sequence[int], index: int) -> tuple[int, ...]:
+    """Inverse of :func:`node_index`."""
+    coords = []
+    for length in dims:
+        index, coord = divmod(index, length)
+        coords.append(coord)
+    return tuple(coords)
+
+
+def pe_of_coords(manager: HypercubeManager, coords: Sequence[int]) -> int:
+    """Physical PE of hypercube coordinates."""
+    return manager.pe_of_node(node_index(manager.shape.dims, coords))
+
+
+def coords_of_pe(manager: HypercubeManager, pe: int) -> tuple[int, ...]:
+    """Hypercube coordinates of a member PE."""
+    return node_coords(manager.shape.dims, manager.all_pes.index(pe))
+
+
+def slot_permutation(rule: str, rank: int, nslots: int) -> np.ndarray:
+    """The slot permutation of the PE of group rank ``rank``: ``perm``
+    with ``new[i] = old[perm[i]]`` (a row of ``slot_permutation_matrix``;
+    read-only)."""
+    return slot_permutation_matrix(rule, rank + 1, nslots)[rank]

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -223,12 +224,29 @@ class TestBenchmarkTracerTargets:
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+PROGRAM_DIRS = ("src", "examples", "benchmarks", "tools")
 
-#: Documented entry points that no program file imports, each with the
-#: document that tells a reader to run it.
-ENTRY_POINTS = {
-    "repro.core.validation": "docs/reproducing.md",
-    "repro.analysis.sensitivity": "docs/cost_model.md",
+#: ``src/`` definitions (or module globals) that no program file reaches
+#: but a reader does, each with the document that tells a reader to use
+#: it and why it stays.  A module holding an entry is an entry point: no program file
+#: needs to import it.  At most ten entries; a stale one (missing, or
+#: reached anyway) fails :class:`TestReachable`.
+ALLOWLIST = {
+    "repro.core.validation:verify_collectives": (
+        "docs/reproducing.md",
+        "the installation self-test a reader runs by hand"),
+    "repro.analysis.sensitivity:parameter_sensitivity": (
+        "docs/cost_model.md",
+        "the cost model's one-at-a-time sensitivity table"),
+    "repro.core.hypercube:HypercubeManager.entangled_group_alignment": (
+        "docs/cost_model.md",
+        "the paper's entangled-group alignment (section IV-C) of a cube"),
+    "repro.reliability.faults:FaultInjector.fail_rank": (
+        "docs/reliability.md",
+        "the permanent rank-failure call of the reliability API"),
+    "repro.multihost.hierarchical:MultiHostSystem.read_pe": (
+        "docs/multihost.md",
+        "reads one global PE's buffer; the pair of write_pe"),
 }
 
 
@@ -248,7 +266,7 @@ def _imports(path: Path) -> set[str]:
         if path.name != "__init__.py":
             package = package.rpartition(".")[0]
     names: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(_parse(str(path), path.read_text())):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -263,34 +281,297 @@ def _imports(path: Path) -> set[str]:
             for cut in range(1, name.count(".") + 2)}
 
 
-class TestReachable:
-    """Every ``repro`` module is reached by a program file.
+@functools.lru_cache(maxsize=None)
+def _program_files() -> dict[Path, str]:
+    return {path: path.read_text() for top in PROGRAM_DIRS
+            for path in sorted((ROOT / top).rglob("*.py"))}
 
-    Tests do not count: a module only tests import is a second door
-    nothing walks through.  The program files are every ``.py`` under
+
+@functools.lru_cache(maxsize=None)
+def _parse(name: str, text: str) -> ast.Module:
+    return ast.parse(text, name)
+
+
+@functools.lru_cache(maxsize=None)
+def _reads(*nodes: ast.AST) -> tuple[frozenset[str], frozenset[str]]:
+    """(bare names, attribute names) the code under ``nodes`` reads.
+
+    An identifier-shaped string constant counts as both: it is how
+    ``getattr``, ``__all__`` and the benchmark's tracer spell a name.
+    """
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                if not isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Store):
+                    attrs.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                names.add(node.value)
+                attrs.add(node.value)
+    return frozenset(names), frozenset(attrs)
+
+
+@functools.lru_cache(maxsize=None)
+def _file_facts(path: Path, text: str):
+    """One program file's definitions and what its root code reads.
+
+    Returns ``(defs, assigned, names, attrs, aliases)``: ``defs`` maps
+    ``module:qualname`` to ``(node, owner key or None)`` and
+    ``assigned`` lists ``module:name`` per module-level global (both
+    empty outside ``src/``); ``names`` / ``attrs`` are what the root
+    code reads; ``aliases`` maps ``import ... as`` names to the
+    originals.  The root code of a ``src/`` module is what runs at
+    import: module and class bodies, decorators and defaults, with
+    ``__all__`` and ``__main__``; of any other program file, all of it.
+    A bare name in a class body reads as an attribute too (``alias =
+    method``).
+    """
+    tree = _parse(str(path), text)
+    defs: dict[str, tuple[ast.AST, str | None]] = {}
+    assigned: list[str] = []
+    roots: list[ast.AST] = []
+    class_level: list[ast.AST] = []
+
+    def collect(body, prefix, owner):
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                key = prefix + stmt.name
+                defs[key] = (stmt, owner)
+                roots.extend(stmt.decorator_list)
+                if isinstance(stmt, ast.ClassDef):
+                    roots.extend(stmt.bases + stmt.keywords)
+                    collect(stmt.body, key + ".", key)
+                else:
+                    roots.extend(stmt.args.defaults)
+                    roots.extend(filter(None, stmt.args.kw_defaults))
+                continue
+            roots.append(stmt)
+            if owner is not None:
+                class_level.append(stmt)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                assigned.extend(
+                    prefix + node.id for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name))
+
+    if SRC in path.parents:
+        collect(tree.body, _module_name(path) + ":", None)
+    else:
+        roots.append(tree)
+    names, attrs = _reads(*roots)
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.asname}
+    return (defs, assigned, names, attrs | _reads(*class_level)[0],
+            aliases)
+
+
+def reachability(files: dict[Path, str], allowlist=ALLOWLIST):
+    """Walk what the program files reach, by name, from their roots.
+
+    A function or class is reached when reached code reads its name,
+    bare or as an attribute.  A method is reached when its class is and
+    reached code reads its name as an attribute, or when it is a
+    dunder; reach is by name, so a method is reached whenever a method
+    it overrides is.  Reached definitions spread reach through their
+    bodies, and so do allowlisted ones.  The roots are each file's root
+    code (:func:`_file_facts`).
+
+    Returns ``(unreached, unread, stale)``: the outermost definitions
+    nothing reaches, the module-level globals nothing reads (both as
+    ``module:name``), and the allowlist entries that name neither, or
+    one that is reached or read without them.
+    """
+    defs: dict[str, tuple[ast.AST, str | None]] = {}
+    assigned: list[str] = []
+    names: set[str] = set()
+    attrs: set[str] = set()
+    aliases: dict[str, str] = {}
+    for path, text in files.items():
+        file_defs, file_assigned, file_names, file_attrs, file_aliases = \
+            _file_facts(path, text)
+        defs.update(file_defs)
+        assigned.extend(file_assigned)
+        names |= file_names
+        attrs |= file_attrs
+        aliases.update(file_aliases)
+    reached: set[str] = set()
+
+    def read(node):
+        node_names, node_attrs = _reads(node)
+        names.update(node_names)
+        attrs.update(node_attrs)
+
+    def is_read(key, owner):
+        name = _defined_name(key)
+        if owner is None:
+            return name in names or name in attrs
+        return owner in reached and (
+            name in attrs or name.startswith("__") and name.endswith("__"))
+
+    def spread():
+        grew = True
+        while grew:
+            names.update(aliases[name] for name in names & aliases.keys())
+            grew = False
+            for key, (node, owner) in defs.items():
+                if key not in reached and is_read(key, owner):
+                    reached.add(key)
+                    grew = True
+                    if not isinstance(node, ast.ClassDef):
+                        read(node)
+
+    spread()
+    read_unaided = names | attrs
+    stale = sorted(key for key in allowlist
+                   if key in reached
+                   or key.partition(":")[2] in read_unaided
+                   and key in assigned
+                   or key not in defs and key not in assigned)
+    for key in allowlist:
+        if key in defs:
+            reached.add(key)
+            read(defs[key][0])
+    spread()
+    unreached = sorted(key for key, (_node, owner) in defs.items()
+                       if key not in reached
+                       and (owner is None or owner in reached))
+    names |= attrs
+    unread = sorted(key for key in assigned
+                    if key.partition(":")[2] not in names
+                    and not key.endswith("__") and key not in allowlist)
+    return unreached, unread, stale
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_reach():
+    return reachability(_program_files())
+
+
+def _entry_point(key: str) -> str:
+    return key.partition(":")[0]
+
+
+def _defined_name(key: str) -> str:
+    return key.rpartition(":")[2].rpartition(".")[2]
+
+
+@functools.lru_cache(maxsize=None)
+def _imported_modules() -> frozenset[str]:
+    """Every ``repro`` module some other program file imports."""
+    imported: set[str] = set()
+    for path in _program_files():
+        own = _module_name(path) if SRC in path.parents else None
+        imported.update(_imports(path) - {own})
+    return frozenset(imported)
+
+
+class TestReachable:
+    """Every ``repro`` module, definition and global is reached by a
+    program file, or allowlisted.
+
+    Tests do not count: what only tests reach is a second door nothing
+    walks through.  The program files are every ``.py`` under
     ``src/``, ``examples/``, ``benchmarks/`` and ``tools/``.
     """
 
     def test_every_module_is_imported_or_an_entry_point(self):
-        files = [path for top in ("src", "examples", "benchmarks", "tools")
-                 for path in sorted((ROOT / top).rglob("*.py"))]
-        modules = {_module_name(path): path
-                   for path in files if SRC in path.parents}
-        reached: set[str] = set()
-        for path in files:
-            own = _module_name(path) if SRC in path.parents else None
-            reached.update(_imports(path) - {own})
+        modules = {_module_name(path)
+                   for path in _program_files() if SRC in path.parents}
+        entry_points = {_entry_point(key) for key in ALLOWLIST}
         unreached = sorted(name for name in modules
-                           if name not in reached
+                           if name not in _imported_modules()
                            and name.rpartition(".")[2] != "__main__"
-                           and name not in ENTRY_POINTS)
+                           and name not in entry_points)
         assert not unreached, unreached
 
-    @pytest.mark.parametrize("module", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "module", sorted({_entry_point(key) for key in ALLOWLIST}))
     def test_entry_points_are_documented(self, module):
+        """Each entry's document names it, and names its module too
+        when no program file imports that module."""
         importlib.import_module(module)
-        doc = (ROOT / ENTRY_POINTS[module]).read_text()
-        assert module in doc or module.replace(".", "/") + ".py" in doc
+        for key, (doc, reason) in ALLOWLIST.items():
+            if _entry_point(key) != module:
+                continue
+            text = (ROOT / doc).read_text()
+            assert reason and _defined_name(key) in text, key
+            assert (module in _imported_modules() or module in text
+                    or module.replace(".", "/") + ".py" in text), key
+
+    def test_every_definition_is_reached_or_allowlisted(self):
+        unreached, _unread, _stale = _tree_reach()
+        assert not unreached, unreached
+
+    def test_every_module_global_is_read(self):
+        _unreached, unread, _stale = _tree_reach()
+        assert not unread, unread
+
+    def test_allowlist_is_short_and_current(self):
+        _unreached, _unread, stale = _tree_reach()
+        assert len(ALLOWLIST) <= 10
+        assert not stale, stale
+
+
+class TestReachabilityCheckCatches:
+    """Mutation arms: each edit to a parsed copy of the tree must fail
+    :func:`reachability` and name what it stranded."""
+
+    MODULE = SRC / "repro" / "hw" / "timing.py"
+
+    def _with(self, addition: str, replace: str = ""):
+        files = dict(_program_files())
+        text = files[self.MODULE]
+        if replace:
+            assert replace in text
+            text = text.replace(replace, replace + addition, 1)
+        else:
+            text += addition
+        files[self.MODULE] = text
+        return reachability(files)
+
+    def test_a_new_uncalled_function(self):
+        unreached, _unread, _stale = self._with(
+            "\n\ndef orphan_helper():\n    return 1\n")
+        assert unreached == ["repro.hw.timing:orphan_helper"]
+
+    def test_reach_is_transitive(self):
+        unreached, _unread, _stale = self._with(
+            "\n\ndef orphan_caller():\n    return orphan_callee()\n"
+            "\n\ndef orphan_callee():\n    return 2\n")
+        assert unreached == ["repro.hw.timing:orphan_callee",
+                             "repro.hw.timing:orphan_caller"]
+
+    def test_a_method_only_tests_call(self):
+        # This file names the method, but tests are not program files.
+        unreached, _unread, _stale = self._with(
+            "\n    def only_tests_call_me(self):\n        return 0\n",
+            replace="class CostLedger:\n")
+        assert unreached == ["repro.hw.timing:CostLedger.only_tests_call_me"]
+
+    def test_a_global_nothing_reads(self):
+        _unreached, unread, _stale = self._with("\n\nORPHAN_LIMIT = 3\n")
+        assert unread == ["repro.hw.timing:ORPHAN_LIMIT"]
+
+    def test_a_stale_allowlist_entry(self):
+        files = _program_files()
+        unreached, _unread, stale = reachability(files, {
+            **ALLOWLIST, "repro.hw.timing:price": ("", ""),
+            "repro.hw.timing:GB": ("", ""),
+            "repro.hw.timing:no_such_function": ("", "")})
+        assert stale == ["repro.hw.timing:GB",
+                         "repro.hw.timing:no_such_function",
+                         "repro.hw.timing:price"]
+        assert not unreached
 
 
 class TestOneDoor:

@@ -36,6 +36,8 @@ from repro.data.synthetic import CriteoLikeDataset
 from repro.dtypes import INT64
 from repro.reliability.faults import FaultInjector
 
+from .helpers import coords_of_pe
+
 GEOMETRY = DimmGeometry(1, 1, 8, 8)
 SYSTEM_BACKENDS = st.sampled_from(["scalar", "vectorized"])
 
@@ -87,7 +89,7 @@ class RefDlrm(DlrmApp):
         tz, ec = t_all // cz, tables.shape[2] // cx
         r_shard = data.num_rows // cy
         for pe in manager.all_pes:
-            x, y, z = manager.coords_of_pe(pe)
+            x, y, z = coords_of_pe(manager, pe)
             partial = np.zeros((b, tz, ec), dtype=np.int64)
             for t_local in range(tz):
                 t = z * tz + t_local
@@ -134,7 +136,7 @@ class RefGnn(GnnApp):
         dense = [[t.dense for t in row]
                  for row in partition_2d(self.graph, p)]
         for pe in manager.all_pes:
-            x, y = manager.coords_of_pe(pe)
+            x, y = coords_of_pe(manager, pe)
             tile = dense[y][x] if layer % 2 == 0 else dense[y][x].T
             strip = system.read_elements(pe, strip_buf, b * f,
                                          INT64).reshape(b, f)
@@ -143,7 +145,7 @@ class RefGnn(GnnApp):
 
     @staticmethod
     def _rank(manager, pe, dims):
-        x, y = manager.coords_of_pe(pe)
+        x, y = coords_of_pe(manager, pe)
         return x if dims == "10" else y
 
     def _layer_rs_ar(self, harness, manager, layer, dims, weights,

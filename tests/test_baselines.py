@@ -12,14 +12,13 @@ from repro.baselines import (
     ring_allreduce_plan,
     tree_allreduce_plan,
 )
-from repro.baselines.cpu_only import CpuOnlyModel
 from repro.core import reference as ref
 from repro.core.collectives import plan_allreduce
 from repro.core.groups import slice_groups
 from repro.dtypes import INT64, SUM, MIN
 from repro.errors import CollectiveError
 from repro.hw.system import DimmSystem
-from repro.hw.timing import MachineParams
+from repro.hw.timing import price
 
 from .helpers import fill_group_inputs, make_manager
 
@@ -169,21 +168,8 @@ class TestTopologies:
         plan = tree_allreduce_plan(manager, "1", 1 << 16, 0, 0, INT64, SUM)
         up_steps = [s for s in plan.steps
                     if getattr(s, "direction", "") == "up"]
-        first = up_steps[0].cost(system)
-        last = up_steps[-1].cost(system)
+        first, last = (price(step.traffic(system.geometry), system.params)
+                       for step in (up_steps[0], up_steps[-1]))
         # The last round moves 1/512th the bytes of the first but pays
         # full-burst transfers for a single lane pair.
         assert last.get("bus") > first.get("bus") / 512 * 4
-
-
-class TestCpuOnlyModel:
-    def test_compute_vs_memory_bound(self):
-        params = MachineParams()
-        model = CpuOnlyModel(params)
-        t_compute = model.run_phase("gemm", flops=params.cpu_flops, nbytes=0)
-        t_memory = model.run_phase("stream", flops=0,
-                                   nbytes=params.cpu_mem_gbps * 1e9)
-        assert t_compute == pytest.approx(1.0)
-        assert t_memory == pytest.approx(1.0)
-        assert model.total == pytest.approx(2.0)
-        assert model.ledger.get("cpu") == pytest.approx(2.0)

@@ -15,6 +15,8 @@ from repro.hw.geometry import DimmGeometry
 from repro.hw.system import DimmSystem
 from repro.hw.timing import CATEGORIES, CostLedger, MachineParams
 
+from .helpers import entangled_group
+
 sizes = st.integers(1, 256).map(lambda k: k * 8 * 32)  # group-divisible
 configs = st.sampled_from(ABLATION_LADDER)
 
@@ -142,8 +144,7 @@ class TestUtilizationProperties:
     @settings(max_examples=30, deadline=None)
     def test_whole_entangled_group_is_fully_utilized(self, eg_id):
         geom = DimmGeometry(4, 4, 8, 8)
-        eg = geom.entangled_group(eg_id)
-        assert geom.lane_utilization(eg.pe_ids) == 1.0
+        assert geom.lane_utilization(entangled_group(geom, eg_id)) == 1.0
 
 
 class TestParamsProperties:

@@ -107,9 +107,6 @@ class TestCriteoLike:
         data = criteo_like(batch_size=16, num_tables=8, num_rows=32, hots=3)
         assert data.indices.shape == (16, 8, 3)
         assert data.dense.shape == (16, 13)
-        assert data.batch_size == 16
-        assert data.num_tables == 8
-        assert data.hots == 3
 
     def test_indices_in_range(self):
         data = criteo_like(batch_size=64, num_tables=4, num_rows=10, hots=5)

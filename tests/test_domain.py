@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import TransferError
 from repro.hw import domain
+from repro.hw.host import rotate_lanes_registerwise
 
 
 class TestDomainTransfer:
@@ -40,49 +41,14 @@ class TestDomainTransfer:
             domain.pim_to_host(np.zeros((2, 2), dtype=np.float64))
 
 
-class TestLaneViews:
-    def test_words_from_lanes_sees_pe_elements(self):
-        # Each lane holds its own elements contiguously.
-        mat = np.arange(16, dtype=np.uint8).reshape(2, 8)
-        words = domain.words_from_lanes(mat, np.dtype("<u4"))
-        assert words.shape == (2, 2)
-        assert np.array_equal(
-            words[0], mat[0].view(np.uint32))
-
-    def test_words_roundtrip(self):
-        rng = np.random.default_rng(3)
-        mat = rng.integers(0, 256, (4, 16), dtype=np.uint8)
-        words = domain.words_from_lanes(mat, np.dtype(np.int64))
-        assert np.array_equal(domain.lanes_from_words(words), mat)
-
-    def test_misaligned_lane_rejected(self):
-        with pytest.raises(TransferError, match="not a multiple"):
-            domain.words_from_lanes(np.zeros((2, 6), dtype=np.uint8),
-                                    np.dtype(np.int64))
-
-
 class TestLanePermutations:
     def test_rotate_moves_lane_down(self):
         mat = np.arange(12, dtype=np.uint8).reshape(4, 3)
-        rolled = domain.rotate_lanes(mat, 1)
+        rolled = rotate_lanes_registerwise(mat, 1)
         # lane l content moves to lane l+1
         assert np.array_equal(rolled[1], mat[0])
         assert np.array_equal(rolled[0], mat[3])
 
     def test_rotate_full_cycle_is_identity(self):
         mat = np.arange(12, dtype=np.uint8).reshape(4, 3)
-        assert np.array_equal(domain.rotate_lanes(mat, 4), mat)
-
-    def test_permute_lanes(self):
-        mat = np.arange(8, dtype=np.uint8).reshape(4, 2)
-        perm = np.array([2, 0, 3, 1])
-        out = domain.permute_lanes(mat, perm)
-        for l in range(4):
-            assert np.array_equal(out[l], mat[perm[l]])
-
-    def test_permute_rejects_non_permutation(self):
-        mat = np.zeros((4, 2), dtype=np.uint8)
-        with pytest.raises(TransferError, match="not a permutation"):
-            domain.permute_lanes(mat, np.array([0, 0, 1, 2]))
-        with pytest.raises(TransferError, match="does not match"):
-            domain.permute_lanes(mat, np.array([0, 1, 2]))
+        assert np.array_equal(rotate_lanes_registerwise(mat, 4), mat)

@@ -8,13 +8,10 @@ from repro.dtypes import (
     ALL_TYPES,
     BAND,
     BOR,
-    INT8,
     INT32,
-    INT64,
     FLOAT32,
     MAX,
     MIN,
-    PIM_WORD_BYTES,
     SUM,
     check_op_dtype,
     dtype_by_name,
@@ -27,11 +24,6 @@ class TestDataType:
     def test_itemsize_matches_numpy(self):
         for t in ALL_TYPES:
             assert t.itemsize == np.dtype(t.name).itemsize
-
-    def test_elems_per_word(self):
-        assert INT64.elems_per_word == 1
-        assert INT32.elems_per_word == 2
-        assert INT8.elems_per_word == PIM_WORD_BYTES
 
     def test_cross_domain_reducible_only_for_bytes(self):
         reducible = {t.name for t in ALL_TYPES if t.cross_domain_reducible}

@@ -377,7 +377,6 @@ class TestServingPassthrough:
         from repro.serving import (CollectiveServer, LoadGenerator,
                                    TenantLoad)
         from repro.serving.loadgen import MIXES, make_moe_mix
-        from repro.analysis.trace import render_serving
 
         async def go():
             manager = make_manager(SHAPE, mram_bytes=1 << 17)
@@ -400,7 +399,6 @@ class TestServingPassthrough:
         assert moe["chunks_elided"] > 0
         assert moe["elided_bytes"] > 0
         assert dense["chunks_elided"] == 0
-        # The render paths must carry the same attribution.
-        assert "elided" in render_serving(server.stats)
+        # The report must carry the same attribution.
         assert "chunks elided" in server.comm.stats.report()
         assert "content elision:" not in EngineStats().report()

@@ -120,7 +120,6 @@ class TestPlanCache:
         assert cache.fetch(key, lambda: built.append(1) or "plan") \
             == ("plan", True)
         assert (cache.hits, cache.misses, len(built)) == (1, 1, 1)
-        assert cache.hit_rate == 0.5
         assert key in cache and len(cache) == 1
 
     def test_lru_eviction_at_maxsize(self):
@@ -137,7 +136,6 @@ class TestPlanCache:
         cache.fetch("a", lambda: 1)
         cache.clear()
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-        assert cache.hit_rate == 0.0
 
     def test_plan_key_built_once_and_fresh_after_replace(self):
         from dataclasses import replace
@@ -339,7 +337,6 @@ class TestBatchSubmit:
         assert all(f.done() for f in batch)
         assert all(f.result().seconds > 0 for f in batch)
         assert "alltoall" in batch[0].label
-        assert len(batch.results()) == 3
         assert "requests" in repr(batch) and "done" in repr(batch[0])
 
     def test_unresolved_future_raises(self):
@@ -412,7 +409,6 @@ class TestInstrumentation:
         stats = comm.stats
         assert stats.calls == 3
         assert stats.plans_compiled == 1 and stats.cache_hits == 2
-        assert stats.cache_misses == 1
         assert stats.cache_hit_rate == pytest.approx(2 / 3)
         assert stats.per_primitive_calls == {"allreduce": 3}
         assert stats.modelled_seconds > 0 and stats.bytes_moved > 0
@@ -421,6 +417,7 @@ class TestInstrumentation:
         assert "allreduce" in report and "per category:" in report
         snap = stats.snapshot()
         assert snap["calls"] == 3 and snap["cache_hits"] == 2
+        assert "cached plans" in comm.describe()
 
     def test_snapshot_lists_every_counter(self):
         """The snapshot is every dataclass field plus the two rates, so
@@ -439,16 +436,6 @@ class TestInstrumentation:
         assert comm.stats.batches == 1 and comm.stats.waves == 1
         assert comm.stats.overlap_saved_seconds == pytest.approx(
             batch.serial_seconds - batch.seconds)
-
-    def test_reset_stats_keeps_cache(self):
-        manager, _, total, src, dst, _ = seeded_setup()
-        comm = Communicator(manager, SessionConfig(functional=False))
-        comm.alltoall("010", total, src_offset=src, dst_offset=dst)
-        comm.reset_stats()
-        assert comm.stats.calls == 0 and len(comm.cache) == 1
-        comm.alltoall("010", total, src_offset=src, dst_offset=dst)
-        assert comm.stats.cache_hits == 1
-        assert "cached plans" in comm.describe()
 
     def test_comm_result_repr_and_breakdown(self):
         manager, _, total, src, dst, _ = seeded_setup()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.groups import CommGroup, group_size, resolve_dims, slice_groups
+from repro.core.groups import group_size, resolve_dims, slice_groups
 from repro.core.hypercube import HypercubeManager
 from repro.errors import HypercubeError
 from repro.hw.system import DimmSystem
@@ -75,14 +75,3 @@ class TestSliceGroups:
         assert group_size(manager, "100") == 4
         assert group_size(manager, "101") == 8
         assert group_size(manager, "111") == 32
-
-
-class TestCommGroup:
-    def test_rank_of(self):
-        group = CommGroup(instance=0, pe_ids=(5, 9, 13))
-        assert group.rank_of(9) == 1
-
-    def test_rank_of_missing(self):
-        group = CommGroup(instance=0, pe_ids=(5, 9))
-        with pytest.raises(HypercubeError, match="not in communication group"):
-            group.rank_of(7)

@@ -11,9 +11,7 @@ from repro.errors import TransferError
 from repro.hw.host import (
     REGISTER_BYTES,
     SimdCounter,
-    domain_transfer_registerwise,
     rotate_lanes_registerwise,
-    vertical_add_registerwise,
 )
 from repro.hw.system import DimmSystem
 
@@ -59,60 +57,6 @@ class TestRotateRegisterwise:
             rotate_lanes_registerwise(np.zeros((2, 2), dtype=np.int32), 1)
 
 
-class TestDomainTransferRegisterwise:
-    def test_involution(self, rng):
-        row = rng.integers(0, 256, (8, 64), dtype=np.uint8)
-        once = domain_transfer_registerwise(row)
-        twice = domain_transfer_registerwise(once)
-        assert np.array_equal(twice, row)
-        assert not np.array_equal(once, row)
-
-    def test_square_tile_is_transpose(self, rng):
-        row = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-        out = domain_transfer_registerwise(row)
-        assert np.array_equal(out, row.T)
-
-    def test_counts_one_transpose_per_register(self, rng):
-        row = rng.integers(0, 256, (8, 64), dtype=np.uint8)
-        counter = SimdCounter()
-        domain_transfer_registerwise(row, counter)
-        assert counter.transposes == 8  # 8 lanes x 64 B = 8 registers
-        assert counter.transpose_bytes == row.size
-
-    def test_misaligned_rejected(self):
-        with pytest.raises(TransferError):
-            domain_transfer_registerwise(np.zeros((8, 5), dtype=np.uint8))
-
-
-class TestVerticalAdd:
-    def test_elementwise_and_counted(self, rng):
-        a = rng.integers(0, 100, (8, 32)).astype(np.int64)
-        b = rng.integers(0, 100, (8, 32)).astype(np.int64)
-        counter = SimdCounter()
-        merged = vertical_add_registerwise(
-            np.ascontiguousarray(a).view(np.uint8),
-            np.ascontiguousarray(b).view(np.uint8),
-            np.dtype(np.int64), counter)
-        assert np.array_equal(merged.view(np.int64), a + b)
-        assert counter.adds == a.size * 8 // REGISTER_BYTES
-        assert counter.add_bytes == a.size * 8
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(TransferError):
-            vertical_add_registerwise(
-                np.zeros((2, 8), dtype=np.uint8),
-                np.zeros((2, 16), dtype=np.uint8), np.dtype(np.int64))
-
-    def test_other_ufuncs(self, rng):
-        a = rng.integers(0, 100, (4, 8)).astype(np.int64)
-        b = rng.integers(0, 100, (4, 8)).astype(np.int64)
-        merged = vertical_add_registerwise(
-            np.ascontiguousarray(a).view(np.uint8),
-            np.ascontiguousarray(b).view(np.uint8),
-            np.dtype(np.int64), ufunc=np.minimum)
-        assert np.array_equal(merged.view(np.int64), np.minimum(a, b))
-
-
 class TestExecutionOpAccounting:
     """Executing a plan counts register work matching what it charges."""
 
@@ -130,7 +74,7 @@ class TestExecutionOpAccounting:
         # The exchange shuffles every byte of the payload exactly once
         # (modulo register-size rounding and two-source shuffles).
         payload = total * manager.num_nodes
-        assert payload <= simd.shuffle_bytes <= 3 * payload
+        assert payload <= simd.shuffles * REGISTER_BYTES <= 3 * payload
         # Cross-domain modulation: no transposes at all.
         assert simd.transposes == 0
 
@@ -143,7 +87,7 @@ class TestExecutionOpAccounting:
         simd = self._run(plan, system)
         payload = total * manager.num_nodes
         # +IM performs the two domain transfers CM would have fused away.
-        assert simd.transpose_bytes == 2 * payload
+        assert simd.transposes * REGISTER_BYTES == 2 * payload
 
     def test_allgather_multi_instance_counts(self):
         system = DimmSystem.small(mram_bytes=1 << 16)
@@ -154,4 +98,4 @@ class TestExecutionOpAccounting:
         plan = plan_allgather(manager, "10", chunk, src, dst, INT64, FULL)
         simd = self._run(plan, system)
         out_bytes = 4 * chunk * manager.num_nodes
-        assert out_bytes <= simd.shuffle_bytes <= 3 * out_bytes
+        assert out_bytes <= simd.shuffles * REGISTER_BYTES <= 3 * out_bytes

@@ -10,6 +10,15 @@ from repro.core.hypercube import (
 from repro.errors import HypercubeError
 from repro.hw.system import DimmSystem
 
+from .helpers import (
+    coords_of_pe,
+    eg_of_pe,
+    lane_of_pe,
+    node_coords,
+    node_index,
+    pe_of_coords,
+)
+
 
 @pytest.fixture
 def system():
@@ -35,20 +44,20 @@ class TestShape:
         with pytest.raises(HypercubeError):
             HypercubeShape((0, 4))
 
-    def test_node_index_dim0_fastest(self):
-        shape = HypercubeShape((4, 2, 4))
-        assert shape.node_index((1, 0, 0)) == 1
-        assert shape.node_index((0, 1, 0)) == 4
-        assert shape.node_index((0, 0, 1)) == 8
+    def test_node_index_dim0_fastest(self, system):
+        manager = HypercubeManager(system, shape=(4, 2, 4))
+        assert node_index((4, 2, 4), (1, 0, 0)) == 1
+        assert node_index((4, 2, 4), (0, 1, 0)) == 4
+        assert node_index((4, 2, 4), (0, 0, 1)) == 8
+        # The manager's node table is indexed [z, y, x]: x varies fastest.
+        assert manager.pe_grid[0, 0, 1] == manager.pe_of_node(1)
+        assert manager.pe_grid[0, 1, 0] == manager.pe_of_node(4)
+        assert manager.pe_grid[1, 0, 0] == manager.pe_of_node(8)
 
     def test_index_coord_roundtrip(self):
-        shape = HypercubeShape((4, 2, 4))
-        for i in range(shape.num_nodes):
-            assert shape.node_index(shape.node_coords(i)) == i
-
-    def test_dim_names(self):
-        shape = HypercubeShape((2, 2, 2, 2))
-        assert [shape.dim_name(i) for i in range(4)] == ["x", "y", "z", "u"]
+        dims = (4, 2, 4)
+        for i in range(HypercubeShape(dims).num_nodes):
+            assert node_index(dims, node_coords(dims, i)) == i
 
     def test_str(self):
         assert str(HypercubeShape((4, 2, 4))) == "4x2x4"
@@ -78,7 +87,7 @@ class TestManager:
         seen = set()
         for node in range(manager.num_nodes):
             pe = manager.pe_of_node(node)
-            assert manager.node_of_pe(pe) == node
+            assert manager.all_pes[node] == pe
             seen.add(pe)
         assert len(seen) == 32
 
@@ -88,9 +97,9 @@ class TestManager:
         geom = system.geometry
         for y in range(4):
             for z in range(2):
-                pes = [manager.pe_of_coords((x, y, z)) for x in range(4)]
-                assert len({geom.eg_of_pe(pe) for pe in pes}) == 1
-                assert [geom.lane_of_pe(pe) for pe in pes] == [0, 1, 2, 3]
+                pes = [pe_of_coords(manager, (x, y, z)) for x in range(4)]
+                assert len({eg_of_pe(geom, pe) for pe in pes}) == 1
+                assert [lane_of_pe(geom, pe) for pe in pes] == [0, 1, 2, 3]
 
     def test_too_many_nodes_rejected(self, system):
         with pytest.raises(HypercubeError, match="needs"):
@@ -108,7 +117,8 @@ class TestManager:
     def test_coords_roundtrip(self, system):
         manager = HypercubeManager(system, shape=(4, 2, 4))
         for pe in manager.all_pes:
-            assert manager.pe_of_coords(manager.coords_of_pe(pe)) == pe
+            coords = coords_of_pe(manager, pe)
+            assert manager.pe_grid[coords[::-1]] == pe
 
     def test_alignment_is_full_for_valid_cubes(self, system):
         manager = HypercubeManager(system, shape=(4, 4, 2))

@@ -14,14 +14,12 @@ import pytest
 from repro import FULL, Communicator, HypercubeManager
 from repro.core import reference as ref
 from repro.core.collectives.plan import ExecContext
-from repro.core.collectives.steps import (
-    PeReorderStep,
-    RotateExchangeStep,
-    slot_permutation,
-)
+from repro.core.collectives.steps import PeReorderStep, RotateExchangeStep
 from repro.core.groups import slice_groups
 from repro.dtypes import INT64
 from repro.hw.system import DimmSystem
+
+from .helpers import coords_of_pe, eg_of_pe, slot_permutation
 
 
 def tagged_chunk(src_rank: int, dst_rank: int) -> np.ndarray:
@@ -95,7 +93,7 @@ class TestFigure9aMultiEntangledGroup:
         groups = slice_groups(manager, "10")
         group = groups[0]
         geom = system.geometry
-        egs = {geom.eg_of_pe(pe) for pe in group.pe_ids}
+        egs = {eg_of_pe(geom, pe) for pe in group.pe_ids}
         assert len(egs) == 2  # the scenario of Figure 9(a)
 
         n = group.size
@@ -200,7 +198,7 @@ class TestFigure11DlrmStructure:
         shard (same embedding columns, same tables)."""
         manager = self._manager()
         for group in slice_groups(manager, "010"):
-            coords = [manager.coords_of_pe(pe) for pe in group.pe_ids]
+            coords = [coords_of_pe(manager, pe) for pe in group.pe_ids]
             assert len({(c[0], c[2]) for c in coords}) == 1
             assert sorted(c[1] for c in coords) == [0, 1]
 
@@ -211,7 +209,7 @@ class TestFigure11DlrmStructure:
         groups = slice_groups(manager, "101")
         assert all(g.size == 8 for g in groups)
         for group in groups:
-            coords = [manager.coords_of_pe(pe) for pe in group.pe_ids]
+            coords = [coords_of_pe(manager, pe) for pe in group.pe_ids]
             assert len({c[1] for c in coords}) == 1       # same y
             assert len({(c[0], c[2]) for c in coords}) == 8  # all xz
 

@@ -640,12 +640,3 @@ class TestParallelObservability:
             assert "parallel waves  1 (3 requests)" in report
         finally:
             comm.close()
-
-    def test_reset_preserves_worker_count(self):
-        comm = Communicator(make_manager((4, 8)),
-                            SessionConfig(parallel_workers=4))
-        try:
-            comm.reset_stats()
-            assert comm.stats.parallel_workers == 4
-        finally:
-            comm.close()

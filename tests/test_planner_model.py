@@ -2,10 +2,11 @@
 
 The bus terms, cube slicing and entangled-group alignment are closed
 forms of (geometry, cube shape, dims).  The per-PE walks they replaced
-live on here as the reference implementations the vectorised versions
-must equal; a golden file pins every row of the analytic model to the
-values of the commit before the rewrite; and a guard keeps per-PE
-geometry calls from creeping back onto the planning path.
+live on in the tests (here and in ``tests/helpers.py``) as the reference
+implementations the vectorised versions must equal; a golden file pins
+every row of the analytic model to the values of the commit before the
+rewrite; and cold calls from an empty span memo price every primitive
+through the vectorised forms (the geometry has no per-PE query left).
 
 Regenerate the golden file (only when the model itself is changed on
 purpose) with ``PYTHONPATH=src python -m tests.test_planner_model``.
@@ -31,13 +32,14 @@ from repro.core.groups import member_pes, resolve_dims, slice_groups
 from repro.errors import GeometryError, HypercubeError
 from repro.hw.geometry import DimmGeometry
 
+from .helpers import eg_of_pe, lane_of_pe, pe_coord, pe_of_coords
 from .test_differential_fuzz import PRIMITIVES
 
 GOLDEN = Path(__file__).parent / "golden" / "paper_model_rows.json"
 
 
 # ----------------------------------------------------------------------
-# Reference implementations: one geometry call per PE
+# Reference implementations: one reference-model call per PE
 # ----------------------------------------------------------------------
 def ref_lane_utilization(geom: DimmGeometry, pe_ids) -> float:
     pe_list = list(pe_ids)
@@ -45,17 +47,12 @@ def ref_lane_utilization(geom: DimmGeometry, pe_ids) -> float:
         raise GeometryError("lane_utilization of an empty PE set")
     per_eg: dict[int, int] = {}
     for pe in pe_list:
-        per_eg[geom.eg_of_pe(pe)] = per_eg.get(geom.eg_of_pe(pe), 0) + 1
+        per_eg[eg_of_pe(geom, pe)] = per_eg.get(eg_of_pe(geom, pe), 0) + 1
     return sum(per_eg.values()) / (geom.chips_per_rank * len(per_eg))
 
 
 def ref_channels_used(geom: DimmGeometry, pe_ids) -> int:
-    return len({geom.pe_coord(pe).channel for pe in pe_ids})
-
-
-def ref_ranks_used(geom: DimmGeometry, pe_ids) -> int:
-    coords = [geom.pe_coord(pe) for pe in pe_ids]
-    return len({(c.channel, c.rank) for c in coords})
+    return len({pe_coord(geom, pe).channel for pe in pe_ids})
 
 
 def _fastest_first(lengths):
@@ -78,7 +75,7 @@ def ref_slice_groups(manager: HypercubeManager, dims) -> list[tuple[int, ...]]:
                 coords[d] = c
             for d, c in zip(selected, sel_coords):
                 coords[d] = c
-            members.append(manager.pe_of_coords(coords))
+            members.append(pe_of_coords(manager, coords))
         groups.append(tuple(members))
     return groups
 
@@ -93,8 +90,8 @@ def ref_alignment(manager: HypercubeManager, dims) -> float:
     touched: dict[int, set[int]] = {}
     for group in ref_slice_groups(manager, dims):
         for pe in group:
-            touched.setdefault(geom.eg_of_pe(pe), set()).add(
-                geom.lane_of_pe(pe))
+            touched.setdefault(eg_of_pe(geom, pe), set()).add(
+                lane_of_pe(geom, pe))
     return (sum(len(lanes) for lanes in touched.values())
             / (geom.chips_per_rank * len(touched)))
 
@@ -167,7 +164,6 @@ class TestBusTermsMatchReference:
         geom, pes, container = case
         assert geom.channels_used(container(pes)) == ref_channels_used(
             geom, pes)
-        assert geom.ranks_used(container(pes)) == ref_ranks_used(geom, pes)
 
     @given(pe_sets(), st.data())
     def test_out_of_range_ids_raise(self, case, data):
@@ -176,8 +172,7 @@ class TestBusTermsMatchReference:
                                   st.integers(geom.num_pes,
                                               geom.num_pes + 64)))
         pes.insert(data.draw(st.integers(0, len(pes))), bad)
-        for fn in (geom.lane_utilization, geom.channels_used,
-                   geom.ranks_used):
+        for fn in (geom.lane_utilization, geom.channels_used):
             with pytest.raises(GeometryError, match=f"pe_id {bad} "):
                 fn(container(pes))
 
@@ -185,8 +180,7 @@ class TestBusTermsMatchReference:
         geom = DimmGeometry()
         with pytest.raises(GeometryError, match="empty"):
             geom.lane_utilization(())
-        assert geom.channels_used(()) == 0
-        assert geom.ranks_used(iter(())) == 0
+        assert geom.channels_used(iter(())) == 0
 
 
 class TestSlicingMatchesReference:
@@ -256,13 +250,12 @@ class TestGoldenModel:
 # (c) planning never asks the geometry about one PE at a time
 # ----------------------------------------------------------------------
 class TestNoPerPeGeometryOnThePlanningPath:
+    """``DimmGeometry`` has no per-PE query left (the walks above are the
+    tests' own reference model), so cold calls price every span through
+    the vectorised forms."""
+
     @pytest.fixture(autouse=True)
-    def per_pe_calls_raise(self, monkeypatch):
-        def boom(self, pe_id):
-            raise AssertionError(
-                f"per-PE geometry call for PE {pe_id} on the planning path")
-        monkeypatch.setattr(DimmGeometry, "pe_coord", boom)
-        monkeypatch.setattr(DimmGeometry, "eg_of_pe", boom)
+    def cold_spans(self):
         # Spans priced by an earlier test would make this one warm.
         steps._SPANS.clear()
         steps._span.cache_clear()

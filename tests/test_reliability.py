@@ -251,7 +251,6 @@ class TestTimeouts:
         assert policy.backoff(2) == pytest.approx(2e-4)
         assert policy.backoff(3) == pytest.approx(3e-4)  # capped
         assert policy.backoff(9) == pytest.approx(3e-4)
-        assert policy.total_backoff(3) == pytest.approx(6e-4)
 
     def test_policy_validated(self):
         with pytest.raises(ReliabilityError):
@@ -509,9 +508,8 @@ class TestRankFailure:
         manager = HM(system, (4, 4), pe_map=pes)
         for node, pe in enumerate(pes):
             assert manager.pe_of_node(node) == pe
-            assert manager.node_of_pe(pe) == node
-        with pytest.raises(HypercubeError):
-            manager.node_of_pe(31)
+        assert manager.all_pes == pes
+        assert 31 not in manager.pe_grid
 
     def test_pe_map_validated(self):
         system = DimmSystem.small()
@@ -603,14 +601,9 @@ class TestDegradedCacheKeys:
 
 
 # ----------------------------------------------------------------------
-# PlanCache statistics (regression: per-lookup hit flag, zero lookups)
+# PlanCache statistics (regression: per-lookup hit flag)
 # ----------------------------------------------------------------------
 class TestPlanCacheStats:
-    def test_hit_rate_defined_at_zero_lookups(self):
-        cache = PlanCache()
-        assert cache.lookups == 0
-        assert cache.hit_rate == 0.0  # must not raise
-
     def test_fetch_reports_per_lookup_hit(self):
         cache = PlanCache()
         key_a = ("a",)
@@ -646,8 +639,7 @@ class TestPlanCacheStats:
             comm.allreduce("11", 256, functional=False)
         assert comm.stats.plans_compiled == 1
         assert comm.stats.cache_hits == 2
-        assert comm.cache.hits == 2
-        assert comm.cache.lookups == 3
+        assert (comm.cache.hits, comm.cache.misses) == (2, 1)
 
 
 # ----------------------------------------------------------------------
@@ -812,9 +804,10 @@ class TestFaultsOnCompiledReplay:
         stats = comm.stats
         assert stats.retries > 0, "no fault fired; tune seed/calls"
         assert stats.program_replays == _ORACLE_CALLS  # completed attempts
-        assert stats.total_faults == injector.total_injected
+        faults = sum(stats.faults_seen.values())
+        assert faults == injector.total_injected
         if rates is not MIXED_RATES:
-            assert injector.injected["bit_flip"] == stats.total_faults
+            assert injector.injected["bit_flip"] == faults
         if mode == "streamed":
             assert stats.tiles_replayed > 0
         if mode == "eliding" and primitive == "alltoall":

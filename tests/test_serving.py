@@ -594,7 +594,7 @@ class TestCachePartitions:
             session = server.session("t", plan_cache_slots=2)
             for size in (SIZE, 2 * SIZE, 4 * SIZE):
                 await session.run(request(size=size))
-            counters = server.comm.cache.partition_counters()["t"]
+            counters = server.comm.stats.plan_partitions["t"]
             assert counters["plans"] == 2 and counters["evictions"] == 1
         asyncio.run(scenario())
 

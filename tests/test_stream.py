@@ -534,8 +534,6 @@ class TestScratchPool:
         pool.release()
         pool.fold((8,))                 # lower water: peak unchanged
         assert pool.peak_bytes == 96
-        pool.reset_peak()
-        assert pool.peak_bytes == 0
 
     def test_views_carry_shape_and_dtype(self):
         pool = ScratchPool()

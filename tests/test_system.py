@@ -68,12 +68,6 @@ class TestAllocation:
         with pytest.raises(AllocationError):
             system.alloc(8, align=3)
 
-    def test_reset(self):
-        system = DimmSystem.small(mram_bytes=64)
-        system.alloc(48)
-        system.reset_allocations()
-        assert system.alloc(48) == 0
-
 
 class TestLazyMemories:
     def test_analytic_touches_nothing(self):

@@ -67,11 +67,6 @@ class TestPricing:
         # Memory-bound case.
         assert params.cpu_time(0, params.cpu_mem_gbps * GB) == pytest.approx(1.0)
 
-    def test_mpi_includes_latency(self, params):
-        base = params.mpi_time(0, messages=1)
-        assert base == pytest.approx(params.mpi_latency_s)
-        assert params.mpi_time(GB, messages=2) > params.mpi_time(GB, messages=1)
-
     def test_scaled_override(self, params):
         faster = params.scaled(bus_gbps_per_channel=28.0)
         assert faster.bus_time(GB, 1) == pytest.approx(params.bus_time(GB, 1) / 2)
@@ -117,10 +112,6 @@ class TestLedger:
         fracs = ledger.fractions()
         assert sum(fracs.values()) == pytest.approx(1.0)
         assert fracs["dt"] == pytest.approx(0.75)
-
-    def test_comm_total_excludes_compute(self):
-        ledger = CostLedger({"bus": 1.0, "kernel": 5.0, "cpu": 7.0})
-        assert ledger.comm_total == pytest.approx(1.0)
 
     def test_scaled(self):
         ledger = CostLedger({"bus": 1.0, "dt": 2.0})

@@ -1,18 +1,13 @@
-"""Tests for the plan-trace rendering."""
+"""Tests for the plan-trace rendering and per-step pricing."""
 
 import pytest
 
-from repro.analysis.trace import (
-    dominant_category,
-    render_categories,
-    render_serving,
-    render_timeline,
-    trace_plan,
-)
+from repro.analysis.trace import render_categories
 from repro.core.collectives import BASELINE, FULL, plan_allreduce, plan_alltoall
 from repro.core.hypercube import HypercubeManager
 from repro.dtypes import INT64, SUM
 from repro.hw.system import DimmSystem
+from repro.hw.timing import price
 
 
 @pytest.fixture
@@ -22,31 +17,25 @@ def setup():
     return system, manager
 
 
+def step_seconds(step, system) -> float:
+    return price(step.traffic(system.geometry), system.params).total
+
+
 class TestTracePlan:
     def test_step_costs_sum_to_plan_estimate(self, setup):
         system, manager = setup
         plan = plan_allreduce(manager, "10", 8 << 20, 0, 0, INT64, SUM, FULL)
-        traces = trace_plan(plan, system)
-        assert len(traces) == len(plan.steps)
-        total = sum(t.seconds for t in traces)
+        total = sum(step_seconds(step, system) for step in plan.steps)
         assert total == pytest.approx(plan.estimate(system).total)
 
     def test_exchange_dominates_allreduce(self, setup):
         system, manager = setup
         plan = plan_allreduce(manager, "10", 8 << 20, 0, 0, INT64, SUM, FULL)
-        heaviest = max(trace_plan(plan, system), key=lambda t: t.seconds)
-        assert "ReduceExchange" in heaviest.label
+        heaviest = max(plan.steps, key=lambda step: step_seconds(step, system))
+        assert "ReduceExchange" in heaviest.describe()
 
 
 class TestRendering:
-    def test_timeline_lists_every_step(self, setup):
-        system, manager = setup
-        plan = plan_alltoall(manager, "10", 1 << 20, 0, 0, INT64, FULL)
-        text = render_timeline(plan, system)
-        assert "RotateExchange" in text
-        assert text.count("\n") == len(plan.steps)
-        assert "ms" in text
-
     def test_categories_show_shares(self, setup):
         system, manager = setup
         plan = plan_alltoall(manager, "10", 1 << 20, 0, 0, INT64, FULL)
@@ -56,29 +45,13 @@ class TestRendering:
     def test_dominant_category_shifts_with_config(self, setup):
         system, manager = setup
         size = 8 << 20
+
+        def dominant(plan):
+            breakdown = plan.estimate(system).breakdown()
+            return max(breakdown, key=breakdown.get)
+
         fast = plan_alltoall(manager, "10", size, 0, 0, INT64, FULL)
         slow = plan_alltoall(manager, "10", size, 0, 0, INT64, BASELINE)
         # Optimized AlltoAll is bus-bound; the baseline is host-bound.
-        assert dominant_category(fast, system) == "bus"
-        assert dominant_category(slow, system) in ("host_mem", "host_mod")
-
-    def test_render_serving_lists_tenants(self):
-        import asyncio
-
-        from repro import CollectiveServer, CommRequest, SessionConfig
-        from tests.helpers import make_manager
-
-        async def scenario():
-            server = CollectiveServer(make_manager((8, 4)),
-                                      SessionConfig(functional=False))
-            assert render_serving(server.stats) \
-                == "Serving(no requests dispatched)"
-            session = server.session("tenant-a")
-            session.submit(CommRequest("alltoall", "10", 256,
-                                       dst_offset=8192))
-            await server.drain()
-            return render_serving(server.stats)
-
-        text = asyncio.run(scenario())
-        assert "tenant-a" in text
-        assert "p50" in text and "p99" in text and "goodput" in text
+        assert dominant(fast) == "bus"
+        assert dominant(slow) in ("host_mem", "host_mod")
