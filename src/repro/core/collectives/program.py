@@ -1102,7 +1102,9 @@ class CommProgram:
         op (untiled: allocates per op, no pool, no workers); a budget
         streams band by band through ``pool`` (fresh when None) in
         O(tile) working memory, and ``workers`` (an engine worker
-        pool) may fan a streamed op's bands across host threads.
+        pool) may fan a streamed op's bands across host threads.  The
+        context's ``peak_scratch_bytes`` is this replay's high-water
+        mark, summed over the pools it gathered through.
         Results are bit-identical at any budget and worker count.  The
         ledger is unpipelined: a streamed run's pipeline credit is a
         static function of the budget (:meth:`pipeline_depth`).
@@ -1123,6 +1125,11 @@ class CommProgram:
                 f"tile_bytes must be positive, got {tile_bytes}")
         elif pool is None:
             pool = ScratchPool()
+        else:
+            # A session's pool outlives the call; the peak is this one's.
+            pool.peak_bytes = 0
+            if workers is not None:
+                workers.reset_scratch_peaks()
         ledger = self.priced(system)
         ctx = ExecContext(system=system, payloads=payloads, elide=elide,
                           tile_bytes=tile_bytes, pool=pool, workers=workers)

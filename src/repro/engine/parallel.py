@@ -95,6 +95,12 @@ class WorkerPool:
         with self._lock:
             return sum(p.peak_bytes for p in self._pools)
 
+    def reset_scratch_peaks(self) -> None:
+        """Zero every worker pool's high-water mark (a replay's start)."""
+        with self._lock:
+            for pool in self._pools:
+                pool.peak_bytes = 0
+
     def count_bands(self, n: int) -> None:
         """Attribute ``n`` executed bands to the calling worker."""
         label = getattr(_worker_state, "label", None) \

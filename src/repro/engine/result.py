@@ -58,8 +58,10 @@ class CommResult:
     execution: str = "interpreted"
     #: Payload tiles a streamed replay ran (0 unless streamed).
     tiles: int = 0
-    #: Scratch-pool high-water mark of a streamed replay, in bytes
-    #: (bounded by ~2 tiles: one pong output band + one fold sliver).
+    #: Scratch-pool high-water mark of this call's streamed replay, in
+    #: bytes (bounded by ~2 tiles per pool: one pong output band + one
+    #: fold sliver); ``EngineStats.peak_scratch_bytes`` keeps the
+    #: session's.
     peak_scratch_bytes: int = 0
     #: Source chunks fingerprint-scanned by content-aware elision
     #: (0 unless the call ran with ``elide_transfers`` on a big-enough

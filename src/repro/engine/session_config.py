@@ -21,7 +21,7 @@ session, ``__post_init__`` checks every field's type and range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any
 
 from ..core.collectives import FULL, OptConfig
@@ -87,7 +87,9 @@ class SessionConfig:
             ``EngineStats.parallel_fallbacks``): the injector's RNG is
             one stateful stream.  Row bands fan out in every session,
             since each op draws its faults before its bands move
-            (``docs/performance.md``).
+            (``docs/performance.md``).  A ``MultiHostSystem`` hands
+            the value to each host session and runs its hosts one
+            after another.
         elide_transfers: Content-aware transfer elision (default
             False).  When True, compiled replays fingerprint-scan
             their movement sources and skip the gather and bus charge
@@ -162,10 +164,6 @@ class SessionConfig:
             raise CollectiveError(
                 "elide_transfers runs in compiled replay; use "
                 "execution='auto' or 'compiled'")
-
-    def evolve(self, **changes: Any) -> "SessionConfig":
-        """A copy with ``changes`` applied (re-validated)."""
-        return replace(self, **changes)
 
     def describe(self) -> str:
         """One-line summary naming only the non-default choices."""

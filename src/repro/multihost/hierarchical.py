@@ -8,9 +8,9 @@ compiled replay, streaming, band workers and content-aware elision.
 The global phase is a first-class inter-host program
 (:class:`~repro.multihost.GlobalProgram`) priced on a topology-aware
 :class:`~repro.multihost.Fabric` and selected per (primitive, payload,
-topology) by the :class:`~repro.multihost.GlobalTuner`; with
-``parallel_workers > 1`` the per-host local phases fan out across a
-host-level :class:`~repro.engine.WorkerPool`.
+topology) by the :class:`~repro.multihost.GlobalTuner`.  The driver
+runs the hosts' local phases one host after another on the calling
+thread.
 
 Every hierarchical collective is one recipe run by one driver,
 :func:`_hierarchical`: a local collective onto each host (Reduce or
@@ -43,7 +43,7 @@ import numpy as np
 
 from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, INT64, ReduceOp, SUM
-from ..engine import Communicator, SessionConfig, WorkerPool
+from ..engine import Communicator, SessionConfig
 from ..errors import CollectiveError
 from ..hw.arena import scan_chunk_classes, wide_dtype
 from ..hw.geometry import DimmGeometry
@@ -111,17 +111,17 @@ class MultiHostSystem:
         params: Machine parameters (shared by hosts and fabric links).
         ranks_per_channel / mram_bytes: Per-host system size.
         session_config: Engine configuration every host's
-            :class:`~repro.engine.Communicator` runs under (rung,
-            backend, execution mode, streaming, elision, workers).
-            None means the all-defaults config.
+            :class:`~repro.engine.Communicator` runs under, as given
+            (rung, backend, execution mode, streaming, elision,
+            workers).  None means the all-defaults config.
         fabric: Inter-host topology (default: fully connected at the
             testbed's throttled MPI link rate, on which a ring prices
             at the flat ``(N-1)/N`` formulas).
 
-    With ``session_config.parallel_workers > 1`` the worker budget is
-    spent at the *host* level: local phases of distinct hosts run
-    concurrently on a :class:`~repro.engine.WorkerPool` while each
-    host's session itself stays serial.
+    Hosts run one after another on the calling thread.  The
+    hierarchical collectives issue single ``run`` calls, which never
+    form waves, so ``parallel_workers`` reaches a host session only
+    through its streamed row bands.
     """
 
     def __init__(self, num_hosts: int, params: MachineParams | None = None,
@@ -144,16 +144,7 @@ class MultiHostSystem:
             HypercubeManager(system, shape=(system.num_pes,))
             for system in self.systems
         ]
-        workers = session_config.parallel_workers
-        #: Host-level worker pool: when the session asks for parallel
-        #: replay, distinct hosts' local phases run concurrently and
-        #: each host's own session stays serial (the worker budget is
-        #: spent once, at the outermost independent level).
-        self._pool = (WorkerPool(min(workers, num_hosts))
-                      if workers > 1 and num_hosts > 1 else None)
-        host_config = (session_config.evolve(parallel_workers=1)
-                       if self._pool is not None else session_config)
-        self.communicators = [Communicator(manager, host_config)
+        self.communicators = [Communicator(manager, session_config)
                               for manager in self.managers]
         if fabric is not None and fabric.num_hosts != num_hosts:
             raise CollectiveError(
@@ -205,24 +196,10 @@ class MultiHostSystem:
         """Join host sessions' worker threads (idempotent)."""
         for comm in self.communicators:
             comm.close()
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     # ------------------------------------------------------------------
     # Execution helpers the hierarchical driver uses
     # ------------------------------------------------------------------
-    def _each_host(self, call):
-        """Run ``call(host)`` for every host, pooled when configured.
-
-        Results come back in host order either way (the pool preserves
-        submission order), so functional outputs stay deterministic.
-        """
-        if self._pool is None:
-            return [call(host) for host in range(self.num_hosts)]
-        return self._pool.run(
-            [(lambda h=host: call(h)) for host in range(self.num_hosts)])
-
     def _elide_fabric(self, program: GlobalProgram,
                       buffers: list[np.ndarray], ledger: CostLedger
                       ) -> tuple[float, int, int]:
@@ -347,11 +324,11 @@ def _hierarchical(mh: MultiHostSystem, primitive: str, size: int,
     """Run ``primitive`` as local collect -> one global phase -> local
     distribute, reading the steps from its :data:`_RECIPES` row.
 
-    Hosts run in parallel, so the ledger books host 0's local work:
-    the collect, AlltoAll's re-blocking, the fabric elision scan, then
-    the distribute.  The global phase is selected by the tuner, elided
-    on functional runs when the session elides, priced on the fabric
-    and recorded on host 0's stats; a single host has none.
+    The modelled hosts run in parallel, so the ledger books host 0's
+    local work: the collect, AlltoAll's re-blocking, the fabric elision
+    scan, then the distribute.  The global phase is selected by the
+    tuner, elided on functional runs when the session elides, priced on
+    the fabric and recorded on host 0's stats; a single host has none.
     """
     recipe = _RECIPES[primitive]
     n, p = mh.num_hosts, mh.pes_per_host
@@ -366,10 +343,9 @@ def _hierarchical(mh: MultiHostSystem, primitive: str, size: int,
         raise CollectiveError("chunk must hold whole elements")
     extra = {"reduction_type": op} if recipe.collect == "reduce" else {}
     ledger = CostLedger()
-    collected = mh._each_host(
-        lambda h: getattr(mh.communicators[h], recipe.collect)(
-            "1", size, src_offset=src, data_type=dtype,
-            functional=functional, **extra))
+    collected = [getattr(comm, recipe.collect)(
+        "1", size, src_offset=src, data_type=dtype, functional=functional,
+        **extra) for comm in mh.communicators]
     ledger.merge(collected[0].ledger)
     bufs = ([res.host_outputs[0] for res in collected] if functional
             else None)
@@ -399,11 +375,10 @@ def _hierarchical(mh: MultiHostSystem, primitive: str, size: int,
                 else None)
     bufs = None
     out_bytes = recipe.out_bytes(size, chunk, n, p)
-    distributed = mh._each_host(
-        lambda h: getattr(mh.communicators[h], recipe.distribute)(
-            "1", out_bytes, dst_offset=dst, data_type=dtype,
-            payloads=({0: payloads[h]} if functional else None),
-            functional=functional))
+    distributed = [getattr(comm, recipe.distribute)(
+        "1", out_bytes, dst_offset=dst, data_type=dtype,
+        payloads=({0: payloads[h]} if functional else None),
+        functional=functional) for h, comm in enumerate(mh.communicators)]
     ledger.merge(distributed[0].ledger)
     payloads = distributed = None
 

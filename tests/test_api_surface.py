@@ -293,44 +293,68 @@ def _parse(name: str, text: str) -> ast.Module:
 
 
 @functools.lru_cache(maxsize=None)
-def _reads(*nodes: ast.AST) -> tuple[frozenset[str], frozenset[str]]:
-    """(bare names, attribute names) the code under ``nodes`` reads.
+def _reads(*nodes: ast.AST
+           ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """(bare names, attribute names, method names) the code under
+    ``nodes`` reads.
 
-    An identifier-shaped string constant counts as both: it is how
+    A method name is an attribute that is called (``x.name(...)``) or
+    read off ``self`` or ``cls`` (``initializer=self._init_worker``).
+    An identifier-shaped string constant counts as all three: it is how
     ``getattr``, ``__all__`` and the benchmark's tracer spell a name.
     """
     names: set[str] = set()
     attrs: set[str] = set()
+    methods: set[str] = set()
     for top in nodes:
+        callees: set[int] = set()
+        # ast.walk visits a call before its callee.
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Call):
+                callees.add(id(node.func))
+            elif isinstance(node, ast.Name):
                 if not isinstance(node.ctx, ast.Store):
                     names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 if not isinstance(node.ctx, ast.Store):
                     attrs.add(node.attr)
+                    if id(node) in callees or (
+                            isinstance(node.value, ast.Name)
+                            and node.value.id in ("self", "cls")):
+                        methods.add(node.attr)
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str)
                   and node.value.isidentifier()):
                 names.add(node.value)
                 attrs.add(node.value)
-    return frozenset(names), frozenset(attrs)
+                methods.add(node.value)
+    return frozenset(names), frozenset(attrs), frozenset(methods)
+
+
+def _is_property(node: ast.AST) -> bool:
+    """Whether ``node`` is a property (or one of its setters)."""
+    for deco in getattr(node, "decorator_list", ()):
+        name = deco.attr if isinstance(deco, ast.Attribute) else \
+            getattr(deco, "id", None)
+        if name in ("property", "cached_property", "setter", "deleter"):
+            return True
+    return False
 
 
 @functools.lru_cache(maxsize=None)
 def _file_facts(path: Path, text: str):
     """One program file's definitions and what its root code reads.
 
-    Returns ``(defs, assigned, names, attrs, aliases)``: ``defs`` maps
-    ``module:qualname`` to ``(node, owner key or None)`` and
-    ``assigned`` lists ``module:name`` per module-level global (both
-    empty outside ``src/``); ``names`` / ``attrs`` are what the root
-    code reads; ``aliases`` maps ``import ... as`` names to the
-    originals.  The root code of a ``src/`` module is what runs at
-    import: module and class bodies, decorators and defaults, with
-    ``__all__`` and ``__main__``; of any other program file, all of it.
-    A bare name in a class body reads as an attribute too (``alias =
-    method``).
+    Returns ``(defs, assigned, names, attrs, methods, aliases)``:
+    ``defs`` maps ``module:qualname`` to ``(node, owner key or None)``
+    and ``assigned`` lists ``module:name`` per module-level global (both
+    empty outside ``src/``); ``names`` / ``attrs`` / ``methods`` are
+    what the root code reads (:func:`_reads`); ``aliases`` maps
+    ``import ... as`` names to the originals.  The root code of a
+    ``src/`` module is what runs at import: module and class bodies,
+    decorators and defaults, with ``__all__`` and ``__main__``; of any
+    other program file, all of it.  A bare name in a class body reads
+    as an attribute and a method too (``alias = method``).
     """
     tree = _parse(str(path), text)
     defs: dict[str, tuple[ast.AST, str | None]] = {}
@@ -367,12 +391,13 @@ def _file_facts(path: Path, text: str):
         collect(tree.body, _module_name(path) + ":", None)
     else:
         roots.append(tree)
-    names, attrs = _reads(*roots)
+    names, attrs, methods = _reads(*roots)
     aliases = {alias.asname: alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.asname}
-    return (defs, assigned, names, attrs | _reads(*class_level)[0],
-            aliases)
+    class_names = _reads(*class_level)[0]
+    return (defs, assigned, names, attrs | class_names,
+            methods | class_names, aliases)
 
 
 def reachability(files: dict[Path, str], allowlist=ALLOWLIST):
@@ -380,11 +405,14 @@ def reachability(files: dict[Path, str], allowlist=ALLOWLIST):
 
     A function or class is reached when reached code reads its name,
     bare or as an attribute.  A method is reached when its class is and
-    reached code reads its name as an attribute, or when it is a
-    dunder; reach is by name, so a method is reached whenever a method
-    it overrides is.  Reached definitions spread reach through their
-    bodies, and so do allowlisted ones.  The roots are each file's root
-    code (:func:`_file_facts`).
+    reached code reads its name as a method (:func:`_reads`: calls it,
+    reads it off ``self`` or ``cls``, spells it in a string or aliases
+    it in a class body), or when it is a dunder; a property, or a class
+    nested in a class, needs only an attribute read.  Reach is by name,
+    so a method is reached whenever a method it overrides is.  Reached
+    definitions spread reach through their bodies, and so do
+    allowlisted ones.  The roots are each file's root code
+    (:func:`_file_facts`).
 
     Returns ``(unreached, unread, stale)``: the outermost definitions
     nothing reaches, the module-level globals nothing reads (both as
@@ -395,28 +423,33 @@ def reachability(files: dict[Path, str], allowlist=ALLOWLIST):
     assigned: list[str] = []
     names: set[str] = set()
     attrs: set[str] = set()
+    methods: set[str] = set()
     aliases: dict[str, str] = {}
     for path, text in files.items():
-        file_defs, file_assigned, file_names, file_attrs, file_aliases = \
-            _file_facts(path, text)
+        (file_defs, file_assigned, file_names, file_attrs, file_methods,
+         file_aliases) = _file_facts(path, text)
         defs.update(file_defs)
         assigned.extend(file_assigned)
         names |= file_names
         attrs |= file_attrs
+        methods |= file_methods
         aliases.update(file_aliases)
     reached: set[str] = set()
 
     def read(node):
-        node_names, node_attrs = _reads(node)
+        node_names, node_attrs, node_methods = _reads(node)
         names.update(node_names)
         attrs.update(node_attrs)
+        methods.update(node_methods)
 
-    def is_read(key, owner):
+    def is_read(key, owner, node):
         name = _defined_name(key)
         if owner is None:
             return name in names or name in attrs
-        return owner in reached and (
-            name in attrs or name.startswith("__") and name.endswith("__"))
+        if name.startswith("__") and name.endswith("__"):
+            return owner in reached
+        by_attr = isinstance(node, ast.ClassDef) or _is_property(node)
+        return owner in reached and name in (attrs if by_attr else methods)
 
     def spread():
         grew = True
@@ -424,7 +457,7 @@ def reachability(files: dict[Path, str], allowlist=ALLOWLIST):
             names.update(aliases[name] for name in names & aliases.keys())
             grew = False
             for key, (node, owner) in defs.items():
-                if key not in reached and is_read(key, owner):
+                if key not in reached and is_read(key, owner, node):
                     reached.add(key)
                     grew = True
                     if not isinstance(node, ast.ClassDef):
@@ -557,6 +590,15 @@ class TestReachabilityCheckCatches:
             "\n    def only_tests_call_me(self):\n        return 0\n",
             replace="class CostLedger:\n")
         assert unreached == ["repro.hw.timing:CostLedger.only_tests_call_me"]
+
+    def test_a_method_only_an_unrelated_attribute_read_names(self):
+        # Root code reads ``other.shadowed`` off some other object, but
+        # nothing calls the method or reads it off self or cls.
+        unreached, _unread, _stale = self._with(
+            "\n    _probe = staticmethod(lambda other: other.shadowed)\n"
+            "\n    def shadowed(self):\n        return 0\n",
+            replace="class CostLedger:\n")
+        assert unreached == ["repro.hw.timing:CostLedger.shadowed"]
 
     def test_a_global_nothing_reads(self):
         _unreached, unread, _stale = self._with("\n\nORPHAN_LIMIT = 3\n")

@@ -18,6 +18,7 @@ purpose) with ``PYTHONPATH=src python -m tests.test_multihost results``.
 
 import json
 import re
+import threading
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -28,7 +29,7 @@ import pytest
 
 from repro.core import reference as ref
 from repro.dtypes import FLOAT32, INT64, MIN, SUM
-from repro.engine import SessionConfig
+from repro.engine import Communicator, SessionConfig
 from repro.errors import CollectiveError
 from repro.hw.timing import MachineParams
 from repro.multihost import hierarchical
@@ -643,16 +644,25 @@ class TestEngineHierarchy:
         # shaping never leaks into the local phases).
         assert result.ledger.total == pytest.approx(baseline.ledger.total)
 
-    def test_host_level_parallel_workers(self):
+    def test_pooled_hosts_run_on_the_calling_thread(self, monkeypatch):
+        # parallel_workers reaches each host session as given, and the
+        # driver runs every host's local phases on the calling thread.
+        threads = []
+        run = Communicator.run
+
+        def spy(comm, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return run(comm, *args, **kwargs)
+
+        monkeypatch.setattr(Communicator, "run", spy)
         mh = engine_multihost(4, parallel_workers=4)
-        assert mh._pool is not None
-        # Each host's own session stays serial: the worker budget is
-        # spent across hosts.
-        assert all(c.session_config.parallel_workers == 1
+        assert all(c.session_config.parallel_workers == 4
                    for c in mh.communicators)
         check_allreduce_parity(mh)
         check_alltoall_parity(mh)
         mh.close()
+        # Two collectives, each a collect and a distribute per host.
+        assert threads == [threading.get_ident()] * (2 * 2 * 4)
 
     def test_reduce_scatter_and_allgather_on_engine(self):
         mh = engine_multihost(4, execution="compiled")

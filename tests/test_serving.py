@@ -89,14 +89,6 @@ class TestSessionConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.functional = False
 
-    def test_evolve(self):
-        config = SessionConfig(functional=False)
-        streamed = config.evolve(execution="compiled",
-                                 stream_tile_bytes=1 << 12)
-        assert streamed.functional is False
-        assert streamed.stream_tile_bytes == 1 << 12
-        assert config.stream_tile_bytes is None
-
     def test_validation_preserved(self):
         manager = make_manager((8, 4))
         with pytest.raises(CollectiveError, match="unknown execution mode"):

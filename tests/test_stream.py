@@ -283,6 +283,36 @@ class TestEnginePolicy:
         assert f"tiles replayed  {3 * result.tiles}" in report
         assert f"peak scratch    {result.peak_scratch_bytes} B" in report
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_scratch_is_the_calls_own(self, workers):
+        # The session's scratch pools outlive every call, but a result
+        # reports its own replay's high-water mark: a small call after
+        # a large one reads what it reads alone.  The stats keep the
+        # session's mark.
+        def session_calls(*per_pe_sizes):
+            manager = make_manager(SHAPE)
+            system = manager.system
+            comm = Communicator(manager, SessionConfig(
+                backend="vectorized", stream_tile_bytes=8 << 10,
+                parallel_workers=workers))
+            groups = groups_of(manager, BITMAP)
+            src, dst = system.alloc(8 << 10), system.alloc(8 << 10)
+            results = []
+            for size in per_pe_sizes:
+                fill_group_inputs(system, groups, src, size // 4, INT32,
+                                  np.random.default_rng(size))
+                results.append(comm.alltoall(
+                    BITMAP, size, src_offset=src, dst_offset=dst,
+                    data_type=INT32))
+            comm.close()
+            return [r.peak_scratch_bytes for r in results], comm.stats
+
+        (alone,), _ = session_calls(128)
+        (big, after), stats = session_calls(8 << 10, 128)
+        assert 0 < alone < big
+        assert after == alone
+        assert stats.peak_scratch_bytes == big
+
 
 class TestZeroAllocationSteadyState:
     @staticmethod
