@@ -62,23 +62,21 @@ class ExecContext:
     workers: Any = None
     #: Scratch-pool high-water mark (bytes) of a streamed replay.
     peak_scratch_bytes: int = 0
-    #: Content-aware elision: run the fingerprint scan in elidable ops
+    #: Content-aware elision: run the zero scan in elidable ops
     #: (set by ``CommProgram.replay(..., elide=True)``; never set on
     #: the interpreted path, which stays the oracle).
     elide: bool = False
-    #: Source chunks fingerprint-scanned by elidable ops.
+    #: Source chunks zero-scanned by elidable ops.
     chunks_scanned: int = 0
-    #: Destination chunks whose transfer was skipped (zero-filled or
-    #: alias-copied from a byte-identical representative).
+    #: Destination chunks whose transfer was skipped (zero-filled).
     chunks_elided: int = 0
     #: Destination bytes covered by elided chunks.
     elided_bytes: int = 0
-    #: Source bytes the fingerprint scans actually touched (prices the
+    #: Source bytes the zero scans actually touched (prices the
     #: ``elide`` ledger category).
     scan_bytes: int = 0
     #: Modelled transfer bytes the elisions removed from the bus /
-    #: staging path (zero rows skip both directions, duplicate rows
-    #: skip the gather direction).
+    #: staging path (a zero row skips both directions).
     saved_transfer_bytes: int = 0
 
     def host(self, key: str) -> Any:

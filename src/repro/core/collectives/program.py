@@ -44,7 +44,6 @@ it cheaper (``docs/reliability.md``).
 from __future__ import annotations
 
 import abc
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -57,7 +56,7 @@ from ...hw.arena import (
     Region,
     ScratchPool,
     flat_chunk_table,
-    scan_chunk_classes,
+    scan_zero_chunks,
     wide_dtype,
 )
 from ...hw.geometry import DimmGeometry
@@ -68,7 +67,7 @@ from ...hw.timing import ELIDABLE_CATEGORIES, CostLedger
 from .plan import CommPlan, ExecContext
 
 #: Smallest per-op source block (bytes) the elision layer bothers to
-#: fingerprint-scan.  Below this the scan's fixed Python dispatch costs
+#: zero-scan.  Below this the scan's fixed Python dispatch costs
 #: more than any possible transfer saving, so tiny ops always take the
 #: plain replay path regardless of content.
 ELIDE_MIN_SOURCE_BYTES = 1 << 14
@@ -81,45 +80,6 @@ def readonly_table(table: np.ndarray) -> np.ndarray:
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
-
-
-@functools.lru_cache(maxsize=8)
-def _hash_mults(width: int) -> np.ndarray:
-    """Per-column random odd multipliers for :func:`_row_reps` keys."""
-    rng = np.random.default_rng(0x9E3779B97F4A7C15)
-    mults = rng.integers(1, np.iinfo(np.uint64).max, width,
-                         dtype=np.uint64) | np.uint64(1)
-    mults.setflags(write=False)
-    return mults
-
-
-def _row_reps(mat: np.ndarray) -> np.ndarray:
-    """First-occurrence representative of each distinct row of ``mat``.
-
-    ``rep[r]`` is the lowest row index whose content equals row ``r``
-    (``rep[r] == r`` for uniques) -- the bookkeeping
-    ``np.unique(mat, axis=0)`` would give, at a fraction of its
-    void-typed sort cost: rows are nominated by a wrapping uint64 dot
-    with fixed random odd column multipliers and byte-verified against
-    the nominated representative, so a hash collision demotes the row
-    (and any row nominated behind it) to unique -- a missed elision,
-    never a wrong alias.  ``mat`` must be C-contiguous with a 64-bit
-    integer dtype.
-    """
-    rows = mat.shape[0]
-    keys = (mat.view(np.uint64) * _hash_mults(mat.shape[1])).sum(
-        axis=1, dtype=np.uint64)
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    head = np.ones(rows, dtype=bool)
-    head[1:] = ks[1:] != ks[:-1]
-    rep = np.empty(rows, dtype=np.intp)
-    rep[order] = order[head][np.cumsum(head) - 1]
-    cand = np.flatnonzero(rep != np.arange(rows))
-    if cand.size:
-        ok = (mat[cand] == mat[rep[cand]]).all(axis=1)
-        rep[cand[~ok]] = cand[~ok]
-    return rep
 
 
 def band_ranges(rows: int, row_bytes: int,
@@ -157,10 +117,16 @@ def _run_bands(units: Sequence, pool: ScratchPool | None, workers,
     own private scratch pool, and no band draws a fault (the op drew
     its sites before any band ran).  Nested calls (a wave member
     replaying on a worker thread) run inline on that thread.
+
+    Each unit releases its pool's views before it runs, so a pool's
+    high-water mark is its largest single unit's views -- the same
+    whichever thread a unit lands on.
     """
     if workers is None or workers.workers <= 1 or len(units) <= 1 \
             or workers.in_worker:
         for unit in units:
+            if pool is not None:
+                pool.release()
             run_one(pool, unit)
         if workers is not None:
             workers.count_bands(len(units))
@@ -168,7 +134,9 @@ def _run_bands(units: Sequence, pool: ScratchPool | None, workers,
 
     def task(unit):
         def run() -> None:
-            run_one(workers.scratch(), unit)
+            scratch = workers.scratch()
+            scratch.release()
+            run_one(scratch, unit)
             workers.count_bands(1)
         return run
 
@@ -332,19 +300,15 @@ def _band_gather(op, ctx: ExecContext, bound: BoundWindows
 
 @dataclass
 class _ElisionPlan:
-    """One op's fingerprint-scan result, valid at any band budget.
+    """One op's zero-scan result, valid at any band budget.
 
-    ``zero_row[r]`` -- output row ``r`` gathers only all-zero chunks;
-    ``rep_row[r]`` -- lowest row in ``r``'s group whose gathered
-    content is byte-identical (``rep_row[r] == r`` for uniques; zero
-    rows all share one signature and are handled by the zero mask
-    first).  ``table`` is the bound stream table the representatives
-    gather through (:meth:`~repro.hw.arena.BoundWindows.gather_table`).
+    ``zero_row[r]`` -- output row ``r`` gathers only all-zero chunks.
+    ``table`` is the bound stream table the live rows gather through
+    (:meth:`~repro.hw.arena.BoundWindows.gather_table`).
     """
 
     table: tuple[np.ndarray, int]
     zero_row: np.ndarray
-    rep_row: np.ndarray
 
 
 @dataclass
@@ -359,12 +323,11 @@ class GatherMoveOp(_BandedOp):
 
     When the replay context carries ``elide=True`` (content-aware
     transfer elision, ``docs/performance.md``), the op first
-    fingerprint-scans its source block
-    (:func:`~repro.hw.arena.scan_chunk_classes`) and gathers only one
-    representative per distinct output-row content class: all-zero rows
-    become a single broadcast fill, duplicate rows an aliased host-side
-    copy of their representative.  Every elision is byte-verified
-    before aliasing, so results stay bit-identical to the interpreted
+    zero-scans its source block
+    (:func:`~repro.hw.arena.scan_zero_chunks`) and gathers only its
+    live output rows: a row that would gather nothing but all-zero
+    chunks becomes a zero fill instead.  The scan reads every byte it
+    marks zero, so results stay bit-identical to the interpreted
     oracle at any elision rate; ops whose source and destination
     regions overlap never elide.
 
@@ -386,7 +349,7 @@ class GatherMoveOp(_BandedOp):
 
     def __post_init__(self) -> None:
         # Flatten the table pair once at lowering time; the elision
-        # scan maps chunk classes through it.
+        # scan maps zero chunks to zero rows through it.
         self.flat = flat_chunk_table(self.lane, self.slot, self.nslots_in)
         self.reads = (Region(self.ids, self.src_offset,
                              self.nslots_in * self.chunk_bytes),)
@@ -406,7 +369,6 @@ class GatherMoveOp(_BandedOp):
             and bool((self.lane == np.arange(lanes)[:, None]).all())
             and bool((pes[1:] != pes[:-1]).all()))
         self._band_memo = {}
-        self._rows_unique = None
         self._plan_cache = None
 
     def execute(self, ctx: ExecContext) -> None:
@@ -442,7 +404,7 @@ class GatherMoveOp(_BandedOp):
     execute_streamed = execute
 
     def _elidable(self) -> bool:
-        """Whether this op may take the fingerprint-guided path at all.
+        """Whether this op may take the zero-scan path at all.
 
         Requires disjoint source/destination regions (elided writes
         land before a full gather would, so aliasing ops -- row-local
@@ -452,30 +414,11 @@ class GatherMoveOp(_BandedOp):
         return (self._disjoint
                 and self.reads[0].total_bytes >= ELIDE_MIN_SOURCE_BYTES)
 
-    def _table_rows_unique(self) -> bool:
-        """Whether no two lanes gather the same slot sequence (static).
-
-        Computed once per op from the fused table and cached.  With
-        distinct table rows *and* no duplicate chunk classes, two live
-        output rows can only share a content signature when every
-        position where their tables differ is zero on both sides --
-        possible, but not worth the per-replay signature hashing it
-        takes to find, so those rows are left un-elided (zero rows are
-        still caught by the zero mask).  Aliasing tables -- allgather's
-        broadcast rows -- keep the full signature path.
-        """
-        cached = self._rows_unique
-        if cached is None:
-            reps = _row_reps(self.flat)
-            cached = bool((reps == np.arange(reps.size)).all())
-            self._rows_unique = cached
-        return cached
-
     def _elision_plan(self, ctx: ExecContext
                       ) -> tuple[_ElisionPlan | None, bool]:
         """Cache-validated elision plan plus a destination-clean flag.
 
-        The scan result is pure content fingerprinting, so it stays
+        The scan result is a pure function of content, so it stays
         valid until some write may have touched the op's source
         interval; the arena's write log
         (:meth:`~repro.hw.system.DimmSystem.content_changed`) proves
@@ -521,62 +464,35 @@ class GatherMoveOp(_BandedOp):
 
     def _scan_plan(self, ctx: ExecContext,
                    table: tuple[np.ndarray, int]) -> _ElisionPlan | None:
-        """Scan the source block, derive per-output-row content classes.
+        """Zero-scan the source block, derive the all-zero output rows.
 
         Returns None when no output row is elidable (the caller then
         takes the plain path); the scan's cost is charged to the
         context either way -- that *is* the dense-traffic overhead the
         ledger prices (and the sampled nomination inside
-        :func:`~repro.hw.arena.scan_chunk_classes` keeps near zero).
+        :func:`~repro.hw.arena.scan_zero_chunks` keeps near zero).
         ``table`` is the bound stream table.
         """
-        system = ctx.system
         n = self.ids.size
-        lanes = n // self.ngroups
-        block = system.scan_view(self.reads[0])
-        chunks = block.reshape(self.ngroups, lanes, self.nslots_in,
-                               self.chunk_bytes)
-        zero, cls, scanned = scan_chunk_classes(chunks, self.ngroups)
-        nch = lanes * self.nslots_in
+        block = ctx.system.scan_view(self.reads[0])
+        chunks = block.reshape(self.ngroups, n // self.ngroups,
+                               self.nslots_in, self.chunk_bytes)
+        zero, scanned = scan_zero_chunks(chunks)
         ctx.chunks_scanned += n * self.nslots_in
         ctx.scan_bytes += scanned
-        has_zero = bool(zero.any())
-        has_dups = cls is not None
-        if not has_zero and not has_dups:
+        if not zero.any():
             return None  # dense content: scan paid, nothing to map
-        arange = np.arange(n)
-        zero_g = zero.reshape(self.ngroups, nch)
-        if not has_dups and self._table_rows_unique():
-            # No duplicate chunks and no aliasing lanes: only all-zero
-            # rows can elide, and a boolean gather through the table
-            # finds them without building signatures at all.
-            zero_row = zero_g[:, self.flat].all(axis=2).reshape(n)
-            if not zero_row.any():
-                return None
-            rep_row = arange
-        else:
-            # Map chunk classes through the gather table: an output
-            # row's signature is the class vector of the chunks it
-            # would gather, with zero chunks collapsed to -1 (all zero
-            # content is equal regardless of which source chunk it
-            # came from).  Class ids are group-global flat indices, so
-            # equal signatures across groups cannot collide.
-            if cls is None:
-                cls = np.arange(zero.size, dtype=np.intp)
-            cls[zero] = np.intp(-1)
-            sig = np.ascontiguousarray(
-                cls.reshape(self.ngroups, nch)[:, self.flat].reshape(
-                    n, self.nslots_out))
-            zero_row = (sig == np.intp(-1)).all(axis=1)
-            rep_row = _row_reps(sig)
-            if not zero_row.any() and (rep_row == arange).all():
-                return None  # fully dense rows: scan paid, no savings
-        return _ElisionPlan(table=table, zero_row=zero_row, rep_row=rep_row)
+        # A row elides when every chunk its table gathers is zero.
+        zero_row = zero.reshape(self.ngroups, -1)[:, self.flat].all(
+            axis=2).reshape(n)
+        if not zero_row.any():
+            return None
+        return _ElisionPlan(table=table, zero_row=zero_row)
 
     def _gather_select(self, system: DimmSystem, plan: _ElisionPlan,
                        rows: np.ndarray,
                        scratch: ScratchPool | None) -> np.ndarray:
-        """Gather only ``rows`` (representatives) as uint8 output rows."""
+        """Gather only ``rows`` (the live ones) as uint8 output rows."""
         flat_table, width = plan.table
         shape = (rows.size, flat_table.shape[1])
         out = (np.empty(shape, wide_dtype(width)) if scratch is None
@@ -607,59 +523,34 @@ class GatherMoveOp(_BandedOp):
     def _execute_elided(self, ctx: ExecContext, plan: _ElisionPlan,
                         bands: list[tuple[int, int]],
                         dst_clean: bool = False) -> None:
-        """Elided replay: dedup stays band-local.
-
-        Every band's work unit (fill rows, representative rows,
-        duplicate rows plus their representative positions) is derived
-        serially here before any band runs, so the partition -- and
-        every counter -- is deterministic at any worker count, and
-        band workers never touch shared context state.  A duplicate's
-        representative is the first matching row *within its own
-        band*, so a band never reads another band's gather output.
-        With one band -- an untiled replay -- that is the op-global
-        dedup: a live row's representative is the lowest row sharing
-        its content, which is itself live and comes first.
-        """
+        """Elided replay: each band gathers its live rows and
+        zero-fills its zero rows, unless ``dst_clean`` says they still
+        read zero.  The counters are a function of the plan alone, so
+        they are identical at any band budget and worker count."""
         system = ctx.system
         row_bytes = self.nslots_out * self.chunk_bytes
-        units = []
-        n_zero = n_dup = 0
-        for r0, r1 in bands:
+
+        def run_band(scratch: ScratchPool | None,
+                     band: tuple[int, int]) -> None:
+            r0, r1 = band
             zmask = plan.zero_row[r0:r1]
             live = np.flatnonzero(~zmask) + r0
-            _, first, inv = np.unique(plan.rep_row[live],
-                                      return_index=True,
-                                      return_inverse=True)
-            rep_local = live[first[inv.reshape(-1)]]
-            repmask = rep_local == live
-            reps = live[repmask]
-            dups = live[~repmask]
-            pos = np.searchsorted(reps, rep_local[~repmask])
+            if live.size:
+                system.put_rows(self.ids[live], self.dst_offset,
+                                self._gather_select(system, plan, live,
+                                                    scratch))
             zrows = np.flatnonzero(zmask) + r0
-            units.append((reps, dups, pos, zrows))
-            n_zero += zrows.size
-            n_dup += dups.size
-
-        def run_band(scratch: ScratchPool | None, unit) -> None:
-            reps, dups, pos, zrows = unit
-            rep_bytes = self._gather_select(system, plan, reps, scratch)
-            if reps.size:
-                system.put_rows(self.ids[reps], self.dst_offset,
-                                rep_bytes)
-            if dups.size:
-                system.put_rows(self.ids[dups], self.dst_offset,
-                                rep_bytes[pos])
             if zrows.size and not dst_clean:
                 system.zero_fill_lanes(self.ids[zrows], self.dst_offset,
                                        row_bytes)
 
-        _run_bands(units, ctx.pool, ctx.workers, run_band)
-        ctx.chunks_elided += (n_zero + n_dup) * self.nslots_out
-        ctx.elided_bytes += (n_zero + n_dup) * row_bytes
-        # Zero rows skip both bus directions (nothing gathered, the
-        # fill image is one shared row); duplicate rows still pay the
-        # destination write but skip the gather direction.
-        ctx.saved_transfer_bytes += (2 * n_zero + n_dup) * row_bytes
+        _run_bands(bands, ctx.pool, ctx.workers, run_band)
+        n_zero = int(np.count_nonzero(plan.zero_row))
+        ctx.chunks_elided += n_zero * self.nslots_out
+        ctx.elided_bytes += n_zero * row_bytes
+        # Zero rows skip both bus directions: nothing is gathered, and
+        # the fill image is one shared row.
+        ctx.saved_transfer_bytes += 2 * n_zero * row_bytes
         # Stamp the cache: dst now holds this plan's replay output.
         self._plan_cache = self._plan_cache[:3] + (system.content_epoch(),)
 
@@ -1104,17 +995,18 @@ class CommProgram:
         O(tile) working memory, and ``workers`` (an engine worker
         pool) may fan a streamed op's bands across host threads.  The
         context's ``peak_scratch_bytes`` is this replay's high-water
-        mark, summed over the pools it gathered through.
+        mark: the largest single band's views, whichever pool gathered
+        it, so the mark is a function of the program and the budget
+        and reads the same at any worker count and schedule.
         Results are bit-identical at any budget and worker count.  The
         ledger is unpipelined: a streamed run's pipeline credit is a
         static function of the budget (:meth:`pipeline_depth`).
 
         Pass ``elide=True`` for content-aware transfer elision:
-        movement ops fingerprint-scan their sources and skip the
-        gather/put for all-zero and duplicate output rows,
-        substituting a broadcast fill or an aliased copy of the
-        byte-verified representative.  Results stay bit-identical at
-        any elision rate; the returned ledger charges the scan to the
+        movement ops zero-scan their sources and skip the gather/put
+        for output rows that would gather only all-zero chunks,
+        zero-filling them instead.  Results stay bit-identical at any
+        elision rate; the returned ledger charges the scan to the
         ``elide`` category and scales the transfer-bound categories by
         the fraction of modelled bytes actually saved.
         """
@@ -1138,15 +1030,14 @@ class CommProgram:
             # The lowered-away LaunchStep's fault site.
             injector.take_timeout("collective launch")
         for op in self.ops:
-            if pool is not None:
-                pool.release()
             if injector is not None:
                 op.launch(injector)
             op.execute(ctx)
         if pool is not None:
             ctx.peak_scratch_bytes = pool.peak_bytes
             if workers is not None:
-                ctx.peak_scratch_bytes += workers.scratch_peak_bytes
+                ctx.peak_scratch_bytes = max(ctx.peak_scratch_bytes,
+                                             workers.scratch_peak_bytes)
         return self._elision_priced(ledger, ctx, system), ctx
 
     def _elision_priced(self, ledger: CostLedger, ctx: ExecContext,

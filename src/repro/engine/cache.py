@@ -127,15 +127,6 @@ class CachePartition:
         return {"plans": len(self._order), "hits": self.hits,
                 "misses": self.misses, "evictions": self.evictions}
 
-    def clear(self) -> None:
-        """Drop this partition's entries (parent entries included)."""
-        while self._order:
-            victim, _ = self._order.popitem(last=False)
-            self.parent.discard(victim)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
 
 class PlanCache:
     """An LRU map from :class:`PlanKey` to compiled :class:`CommPlan`.
@@ -241,19 +232,3 @@ class PlanCache:
             view = self._partitions.get(key.tenant)
             if view is not None:
                 view._dropped(key)
-
-    def clear(self) -> None:
-        """Drop all plans (and their programs) and reset the counters.
-
-        Partition views survive (their bounds are configuration), but
-        their contents and counters reset along with the parent.
-        """
-        self._plans.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        for view in self._partitions.values():
-            view._order.clear()
-            view.hits = 0
-            view.misses = 0
-            view.evictions = 0

@@ -91,9 +91,14 @@ class WorkerPool:
 
     @property
     def scratch_peak_bytes(self) -> int:
-        """High-water scratch bytes summed across all worker pools."""
+        """The largest worker pool's high-water scratch bytes.
+
+        Every band releases its pool's views before it gathers, so a
+        pool's mark is its largest band's, and the largest over all
+        pools is the largest band's however the bands were scheduled.
+        """
         with self._lock:
-            return sum(p.peak_bytes for p in self._pools)
+            return max((p.peak_bytes for p in self._pools), default=0)
 
     def reset_scratch_peaks(self) -> None:
         """Zero every worker pool's high-water mark (a replay's start)."""

@@ -59,16 +59,16 @@ class CommResult:
     #: Payload tiles a streamed replay ran (0 unless streamed).
     tiles: int = 0
     #: Scratch-pool high-water mark of this call's streamed replay, in
-    #: bytes (bounded by ~2 tiles per pool: one pong output band + one
-    #: fold sliver); ``EngineStats.peak_scratch_bytes`` keeps the
-    #: session's.
+    #: bytes: its largest single band's views (at most ~2 tiles: one
+    #: pong output band + one fold sliver), the same at any worker
+    #: count and schedule; ``EngineStats.peak_scratch_bytes`` keeps
+    #: the session's.
     peak_scratch_bytes: int = 0
-    #: Source chunks fingerprint-scanned by content-aware elision
+    #: Source chunks zero-scanned by content-aware elision
     #: (0 unless the call ran with ``elide_transfers`` on a big-enough
     #: movement op).
     chunks_scanned: int = 0
-    #: Destination chunks whose transfer was elided (zero-filled or
-    #: alias-copied from a byte-verified duplicate representative).
+    #: Destination chunks whose transfer was elided (zero-filled).
     chunks_elided: int = 0
     #: Destination bytes those elided chunks cover.
     elided_bytes: int = 0

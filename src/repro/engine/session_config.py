@@ -91,13 +91,12 @@ class SessionConfig:
             the value to each host session and runs its hosts one
             after another.
         elide_transfers: Content-aware transfer elision (default
-            False).  When True, compiled replays fingerprint-scan
-            their movement sources and skip the gather and bus charge
-            for all-zero / byte-identical output rows, substituting a
-            broadcast fill or an aliased copy of the verified
-            representative -- results stay bit-identical to the
-            interpreted oracle at any elision rate, and scan work is
-            priced to the ledger's ``elide`` category.  The scan reads
+            False).  When True, compiled replays zero-scan their
+            movement sources and skip the gather and bus charge for
+            output rows that would gather only all-zero chunks,
+            zero-filling them instead -- results stay bit-identical to
+            the interpreted oracle at any elision rate, and scan work
+            is priced to the ledger's ``elide`` category.  The scan reads
             the arena's write log, so it requires a compiled-capable
             execution mode (``execution="interpreted"`` raises)
             (``docs/performance.md``).

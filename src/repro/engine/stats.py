@@ -86,9 +86,9 @@ class EngineStats:
     worker_bands: dict[str, int] = field(default_factory=dict)
     # Content-aware elision counters (all zero unless
     # SessionConfig(elide_transfers=True)).
-    #: Calls whose replay fingerprint-scanned at least one source.
+    #: Calls whose replay zero-scanned at least one source.
     elision_scans: int = 0
-    #: Source chunks fingerprint-scanned across the session.
+    #: Source chunks zero-scanned across the session.
     chunks_scanned: int = 0
     #: Destination chunks whose transfer was elided.
     chunks_elided: int = 0
@@ -105,7 +105,7 @@ class EngineStats:
     #: Modelled seconds global phases spent on the fabric.
     fabric_seconds: float = 0.0
     #: Fabric bytes skipped by content-aware elision (zero blocks
-    #: crossing as fingerprint markers).
+    #: crossing as markers).
     elided_fabric_bytes: int = 0
     bytes_moved: int = 0
     modelled_seconds: float = 0.0

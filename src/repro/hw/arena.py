@@ -48,7 +48,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import AllocationError, TransferError
-from ..reliability.checksum import chunk_digests
 
 
 #: chunk sizes with a native wide dtype; anything else gathers as void.
@@ -86,11 +85,10 @@ def wide_dtype(nbytes: int) -> np.dtype:
 #: treated as "anything may have changed" (see ``writes_since``).
 WRITE_LOG_MAX = 64
 
-#: Chunk count at which the scan samples before committing: below it
-#: both stages always run exactly; above it a deterministic evenly
-#: spaced sample must first *nominate* a stage (a zero chunk in the
-#: sample -> exact zero pass; duplicate sampled content -> digest
-#: pass), so dense traffic pays only the sample read.
+#: Chunk count at which the zero scan samples before committing: below
+#: it the exact pass always runs; above it a deterministic evenly
+#: spaced sample must first hold a zero chunk, so dense traffic pays
+#: only the sample read.
 SCAN_SAMPLE_MIN_CHUNKS = 1 << 13
 #: Evenly spaced chunks the nomination sample reads.
 SCAN_SAMPLE_CHUNKS = 256
@@ -103,135 +101,60 @@ _ZERO_PACKED = {1: np.uint8(0x01), 2: np.uint16(0x0101),
                 8: np.uint64(0x0101010101010101)}
 
 
-def scan_chunk_classes(chunks: np.ndarray, ngroups: int | None = None
-                       ) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Content fingerprint scan: exact zero / duplicate chunk classes.
+def scan_zero_chunks(chunks: np.ndarray) -> tuple[np.ndarray, int]:
+    """Content scan: which chunks of a block are all zero.
 
     ``chunks`` is a ``(..., chunk_bytes)`` uint8 block whose leading
-    axes flatten to ``ngroups * nchunks`` chunks in group-major order
-    (``ngroups`` defaults to the first axis).  Strided views are fine
-    as long as the byte axis is contiguous -- exactly what
+    axes flatten to ``n`` chunks.  Strided views are fine as long as
+    the byte axis is contiguous -- exactly what
     :meth:`MemoryArena.lane_view` produces -- and the leading axes are
-    never reshaped through a copy.  Returns ``(zero, cls,
-    scanned_bytes)``:
-
-    * ``zero`` -- flat ``(n,)`` bool, chunk is all-zero (byte-exact);
-    * ``cls`` -- flat ``(n,)`` class table where ``cls[f]`` is the flat
-      index of the *first* chunk in the same group with byte-identical
-      content (``cls[f] == f`` for uniques), or **None** when every
-      chunk is its own class -- the common dense outcome, returned
-      without materializing the identity table so callers skip all
-      class bookkeeping;
-    * ``scanned_bytes`` -- bytes the scan actually touched, for the
-      ``elide`` ledger category.
+    never reshaped through a copy.  Returns ``(zero, scanned_bytes)``:
+    a flat ``(n,)`` bool that is True for a byte-exact all-zero chunk,
+    and the bytes the scan actually touched, for the ``elide`` ledger
+    category.
 
     Above :data:`SCAN_SAMPLE_MIN_CHUNKS` the scan is nomination-gated:
-    a deterministic evenly spaced sample is read first, and each stage
-    only commits when the sample exhibits its pattern -- a zero chunk
-    enables the exact zero pass, duplicate sampled content (equal
-    CRC-seeded digests, :func:`~repro.reliability.checksum
-    .chunk_digests`, within one group) enables the digest pass over
-    live chunks.  Dense traffic therefore pays one sample read and
-    nothing else, while a skipped stage can only *miss* elisions on
-    content the sample did not represent, never mark a chunk zero or
-    duplicate wrongly: every committed class is byte-exact (the zero
-    pass reads all bytes; duplicates are byte-verified against their
-    class representative, digest collisions demote to unique).  Chunks
-    whose byte width is not a multiple of 8 fall back to the exact
-    full-pass zero scan with no duplicate detection.
+    a deterministic evenly spaced sample is read first, and the exact
+    pass runs only when the sample holds a zero chunk.  Dense traffic
+    therefore pays one sample read and nothing else, while a skipped
+    pass can only *miss* elisions on content the sample did not
+    represent, never mark a chunk zero wrongly: the exact pass reads
+    every byte.  Chunks whose byte width is not a multiple of 8 take a
+    plain full-pass byte scan.
     """
     lead = chunks.shape[:-1]
     chunk_bytes = chunks.shape[-1]
     n = 1
     for dim in lead:
         n *= dim
-    if ngroups is None:
-        ngroups = lead[0] if lead else 1
-    nchunks = n // ngroups
-    cls = None  # identity until the digest pass commits a duplicate
-
-    def _at(flat: np.ndarray, arr: np.ndarray) -> tuple:
-        """Multi-axis coordinates of flat chunk ids (no lead reshape)."""
-        return np.unravel_index(flat, lead) if len(lead) > 1 else (flat,)
-
     if chunk_bytes % 8:
-        return ~chunks.any(axis=-1).reshape(n), None, n * chunk_bytes
+        return ~chunks.any(axis=-1).reshape(n), n * chunk_bytes
     try:
         words = chunks.view(np.uint64)
     except (TypeError, ValueError):  # pragma: no cover - exotic strides
-        return ~chunks.any(axis=-1).reshape(n), None, n * chunk_bytes
+        return ~chunks.any(axis=-1).reshape(n), n * chunk_bytes
     nwords = chunk_bytes // 8
     scanned = 0
-    scan_zero = scan_dup = True
     if n >= SCAN_SAMPLE_MIN_CHUNKS:
         sample = np.linspace(0, n - 1, SCAN_SAMPLE_CHUNKS).astype(np.intp)
-        sw = words[_at(sample, words)].reshape(sample.size, nwords)
-        szero = ~sw.any(axis=1)
-        scan_zero = bool(szero.any())
-        live = np.flatnonzero(~szero)
-        scan_dup = False
-        if live.size > 1:
-            sdig = chunk_digests(sw[live])
-            sg = sample[live] // nchunks
-            order = np.lexsort((sdig, sg))
-            ds, gs = sdig[order], sg[order]
-            scan_dup = bool(((ds[1:] == ds[:-1]) & (gs[1:] == gs[:-1]))
-                            .any())
-        scanned += sample.size * chunk_bytes
-        if not scan_zero and not scan_dup:
-            return np.zeros(n, dtype=bool), None, scanned
-    # Zero pass (exact): ``(words == 0)`` is one full-width vector
-    # compare, and its bool rows pack into one native integer per
-    # chunk, so the all-zero test is a second full-width compare
-    # instead of numpy's much slower short-inner-axis reduction.
-    zero = np.zeros(n, dtype=bool)
-    if scan_zero:
-        eq = (words == 0).reshape(n, nwords)
-        packed = _ZERO_PACKED.get(nwords)
-        if packed is not None:
-            zero = eq.view(packed.dtype).ravel() == packed
-        elif nwords % 8 == 0:
-            zero = (eq.view(np.uint64).reshape(n, nwords // 8)
-                    == _ZERO_PACKED[8]).all(axis=1)
-        else:
-            zero = eq.all(axis=1)
-        scanned += n * chunk_bytes
-    # Digest pass: duplicate classes among live (non-zero) chunks.
-    # Equal (group, digest) pairs nominate; a byte-exact compare
-    # against the class representative (first occurrence) confirms.
-    if scan_dup:
-        flat = np.flatnonzero(~zero)
-        if flat.size > 1:
-            dig = chunk_digests(words[_at(flat, words)].reshape(
-                flat.size, nwords))
-            scanned += flat.size * chunk_bytes
-            g = flat // nchunks
-            order = np.argsort(dig)
-            ds = dig[order]
-            run_start = np.ones(order.size, dtype=bool)
-            run_start[1:] = ds[1:] != ds[:-1]
-            run_id = np.cumsum(run_start) - 1
-            cand = np.bincount(run_id)[run_id] > 1
-            if cand.any():
-                cf, cd, cg = (flat[order[cand]], ds[cand],
-                              g[order[cand]])
-                order2 = np.lexsort((cf, cd, cg))
-                cf2, cd2, cg2 = cf[order2], cd[order2], cg[order2]
-                start2 = np.ones(cf2.size, dtype=bool)
-                start2[1:] = (cd2[1:] != cd2[:-1]) | (cg2[1:] != cg2[:-1])
-                # lexsort keeps flat order inside a class, so the
-                # class head is the first occurrence of that content.
-                rep = cf2[start2][np.cumsum(start2) - 1]
-                dup = rep != cf2
-                if dup.any():
-                    di, ri = cf2[dup], rep[dup]
-                    eq2 = (chunks[_at(di, chunks)] ==
-                           chunks[_at(ri, chunks)]).all(axis=1)
-                    scanned += 2 * di.size * chunk_bytes
-                    if eq2.any():
-                        cls = np.arange(n, dtype=np.intp)
-                        cls[di[eq2]] = ri[eq2]
-    return zero, cls, scanned
+        at = np.unravel_index(sample, lead) if len(lead) > 1 else (sample,)
+        scanned = sample.size * chunk_bytes
+        if words[at].reshape(sample.size, nwords).any(axis=1).all():
+            return np.zeros(n, dtype=bool), scanned
+    # ``(words == 0)`` is one full-width vector compare, and its bool
+    # rows pack into one native integer per chunk, so the all-zero test
+    # is a second full-width compare instead of numpy's much slower
+    # short-inner-axis reduction.
+    eq = (words == 0).reshape(n, nwords)
+    packed = _ZERO_PACKED.get(nwords)
+    if packed is not None:
+        zero = eq.view(packed.dtype).ravel() == packed
+    elif nwords % 8 == 0:
+        zero = (eq.view(np.uint64).reshape(n, nwords // 8)
+                == _ZERO_PACKED[8]).all(axis=1)
+    else:
+        zero = eq.all(axis=1)
+    return zero, scanned + n * chunk_bytes
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -385,7 +308,7 @@ class MemoryArena:
         # concurrent first touch from worker threads; plain transfers
         # into materialized rows never take it.
         self._grow_lock = threading.Lock()
-        # Content-change log for fingerprint caching: every mutation
+        # Content-change log for scan-plan caching: every mutation
         # notes its regions under a fresh epoch, and ``writes_since``
         # answers "may columns [lo, hi) have changed after epoch e?"
         # conservatively -- dropped history and overlaps both collapse
@@ -459,7 +382,7 @@ class MemoryArena:
                 f"[0, {self.mram_bytes})")
 
     # ------------------------------------------------------------------
-    # Write tracking (fingerprint-cache invalidation)
+    # Write tracking (scan-plan cache invalidation)
     # ------------------------------------------------------------------
     @property
     def write_epoch(self) -> int:
@@ -689,11 +612,9 @@ class MemoryArena:
                     rows: np.ndarray, out: np.ndarray) -> None:
         """Gather an arbitrary row subset of a :meth:`stream_table`.
 
-        The elision-aware replay path gathers only the representative
-        output rows (first occurrence of each distinct content class)
-        and fills or aliases the rest, so the expensive strided gather
-        shrinks with the elision rate.  Unbuffered, like
-        :meth:`take_band`.
+        The elision-aware replay path gathers only the live output
+        rows and zero-fills the rest, so the strided gather shrinks
+        with the elision rate.  Unbuffered, like :meth:`take_band`.
         """
         self.flat_wide(width).take(table[rows], out=out, mode="wrap")
 
@@ -833,9 +754,10 @@ class ScratchPool:
     reused, because growth only happens while building a new view.
 
     ``peak_bytes`` records the high-water mark of simultaneously
-    requested view bytes -- at most two tiles (pong + the fold
-    sliver); the ``large_replay`` benchmark workload's
-    ``peak_rss_mb`` watches it.
+    requested view bytes.  Replay releases a pool's views before each
+    band, so the mark is the largest single band's -- at most two
+    tiles (pong + the fold sliver) -- on whichever pool ran it; the
+    ``large_replay`` benchmark workload's ``peak_rss_mb`` watches it.
     """
 
     #: buffer roles, in index order.

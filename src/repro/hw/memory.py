@@ -98,7 +98,7 @@ class ArenaPeMemory(PeMemory):
 
     def view(self, offset: int, nbytes: int) -> np.ndarray:
         # A writable window escapes the arena's write tracking, so its
-        # handout must count as a write for fingerprint-cache safety
+        # handout must count as a write for scan-plan cache safety
         # (holders may mutate it at any later point).
         self.arena.note_write(Region((self.pe_id,), offset, nbytes))
         return super().view(offset, nbytes)

@@ -613,13 +613,13 @@ class DimmSystem:
 
     def scan_view(self, region: Region) -> np.ndarray:
         """Read-only ``(len(rows), nbytes)`` window over ``region`` for
-        fingerprint scans.
+        the elision layer's zero scan.
 
         The elision layer's source window: a zero-copy arena view
         whenever the PE list is a strided run (the layouts the
         hypercube mapping produces), a gathered copy otherwise.  The
         returned rows always have a contiguous byte axis, which is what
-        :func:`~repro.hw.arena.scan_chunk_classes` requires.  Callers
+        :func:`~repro.hw.arena.scan_zero_chunks` requires.  Callers
         must treat the window as read-only and finish scanning before
         writing any destination that may alias it.
         """
@@ -638,11 +638,10 @@ class DimmSystem:
                          rows: np.ndarray, out: np.ndarray) -> None:
         """Gather an arbitrary output-row subset through a stream table.
 
-        The elision-aware gather: only representative rows (first
-        occurrence of each distinct content class) go through the
-        expensive strided arena gather; elided rows are filled or
-        alias-copied from the representatives.  Vectorized backend
-        only (the table comes from :meth:`bind`).
+        The elision-aware gather: only live rows -- those gathering
+        at least one non-zero chunk -- go through the strided arena
+        gather; elided rows are zero-filled.  Vectorized backend only
+        (the table comes from :meth:`bind`).
         """
         self._ensure_arena().take_select(table, width, rows, out)
 

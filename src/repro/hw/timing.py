@@ -24,9 +24,9 @@ Categories (matching the paper's breakdown figures 4 and 17):
   global phase here.
 * ``retry``      -- reliability backoff waits before re-running a
   faulted collective (see ``repro/reliability/retry.py``).
-* ``elide``      -- content fingerprint scans (zero / duplicate chunk
-  detection) run by elision-aware replay; the scan is what buys the
-  right to *skip* bus/staging charges for elided chunks.
+* ``elide``      -- content scans (all-zero chunk detection) run by
+  elision-aware replay; the scan is what buys the right to *skip*
+  bus/staging charges for elided chunks.
 
 The default parameter values are calibrated so the modelled speedups
 track the ratios reported in the paper (see EXPERIMENTS.md); absolute
@@ -118,9 +118,9 @@ class MachineParams:
     mpi_gbps: float = 1.25
     mpi_latency_s: float = 2.0e-5
 
-    # Content fingerprint scan (zero / duplicate chunk detection before
-    # a transfer): a contiguous single-pass read + hash over staged
-    # source bytes, streaming at close to host DRAM bandwidth.
+    # Content scan (all-zero chunk detection before a transfer): a
+    # contiguous single-pass read over source bytes, streaming at
+    # close to host DRAM bandwidth.
     scan_gbps: float = 30.0
 
     # ------------------------------------------------------------------
@@ -187,7 +187,7 @@ class MachineParams:
         return max(flops / self.cpu_flops, nbytes / (self.cpu_mem_gbps * GB))
 
     def scan_time(self, nbytes: float) -> float:
-        """Content fingerprint scan over ``nbytes`` of source bytes."""
+        """Content (zero) scan over ``nbytes`` of source bytes."""
         _check_nonneg(nbytes, "nbytes")
         return nbytes / (self.scan_gbps * GB)
 

@@ -45,7 +45,7 @@ from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, INT64, ReduceOp, SUM
 from ..engine import Communicator, SessionConfig
 from ..errors import CollectiveError
-from ..hw.arena import scan_chunk_classes, wide_dtype
+from ..hw.arena import scan_zero_chunks, wide_dtype
 from ..hw.geometry import DimmGeometry
 from ..hw.system import DimmSystem
 from ..hw.timing import CostLedger, MachineParams
@@ -53,7 +53,7 @@ from .algorithms import GlobalProgram
 from .fabric import Fabric
 from .tuning import GlobalTuner
 
-#: Target fingerprint-scan granularity for fabric elision.  256 B
+#: Target zero-scan granularity for fabric elision.  256 B
 #: chunks align with whole-PE runs in the re-blocked AlltoAll wire
 #: layout, so a zeroed PE's contribution elides even when its
 #: neighbours are dense.
@@ -88,7 +88,7 @@ class MultiHostResult:
     #: Payload bytes the global phase put on the fabric.
     fabric_bytes: int = 0
     #: Fabric bytes skipped by content-aware elision (all-zero blocks
-    #: replaced by fingerprint markers).
+    #: replaced by markers).
     elided_fabric_bytes: int = 0
 
     @property
@@ -203,12 +203,13 @@ class MultiHostSystem:
     def _elide_fabric(self, program: GlobalProgram,
                       buffers: list[np.ndarray], ledger: CostLedger
                       ) -> tuple[float, int, int]:
-        """Content-aware fabric elision: fingerprint-scan each host's
+        """Content-aware fabric elision: zero-scan each host's
         outbound payload in :data:`FABRIC_SCAN_CHUNK_BYTES`-grained
-        chunks; all-zero chunks cross as markers instead of payload,
-        scaling that host's transfer bytes by its dense fraction.  The
-        scan itself is charged to the ``elide`` category, exactly like
-        the single-host replay path (PR 9)."""
+        chunks (:func:`~repro.hw.arena.scan_zero_chunks`); all-zero
+        chunks cross as markers instead of payload, scaling that
+        host's transfer bytes by its dense fraction.  The bytes the
+        scan read are charged to the ``elide`` category, exactly like
+        the single-host replay path."""
         dense: list[float] = []
         scanned_total = 0
         for buf in buffers:
@@ -219,7 +220,7 @@ class MultiHostSystem:
                 continue
             blocks = _scan_blocks(raw.size)
             chunks = raw.reshape(blocks, -1)
-            zero, _, scanned = scan_chunk_classes(chunks, ngroups=1)
+            zero, scanned = scan_zero_chunks(chunks)
             scanned_total += scanned
             dense.append(1.0 - float(np.count_nonzero(zero)) / blocks)
         if scanned_total:

@@ -36,15 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults import FaultInjector
 
 
-#: Multiplier and seed of the batched per-chunk content digest.  The
-#: seed literally reuses the CRC-32 machinery above so chunk digests and
-#: transfer checksums share one fingerprint family; the multiplier is an
-#: odd 64-bit constant (splitmix64's golden-ratio increment) giving good
-#: word diffusion under wrapping multiply.
-_DIGEST_MULT = np.uint64(0x9E3779B97F4A7C15)
-_DIGEST_SEED = np.uint64(zlib.crc32(b"pid-comm/chunk-digest"))
-
-
 def checksum(buf: np.ndarray) -> int:
     """CRC-32 of a buffer's raw bytes (layout-independent).
 
@@ -55,29 +46,6 @@ def checksum(buf: np.ndarray) -> int:
     """
     arr = np.ascontiguousarray(buf)
     return zlib.crc32(arr.reshape(-1).view(np.uint8))
-
-
-def chunk_digests(words: np.ndarray) -> np.ndarray:
-    """Batched per-chunk content digests over ``(..., words)`` uint64.
-
-    The vectorized companion of :func:`checksum` for content-aware
-    transfer elision: one 64-bit polynomial digest per chunk, computed
-    in ``chunk_bytes / 8`` vectorized passes across *all* chunks at
-    once (a single streaming read of the data overall), seeded from the
-    module's CRC-32 so the two fingerprint families stay tied together.
-    Digests only *nominate* duplicate candidates -- the elision layer
-    byte-verifies every candidate against its class representative
-    before aliasing, so a collision can cost a missed elision but never
-    a wrong result.
-    """
-    if words.dtype != np.uint64:
-        raise TypeError(f"chunk digests need uint64 words, got {words.dtype}")
-    with np.errstate(over="ignore"):
-        acc = np.full(words.shape[:-1], _DIGEST_SEED, dtype=np.uint64)
-        for k in range(words.shape[-1]):
-            acc *= _DIGEST_MULT
-            acc ^= words[..., k]
-    return acc
 
 
 def verify(sent_crc: int, delivered: np.ndarray, what: str = "transfer") -> None:

@@ -78,7 +78,7 @@ class TenantStats:
     shed: int = 0
     #: Payload bytes of completed requests (the goodput numerator).
     bytes_completed: int = 0
-    #: Source chunks fingerprint-scanned for this tenant's requests
+    #: Source chunks zero-scanned for this tenant's requests
     #: (0 unless the owned session runs with content-aware elision).
     chunks_scanned: int = 0
     #: Destination chunks whose transfer was elided for this tenant.

@@ -1,12 +1,12 @@
 """Content-aware transfer elision: bit-exact parity at every sparsity.
 
 The elision layer (``core/collectives/program.py`` +
-``hw/arena.scan_chunk_classes``) fingerprint-scans movement sources and
-skips the gather and bus charge for all-zero / byte-identical output
-rows.  The acceptance bar is the stack's standing one: an eliding
-replay is *bit-identical* to the scalar interpreted oracle at every
-elision rate -- all-zero, all-duplicate, mixed, and fully dense
-payloads -- untiled and streamed, at any worker count.  Eliding replay
+``hw/arena.scan_zero_chunks``) zero-scans movement sources and skips
+the gather and bus charge for output rows that would gather only
+all-zero chunks.  The acceptance bar is the stack's standing one: an
+eliding replay is *bit-identical* to the scalar interpreted oracle at
+every elision rate -- all-zero, repeated non-zero, mixed, and fully
+dense payloads -- untiled and streamed, at any worker count.  Eliding replay
 runs on the vectorized arena (its scan reads the arena's write log);
 the parity rows check it against the interpreter on either store.
 The dense fast path must also hold: with elision off (or
@@ -14,7 +14,7 @@ inapplicable) no scan work happens at all, which the EngineStats
 counters witness.
 
 The tier-1 parity matrix shrinks :data:`ELIDE_MIN_SOURCE_BYTES` so the
-small test machine exercises the full scan/classify/alias machinery;
+small test machine exercises the full scan/fill machinery;
 one engine-level test keeps the real floor to check both of its sides.
 """
 
@@ -48,8 +48,9 @@ def _fill(system, groups, offset, elems, dtype, mode, seed):
     """Write one payload shape per PE; returns instance -> vectors.
 
     ``zero`` = everything elidable as zero rows; ``dup`` = each PE
-    repeats one block across all its destination slots, so every
-    destination row gathers the same bytes (duplicate rows); ``mixed``
+    repeats one non-zero block across all its destination slots, so
+    every destination row gathers the same bytes (and none elides);
+    ``mixed``
     = random content
     with the same half of the per-destination blocks zeroed on every
     PE (the structured sparsity whole-row elision needs); ``dense`` =
@@ -92,8 +93,8 @@ def _run(primitive, backend, execution, payload, *, elide=True,
 
     The default 3-element chunk makes 12-byte movement chunks -- not
     a whole number of uint64 words, so the scanner takes its zero-only
-    fallback (deliberately exercised by the parity matrix).  Duplicate
-    detection needs word-viewable chunks; dup tests pass ``chunk=4``.
+    fallback (deliberately exercised by the parity matrix).  The packed
+    word scan needs word-viewable chunks; tests of it pass ``chunk=4``.
     """
     manager = make_manager(SHAPE)
     system = manager.system
@@ -185,31 +186,39 @@ class TestElisionParity:
                               tile=257, workers=workers)
         _assert_same(want, got)
         assert result.execution == "streamed"
-        # Zero rows elide in any band; duplicate rows only alias
-        # *within* a band (scratch locality), and 257-byte bands hold
-        # a single row here -- so only "zero" must show elisions.
+        # Only all-zero rows elide, so only "zero" must show elisions.
         if payload == "zero":
             assert result.chunks_elided > 0
 
-    @pytest.mark.parametrize("reference", ("scalar", "vectorized"))
-    def test_streamed_dup_aliases_within_band(self, reference, tiny_floor):
-        # A tile larger than the payload keeps all rows in one band,
-        # where band-local dedup can alias the duplicates.
-        want, _, _ = _run("alltoall", reference, "interpreted", "dup",
-                          elide=False, chunk=4)
-        got, _, result = _run("alltoall", "vectorized", "compiled", "dup",
-                              tile=1 << 20, chunk=4)
+    @pytest.mark.parametrize("arm", ("untiled", "row_tiles", "workers2"))
+    @pytest.mark.parametrize("primitive, bitmap", [
+        ("alltoall", BITMAP),
+        # Groups of eight sharing one block: every allgather output
+        # row of a group gathers the same bytes.
+        ("allgather", "01"),
+    ])
+    def test_repeated_content_elides_nothing(self, primitive, bitmap, arm,
+                                             tiny_floor):
+        # Every PE repeats one non-zero block, so output rows gather
+        # byte-identical content.  Only all-zero rows elide: the replay
+        # moves every row, untiled, in one-row bands and with the bands
+        # spread over two workers, and still matches the oracle.
+        tile, workers = {"untiled": (None, 1), "row_tiles": (1, 1),
+                         "workers2": (1, 2)}[arm]
+        want, _, _ = _run(primitive, "scalar", "interpreted", "dup",
+                          elide=False, chunk=4, bitmap=bitmap)
+        got, _, result = _run(primitive, "vectorized", "compiled", "dup",
+                              tile=tile, workers=workers, chunk=4,
+                              bitmap=bitmap)
         _assert_same(want, got)
-        assert result.execution == "streamed"
-        assert result.chunks_elided > 0
+        assert result.execution == ("compiled" if tile is None
+                                    else "streamed")
+        assert result.chunks_scanned > 0
+        assert result.chunks_elided == 0
 
     @pytest.mark.parametrize("backend", COMPILED_STORES)
     @pytest.mark.parametrize("primitive, payload, bitmap", [
         ("alltoall", "zero", BITMAP),
-        ("alltoall", "dup", BITMAP),
-        # Groups of eight sharing one block: allgather's broadcast
-        # rows are all duplicates of their group's first row.
-        ("allgather", "dup", "01"),
     ])
     def test_one_band_matches_untiled(self, primitive, payload, bitmap,
                                       backend, tiny_floor):
@@ -235,22 +244,9 @@ class TestElisionParity:
         assert result.chunks_elided == result.chunks_scanned
         assert result.elided_bytes > 0
 
-    @pytest.mark.parametrize("reference", ("scalar", "vectorized"))
-    def test_duplicate_rows_alias(self, reference, tiny_floor):
-        # Per-PE repeated blocks make every destination row gather the
-        # same bytes: one representative row is gathered, the rest
-        # alias-copy it -- still bit-exact.
-        want, _, _ = _run("alltoall", reference, "interpreted", "dup",
-                          elide=False, chunk=4)
-        got, _, result = _run("alltoall", "vectorized", "compiled", "dup",
-                              chunk=4)
-        _assert_same(want, got)
-        assert result.chunks_elided > 0
-        assert result.chunks_elided < result.chunks_scanned
-
     def test_worker_counts_agree_exactly(self, tiny_floor):
-        # Elision counters are precomputed serially, so they must be
-        # identical at any worker count, not merely close.
+        # Elision counters are a function of the op's scan plan, so
+        # they must be identical at any worker count, not merely close.
         _, _, one = _run("alltoall", "vectorized", "compiled", "mixed",
                          tile=257, workers=1)
         _, _, four = _run("alltoall", "vectorized", "compiled", "mixed",

@@ -130,13 +130,6 @@ class TestPlanCache:
         cache.fetch("c", lambda: 3)   # evicts "b", the LRU entry
         assert "a" in cache and "c" in cache and "b" not in cache
 
-    def test_clear_resets_counters(self):
-        cache = PlanCache()
-        cache.fetch("a", lambda: 1)
-        cache.fetch("a", lambda: 1)
-        cache.clear()
-        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-
     def test_plan_key_built_once_and_fresh_after_replace(self):
         from dataclasses import replace
         manager = make_manager((4, 8))

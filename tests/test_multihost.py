@@ -12,8 +12,10 @@ collectives at 1-4 hosts, functional and analytic, with fabric elision
 off and on, in int64 and float32 (:func:`hierarchical_rows`), every
 local ledger category, the fabric fields and a CRC of the outputs.  It
 was generated at commit c41b5b3, before one driver replaced the four
-collective bodies.  Regenerate it (only when a cost model is changed on
-purpose) with ``PYTHONPATH=src python -m tests.test_multihost results``.
+collective bodies; its eliding rows' ``elide`` seconds were regenerated
+when the fabric scan became zero-only.  Regenerate it (only when a cost
+model is changed on purpose) with
+``PYTHONPATH=src python -m tests.test_multihost results``.
 """
 
 import json
@@ -28,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import reference as ref
+from repro.core.collectives import program as program_mod
 from repro.dtypes import FLOAT32, INT64, MIN, SUM
 from repro.engine import Communicator, SessionConfig
 from repro.errors import CollectiveError
@@ -735,6 +738,24 @@ class TestFabricElision:
         assert result.fabric_bytes > 0
         mh.close()
 
+    def test_scan_charges_the_bytes_the_zero_test_read(self, monkeypatch):
+        # Every 256-byte fabric chunk holds the same non-zero bytes: the
+        # zero test reads each host's outbound payload once, and the
+        # ledger's ``elide`` prices exactly those bytes -- no pass over
+        # repeated content.  The floor keeps host-local replays from
+        # scanning, so ``elide`` is the fabric scan's alone.
+        monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 1 << 40)
+        mh = engine_multihost(2, elide_transfers=True)
+        size = mh.total_pes * 8
+        buf, out = mh.alloc(size), mh.alloc(size)
+        for gpe in range(mh.total_pes):
+            mh.write_pe(gpe, buf, np.full(mh.total_pes, 7), INT64)
+        result = multihost_alltoall(mh, size, buf, out, INT64)
+        mh.close()
+        assert result.elided_fabric_bytes == 0
+        assert result.ledger.seconds["elide"] == \
+            mh.params.scan_time(mh.total_pes * size)
+
     def test_sparse_cheaper_than_dense(self):
         dense = engine_multihost(2, elide_transfers=False)
         baseline = check_alltoall_parity(dense)
@@ -940,7 +961,9 @@ class TestHierarchicalGolden:
     def test_rows_match_golden(self):
         """Every ledger category, fabric field and output bit of the
         four hierarchical collectives, as generated at commit c41b5b3
-        (before one driver replaced their four bodies)."""
+        (before one driver replaced their four bodies).  Only the
+        eliding rows' ``elide`` seconds were regenerated since, when
+        the fabric scan stopped pricing a duplicate-content pass."""
         golden = json.loads(RESULTS_GOLDEN.read_text())
         assert hierarchical_rows() == golden
 

@@ -543,14 +543,6 @@ class TestPlanCacheEviction:
         assert len(cache) == DEFAULT_MAXSIZE + 10
         assert cache.evictions == 0
 
-    def test_clear_resets_eviction_counter(self):
-        cache = PlanCache(maxsize=1)
-        cache.fetch("a", lambda: "plan-a")
-        cache.fetch("b", lambda: "plan-b")
-        assert cache.evictions == 1
-        cache.clear()
-        assert cache.evictions == 0 and len(cache) == 0
-
     def test_session_surfaces_evictions_through_stats(self):
         manager = make_manager(SHAPE)
         comm = Communicator(manager, SessionConfig(functional=False, cache_size=1))
