@@ -44,18 +44,22 @@ def golden_dlrm(data: CriteoLikeDataset, tables: np.ndarray,
                 w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Reference scores: pooled embeddings -> relu MLP -> linear."""
     batch, num_tables, _ = data.indices.shape
-    dim = tables.shape[2]
-    pooled = np.zeros((batch, num_tables, dim), dtype=np.int64)
-    for s in range(batch):
-        for t in range(num_tables):
-            pooled[s, t] = tables[t, data.indices[s, t]].sum(axis=0)
-    flat = pooled.reshape(batch, num_tables * dim)
+    # One gather of every (sample, table, hot) row, pooled over the hots.
+    pooled = tables[np.arange(num_tables)[None, :, None],
+                    data.indices].sum(axis=2)
+    flat = pooled.reshape(batch, -1)
     hidden = np.maximum(flat @ w1, 0)
     return hidden @ w2
 
 
 class DlrmApp:
-    """The DLRM benchmark application."""
+    """The DLRM benchmark application.
+
+    The golden scores are a function of the frozen dataset and config
+    alone (``run`` regenerates its seeded tables and weights each time),
+    so the first functional run computes them once and every later run
+    reports the same read-only array as ``meta["golden"]``.
+    """
 
     name = "DLRM"
     hypercube_dims = 3
@@ -65,6 +69,9 @@ class DlrmApp:
     def __init__(self, data: CriteoLikeDataset, config: DlrmConfig) -> None:
         self.data = data
         self.config = config
+        #: The golden scores, read-only; computed on the first functional
+        #: run (analytic runs never compute them).
+        self._golden: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def run(self, manager: HypercubeManager, backend: CommBackend,
@@ -160,7 +167,10 @@ class DlrmApp:
         result = harness.result(self.name, output=output, batch=b,
                                 tables=t_all, dim=e, hots=hots)
         if functional:
-            result.meta["golden"] = golden_dlrm(data, tables, w1, w2)
+            if self._golden is None:
+                self._golden = golden_dlrm(data, tables, w1, w2)
+                self._golden.setflags(write=False)
+            result.meta["golden"] = self._golden
         return result
 
     # ------------------------------------------------------------------

@@ -69,7 +69,14 @@ def golden_gnn(adjacency: np.ndarray, features: np.ndarray,
 
 
 class GnnApp:
-    """The GNN benchmark application (both 2-D strategies)."""
+    """The GNN benchmark application (both 2-D strategies).
+
+    The golden output is a function of the frozen graph and config alone
+    (``run`` regenerates its seeded features and weights each time, and
+    neither the grid nor the strategy changes it), so the first
+    functional run computes it once and every later run reports the
+    same read-only array as ``meta["golden"]``.
+    """
 
     hypercube_dims = 2
 
@@ -81,6 +88,9 @@ class GnnApp:
         #: grid p -> the stacked adjacency tiles (built on the first
         #: functional run; analytic runs over ``GraphStats`` never do).
         self._tiles: dict[int, np.ndarray] = {}
+        #: The golden output, read-only; computed on the first functional
+        #: run (analytic runs never compute it).
+        self._golden: np.ndarray | None = None
 
     @property
     def name(self) -> str:
@@ -180,7 +190,10 @@ class GnnApp:
                                 features=f, layers=cfg.layers,
                                 strategy=cfg.strategy)
         if functional:
-            result.meta["golden"] = golden_gnn(self.graph.dense, h0, weights)
+            if self._golden is None:
+                self._golden = golden_gnn(self.graph.dense, h0, weights)
+                self._golden.setflags(write=False)
+            result.meta["golden"] = self._golden
         return result
 
     # ------------------------------------------------------------------

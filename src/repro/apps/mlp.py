@@ -55,7 +55,14 @@ def golden_mlp(x: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
 
 
 class MlpApp:
-    """The MLP benchmark application."""
+    """The MLP benchmark application.
+
+    The golden activations are a function of the frozen config alone
+    (``run`` regenerates its seeded input and weights each time, and the
+    cube shape does not change them), so the first functional run
+    computes them once and every later run, on any 1-D cube, reports
+    the same read-only array as ``meta["golden"]``.
+    """
 
     name = "MLP"
     hypercube_dims = 1
@@ -63,6 +70,9 @@ class MlpApp:
 
     def __init__(self, config: MlpConfig) -> None:
         self.config = config
+        #: The golden activations, read-only; computed on the first
+        #: functional run (analytic runs never compute them).
+        self._golden: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def run(self, manager: HypercubeManager, backend: CommBackend,
@@ -127,7 +137,10 @@ class MlpApp:
                                 features=cfg.features, layers=cfg.layers,
                                 batch=cfg.batch)
         if functional:
-            result.meta["golden"] = golden_mlp(x, weights)
+            if self._golden is None:
+                self._golden = golden_mlp(x, weights)
+                self._golden.setflags(write=False)
+            result.meta["golden"] = self._golden
         return result
 
     # ------------------------------------------------------------------

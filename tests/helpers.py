@@ -154,3 +154,22 @@ def slot_permutation(rule: str, rank: int, nslots: int) -> np.ndarray:
     with ``new[i] = old[perm[i]]`` (a row of ``slot_permutation_matrix``;
     read-only)."""
     return slot_permutation_matrix(rule, rank + 1, nslots)[rank]
+
+
+# ----------------------------------------------------------------------
+# Application reference model.  ``golden_dlrm`` pools every (sample,
+# table) pair in one gather; this pools them one pair at a time, so the
+# tests can check the vectorised form against it.
+# ----------------------------------------------------------------------
+def golden_dlrm_loop(indices: np.ndarray, tables: np.ndarray,
+                     w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """DLRM scores from ``indices`` ``(batch, tables, hots)``: each
+    sample's looked-up rows summed per table, then relu MLP -> linear."""
+    batch, num_tables, _ = indices.shape
+    dim = tables.shape[2]
+    pooled = np.zeros((batch, num_tables, dim), dtype=np.int64)
+    for s in range(batch):
+        for t in range(num_tables):
+            pooled[s, t] = tables[t, indices[s, t]].sum(axis=0)
+    flat = pooled.reshape(batch, num_tables * dim)
+    return np.maximum(flat @ w1, 0) @ w2

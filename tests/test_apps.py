@@ -6,10 +6,12 @@ golden (single-machine numpy) model -- proving the distributed
 implementations, and the collectives underneath them, are correct.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro import HypercubeManager
+from repro import DimmGeometry, HypercubeManager
 from repro.apps import (
     BaselineCommBackend,
     BfsApp,
@@ -25,6 +27,7 @@ from repro.apps import (
     PidCommBackend,
     app_table,
 )
+from repro.apps import dlrm, gnn, mlp
 from repro.apps.bfs import golden_bfs
 from repro.apps.cc import golden_cc
 from repro.apps.dlrm import golden_dlrm
@@ -34,6 +37,8 @@ from repro.data import criteo_like, random_graph, rmat_graph
 from repro.data.synthetic import embedding_tables
 from repro.errors import AppError
 from repro.hw.system import DimmSystem
+
+from .helpers import golden_dlrm_loop
 
 BACKENDS = [PidCommBackend(), BaselineCommBackend()]
 BACKEND_IDS = ["pidcomm", "baseline"]
@@ -215,6 +220,146 @@ class TestGoldenModels:
         s0 = tables[0, data.indices[0, 0]].sum(axis=0)
         expect0 = max(s0[0], 0) + max(s0[1], 0)
         assert out[0, 0] == expect0
+
+    @pytest.mark.parametrize("seed, batch, tables_n, rows, hots, dim", [
+        (0, 8, 3, 16, 2, 4), (3, 32, 1, 4, 5, 2), (11, 4, 8, 64, 1, 8),
+        (29, 16, 5, 8, 3, 6)])
+    def test_golden_dlrm_matches_loop_reference(self, seed, batch, tables_n,
+                                                rows, hots, dim):
+        # The one-gather pooling is bit-identical to pooling one
+        # (sample, table) pair at a time.
+        rng = np.random.default_rng(seed)
+        data = criteo_like(batch_size=batch, num_tables=tables_n,
+                           num_rows=rows, hots=hots, seed=seed)
+        tables = embedding_tables(tables_n, rows, dim, seed=seed)
+        w1 = rng.integers(-3, 4, (tables_n * dim, 4))
+        w2 = rng.integers(-3, 4, (4, 1))
+        got = golden_dlrm(data, tables, w1, w2)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, golden_dlrm_loop(data.indices, tables, w1, w2))
+
+
+def _dlrm_case():
+    """A DLRM app, its cube, and its golden recomputed from the seed."""
+    data = criteo_like(batch_size=32, num_tables=4, num_rows=16, hots=3,
+                       seed=17)
+    cfg = DlrmConfig(embedding_dim=8, mlp_hidden=4, seed=5)
+
+    def fresh():
+        rng = np.random.default_rng(cfg.seed)
+        tables = embedding_tables(4, 16, 8, seed=cfg.seed)
+        w1 = rng.integers(-2, 3, (4 * 8, cfg.mlp_hidden))
+        w2 = rng.integers(-2, 3, (cfg.mlp_hidden, 1))
+        return golden_dlrm(data, tables, w1, w2)
+    return DlrmApp(data, cfg), lambda: manager_3d((4, 2, 2)), fresh
+
+
+def _gnn_case(strategy):
+    cfg = GnnConfig(features=8, layers=3, strategy=strategy, seed=4)
+    app = GnnApp(rmat_graph(32, 128, seed=9), cfg)
+
+    def fresh():
+        rng = np.random.default_rng(cfg.seed)
+        h0 = rng.integers(-2, 3, (32, 8))
+        weights = [rng.integers(-2, 3, (8, 8)) for _ in range(3)]
+        return golden_gnn(app.graph.dense, h0, weights)
+    return app, lambda: manager_2d(4), fresh
+
+
+def _mlp_case():
+    cfg = MlpConfig(features=64, layers=3, batch=4, seed=2)
+
+    def fresh():
+        rng = np.random.default_rng(cfg.seed)
+        x = rng.integers(-4, 4, (4, 64))
+        weights = [rng.integers(-4, 4, (64, 64)) for _ in range(3)]
+        return golden_mlp(x, weights)
+    return MlpApp(cfg), manager_1d, fresh
+
+
+#: label -> (module whose ``golden_*`` the app calls, its name, case).
+MEMO_CASES = {
+    "dlrm": (dlrm, "golden_dlrm", _dlrm_case),
+    "gnn_rs_ar": (gnn, "golden_gnn", partial(_gnn_case, "rs_ar")),
+    "gnn_ar_ag": (gnn, "golden_gnn", partial(_gnn_case, "ar_ag")),
+    "mlp": (mlp, "golden_mlp", _mlp_case),
+}
+
+
+def _count_golden(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is counted; returns the count."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestGoldenMemo:
+    """The golden model is computed once per app instance: it depends on
+    the instance's frozen inputs and seed only, so every later
+    functional run reports the same read-only array."""
+
+    @pytest.mark.parametrize("label", MEMO_CASES)
+    def test_computed_once_across_fresh_systems(self, monkeypatch, label):
+        module, name, case = MEMO_CASES[label]
+        app, make_manager, _ = case()
+        calls = _count_golden(monkeypatch, module, name)
+        first = app.run(make_manager(), PidCommBackend(), functional=True)
+        second = app.run(make_manager(), PidCommBackend(), functional=True)
+        assert len(calls) == 1
+        assert second.meta["golden"] is first.meta["golden"]
+        for result in (first, second):
+            np.testing.assert_array_equal(
+                np.ravel(result.output), np.ravel(result.meta["golden"]))
+
+    @pytest.mark.parametrize("label", MEMO_CASES)
+    def test_memo_equals_fresh_recomputation(self, label):
+        _, _, case = MEMO_CASES[label]
+        app, make_manager, fresh = case()
+        for _ in range(2):
+            result = app.run(make_manager(), PidCommBackend(),
+                             functional=True)
+        np.testing.assert_array_equal(result.meta["golden"], fresh())
+
+    @pytest.mark.parametrize("label", MEMO_CASES)
+    def test_memo_is_read_only(self, label):
+        _, _, case = MEMO_CASES[label]
+        app, make_manager, _ = case()
+        golden = app.run(make_manager(), PidCommBackend(),
+                         functional=True).meta["golden"]
+        assert not golden.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            golden[...] = 0
+
+    @pytest.mark.parametrize("label", MEMO_CASES)
+    def test_analytic_runs_never_compute_it(self, monkeypatch, label):
+        module, name, case = MEMO_CASES[label]
+        app, make_manager, _ = case()
+        calls = _count_golden(monkeypatch, module, name)
+        for _ in range(2):
+            result = app.run(make_manager(), PidCommBackend(),
+                             functional=False)
+            assert "golden" not in result.meta
+        assert not calls
+        app.run(make_manager(), PidCommBackend(), functional=True)
+        assert len(calls) == 1
+
+    def test_mlp_validates_on_two_cubes_against_one_memo(self):
+        app, _, _ = _mlp_case()
+        results = []
+        for pes in (64, 32):
+            system = DimmSystem(DimmGeometry(1, 1, 8, 8), mram_bytes=1 << 20)
+            results.append(app.run(HypercubeManager(system, shape=(pes,)),
+                                   PidCommBackend(), functional=True))
+        assert results[1].meta["golden"] is results[0].meta["golden"]
+        for result in results:
+            np.testing.assert_array_equal(result.output,
+                                          result.meta["golden"])
 
 
 class TestRegistry:
