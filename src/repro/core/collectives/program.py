@@ -160,6 +160,29 @@ def _group_prefix(bands: list[tuple[int, int]], ngroups: int, rows: int,
                                 else limit - g * rows)]
 
 
+def _group_spans(r0: int, r1: int,
+                 lanes: int) -> list[tuple[int, int, int, int]]:
+    """Output rows ``[r0, r1)`` of ``lanes``-row groups as ``(g0, g1,
+    l0, l1)`` rectangles, lanes ``[l0, l1)`` of groups ``[g0, g1)``.
+
+    At most three, in row order: the tail of a first group the band
+    splits, the whole groups, and the head of a last group it splits.
+    """
+    g0, l0 = divmod(r0, lanes)
+    g1, l1 = divmod(r1, lanes)
+    if g0 == g1:
+        return [(g0, g0 + 1, l0, l1)] if l1 > l0 else []
+    spans = []
+    if l0:
+        spans.append((g0, g0 + 1, l0, lanes))
+        g0 += 1
+    if g1 > g0:
+        spans.append((g0, g1, 0, lanes))
+    if l1:
+        spans.append((g1, g1 + 1, 0, l1))
+    return spans
+
+
 def scaled_counter(counter: SimdCounter, factor: int) -> SimdCounter:
     """One group's SIMD charge multiplied across ``factor`` equal groups."""
     return SimdCounter(loads=counter.loads * factor,
@@ -254,22 +277,6 @@ class _BandedOp(ProgramOp):
         return len(self._bands(tile_bytes))
 
 
-def _band_take(scratch: ScratchPool | None, source: np.ndarray,
-               index: np.ndarray) -> np.ndarray:
-    """``source[index]``, into a pool view when streaming.
-
-    An untiled replay has no pool and allocates per op, as a whole-op
-    gather always has; a plain fancy index is then the faster kernel.
-    The pooled take is unbuffered (``mode="wrap"``): every index was
-    range-checked when the op was built.  ``index`` must be writeable,
-    or every take copies it.
-    """
-    if scratch is None:
-        return source[index]
-    return source.take(index, out=scratch.pong(index.shape, source.dtype),
-                       mode="wrap")
-
-
 def _band_gather(op, ctx: ExecContext, bound: BoundWindows
                  ) -> Callable[[ScratchPool | None, int, int], np.ndarray]:
     """A table-driven op's band gather: ``take(scratch, r0, r1)``
@@ -348,9 +355,10 @@ class GatherMoveOp(_BandedOp):
     slot: np.ndarray
 
     def __post_init__(self) -> None:
-        # Flatten the table pair once at lowering time; the elision
-        # scan maps zero chunks to zero rows through it.
-        self.flat = flat_chunk_table(self.lane, self.slot, self.nslots_in)
+        # The elision scan maps zero chunks to zero rows through the
+        # flattened table pair, built on its first scan: most ops never
+        # scan, and fusion drops the ones it absorbs.
+        self._flat = None
         self.reads = (Region(self.ids, self.src_offset,
                              self.nslots_in * self.chunk_bytes),)
         self.writes = (Region(self.ids, self.dst_offset,
@@ -482,8 +490,11 @@ class GatherMoveOp(_BandedOp):
         ctx.scan_bytes += scanned
         if not zero.any():
             return None  # dense content: scan paid, nothing to map
+        if self._flat is None:
+            self._flat = flat_chunk_table(self.lane, self.slot,
+                                          self.nslots_in)
         # A row elides when every chunk its table gathers is zero.
-        zero_row = zero.reshape(self.ngroups, -1)[:, self.flat].all(
+        zero_row = zero.reshape(self.ngroups, -1)[:, self._flat].all(
             axis=2).reshape(n)
         if not zero_row.any():
             return None
@@ -557,13 +568,25 @@ class GatherMoveOp(_BandedOp):
 
 @dataclass
 class ReduceFoldOp(_BandedOp):
-    """ReduceExchange or the conventional fold: gather + slot fold.
+    """ReduceExchange or the conventional fold: output row ``r = g *
+    lanes + l`` folds ``in[lane[l, s], slot[l, s]]`` over ``s``.
 
-    Integer dtypes fold with one ``ufunc.reduce`` call (modular
-    fixed-width arithmetic is order-independent, so any fold order is
-    bit-exact); floats keep the explicit left fold whose order matches
-    the interpreted backends, so floating-point results stay
-    bit-identical to the scalar oracle.
+    A *column* fold -- every output lane ``l`` folds source slot ``l``
+    of every lane exactly once, in an integer or bool dtype -- reads
+    its source straight from the arena: one ``ufunc.reduce`` over the
+    lane axis of the source window per band (per group the band
+    splits), with no stream table, no gather and no pong.  Fixed-width
+    modular arithmetic is order-independent, so folding the lanes in
+    row order rather than table order is bit-exact.  The property is
+    fixed when the op is built.  The conventional ReduceScatter and
+    AllReduce folds have it, and so does the PID-Comm fold once it
+    reads through the rotate it absorbed (:func:`_fuse`).
+
+    Every other fold gathers its slots through the bound stream table
+    and folds them with :func:`~repro.hw.kernels.fold_slots`: integer
+    dtypes with one ``ufunc.reduce`` call, floats with the explicit
+    left fold whose order matches the interpreted backends, so
+    floating-point results stay bit-identical to the scalar oracle.
     """
 
     ids: np.ndarray
@@ -585,11 +608,20 @@ class ReduceFoldOp(_BandedOp):
         if self.dst_offset is not None:
             self.writes = (Region(self.ids, self.dst_offset,
                                   self.chunk_bytes),)
-        # One window, the destination chunk (if any); the source is the
-        # gather.
-        self._binding = ArenaBinding(self.writes, gather=(
-            self.reads[0], self.ngroups, self.chunk_bytes, self.lane,
-            self.slot))
+        lanes = self.ids.size // self.ngroups
+        self._columns = (
+            np.dtype(self.dtype.np_dtype).kind in "iub"
+            and self.lane.shape == (lanes, lanes) == (lanes, self.nslots)
+            and bool((self.slot == np.arange(lanes)[:, None]).all())
+            and bool((np.sort(self.lane, axis=1)
+                      == np.arange(lanes)).all()))
+        # The destination chunk's window (if any), then: a column fold's
+        # source window, or every other fold's stream-table gather.
+        self._binding = (
+            ArenaBinding(self.writes + self.reads) if self._columns
+            else ArenaBinding(self.writes, gather=(
+                self.reads[0], self.ngroups, self.chunk_bytes, self.lane,
+                self.slot)))
         self._band_memo = {}
 
     def execute(self, ctx: ExecContext) -> None:
@@ -604,26 +636,25 @@ class ReduceFoldOp(_BandedOp):
                 if self.scratch_key is not None else None)
         system = ctx.system
         bound = system.bind(self._binding)
-        take = _band_gather(self, ctx, bound)
+        fold = (self._column_fold(bound, np_dtype, elems) if self._columns
+                else self._gather_fold(ctx, bound, np_dtype))
 
         def run_band(scratch: ScratchPool | None,
                      rows: tuple[int, int]) -> None:
             r0, r1 = rows
-            values = take(scratch, r0, r1).reshape(
-                r1 - r0, self.nslots, self.chunk_bytes).view(np_dtype)
             if full is not None:
                 out = full[r0:r1]
             elif scratch is not None:
                 out = scratch.fold((r1 - r0, elems), np_dtype)
             else:
-                out = None
+                out = np.empty((r1 - r0, elems), np_dtype)
             # Folds stay band-local (no cross-band arithmetic), so the
             # fold order -- and every float bit -- is identical at any
             # band count and worker count.
-            acc = fold_slots(values, self.op, out=out)
+            fold(scratch, r0, r1, out)
             if self.dst_offset is not None:
                 system.put_rows(self.ids[r0:r1], self.dst_offset,
-                                acc.view(np.uint8), bound.window(0, rows))
+                                out.view(np.uint8), bound.window(0, rows))
 
         system.expose(
             lambda limit: _run_bands(_prefix(bands, limit), ctx.pool,
@@ -634,6 +665,43 @@ class ReduceFoldOp(_BandedOp):
             ctx.scratch[self.scratch_key] = {
                 inst: shaped[g] for g, inst in enumerate(self.instances)}
         self._charge(ctx)
+
+    def _gather_fold(self, ctx: ExecContext, bound: BoundWindows, np_dtype):
+        """``fold(scratch, r0, r1, out)``: gather the band's slots
+        through the stream table, then fold them into ``out``."""
+        take = _band_gather(self, ctx, bound)
+
+        def fold(scratch, r0, r1, out):
+            values = take(scratch, r0, r1).reshape(
+                r1 - r0, self.nslots, self.chunk_bytes).view(np_dtype)
+            fold_slots(values, self.op, out=out)
+        return fold
+
+    def _column_fold(self, bound: BoundWindows, np_dtype, elems: int):
+        """``fold(scratch, r0, r1, out)``: reduce the source columns of
+        the band's lanes straight out of the source window.
+
+        A strided window is a zero-copy view; a row-indexed one copies
+        only the columns the band folds.
+        """
+        source = bound.window(len(self.writes))
+        lanes, chunk = self.ids.size // self.ngroups, self.chunk_bytes
+
+        def fold(scratch, r0, r1, out):
+            for g0, g1, l0, l1 in _group_spans(r0, r1, lanes):
+                rows = slice(g0 * lanes, g1 * lanes)
+                cols = slice(l0 * chunk, l1 * chunk)
+                raw = (source.view[rows, cols] if source.rows is None
+                       else source.view[source.rows[rows], cols])
+                # (groups, output lanes, source lanes, elems): the
+                # source lanes are the slot axis fold_slots reduces.
+                block = raw.view(np_dtype).reshape(
+                    g1 - g0, lanes, l1 - l0, elems).swapaxes(1, 2)
+                at = g0 * lanes + l0 - r0
+                fold_slots(block, self.op, out=out[
+                    at:at + (g1 - g0) * (l1 - l0)].reshape(
+                        g1 - g0, l1 - l0, elems))
+        return fold
 
     # Kept only because benchmarks/e2e/tracer.py lists this name; drop
     # it with the next change to the benchmark's target list.
@@ -662,9 +730,14 @@ class FanoutScratchOp(_BandedOp):
     """FanoutFromHost lowered: fan host-resident reduced rows back out.
 
     ``lane`` indexes rows of each instance's ``(lanes, chunk)`` scratch
-    matrix; a trailing reflect PeReorder fuses into the same table
-    (see :func:`_fuse`), which for AllReduce collapses the whole tail
-    to ``out[l, p] = acc[p]``.
+    matrix: ``out[l, s] = acc[lane[l, s]]``.  Only a *fill* replays --
+    ``lane[l, s] == s``, so every lane of a group receives the group's
+    whole reduced vector, written to the group's rows with the arena's
+    fill kernel (:meth:`~repro.hw.system.DimmSystem.fill_rows`).  The
+    rotation table a FanoutFromHost step lowers to becomes that fill
+    once the trailing reflect PeReorder fuses into it (see
+    :func:`_fuse`); the conventional AllReduce lowers to it directly.
+    :func:`compile_plan` refuses any other table.
     """
 
     group_ids: tuple[np.ndarray, ...]
@@ -677,15 +750,13 @@ class FanoutScratchOp(_BandedOp):
     nslots_out: int
 
     def __post_init__(self) -> None:
-        # The pooled take is unbuffered, so its range check is here: a
-        # lane must name a row of the (lanes, chunk) scratch matrix.
+        # A lane must name a row of the (lanes, chunk) scratch matrix.
         lanes = self.lane.shape[0]
         if self.lane.size and (self.lane.min() < 0
                                or self.lane.max() >= lanes):
             raise TransferError(f"fanout lane outside [0, {lanes})")
-        # The takes index with a private writeable copy: np.take copies
-        # a read-only index array on every call.
-        self._take_lane = self.lane.copy()
+        self._fills = (self.lane.shape == (lanes, lanes) and bool(
+            (self.lane == np.arange(lanes)).all()))
         self.writes = tuple(
             Region(ids, self.dst_offset, self.nslots_out * self.chunk_bytes)
             for ids in self.group_ids)
@@ -709,36 +780,29 @@ class FanoutScratchOp(_BandedOp):
         results = ctx.host(self.scratch_key)
         bands = self._bands(ctx.tile_bytes)
         lanes = self.lane.shape[0]
-        row_bytes = self.nslots_out * self.chunk_bytes
-        wide = wide_dtype(self.chunk_bytes)
         system = ctx.system
         bound = system.bind(self._binding)
-        chunks = []
-        for ids, inst in zip(self.group_ids, self.instances):
+        vectors = []
+        for inst in self.instances:
             row = np.ascontiguousarray(results[inst]).view(np.uint8)
             if row.shape != (lanes, self.chunk_bytes):
                 raise TransferError(
                     f"scratch row {row.shape} does not match group "
                     f"({lanes}, {self.chunk_bytes})")
-            # The scratch matrix is contiguous, so each chunk is one
-            # wide element regardless of alignment.
-            chunks.append(row.view(wide).reshape(-1))
+            vectors.append(row.reshape(-1))
 
         def run_unit(scratch: ScratchPool | None, unit) -> None:
             g, band = unit
-            r0, r1 = band
-            fanned = _band_take(scratch, chunks[g], self._take_lane[r0:r1])
-            system.put_rows(
-                self.group_ids[g][r0:r1], self.dst_offset,
-                fanned.view(np.uint8).reshape(r1 - r0, row_bytes),
-                bound.window(g, band))
+            system.fill_rows(self.group_ids[g][band[0]:band[1]],
+                             self.dst_offset, vectors[g],
+                             bound.window(g, band))
 
         # (instance, band) units are all independent: instances write
         # different groups' rows, bands write disjoint rows of one
         # group, so the whole cross product fans out to the workers.
         system.expose(
             lambda limit: _run_bands(
-                _group_prefix(bands, len(chunks), lanes, limit), ctx.pool,
+                _group_prefix(bands, len(vectors), lanes, limit), ctx.pool,
                 ctx.workers, run_unit),
             self.writes)
         self._charge(ctx)
@@ -891,24 +955,64 @@ def _compose_tables(lane_a: np.ndarray, slot_a: np.ndarray,
     mid[lane_b[l,s], slot_b[l,s]] = in[lane_a[lane_b, slot_b],
     slot_a[lane_b, slot_b]]``.
     """
-    return (readonly_table(lane_a[lane_b, slot_b]),
-            readonly_table(slot_a[lane_b, slot_b]))
+    flat = lane_b * lane_a.shape[1] + slot_b
+    return _taken(lane_a, flat), _taken(slot_a, flat)
 
 
-def _chainable(a: GatherMoveOp | FanoutScratchOp, b: GatherMoveOp) -> bool:
-    """Whether ``a``'s output region is fully consumed-and-overwritten by ``b``.
+def _taken(table: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Read-only ``table.ravel()[flat]``: one flat take, where a 2-D
+    fancy index of a 256 x 256 table costs about 2.5x as long."""
+    out = table.ravel().take(flat)
+    out.setflags(write=False)
+    return out
 
-    Fusing drops ``a``'s intermediate write, which is only invisible
-    when ``b`` reads exactly that region (``a.dst == b.src``) and
-    writes every byte of it back in place (``b.dst == b.src`` with
-    equal in/out slot counts) -- then the final memory state is
-    identical to the interpreted two-step execution.
+
+def _covers(writes: Sequence[Region], region: Region) -> bool:
+    """Whether ``writes`` rewrite every byte of ``region``: each of its
+    rows lies in one write that spans all of its columns."""
+    rows = [w.rows for w in writes
+            if w.offset <= region.offset and region.end <= w.end]
+    return bool(rows) and bool(
+        np.isin(region.rows, np.concatenate(rows)).all())
+
+
+def _touches(regions: Sequence[Region], region: Region) -> bool:
+    """Whether any of ``regions`` shares a byte with ``region``."""
+    return any(r.offset < region.end and region.offset < r.end
+               and bool(np.isin(r.rows, region.rows).any())
+               for r in regions)
+
+
+def _chainable(a: GatherMoveOp | FanoutScratchOp,
+               b: GatherMoveOp | ReduceFoldOp,
+               later: Sequence[ProgramOp]) -> bool:
+    """Whether ``b`` may read through ``a``'s table, dropping ``a``.
+
+    ``b`` must read exactly the chunks ``a`` writes, in ``a``'s row
+    order, and ``a``'s writes must be dead once ``b`` has read them:
+    ``b`` rewrites every byte of them (a chain of in-place moves, or a
+    fan-out and its reflect), or the first of the ``later`` ops to touch
+    them rewrites every byte before it reads any (the fan-out of an
+    in-place AllReduce, over the rotate that opened it).  Then dropping
+    ``a``'s write is invisible: the final memory state is identical to
+    the interpreted execution.
     """
-    return (a.dst_offset == b.src_offset == b.dst_offset
-            and a.chunk_bytes == b.chunk_bytes
-            and a.nslots_out == b.nslots_in == b.nslots_out
-            and a.ngroups == b.ngroups
-            and np.array_equal(a.ids, b.ids))
+    written = Region(a.ids, a.dst_offset, a.nslots_out * a.chunk_bytes)
+    (src,) = b.reads
+    if not (src.offset == written.offset and src.nbytes == written.nbytes
+            and a.chunk_bytes == b.chunk_bytes and a.ngroups == b.ngroups
+            and np.array_equal(a.ids, b.ids)):
+        return False
+    if isinstance(b, ReduceFoldOp) and a.nslots_in != a.nslots_out:
+        return False  # a fold has one slot count, source and table
+    if _covers(b.writes, written):
+        return True
+    for op in later:
+        if _touches(op.reads, written):
+            return False
+        if _covers(op.writes, written):
+            return True
+    return False
 
 
 def _fuse_moves(a: GatherMoveOp, b: GatherMoveOp) -> GatherMoveOp:
@@ -924,7 +1028,7 @@ def _fuse_moves(a: GatherMoveOp, b: GatherMoveOp) -> GatherMoveOp:
 def _fuse_fanout(a: FanoutScratchOp, b: GatherMoveOp) -> FanoutScratchOp:
     # a's lane table indexes scratch rows directly (no slot axis), so
     # composing with b only re-routes through b's (lane, slot) pair.
-    lane = readonly_table(a.lane[b.lane, b.slot])
+    lane = _taken(a.lane, b.lane * a.lane.shape[1] + b.slot)
     return FanoutScratchOp(
         group_ids=a.group_ids, ids=a.ids, instances=a.instances,
         scratch_key=a.scratch_key, lane=lane, dst_offset=b.dst_offset,
@@ -933,17 +1037,31 @@ def _fuse_fanout(a: FanoutScratchOp, b: GatherMoveOp) -> FanoutScratchOp:
         wram_tiles=a.wram_tiles + b.wram_tiles, labels=a.labels + b.labels)
 
 
+def _fuse_fold(a: GatherMoveOp, b: ReduceFoldOp) -> ReduceFoldOp:
+    lane, slot = _compose_tables(a.lane, a.slot, b.lane, b.slot)
+    return ReduceFoldOp(
+        ids=b.ids, ngroups=b.ngroups, instances=b.instances,
+        src_offset=a.src_offset, chunk_bytes=b.chunk_bytes,
+        nslots=b.nslots, dtype=b.dtype, op=b.op, lane=lane, slot=slot,
+        dst_offset=b.dst_offset, scratch_key=b.scratch_key,
+        simd=_merged(a.simd, b.simd),
+        wram_tiles=a.wram_tiles + b.wram_tiles, labels=a.labels + b.labels)
+
+
+#: ``(type(a), type(b))`` -> ``b`` reading through ``a``'s table.
+_FUSIONS = {(GatherMoveOp, GatherMoveOp): _fuse_moves,
+            (FanoutScratchOp, GatherMoveOp): _fuse_fanout,
+            (GatherMoveOp, ReduceFoldOp): _fuse_fold}
+
+
 def _fuse(ops: list[ProgramOp]) -> list[ProgramOp]:
     """Greedy adjacent-pair fusion over the lowered op list."""
     fused: list[ProgramOp] = []
-    for op in ops:
+    for k, op in enumerate(ops):
         prev = fused[-1] if fused else None
-        if isinstance(op, GatherMoveOp) \
-                and isinstance(prev, (GatherMoveOp, FanoutScratchOp)) \
-                and _chainable(prev, op):
-            fused[-1] = (_fuse_moves(prev, op)
-                         if isinstance(prev, GatherMoveOp)
-                         else _fuse_fanout(prev, op))
+        through = _FUSIONS.get((type(prev), type(op)))
+        if through is not None and _chainable(prev, op, ops[k + 1:]):
+            fused[-1] = through(prev, op)
             continue
         fused.append(op)
     return fused
@@ -1098,7 +1216,9 @@ def compile_plan(plan: CommPlan) -> CommProgram:
     Each step's ``lower()`` hook yields its program ops, or raises
     :class:`~repro.errors.CollectiveError` for a step with no compiled
     form; a greedy pass then composes adjacent index-map ops wherever
-    dropping the intermediate write is invisible.  Pricing stays with
+    dropping the intermediate write is invisible (:func:`_chainable`).
+    A fan-out that fusion did not make a fill has no compiled form
+    either.  Pricing stays with
     the plan (:meth:`CommProgram.priced` reads
     :meth:`CommPlan.estimate`'s memo), and a call's payloads reach the
     ops through the replay context, so the program depends on the plan
@@ -1107,6 +1227,12 @@ def compile_plan(plan: CommPlan) -> CommProgram:
     """
     ops = [op for step in plan.steps for op in step.lower()]
     fused = _fuse(ops)
+    for op in fused:
+        if isinstance(op, FanoutScratchOp) and not op._fills:
+            raise CollectiveError(
+                f"{op.describe()} has no compiled form: only a fan-out "
+                "whose every lane receives the whole reduced vector "
+                "replays")
     return CommProgram(
         primitive=plan.primitive, plan=plan, ops=fused,
         total_steps=len(plan.steps), fused_away=len(ops) - len(fused))

@@ -529,6 +529,14 @@ class DimmSystem:
         for row, pe in zip(matrix, pe_ids):
             self.memory(int(pe)).write(offset, row)
 
+    def fill_rows(self, pe_ids: Sequence[int], offset: int, row: np.ndarray,
+                  window: Window) -> None:
+        """:meth:`put_rows` of one shared 1-D uint8 ``row`` through a
+        bound ``window``: every PE receives it
+        (:meth:`MemoryArena.fill_rows`), with no fault draw or log
+        entry.  The compiled fan-out's kernel."""
+        self._ensure_arena().fill_rows(pe_ids, offset, row, window=window)
+
     def note_writes(self, regions: Sequence[Region]) -> None:
         """Log ``regions`` as one write-log entry (the arena's)."""
         if regions and self.vectorized:

@@ -14,6 +14,8 @@ vectorized arena.)
 step left to the interpreter, and replays to the interpreter's bits.
 (c) Every step of those plans prices exactly the MRAM bytes its
 lowered ops move: the modelled clock charges for what replay does.
+(d) Every compiled program writes exactly the bytes its lowered ops
+write: fusion drops an op's writes only where a later op rewrites them.
 
 Regenerate the golden file (only when the cost model itself is changed
 on purpose) with ``PYTHONPATH=src python -m tests.test_app_engine``.
@@ -46,7 +48,9 @@ from repro.apps import (
 from repro.baselines import topologies  # noqa: F401  (its steps are listed)
 from repro.baselines.simplepim import baseline_plan
 from repro.core.collectives import ABLATION_LADDER, CommPlan, build_plan, steps
-from repro.core.collectives.program import StepOp, traffic_mismatches
+from repro.core.collectives import program as program_mod
+from repro.core.collectives.program import (FanoutScratchOp, StepOp,
+                                            compile_plan, traffic_mismatches)
 from repro.core.groups import slice_groups
 from repro.data import criteo_like, random_graph, rmat_graph
 from repro.dtypes import FLOAT32, INT64, SUM
@@ -169,13 +173,14 @@ ORACLE_AT_256 = ("Baseline", "baseline_plan")
 
 def _plans(manager, dims, dtype):
     """``(rung, plan, payloads)`` of all eight primitives at every
-    ablation rung, plus every ``baseline_plan`` plan."""
+    ablation rung, plus every ``baseline_plan`` plan, plus the in-place
+    AllReduce (``dst == src``) the applications call."""
     groups = slice_groups(manager, dims)
     n = groups[0].size
     chunk = 2 * dtype.itemsize
-    dst = n * chunk
     rng = np.random.default_rng(len(dims) * 31 + n)
-    for primitive in PRIMITIVES:
+    for primitive, dst in [(p, n * chunk) for p in PRIMITIVES] \
+            + [("allreduce", 0)]:
         size = chunk if primitive == "allgather" else n * chunk
         payloads = None
         if primitive in ("scatter", "broadcast"):
@@ -298,6 +303,87 @@ def test_an_op_writing_one_row_too_few_fails_the_check(monkeypatch):
     monkeypatch.setattr(steps.RotateExchangeStep, "lower", one_row_narrower)
     (label,) = _alltoall_mismatches()
     assert label.startswith("RotateExchange")
+
+
+# ----------------------------------------------------------------------
+# (d) a compiled program writes the bytes its lowered ops write
+# ----------------------------------------------------------------------
+def _spans(regions) -> dict:
+    """``{pe: merged [lo, hi) columns}`` that ``regions`` cover."""
+    spans: dict[int, list] = {}
+    for region in regions:
+        for pe in np.asarray(region.rows).tolist():
+            spans.setdefault(pe, []).append((region.offset, region.end))
+    merged = {}
+    for pe, intervals in spans.items():
+        out: list[tuple[int, int]] = []
+        for lo, hi in sorted(intervals):
+            if out and lo <= out[-1][1]:
+                out[-1] = (out[-1][0], max(out[-1][1], hi))
+            else:
+                out.append((lo, hi))
+        merged[pe] = out
+    return merged
+
+
+def _uncovered(regions, cover) -> list:
+    """``(pe, lo, hi)`` runs of ``regions`` that no region of ``cover``
+    writes."""
+    by_pe = _spans(cover)
+    return [(pe, lo, hi) for pe, spans in _spans(regions).items()
+            for lo, hi in spans
+            if not any(a <= lo and hi <= b for a, b in by_pe.get(pe, ()))]
+
+
+def _write_problems(plan) -> list:
+    """Where ``plan``'s compiled program breaks the write invariant:
+    its ops must write exactly the bytes its lowered ops write, each
+    lowered op's bytes must be written by the compiled op that absorbed
+    it or a later one, and every fan-out must be a fill."""
+    lowered = [op for step in plan.steps for op in step.lower()]
+    compiled = compile_plan(plan).ops
+    writes = lambda ops: [region for op in ops for region in op.writes]
+    problems = []
+    if _spans(writes(compiled)) != _spans(writes(lowered)):
+        problems.append("write union")
+    # Fusion concatenates the labels of the ops it absorbs, in order,
+    # and every lowered op carries one label.
+    owner = [j for j, op in enumerate(compiled) for _ in op.labels]
+    assert len(owner) == len(lowered)
+    problems += [f"lowered op {i} uncovered" for i, (op, j)
+                 in enumerate(zip(lowered, owner))
+                 if _uncovered(op.writes, writes(compiled[j:]))]
+    problems += [f"{op.describe()} is no fill" for op in compiled
+                 if isinstance(op, FanoutScratchOp) and not op._fills]
+    return problems
+
+
+@pytest.mark.parametrize("geometry,shape", [(G64, (4, 4, 4)), (G64, (8, 8)),
+                                            (G64, (4, 8)), (G256, (256,))],
+                         ids=lambda v: str(v) if isinstance(v, tuple) else "")
+def test_compiled_programs_write_what_their_lowered_ops_write(geometry,
+                                                              shape):
+    """Every shipped plan, on full and partial bitmaps, in-place
+    AllReduce included: dropping an op's writes is only legal when a
+    later op of the same program rewrites them."""
+    manager = HypercubeManager(DimmSystem(geometry), shape=shape)
+    for dims in _bitmaps(len(shape)):
+        for dtype in (INT64, FLOAT32):
+            for rung, plan, _ in _plans(manager, dims, dtype):
+                assert not _write_problems(plan), (dims, dtype.name,
+                                                   plan.primitive, rung)
+
+
+def test_a_drop_that_leaves_bytes_unwritten_fails_the_check(monkeypatch):
+    # A rule that drops every rotate ahead of a fold would drop the one
+    # a disjoint AllReduce leaves in its source, whose bytes no later op
+    # rewrites.
+    monkeypatch.setattr(program_mod, "_chainable",
+                        lambda a, b, later: True)
+    manager = HypercubeManager(DimmSystem(G64), shape=(8, 8))
+    plan = build_plan("allreduce", manager, "11", 64 * 16, 0, 64 * 16,
+                      INT64, SUM, ABLATION_LADDER[-1])
+    assert _write_problems(plan) == ["write union", "lowered op 0 uncovered"]
 
 
 if __name__ == "__main__":

@@ -134,7 +134,9 @@ def prepare_case(rng: np.random.Generator, manager, primitive: str, dtype,
 
     out_elems = {"alltoall": elems, "reduce_scatter": chunk,
                  "allgather": n * chunk, "allreduce": elems}[primitive]
-    dst = system.alloc(out_elems * item)
+    # Half the AllReduce cases run in place, as the applications' do.
+    in_place = primitive == "allreduce" and rng.random() < 0.5
+    dst = src if in_place else system.alloc(out_elems * item)
     reference_fn = {"alltoall": lambda v: ref.alltoall(v),
                     "allgather": lambda v: ref.allgather(v),
                     "reduce_scatter": lambda v: ref.reduce_scatter(v, SUM),

@@ -24,10 +24,15 @@ import pytest
 import repro
 
 from .helpers import fill_group_inputs, groups_of, make_manager
+from .test_app_engine import _outcome, e2e_apps, run_app
 
-from repro import (ABLATION_LADDER, BASELINE, Communicator, DimmSystem,
-                   FULL, FaultInjector, HypercubeManager, SessionConfig)
+from repro import (ABLATION_LADDER, BASELINE, Communicator, DimmGeometry,
+                   DimmSystem, FULL, FaultInjector, HypercubeManager,
+                   SessionConfig)
+from repro.apps import PidCommBackend
 from repro.baselines.topologies import ring_allreduce_plan, tree_allreduce_plan
+from repro.core.collectives import build_plan
+from repro.core.collectives import program as program_mod
 from repro.core.collectives.plan import CommPlan, ExecContext, Step
 from repro.core.collectives.steps import (BroadcastStep,
                                           HostGlobalExchangeStep,
@@ -46,11 +51,12 @@ from repro.core.collectives.program import (
     ReduceFoldOp,
     compile_plan,
 )
-from repro.dtypes import FLOAT32, INT8, INT32, INT64, SUM
+from repro.dtypes import BOR, FLOAT32, INT8, INT32, INT64, MIN, SUM
 from repro.engine.cache import DEFAULT_MAXSIZE, PlanCache
 from repro.errors import (CollectiveError, FaultBudgetExceeded,
                           TransferDropped, TransferError)
-from repro.hw.arena import ScratchPool
+from repro.engine.parallel import WorkerPool
+from repro.hw.arena import Region, ScratchPool
 
 PRIMITIVES = ("alltoall", "allgather", "reduce_scatter", "allreduce",
               "gather", "scatter", "reduce", "broadcast")
@@ -310,6 +316,165 @@ class TestFusionStructure:
         program = compile_plan(result.plan)
         assert isinstance(program, CommProgram)
         assert "GatherMoveOp" in program.describe()
+
+
+class TestInPlaceAllReduce:
+    """The in-place AllReduce (``dst == src``) that CC, BFS and GNN's
+    ``ar_ag`` strategy call.  The rotate that opens it rewrites the
+    source, and the fan-out then rewrites every byte of it, so fusion
+    drops the rotate and the fold reads through its table: a column
+    fold straight from MRAM, then a fill."""
+
+    G64, G256 = DimmGeometry(1, 1, 8, 8), DimmGeometry(2, 2, 8, 8)
+    #: cube -> (geometry, shape, bitmap): one group of 256 strided rows,
+    #: eight groups of 8 strided rows, and four groups of 16 PEs whose
+    #: windows are row-indexed.
+    CUBES = {"256": (G256, (256,), "1"), "8x8": (G64, (8, 8), "10"),
+             "4x4x4": (G64, (4, 4, 4), "101")}
+    FOLDS = [(INT64, SUM), (INT64, MIN), (INT64, BOR), (FLOAT32, SUM)]
+    CHUNK_ELEMS = 2
+
+    def _setup(self, cube, dtype, op):
+        geometry, shape, bitmap = self.CUBES[cube]
+        system = DimmSystem(geometry, mram_bytes=1 << 14,
+                            backend="vectorized")
+        manager = HypercubeManager(system, shape=shape)
+        n = groups_of(manager, bitmap)[0].size
+        chunk = self.CHUNK_ELEMS * dtype.itemsize
+        plan = build_plan("allreduce", manager, bitmap, n * chunk, 0, 0,
+                          dtype, op, FULL)
+        pes = list(manager.all_pes)
+        values = np.random.default_rng(n).integers(
+            -1 << 20, 1 << 20, (len(pes), n * self.CHUNK_ELEMS))
+        start = np.ascontiguousarray(values.astype(dtype.np_dtype)).view(
+            np.uint8)
+        return system, plan, pes, start, n * chunk
+
+    @pytest.mark.parametrize("dtype,op", FOLDS,
+                             ids=lambda v: getattr(v, "name", str(v)))
+    @pytest.mark.parametrize("cube", CUBES)
+    def test_replay_matches_the_oracle(self, cube, dtype, op):
+        """Untiled, and streamed through bands of three rows (each
+        splits a group) at one and two workers: MRAM, host scratch,
+        ledger, SIMD and WRAM tiles all equal the interpreter's."""
+        system, plan, pes, start, span = self._setup(cube, dtype, op)
+        system.poke_rows(pes, 0, start)
+        oracle = _outcome(system, pes, span, *plan.run(system))
+        program = compile_plan(plan)
+        fold, fanout = program.ops
+        assert fold._columns == (dtype is INT64)
+        assert fanout._fills
+        for tile, workers in [(None, 1), (3 * span, 1), (3 * span, 2)]:
+            pool = WorkerPool(workers) if workers > 1 else None
+            system.poke_rows(pes, 0, start)
+            try:
+                got = _outcome(system, pes, span, *program.replay(
+                    system, tile_bytes=tile, workers=pool))
+            finally:
+                if pool is not None:
+                    pool.shutdown()
+            assert got == oracle, (tile, workers)
+
+    def test_cc_allreduce_is_a_column_fold_and_a_fill(self, monkeypatch):
+        programs = []
+        replay = CommProgram.replay
+
+        def spy(program, *args, **kwargs):
+            if program.primitive == "allreduce":
+                programs.append(program)
+            return replay(program, *args, **kwargs)
+
+        monkeypatch.setattr(CommProgram, "replay", spy)
+        run_app(e2e_apps()["cc"], PidCommBackend())
+        assert programs
+        for program in programs:
+            fold, fanout = program.ops
+            assert isinstance(fold, ReduceFoldOp) and fold._columns
+            # No stream table is bound: the fold reads its source window.
+            assert fold._binding.gather is None
+            assert isinstance(fanout, FanoutScratchOp) and fanout._fills
+            assert fold.labels[0].startswith("PeReorder[rotate_left_rank]")
+
+    def _lowered(self):
+        """The in-place AllReduce's rotate, fold and fan-out, lowered
+        but not fused (the reflect that fuses into the fan-out left
+        out, so the fan-out is the only later op)."""
+        manager = make_manager(SHAPE)
+        n = groups_of(manager, "01")[0].size
+        plan = build_plan("allreduce", manager, "01", n * 8, 0, 0, INT64,
+                          SUM, FULL)
+        return [op for step in plan.steps for op in step.lower()][:3]
+
+    def test_the_drop_needs_a_dead_rotate(self):
+        assert [type(op) for op in program_mod._fuse(self._lowered())] == [
+            ReduceFoldOp, FanoutScratchOp]
+        # A disjoint AllReduce leaves its source rotated: nothing drops.
+        manager = make_manager(SHAPE)
+        size = groups_of(manager, "01")[0].size * 8
+        plan = build_plan("allreduce", manager, "01", size, 0, 4096, INT64,
+                          SUM, FULL)
+        assert [type(op) for op in compile_plan(plan).ops] == [
+            GatherMoveOp, ReduceFoldOp, FanoutScratchOp]
+
+    @pytest.mark.parametrize("mutation", [
+        "one_chunk_short", "skips_a_group", "other_offset",
+        "read_before_rewrite"])
+    def test_the_drop_refuses_a_rewrite_that_misses_a_byte(self, mutation):
+        ops = self._lowered()
+        rotate, fold, fanout = ops
+        chunk = fanout.chunk_bytes
+        if mutation == "read_before_rewrite":
+            ops.insert(2, HostPullOp(
+                group_ids=fanout.group_ids, instances=fanout.instances,
+                src_offset=0, chunk_bytes=chunk, scratch_key="peek"))
+        else:
+            fanout.writes = {
+                "one_chunk_short": tuple(
+                    Region(r.rows, r.offset, r.nbytes - chunk)
+                    for r in fanout.writes),
+                "skips_a_group": fanout.writes[1:],
+                "other_offset": tuple(
+                    Region(r.rows, r.offset + chunk, r.nbytes)
+                    for r in fanout.writes),
+            }[mutation]
+        fused = program_mod._fuse(ops)
+        assert fused[0] is rotate and fused[1] is fold
+
+    def _fold(self, dtype=INT64, lane=None):
+        n = 8
+        by_rank = np.tile(np.arange(n), (n, 1))
+        return ReduceFoldOp(
+            ids=np.arange(n), ngroups=1, instances=(0,), src_offset=0,
+            chunk_bytes=8, nslots=n, dtype=dtype, op=SUM,
+            lane=by_rank if lane is None else lane, slot=by_rank.T,
+            scratch_key="acc")
+
+    def test_the_column_property(self):
+        assert self._fold()._columns
+        assert self._fold()._binding.gather is None
+        # Floats keep their left fold, in table order.
+        assert not self._fold(dtype=FLOAT32)._columns
+        # Output lane 0 reads lane 0 twice and lane 1 never.
+        lane = np.tile(np.arange(8), (8, 1))
+        lane[0, 1] = 0
+        twice = self._fold(lane=lane)
+        assert not twice._columns
+        assert twice._binding.gather is not None
+
+    def test_a_fanout_that_is_no_fill_has_no_compiled_form(self,
+                                                           monkeypatch):
+        # Without the reflect that fuses into it, the fan-out writes
+        # rotations: refused at compile time, not replayed.
+        manager = make_manager(SHAPE)
+        size = groups_of(manager, "01")[0].size * 8
+        plan = build_plan("allreduce", manager, "01", size, 0, 4096, INT64,
+                          SUM, FULL)
+        plan = CommPlan("allreduce", [
+            step for step in plan.steps
+            if not (isinstance(step, PeReorderStep)
+                    and step.rule == "reflect_rank")])
+        with pytest.raises(CollectiveError, match="no compiled form"):
+            compile_plan(plan)
 
 
 def _subclasses(cls) -> set[type]:

@@ -1049,6 +1049,8 @@ EXPOSURE = {
     "reduce": (2, 3, 3),
     "broadcast": (1, 4, 4),
 }
+#: The in-place AllReduce (dst == src), whose rotate fusion drops.
+IN_PLACE_ALLREDUCE = (3, 5, 5)
 STREAM_TILE = 2048
 DRAWS = ("take_timeout", "take_drop", "draw_flip")
 INTERPRETED_CALLS = 20
@@ -1059,9 +1061,10 @@ class TestFaultExposurePerPrimitive:
     its bands is not observable: these pins keep it that way."""
 
     def _replay(self, primitive, dims, calls=3, tile=None,
-                backend="vectorized", execution=None):
+                backend="vectorized", execution=None, in_place=False):
         """Per call: draw counts, the PE ids of every rank guard, and
-        the order of the draws."""
+        the order of the draws.  ``in_place`` writes the result over
+        the source (``dst_offset == src_offset``)."""
         manager = make_manager((4, 4, 2))
         injector = FaultInjector(seed=0, bit_flip_rate=1e-12,
                                  drop_rate=1e-12, timeout_rate=1e-12)
@@ -1102,7 +1105,7 @@ class TestFaultExposurePerPrimitive:
         else:
             kwargs["src_offset"] = 0
         if primitive not in ("gather", "reduce"):
-            kwargs["dst_offset"] = 4096
+            kwargs["dst_offset"] = 0 if in_place else 4096
         seen = []
         for _ in range(calls):
             for name in DRAWS:
@@ -1143,6 +1146,28 @@ class TestFaultExposurePerPrimitive:
         arena = self._replay(primitive, dims, calls=1,
                              backend="vectorized", execution="interpreted")
         assert arena == scalar
+
+    @pytest.mark.parametrize("tile", [None, STREAM_TILE],
+                             ids=["compiled", "streamed"])
+    @pytest.mark.parametrize("dims", ["101", "011"],
+                             ids=["fancy_rows", "strided_rows"])
+    def test_in_place_allreduce_draws_no_rotate(self, dims, tile):
+        # dst == src: the fan-out rewrites every byte the opening rotate
+        # wrote, so fusion drops the rotate, and its gather and put
+        # sites with it; the fold launches the reorder kernel instead.
+        self._assert_pinned(
+            self._replay("allreduce", dims, tile=tile, in_place=True),
+            IN_PLACE_ALLREDUCE)
+
+    @pytest.mark.parametrize("dims", ["101", "011"],
+                             ids=["fancy_rows", "strided_rows"])
+    def test_in_place_allreduce_interpreted_draws_every_step(self, dims):
+        # The interpreter still moves the rotate: in place or not, it
+        # draws the same faults at the same sites in the same order.
+        def interpreted(in_place):
+            return self._replay("allreduce", dims, calls=1,
+                                execution="interpreted", in_place=in_place)
+        assert interpreted(True) == interpreted(False)
 
     @pytest.mark.parametrize("primitive", PRIMITIVES)
     def test_interpreted_faulted_runs_do_not_depend_on_the_store(

@@ -141,7 +141,9 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
     """Run one random collective; returns its CommResult.
 
     Eliding cases zero a random fraction of every input, so the scan
-    sees mixes of zero, partial-zero and dense chunks.  The call is
+    sees mixes of zero, partial-zero and dense chunks.  Half the
+    AllReduce cases write their result over their source (``dst ==
+    src``), the in-place call the applications make.  The call is
     byte-diffed (:class:`ByteDiff`) before its result is checked.
     """
     primitive = PRIMITIVES[rng.integers(len(PRIMITIVES))]
@@ -222,7 +224,9 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
 
     out_elems = {"alltoall": elems, "reduce_scatter": chunk,
                  "allgather": n * chunk, "allreduce": elems}[primitive]
-    dst = system.alloc(out_elems * item)
+    # Half the AllReduce cases run in place, as the applications' do.
+    in_place = primitive == "allreduce" and rng.random() < 0.5
+    dst = src if in_place else system.alloc(out_elems * item)
     request = CommRequest(primitive, bitmap, total, src_offset=src,
                           dst_offset=dst, data_type=dtype,
                           reduction_type=SUM)
