@@ -99,7 +99,10 @@ class SessionConfig:
             is priced to the ledger's ``elide`` category.  The scan reads
             the arena's write log, so it requires a compiled-capable
             execution mode (``execution="interpreted"`` raises)
-            (``docs/performance.md``).
+            (``docs/performance.md``).  A ``MultiHostSystem`` hands
+            the value to each host session; its global phase crosses
+            the fabric at full bytes, so hierarchical results are
+            identical with the flag on or off.
     """
 
     config: OptConfig = FULL

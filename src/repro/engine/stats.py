@@ -104,9 +104,6 @@ class EngineStats:
     fabric_bytes: int = 0
     #: Modelled seconds global phases spent on the fabric.
     fabric_seconds: float = 0.0
-    #: Fabric bytes skipped by content-aware elision (zero blocks
-    #: crossing as markers).
-    elided_fabric_bytes: int = 0
     bytes_moved: int = 0
     modelled_seconds: float = 0.0
     overlap_saved_seconds: float = 0.0
@@ -194,15 +191,13 @@ class EngineStats:
         return self.chunks_elided / self.chunks_scanned
 
     def record_global_phase(self, primitive: str, algorithm: str, *,
-                            fabric_bytes: int, fabric_seconds: float,
-                            elided_bytes: int = 0) -> None:
+                            fabric_bytes: int, fabric_seconds: float) -> None:
         """Account one hierarchical collective's inter-host phase."""
         self.global_phases += 1
         key = f"{primitive}/{algorithm}"
         self.global_algorithms[key] = self.global_algorithms.get(key, 0) + 1
         self.fabric_bytes += fabric_bytes
         self.fabric_seconds += fabric_seconds
-        self.elided_fabric_bytes += elided_bytes
 
     def record_fault(self, kind: str) -> None:
         """Account one observed fault (by kind, e.g. ``"bit_flip"``)."""
@@ -301,9 +296,6 @@ class EngineStats:
             lines.append(f"    fabric bytes    {self.fabric_bytes}")
             lines.append(f"    fabric time     "
                          f"{self.fabric_seconds * 1e3:.3f} ms")
-            if self.elided_fabric_bytes:
-                lines.append(f"    fabric elided   "
-                             f"{self.elided_fabric_bytes} B")
             for key in sorted(self.global_algorithms):
                 lines.append(f"    {key:<22s} "
                              f"x{self.global_algorithms[key]}")

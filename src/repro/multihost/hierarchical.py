@@ -4,13 +4,19 @@ Each host owns one UPMEM channel (4 ranks x 8 chips x 8 banks = 256
 PEs, as in the paper's testbed) and runs PID-Comm locally through its
 own :class:`~repro.engine.Communicator` session -- full
 :class:`~repro.engine.SessionConfig` support, so the local phases enjoy
-compiled replay, streaming, band workers and content-aware elision.
+compiled replay, streaming and band workers.
 The global phase is a first-class inter-host program
 (:class:`~repro.multihost.GlobalProgram`) priced on a topology-aware
 :class:`~repro.multihost.Fabric` and selected per (primitive, payload,
-topology) by the :class:`~repro.multihost.GlobalTuner`.  The driver
-runs the hosts' local phases one host after another on the calling
-thread.
+topology) by the :class:`~repro.multihost.GlobalTuner`; it always
+crosses at the chosen program's full bytes, as plain MPI does.  The
+driver runs the hosts' local phases one host after another on the
+calling thread.
+
+``elide_transfers`` applies inside a host only: a host session's
+compiled replays elide, but the hierarchical local phases lower to
+host pull, push and fill ops that never scan, so a hierarchical result
+is identical with the flag on or off.
 
 Every hierarchical collective is one recipe run by one driver,
 :func:`_hierarchical`: a local collective onto each host (Reduce or
@@ -30,8 +36,7 @@ host count, backend, execution mode, and program.  The two clocks part
 on AlltoAll: the modelled host re-blocks its buffer into the wire
 layout (charged as local modulation), while the simulator fuses
 re-block, exchange and un-block into one permutation
-(:func:`_alltoall_payloads`) and builds the wire layout only for the
-fabric elision scan.
+(:func:`_alltoall_payloads`) and never builds the wire layout.
 """
 
 from __future__ import annotations
@@ -44,33 +49,13 @@ import numpy as np
 from ..core.hypercube import HypercubeManager
 from ..dtypes import DataType, INT64, ReduceOp, SUM
 from ..engine import Communicator, SessionConfig
-from ..errors import CollectiveError
-from ..hw.arena import scan_zero_chunks, wide_dtype
+from ..errors import CollectiveError, GeometryError
+from ..hw.arena import wide_dtype
 from ..hw.geometry import DimmGeometry
 from ..hw.system import DimmSystem
 from ..hw.timing import CostLedger, MachineParams
-from .algorithms import GlobalProgram
 from .fabric import Fabric
 from .tuning import GlobalTuner
-
-#: Target zero-scan granularity for fabric elision.  256 B
-#: chunks align with whole-PE runs in the re-blocked AlltoAll wire
-#: layout, so a zeroed PE's contribution elides even when its
-#: neighbours are dense.
-FABRIC_SCAN_CHUNK_BYTES = 256
-
-
-def _scan_blocks(size: int) -> int:
-    """Chunk count for a fabric elision scan over ``size`` bytes: the
-    finest split at or above :data:`FABRIC_SCAN_CHUNK_BYTES` whose
-    chunk width is a multiple of 8 (the packed zero-scan's word size)
-    and divides the payload evenly."""
-    if size % 8:
-        return 1
-    chunk = min(FABRIC_SCAN_CHUNK_BYTES, size)
-    while size % chunk:
-        chunk -= 8
-    return size // chunk
 
 
 @dataclass
@@ -87,9 +72,6 @@ class MultiHostResult:
     global_algorithm: str | None = None
     #: Payload bytes the global phase put on the fabric.
     fabric_bytes: int = 0
-    #: Fabric bytes skipped by content-aware elision (all-zero blocks
-    #: replaced by markers).
-    elided_fabric_bytes: int = 0
 
     @property
     def seconds(self) -> float:
@@ -180,58 +162,30 @@ class MultiHostSystem:
             raise CollectiveError("host allocators diverged")
         return offsets.pop()
 
+    def _locate(self, global_pe: int) -> tuple[int, int]:
+        """``(host, local PE)`` of a *global* PE id; raises
+        :class:`~repro.errors.GeometryError` outside ``[0, total_pes)``."""
+        if not 0 <= global_pe < self.total_pes:
+            raise GeometryError(
+                f"global pe {global_pe} out of range [0, {self.total_pes})")
+        return divmod(global_pe, self.pes_per_host)
+
     def write_pe(self, global_pe: int, offset: int, values: np.ndarray,
                  dtype: DataType = INT64) -> None:
         """Write elements to a PE addressed by its *global* id."""
-        host, local = divmod(global_pe, self.pes_per_host)
+        host, local = self._locate(global_pe)
         self.systems[host].write_elements(local, offset, values, dtype)
 
     def read_pe(self, global_pe: int, offset: int, count: int,
                 dtype: DataType = INT64) -> np.ndarray:
         """Read elements from a PE addressed by its *global* id."""
-        host, local = divmod(global_pe, self.pes_per_host)
+        host, local = self._locate(global_pe)
         return self.systems[host].read_elements(local, offset, count, dtype)
 
     def close(self) -> None:
         """Join host sessions' worker threads (idempotent)."""
         for comm in self.communicators:
             comm.close()
-
-    # ------------------------------------------------------------------
-    # Execution helpers the hierarchical driver uses
-    # ------------------------------------------------------------------
-    def _elide_fabric(self, program: GlobalProgram,
-                      buffers: list[np.ndarray], ledger: CostLedger
-                      ) -> tuple[float, int, int]:
-        """Content-aware fabric elision: zero-scan each host's
-        outbound payload in :data:`FABRIC_SCAN_CHUNK_BYTES`-grained
-        chunks (:func:`~repro.hw.arena.scan_zero_chunks`); all-zero
-        chunks cross as markers instead of payload, scaling that
-        host's transfer bytes by its dense fraction.  The bytes the
-        scan read are charged to the ``elide`` category, exactly like
-        the single-host replay path."""
-        dense: list[float] = []
-        scanned_total = 0
-        for buf in buffers:
-            raw = np.ascontiguousarray(np.asarray(buf)).view(np.uint8)
-            raw = raw.reshape(-1)
-            if raw.size == 0:
-                dense.append(0.0)
-                continue
-            blocks = _scan_blocks(raw.size)
-            chunks = raw.reshape(blocks, -1)
-            zero, scanned = scan_zero_chunks(chunks)
-            scanned_total += scanned
-            dense.append(1.0 - float(np.count_nonzero(zero)) / blocks)
-        if scanned_total:
-            ledger.add("elide", self.params.scan_time(scanned_total))
-        scaled = tuple(
-            tuple((src, dst, int(round(nbytes * dense[src])))
-                  for src, dst, nbytes in rnd)
-            for rnd in program.rounds)
-        moved = sum(b for rnd in scaled for _, _, b in rnd)
-        seconds = self.fabric.program_seconds(scaled)
-        return seconds, moved, program.fabric_bytes - moved
 
 
 # ----------------------------------------------------------------------
@@ -245,16 +199,6 @@ def _reduce_across(host_vectors: list[np.ndarray], op: ReduceOp
     reduced = op.reduce_axis(np.stack(host_vectors), axis=0)
     reduced.setflags(write=False)
     return reduced
-
-
-def _blocks(buf: np.ndarray, n: int, p: int, chunk: int) -> np.ndarray:
-    """AlltoAll's wire layout: a host's gathered ``[local PE, dest host,
-    dest PE, chunk]`` bytes re-blocked host-major, so block ``g`` is
-    everything bound for host ``g``.  Only the fabric elision scan reads
-    it: the scan's nomination sample depends on chunk order."""
-    raw = np.ascontiguousarray(buf).view(np.uint8)
-    return np.ascontiguousarray(
-        raw.reshape(p, n, p, chunk).transpose(1, 0, 2, 3)).reshape(-1)
 
 
 def _alltoall_payloads(gathered: list[np.ndarray], n: int, p: int,
@@ -288,9 +232,9 @@ class _Recipe(NamedTuple):
     out_bytes: Callable
     #: The per-PE buffer splits into ``n * p`` global chunks.
     chunked: bool = False
-    #: The modelled host re-blocks its buffer into the wire layout
-    #: (:func:`_blocks`, charged as local modulation); every other
-    #: collective puts its host buffer on the fabric as it is.
+    #: The modelled host re-blocks its buffer host-major into the wire
+    #: layout (charged as local modulation); every other collective
+    #: puts its host buffer on the fabric as it is.
     reblocks: bool = False
 
 
@@ -326,10 +270,10 @@ def _hierarchical(mh: MultiHostSystem, primitive: str, size: int,
     distribute, reading the steps from its :data:`_RECIPES` row.
 
     The modelled hosts run in parallel, so the ledger books host 0's
-    local work: the collect, AlltoAll's re-blocking, the fabric elision
-    scan, then the distribute.  The global phase is selected by the
-    tuner, elided on functional runs when the session elides, priced on
-    the fabric and recorded on host 0's stats; a single host has none.
+    local work: the collect, AlltoAll's re-blocking, then the
+    distribute.  The global phase is the tuner's program at its full
+    seconds and bytes, recorded on host 0's stats; a single host has
+    none.
     """
     recipe = _RECIPES[primitive]
     n, p = mh.num_hosts, mh.pes_per_host
@@ -356,19 +300,14 @@ def _hierarchical(mh: MultiHostSystem, primitive: str, size: int,
         ledger.add("host_mod", mh.params.mod_time(nbytes, "local"))
         ledger.add("host_mem", mh.params.host_mem_time(2 * nbytes))
 
-    seconds, moved, elided, algorithm = 0.0, 0, 0, None
+    seconds, moved, algorithm = 0.0, 0, None
     if n > 1:
         program = mh.tuner.choose(primitive, nbytes)
         seconds, moved = program.seconds, program.fabric_bytes
-        if functional and mh.session_config.elide_transfers:
-            wires = ([_blocks(buf, n, p, chunk) for buf in bufs]
-                     if recipe.reblocks else bufs)
-            seconds, moved, elided = mh._elide_fabric(program, wires, ledger)
-            del wires
         algorithm = program.algorithm
         mh.stats.record_global_phase(
             primitive, algorithm, fabric_bytes=moved,
-            fabric_seconds=seconds, elided_bytes=elided)
+            fabric_seconds=seconds)
 
     # Each buffer is dropped once its successor exists, so a call holds
     # at most two payload-sized buffers at a time.
@@ -389,8 +328,7 @@ def _hierarchical(mh: MultiHostSystem, primitive: str, size: int,
         for system, rows in zip(mh.systems, block):
             system.peek_rows(range(p), dst, out_bytes, out=rows)
         outputs = [list(rows) for rows in block.view(dtype.np_dtype)]
-    return MultiHostResult(ledger, seconds, outputs, algorithm, moved,
-                           elided)
+    return MultiHostResult(ledger, seconds, outputs, algorithm, moved)
 
 
 def multihost_allreduce(mh: MultiHostSystem, total_data_size: int,

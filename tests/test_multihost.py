@@ -8,13 +8,13 @@ Regenerate it (only when the fabric cost model is changed on purpose)
 with ``PYTHONPATH=src python -m tests.test_multihost``.
 
 ``tests/golden/multihost_results.json`` holds, for the four hierarchical
-collectives at 1-4 hosts, functional and analytic, with fabric elision
-off and on, in int64 and float32 (:func:`hierarchical_rows`), every
-local ledger category, the fabric fields and a CRC of the outputs.  It
-was generated at commit c41b5b3, before one driver replaced the four
-collective bodies; its eliding rows' ``elide`` seconds were regenerated
-when the fabric scan became zero-only.  Regenerate it (only when a cost
-model is changed on purpose) with
+collectives at 1-4 hosts, functional and analytic, in int64 and float32
+(:func:`hierarchical_rows`), every local ledger category, the fabric
+fields and a CRC of the outputs, all with elision off:
+``TestHierarchicalGolden`` checks that an eliding system matches a
+non-eliding one field for field.  It was generated at commit c41b5b3,
+before one driver replaced the four collective bodies.  Regenerate it
+(only when a cost model is changed on purpose) with
 ``PYTHONPATH=src python -m tests.test_multihost results``.
 """
 
@@ -30,10 +30,9 @@ import numpy as np
 import pytest
 
 from repro.core import reference as ref
-from repro.core.collectives import program as program_mod
 from repro.dtypes import FLOAT32, INT64, MIN, SUM
 from repro.engine import Communicator, SessionConfig
-from repro.errors import CollectiveError
+from repro.errors import CollectiveError, GeometryError
 from repro.hw.timing import MachineParams
 from repro.multihost import hierarchical
 from repro.multihost import (
@@ -157,6 +156,20 @@ class TestMultiHostSystem:
         got = mh.systems[1].read_elements(6, buf, 2, INT64)
         assert got.tolist() == [1, 2]
         assert np.array_equal(mh.read_pe(70, buf, 2, INT64), got)
+
+    @pytest.mark.parametrize("global_pe", [-1, "total"])
+    def test_global_pe_outside_the_system_raises(self, global_pe):
+        """A negative id must not wrap onto the last host, and one past
+        the end must not surface as a bare ``IndexError``."""
+        mh = small_multihost(2)
+        if global_pe == "total":
+            global_pe = mh.total_pes
+        buf = mh.alloc(8)
+        with pytest.raises(GeometryError, match="out of range"):
+            mh.write_pe(global_pe, buf, np.ones(1, dtype=np.int64))
+        with pytest.raises(GeometryError, match="out of range"):
+            mh.read_pe(global_pe, buf, 1)
+        assert not mh.read_pe(mh.total_pes - 1, buf, 1).any()
 
     def test_symmetric_alloc(self):
         mh = small_multihost(3)
@@ -712,66 +725,6 @@ class TestEngineHierarchy:
             MultiHostSystem(2, fabric=Fabric.fully_connected(4))
 
 
-class TestFabricElision:
-    def test_zero_payload_elides_fabric_bytes(self):
-        sparse = engine_multihost(2, elide_transfers=True)
-        elems = sparse.total_pes
-        buf = sparse.alloc(elems * 8)
-        out = sparse.alloc(elems * 8)
-        zeros = np.zeros(elems, dtype=np.int64)
-        for gpe in range(sparse.total_pes):
-            sparse.write_pe(gpe, buf, zeros, INT64)
-        result = multihost_alltoall(sparse, elems * 8, buf, out, INT64)
-        assert result.elided_fabric_bytes > 0
-        assert result.fabric_bytes == 0
-        for host_out in result.outputs:
-            for vec in host_out:
-                assert not vec.any()
-        # The ledger pays for the fingerprint scan.
-        assert result.ledger.seconds.get("elide", 0.0) > 0.0
-        sparse.close()
-
-    def test_dense_payload_elides_nothing(self):
-        mh = engine_multihost(2, elide_transfers=True)
-        result = check_alltoall_parity(mh)
-        assert result.elided_fabric_bytes == 0
-        assert result.fabric_bytes > 0
-        mh.close()
-
-    def test_scan_charges_the_bytes_the_zero_test_read(self, monkeypatch):
-        # Every 256-byte fabric chunk holds the same non-zero bytes: the
-        # zero test reads each host's outbound payload once, and the
-        # ledger's ``elide`` prices exactly those bytes -- no pass over
-        # repeated content.  The floor keeps host-local replays from
-        # scanning, so ``elide`` is the fabric scan's alone.
-        monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 1 << 40)
-        mh = engine_multihost(2, elide_transfers=True)
-        size = mh.total_pes * 8
-        buf, out = mh.alloc(size), mh.alloc(size)
-        for gpe in range(mh.total_pes):
-            mh.write_pe(gpe, buf, np.full(mh.total_pes, 7), INT64)
-        result = multihost_alltoall(mh, size, buf, out, INT64)
-        mh.close()
-        assert result.elided_fabric_bytes == 0
-        assert result.ledger.seconds["elide"] == \
-            mh.params.scan_time(mh.total_pes * size)
-
-    def test_sparse_cheaper_than_dense(self):
-        dense = engine_multihost(2, elide_transfers=False)
-        baseline = check_alltoall_parity(dense)
-        dense.close()
-        sparse = engine_multihost(2, elide_transfers=True)
-        elems = sparse.total_pes
-        buf = sparse.alloc(elems * 8)
-        out = sparse.alloc(elems * 8)
-        zeros = np.zeros(elems, dtype=np.int64)
-        for gpe in range(sparse.total_pes):
-            sparse.write_pe(gpe, buf, zeros, INT64)
-        result = multihost_alltoall(sparse, elems * 8, buf, out, INT64)
-        assert result.fabric_seconds < baseline.fabric_seconds
-        sparse.close()
-
-
 class TestMultihostStats:
     def test_global_phase_counters(self):
         mh = engine_multihost(2)
@@ -822,12 +775,12 @@ HIERARCHICAL = {"allreduce": multihost_allreduce,
                 "alltoall": multihost_alltoall}
 
 
-def hierarchical_row(primitive, num_hosts, functional, elide, dtype) -> dict:
+def hierarchical_row(primitive, num_hosts, functional, dtype, *,
+                     elide=False) -> dict:
     """One hierarchical collective on 64-PE hosts, as data: every ledger
     category by ``repr``, the fabric fields and a CRC of the outputs.
-    Odd hosts hold all-zero rows on their first half of PEs, so fabric
-    elision fires on the wire layouts that keep PE rows (AllGather,
-    AlltoAll)."""
+    Odd hosts hold all-zero rows on their first half of PEs, the
+    payloads an eliding session would find zero chunks in."""
     mh = engine_multihost(num_hosts, elide_transfers=elide)
     tp = mh.total_pes
     size = 16 if primitive == "allgather" else tp * 8
@@ -857,17 +810,16 @@ def hierarchical_row(primitive, num_hosts, functional, elide, dtype) -> dict:
                        for k, v in sorted(result.ledger.seconds.items())},
             "fabric_seconds": repr(result.fabric_seconds),
             "fabric_bytes": result.fabric_bytes,
-            "elided_fabric_bytes": result.elided_fabric_bytes,
             "global_algorithm": result.global_algorithm,
             "outputs_crc": crc}
 
 
 def hierarchical_rows() -> dict[str, dict]:
-    """``primitive/hosts/mode/elide/dtype`` -> :func:`hierarchical_row`."""
-    return {f"{primitive}/{n}/{mode}/{elide}/{dtype}":
-            hierarchical_row(primitive, n, mode == "functional", elide, dtype)
+    """``primitive/hosts/mode/dtype`` -> :func:`hierarchical_row`."""
+    return {f"{primitive}/{n}/{mode}/{dtype}":
+            hierarchical_row(primitive, n, mode == "functional", dtype)
             for primitive in HIERARCHICAL for n in (1, 2, 3, 4)
-            for mode in ("functional", "analytic") for elide in (False, True)
+            for mode in ("functional", "analytic")
             for dtype in (INT64, FLOAT32)}
 
 
@@ -961,18 +913,21 @@ class TestHierarchicalGolden:
     def test_rows_match_golden(self):
         """Every ledger category, fabric field and output bit of the
         four hierarchical collectives, as generated at commit c41b5b3
-        (before one driver replaced their four bodies).  Only the
-        eliding rows' ``elide`` seconds were regenerated since, when
-        the fabric scan stopped pricing a duplicate-content pass."""
+        (before one driver replaced their four bodies)."""
         golden = json.loads(RESULTS_GOLDEN.read_text())
         assert hierarchical_rows() == golden
 
-    def test_golden_exercises_fabric_elision(self):
-        golden = json.loads(RESULTS_GOLDEN.read_text())
-        elided = [key for key, row in golden.items()
-                  if row["elided_fabric_bytes"]]
-        assert elided and all(key.split("/")[0] in ("allgather", "alltoall")
-                              for key in elided)
+    @pytest.mark.parametrize("num_hosts", [2, 3])
+    @pytest.mark.parametrize("primitive", list(HIERARCHICAL))
+    def test_elision_leaves_results_unchanged(self, primitive, num_hosts):
+        """The global phase crosses at full bytes and the local phases
+        never scan, so on half-zero payloads an eliding system matches
+        a non-eliding one in every ledger category, fabric field and
+        output bit."""
+        for dtype in (INT64, FLOAT32):
+            assert hierarchical_row(primitive, num_hosts, True, dtype,
+                                    elide=True) == \
+                hierarchical_row(primitive, num_hosts, True, dtype)
 
 
 if __name__ == "__main__":
