@@ -33,7 +33,41 @@ from ..engine.communicator import Communicator
 from ..engine.request import CommRequest, NormalizedRequest
 from ..engine.session_config import SessionConfig
 from ..engine.stats import EngineStats
+from ..errors import AppError
 from ..hw.timing import CostLedger
+
+#: float64 holds every integer of magnitude below 2**53 exactly.
+FLOAT64_EXACT_BOUND = 2 ** 53
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """``max |a|`` as a Python int (``np.abs`` wraps ``INT64_MIN``)."""
+    return max(int(a.max()), -int(a.min()))
+
+
+def blas_exact(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether float64 computes the integer product ``a @ b`` exactly.
+
+    Every product and partial sum of ``a @ b`` is an integer of
+    magnitude at most ``max|a| * max|b| * k``; below 2**53 float64
+    holds each one exactly, in any summation order.
+    """
+    bound = (_magnitude(a) * _magnitude(b) * a.shape[-1]
+             if a.size and b.size else 0)
+    return bound < FLOAT64_EXACT_BOUND
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of integer arrays, exactly as int64 ``np.matmul``.
+
+    numpy multiplies int64 without BLAS; when :func:`blas_exact`
+    proves float64 exact the product runs on float64 BLAS instead,
+    otherwise on int64 ``np.matmul``.  The application kernels' GEMMs
+    run here; the golden models stay on plain int64 ``@``.
+    """
+    if blas_exact(a, b):
+        return np.matmul(a, b, dtype=np.float64).astype(np.int64)
+    return np.matmul(a, b, dtype=np.int64)
 
 
 class CommBackend(abc.ABC):
@@ -207,9 +241,15 @@ class AppHarness:
 
         Any shape whose leading axis is ``P`` is flattened per row; a
         1-D array is written whole to every PE.  The inverse of
-        :meth:`load` (``DimmSystem.poke_rows``).
+        :meth:`load` (``DimmSystem.poke_rows``).  A dtype that does not
+        cast to int64 safely (floats, uint64) raises :class:`AppError`
+        rather than being truncated.
         """
-        values = np.ascontiguousarray(matrix, dtype=np.int64)
+        values = np.asarray(matrix)
+        if not np.can_cast(values.dtype, np.int64, "safe"):
+            raise AppError(f"store needs integer rows; {values.dtype} does "
+                           "not cast to int64 safely")
+        values = np.ascontiguousarray(values, dtype=np.int64)
         pes = self.manager.all_pes
         if values.ndim == 1:
             raw = values.view(np.uint8)

@@ -28,7 +28,7 @@ import numpy as np
 from ..core.hypercube import HypercubeManager
 from ..data.synthetic import CriteoLikeDataset, embedding_tables
 from ..errors import AppError
-from .base import AppHarness, CommBackend
+from .base import AppHarness, CommBackend, exact_matmul
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ class DlrmApp:
         chunks = flat.reshape(nodes, cz, cx, bs_final, tz, ec)
         feats = chunks.transpose(0, 3, 1, 4, 2, 5).reshape(
             nodes, bs_final, cz * tz * cx * ec)
-        hidden = np.maximum(feats @ w1, 0)
-        harness.store(score_buf, (hidden @ w2)[..., 0])
+        hidden = np.maximum(exact_matmul(feats, w1), 0)
+        harness.store(score_buf, exact_matmul(hidden, w2)[..., 0])
 
     def _assemble_scores(self, gathered, b, bs_final, cx, cy, cz):
         """Map gathered per-node scores back to batch order.

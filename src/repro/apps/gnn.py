@@ -32,7 +32,7 @@ from ..core.hypercube import HypercubeManager
 from ..data.graphs import CsrGraph
 from ..dtypes import MIN, dtype_by_name
 from ..errors import AppError
-from .base import AppHarness, CommBackend
+from .base import AppHarness, CommBackend, exact_matmul
 
 #: DPU ops per multiply-accumulate in the dense combination (the DPU
 #: has no wide multiplier; a MAC costs ~6 software cycles plus the add).
@@ -214,7 +214,7 @@ class GnnApp:
         """Aggregation: partial = tile (or its transpose) @ strip."""
         tile = tiles if layer % 2 == 0 else tiles.transpose(0, 2, 1)
         strips = harness.load(strip_buf, b * f).reshape(-1, b, f)
-        harness.store(partial_buf, tile @ strips)
+        harness.store(partial_buf, exact_matmul(tile, strips))
 
     @staticmethod
     def _comm_ranks(p, dims) -> np.ndarray:
@@ -244,7 +244,7 @@ class GnnApp:
             blocks = weights[layer].reshape(p, fc, f)[
                 self._comm_ranks(p, dims)]
             sl = harness.load(slice_buf, b * fc).reshape(-1, b, fc)
-            harness.store(partial_buf, sl @ blocks)
+            harness.store(partial_buf, exact_matmul(sl, blocks))
         harness.comm("allreduce", dims, b * f * esize, src=partial_buf,
                      dst=strip_buf, dtype=dt)
         harness.kernel(f"relu{layer}", ops_per_pe=float(b * f),
@@ -271,7 +271,8 @@ class GnnApp:
             blocks = weights[layer].reshape(f, p, fc).transpose(1, 0, 2)[
                 self._comm_ranks(p, dims)]
             agg = harness.load(partial_buf, b * f).reshape(-1, b, f)
-            harness.store(slice_buf, np.maximum(agg @ blocks, 0))
+            harness.store(slice_buf,
+                          np.maximum(exact_matmul(agg, blocks), 0))
         harness.kernel(f"relu{layer}", ops_per_pe=float(b * fc),
                        bytes_per_pe=2.0 * esize * b * fc)
         harness.comm("allgather", dims, b * fc * esize, src=slice_buf,

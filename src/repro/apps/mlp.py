@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.hypercube import HypercubeManager
 from ..errors import AppError
-from .base import AppHarness, CommBackend
+from .base import AppHarness, CommBackend, exact_matmul
 
 #: DPU ops per multiply-accumulate: the DPU ISA has no 32/64-bit
 #: multiplier, so a MAC costs ~6 software cycles plus the add.
@@ -57,11 +57,13 @@ def golden_mlp(x: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
 class MlpApp:
     """The MLP benchmark application.
 
-    The golden activations are a function of the frozen config alone
-    (``run`` regenerates its seeded input and weights each time, and the
-    cube shape does not change them), so the first functional run
-    computes them once and every later run, on any 1-D cube, reports
-    the same read-only array as ``meta["golden"]``.
+    The seeded input and weights are a function of the frozen config
+    alone, so the first functional run draws them once and keeps them as
+    read-only int8 arrays (the draw lies in [-4, 4)).  The golden
+    activations follow from them and the cube shape does not change
+    them, so that run also computes them once, from the int64 draw, and
+    every later run, on any 1-D cube, reports the same read-only array
+    as ``meta["golden"]``.
     """
 
     name = "MLP"
@@ -70,8 +72,11 @@ class MlpApp:
 
     def __init__(self, config: MlpConfig) -> None:
         self.config = config
-        #: The golden activations, read-only; computed on the first
+        #: The seeded input and weights (int8, read-only) and the golden
+        #: activations (read-only); drawn and computed on the first
         #: functional run (analytic runs never compute them).
+        self._x: np.ndarray | None = None
+        self._weights: list[np.ndarray] = []
         self._golden: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -92,16 +97,12 @@ class MlpApp:
         act = system.alloc(slice_elems * 8) if functional else 0
         partial = system.alloc(full_elems * 8) if functional else 0
 
-        rng = np.random.default_rng(cfg.seed)
-        weights: list[np.ndarray] = []
-        x = None
         if functional:
-            x = rng.integers(-4, 4, (cfg.batch, cfg.features))
-            weights = [rng.integers(-4, 4, (cfg.features, cfg.features))
-                       for _ in range(cfg.layers)]
+            if self._x is None:
+                self._draw()
             payload = np.ascontiguousarray(
-                x.reshape(cfg.batch, p, cols).transpose(1, 0, 2)
-            ).astype(np.int64)
+                self._x.reshape(cfg.batch, p, cols).transpose(1, 0, 2),
+                dtype=np.int64)
             harness.comm("scatter", "1", slice_elems * 8, dst=act,
                          payloads={0: payload})
         else:
@@ -116,7 +117,8 @@ class MlpApp:
                 bytes_per_pe=8.0 * (slice_elems + cols * cfg.features
                                     + full_elems))
             if functional:
-                self._gemm(harness, act, partial, weights[layer], cfg.batch)
+                self._gemm(harness, act, partial, self._weights[layer],
+                           cfg.batch)
             harness.comm("reduce_scatter", "1", full_elems * 8, src=partial,
                          dst=act)
             if layer != cfg.layers - 1:
@@ -137,11 +139,21 @@ class MlpApp:
                                 features=cfg.features, layers=cfg.layers,
                                 batch=cfg.batch)
         if functional:
-            if self._golden is None:
-                self._golden = golden_mlp(x, weights)
-                self._golden.setflags(write=False)
             result.meta["golden"] = self._golden
         return result
+
+    def _draw(self) -> None:
+        """Draw the seeded input and weights; compute the golden from them."""
+        cfg = self.config
+        rng = np.random.default_rng(cfg.seed)
+        x = rng.integers(-4, 4, (cfg.batch, cfg.features))
+        weights = [rng.integers(-4, 4, (cfg.features, cfg.features))
+                   for _ in range(cfg.layers)]
+        self._golden = golden_mlp(x, weights)
+        self._x = x.astype(np.int8)
+        self._weights = [w.astype(np.int8) for w in weights]
+        for array in (self._golden, self._x, *self._weights):
+            array.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Functional kernels (one bulk load/store each; row r is PE rank r)
@@ -155,7 +167,7 @@ class MlpApp:
         features = w.shape[1]
         cols = features // p
         h = harness.load(act, batch * cols).reshape(p, batch, cols)
-        part = h @ w.reshape(p, cols, features)
+        part = exact_matmul(h, w.reshape(p, cols, features))
         harness.store(partial, part.reshape(p, batch, p, cols).transpose(
             0, 2, 1, 3))
 

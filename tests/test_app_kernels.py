@@ -8,7 +8,9 @@ phases of its app with the loop, one ``read_elements`` /
 ``write_elements`` pair per PE.  On small random graphs and shapes, a
 run of the app must equal a run of its reference in the PE memory
 entering every collective (so every kernel's output layout), the
-output, the ledger and the iteration count.
+output, the ledger and the iteration count.  The dense apps' GEMMs
+run through ``exact_matmul``; each of their cases can also force every
+GEMM onto its int64 branch, which must land the same run.
 """
 
 from __future__ import annotations
@@ -30,13 +32,16 @@ from repro.apps import (
     MlpConfig,
     PidCommBackend,
 )
-from repro.apps.base import AppHarness
+from repro.apps import base
+from repro.apps.base import AppHarness, blas_exact, exact_matmul
 from repro.data.graphs import from_edges, partition_1d, partition_2d
 from repro.data.synthetic import CriteoLikeDataset
 from repro.dtypes import INT64
+from repro.errors import AppError
 from repro.reliability.faults import FaultInjector
 
 from .helpers import coords_of_pe
+from .test_app_engine import e2e_apps, run_app
 
 GEOMETRY = DimmGeometry(1, 1, 8, 8)
 SYSTEM_BACKENDS = st.sampled_from(["scalar", "vectorized"])
@@ -66,16 +71,25 @@ def traced_run(app, shape, backend):
     return result, seen
 
 
-def assert_same_run(app, reference, shape, backend):
-    got, got_seen = traced_run(app, shape, backend)
+def assert_same_run(app, reference, shape, backend, int64_gemms=False):
+    """``app`` lands ``reference``'s run; with ``int64_gemms`` it lands
+    it a second time with the ``exact_matmul`` bound forced to 0, so
+    every GEMM takes the int64 branch instead of float64 BLAS."""
     want, want_seen = traced_run(reference, shape, backend)
-    assert [p for p, _ in got_seen] == [p for p, _ in want_seen]
-    for (primitive, got_rows), (_, want_rows) in zip(got_seen, want_seen):
-        np.testing.assert_array_equal(got_rows, want_rows,
-                                      err_msg=primitive)
-    np.testing.assert_array_equal(got.output, want.output)
-    assert got.ledger.seconds == want.ledger.seconds
-    assert got.meta.get("iterations") == want.meta.get("iterations")
+    bounds = ((base.FLOAT64_EXACT_BOUND, 0) if int64_gemms
+              else (base.FLOAT64_EXACT_BOUND,))
+    for bound in bounds:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base, "FLOAT64_EXACT_BOUND", bound)
+            got, got_seen = traced_run(app, shape, backend)
+        assert [p for p, _ in got_seen] == [p for p, _ in want_seen]
+        for (primitive, got_rows), (_, want_rows) in zip(got_seen,
+                                                         want_seen):
+            np.testing.assert_array_equal(got_rows, want_rows,
+                                          err_msg=primitive)
+        np.testing.assert_array_equal(got.output, want.output)
+        assert got.ledger.seconds == want.ledger.seconds
+        assert got.meta.get("iterations") == want.meta.get("iterations")
     return got
 
 
@@ -297,25 +311,34 @@ class TestGraphKernels:
     @given(case=block_graphs(parts=(1, 2, 4)), backend=SYSTEM_BACKENDS,
            fc=st.integers(1, 3), layers=st.integers(1, 3),
            strategy=st.sampled_from(["rs_ar", "ar_ag"]),
-           seed=st.integers(0, 99))
+           seed=st.integers(0, 99), int64_gemms=st.booleans())
+    @example(case=PATCHY, backend="vectorized", fc=2, layers=3,
+             strategy="rs_ar", seed=5, int64_gemms=True)
+    @example(case=PATCHY, backend="vectorized", fc=2, layers=3,
+             strategy="ar_ag", seed=5, int64_gemms=True)
     @settings(max_examples=30, deadline=None)
     def test_gnn_layouts_match_the_per_pe_loop(self, case, backend, fc,
-                                               layers, strategy, seed):
+                                               layers, strategy, seed,
+                                               int64_gemms):
         p, graph = case
         config = GnnConfig(p * fc, layers, strategy, seed=seed)
         assert_same_run(GnnApp(graph, config), RefGnn(graph, config), (p, p),
-                        backend)
+                        backend, int64_gemms)
 
 
 class TestDenseKernels:
     @given(p=st.sampled_from([1, 2, 4, 8]), cols=st.integers(1, 3),
            batch=st.integers(1, 4), layers=st.integers(1, 3),
-           seed=st.integers(0, 99), backend=SYSTEM_BACKENDS)
+           seed=st.integers(0, 99), backend=SYSTEM_BACKENDS,
+           int64_gemms=st.booleans())
+    @example(p=8, cols=2, batch=3, layers=3, seed=1, backend="vectorized",
+             int64_gemms=True)
     @settings(max_examples=25, deadline=None)
     def test_mlp_layouts_match_the_per_pe_loop(self, p, cols, batch, layers,
-                                               seed, backend):
+                                               seed, backend, int64_gemms):
         config = MlpConfig(p * cols, layers, batch, seed=seed)
-        assert_same_run(MlpApp(config), RefMlp(config), (p,), backend)
+        assert_same_run(MlpApp(config), RefMlp(config), (p,), backend,
+                        int64_gemms)
 
     @staticmethod
     def _dlrm(cube, ec, tz, rows_per_shard, samples_per_node, hots,
@@ -347,7 +370,7 @@ class TestDenseKernels:
                                    hots, indices)
         backend = data.draw(SYSTEM_BACKENDS)
         assert_same_run(DlrmApp(batch, config), RefDlrm(batch, config), cube,
-                        backend)
+                        backend, data.draw(st.booleans()))
 
     @pytest.mark.parametrize("hot_rows", [[5, 5, 5], [0, 3, 5]],
                              ids=["repeated", "across_shards"])
@@ -359,7 +382,7 @@ class TestDenseKernels:
         indices = np.tile(hot_rows, lookups)
         batch, config = self._dlrm(cube, 2, 1, 2, samples, 3, indices)
         got = assert_same_run(DlrmApp(batch, config), RefDlrm(batch, config),
-                              cube, "vectorized")
+                              cube, "vectorized", int64_gemms=True)
         np.testing.assert_array_equal(got.output, got.meta["golden"].ravel())
 
 
@@ -385,3 +408,132 @@ class TestHarnessBulkAccess:
         np.testing.assert_array_equal(harness.load(buf, 3),
                                       np.tile([7, -1, 9], (8, 1)))
         assert sum(system.fault_injector.injected.values()) == 0
+
+    def test_store_refuses_rows_that_do_not_cast_to_int64(self):
+        """A float (or uint64) matrix raises instead of being truncated;
+        int32 and bool rows still store."""
+        manager = make_manager((4, 2))
+        harness = AppHarness(manager, PidCommBackend())
+        buf = manager.system.alloc(3 * 8)
+        for rows in (np.full((8, 3), 2.5), np.ones((8, 3), np.float32),
+                     np.ones((8, 3), np.uint64)):
+            with pytest.raises(AppError, match=str(rows.dtype)):
+                harness.store(buf, rows)
+        rows = np.arange(-12, 12, dtype=np.int32).reshape(8, 3)
+        harness.store(buf, rows)
+        np.testing.assert_array_equal(harness.load(buf, 3), rows)
+        harness.store(buf, rows > 0)
+        np.testing.assert_array_equal(harness.load(buf, 3), rows > 0)
+
+
+# ----------------------------------------------------------------------
+# exact_matmul: int64 np.matmul's bits, on float64 BLAS where exact
+# ----------------------------------------------------------------------
+I64 = np.iinfo(np.int64)
+
+
+def assert_exact(a, b, blas):
+    """``exact_matmul`` is int64 ``np.matmul`` bit for bit, on the
+    branch ``blas`` names."""
+    assert blas_exact(a, b) is blas
+    got = exact_matmul(a, b)
+    want = np.matmul(a.astype(np.int64), b.astype(np.int64))
+    assert got.dtype == np.int64 and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+class TestExactMatmul:
+    @pytest.mark.parametrize("a, b, blas", [
+        # max|a| * max|b| * k just below, at and above 2**53.
+        ([[2 ** 26, -(2 ** 26)]], [[2 ** 25], [-(2 ** 25) + 1]], True),
+        ([[2 ** 26, -(2 ** 26)]], [[2 ** 26], [-(2 ** 26)]], False),
+        ([[2 ** 52 - 1]], [[1]], True),
+        ([[2 ** 53]], [[1]], False),
+        # 2**53 + 1 is the first integer float64 rounds away.
+        ([[2 ** 52 + 1, 2 ** 52]], [[1], [1]], False),
+        ([[2 ** 53 + 1]], [[1]], False),
+        ([[3, -(2 ** 40)], [7, 5]], [[2 ** 11, 1], [-(2 ** 11), 0]], True),
+        ([[3, -(2 ** 40)], [7, 5]], [[2 ** 12, 1], [-(2 ** 12), 0]], False),
+    ], ids=["below", "at", "k1-below", "k1-at", "sum-rounds",
+            "entry-rounds", "mixed-below", "mixed-at"])
+    def test_both_sides_of_the_bound(self, a, b, blas):
+        assert_exact(np.array(a, np.int64), np.array(b, np.int64), blas)
+
+    @pytest.mark.parametrize("a, b, blas", [
+        # -INT64_MIN wraps in int64: a guard on np.abs would read it
+        # as negative and send INT64_MIN * 2 to float64.
+        ([[I64.min]], [[2]], False),
+        ([[I64.min, 1]], [[0], [0]], True),
+        ([[I64.max, I64.min]], [[1], [1]], False),
+        ([[I64.max, I64.max]], [[I64.max], [I64.min]], False),
+        ([[1, -1]], [[I64.min], [I64.max]], False),
+    ], ids=["min-times-two", "min-times-zero", "max-plus-min",
+            "wrapping", "min-on-the-right"])
+    def test_int64_extremes(self, a, b, blas):
+        assert_exact(np.array(a, np.int64), np.array(b, np.int64), blas)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 0), (0, 3)), ((0, 3), (3, 2)), ((2, 3), (3, 0)),
+        ((4, 2, 0), (4, 0, 5)), ((0, 2, 3), (3, 4)),
+    ])
+    def test_k_zero_and_empty_operands(self, a_shape, b_shape):
+        a = np.full(a_shape, I64.min, np.int64)
+        b = np.full(b_shape, I64.max, np.int64)
+        assert_exact(a, b, True)
+
+    @given(log2=st.integers(0, 63), k=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_magnitudes(self, log2, k, seed):
+        rng = np.random.default_rng(seed)
+        high = 2 ** log2 - 1
+        a = rng.integers(-high - 1, high, (3, k), dtype=np.int64,
+                         endpoint=True)
+        b = rng.integers(-high - 1, high, (k, 2), dtype=np.int64,
+                         endpoint=True)
+        assert_exact(a, b, blas_exact(a, b))
+        assert blas_exact(a, b) or 2 ** (2 * log2) * k >= 2 ** 53
+
+    def test_the_apps_batched_shapes(self):
+        """MLP, GNN and DLRM pass batched, broadcast, int8, transposed
+        and fancy-indexed operands."""
+        rng = np.random.default_rng(3)
+
+        def ints(shape, bound, dtype=np.int64):
+            return rng.integers(-bound, bound, shape).astype(dtype)
+
+        tiles = rng.integers(0, 2, (16, 8, 8))
+        weights = ints((32, 32), 3)
+        ranks = np.arange(16) % 4
+        cases = [
+            # MLP: (p, batch, cols) @ (p, cols, F), int8 weights.
+            (ints((4, 3, 8), 2 ** 20), ints((32, 32), 4, np.int8).reshape(
+                4, 8, 32)),
+            # GNN: odd layers multiply the transposed tiles.
+            (tiles.transpose(0, 2, 1), ints((16, 8, 32), 2 ** 20)),
+            (ints((16, 8, 8), 2 ** 20), weights.reshape(4, 8, 32)[ranks]),
+            (ints((16, 8, 32), 2 ** 20),
+             weights.reshape(32, 4, 8).transpose(1, 0, 2)[ranks]),
+            # DLRM: (nodes, bs, feat) @ (feat, hidden), then @ (hidden, 1).
+            (ints((8, 2, 64), 2 ** 10), ints((64, 8), 3)),
+            (ints((8, 2, 8), 2 ** 10), ints((8, 1), 3)),
+        ]
+        for a, b in cases:
+            assert_exact(a, b, True)
+
+    @pytest.mark.parametrize("seed", [20240408, 7])
+    def test_every_app_gemm_of_an_apps_cycle_takes_blas(self, seed,
+                                                        monkeypatch):
+        """The e2e ``apps`` cycle's 19 GEMMs (MLP 5, each GNN 6, DLRM 2)
+        all take the float64 BLAS branch, so its gain cannot silently
+        fall back to int64."""
+        branches = []
+
+        def counting(a, b):
+            branches.append(blas_exact(a, b))
+            return branches[-1]
+
+        monkeypatch.setattr(base, "blas_exact", counting)
+        for entry in e2e_apps(seed).values():
+            run_app(entry, PidCommBackend())
+        assert branches == [True] * 19
