@@ -58,8 +58,6 @@ class ExecContext:
     tile_bytes: int | None = None
     #: Scratch pool streamed bands gather through (None when untiled).
     pool: ScratchPool | None = None
-    #: Engine worker pool streamed bands may fan out to (None = serial).
-    workers: Any = None
     #: Scratch-pool high-water mark (bytes) of a streamed replay.
     peak_scratch_bytes: int = 0
     #: Content-aware elision: run the zero scan in elidable ops

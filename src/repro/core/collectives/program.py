@@ -104,43 +104,18 @@ def band_ranges(rows: int, row_bytes: int,
     return [(r0, min(r0 + band, rows)) for r0 in range(0, rows, band)]
 
 
-def _run_bands(units: Sequence, pool: ScratchPool | None, workers,
+def _run_bands(units: Sequence, pool: ScratchPool | None,
                run_one: Callable[[ScratchPool | None, Any], None]) -> None:
-    """Execute per-band work units serially or across a worker pool.
+    """Execute per-band work units in order on the calling thread.
 
-    ``workers`` is the engine's :class:`~repro.engine.parallel
-    .WorkerPool` (duck-typed here so core never imports engine), or
-    None for a serial loop; ``pool`` is None on an untiled replay.
-    Parallel dispatch is safe because every unit writes a disjoint set
-    of output rows (:func:`band_ranges` partitions the row axis) into
-    already-materialized arena rows, each worker gathers through its
-    own private scratch pool, and no band draws a fault (the op drew
-    its sites before any band ran).  Nested calls (a wave member
-    replaying on a worker thread) run inline on that thread.
-
-    Each unit releases its pool's views before it runs, so a pool's
-    high-water mark is its largest single unit's views -- the same
-    whichever thread a unit lands on.
+    ``pool`` is None on an untiled replay.  Each unit releases the
+    pool's views before it runs, so the pool's high-water mark is its
+    largest single unit's views.
     """
-    if workers is None or workers.workers <= 1 or len(units) <= 1 \
-            or workers.in_worker:
-        for unit in units:
-            if pool is not None:
-                pool.release()
-            run_one(pool, unit)
-        if workers is not None:
-            workers.count_bands(len(units))
-        return
-
-    def task(unit):
-        def run() -> None:
-            scratch = workers.scratch()
-            scratch.release()
-            run_one(scratch, unit)
-            workers.count_bands(1)
-        return run
-
-    workers.run([task(unit) for unit in units])
+    for unit in units:
+        if pool is not None:
+            pool.release()
+        run_one(pool, unit)
 
 
 def _prefix(bands: list[tuple[int, int]],
@@ -252,7 +227,6 @@ class _BandedOp(ProgramOp):
     An op that is not :meth:`_stream_safe` replays as one band at any
     budget, exact for the same reason a whole-op gather is.  Band lists
     are memoised per tile budget: steady-state replay derives none.
-    A stream-safe op's bands fan out to the workers, if any.
     """
 
     _band_memo: dict
@@ -400,8 +374,7 @@ class GatherMoveOp(_BandedOp):
             else:
                 # A dropped put's prefix moves through the plain body:
                 # an elided row holds the bytes its plain gather would.
-                _run_bands(_prefix(bands, limit), ctx.pool, ctx.workers,
-                           run_band)
+                _run_bands(_prefix(bands, limit), ctx.pool, run_band)
 
         # The gather takes the rows the put writes: one site size.
         system.expose(move, self.writes, self.writes[0])
@@ -537,7 +510,7 @@ class GatherMoveOp(_BandedOp):
         """Elided replay: each band gathers its live rows and
         zero-fills its zero rows, unless ``dst_clean`` says they still
         read zero.  The counters are a function of the plan alone, so
-        they are identical at any band budget and worker count."""
+        they are identical at any band budget."""
         system = ctx.system
         row_bytes = self.nslots_out * self.chunk_bytes
 
@@ -555,7 +528,7 @@ class GatherMoveOp(_BandedOp):
                 system.zero_fill_lanes(self.ids[zrows], self.dst_offset,
                                        row_bytes)
 
-        _run_bands(bands, ctx.pool, ctx.workers, run_band)
+        _run_bands(bands, ctx.pool, run_band)
         n_zero = int(np.count_nonzero(plan.zero_row))
         ctx.chunks_elided += n_zero * self.nslots_out
         ctx.elided_bytes += n_zero * row_bytes
@@ -650,7 +623,7 @@ class ReduceFoldOp(_BandedOp):
                 out = np.empty((r1 - r0, elems), np_dtype)
             # Folds stay band-local (no cross-band arithmetic), so the
             # fold order -- and every float bit -- is identical at any
-            # band count and worker count.
+            # band count.
             fold(scratch, r0, r1, out)
             if self.dst_offset is not None:
                 system.put_rows(self.ids[r0:r1], self.dst_offset,
@@ -658,7 +631,7 @@ class ReduceFoldOp(_BandedOp):
 
         system.expose(
             lambda limit: _run_bands(_prefix(bands, limit), ctx.pool,
-                                     ctx.workers, run_band),
+                                     run_band),
             self.writes, self.reads[0])
         if full is not None:
             shaped = full.reshape(self.ngroups, -1, elems)
@@ -798,12 +771,11 @@ class FanoutScratchOp(_BandedOp):
                              bound.window(g, band))
 
         # (instance, band) units are all independent: instances write
-        # different groups' rows, bands write disjoint rows of one
-        # group, so the whole cross product fans out to the workers.
+        # different groups' rows, bands write disjoint rows of one group.
         system.expose(
             lambda limit: _run_bands(
                 _group_prefix(bands, len(vectors), lanes, limit), ctx.pool,
-                ctx.workers, run_unit),
+                run_unit),
             self.writes)
         self._charge(ctx)
 
@@ -1097,7 +1069,6 @@ class CommProgram:
                payloads: Mapping[int, np.ndarray] | None = None, *,
                tile_bytes: int | None = None,
                pool: ScratchPool | None = None,
-               workers=None,
                elide: bool = False) -> tuple[CostLedger, ExecContext]:
         """Execute the compiled ops, host pushes reading ``payloads``;
         returns (ledger, context).
@@ -1108,15 +1079,12 @@ class CommProgram:
 
         One loop runs every op's one replay body.  ``tile_bytes`` is
         the banded ops' output-row band budget: None is one band per
-        op (untiled: allocates per op, no pool, no workers); a budget
-        streams band by band through ``pool`` (fresh when None) in
-        O(tile) working memory, and ``workers`` (an engine worker
-        pool) may fan a streamed op's bands across host threads.  The
-        context's ``peak_scratch_bytes`` is this replay's high-water
-        mark: the largest single band's views, whichever pool gathered
-        it, so the mark is a function of the program and the budget
-        and reads the same at any worker count and schedule.
-        Results are bit-identical at any budget and worker count.  The
+        op (untiled: allocates per op, no pool); a budget streams band
+        by band through ``pool`` (fresh when None) in O(tile) working
+        memory, on the calling thread.  The context's
+        ``peak_scratch_bytes`` is this replay's high-water mark: the
+        largest single band's views, a function of the program and the
+        budget.  Results are bit-identical at any budget.  The
         ledger is unpipelined: a streamed run's pipeline credit is a
         static function of the budget (:meth:`pipeline_depth`).
 
@@ -1129,7 +1097,7 @@ class CommProgram:
         the fraction of modelled bytes actually saved.
         """
         if tile_bytes is None:
-            pool = workers = None
+            pool = None
         elif tile_bytes <= 0:
             raise CollectiveError(
                 f"tile_bytes must be positive, got {tile_bytes}")
@@ -1138,11 +1106,9 @@ class CommProgram:
         else:
             # A session's pool outlives the call; the peak is this one's.
             pool.peak_bytes = 0
-            if workers is not None:
-                workers.reset_scratch_peaks()
         ledger = self.priced(system)
         ctx = ExecContext(system=system, payloads=payloads, elide=elide,
-                          tile_bytes=tile_bytes, pool=pool, workers=workers)
+                          tile_bytes=tile_bytes, pool=pool)
         injector = system.fault_injector
         if injector is not None:
             # The lowered-away LaunchStep's fault site.
@@ -1153,9 +1119,6 @@ class CommProgram:
             op.execute(ctx)
         if pool is not None:
             ctx.peak_scratch_bytes = pool.peak_bytes
-            if workers is not None:
-                ctx.peak_scratch_bytes = max(ctx.peak_scratch_bytes,
-                                             workers.scratch_peak_bytes)
         return self._elision_priced(ledger, ctx, system), ctx
 
     def _elision_priced(self, ledger: CostLedger, ctx: ExecContext,

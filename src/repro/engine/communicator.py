@@ -103,8 +103,8 @@ class Communicator:
         #: op's whole-op band is the one transient array).
         self._scratch = ScratchPool() if self.stream_tile_bytes else None
         #: Session-owned worker pool (None = serial, the default);
-        #: runs hazard-independent wave members and streamed row bands
-        #: concurrently.  See docs/performance.md "Parallel replay".
+        #: runs hazard-independent wave members concurrently.  See
+        #: docs/performance.md "Parallel replay".
         self._pool = (WorkerPool(session_config.parallel_workers)
                       if session_config.parallel_workers > 1 else None)
         if backend is not None:
@@ -224,19 +224,6 @@ class Communicator:
             return self._pool.scratch()
         return self._scratch
 
-    def _band_workers(self) -> WorkerPool | None:
-        """The pool for band-parallel streamed replay, if applicable.
-
-        None inside a worker thread: a wave member occupying a bounded
-        executor slot must not queue band tasks behind itself (its
-        bands run inline instead).  A fault injector changes nothing:
-        each op draws its faults before its bands move.
-        """
-        pool = self._pool
-        if pool is None or pool.in_worker:
-            return None
-        return pool
-
     def _execute_resolved(self, req: NormalizedRequest,
                           resolved: tuple[CommPlan, CommProgram | None, bool],
                           functional: bool
@@ -262,7 +249,6 @@ class Communicator:
             ledger, ctx = program.replay(system, req.payloads,
                                          tile_bytes=tile_bytes,
                                          pool=self._replay_pool(),
-                                         workers=self._band_workers(),
                                          elide=self.elide_transfers)
             replay_s = perf_counter() - start
         else:
@@ -304,8 +290,6 @@ class Communicator:
                                cached=result.cached,
                                attempts=result.attempts,
                                backoff_s=backoff_s, degraded=degraded)
-        if self._pool is not None:
-            self.stats.worker_bands = self._pool.band_counts()
 
     def _host_outputs(self, req: NormalizedRequest,
                       ctx) -> dict[int, np.ndarray] | None:

@@ -1,15 +1,15 @@
-"""Session-owned worker pool: host-side thread parallelism for replay.
+"""Session-owned worker pool: host-side thread parallelism for waves.
 
-PID-Comm's collectives expose two kinds of concurrency the serial
-engine leaves on the table: hazard-independent requests inside one
+Hazard-independent requests inside one
 :meth:`~repro.engine.Communicator.submit` wave touch disjoint MRAM
-byte ranges, and the row bands of a streamed replay write disjoint
-output rows.  Both are pure numpy gathers/folds that release the GIL,
-so plain threads scale them on multi-core hosts -- the UPMEM
-literature's observation that *host orchestration*, not PIM compute,
-is the bottleneck.
+byte ranges, and their replays are numpy gathers/folds that release
+the GIL, so plain threads overlap them on multi-core hosts -- the
+UPMEM literature's observation that *host orchestration*, not PIM
+compute, is the bottleneck.  A streamed replay's row bands run on the
+thread that replays them (``docs/performance.md``, "Parallel
+replay").
 
-:class:`WorkerPool` wraps a ``ThreadPoolExecutor`` with the three
+:class:`WorkerPool` wraps a ``ThreadPoolExecutor`` with the two
 properties the engine needs:
 
 * **Deterministic results** -- :meth:`run` returns results in task
@@ -17,11 +17,7 @@ properties the engine needs:
   task's exception, regardless of completion interleaving.
 * **Private scratch** -- each worker thread lazily owns one
   :class:`~repro.hw.arena.ScratchPool` (:meth:`scratch`), so no tile
-  buffer is ever shared between concurrent band gathers.
-* **No nested deadlock** -- :meth:`run` called from inside a worker
-  thread executes the tasks inline on that thread (a wave member that
-  would band-parallelize its own replay must not wait on the bounded
-  executor it is occupying).
+  buffer is ever shared between concurrently replaying wave members.
 
 Parallelism changes wall-clock only.  Everything priced or counted --
 CostLedger, SimdCounter, WRAM tiles, MRAM images, host outputs -- is
@@ -36,8 +32,8 @@ from typing import Callable, Sequence
 
 from ..hw.arena import ScratchPool
 
-#: Stamped on worker threads so nested :meth:`WorkerPool.run` calls
-#: (and per-worker scratch lookups) recognize pool context.
+#: Stamped on worker threads so per-worker scratch lookups recognize
+#: pool context.
 _worker_state = threading.local()
 
 
@@ -55,11 +51,6 @@ class WorkerPool:
         self.workers = workers
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
-        #: worker label -> bands executed (main thread counts as
-        #: ``"inline"``); guarded by ``_lock``, read via band_counts().
-        self._bands: dict[str, int] = {}
-        self._pools: list[ScratchPool] = []
-        self._next_worker = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -85,40 +76,7 @@ class WorkerPool:
         if pool is None:
             pool = ScratchPool()
             pools[id(self)] = pool
-            with self._lock:
-                self._pools.append(pool)
         return pool
-
-    @property
-    def scratch_peak_bytes(self) -> int:
-        """The largest worker pool's high-water scratch bytes.
-
-        Every band releases its pool's views before it gathers, so a
-        pool's mark is its largest band's, and the largest over all
-        pools is the largest band's however the bands were scheduled.
-        """
-        with self._lock:
-            return max((p.peak_bytes for p in self._pools), default=0)
-
-    def reset_scratch_peaks(self) -> None:
-        """Zero every worker pool's high-water mark (a replay's start)."""
-        with self._lock:
-            for pool in self._pools:
-                pool.peak_bytes = 0
-
-    def count_bands(self, n: int) -> None:
-        """Attribute ``n`` executed bands to the calling worker."""
-        label = getattr(_worker_state, "label", None) \
-            if self.in_worker else "inline"
-        if label is None:
-            label = "inline"
-        with self._lock:
-            self._bands[label] = self._bands.get(label, 0) + n
-
-    def band_counts(self) -> dict[str, int]:
-        """Snapshot of per-worker executed-band counters."""
-        with self._lock:
-            return dict(self._bands)
 
     # ------------------------------------------------------------------
     # Execution
@@ -136,24 +94,20 @@ class WorkerPool:
 
     def _init_worker(self) -> None:
         _worker_state.pool = self
-        with self._lock:
-            label = f"worker-{self._next_worker}"
-            self._next_worker += 1
-        _worker_state.label = label
 
     def run(self, tasks: Sequence[Callable[[], object]]) -> list:
         """Execute ``tasks``; results in submission order.
 
-        Serial inline when the pool has one worker, a single task, or
-        the caller *is* a pool worker (nested parallelism would
-        deadlock the bounded executor).  Exceptions propagate: the
+        Serial inline when the pool has one worker or a single task.
+        Callers never nest: a task that called :meth:`run` would wait
+        on the bounded executor it occupies.  Exceptions propagate: the
         first submitted task that failed raises after all tasks have
         settled, so no task is ever abandoned mid-write.
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        if self.workers == 1 or len(tasks) == 1 or self.in_worker:
+        if self.workers == 1 or len(tasks) == 1:
             return [task() for task in tasks]
         futures = [self._ensure_executor().submit(task) for task in tasks]
         results = []
@@ -181,5 +135,4 @@ class WorkerPool:
             executor.shutdown(wait=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"WorkerPool({self.workers} workers, "
-                f"{sum(self.band_counts().values())} bands)")
+        return f"WorkerPool({self.workers} workers)"

@@ -61,8 +61,7 @@ class CommResult:
     #: Scratch-pool high-water mark of this call's streamed replay, in
     #: bytes: its largest single band's views (at most ~2 tiles: one
     #: pong output band + one fold sliver), the same at any worker
-    #: count and schedule; ``EngineStats.peak_scratch_bytes`` keeps
-    #: the session's.
+    #: count; ``EngineStats.peak_scratch_bytes`` keeps the session's.
     peak_scratch_bytes: int = 0
     #: Source chunks zero-scanned by content-aware elision
     #: (0 unless the call ran with ``elide_transfers`` on a big-enough

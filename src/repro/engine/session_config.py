@@ -75,21 +75,20 @@ class SessionConfig:
             (``docs/performance.md``).  None (default) replays
             unstreamed.  Requires a compiled-capable execution mode.
         parallel_workers: Host threads replaying independent work
-            concurrently (default 1 = serial, today's behavior).
-            With N > 1 the session owns a
-            :class:`~repro.engine.parallel.WorkerPool`: hazard-free
-            requests of one ``submit()`` wave run concurrently, and
-            streamed replays fan their row bands across the workers,
-            each with private scratch.  Results, ledgers and counters
-            are bit-identical at every worker count -- only wall-clock
+            concurrently (default 1 = serial).  With N > 1 the session
+            owns a :class:`~repro.engine.parallel.WorkerPool`, and the
+            hazard-free requests of one ``submit()`` wave run
+            concurrently, each with private scratch.  A single call,
+            and each wave member, replays its row bands on the thread
+            that runs it.  Results, ledgers and counters are
+            bit-identical at every worker count -- only wall-clock
             changes.  Sessions with a fault injector or reliability
             policy run waves serially (counted in
             ``EngineStats.parallel_fallbacks``): the injector's RNG is
-            one stateful stream.  Row bands fan out in every session,
-            since each op draws its faults before its bands move
-            (``docs/performance.md``).  A ``MultiHostSystem`` hands
-            the value to each host session and runs its hosts one
-            after another.
+            one stateful stream (``docs/performance.md``).  A
+            ``MultiHostSystem`` refuses N > 1: its hosts issue single
+            calls, which form no waves, so a pool would never run
+            (``docs/multihost.md``).
         elide_transfers: Content-aware transfer elision (default
             False).  When True, compiled replays zero-scan their
             movement sources and skip the gather and bus charge for

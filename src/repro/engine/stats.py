@@ -81,9 +81,6 @@ class EngineStats:
     #: task seconds; the ratio is :attr:`parallel_speedup`.
     parallel_wall_seconds: float = 0.0
     parallel_task_seconds: float = 0.0
-    #: worker label -> streamed bands executed on that worker
-    #: (mirrors the session pool's lifetime counters).
-    worker_bands: dict[str, int] = field(default_factory=dict)
     # Content-aware elision counters (all zero unless
     # SessionConfig(elide_transfers=True)).
     #: Calls whose replay zero-scanned at least one source.
@@ -280,9 +277,6 @@ class EngineStats:
                          f"{self.parallel_task_seconds * 1e3:.3f} ms "
                          f"({self.parallel_speedup:.2f}x)")
             lines.append(f"    fallbacks       {self.parallel_fallbacks}")
-            for label in sorted(self.worker_bands):
-                lines.append(f"    {label:<15s} "
-                             f"{self.worker_bands[label]} bands")
         if self.elision_scans:
             lines.append("  content elision:")
             lines.append(f"    scans           {self.elision_scans} calls "

@@ -583,7 +583,7 @@ class MemoryArena:
 
         Cached per width and rebuilt after growth, so steady-state
         band gathers create no new array objects.  Built under the
-        growth lock so concurrent band workers hitting a cold cache
+        growth lock so concurrent wave members hitting a cold cache
         share one read-consistent view.
         """
         view = self._flat_views.get(width)

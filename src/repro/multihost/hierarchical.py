@@ -3,8 +3,8 @@
 Each host owns one UPMEM channel (4 ranks x 8 chips x 8 banks = 256
 PEs, as in the paper's testbed) and runs PID-Comm locally through its
 own :class:`~repro.engine.Communicator` session -- full
-:class:`~repro.engine.SessionConfig` support, so the local phases enjoy
-compiled replay, streaming and band workers.
+:class:`~repro.engine.SessionConfig` support but ``parallel_workers``,
+so the local phases enjoy compiled replay, streaming and elision.
 The global phase is a first-class inter-host program
 (:class:`~repro.multihost.GlobalProgram`) priced on a topology-aware
 :class:`~repro.multihost.Fabric` and selected per (primitive, payload,
@@ -94,16 +94,17 @@ class MultiHostSystem:
         ranks_per_channel / mram_bytes: Per-host system size.
         session_config: Engine configuration every host's
             :class:`~repro.engine.Communicator` runs under, as given
-            (rung, backend, execution mode, streaming, elision,
-            workers).  None means the all-defaults config.
+            (rung, backend, execution mode, streaming, elision).
+            None means the all-defaults config.
         fabric: Inter-host topology (default: fully connected at the
             testbed's throttled MPI link rate, on which a ring prices
             at the flat ``(N-1)/N`` formulas).
 
     Hosts run one after another on the calling thread.  The
     hierarchical collectives issue single ``run`` calls, which never
-    form waves, so ``parallel_workers`` reaches a host session only
-    through its streamed row bands.
+    form waves, so a host session's worker pool would never run: a
+    ``session_config`` with ``parallel_workers > 1`` raises
+    :class:`CollectiveError` (``docs/multihost.md``).
     """
 
     def __init__(self, num_hosts: int, params: MachineParams | None = None,
@@ -114,6 +115,12 @@ class MultiHostSystem:
             raise CollectiveError("need at least one host")
         if session_config is None:
             session_config = SessionConfig()
+        if session_config.parallel_workers > 1:
+            raise CollectiveError(
+                f"parallel_workers={session_config.parallel_workers} on a "
+                f"MultiHostSystem: its collectives issue single calls, "
+                f"which form no waves, so a host's worker pool would "
+                f"never run; use parallel_workers=1")
         self.params = params or MachineParams()
         self.session_config = session_config
         self.config = session_config.config
@@ -183,7 +190,7 @@ class MultiHostSystem:
         return self.systems[host].read_elements(local, offset, count, dtype)
 
     def close(self) -> None:
-        """Join host sessions' worker threads (idempotent)."""
+        """Close every host session (idempotent)."""
         for comm in self.communicators:
             comm.close()
 

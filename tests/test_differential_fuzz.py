@@ -157,9 +157,9 @@ def run_case(rng: np.random.Generator, primitive: str, shape: tuple,
 
     Returns the engine's CommResult (so fault sweeps can inspect
     ``attempts``).  ``tile`` streams compiled replays through
-    ``stream_tile_bytes``-sized scratch bands; ``workers`` > 1 replays
-    them band-parallel across a session worker pool (which must stay
-    inside the same oracle).  ``backend="scalar"`` takes
+    ``stream_tile_bytes``-sized scratch bands; ``workers`` > 1 runs the
+    call in a pooled session, which replays its bands on the calling
+    thread and must stay inside the same oracle.  ``backend="scalar"`` takes
     ``execution="interpreted"`` (compiled replay runs on the arena
     only).  ``elide`` turns on content-aware transfer elision (see
     :func:`prepare_case` for ``sparsify``).
@@ -288,8 +288,8 @@ class TestParallelSweep:
     @pytest.mark.parametrize("workers", [2, 7], ids=lambda w: f"w{w}")
     @pytest.mark.parametrize("backend", COMPILED_STORES)
     def test_streamed_parallel_matches_reference(self, backend, workers):
-        # Same seed as the streamed sweep: identical cases, now with
-        # band-parallel replay -- results must stay bit-exact.
+        # Same seed as the streamed sweep: identical cases, now in
+        # pooled sessions -- results must stay bit-exact.
         results = _sweep(seed=909, cases=16, backend=backend,
                          execution="compiled", tile=33, workers=workers)
         assert all(r.execution == "streamed" for r in results)

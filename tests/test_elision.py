@@ -201,8 +201,8 @@ class TestElisionParity:
                                              tiny_floor):
         # Every PE repeats one non-zero block, so output rows gather
         # byte-identical content.  Only all-zero rows elide: the replay
-        # moves every row, untiled, in one-row bands and with the bands
-        # spread over two workers, and still matches the oracle.
+        # moves every row, untiled, in one-row bands and in one-row
+        # bands of a two-worker session, and still matches the oracle.
         tile, workers = {"untiled": (None, 1), "row_tiles": (1, 1),
                          "workers2": (1, 2)}[arm]
         want, _, _ = _run(primitive, "scalar", "interpreted", "dup",

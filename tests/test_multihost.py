@@ -660,9 +660,16 @@ class TestEngineHierarchy:
         # shaping never leaks into the local phases).
         assert result.ledger.total == pytest.approx(baseline.ledger.total)
 
-    def test_pooled_hosts_run_on_the_calling_thread(self, monkeypatch):
-        # parallel_workers reaches each host session as given, and the
-        # driver runs every host's local phases on the calling thread.
+    def test_pooled_hosts_are_refused(self, monkeypatch):
+        # The hierarchical collectives issue single calls, which form
+        # no waves, and a single call replays its bands on the calling
+        # thread, so a host pool would never run: the combination does
+        # not exist.
+        with pytest.raises(CollectiveError, match="parallel_workers=4 on "
+                           "a MultiHostSystem.*form no waves.*never run"):
+            engine_multihost(4, parallel_workers=4)
+        # An unpooled system runs every host's local phases on the
+        # calling thread.
         threads = []
         run = Communicator.run
 
@@ -671,9 +678,7 @@ class TestEngineHierarchy:
             return run(comm, *args, **kwargs)
 
         monkeypatch.setattr(Communicator, "run", spy)
-        mh = engine_multihost(4, parallel_workers=4)
-        assert all(c.session_config.parallel_workers == 4
-                   for c in mh.communicators)
+        mh = engine_multihost(4)
         check_allreduce_parity(mh)
         check_alltoall_parity(mh)
         mh.close()

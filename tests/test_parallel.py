@@ -1,14 +1,15 @@
 """Concurrency battery for the parallel replay engine.
 
-``SessionConfig(parallel_workers=N)`` fans hazard-independent batch
-waves and streamed row bands across a session-owned
-:class:`~repro.engine.WorkerPool`.  The contract under test: the
+``SessionConfig(parallel_workers=N)`` fans the hazard-independent
+members of a batch wave across a session-owned
+:class:`~repro.engine.WorkerPool`; row bands run on the thread that
+replays them.  The contract under test: the
 scalar interpreter stays the bit-exact oracle, and parallelism changes
 *wall-clock only* -- every result byte, MRAM image, CostLedger total,
 tile count and cache counter is identical at every worker count.
 
 The battery covers the pool itself (ordering, per-thread scratch,
-nested-inline execution, exception propagation), bit-parity of all
+exception propagation), bit-parity of all
 eight primitives across worker counts x streamed/untiled replay,
 ledger/stat invariance, 20-run MRAM determinism, wave
 parallelism and its serial fallback, the stream-table concurrent
@@ -43,12 +44,12 @@ from repro.engine import WorkerPool
 from repro.errors import CollectiveError
 
 WORKER_COUNTS = (1, 2, 4, 7)
-#: EngineStats keys that measure host wall-clock or worker attribution;
+#: EngineStats keys that measure host wall-clock or the pool's use;
 #: everything else must be bit-identical across worker counts.
 WALL_CLOCK_KEYS = frozenset({
     "compile_seconds", "replay_seconds", "parallel_workers",
     "parallel_waves", "parallel_requests", "parallel_fallbacks",
-    "parallel_wall_seconds", "parallel_task_seconds", "worker_bands",
+    "parallel_wall_seconds", "parallel_task_seconds",
 })
 
 
@@ -101,23 +102,6 @@ class TestWorkerPool:
         finally:
             pool.shutdown()
 
-    def test_nested_run_executes_inline(self):
-        # A wave member that band-parallelizes its own replay must not
-        # wait on the bounded executor it is occupying: saturate every
-        # worker with tasks that each nest another run().
-        pool = WorkerPool(2)
-        try:
-            def outer(i):
-                def run():
-                    inner = pool.run([lambda: (i, 0), lambda: (i, 1)])
-                    assert pool.in_worker
-                    return inner
-                return run
-            results = pool.run([outer(0), outer(1), outer(2)])
-            assert results == [[(i, 0), (i, 1)] for i in range(3)]
-        finally:
-            pool.shutdown()
-
     def test_first_submitted_exception_wins(self):
         pool = WorkerPool(4)
         finished = []
@@ -135,21 +119,6 @@ class TestWorkerPool:
                 pool.run([boom, ok(1), ok(2), ok(3)])
             # Every task settled before the raise: no abandoned writes.
             assert sorted(finished) == [1, 2, 3]
-        finally:
-            pool.shutdown()
-
-    def test_band_counts_attribute_callers(self):
-        pool = WorkerPool(2)
-        try:
-            pool.count_bands(3)  # main thread
-            pool.run([lambda: pool.count_bands(1),
-                      lambda: pool.count_bands(1),
-                      lambda: pool.count_bands(1)])
-            counts = pool.band_counts()
-            assert counts["inline"] == 3
-            assert sum(counts.values()) == 6
-            assert all(label.startswith(("worker-", "inline"))
-                       for label in counts)
         finally:
             pool.shutdown()
 
@@ -624,16 +593,10 @@ class TestParallelObservability:
             requests = _disjoint_batch()
             _seed_batch_inputs(manager, requests)
             comm.submit(requests)
-            # A solo streamed call band-parallelizes across the pool,
-            # so its bands get per-worker attribution (wave members
-            # replay their bands inline on the wave's worker).
-            comm.alltoall("10", 256, src_offset=0, dst_offset=256,
-                          data_type=INT64)
             snap = comm.stats.snapshot()
             assert snap["parallel_workers"] == 4
             assert snap["parallel_waves"] == 1
             assert snap["parallel_requests"] == 3
-            assert sum(snap["worker_bands"].values()) > 0
             report = comm.stats.report()
             assert "parallel replay:" in report
             assert "workers         4" in report

@@ -55,7 +55,6 @@ from repro.dtypes import BOR, FLOAT32, INT8, INT32, INT64, MIN, SUM
 from repro.engine.cache import DEFAULT_MAXSIZE, PlanCache
 from repro.errors import (CollectiveError, FaultBudgetExceeded,
                           TransferDropped, TransferError)
-from repro.engine.parallel import WorkerPool
 from repro.hw.arena import Region, ScratchPool
 
 PRIMITIVES = ("alltoall", "allgather", "reduce_scatter", "allreduce",
@@ -355,8 +354,8 @@ class TestInPlaceAllReduce:
     @pytest.mark.parametrize("cube", CUBES)
     def test_replay_matches_the_oracle(self, cube, dtype, op):
         """Untiled, and streamed through bands of three rows (each
-        splits a group) at one and two workers: MRAM, host scratch,
-        ledger, SIMD and WRAM tiles all equal the interpreter's."""
+        splits a group): MRAM, host scratch, ledger, SIMD and WRAM
+        tiles all equal the interpreter's."""
         system, plan, pes, start, span = self._setup(cube, dtype, op)
         system.poke_rows(pes, 0, start)
         oracle = _outcome(system, pes, span, *plan.run(system))
@@ -364,16 +363,11 @@ class TestInPlaceAllReduce:
         fold, fanout = program.ops
         assert fold._columns == (dtype is INT64)
         assert fanout._fills
-        for tile, workers in [(None, 1), (3 * span, 1), (3 * span, 2)]:
-            pool = WorkerPool(workers) if workers > 1 else None
+        for tile in (None, 3 * span):
             system.poke_rows(pes, 0, start)
-            try:
-                got = _outcome(system, pes, span, *program.replay(
-                    system, tile_bytes=tile, workers=pool))
-            finally:
-                if pool is not None:
-                    pool.shutdown()
-            assert got == oracle, (tile, workers)
+            got = _outcome(system, pes, span, *program.replay(
+                system, tile_bytes=tile))
+            assert got == oracle, tile
 
     def test_cc_allreduce_is_a_column_fold_and_a_fill(self, monkeypatch):
         programs = []

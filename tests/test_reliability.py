@@ -6,8 +6,6 @@ the plan-cache keying that keeps degraded plans apart from healthy
 ones.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,6 @@ from repro.core.groups import member_pes
 from repro.core.hypercube import HypercubeManager as HM
 from repro.dtypes import INT64, SUM
 from repro.engine.request import CommRequest
-from repro.engine.parallel import WorkerPool
 from repro.hw.arena import Region, ScratchPool
 from repro.errors import (
     ChecksumError,
@@ -826,29 +823,24 @@ class TestFaultsOnCompiledReplay:
 
     @pytest.mark.parametrize("primitive", ["alltoall", "reduce_scatter",
                                            "allreduce", "reduce"])
-    def test_faulted_streamed_bands_fan_out_bit_identically(self,
-                                                            primitive):
-        # Each op draws its faults before its bands move, so an
-        # injector no longer keeps bands on the submitting thread, and
-        # more workers than cores, switching often, replay exactly what
-        # one does: the same draws, attempts and MRAM.
+    def test_faulted_streamed_session_bit_identical_at_any_worker_count(
+            self, primitive):
+        # A pooled session's single calls replay their bands on the
+        # calling thread, faults and all: more workers than cores
+        # replay exactly what one does -- the same draws, attempts and
+        # MRAM.
         runs = []
-        interval = sys.getswitchinterval()
         for workers in (1, 3):
             injector = FaultInjector(seed=PRIMITIVES.index(primitive),
                                      **MIXED_RATES)
-            sys.setswitchinterval(1e-5)
-            try:
-                mram, host, comm = _drive(
-                    primitive, _ORACLE_CALLS, backend="vectorized",
-                    execution="compiled", fault_injector=injector,
-                    stream_tile_bytes=257, parallel_workers=workers)
-            finally:
-                sys.setswitchinterval(interval)
+            mram, host, comm = _drive(
+                primitive, _ORACLE_CALLS, backend="vectorized",
+                execution="compiled", fault_injector=injector,
+                stream_tile_bytes=257, parallel_workers=workers)
             runs.append((mram, host, comm.stats.retries,
-                         dict(injector.injected), comm.stats.worker_bands))
+                         dict(injector.injected)))
             comm.close()
-        (mram, host, retries, injected, _), (*two, bands) = runs
+        (mram, host, retries, injected), two = runs
         assert retries > 0, "no fault fired; tune seed/calls"
         np.testing.assert_array_equal(two[0], mram)
         for got, want in zip(two[1], host):
@@ -856,7 +848,6 @@ class TestFaultsOnCompiledReplay:
             for inst in want:
                 np.testing.assert_array_equal(got[inst], want[inst])
         assert (two[2], two[3]) == (retries, injected)
-        assert any(label.startswith("worker-") for label in bands)
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     @pytest.mark.parametrize("kernel", ["put_rows", "fill_lanes"])
@@ -1208,7 +1199,7 @@ class TestInPlaceExposure:
     ReduceScatter and AllReduce, a disjoint move, an eliding move, a
     fold with and without an MRAM destination, a fan-out -- is one
     gather and one put per group of the modelled machine, however many
-    bands and workers move it: banded replays draw the faults its
+    bands move it: banded replays draw the faults its
     one-band replay draws, in the same order, and a dropped put leaves
     the same MRAM."""
 
@@ -1223,10 +1214,9 @@ class TestInPlaceExposure:
         "fold_to_host": ("allreduce", "11", 1, False),
         "fanout": ("allreduce", "01", 2, False),               # 4 groups
     }
-    #: Every (tile budget, band workers) a replay is checked at; the
-    #: first is the one-band replay the others must match (an untiled
-    #: replay has no band workers).
-    RUNS = [(None, 1), (TILE, 1), (TILE, 2)]
+    #: Every tile budget a replay is checked at; the first is the
+    #: one-band replay the other must match.
+    RUNS = [None, TILE]
 
     @staticmethod
     def _setup(kind):
@@ -1268,7 +1258,7 @@ class TestInPlaceExposure:
         site = (op.ids, op.ids.size * op.nslots_out * op.chunk_bytes)
         return site, [site]
 
-    def _replay(self, kind, tile, workers, injector, monkeypatch):
+    def _replay(self, kind, tile, injector, monkeypatch):
         """Run the op under ``injector``, the ops before it un-faulted.
 
         Returns ``(calls, error, before, after, op)``: every fault-site
@@ -1288,9 +1278,7 @@ class TestInPlaceExposure:
                     and i == 1 else arg for i, arg in enumerate(args))))
                 return _inner(*args)
             setattr(injector, name, record)
-        pool = None if tile is None else WorkerPool(workers)
         ctx = ExecContext(system=system, elide=elide, tile_bytes=tile,
-                          workers=pool,
                           pool=None if tile is None else ScratchPool())
         for op in ops[:index]:
             op.execute(ctx)
@@ -1304,8 +1292,6 @@ class TestInPlaceExposure:
             error = str(exc)
         finally:
             system.attach_fault_injector(None)
-            if pool is not None:
-                pool.shutdown()
         assert op.tile_count(self.TILE) == 32
         if elide and error is None:
             assert ctx.chunks_elided > 0
@@ -1316,9 +1302,9 @@ class TestInPlaceExposure:
     def test_banded_replay_draws_what_one_band_draws(self, kind,
                                                      monkeypatch):
         quiet = dict(bit_flip_rate=1e-12, drop_rate=1e-12)
-        runs = [self._replay(kind, tile, workers,
-                             FaultInjector(seed=0, **quiet), monkeypatch)
-                for tile, workers in self.RUNS]
+        runs = [self._replay(kind, tile, FaultInjector(seed=0, **quiet),
+                             monkeypatch)
+                for tile in self.RUNS]
         one, _, _, one_mram, op = runs[0]
         # The elision scan reads the source first, a site of its own.
         one = one[3:] if self.KINDS[kind][3] else one
@@ -1353,9 +1339,9 @@ class TestInPlaceExposure:
                 self.draws += 1
                 return self.draws == at
 
-        runs = [self._replay(kind, tile, workers,
-                             DropOne(seed=0, drop_rate=1e-12), monkeypatch)
-                for tile, workers in self.RUNS]
+        runs = [self._replay(kind, tile, DropOne(seed=0, drop_rate=1e-12),
+                             monkeypatch)
+                for tile in self.RUNS]
         one_calls, one_error, before, one_mram, _ = runs[0]
         for calls, error, _, mram, _ in runs[1:]:
             assert error == one_error

@@ -14,8 +14,8 @@ scratch bounded by the tile budget, stream-table caches that survive
 two-stage tile pipeline.
 """
 
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -314,52 +314,6 @@ class TestEnginePolicy:
         assert after == alone
         assert stats.peak_scratch_bytes == big
 
-    def test_pooled_peak_scratch_ignores_the_schedule(self):
-        # A pooled call's mark is its largest band's, whichever worker
-        # ran which band: every band on one worker thread, bands dealt
-        # round-robin to two, and the serial session all read the same.
-        class Dealt:
-            """Executor dealing task ``i`` to worker thread ``i % lanes``."""
-
-            def __init__(self, pool, lanes):
-                self._lanes = [ThreadPoolExecutor(
-                    1, initializer=pool._init_worker) for _ in range(lanes)]
-                self._next = 0
-
-            def submit(self, fn):
-                lane = self._lanes[self._next % len(self._lanes)]
-                self._next += 1
-                return lane.submit(fn)
-
-            def shutdown(self, wait=True):
-                for lane in self._lanes:
-                    lane.shutdown(wait=wait)
-
-        def mark(workers, lanes=None):
-            manager = make_manager(SHAPE)
-            system = manager.system
-            comm = Communicator(manager, SessionConfig(
-                backend="vectorized", stream_tile_bytes=8 << 10,
-                parallel_workers=workers))
-            if lanes is not None:
-                comm._pool._executor = Dealt(comm._pool, lanes)
-            groups = groups_of(manager, BITMAP)
-            src, dst = system.alloc(8 << 10), system.alloc(8 << 10)
-            marks = []
-            for call in range(2):
-                fill_group_inputs(system, groups, src, 2 << 10, INT32,
-                                  np.random.default_rng(call))
-                marks.append(comm.alltoall(
-                    BITMAP, 8 << 10, src_offset=src, dst_offset=dst,
-                    data_type=INT32).peak_scratch_bytes)
-            comm.close()
-            return marks
-
-        serial = mark(1)
-        assert serial[0] == serial[1] > 0
-        assert mark(2, lanes=1) == serial
-        assert mark(2, lanes=2) == serial
-
 
 class TestZeroAllocationSteadyState:
     @staticmethod
@@ -433,18 +387,28 @@ class TestZeroAllocationSteadyState:
         # Both primitives open with an in-place PeReorder whose output
         # row r reads only source row r, so it bands like any other op:
         # every band through pong, at any budget and worker count, and
-        # the result matches the oracle.
+        # the result matches the oracle.  A pooled session's single
+        # call gathers and puts every band on the calling thread.
         tile = self.BUDGETS[budget]
         ran = []
+        threads = set()
         take_band_flat = DimmSystem.take_band_flat
+        put_rows = DimmSystem.put_rows
 
         def spy(system, table, width, r0, r1, out):
             ran.append((id(table), r0, r1))
+            threads.add(threading.get_ident())
             return take_band_flat(system, table, width, r0, r1, out)
 
+        def put_spy(system, *args, **kwargs):
+            threads.add(threading.get_ident())
+            return put_rows(system, *args, **kwargs)
+
         monkeypatch.setattr(DimmSystem, "take_band_flat", spy)
+        monkeypatch.setattr(DimmSystem, "put_rows", put_spy)
         result = _assert_streamed_parity(primitive, INT64, "scalar", tile,
                                          workers=workers)
+        assert threads == {threading.get_ident()}
         first = compile_plan(result.plan).ops[0]
         assert first._band_shape() == (self.ROWS, self.ROW_BYTES)
         bands = band_ranges(self.ROWS, self.ROW_BYTES, tile)
@@ -454,7 +418,7 @@ class TestZeroAllocationSteadyState:
         table = ran[0][0]
         assert sorted((r0, r1) for t, r0, r1 in ran
                       if t == table) == sorted(bands * 2)
-        # Pong plus a fold sliver: the largest band's, at any workers.
+        # Pong plus a fold sliver: the largest band's.
         assert 0 < result.peak_scratch_bytes <= 2 * tile
 
     @pytest.mark.parametrize("lanes,one_band", [

@@ -7,15 +7,13 @@ execution modes (interpreted on the scalar store; compiled, streamed
 and eliding on the vectorized arena) -- the interpreter draws faults
 per lane transfer, a compiled op once per modelled transfer however
 many bands it moves in, so every mode is fuzzed under
-``--fault-rate``, and streamed bands fan out across ``--workers``
-under it too.  Unlike the
-pytest sweeps in ``tests/test_differential_fuzz.py`` this runs for a
-*time budget*, so CI can smoke as much as its slot allows::
+``--fault-rate``.  Unlike the pytest sweeps in
+``tests/test_differential_fuzz.py`` this runs for a *time budget*, so
+CI can smoke as much as its slot allows::
 
     PYTHONPATH=src python tools/run_fuzz.py --seconds 10
     PYTHONPATH=src python tools/run_fuzz.py --seconds 5 --fault-rate 0.01
     PYTHONPATH=src python tools/run_fuzz.py --seconds 5 --mode streamed
-    PYTHONPATH=src python tools/run_fuzz.py --seconds 5 --mode streamed --workers 2
 
 ``--mode`` runs every case in one execution mode instead of cycling
 through all four.
@@ -137,7 +135,7 @@ def random_bitmap(rng, ndim):
             return "".join(str(int(b)) for b in bits)
 
 
-def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
+def run_one(rng, case_seed, fault_rate, mode="compiled"):
     """Run one random collective; returns its CommResult.
 
     Eliding cases zero a random fraction of every input, so the scan
@@ -161,7 +159,6 @@ def run_one(rng, case_seed, fault_rate, workers=1, mode="compiled"):
                                  drop_rate=per, timeout_rate=per)
     comm = Communicator(manager,
                         SessionConfig(config=config, fault_injector=injector,
-                                      parallel_workers=workers,
                                       **MODES[mode]))
     sparsity = float(rng.choice((0.0, 0.25, 0.5, 0.9, 1.0))) \
         if mode == "eliding" else 0.0
@@ -254,10 +251,6 @@ def main(argv=None):
     parser.add_argument("--mode", choices=tuple(MODES),
                         help="run every case in this execution mode "
                         "(default: cycle through all of them)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel_workers per session; streamed "
-                        "row bands fan out across them, with or without "
-                        "fault injection (default 1)")
     args = parser.parse_args(argv)
 
     # Fuzz payloads are tiny; let them reach the elision scanner.
@@ -272,8 +265,7 @@ def main(argv=None):
         cases += 1
         try:
             result = run_one(rng, case_seed=args.seed + cases,
-                             fault_rate=args.fault_rate,
-                             workers=args.workers, mode=mode)
+                             fault_rate=args.fault_rate, mode=mode)
         except FaultBudgetExceeded:
             gave_up += 1
             continue
@@ -290,8 +282,7 @@ def main(argv=None):
     by_mode = ", ".join(f"{m} {n}" for m, n in retried.items())
     print(f"OK: {cases} cases in {args.seconds:.1f}s budget, "
           f"{sum(retried.values())} retried ({by_mode}), {gave_up} gave up "
-          f"(seed {args.seed}, fault rate {args.fault_rate}, "
-          f"{args.workers} workers)")
+          f"(seed {args.seed}, fault rate {args.fault_rate})")
     return 0
 
 
